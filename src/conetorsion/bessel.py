@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special as sp
 
 from .errors import DomainError
@@ -166,13 +165,3 @@ def bracket_pair(nu: float, w: float, a: float) -> tuple[float, float]:
     q = modified_bessel(nu, w, scaled=True)
     return w * q.i_prime + a * q.i_val, w * q.k_prime + a * q.k_val
 
-
-def array_nu_over_levels(nu_values: np.ndarray, x: float, scaled: bool = True):
-    """Vectorized (I, I', K, K') over an array of orders at one argument."""
-    iv = sp.ive if scaled else sp.iv
-    kv = sp.kve if scaled else sp.kv
-    i0 = iv(nu_values, x)
-    k0 = kv(nu_values, x)
-    ip = 0.5 * (iv(nu_values - 1.0, x) + iv(nu_values + 1.0, x))
-    kp = -0.5 * (kv(nu_values - 1.0, x) + kv(nu_values + 1.0, x))
-    return i0, ip, k0, kp

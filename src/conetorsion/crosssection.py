@@ -155,16 +155,17 @@ class CrossSection:
 
     @staticmethod
     def _group(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct levels of sorted ``values`` with their counts.
+
+        A new level starts wherever the gap to the previous value exceeds
+        GROUP_TOL * (1 + previous); each level is the mean of its members.
+        """
         if values.size == 0:
             return np.empty(0), np.empty(0, dtype=int)
-        out_vals, out_counts = [], []
-        start = 0
-        for i in range(1, values.size + 1):
-            if i == values.size or values[i] - values[start] > GROUP_TOL * (1.0 + values[start]):
-                out_vals.append(float(np.mean(values[start:i])))
-                out_counts.append(i - start)
-                start = i
-        return np.asarray(out_vals), np.asarray(out_counts, dtype=int)
+        gap = np.diff(values) > GROUP_TOL * (1.0 + values[:-1])
+        starts = np.flatnonzero(np.concatenate(([True], gap)))
+        counts = np.diff(np.append(starts, values.size))
+        return np.add.reduceat(values, starts) / counts, counts
 
     def _cached_levels(self, key, mat, radius):
         with self._lock:

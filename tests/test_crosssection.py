@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from conetorsion.crosssection import (
+    GROUP_TOL,
+    CrossSection,
     brute_force_form_laplacian,
     build_cross_section,
     coclosed_spectrum,
@@ -16,6 +18,7 @@ from conetorsion.crosssection import (
     theta_heat_coeffs,
 )
 from conetorsion.errors import ConfigError, DomainError, ExperimentalUnsupportedError
+from conetorsion.zeta import cutoff_for_tolerance
 
 
 def test_build_examples():
@@ -232,3 +235,50 @@ def test_with_alpha_keeps_levels(unit_t2):
     assert mod.alpha == 0.125
     assert mod.eta is sl.eta
     assert mod.heat.alpha == 0.125
+
+
+def _group_loop(values):
+    """Reference grouping: extend a level while values stay within
+    GROUP_TOL * (1 + first member) of its first member."""
+    out_vals, out_counts = [], []
+    start = 0
+    for i in range(1, values.size + 1):
+        if i == values.size or values[i] - values[start] > GROUP_TOL * (1.0 + values[start]):
+            out_vals.append(float(np.mean(values[start:i])))
+            out_counts.append(i - start)
+            start = i
+    return np.asarray(out_vals), np.asarray(out_counts, dtype=int)
+
+
+_BENCH_BASES = {
+    "unit-t2": np.eye(2),
+    "sheared-t2": [[1, 0.37], [0, 1]],
+    "16I-t2": 16 * np.eye(2),
+    "24I-t2": 24 * np.eye(2),
+    "32I-t2": 32 * np.eye(2),
+    "diag-t2": [[1, 0], [0, 0.1]],
+    "quarter-t2": 0.25 * np.eye(2),
+    "unit-t4": np.eye(4),
+    "sheared-t4": 2 * np.array([[1, 0.37, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0.2], [0, 0, 0, 1]]),
+    "0.7I-t4": 0.7 * np.eye(4),
+}
+
+
+@pytest.mark.parametrize("name", list(_BENCH_BASES))
+def test_group_matches_loop(name):
+    """Vectorised grouping against the loop on the dual and primal windows a
+    torsion run at tolerance 1e-12 enumerates."""
+    basis = np.asarray(_BENCH_BASES[name], dtype=float)
+    n = basis.shape[0]
+    cs = build_cross_section({"family": "flat_torus", "dim_n": n, "lattice_basis": basis.tolist()})
+    cutoff = max(cutoff_for_tolerance(cs, k, 1e-12) for k in range(n))
+    windows = [
+        (cs.dual_basis(), math.sqrt(cutoff) / (2.0 * math.pi)),
+        (basis.T, math.sqrt(4.0 * 58.0)),  # the Mellin split's primal window at t0 = 1
+    ]
+    for mat, radius in windows:
+        values = cs._enumerate(mat, radius)
+        means, counts = CrossSection._group(values)
+        ref_means, ref_counts = _group_loop(values)
+        assert np.array_equal(counts, ref_counts)
+        assert np.all(np.abs(means - ref_means) <= 1e-15 * np.abs(ref_means))
