@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__
 from .bessel import modified_bessel, uniform_expansion, wronskian_residual
-from .config import RunConfig, parse_config
+from .config import RunConfig, parse_config, read_config_document
 from .crosssection import coclosed_spectrum
 from .errors import ConfigError
 from .firstorder import first_order_shifted
@@ -498,11 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from_args(args) -> RunConfig:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("$", f"invalid JSON: {exc}") from None
+        doc = read_config_document(args.config)
     else:
         doc = json.loads(json.dumps(DEFAULT_CONFIG))
     if not isinstance(doc, dict):

@@ -143,12 +143,19 @@ def parse_config(doc: dict) -> RunConfig:
     )
 
 
-def load_config(path: str) -> RunConfig:
+def read_config_document(path: str):
+    """The parsed JSON document at ``path``; a missing, unreadable or
+    malformed file raises :class:`ConfigError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError("$", f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError("$", f"config file not readable: {exc}") from None
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError("$", f"invalid JSON: {exc}") from None
-    return parse_config(doc)
+
+
+def load_config(path: str) -> RunConfig:
+    return parse_config(read_config_document(path))

@@ -149,6 +149,9 @@ class TorsResult:
     full_range: float
     dual_half_range: float
     err: float
+    # the slices the run built and zeta'_k(0, +alpha_k) on each, keyed by k
+    slices: Dict[int, SpectralSlice] = field(default_factory=dict)
+    shifted_prime0_plus: Dict[int, float] = field(default_factory=dict)
 
 
 def tors_term(
@@ -180,7 +183,8 @@ def tors_term(
     )
     err = math.fsum(e for (_, e) in results.values())
     value = full if form == "full_range" else dual
-    return TorsResult(value, abs(full - dual), full, dual, err)
+    plus = {k: results[(k, +1)][0] for k in range(n)}
+    return TorsResult(value, abs(full - dual), full, dual, err, slices, plus)
 
 
 @dataclass
@@ -205,17 +209,16 @@ def log_torsion_cone(
     top = top_term(cs)
     tors = tors_term(cs, "dual_half_range", params)
     res, anomaly = res_term(cs)
-    per_slice: Dict[int, Dict[str, float]] = {}
-    for k in range(cs.dim_n):
-        sl = coclosed_spectrum(cs, k, params.slice_cutoff(cs, k))
-        vp, _ = shifted_zeta_prime0(sl, +1, order=params.order)
-        per_slice[k] = {
+    per_slice = {
+        k: {
             "alpha": sl.alpha,
             "betti": float(sl.betti_k),
             "cutoff": sl.cutoff,
             "levels": float(sl.eta.size),
-            "shifted_prime0_plus": vp,
+            "shifted_prime0_plus": tors.shifted_prime0_plus[k],
         }
+        for k, sl in tors.slices.items()
+    }
     report = TorsionReport(
         top=top,
         tors=tors.value,

@@ -58,6 +58,9 @@ EULER_GAMMA = 0.5772156649015328606
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 _EXP_FLOOR = 50.0  # e^{-50} ~ 2e-22: summation horizon for exponential tails
+# e^{-700} ~ 1e-304: lattice-remainder terms smaller than this cannot change a
+# binary64 B, and skipping them keeps the exponentials out of the subnormal range
+_REMAINDER_CUT = 700.0
 
 
 def default_order(n: int) -> int:
@@ -153,12 +156,17 @@ class MellinSplit:
     # -- B: lattice remainder on (0, t0] ----------------------------------
 
     def _remainder(self, t: float) -> float:
-        if self._p_sq.size == 0 or t <= 0.0:
+        """R(t) = scale * sum m e^{-|p|^2/(4t)} over the prefix of the sorted
+        primal norms whose terms scale * e^{-|p|^2/(4t)} reach e^{-_REMAINDER_CUT}."""
+        if t <= 0.0:
             return 0.0
-        expo = self._p_sq / (4.0 * t)
-        vals = np.exp(-np.minimum(expo, 745.0)) * self._p_counts
-        s_p = float(vals.sum())
-        return self.kappa * self.v_n * t ** (-self.h) * math.exp(-self.a2 * t) * s_p
+        scale = self.kappa * self.v_n * t ** (-self.h) * math.exp(-self.a2 * t)
+        horizon = 4.0 * t * (_REMAINDER_CUT + math.log(scale))
+        m = int(np.searchsorted(self._p_sq, horizon, side="right"))
+        if m == 0:
+            return 0.0
+        vals = np.exp(-self._p_sq[:m] / (4.0 * t)) * self._p_counts[:m]
+        return scale * float(vals.sum())
 
     def _b_quad(self, sigmas: np.ndarray) -> tuple[np.ndarray, float]:
         """B at every entry of ``sigmas`` from one vector quadrature, so each
@@ -372,9 +380,12 @@ def _k_direct(sl: SpectralSlice, c: float, order: int) -> tuple[float, float]:
     if xmax >= 0.95:
         raise DomainError(f"|c|/nu too close to 1 (max {xmax:.3f}); K series unreliable")
     extra = min(400, max(8, int(math.ceil(-_EXP_FLOOR / math.log(max(xmax, 1e-12))))))
-    powers = np.power.outer(-x, np.arange(order + 1, order + 1 + extra))
-    series = powers / np.arange(order + 1, order + 1 + extra)
-    terms = series.sum(axis=1) * sl.mult
+    # sum_{r=J+1}^{J+extra} (-x)^r / r = (-x)^(J+1) sum_j (-x)^j / (J+1+j), by Horner
+    y = -x
+    acc = np.zeros_like(x)
+    for r in range(order + extra, order, -1):
+        acc = acc * y + 1.0 / r
+    terms = acc * y ** (order + 1) * sl.mult
     value = math.fsum(terms.tolist())
     bound = _k_tail_bound(sl.tail, c, float(nu[-1]), order)
     return value, bound

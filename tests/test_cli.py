@@ -171,3 +171,10 @@ def test_cli_overrides_drop_conflicting_keys(tmp_path):
     report = json.loads(out.read_text())
     assert report["provenance"]["cutoff"] == 200.0
     assert report["provenance"]["tolerance"] is None
+
+
+def test_missing_or_unreadable_config_is_config_error(tmp_path, capsys):
+    assert cli.main(["torsion", "--config", str(tmp_path / "absent.json")]) == 2
+    assert "not found" in capsys.readouterr().err
+    assert cli.main(["torsion", "--config", str(tmp_path)]) == 2  # a directory
+    assert "not readable" in capsys.readouterr().err
