@@ -17,6 +17,7 @@ from .errors import (  # noqa: E402,F401
     CutoffInsufficientError,
     DomainError,
     ExperimentalUnsupportedError,
+    ODEIntegrationError,
     ZetaPoleError,
 )
 
@@ -33,6 +34,7 @@ __all__ = [
     "CutoffInsufficientError",
     "DomainError",
     "ExperimentalUnsupportedError",
+    "ODEIntegrationError",
     "ZetaPoleError",
     "__version__",
 ]

@@ -32,14 +32,21 @@ from . import __version__
 from .bessel import modified_bessel, uniform_expansion, wronskian_residual
 from .config import RunConfig, parse_config, read_config_document
 from .crosssection import coclosed_spectrum
-from .errors import ConfigError
+from .errors import (
+    ConfigError,
+    CutoffInsufficientError,
+    DomainError,
+    ExperimentalUnsupportedError,
+    ODEIntegrationError,
+)
 from .firstorder import first_order_shifted
 from .olver import d_poly, eval_t_poly, m_poly_eval, z_diff_by_b, z_table
 from .torsion import (
     ModelOperatorSpec,
     NumericsParams,
     ab_constant,
-    gy_det_ratio_oracle,
+    build_slices,
+    gy_det_ratio_oracles,
     harmonic_det,
     log_torsion_cone,
     log_torsion_truncated,
@@ -163,9 +170,13 @@ def cmd_truncated(cfg: RunConfig) -> int:
     if cfg.epsilon is None:
         raise ConfigError("epsilon", "required for the truncated subcommand")
     started = time.time()
-    value = log_torsion_truncated(cfg.cross_section, cfg.epsilon)
-    diff = torsion_difference(cfg.cross_section, cfg.epsilon, _params(cfg))
-    cone = log_torsion_cone(cfg.cross_section, _params(cfg))
+    cs, params = cfg.cross_section, _params(cfg)
+    # one slice set serves both routes, so each slice and its Mellin engine
+    # is built once per job
+    slices = build_slices(cs, range(cs.dim_n), params)
+    value = log_torsion_truncated(cs, cfg.epsilon)
+    diff = torsion_difference(cs, cfg.epsilon, params, slices)
+    cone = log_torsion_cone(cs, params, slices)
     doc = {
         "result": {
             "log_torsion_truncated": value,
@@ -357,27 +368,27 @@ def _check_uniform() -> float:
 
 
 def _check_det_grid() -> float:
-    worst = 0.0
+    specs, zs = [], []
     for kind in ("psi_truncated", "phi_truncated"):
         for nu in (1.0, 2.0, 3.5, 6.0, 10.0):
             for z in (0.1, 0.4, 1.0, 2.0, 4.0):
                 for eps in (0.1, 0.25, 0.5):
-                    spec = ModelOperatorSpec(kind, nu, 0.5, eps)
-                    cf = model_det_ratio(spec, z)
-                    gy = gy_det_ratio_oracle(spec, z)
-                    worst = max(worst, abs(cf - gy) / abs(cf))
-    return worst
+                    specs.append(ModelOperatorSpec(kind, nu, 0.5, eps))
+                    zs.append(z)
+    cf = np.array([model_det_ratio(spec, z) for spec, z in zip(specs, zs)])
+    gy = gy_det_ratio_oracles(specs, zs)
+    return float(np.max(np.abs(cf - gy) / np.abs(cf)))
 
 
 def _check_harmonic() -> float:
-    worst = 0.0
-    for alpha in (0.5, 1.5, 2.5):
-        for eps in (0.1, 0.25, 0.5):
-            spec = ModelOperatorSpec("harmonic_H0", abs(alpha), alpha, eps)
-            closed = harmonic_det(alpha, eps)
-            gy = gy_det_ratio_oracle(spec, 0.0)
-            worst = max(worst, abs(closed - gy) / closed)
-    return worst
+    specs = [
+        ModelOperatorSpec("harmonic_H0", abs(alpha), alpha, eps)
+        for alpha in (0.5, 1.5, 2.5)
+        for eps in (0.1, 0.25, 0.5)
+    ]
+    closed = np.array([harmonic_det(spec.alpha, spec.eps) for spec in specs])
+    gy = gy_det_ratio_oracles(specs, [0.0] * len(specs))
+    return float(np.max(np.abs(closed - gy) / closed))
 
 
 def _unit_t2_slice():
@@ -436,6 +447,12 @@ _CHECKS: list[tuple[str, str, Callable[[], float], float]] = [
 
 
 def cmd_verify(group: Optional[str]) -> int:
+    if group and not any(group in (grp, name) for grp, name, _, _ in _CHECKS):
+        groups = ", ".join(dict.fromkeys(grp for grp, _, _, _ in _CHECKS))
+        names = ", ".join(name for _, name, _, _ in _CHECKS)
+        raise ConfigError(
+            "verify", f"unknown group or check {group!r}; groups: {groups}; checks: {names}"
+        )
     failures: list[tuple[str, float, float]] = []
     for grp, name, fn, bound in _CHECKS:
         if group and group not in (grp, name):
@@ -489,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epsilon", type=float, help="truncation parameter in (0,1)")
         p.add_argument("--mu", help="comma-separated scaling grid, e.g. 2,4,8")
         if name == "verify":
-            p.add_argument("what", nargs="?", help="restrict to one check group")
+            p.add_argument("what", nargs="?", help="restrict to one check group or check name")
     p = sub.add_parser("dump-olver", help="exact expansion-coefficient tables")
     p.add_argument("--order", type=int, default=6, help="highest order r (<= 12)")
     p.add_argument("--out", help="output file (default: stdout)")
@@ -528,6 +545,17 @@ def _config_from_args(args) -> RunConfig:
     return parse_config(doc)
 
 
+# what the library raises when a computation cannot meet its contract; any
+# other exception is a defect and propagates with its traceback
+_NUMERICAL_FAILURES = (
+    DomainError,
+    CutoffInsufficientError,
+    ArithmeticError,
+    ExperimentalUnsupportedError,
+    ODEIntegrationError,
+)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -548,7 +576,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # numerical failures: exit 1 with the offender
+    except _NUMERICAL_FAILURES as exc:  # exit 1 with the offender
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,3 +36,7 @@ class ZetaPoleError(DomainError):
 
 class ExperimentalUnsupportedError(NotImplementedError):
     """The round-sphere family needs a user-supplied spectrum table."""
+
+
+class ODEIntegrationError(RuntimeError):
+    """An ODE oracle's integrator failed to reach the end of its interval."""

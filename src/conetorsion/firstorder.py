@@ -13,7 +13,9 @@ The small-time model comes from the subordination identity
 applied to the second-order heat model: the model part integrates to
 elementary closed form (half-integer Bessel K reduces to exp times a
 polynomial in 1/t), and the lattice remainder keeps an absolutely convergent
-double-quadrature representation with no catastrophic cancellation.  Values
+integral representation with no catastrophic cancellation: its Mellin part B
+integrates over t in closed form (an erfcx window), leaving one quadrature
+over the subordination variable.  Values
 and derivatives at s = 0 then drop out of the same pole bookkeeping as in the
 second-order route.
 
@@ -28,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from .crosssection import SpectralSlice
 from .errors import DomainError
@@ -36,6 +38,27 @@ from .zeta import EULER_GAMMA
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 _HORIZON = 46.0
+
+
+def _window_integral(c: float, t0: float, u: float) -> float:
+    """G(u) = Int_0^t0 exp(-c t - t^2/(4u)) dt for u > 0, in closed form.
+
+    Completing the square gives sqrt(pi u) e^{a^2} (erf b - erf a) with
+    a = c sqrt(u) and b = a + t0/(2 sqrt(u)).  Where a and b share a sign the
+    erf difference is rewritten through erfcx, so no term overflows and no
+    difference of two values near 1 is formed.
+    """
+    root = math.sqrt(u)
+    a = c * root
+    d = t0 / (2.0 * root)
+    b = a + d
+    if a >= 0.0:
+        diff = special.erfcx(a) - math.exp(-d * (2.0 * a + d)) * special.erfcx(b)
+    elif b <= 0.0:
+        diff = math.exp(-d * (2.0 * a + d)) * special.erfcx(-b) - special.erfcx(-a)
+    else:
+        diff = math.exp(a * a) * (math.erf(b) - math.erf(a))
+    return math.sqrt(math.pi) * root * float(diff)
 
 
 @dataclass(frozen=True)
@@ -69,6 +92,8 @@ class FirstOrderZeta:
         # window must cover the upper Mellin sum (nu + c <= horizon / t0)
         # and the dual-side remainder sums down to u = u_c
         self._u_c = cs.min_primal_length() / (2.0 * math.sqrt(cs.first_eta()))
+        # the subordination integrals over u stop where e^{-a^2 u} is spent
+        self._u_upper = (_HORIZON + 20.0) / self.a2 + 4.0 * self._u_c
         nu_max = (_HORIZON + 6.0) / self.t0 - min(self.c, 0.0)
         eta_window = max(nu_max * nu_max, (_HORIZON + 8.0) / self._u_c)
         eta, counts = cs.lattice_eta_levels(cutoff=eta_window)
@@ -123,9 +148,8 @@ class FirstOrderZeta:
         def integrand(u: float) -> float:
             return u**-1.5 * math.exp(-t * t / (4.0 * u)) * self._second_order_remainder(u)
 
-        upper = (_HORIZON + 20.0) / self.a2 + 4.0 * self._u_c
         v1, _ = integrate.quad(integrand, 0.0, self._u_c, **_QUAD)
-        v2, _ = integrate.quad(integrand, self._u_c, upper, **_QUAD)
+        v2, _ = integrate.quad(integrand, self._u_c, self._u_upper, **_QUAD)
         return t / (2.0 * math.sqrt(math.pi)) * (v1 + v2)
 
     def theta(self, t: float) -> float:
@@ -166,16 +190,17 @@ class FirstOrderZeta:
         return rho, fin
 
     def _b1_value(self) -> float:
+        """B1 = Int_0^t0 e^{-ct} R1(t) dt / t with the two integrals swapped:
+        (1/(2 sqrt(pi))) Int u^{-3/2} R(u) G(u) du, G the closed-form t window."""
         if self._b0 is None:
-            val, _ = integrate.quad(
-                lambda t: math.exp(-self.c * t) * self.remainder_theta(t) / t,
-                0.0,
-                self.t0,
-                epsabs=1e-11,
-                epsrel=1e-10,
-                limit=200,
-            )
-            self._b0 = val
+
+            def integrand(u: float) -> float:
+                window = _window_integral(self.c, self.t0, u)
+                return u**-1.5 * self._second_order_remainder(u) * window
+
+            v1, _ = integrate.quad(integrand, 0.0, self._u_c, **_QUAD)
+            v2, _ = integrate.quad(integrand, self._u_c, self._u_upper, **_QUAD)
+            self._b0 = (v1 + v2) / (2.0 * math.sqrt(math.pi))
         return self._b0
 
     def _f1_value(self) -> float:

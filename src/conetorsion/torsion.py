@@ -30,12 +30,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence
 
+import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import __version__
 from .bessel import bracket_pair
 from .crosssection import CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
-from .errors import DomainError
+from .errors import DomainError, ODEIntegrationError
 from .olver import harmonic_number, z_diff_by_b
 from .zeta import cutoff_for_tolerance, shifted_zeta0, shifted_zeta_prime0
 
@@ -58,7 +59,12 @@ class NumericsParams:
         return cutoff_for_tolerance(cs, k, tol, order=self.order)
 
 
-def _build_slices(cs: CrossSection, ks: Iterable[int], params: NumericsParams) -> Dict[int, SpectralSlice]:
+def build_slices(cs: CrossSection, ks: Iterable[int], params: NumericsParams) -> Dict[int, SpectralSlice]:
+    """The spectral slices of degrees ``ks`` at the cutoffs ``params`` sets.
+
+    Each slice caches its Mellin engine, so routes that share one dict share
+    the enumeration and the continuation work.
+    """
     return {k: coclosed_spectrum(cs, k, params.slice_cutoff(cs, k)) for k in ks}
 
 
@@ -155,20 +161,25 @@ class TorsResult:
 
 
 def tors_term(
-    cs: CrossSection, form: str = "dual_half_range", params: Optional[NumericsParams] = None
+    cs: CrossSection,
+    form: str = "dual_half_range",
+    params: Optional[NumericsParams] = None,
+    slices: Optional[Dict[int, SpectralSlice]] = None,
 ) -> TorsResult:
     """Torsion-like invariant Tors(N, E_N; g^N).
 
     ``full_range`` sums (1/2) (-1)^k zeta'_k(0, a_k) over k = 0..n-1;
     ``dual_half_range`` sums (1/2) (-1)^k (zeta'_k(0, a_k) - zeta'_k(0, -a_k))
     over the lower half.  Both are computed and the residual of their
-    agreement (an exact identity on tori) is reported alongside.
+    agreement (an exact identity on tori) is reported alongside.  ``slices``
+    (every degree 0..n-1, from :func:`build_slices`) are built when omitted.
     """
     if form not in ("full_range", "dual_half_range"):
         raise DomainError(f"unknown form {form!r}")
     params = params or NumericsParams()
     n = cs.dim_n
-    slices = _build_slices(cs, range(n), params)
+    if slices is None:
+        slices = build_slices(cs, range(n), params)
 
     def one(task):
         k, sign = task
@@ -201,13 +212,17 @@ class TorsionReport:
 
 
 def log_torsion_cone(
-    cs: CrossSection, params: Optional[NumericsParams] = None
+    cs: CrossSection,
+    params: Optional[NumericsParams] = None,
+    slices: Optional[Dict[int, SpectralSlice]] = None,
 ) -> TorsionReport:
-    """log T(C(N)) = Top + Tors + Res, with Res = -anomaly/2."""
+    """log T(C(N)) = Top + Tors + Res, with Res = -anomaly/2.
+
+    ``slices`` as in :func:`tors_term`."""
     params = params or NumericsParams()
     started = time.time()
     top = top_term(cs)
-    tors = tors_term(cs, "dual_half_range", params)
+    tors = tors_term(cs, "dual_half_range", params, slices)
     res, anomaly = res_term(cs)
     per_slice = {
         k: {
@@ -263,9 +278,15 @@ def log_torsion_truncated(cs: CrossSection, eps: float) -> float:
 
 
 def torsion_difference(
-    cs: CrossSection, eps: float, params: Optional[NumericsParams] = None
+    cs: CrossSection,
+    eps: float,
+    params: Optional[NumericsParams] = None,
+    slices: Optional[Dict[int, SpectralSlice]] = None,
 ) -> float:
-    """log T(C_eps(N)) - log T(C(N)) by its five-line closed form."""
+    """log T(C_eps(N)) - log T(C(N)) by its five-line closed form.
+
+    Uses the slices of degree k < n/2; ``slices`` (from :func:`build_slices`,
+    covering at least those degrees) are built when omitted."""
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     params = params or NumericsParams()
@@ -280,7 +301,8 @@ def torsion_difference(
         (-1) ** k / 2.0 * cs.betti(k) * math.log(n - 2 * k + 1) for k in range(h)
     )
     line4 = 0.5 * _residue_double_sum(cs)
-    slices = _build_slices(cs, range(h), params)
+    if slices is None:
+        slices = build_slices(cs, range(h), params)
     line5 = 0.0
     for k in range(h):
         vp, _ = shifted_zeta_prime0(slices[k], +1, order=params.order)
@@ -409,66 +431,121 @@ def model_det_ratio(spec: ModelOperatorSpec, z: float) -> float:
     return math.exp(log_ratio)
 
 
-def _integrate_model_ode(nu: float, w2: float, x_start: float, x_end: float, y0, rtol=1e-12):
-    def rhs(x, y):
-        return [y[1], ((nu * nu - 0.25) / (x * x) + w2) * y[0]]
+# scipy clamps a relative tolerance below this floor (with a warning)
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
+
+
+def _integrate_model_ode(nu, w2, x_start, x_end, y0, yp0, rtol=1e-12):
+    """End states (f, f') of f'' = ((nu^2 - 1/4)/x^2 + w2) f for many systems.
+
+    Every argument broadcasts to one array of m systems.  System i runs from
+    ``x_start[i]`` to ``x_end[i]`` with f = ``y0[i]``, f' = ``yp0[i]``; each is
+    mapped to s in [0, 1] by x = x_start + s (x_end - x_start), so one DOP853
+    solve advances them all with ``max_step`` 1/8 in s (|dx|/8 in x).
+    solve_ivp bounds the RMS of the scaled error over all 2m components, so
+    the tolerance passed is rtol / sqrt(2m): every component keeps a scaled
+    local error <= rtol, as when integrated alone.  Batches whose reduced
+    tolerance would fall below scipy's floor are solved in chunks.
+    """
+    rows = np.array(np.broadcast_arrays(nu, w2, x_start, x_end, y0, yp0), dtype=float).reshape(6, -1)
+    m = rows.shape[1]
+    chunk = max(1, int((rtol / _RTOL_FLOOR) ** 2 / 2.0))
+    if m > chunk:
+        parts = [_integrate_model_ode(*rows[:, i : i + chunk], rtol=rtol) for i in range(0, m, chunk)]
+        return tuple(np.concatenate(ends) for ends in zip(*parts))
+    nu, w2, x_start, x_end, y0, yp0 = rows
+    dx = x_end - x_start
+    c_dx = (nu * nu - 0.25) * dx
+    w2_dx = w2 * dx
+    q = np.empty(m)
+
+    def rhs(s, y):
+        # d/ds (f, f') = (dx f', q f) with q = dx ((nu^2 - 1/4)/x^2 + w2);
+        # a fresh output array per call, because the solver keeps the
+        # returned array as its stored derivative
+        out = np.empty(2 * m)
+        np.multiply(dx, y[m:], out=out[:m])
+        np.multiply(dx, s, out=q)
+        np.add(q, x_start, out=q)
+        np.multiply(q, q, out=q)
+        np.divide(c_dx, q, out=q)
+        np.add(q, w2_dx, out=q)
+        np.multiply(q, y[:m], out=out[m:])
+        return out
 
     sol = solve_ivp(
         rhs,
-        (x_start, x_end),
-        y0,
+        (0.0, 1.0),
+        np.concatenate([y0, yp0]),
         method="DOP853",
-        rtol=rtol,
+        t_eval=[1.0],
+        rtol=rtol / math.sqrt(2 * m),
         atol=1e-30,
-        dense_output=False,
-        max_step=abs(x_end - x_start) / 8.0,
+        max_step=0.125,
     )
     if not sol.success:
-        raise RuntimeError(
+        raise ODEIntegrationError(
             "model ODE integration failed (stiff regime); use the scaled Bessel path"
         )
-    return float(sol.y[0, -1]), float(sol.y[1, -1])
+    end = sol.y[:, -1]
+    return end[:m], end[m:]
 
 
-def gy_det_ratio_oracle(spec: ModelOperatorSpec, z: float) -> float:
-    """Gelfand-Yaglom oracle on [eps, 1] for the truncated determinant ratios.
+def gy_det_ratio_oracles(specs: Sequence[ModelOperatorSpec], zs: Sequence[float]) -> np.ndarray:
+    """Gelfand-Yaglom oracle on [eps, 1] for a batch of truncated ratios.
 
-    Integrates the homogeneous equation from the normalized boundary data at
+    Entry i is the oracle for ``(specs[i], zs[i])``.  Each truncated entry
+    integrates the homogeneous equation from the normalized boundary data at
     x = 1 and forms the ratio of the eps-end boundary functionals at z and 0;
     the z = 0 reference solution is the explicit power pair.  For the
     harmonic kind (z must be 0) the absolute zeta determinant 2 y(1) of the
-    Dirichlet problem is returned.
+    Dirichlet problem is returned.  Every entry is checked before any
+    integration, and all ODEs of the batch are advanced in one solve.
     """
-    if spec.kind == "harmonic_H0":
-        if z != 0.0:
-            raise DomainError("harmonic_H0 oracle evaluates the z = 0 determinant")
-        a = abs(spec.alpha)
-        if a == 0.0:
-            raise DomainError("alpha = 0 log case not implemented")
-        y1, _ = _integrate_model_ode(a, 0.0, spec.eps, 1.0, [0.0, 1.0])
-        return 2.0 * y1
-    if not spec.truncated:
-        raise DomainError("the GY oracle runs on truncated kinds only (finite interval)")
-    if z < 0:
-        raise DomainError("z must be >= 0")
-    if z == 0.0:
-        return 1.0
-    nu, alpha, eps = spec.nu, spec.alpha, spec.eps
-    beta = spec.robin_beta
-    w = nu * z
-    # Robin data scales conically: f'(x) + (beta/x) f(x), which at the outer
-    # boundary x = 1 reduces to the constant form used for the initial data
-    f_eps, fp_eps = _integrate_model_ode(nu, w * w, 1.0, eps, [1.0, -beta])
-    num = fp_eps + beta / eps * f_eps
-    # z = 0 solution: A x^{nu+1/2} + B x^{1/2-nu} with f(1)=1, f'(1) = -beta
-    a_coef = (nu - 0.5 - beta) / (2.0 * nu)
-    b_coef = (nu + 0.5 + beta) / (2.0 * nu)
-    f0 = a_coef * eps ** (nu + 0.5) + b_coef * eps ** (0.5 - nu)
-    fp0 = a_coef * (nu + 0.5) * eps ** (nu - 0.5) + b_coef * (0.5 - nu) * eps ** (-nu - 0.5)
-    den = fp0 + beta / eps * f0
-    if den == 0.0:
-        raise DomainError("degenerate z = 0 boundary functional")
-    return num / den
+    out = np.ones(len(specs))
+    systems = []  # (nu, w^2, x_start, x_end, f, f') per integrated entry
+    finish = []  # (entry index, beta/eps, z = 0 functional); None for harmonic
+    for i, (spec, z) in enumerate(zip(specs, zs, strict=True)):
+        if spec.kind == "harmonic_H0":
+            if z != 0.0:
+                raise DomainError("harmonic_H0 oracle evaluates the z = 0 determinant")
+            a = abs(spec.alpha)
+            if a == 0.0:
+                raise DomainError("alpha = 0 log case not implemented")
+            systems.append((a, 0.0, spec.eps, 1.0, 0.0, 1.0))
+            finish.append((i, None, None))
+            continue
+        if not spec.truncated:
+            raise DomainError("the GY oracle runs on truncated kinds only (finite interval)")
+        if z < 0:
+            raise DomainError("z must be >= 0")
+        if z == 0.0:
+            continue
+        nu, eps, beta = spec.nu, spec.eps, spec.robin_beta
+        # z = 0 solution: A x^{nu+1/2} + B x^{1/2-nu} with f(1)=1, f'(1) = -beta
+        a_coef = (nu - 0.5 - beta) / (2.0 * nu)
+        b_coef = (nu + 0.5 + beta) / (2.0 * nu)
+        f0 = a_coef * eps ** (nu + 0.5) + b_coef * eps ** (0.5 - nu)
+        fp0 = a_coef * (nu + 0.5) * eps ** (nu - 0.5) + b_coef * (0.5 - nu) * eps ** (-nu - 0.5)
+        den = fp0 + beta / eps * f0
+        if den == 0.0:
+            raise DomainError("degenerate z = 0 boundary functional")
+        # Robin data scales conically: f'(x) + (beta/x) f(x), which at the
+        # outer boundary x = 1 reduces to the constant form used for the
+        # initial data
+        w = nu * z
+        systems.append((nu, w * w, 1.0, eps, 1.0, -beta))
+        finish.append((i, beta / eps, den))
+    if systems:
+        f, fp = _integrate_model_ode(*np.array(systems).T)
+        for j, (i, scale, den) in enumerate(finish):
+            out[i] = 2.0 * f[j] if den is None else (fp[j] + scale * f[j]) / den
+    return out
+
+
+def gy_det_ratio_oracle(spec: ModelOperatorSpec, z: float) -> float:
+    """Gelfand-Yaglom oracle for one truncated ratio (see :func:`gy_det_ratio_oracles`)."""
+    return float(gy_det_ratio_oracles([spec], [z])[0])
 
 
 def gy_full_cone_oracle(spec: ModelOperatorSpec, z: float, x_start: float = 0.3, terms: int = 60) -> float:
@@ -497,7 +574,7 @@ def gy_full_cone_oracle(spec: ModelOperatorSpec, z: float, x_start: float = 0.3,
         dseries = dseries * x2 + coeffs[j] * 2 * j
     f0 = series
     fp0 = (nu + 0.5) / x_start * series + dseries / x_start
-    f1, fp1 = _integrate_model_ode(nu, w * w, x_start, 1.0, [f0, fp0])
+    f1, fp1 = (float(v[0]) for v in _integrate_model_ode(nu, w * w, x_start, 1.0, f0, fp0))
     num = fp1 + beta * f1
     den = (nu + 0.5 + beta) * x_start ** -(nu + 0.5)
     return num / den
@@ -596,7 +673,7 @@ def tors_scaling_profile(
     """
     params = params or NumericsParams()
     h = cs.dim_n // 2
-    base = _build_slices(cs, range(h), params)
+    base = build_slices(cs, range(h), params)
     rows: list[ScalingRow] = []
     for mu in mu_values:
         if mu < 1.0:

@@ -7,7 +7,10 @@ import math
 
 import pytest
 
-from conetorsion import cli
+from conetorsion import cli, zeta
+from conetorsion import torsion as T
+from conetorsion.config import parse_config
+from conetorsion.errors import DomainError
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -178,3 +181,81 @@ def test_missing_or_unreadable_config_is_config_error(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
     assert cli.main(["torsion", "--config", str(tmp_path)]) == 2  # a directory
     assert "not readable" in capsys.readouterr().err
+
+
+def test_verify_unknown_group_is_config_error(capsys):
+    assert cli.main(["verify", "besel"]) == 2
+    err = capsys.readouterr().err
+    assert "besel" in err
+    assert "bessel" in err and "det-ratio-oracle-grid" in err  # the valid names
+
+
+def test_defect_in_a_handler_propagates(tmp_path, monkeypatch):
+    """Only the library's numerical failures become exit 1; a KeyError from a
+    bug surfaces with its traceback."""
+
+    def broken(cfg):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(cli, "cmd_anomaly", broken)
+    with pytest.raises(KeyError):
+        cli.main(["anomaly", "--config", _write_config(tmp_path, UNIT_T2)])
+
+
+def test_domain_error_exits_1(tmp_path, monkeypatch, capsys):
+    def out_of_domain(cfg):
+        raise DomainError("nu must be positive")
+
+    monkeypatch.setattr(cli, "cmd_anomaly", out_of_domain)
+    assert cli.main(["anomaly", "--config", _write_config(tmp_path, UNIT_T2)]) == 1
+    assert "nu must be positive" in capsys.readouterr().err
+
+
+SHEARED_T2 = {
+    **UNIT_T2,
+    "cross_section": {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0.37], [0, 1]]},
+}
+UNIT_T4 = {
+    "schema": 1,
+    "cross_section": {
+        "family": "flat_torus",
+        "dim_n": 4,
+        "lattice_basis": [[float(i == j) for j in range(4)] for i in range(4)],
+    },
+    "tolerance": 1e-8,
+}
+
+
+@pytest.mark.parametrize("doc,splits", [(SHEARED_T2, 2), (UNIT_T4, 4)], ids=["t2", "t4"])
+def test_truncated_builds_each_split_once(tmp_path, monkeypatch, doc, splits):
+    """Both routes of one ``truncated`` job share one slice set: one
+    MellinSplit per slice degree the job evaluates."""
+    built = []
+    init = zeta.MellinSplit.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(zeta.MellinSplit, "__init__", counting_init)
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "trunc.json"
+    assert cli.main(["truncated", "--config", cfg, "--epsilon", "0.25", "--out", str(out)]) == 0
+    assert len(built) == splits
+
+
+def test_truncated_residual_matches_separately_built_routes(tmp_path):
+    """Sharing the slices leaves cross_route_residual bit-identical to the
+    two routes run on their own slice sets."""
+    params = cli._params(parse_config(SHEARED_T2))
+    path = _write_config(tmp_path, SHEARED_T2)
+    for eps in (0.1, 0.25, 0.5):
+        out = tmp_path / f"trunc{eps}.json"
+        assert cli.main(["truncated", "--config", path, "--epsilon", repr(eps), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["result"]
+        cs = parse_config(SHEARED_T2).cross_section
+        value = T.log_torsion_truncated(cs, eps)
+        diff = T.torsion_difference(cs, eps, params)
+        cone = T.log_torsion_cone(cs, params)
+        assert report["cross_route_residual"] == abs(diff - (value - cone.log_t))
+        assert report["difference_formula"] == diff

@@ -1,0 +1,148 @@
+"""The verify oracles in batched and closed form against their per-point forms.
+
+The Gelfand-Yaglom oracle advances a whole batch of model ODEs in one solve;
+each entry must match its one-element call.  The first-order B integral takes
+its t integral in closed form; the window must match direct quadrature and
+the swapped integral must match the nested t/u form it replaces.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+from scipy import integrate
+
+from conetorsion import torsion as T
+from conetorsion.crosssection import build_cross_section, coclosed_spectrum
+from conetorsion.errors import DomainError
+from conetorsion.firstorder import _window_integral, first_order_shifted
+
+
+def _det_grid():
+    """The 150-point grid of ``conetorsion verify``'s det-ratio check."""
+    specs, zs = [], []
+    for kind in ("psi_truncated", "phi_truncated"):
+        for nu in (1.0, 2.0, 3.5, 6.0, 10.0):
+            for z in (0.1, 0.4, 1.0, 2.0, 4.0):
+                for eps in (0.1, 0.25, 0.5):
+                    specs.append(T.ModelOperatorSpec(kind, nu, 0.5, eps))
+                    zs.append(z)
+    return specs, zs
+
+
+def test_batched_gy_matches_single_calls():
+    specs, zs = _det_grid()
+    batch = T.gy_det_ratio_oracles(specs, zs)
+    single = np.array([T.gy_det_ratio_oracle(spec, z) for spec, z in zip(specs, zs)])
+    assert batch.shape == (150,)
+    assert np.max(np.abs(batch - single) / np.abs(single)) <= 1e-10
+
+
+def test_mixed_batch_matches_single_calls():
+    entries = [
+        (T.ModelOperatorSpec("harmonic_H0", 1.5, 1.5, 0.1), 0.0),
+        (T.ModelOperatorSpec("psi_truncated", 1.0, 0.5, 0.25), 1.0),
+        (T.ModelOperatorSpec("psi_truncated", 2.0, 0.5, 0.25), 0.0),
+        (T.ModelOperatorSpec("phi_truncated", 3.5, 1.5, 0.1), 2.0),
+        (T.ModelOperatorSpec("harmonic_H0", 0.5, -0.5, 0.5), 0.0),
+    ]
+    batch = T.gy_det_ratio_oracles([s for s, _ in entries], [z for _, z in entries])
+    assert batch[2] == 1.0  # z = 0 ratio, no integration
+    for value, (spec, z) in zip(batch, entries):
+        single = T.gy_det_ratio_oracle(spec, z)
+        assert abs(value - single) <= 1e-10 * abs(single)
+    assert batch[0] == pytest.approx(T.harmonic_det(1.5, 0.1), rel=1e-12)
+    assert batch[3] == pytest.approx(T.model_det_ratio(entries[3][0], 2.0), rel=1e-10)
+    assert T.gy_det_ratio_oracles([], []).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        (T.ModelOperatorSpec("harmonic_H0", 1.5, 1.5, 0.1), 1.0),
+        (T.ModelOperatorSpec("harmonic_H0", 0.0, 0.0, 0.1), 0.0),
+        (T.ModelOperatorSpec("psi_full", 1.0, 0.5), 1.0),
+        (T.ModelOperatorSpec("phi_truncated", 2.0, 0.5, 0.25), -1.0),
+    ],
+    ids=["harmonic-z", "harmonic-alpha0", "full-kind", "negative-z"],
+)
+def test_one_bad_entry_raises_the_scalar_error(bad):
+    spec, z = bad
+    with pytest.raises(DomainError) as scalar:
+        T.gy_det_ratio_oracle(spec, z)
+    good = (T.ModelOperatorSpec("psi_truncated", 1.0, 0.5, 0.25), 1.0)
+    with pytest.raises(DomainError) as batched:
+        T.gy_det_ratio_oracles([good[0], spec, good[0]], [good[1], z, good[1]])
+    assert str(batched.value) == str(scalar.value)
+
+
+def test_batches_beyond_the_tolerance_floor_are_chunked():
+    """rtol 1e-13 allows 10 systems per solve above scipy's 100 eps floor;
+    25 systems run in three solves, with no tolerance-clamping warning."""
+    nu = np.linspace(1.0, 6.0, 25)
+    w2 = np.linspace(0.0, 4.0, 25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f, fp = T._integrate_model_ode(nu, w2, 1.0, 0.25, 1.0, 0.0, rtol=1e-13)
+    for i in range(25):
+        fi, fpi = T._integrate_model_ode(nu[i], w2[i], 1.0, 0.25, 1.0, 0.0, rtol=1e-13)
+        assert f[i] == pytest.approx(fi[0], rel=1e-11)
+        assert fp[i] == pytest.approx(fpi[0], rel=1e-11)
+
+
+def test_window_integral_matches_quadrature():
+    branches = set()
+    worst = 0.0
+    for c in (0.5, -0.5, 1.5, -1.5, 2.5, -2.5):
+        for u in np.geomspace(1e-4, 300.0, 40):
+            for t0 in (0.3, 1.0, 2.0):
+                a = c * math.sqrt(u)
+                b = a + t0 / (2.0 * math.sqrt(u))
+                branches.add("a>=0" if a >= 0 else ("b<=0" if b <= 0 else "a<0<b"))
+                ref, _ = integrate.quad(
+                    lambda t: math.exp(-c * t - t * t / (4.0 * u)),
+                    0.0,
+                    t0,
+                    epsabs=0.0,
+                    epsrel=1e-13,
+                    limit=200,
+                )
+                worst = max(worst, abs(_window_integral(c, t0, u) - ref) / abs(ref))
+    assert branches == {"a>=0", "b<=0", "a<0<b"}
+    assert worst <= 1e-13
+
+
+def _nested_b1(fo) -> float:
+    """B1 as the t quadrature of the subordinated remainder (the inner u
+    quadrature runs inside ``remainder_theta``)."""
+    val, _ = integrate.quad(
+        lambda t: math.exp(-fo.c * t) * fo.remainder_theta(t) / t,
+        0.0,
+        fo.t0,
+        epsabs=1e-11,
+        epsrel=1e-10,
+        limit=200,
+    )
+    return val
+
+
+_GEOMETRIES = {
+    "unit-t2": [[1.0, 0.0], [0.0, 1.0]],
+    "sheared-t2": [[1.0, 0.5], [0.0, 1.0]],
+    "unit-t4": np.eye(4).tolist(),
+}
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize(
+    "geometry,k",
+    [("unit-t2", 0), ("unit-t2", 1), ("sheared-t2", 0), ("unit-t4", 0), ("unit-t4", 1)],
+)
+def test_swapped_b1_matches_nested_form(geometry, k, sign):
+    basis = _GEOMETRIES[geometry]
+    cs = build_cross_section({"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis})
+    fo = first_order_shifted(coclosed_spectrum(cs, k, 400.0), sign)
+    assert abs(fo._b1_value() - _nested_b1(fo)) <= 1e-13
