@@ -29,6 +29,15 @@ from .errors import ConfigError, DomainError, ExperimentalUnsupportedError
 
 GROUP_TOL = 1e-12  # relative grouping tolerance for equal eigenvalues
 
+# Most lattice points one enumeration window may hold.  The sorted squared
+# norms cost 8 bytes per point twice over (blocks, then their concatenation),
+# so the limit bounds that memory at about 1.6 GB; unit T^6 at the Mellin
+# split's primal window |p|^2 <= 232 (6.5e7 points) fits.
+MAX_WINDOW_POINTS = 1e8
+# Rows a single expansion step of the enumeration may produce before the
+# partial vectors are split into blocks.
+_BLOCK_ROWS = 1 << 18
+
 FLAT_TORUS = "flat_torus"
 ROUND_SPHERE = "round_sphere"
 
@@ -118,40 +127,83 @@ class CrossSection:
         eta, _ = self.lattice_eta_levels(cutoff=None, min_count=1)
         return float(eta[0])
 
-    def _enumerate(self, mat: np.ndarray, radius: float) -> np.ndarray:
+    def _enumerate(self, mat: np.ndarray, radius: float, window: str = "lattice") -> np.ndarray:
         """Squared norms |mat @ m|^2 over integer m != 0 with |mat @ m| <= radius.
 
-        Scans the bounding box of the ball; chunked along the leading axis so
-        fine cutoffs cannot exhaust memory.
+        Visits only the integer vectors inside the ball (Fincke-Pohst).  With
+        mat = Q R, so that mat^T mat = R^T R with R upper triangular, the
+        coordinates are fixed from the last to the first, and each partial
+        vector admits the integers m_i with |R_ii (m_i - c_i)| <= sqrt(rem),
+        where c_i = -sum_{j>i} R_ij m_j / R_ii, rem = radius^2 (1 + 1e-12)
+        minus the partial sum, and each end is widened by 1e-9.  R comes from
+        a QR factorisation of mat rather than a Cholesky factorisation of the
+        Gram matrix, so a near-singular basis neither loses twice the digits
+        nor fails to factor.  The candidates are a superset of the ball and pass the same
+        filter as a scan of the bounding box would, so the sorted result is
+        bit-identical to that scan.  The expansion runs depth-first in blocks:
+        a level that would produce more than _BLOCK_ROWS rows is split by the
+        cumulative sum of its interval lengths.
+
+        Raises ConfigError, naming ``window``, when the ball would hold more
+        than MAX_WINDOW_POINTS points: up front from the estimate
+        omega_n radius^n / |det mat|, and again if the enumeration passes the
+        limit (the estimate undercounts a ball thinner than the lattice
+        spacing in some direction).
         """
         n = self.dim_n
-        inv = np.linalg.inv(mat)
-        bounds = [int(math.floor(radius * float(np.linalg.norm(inv[i, :])) + 1e-9)) for i in range(n)]
-        tail_axes = [np.arange(-b, b + 1) for b in bounds[1:]]
-        tail_grid = np.meshgrid(*tail_axes, indexing="ij") if tail_axes else []
-        tail = (
-            np.stack([g.ravel() for g in tail_grid], axis=1).astype(float)
-            if tail_axes
-            else np.zeros((1, 0))
-        )
-        lead = np.arange(-bounds[0], bounds[0] + 1, dtype=float)
-        chunk = max(1, int(4_000_000 // max(tail.shape[0], 1)))
-        pieces = []
-        r2 = radius * radius * (1 + 1e-12)
-        for start in range(0, lead.size, chunk):
-            block = lead[start : start + chunk]
-            m = np.concatenate(
-                [
-                    np.repeat(block, tail.shape[0])[:, None],
-                    np.tile(tail, (block.size, 1)),
-                ],
-                axis=1,
+        estimate = _ball_volume(n) * radius**n / abs(float(np.linalg.det(mat)))
+        if not estimate <= MAX_WINDOW_POINTS:
+            raise ConfigError(
+                "cross_section.lattice_basis",
+                f"the {window} window (radius {radius:.6g}) holds about {estimate:.3g} "
+                f"lattice points, above the limit {MAX_WINDOW_POINTS:.3g}",
             )
+        r_fac = np.linalg.qr(mat, mode="r")
+        r_fac *= np.sign(np.diag(r_fac))[:, None]
+        r2 = radius * radius * (1 + 1e-12)
+        pieces = []
+        kept = 0
+        # (partial vectors with coordinates > i fixed and the rest 0, their
+        # partial sums of R_jj^2 (m_j - c_j)^2, level i)
+        stack = [(np.zeros((1, n)), np.zeros(1), n - 1)]
+        while stack:
+            m, part, i = stack.pop()
+            rii = r_fac[i, i]
+            c = -(m @ r_fac[i]) / rii
+            half = np.sqrt(np.maximum(r2 - part, 0.0)) / rii
+            lo = np.ceil(c - half - 1e-9)
+            counts = np.maximum(np.floor(c + half + 1e-9) - lo + 1.0, 0.0).astype(np.intp)
+            ends = np.cumsum(counts)
+            total = int(ends[-1])
+            if total == 0:
+                continue
+            if total > _BLOCK_ROWS and m.shape[0] > 1:
+                cuts = np.searchsorted(ends, np.arange(1, -(-total // _BLOCK_ROWS)) * _BLOCK_ROWS)
+                cuts = np.unique(np.clip(cuts, 1, m.shape[0] - 1))
+                for rows in np.split(np.arange(m.shape[0]), cuts):
+                    stack.append((m[rows], part[rows], i))
+                continue
+            src = np.repeat(np.arange(m.shape[0]), counts)
+            mi = lo[src] + (np.arange(total) - (ends - counts)[src])
+            m = m[src]
+            m[:, i] = mi
+            if i > 0:
+                stack.append((m, part[src] + (rii * (mi - c[src])) ** 2, i - 1))
+                continue
             v = m @ mat.T
             sq = np.einsum("ij,ij->i", v, v)
             keep = (sq <= r2) & (sq > 0)
             pieces.append(sq[keep])
-        return np.sort(np.concatenate(pieces)) if pieces else np.empty(0)
+            kept += pieces[-1].size
+            if kept > MAX_WINDOW_POINTS:
+                raise ConfigError(
+                    "cross_section.lattice_basis",
+                    f"the {window} window (radius {radius:.6g}) holds more than "
+                    f"{MAX_WINDOW_POINTS:.3g} lattice points (estimate {estimate:.3g})",
+                )
+        out = np.concatenate(pieces)
+        out.sort()
+        return out
 
     @staticmethod
     def _group(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +224,7 @@ class CrossSection:
             cached = self._caches.get(key)
             if cached is not None and cached[0] >= radius * (1 - 1e-15):
                 return cached
-        sq = self._enumerate(mat, radius)
+        sq = self._enumerate(mat, radius, key)
         grouped = self._group(sq)
         with self._lock:
             self._caches[key] = (radius, grouped)

@@ -1,0 +1,206 @@
+"""Ball-only lattice enumeration against the bounding-box scan it replaced,
+its block bound, its memory and its point-count guard."""
+
+from __future__ import annotations
+
+import json
+import math
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conetorsion import cli
+from conetorsion import crosssection as C
+from conetorsion.crosssection import build_cross_section
+from conetorsion.errors import ConfigError
+from conetorsion.zeta import cutoff_for_tolerance
+
+
+def _box_scan(n, mat, radius):
+    """Reference: scan the bounding box of the ball, chunked along the
+    leading axis, with the same final filter as ``CrossSection._enumerate``."""
+    inv = np.linalg.inv(mat)
+    bounds = [int(math.floor(radius * float(np.linalg.norm(inv[i, :])) + 1e-9)) for i in range(n)]
+    tail_axes = [np.arange(-b, b + 1) for b in bounds[1:]]
+    tail_grid = np.meshgrid(*tail_axes, indexing="ij") if tail_axes else []
+    tail = (
+        np.stack([g.ravel() for g in tail_grid], axis=1).astype(float)
+        if tail_axes
+        else np.zeros((1, 0))
+    )
+    lead = np.arange(-bounds[0], bounds[0] + 1, dtype=float)
+    chunk = max(1, int(4_000_000 // max(tail.shape[0], 1)))
+    pieces = []
+    r2 = radius * radius * (1 + 1e-12)
+    for start in range(0, lead.size, chunk):
+        block = lead[start : start + chunk]
+        m = np.concatenate(
+            [
+                np.repeat(block, tail.shape[0])[:, None],
+                np.tile(tail, (block.size, 1)),
+            ],
+            axis=1,
+        )
+        v = m @ mat.T
+        sq = np.einsum("ij,ij->i", v, v)
+        keep = (sq <= r2) & (sq > 0)
+        pieces.append(sq[keep])
+    return np.sort(np.concatenate(pieces)) if pieces else np.empty(0)
+
+
+def _diag(n, scale):
+    return (scale * np.eye(n)).tolist()
+
+
+# every geometry of the benchmark workloads, plus a skinny and a
+# near-square T^2
+BASES = {
+    "t2-unit": _diag(2, 1.0),
+    "t2-sheared": [[1.0, 0.37], [0.0, 1.0]],
+    "t2-16I": _diag(2, 16.0),
+    "t2-24I": _diag(2, 24.0),
+    "t2-32I": _diag(2, 32.0),
+    "t2-diag-0.1": [[1.0, 0.0], [0.0, 0.1]],
+    "t2-0.25I": _diag(2, 0.25),
+    "t4-unit": _diag(4, 1.0),
+    "t4-sheared-x2": [
+        [2.0, 0.74, 0.0, 0.0],
+        [0.0, 2.0, 0.0, 0.0],
+        [0.0, 0.0, 2.0, 0.4],
+        [0.0, 0.0, 0.0, 2.0],
+    ],
+    "t4-0.7I": _diag(4, 0.7),
+    "t2-skinny": [[1.0, 0.0], [0.0, 0.01]],
+    "t2-near-square": [[1.0, 0.999], [0.0, 1.0]],
+}
+
+PRIMAL_MAX_SQ = 4.0 * 58.0  # the Mellin split's primal window at t0 = 1
+
+
+def _torus(basis):
+    basis = np.asarray(basis, dtype=float)
+    return build_cross_section(
+        {"family": "flat_torus", "dim_n": basis.shape[0], "lattice_basis": basis.tolist()}
+    )
+
+
+def _windows(cs):
+    """(name, mat, radius) of the dual window a torsion run at tolerance
+    1e-12 enumerates and of the primal window of its Mellin split."""
+    cutoff = max(cutoff_for_tolerance(cs, k, 1e-12) for k in range(cs.dim_n))
+    return [
+        ("dual", cs.dual_basis(), math.sqrt(cutoff) / (2.0 * math.pi)),
+        ("primal", np.asarray(cs.lattice_basis).T, math.sqrt(PRIMAL_MAX_SQ)),
+    ]
+
+
+@pytest.mark.parametrize("name", list(BASES))
+def test_ball_enumeration_matches_box_scan(name):
+    cs = _torus(BASES[name])
+    for window, mat, radius in _windows(cs):
+        got = cs._enumerate(mat, radius, window)
+        assert np.array_equal(got, _box_scan(cs.dim_n, mat, radius)), window
+
+
+@pytest.mark.parametrize(
+    "name, radius, size",
+    [
+        ("t2-unit", 0.999, 0),
+        ("t2-sheared", 0.5, 0),
+        ("t4-0.7I", 0.69, 0),
+        ("t2-unit", math.sqrt(2.0), 8),  # |m|^2 = 2 is a shell
+        ("t4-unit", math.sqrt(3.0), 8 + 24 + 32),  # |m|^2 = 3 is a shell
+    ],
+)
+def test_radii_below_the_shortest_vector_and_on_a_shell(name, radius, size):
+    cs = _torus(BASES[name])
+    mat = np.asarray(cs.lattice_basis).T
+    got = cs._enumerate(mat, radius)
+    assert got.size == size
+    assert np.array_equal(got, _box_scan(cs.dim_n, mat, radius))
+
+
+@pytest.mark.parametrize(
+    "name, window",
+    [
+        ("t2-unit", "primal"),
+        ("t2-sheared", "primal"),
+        ("t2-16I", "dual"),
+        ("t2-diag-0.1", "primal"),
+        ("t2-skinny", "primal"),
+        ("t4-unit", "dual"),
+        ("t4-sheared-x2", "primal"),
+    ],
+)
+def test_small_blocks_give_the_same_points(name, window, monkeypatch):
+    """A 64-row block limit splits almost every level; the result stays
+    bit-identical."""
+    monkeypatch.setattr(C, "_BLOCK_ROWS", 64)
+    cs = _torus(BASES[name])
+    _, mat, radius = next(w for w in _windows(cs) if w[0] == window)
+    assert np.array_equal(cs._enumerate(mat, radius, window), _box_scan(cs.dim_n, mat, radius))
+
+
+def test_primal_window_memory_t4():
+    cs = _torus(BASES["t4-0.7I"])
+    tracemalloc.start()
+    try:
+        sq, counts = cs.primal_norms(PRIMAL_MAX_SQ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(counts.sum()) == 1_104_928
+    assert peak <= 80 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_oversized_window_raises_before_allocating():
+    cs = _torus(_diag(8, 1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"primal window .* above the limit 1e\+08"):
+            cs.primal_norms(PRIMAL_MAX_SQ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.3f} MiB"
+
+
+def test_dual_window_is_named():
+    with pytest.raises(ConfigError, match="dual window"):
+        _torus(BASES["t2-unit"]).lattice_eta_levels(cutoff=1e12)
+
+
+def test_near_parallel_basis_is_a_config_error():
+    cs = _torus([[1.0, 0.0], [1.0, 1e-11]])
+    with pytest.raises(ConfigError, match="primal window"):
+        cs.primal_norms(PRIMAL_MAX_SQ)
+
+
+def test_count_guard_holds_where_the_estimate_undercounts(monkeypatch):
+    """diag(100, 0.01) at |p|^2 <= 232: the estimate pi r^2 / det is 729,
+    but the first axis is longer than the radius, so the ball holds the
+    3,046 points of the second axis alone."""
+    monkeypatch.setattr(C, "MAX_WINDOW_POINTS", 1000)
+    cs = _torus([[100.0, 0.0], [0.0, 0.01]])
+    with pytest.raises(ConfigError, match=r"primal window .* more than 1e\+03"):
+        cs.primal_norms(PRIMAL_MAX_SQ)
+    monkeypatch.undo()
+    sq, counts = cs.primal_norms(PRIMAL_MAX_SQ)
+    assert int(counts.sum()) == 3046
+
+
+def test_unit_t8_torsion_exits_2_quickly(tmp_path, capsys):
+    doc = {
+        "schema": 1,
+        "cross_section": {"family": "flat_torus", "dim_n": 8, "lattice_basis": _diag(8, 1.0)},
+        "tolerance": 1e-10,
+    }
+    path = tmp_path / "t8.json"
+    path.write_text(json.dumps(doc))
+    started = time.perf_counter()
+    assert cli.main(["torsion", "--config", str(path)]) == 2
+    assert time.perf_counter() - started < 10.0
+    err = capsys.readouterr().err
+    assert "window" in err and "above the limit 1e+08" in err
