@@ -31,7 +31,6 @@ import numpy as np
 from . import __version__
 from .bessel import modified_bessel, uniform_expansion, wronskian_residual
 from .config import RunConfig, parse_config, read_config_document
-from .crosssection import coclosed_spectrum
 from .errors import (
     ConfigError,
     CutoffInsufficientError,
@@ -62,7 +61,6 @@ from .zeta import build_zeta_eval, shifted_zeta0, shifted_zeta_prime0
 DEFAULT_CONFIG = {
     "schema": 1,
     "cross_section": {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0], [0, 1]]},
-    "tolerance": 1e-10,
 }
 
 
@@ -134,9 +132,7 @@ def _write_report(text: str, path: Optional[str]):
 
 
 def _params(cfg: RunConfig) -> NumericsParams:
-    return NumericsParams(
-        cutoff=cfg.cutoff, tolerance=cfg.tolerance, threads=cfg.threads
-    )
+    return NumericsParams(cutoff=cfg.cutoff, tolerance=cfg.tolerance)
 
 
 def _base_provenance(cfg: RunConfig) -> dict:
@@ -258,10 +254,8 @@ def cmd_dump_olver(order: int, path: Optional[str]) -> int:
 
 def cmd_dump_spectrum(cfg: RunConfig) -> int:
     cs = cfg.cross_section
-    params = _params(cfg)
     slices = {}
-    for k in range(cs.dim_n):
-        sl = coclosed_spectrum(cs, k, params.slice_cutoff(cs, k))
+    for k, sl in build_slices(cs, range(cs.dim_n), _params(cfg)).items():
         slices[str(k)] = {
             "alpha": sl.alpha,
             "betti": sl.betti_k,
@@ -278,10 +272,8 @@ def cmd_dump_spectrum(cfg: RunConfig) -> int:
 
 def cmd_dump_zeta(cfg: RunConfig) -> int:
     cs = cfg.cross_section
-    params = _params(cfg)
     slices = {}
-    for k in range(cs.dim_n):
-        sl = coclosed_spectrum(cs, k, params.slice_cutoff(cs, k))
+    for k, sl in build_slices(cs, range(cs.dim_n), _params(cfg)).items():
         ev = build_zeta_eval(sl)
         slices[str(k)] = {
             "alpha": sl.alpha,
@@ -393,8 +385,7 @@ def _check_harmonic() -> float:
 
 def _unit_t2_slice():
     cfg = parse_config(DEFAULT_CONFIG)
-    params = _params(cfg)
-    return coclosed_spectrum(cfg.cross_section, 0, params.slice_cutoff(cfg.cross_section, 0))
+    return build_slices(cfg.cross_section, [0], _params(cfg))[0]
 
 
 def _check_zeta_exp() -> float:
@@ -500,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a schema-1 JSON configuration")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"], help="report format")
-        p.add_argument("--threads", type=int, help="worker count")
+        p.add_argument("--threads", type=int, help="recorded in provenance; no effect")
         p.add_argument("--tolerance", type=float, help="target tolerance")
         p.add_argument("--cutoff", type=float, help="eigenvalue cutoff")
         p.add_argument("--epsilon", type=float, help="truncation parameter in (0,1)")

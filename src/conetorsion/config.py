@@ -20,6 +20,10 @@ consulted, so a config file plus a command line reproduces a run exactly.
       "threads": 1
     }
 
+Evaluation is single-threaded: ``threads`` is validated so that existing
+schema-1 documents still load, and the CLI records it in each report's
+provenance, but it does not change how a run is computed.
+
 Validation failures raise :class:`ConfigError` carrying the dotted field
 path; the CLI maps them to exit code 2.
 """
@@ -27,14 +31,14 @@ path; the CLI maps them to exit code 2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .crosssection import CrossSection, build_cross_section
 from .errors import ConfigError
+from .zeta import DEFAULT_TOLERANCE
 
 SCHEMA_VERSION = 1
-DEFAULT_TOLERANCE = 1e-10
 
 
 @dataclass
@@ -47,7 +51,6 @@ class RunConfig:
     output_path: Optional[str] = None
     output_format: str = "json"
     threads: int = 1
-    raw: dict = field(default_factory=dict)
 
 
 def _positive_number(value, path: str) -> float:
@@ -139,7 +142,6 @@ def parse_config(doc: dict) -> RunConfig:
         output_path=output_path,
         output_format=output_format,
         threads=threads,
-        raw=doc,
     )
 
 

@@ -16,7 +16,6 @@ spectrum table.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -85,7 +84,6 @@ class CrossSection:
             vol = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0) * self.radius**n
             object.__setattr__(self, "volume", vol)
         object.__setattr__(self, "_caches", {})
-        object.__setattr__(self, "_lock", threading.Lock())
 
     # -- topology ---------------------------------------------------------
 
@@ -220,14 +218,11 @@ class CrossSection:
         return np.add.reduceat(values, starts) / counts, counts
 
     def _cached_levels(self, key, mat, radius):
-        with self._lock:
-            cached = self._caches.get(key)
-            if cached is not None and cached[0] >= radius * (1 - 1e-15):
-                return cached
-        sq = self._enumerate(mat, radius, key)
-        grouped = self._group(sq)
-        with self._lock:
-            self._caches[key] = (radius, grouped)
+        cached = self._caches.get(key)
+        if cached is not None and cached[0] >= radius * (1 - 1e-15):
+            return cached
+        grouped = self._group(self._enumerate(mat, radius, key))
+        self._caches[key] = (radius, grouped)
         return radius, grouped
 
     def lattice_eta_levels(

@@ -20,7 +20,6 @@ shift of degree <= r, and M_r(1, a) = D_r(1) - (-a)^r / r.
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -31,7 +30,6 @@ TPoly = Dict[int, Fraction]
 # A polynomial in (t, a) is a dict {t-exponent: {a-exponent: Fraction}}.
 TAPoly = Dict[int, Dict[int, Fraction]]
 
-_lock = threading.Lock()
 _u_cache: list[TPoly] = []
 _v_cache: list[TPoly] = []
 _d_cache: dict[int, TPoly] = {}
@@ -102,9 +100,8 @@ def olver_pair(r: int, max_order: int = DEFAULT_MAX_ORDER) -> Tuple[TPoly, TPoly
     if r < 0:
         raise ValueError("order must be >= 0")
     _check_order(r, max_order)
-    with _lock:
-        _extend_uv(r)
-        return dict(_u_cache[r]), dict(_v_cache[r])
+    _extend_uv(r)
+    return dict(_u_cache[r]), dict(_v_cache[r])
 
 
 def _series_log(coeffs: list, order: int, mul, scale, add):
@@ -137,14 +134,13 @@ def d_poly(r: int, max_order: int = DEFAULT_MAX_ORDER) -> TPoly:
     if r < 1:
         raise ValueError("order must be >= 1")
     _check_order(r, max_order)
-    with _lock:
-        if r not in _d_cache:
-            _extend_uv(max(r, len(_u_cache) - 1))
-            us = [None] + [_u_cache[j] for j in range(1, r + 1)]
-            logs = _series_log(us, r, _tp_mul, _tp_scale, _tp_add)
-            for j in range(1, r + 1):
-                _d_cache.setdefault(j, logs[j])
-        return dict(_d_cache[r])
+    if r not in _d_cache:
+        _extend_uv(max(r, len(_u_cache) - 1))
+        us = [None] + [_u_cache[j] for j in range(1, r + 1)]
+        logs = _series_log(us, r, _tp_mul, _tp_scale, _tp_add)
+        for j in range(1, r + 1):
+            _d_cache.setdefault(j, logs[j])
+    return dict(_d_cache[r])
 
 
 def _tap_add(p: TAPoly, q: TAPoly) -> TAPoly:
@@ -185,21 +181,20 @@ def m_poly(r: int, max_order: int = DEFAULT_MAX_ORDER) -> TAPoly:
     if r < 1:
         raise ValueError("order must be >= 1")
     _check_order(r, max_order)
-    with _lock:
-        if r not in _m_cache:
-            _extend_uv(r)
-            # w_j = v_j + a * t * u_{j-1}
-            ws: list = [None]
-            for j in range(1, r + 1):
-                w: TAPoly = {e: {0: c} for e, c in _v_cache[j].items()}
-                for e, c in _u_cache[j - 1].items():
-                    tgt = w.setdefault(e + 1, {})
-                    tgt[1] = tgt.get(1, Fraction(0)) + c
-                ws.append(_clean_tap(w))
-            logs = _series_log(ws, r, _tap_mul, _tap_scale, _tap_add)
-            for j in range(1, r + 1):
-                _m_cache.setdefault(j, _clean_tap(logs[j]))
-        return {e: dict(ap) for e, ap in _m_cache[r].items()}
+    if r not in _m_cache:
+        _extend_uv(r)
+        # w_j = v_j + a * t * u_{j-1}
+        ws: list = [None]
+        for j in range(1, r + 1):
+            w: TAPoly = {e: {0: c} for e, c in _v_cache[j].items()}
+            for e, c in _u_cache[j - 1].items():
+                tgt = w.setdefault(e + 1, {})
+                tgt[1] = tgt.get(1, Fraction(0)) + c
+            ws.append(_clean_tap(w))
+        logs = _series_log(ws, r, _tap_mul, _tap_scale, _tap_add)
+        for j in range(1, r + 1):
+            _m_cache.setdefault(j, _clean_tap(logs[j]))
+    return {e: dict(ap) for e, ap in _m_cache[r].items()}
 
 
 def z_table(r: int, max_order: int = DEFAULT_MAX_ORDER) -> Dict[int, Dict[int, Fraction]]:

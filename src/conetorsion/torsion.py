@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence
@@ -38,19 +37,20 @@ from .bessel import bracket_pair
 from .crosssection import CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
 from .errors import DomainError, ODEIntegrationError
 from .olver import harmonic_number, z_diff_by_b
-from .zeta import cutoff_for_tolerance, shifted_zeta0, shifted_zeta_prime0
-
-DEFAULT_TOLERANCE = 1e-10
+from .zeta import DEFAULT_TOLERANCE, cutoff_for_tolerance, shifted_zeta0, shifted_zeta_prime0
 
 
 @dataclass
 class NumericsParams:
-    """Runtime knobs shared by the assembly operations."""
+    """Runtime knobs shared by the assembly operations.
+
+    Evaluation is single-threaded, so there is no worker count here; the
+    schema-1 ``threads`` setting is only echoed in the CLI provenance.
+    """
 
     cutoff: Optional[float] = None
     tolerance: Optional[float] = None
     order: Optional[int] = None
-    threads: int = 1
 
     def slice_cutoff(self, cs: CrossSection, k: int) -> float:
         if self.cutoff is not None:
@@ -66,13 +66,6 @@ def build_slices(cs: CrossSection, ks: Iterable[int], params: NumericsParams) ->
     the enumeration and the continuation work.
     """
     return {k: coclosed_spectrum(cs, k, params.slice_cutoff(cs, k)) for k in ks}
-
-
-def _parallel(fn, items: Sequence, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +174,10 @@ def tors_term(
     if slices is None:
         slices = build_slices(cs, range(n), params)
 
-    def one(task):
-        k, sign = task
-        v, e = shifted_zeta_prime0(slices[k], sign, order=params.order)
-        return (k, sign), (v, e)
-
     tasks = [(k, +1) for k in range(n)] + [(k, -1) for k in range(n // 2)]
-    results = dict(_parallel(one, tasks, params.threads))
+    results = {
+        (k, sign): shifted_zeta_prime0(slices[k], sign, order=params.order) for k, sign in tasks
+    }
     full = 0.5 * math.fsum((-1) ** k * results[(k, +1)][0] for k in range(n))
     dual = 0.5 * math.fsum(
         (-1) ** k * (results[(k, +1)][0] - results[(k, -1)][0]) for k in range(n // 2)
@@ -246,7 +236,6 @@ def log_torsion_cone(
             "tolerance": params.tolerance,
             "cutoff": params.cutoff,
             "order": params.order,
-            "threads": params.threads,
             "tors_cross_check_residual": tors.cross_check_residual,
             "wall_time_s": time.time() - started,
         },

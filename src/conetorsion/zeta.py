@@ -36,7 +36,6 @@ O(nu^{-(J+1)}) term decay, which is what makes desk-scale cutoffs sufficient.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional
@@ -55,6 +54,7 @@ from .errors import (
 from .olver import harmonic_number
 
 EULER_GAMMA = 0.5772156649015328606
+DEFAULT_TOLERANCE = 1e-10
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 _EXP_FLOOR = 50.0  # e^{-50} ~ 2e-22: summation horizon for exponential tails
@@ -83,8 +83,7 @@ class MellinSplit:
     one-element quadrature of its own.  F, the spectral sum on [t0, inf), is
     the closed form sum m mu^(-sigma) Gamma(sigma, mu t0).  Level sums run in
     sorted order through ``math.fsum``, and no value depends on the order of
-    requests, so results are reproducible bit for bit regardless of the
-    worker count.
+    requests, so results are reproducible bit for bit.
     """
 
     def __init__(self, sl: SpectralSlice, t0: float = 1.0):
@@ -99,7 +98,6 @@ class MellinSplit:
         self.kappa = sl.kappa
         self.a2 = sl.alpha * sl.alpha
         self.v_n = sl.heat.v_n
-        self._lock = threading.Lock()
         self._b_cache: Dict[float, tuple[float, float]] = {}
         self._f_cache: Dict[float, tuple[float, float]] = {}
         self._b_grid = np.arange(default_order(self.n) + 1) / 2.0
@@ -195,18 +193,14 @@ class MellinSplit:
         is the max-norm estimate of the quadrature that produced the value.
         """
         key = round(sigma, 12)
-        with self._lock:
-            if not self._b_cache:
-                vals, err = self._b_quad(self._b_grid)
-                for s, v in zip(self._b_grid.tolist(), vals.tolist()):
-                    self._b_cache[round(s, 12)] = (v, err)
-            if key in self._b_cache:
-                return self._b_cache[key]
-        vals, err = self._b_quad(np.array([float(sigma)]))
-        found = (float(vals[0]), err)
-        with self._lock:
-            self._b_cache[key] = found
-        return found
+        if not self._b_cache:
+            vals, err = self._b_quad(self._b_grid)
+            for s, v in zip(self._b_grid.tolist(), vals.tolist()):
+                self._b_cache[round(s, 12)] = (v, err)
+        if key not in self._b_cache:
+            vals, err = self._b_quad(np.array([float(sigma)]))
+            self._b_cache[key] = (float(vals[0]), err)
+        return self._b_cache[key]
 
     # -- F: spectral sum on [t0, inf) --------------------------------------
 
@@ -228,9 +222,8 @@ class MellinSplit:
                 required_cutoff=_EXP_FLOOR / self.t0,
             )
         key = round(sigma, 12)
-        with self._lock:
-            if key in self._f_cache:
-                return self._f_cache[key]
+        if key in self._f_cache:
+            return self._f_cache[key]
         if sigma < 0.0:
             vals = []
             errs = []
@@ -251,8 +244,7 @@ class MellinSplit:
                 level = self._f_mu**-sigma * gammaincc(sigma, x) * float(gamma(sigma))
             val = math.fsum((self._f_mult * level).tolist())
             err = 1e-13 * val + 1e-22
-        with self._lock:
-            self._f_cache[key] = (val, err)
+        self._f_cache[key] = (val, err)
         return val, err
 
     # -- assembled quantities ----------------------------------------------
@@ -306,21 +298,12 @@ class MellinSplit:
         return 0.5 * (m0 + EULER_GAMMA * rho), 0.5 * (be + fe)
 
 
-_SPLIT_LOCK = threading.Lock()
-
-
-def mellin_split(sl: SpectralSlice, t0: float = 1.0) -> MellinSplit:
-    """Lazily built continuation engine, cached on the slice itself."""
-    with _SPLIT_LOCK:
-        cache = getattr(sl, "_mellin_splits", None)
-        if cache is None:
-            cache = {}
-            object.__setattr__(sl, "_mellin_splits", cache)
-        found = cache.get(t0)
-        if found is None:
-            found = MellinSplit(sl, t0)
-            cache[t0] = found
-        return found
+def mellin_split(sl: SpectralSlice) -> MellinSplit:
+    """The slice's continuation engine, built on first use and kept on the slice."""
+    ms = getattr(sl, "_mellin_split", None)
+    if ms is None:
+        ms = sl._mellin_split = MellinSplit(sl)
+    return ms
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +397,7 @@ def k_series(
     if big < n:
         raise DomainError(f"subtraction order must be >= n = {n}")
     val, bound = _k_direct(sl, c, big)
-    tol = tol if tol is not None else 1e-10
+    tol = tol if tol is not None else DEFAULT_TOLERANCE
     if bound > tol:
         nu_max = float(sl.nu()[-1]) if sl.eta.size else 1.0
         needed_nu = nu_max * (bound / tol) ** (1.0 / (big + 1 - n))

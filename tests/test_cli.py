@@ -129,6 +129,25 @@ def test_deterministic_reports(tmp_path):
     assert strip(outs[0]) == strip(outs[2])
 
 
+@pytest.mark.parametrize("command", ["torsion", "truncated", "anomaly", "scaling", "dump-zeta"])
+def test_threads_is_accepted_and_recorded(tmp_path, command):
+    """Schema-1 ``threads`` still validates and is echoed in provenance, both
+    from the config file and from --threads, which takes precedence."""
+    extra = {"truncated": ["--epsilon", "0.25"], "scaling": ["--mu", "2"]}.get(command, [])
+    cfg = _write_config(tmp_path, {**UNIT_T2, "threads": 2})
+    out = tmp_path / "report.json"
+    for flags, expected in (([], 2), (["--threads", "3"], 3)):
+        assert cli.main([command, "--config", cfg, *extra, *flags, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["provenance"]["threads"] == expected
+
+
+@pytest.mark.parametrize("threads", [0, True, "2"])
+def test_invalid_threads_is_config_error(tmp_path, capsys, threads):
+    cfg = _write_config(tmp_path, {**UNIT_T2, "threads": threads})
+    assert cli.main(["torsion", "--config", cfg]) == 2
+    assert "threads:" in capsys.readouterr().err
+
+
 def test_float_serialization_is_lossless():
     value = 0.1 + 0.2
     text = cli.dumps17({"x": value})

@@ -101,13 +101,6 @@ def test_tors_term_forms_agree(unit_t2, unit_t4):
         T.tors_term(unit_t2, "sideways")
 
 
-def test_tors_term_thread_determinism(unit_t2):
-    serial = T.tors_term(unit_t2, params=T.NumericsParams(threads=1))
-    threaded = T.tors_term(unit_t2, params=T.NumericsParams(threads=4))
-    assert serial.value == threaded.value
-    assert serial.full_range == threaded.full_range
-
-
 def test_tors_rank_linearity(unit_t2):
     rank2 = build_cross_section(
         {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0], [0, 1]], "bundle_rank": 2}
