@@ -94,9 +94,7 @@ def small_argument_leading(nu: float, z: float) -> BesselQuad:
 _KINDS = ("I", "Iprime", "K", "Kprime")
 
 
-def uniform_expansion(
-    kind: str, nu: float, z: float, n_terms: int, max_order: int = DEFAULT_MAX_ORDER
-) -> tuple[float, float]:
+def uniform_expansion(kind: str, nu: float, z: float, n_terms: int) -> tuple[float, float]:
     """Olver's uniform large-order expansion at argument ``nu * z``.
 
     Returns ``(value, truncation_estimate)``.  The estimate is built from the
@@ -110,8 +108,8 @@ def uniform_expansion(
         raise DomainError("uniform_expansion requires nu >= 20")
     if z <= 0:
         raise DomainError("argument must be > 0")
-    if n_terms < 1 or n_terms > max_order:
-        raise DomainError(f"n_terms must lie in 1..{max_order}")
+    if n_terms < 1 or n_terms > DEFAULT_MAX_ORDER:
+        raise DomainError(f"n_terms must lie in 1..{DEFAULT_MAX_ORDER}")
     t = 1.0 / math.sqrt(1.0 + z * z)
     xi = 1.0 / t + math.log(z / (1.0 + 1.0 / t))
     quarter = (1.0 + z * z) ** 0.25
@@ -135,12 +133,12 @@ def uniform_expansion(
         raise OverflowError("uniform expansion prefactor overflows; rescale first")
     series = 1.0
     for r in range(1, n_terms):
-        ur, vr = olver_pair(r, max_order)
+        ur, vr = olver_pair(r)
         cr = eval_t_poly(ur if use_u else vr, t)
         series += float(cr) / (sign * nu) ** r
     omitted = 0.0
-    for r in (n_terms, min(n_terms + 1, max_order)):
-        ur, vr = olver_pair(r, max_order)
+    for r in (n_terms, min(n_terms + 1, DEFAULT_MAX_ORDER)):
+        ur, vr = olver_pair(r)
         omitted += abs(float(eval_t_poly(ur if use_u else vr, t))) / nu**r
     return pref * series, 2.0 * abs(pref) * omitted
 

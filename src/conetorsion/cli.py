@@ -19,18 +19,20 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from . import __version__
 from .bessel import modified_bessel, uniform_expansion, wronskian_residual
 from .config import RunConfig, parse_config, read_config_document
+from .crosssection import SpectralSlice
 from .errors import (
     ConfigError,
     CutoffInsufficientError,
@@ -383,13 +385,14 @@ def _check_harmonic() -> float:
     return float(np.max(np.abs(closed - gy) / closed))
 
 
-def _unit_t2_slice():
+def _unit_t2_slices() -> Dict[int, SpectralSlice]:
+    """Every slice of the default unit T^2 at its default tolerance."""
     cfg = parse_config(DEFAULT_CONFIG)
-    return build_slices(cfg.cross_section, [0], _params(cfg))[0]
+    return build_slices(cfg.cross_section, range(2), _params(cfg))
 
 
-def _check_zeta_exp() -> float:
-    sl = _unit_t2_slice()
+def _check_zeta_exp(slices: Dict[int, SpectralSlice]) -> float:
+    sl = slices[0]
     worst = 0.0
     for sign in (+1, -1):
         oracle = first_order_shifted(sl, sign).zeta0()
@@ -397,8 +400,8 @@ def _check_zeta_exp() -> float:
     return worst
 
 
-def _check_shifted_derivative_route() -> float:
-    sl = _unit_t2_slice()
+def _check_shifted_derivative_route(slices: Dict[int, SpectralSlice]) -> float:
+    sl = slices[0]
     worst = 0.0
     for sign in (+1, -1):
         oracle = first_order_shifted(sl, sign).zeta_prime0()
@@ -407,9 +410,8 @@ def _check_shifted_derivative_route() -> float:
     return worst
 
 
-def _check_tors_duality() -> float:
-    cfg = parse_config(DEFAULT_CONFIG)
-    return tors_term(cfg.cross_section, "dual_half_range", _params(cfg)).cross_check_residual
+def _check_tors_duality(slices: Dict[int, SpectralSlice]) -> float:
+    return tors_term(slices[0].cross_section, slices=slices).cross_check_residual
 
 
 def _check_regularization() -> float:
@@ -422,7 +424,7 @@ def _check_regularization() -> float:
     return worst  # must be <= 1
 
 
-_CHECKS: list[tuple[str, str, Callable[[], float], float]] = [
+_CHECKS: list[tuple[str, str, Callable[..., float], float]] = [
     ("olver", "m-at-one-identity", _check_m_at_one_identity, 0.0),
     ("olver", "z-diff-sum-identity", _check_zdiff_sum_identity, 0.0),
     ("olver", "z2-table", _check_z2_table, 0.0),
@@ -435,6 +437,8 @@ _CHECKS: list[tuple[str, str, Callable[[], float], float]] = [
     ("torsion", "tors-duality", _check_tors_duality, 1e-8),
     ("torsion", "regularization-surface", _check_regularization, 1.0),
 ]
+# checks that take the unit-T^2 slices, which one verify run builds at most once
+_ON_UNIT_T2 = (_check_zeta_exp, _check_shifted_derivative_route, _check_tors_duality)
 
 
 def cmd_verify(group: Optional[str]) -> int:
@@ -444,11 +448,12 @@ def cmd_verify(group: Optional[str]) -> int:
         raise ConfigError(
             "verify", f"unknown group or check {group!r}; groups: {groups}; checks: {names}"
         )
+    unit_t2 = functools.cache(_unit_t2_slices)
     failures: list[tuple[str, float, float]] = []
     for grp, name, fn, bound in _CHECKS:
         if group and group not in (grp, name):
             continue
-        value = fn()
+        value = fn(unit_t2()) if fn in _ON_UNIT_T2 else fn()
         ok = value <= bound
         status = "pass" if ok else "FAIL"
         print(f"{status}  {name:28s} worst={value:.3e}  bound={bound:.3e}")

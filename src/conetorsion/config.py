@@ -39,6 +39,10 @@ from .errors import ConfigError
 from .zeta import DEFAULT_TOLERANCE
 
 SCHEMA_VERSION = 1
+# the top-level fields of a schema-1 document (docs/config.schema.json)
+FIELDS = frozenset(
+    {"schema", "cross_section", "cutoff", "tolerance", "epsilon", "mu_grid", "output", "threads"}
+)
 
 
 @dataclass
@@ -65,18 +69,8 @@ def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document against schema 1."""
     if not isinstance(doc, dict):
         raise ConfigError("$", "configuration must be a JSON object")
-    known = {
-        "schema",
-        "cross_section",
-        "cutoff",
-        "tolerance",
-        "epsilon",
-        "mu_grid",
-        "output",
-        "threads",
-    }
     for key in doc:
-        if key not in known:
+        if key not in FIELDS:
             raise ConfigError(key, "unknown field")
     schema = doc.get("schema")
     if schema != SCHEMA_VERSION:

@@ -39,6 +39,8 @@ _BLOCK_ROWS = 1 << 18
 
 FLAT_TORUS = "flat_torus"
 ROUND_SPHERE = "round_sphere"
+# the fields of a cross_section block (docs/config.schema.json)
+CROSS_SECTION_FIELDS = frozenset({"family", "dim_n", "bundle_rank", "lattice_basis", "radius"})
 
 
 def _ball_volume(n: int) -> float:
@@ -117,12 +119,18 @@ class CrossSection:
         self._require_torus()
         return np.linalg.inv(np.asarray(self.lattice_basis)).T
 
+    # The ball of radius 1.1 times the shortest basis vector holds that basis
+    # vector, so it also holds the shortest lattice vector and its shell.
+
     def min_primal_length(self) -> float:
-        lens, _ = self.primal_norms(max_sq=None, min_count=1)
-        return math.sqrt(float(lens[0]))
+        self._require_torus()
+        shortest = float(np.min(np.linalg.norm(self.lattice_basis, axis=1)))
+        sq, _ = self.primal_norms((1.1 * shortest) ** 2)
+        return math.sqrt(float(sq[0]))
 
     def first_eta(self) -> float:
-        eta, _ = self.lattice_eta_levels(cutoff=None, min_count=1)
+        shortest = float(np.min(np.linalg.norm(self.dual_basis(), axis=0)))
+        eta, _ = self.lattice_eta_levels((2.0 * math.pi * 1.1 * shortest) ** 2)
         return float(eta[0])
 
     def _enumerate(self, mat: np.ndarray, radius: float, window: str = "lattice") -> np.ndarray:
@@ -220,55 +228,34 @@ class CrossSection:
     def _cached_levels(self, key, mat, radius):
         cached = self._caches.get(key)
         if cached is not None and cached[0] >= radius * (1 - 1e-15):
-            return cached
+            return cached[1]
         grouped = self._group(self._enumerate(mat, radius, key))
         self._caches[key] = (radius, grouped)
-        return radius, grouped
+        return grouped
 
-    def lattice_eta_levels(
-        self, cutoff: Optional[float], min_count: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def lattice_eta_levels(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
         """Distinct eta = 4 pi^2 |B^{-T} m|^2 <= cutoff with lattice-point counts."""
-        self._require_torus()
-        dual = self.dual_basis()
-        if cutoff is None:
-            radius = 1.1 * float(np.min(np.linalg.norm(dual, axis=0))) * math.sqrt(min_count + 1)
-        else:
-            radius = math.sqrt(max(cutoff, 0.0)) / (2.0 * math.pi)
-        while True:
-            _, (sq, counts) = self._cached_levels("dual", dual, radius)
-            if cutoff is not None or sq.size >= min_count:
-                break
-            radius *= 1.5
+        radius = math.sqrt(max(cutoff, 0.0)) / (2.0 * math.pi)
+        sq, counts = self._cached_levels("dual", self.dual_basis(), radius)
         eta = (2.0 * math.pi) ** 2 * sq
-        if cutoff is not None:
-            keep = eta <= cutoff * (1 + 1e-12)
-            eta, counts = eta[keep], counts[keep]
-        return eta, counts
+        keep = eta <= cutoff * (1 + 1e-12)
+        return eta[keep], counts[keep]
 
-    def primal_norms(
-        self, max_sq: Optional[float], min_count: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct squared lengths of nonzero primal lattice vectors."""
+    def primal_norms(self, max_sq: float) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct squared lengths <= max_sq of nonzero primal lattice vectors."""
         self._require_torus()
-        basis = np.asarray(self.lattice_basis)
-        if max_sq is None:
-            radius = 1.1 * float(np.min(np.linalg.norm(basis, axis=1))) * math.sqrt(min_count + 1)
-        else:
-            radius = math.sqrt(max_sq)
-        while True:
-            _, (sq, counts) = self._cached_levels("primal", basis.T, radius)
-            if max_sq is not None or sq.size >= min_count:
-                break
-            radius *= 1.5
-        if max_sq is not None:
-            keep = sq <= max_sq * (1 + 1e-12)
-            sq, counts = sq[keep], counts[keep]
-        return sq, counts
+        sq, counts = self._cached_levels("primal", self.lattice_basis.T, math.sqrt(max_sq))
+        keep = sq <= max_sq * (1 + 1e-12)
+        return sq[keep], counts[keep]
 
     def dual_cell_diameter(self) -> float:
         dual = self.dual_basis()
         return float(np.sum(np.linalg.norm(dual, axis=0)))
+
+    def weyl_tail(self, k: int) -> "WeylTail":
+        """Weyl counting model of the degree-k coclosed spectrum."""
+        cell = self.dual_cell_diameter() if self.family == FLAT_TORUS else 0.0
+        return WeylTail(self.coclosed_point_multiplicity(k), self.volume, self.dim_n, cell)
 
 
 def build_cross_section(config: dict) -> CrossSection:
@@ -294,9 +281,8 @@ def build_cross_section(config: dict) -> CrossSection:
         except (TypeError, ValueError):
             raise ConfigError("cross_section.lattice_basis", "must be a numeric matrix") from None
     radius = config.get("radius")
-    known = {"family", "dim_n", "bundle_rank", "lattice_basis", "radius"}
     for key in config:
-        if key not in known:
+        if key not in CROSS_SECTION_FIELDS:
             raise ConfigError(f"cross_section.{key}", "unknown field")
     return CrossSection(
         family=family, dim_n=dim_n, bundle_rank=rank, lattice_basis=basis, radius=radius
@@ -411,23 +397,35 @@ class EigenLevel:
 
 @dataclass(eq=False)
 class SpectralSlice:
-    """Enumerated nonzero coclosed spectrum of degree k with its heat model."""
+    """Enumerated nonzero coclosed spectrum of degree k with its heat model.
+
+    Everything else about the slice follows from the cross-section, k and
+    the shift alpha, so it is derived on access rather than stored.
+    """
 
     cross_section: CrossSection
     k: int
     alpha: float
     cutoff: float
-    betti_k: int
-    kappa: int
     eta: np.ndarray
     mult: np.ndarray
-    heat: HeatModel
-    tail: WeylTail
-    alpha_exact: Optional[Fraction] = None
 
     @property
-    def levels(self) -> list[EigenLevel]:
-        return [EigenLevel(float(e), int(m)) for e, m in zip(self.eta, self.mult)]
+    def betti_k(self) -> int:
+        return self.cross_section.betti(self.k)
+
+    @property
+    def kappa(self) -> int:
+        return self.cross_section.coclosed_point_multiplicity(self.k)
+
+    @property
+    def heat(self) -> HeatModel:
+        cs = self.cross_section
+        return HeatModel(self.kappa, cs.volume, cs.dim_n, self.alpha)
+
+    @property
+    def tail(self) -> WeylTail:
+        return self.cross_section.weyl_tail(self.k)
 
     def nu(self) -> np.ndarray:
         return np.sqrt(self.eta + self.alpha * self.alpha)
@@ -449,21 +447,9 @@ class SpectralSlice:
         ) * s_p
         return series + lattice * (1.0 + 1e-9) + 1e-15
 
-    def with_alpha(self, a: float, a_exact: Optional[Fraction] = None) -> "SpectralSlice":
+    def with_alpha(self, a: float) -> "SpectralSlice":
         """Same spectrum with a different shift (used by the scaling study)."""
-        return SpectralSlice(
-            cross_section=self.cross_section,
-            k=self.k,
-            alpha=float(a),
-            cutoff=self.cutoff,
-            betti_k=self.betti_k,
-            kappa=self.kappa,
-            eta=self.eta,
-            mult=self.mult,
-            heat=HeatModel(self.kappa, self.heat.volume, self.heat.n, float(a)),
-            tail=self.tail,
-            alpha_exact=a_exact,
-        )
+        return SpectralSlice(self.cross_section, self.k, float(a), self.cutoff, self.eta, self.mult)
 
     def validate(self):
         nu = self.nu()
@@ -489,7 +475,6 @@ def coclosed_spectrum(
         raise DomainError(f"degree k={k} outside 0..{n - 1}")
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
-    alpha = cs.alpha(k)
     if cs.family == ROUND_SPHERE:
         if spectrum_table is None:
             raise ExperimentalUnsupportedError(
@@ -498,27 +483,10 @@ def coclosed_spectrum(
         pairs = sorted((float(e), int(m)) for e, m in spectrum_table if float(e) <= cutoff)
         eta = np.asarray([p[0] for p in pairs])
         mult = np.asarray([p[1] for p in pairs], dtype=int)
-        kappa = cs.coclosed_point_multiplicity(k)
     else:
-        kappa = cs.coclosed_point_multiplicity(k)
         eta, counts = cs.lattice_eta_levels(cutoff)
-        mult = counts * kappa
-    heat = HeatModel(kappa, cs.volume, n, float(alpha))
-    cell = cs.dual_cell_diameter() if cs.family == FLAT_TORUS else 0.0
-    tail = WeylTail(kappa, cs.volume, n, cell)
-    sl = SpectralSlice(
-        cross_section=cs,
-        k=k,
-        alpha=float(alpha),
-        cutoff=float(cutoff),
-        betti_k=cs.betti(k),
-        kappa=kappa,
-        eta=eta,
-        mult=mult,
-        heat=heat,
-        tail=tail,
-        alpha_exact=alpha,
-    )
+        mult = counts * cs.coclosed_point_multiplicity(k)
+    sl = SpectralSlice(cs, k, float(cs.alpha(k)), float(cutoff), eta, mult)
     sl.validate()
     return sl
 

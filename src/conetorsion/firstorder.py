@@ -204,17 +204,13 @@ class FirstOrderZeta:
         return self._b0
 
     def _f1_value(self) -> float:
+        """F1 = sum m Int_t0^inf e^{-mu t} dt / t = sum m E_1(mu t0) (DLMF 6.2.1),
+        over the levels mu = nu + c with mu t0 <= _HORIZON."""
         if self._f0 is None:
-            mu_all = self._nu + self.c
-            keep = mu_all * self.t0 <= _HORIZON
-            vals = []
-            for mu, cnt in zip(mu_all[keep], self._counts[keep]):
-                upper = self.t0 + (_HORIZON + 10.0) / mu
-                v, _ = integrate.quad(
-                    lambda t: math.exp(-mu * t) / t, self.t0, upper, **_QUAD
-                )
-                vals.append(self.kappa * float(cnt) * v)
-            self._f0 = math.fsum(vals)
+            mu = self._nu + self.c
+            keep = mu * self.t0 <= _HORIZON
+            terms = self.kappa * self._counts[keep] * special.exp1(mu[keep] * self.t0)
+            self._f0 = math.fsum(terms.tolist())
         return self._f0
 
     def zeta0(self) -> float:

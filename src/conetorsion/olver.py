@@ -90,16 +90,16 @@ def _extend_uv(order: int) -> None:
         _v_cache.append(vnext)
 
 
-def _check_order(r: int, max_order: int) -> None:
-    if r > max_order:
-        raise ValueError(f"order {r} exceeds the configured maximum {max_order}")
+def _check_order(r: int) -> None:
+    if r > DEFAULT_MAX_ORDER:
+        raise ValueError(f"order {r} exceeds the maximum {DEFAULT_MAX_ORDER}")
 
 
-def olver_pair(r: int, max_order: int = DEFAULT_MAX_ORDER) -> Tuple[TPoly, TPoly]:
+def olver_pair(r: int) -> Tuple[TPoly, TPoly]:
     """Return (u_r, v_r) as exact-rational polynomials in t."""
     if r < 0:
         raise ValueError("order must be >= 0")
-    _check_order(r, max_order)
+    _check_order(r)
     _extend_uv(r)
     return dict(_u_cache[r]), dict(_v_cache[r])
 
@@ -129,11 +129,11 @@ def _series_log(coeffs: list, order: int, mul, scale, add):
     return out
 
 
-def d_poly(r: int, max_order: int = DEFAULT_MAX_ORDER) -> TPoly:
+def d_poly(r: int) -> TPoly:
     """Return D_r(t), the order-r coefficient of log of the u-series."""
     if r < 1:
         raise ValueError("order must be >= 1")
-    _check_order(r, max_order)
+    _check_order(r)
     if r not in _d_cache:
         _extend_uv(max(r, len(_u_cache) - 1))
         us = [None] + [_u_cache[j] for j in range(1, r + 1)]
@@ -172,7 +172,7 @@ def _clean_tap(p: TAPoly) -> TAPoly:
     return {e: ap for e, ap in ((e, {d: c for d, c in ap.items() if c}) for e, ap in p.items()) if ap}
 
 
-def m_poly(r: int, max_order: int = DEFAULT_MAX_ORDER) -> TAPoly:
+def m_poly(r: int) -> TAPoly:
     """Return M_r(t, a) as {t-exponent: {a-exponent: Fraction}}.
 
     M_r is the order-r coefficient of the formal log of the combined series
@@ -180,7 +180,7 @@ def m_poly(r: int, max_order: int = DEFAULT_MAX_ORDER) -> TAPoly:
     """
     if r < 1:
         raise ValueError("order must be >= 1")
-    _check_order(r, max_order)
+    _check_order(r)
     if r not in _m_cache:
         _extend_uv(r)
         # w_j = v_j + a * t * u_{j-1}
@@ -197,9 +197,9 @@ def m_poly(r: int, max_order: int = DEFAULT_MAX_ORDER) -> TAPoly:
     return {e: dict(ap) for e, ap in _m_cache[r].items()}
 
 
-def z_table(r: int, max_order: int = DEFAULT_MAX_ORDER) -> Dict[int, Dict[int, Fraction]]:
+def z_table(r: int) -> Dict[int, Dict[int, Fraction]]:
     """Coefficient table z_{r,b}(a) of M_r, keyed by b with t-power r+2b."""
-    m = m_poly(r, max_order)
+    m = m_poly(r)
     table: Dict[int, Dict[int, Fraction]] = {}
     for e, ap in m.items():
         b, rem = divmod(e - r, 2)
@@ -220,10 +220,10 @@ def eval_t_poly(p: TPoly, t):
     return sum((c * t**e for e, c in sorted(p.items())), start=t * 0)
 
 
-def m_poly_eval(r: int, t, a, max_order: int = DEFAULT_MAX_ORDER):
+def m_poly_eval(r: int, t, a):
     """Evaluate M_r(t, a); exact for Fraction inputs."""
     total = t * 0
-    for e, ap in sorted(m_poly(r, max_order).items()):
+    for e, ap in sorted(m_poly(r).items()):
         total += eval_a_poly(ap, a) * t**e
     return total
 

@@ -37,7 +37,7 @@ from .bessel import bracket_pair
 from .crosssection import CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
 from .errors import DomainError, ODEIntegrationError
 from .olver import harmonic_number, z_diff_by_b
-from .zeta import DEFAULT_TOLERANCE, cutoff_for_tolerance, shifted_zeta0, shifted_zeta_prime0
+from .zeta import DEFAULT_TOLERANCE, cutoff_for_tolerance, default_order, shifted_zeta0, shifted_zeta_prime0
 
 
 @dataclass
@@ -50,13 +50,12 @@ class NumericsParams:
 
     cutoff: Optional[float] = None
     tolerance: Optional[float] = None
-    order: Optional[int] = None
 
     def slice_cutoff(self, cs: CrossSection, k: int) -> float:
         if self.cutoff is not None:
             return self.cutoff
         tol = self.tolerance if self.tolerance is not None else DEFAULT_TOLERANCE
-        return cutoff_for_tolerance(cs, k, tol, order=self.order)
+        return cutoff_for_tolerance(cs, k, tol)
 
 
 def build_slices(cs: CrossSection, ks: Iterable[int], params: NumericsParams) -> Dict[int, SpectralSlice]:
@@ -155,7 +154,6 @@ class TorsResult:
 
 def tors_term(
     cs: CrossSection,
-    form: str = "dual_half_range",
     params: Optional[NumericsParams] = None,
     slices: Optional[Dict[int, SpectralSlice]] = None,
 ) -> TorsResult:
@@ -163,29 +161,25 @@ def tors_term(
 
     ``full_range`` sums (1/2) (-1)^k zeta'_k(0, a_k) over k = 0..n-1;
     ``dual_half_range`` sums (1/2) (-1)^k (zeta'_k(0, a_k) - zeta'_k(0, -a_k))
-    over the lower half.  Both are computed and the residual of their
-    agreement (an exact identity on tori) is reported alongside.  ``slices``
-    (every degree 0..n-1, from :func:`build_slices`) are built when omitted.
+    over the lower half and is the ``value``.  Both are computed and the
+    residual of their agreement (an exact identity on tori) is reported
+    alongside.  ``slices`` (every degree 0..n-1, from :func:`build_slices`)
+    are built when omitted.
     """
-    if form not in ("full_range", "dual_half_range"):
-        raise DomainError(f"unknown form {form!r}")
     params = params or NumericsParams()
     n = cs.dim_n
     if slices is None:
         slices = build_slices(cs, range(n), params)
 
     tasks = [(k, +1) for k in range(n)] + [(k, -1) for k in range(n // 2)]
-    results = {
-        (k, sign): shifted_zeta_prime0(slices[k], sign, order=params.order) for k, sign in tasks
-    }
+    results = {(k, sign): shifted_zeta_prime0(slices[k], sign) for k, sign in tasks}
     full = 0.5 * math.fsum((-1) ** k * results[(k, +1)][0] for k in range(n))
     dual = 0.5 * math.fsum(
         (-1) ** k * (results[(k, +1)][0] - results[(k, -1)][0]) for k in range(n // 2)
     )
     err = math.fsum(e for (_, e) in results.values())
-    value = full if form == "full_range" else dual
     plus = {k: results[(k, +1)][0] for k in range(n)}
-    return TorsResult(value, abs(full - dual), full, dual, err, slices, plus)
+    return TorsResult(dual, abs(full - dual), full, dual, err, slices, plus)
 
 
 @dataclass
@@ -212,7 +206,7 @@ def log_torsion_cone(
     params = params or NumericsParams()
     started = time.time()
     top = top_term(cs)
-    tors = tors_term(cs, "dual_half_range", params, slices)
+    tors = tors_term(cs, params, slices)
     res, anomaly = res_term(cs)
     per_slice = {
         k: {
@@ -235,7 +229,7 @@ def log_torsion_cone(
             "version": __version__,
             "tolerance": params.tolerance,
             "cutoff": params.cutoff,
-            "order": params.order,
+            "order": default_order(cs.dim_n),
             "tors_cross_check_residual": tors.cross_check_residual,
             "wall_time_s": time.time() - started,
         },
@@ -294,8 +288,8 @@ def torsion_difference(
         slices = build_slices(cs, range(h), params)
     line5 = 0.0
     for k in range(h):
-        vp, _ = shifted_zeta_prime0(slices[k], +1, order=params.order)
-        vm, _ = shifted_zeta_prime0(slices[k], -1, order=params.order)
+        vp, _ = shifted_zeta_prime0(slices[k], +1)
+        vm, _ = shifted_zeta_prime0(slices[k], -1)
         line5 += (-1) ** k / 2.0 * (vm - vp)
     return line1 + line2 + line3 + line4 + line5
 
@@ -304,7 +298,7 @@ def rs_norm_product_metric(
     cs: CrossSection, params: Optional[NumericsParams] = None
 ) -> float:
     """Log Ray-Singer quotient for the product-near-boundary metric: Top + Tors."""
-    return top_term(cs) + tors_term(cs, "dual_half_range", params).value
+    return top_term(cs) + tors_term(cs, params).value
 
 
 # ---------------------------------------------------------------------------
@@ -669,13 +663,12 @@ def tors_scaling_profile(
             raise DomainError("scaling grid must satisfy mu >= 1")
         total = 0.0
         for k in range(h):
-            a_exact = cs.alpha(k) / Fraction(mu) if float(mu).is_integer() else None
-            sl = base[k].with_alpha(float(base[k].alpha) / mu, a_exact)
+            sl = base[k].with_alpha(float(base[k].alpha) / mu)
             log_mu = math.log(mu)
             parts = {}
             for sign in (+1, -1):
                 z0 = shifted_zeta0(sl, sign)
-                zp, _ = shifted_zeta_prime0(sl, sign, order=params.order)
+                zp, _ = shifted_zeta_prime0(sl, sign)
                 parts[sign] = -log_mu * z0 + zp
             total += (-1) ** k / 2.0 * (parts[+1] - parts[-1])
         bound = abs(total) * mu / math.log(mu) if mu > 1.0 else None

@@ -464,7 +464,6 @@ def shifted_zeta_prime0(
 class ZetaEval:
     """Continuation artifacts for one slice."""
 
-    slice_ref: SpectralSlice
     residues: Dict[int, float]
     zeta0: float
     zeta_prime0: float
@@ -474,7 +473,7 @@ class ZetaEval:
     err: Dict[str, float] = field(default_factory=dict)
 
 
-def build_zeta_eval(sl: SpectralSlice, order: Optional[int] = None) -> ZetaEval:
+def build_zeta_eval(sl: SpectralSlice) -> ZetaEval:
     """Assemble every continuation artifact of a slice."""
     n = sl.cross_section.dim_n
     ms = mellin_split(sl)
@@ -491,7 +490,7 @@ def build_zeta_eval(sl: SpectralSlice, order: Optional[int] = None) -> ZetaEval:
     sp = {}
     sp_err = 0.0
     for sign in (+1, -1):
-        v, e = shifted_zeta_prime0(sl, sign, order=order)
+        v, e = shifted_zeta_prime0(sl, sign)
         sp[sign] = v
         sp_err = max(sp_err, e)
     eps = 1e-15
@@ -504,7 +503,6 @@ def build_zeta_eval(sl: SpectralSlice, order: Optional[int] = None) -> ZetaEval:
         "shifted_prime0": sp_err,
     }
     return ZetaEval(
-        slice_ref=sl,
         residues=residues,
         zeta0=z0,
         zeta_prime0=zp,
@@ -515,20 +513,17 @@ def build_zeta_eval(sl: SpectralSlice, order: Optional[int] = None) -> ZetaEval:
     )
 
 
-def cutoff_for_tolerance(
-    cs: CrossSection, k: int, tol: float, order: Optional[int] = None, t0: float = 1.0
-) -> float:
-    """Eigenvalue cutoff so the order-J K-series tail stays below ``tol``.
+def cutoff_for_tolerance(cs: CrossSection, k: int, tol: float, t0: float = 1.0) -> float:
+    """Eigenvalue cutoff so the K-series tail at the default order J stays below ``tol``.
 
     Inverts the Weyl tail bound for the slowest-converging downstream series
     and never returns less than the window needed by the Mellin tail sum.
     """
     n = cs.dim_n
-    j = order if order is not None else default_order(n)
+    j = default_order(n)
     alpha = abs(float(cs.alpha(k)))
-    tail = WeylTail(cs.coclosed_point_multiplicity(k), cs.volume, n, cs.dual_cell_diameter())
     power = j + 1 - n
-    base = tail.density_constant() * alpha ** (j + 1) / ((j + 1) * power * tol)
+    base = cs.weyl_tail(k).density_constant() * alpha ** (j + 1) / ((j + 1) * power * tol)
     v = max(2.0 * alpha + 1.0, base ** (1.0 / power))
     for _ in range(3):
         geo = 1.0 / max(1.0 - alpha / v, 0.5)

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from conetorsion import cli, zeta
 from conetorsion import torsion as T
-from conetorsion.config import parse_config
+from conetorsion.config import FIELDS, parse_config
+from conetorsion.crosssection import CROSS_SECTION_FIELDS
 from conetorsion.errors import DomainError
 
 
@@ -278,3 +280,52 @@ def test_truncated_residual_matches_separately_built_routes(tmp_path):
         cone = T.log_torsion_cone(cs, params)
         assert report["cross_route_residual"] == abs(diff - (value - cone.log_t))
         assert report["difference_formula"] == diff
+
+
+@pytest.mark.parametrize("what, builds", [(None, 2), ("bessel", 0)])
+def test_verify_builds_the_unit_t2_slices_once(monkeypatch, capsys, what, builds):
+    """One verify run builds the unit-T^2 slice set at most once and shares
+    it between the shifted-zeta0, shifted-zeta-prime0 and tors-duality
+    checks: one slice and one MellinSplit per degree."""
+    spectra, splits = [], []
+    spectrum, init = T.coclosed_spectrum, zeta.MellinSplit.__init__
+
+    def counting_spectrum(*args, **kwargs):
+        spectra.append(args)
+        return spectrum(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        splits.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(T, "coclosed_spectrum", counting_spectrum)
+    monkeypatch.setattr(zeta.MellinSplit, "__init__", counting_init)
+    assert cli.main(["verify"] + ([what] if what else [])) == 0
+    assert (len(spectra), len(splits)) == (builds, builds)
+    if what is None:
+        out = capsys.readouterr().out
+        assert [line.split()[:2] for line in out.splitlines()] == [
+            ["pass", name] for _, name, _, _ in cli._CHECKS
+        ]
+
+
+@pytest.mark.parametrize("doc", [UNIT_T2, UNIT_T4], ids=["t2", "t4"])
+def test_torsion_provenance_records_the_subtraction_order(tmp_path, doc):
+    out = tmp_path / "report.json"
+    assert cli.main(["torsion", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    n = doc["cross_section"]["dim_n"]
+    assert json.loads(out.read_text())["provenance"]["order"] == n + 6
+
+
+DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+
+def test_config_schema_lists_the_parsed_fields():
+    schema = json.loads((DOCS / "config.schema.json").read_text())
+    assert set(schema["properties"]) == FIELDS
+    assert set(schema["properties"]["cross_section"]["properties"]) == CROSS_SECTION_FIELDS
+
+
+def test_example_config_runs(capsys):
+    assert cli.main(["torsion", "--config", str(DOCS / "example-config.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["log_torsion"]

@@ -204,3 +204,24 @@ def test_unit_t8_torsion_exits_2_quickly(tmp_path, capsys):
     assert time.perf_counter() - started < 10.0
     err = capsys.readouterr().err
     assert "window" in err and "above the limit 1e+08" in err
+
+
+def _first_level(cs, mat):
+    """Smallest squared norm of the lattice mat Z^n, grouped as the library
+    groups it, from a box scan of the ball of twice the shortest generator."""
+    radius = 2.0 * float(np.min(np.linalg.norm(mat, axis=0)))
+    levels, _ = C.CrossSection._group(_box_scan(cs.dim_n, mat, radius))
+    return levels[0]
+
+
+# plus a T^2 whose first axis is far longer than the second
+FIRST_LEVEL_BASES = {**BASES, "t2-wide": [[100.0, 0.0], [0.0, 0.01]]}
+
+
+@pytest.mark.parametrize("name", list(FIRST_LEVEL_BASES))
+def test_first_eta_and_min_primal_length_match_box_scan(name):
+    """One ball of 1.1 times the shortest basis vector finds the shortest
+    lattice vector, also where the basis is far from reduced."""
+    cs = _torus(FIRST_LEVEL_BASES[name])
+    assert cs.min_primal_length() == math.sqrt(_first_level(cs, cs.lattice_basis.T))
+    assert cs.first_eta() == (2.0 * math.pi) ** 2 * _first_level(cs, cs.dual_basis())

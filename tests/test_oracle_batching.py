@@ -3,7 +3,9 @@
 The Gelfand-Yaglom oracle advances a whole batch of model ODEs in one solve;
 each entry must match its one-element call.  The first-order B integral takes
 its t integral in closed form; the window must match direct quadrature and
-the swapped integral must match the nested t/u form it replaces.
+the swapped integral must match the nested t/u form it replaces.  The
+first-order F is a sum of exponential integrals; it must match the per-level
+quadrature it replaces.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy import integrate
 from conetorsion import torsion as T
 from conetorsion.crosssection import build_cross_section, coclosed_spectrum
 from conetorsion.errors import DomainError
-from conetorsion.firstorder import _window_integral, first_order_shifted
+from conetorsion.firstorder import _HORIZON, _window_integral, first_order_shifted
 
 
 def _det_grid():
@@ -146,3 +148,29 @@ def test_swapped_b1_matches_nested_form(geometry, k, sign):
     cs = build_cross_section({"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis})
     fo = first_order_shifted(coclosed_spectrum(cs, k, 400.0), sign)
     assert abs(fo._b1_value() - _nested_b1(fo)) <= 1e-13
+
+
+def _quad_f1(fo) -> float:
+    """F1 as the per-level quadrature of e^{-mu t} / t that the closed form
+    replaced, over the same levels."""
+    mu_all = fo._nu + fo.c
+    keep = mu_all * fo.t0 <= _HORIZON
+    vals = []
+    for mu, cnt in zip(mu_all[keep], fo._counts[keep]):
+        upper = fo.t0 + (_HORIZON + 10.0) / mu
+        v, _ = integrate.quad(
+            lambda t: math.exp(-mu * t) / t, fo.t0, upper, epsabs=1e-12, epsrel=1e-11, limit=400
+        )
+        vals.append(fo.kappa * float(cnt) * v)
+    return math.fsum(vals)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("geometry", list(_GEOMETRIES))
+def test_closed_form_f1_matches_quadrature(geometry, sign):
+    basis = _GEOMETRIES[geometry]
+    cs = build_cross_section({"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis})
+    for k in range(len(basis)):
+        fo = first_order_shifted(coclosed_spectrum(cs, k, 400.0), sign)
+        ref = _quad_f1(fo)
+        assert abs(fo._f1_value() - ref) <= 1e-14 * ref
