@@ -257,7 +257,7 @@ def cmd_dump_olver(order: int, path: Optional[str]) -> int:
 def cmd_dump_spectrum(cfg: RunConfig) -> int:
     cs = cfg.cross_section
     slices = {}
-    for k, sl in build_slices(cs, range(cs.dim_n), _params(cfg)).items():
+    for k, sl in build_slices(cs, range(cs.dim_n), _params(cfg), mellin=False).items():
         slices[str(k)] = {
             "alpha": sl.alpha,
             "betti": sl.betti_k,

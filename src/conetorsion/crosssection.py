@@ -22,7 +22,6 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy.linalg import eigh, null_space
 
 from .errors import ConfigError, DomainError, ExperimentalUnsupportedError
 
@@ -36,6 +35,8 @@ MAX_WINDOW_POINTS = 1e8
 # Rows a single expansion step of the enumeration may produce before the
 # partial vectors are split into blocks.
 _BLOCK_ROWS = 1 << 18
+# Sorted values whose gaps one step of the level grouping tests at once.
+_GROUP_BLOCK = 1 << 16
 
 FLAT_TORUS = "flat_torus"
 ROUND_SPHERE = "round_sphere"
@@ -45,6 +46,19 @@ CROSS_SECTION_FIELDS = frozenset({"family", "dim_n", "bundle_rank", "lattice_bas
 
 def _ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+def _estimate_points(mat: np.ndarray, radius: float, window: str) -> float:
+    """omega_n radius^n / |det mat|, the points of the lattice mat Z^n in the
+    ball; raises ConfigError, naming ``window``, above MAX_WINDOW_POINTS."""
+    estimate = _ball_volume(mat.shape[0]) * radius ** mat.shape[0] / abs(float(np.linalg.det(mat)))
+    if not estimate <= MAX_WINDOW_POINTS:
+        raise ConfigError(
+            "cross_section.lattice_basis",
+            f"the {window} window (radius {radius:.6g}) holds about {estimate:.3g} "
+            f"lattice points, above the limit {MAX_WINDOW_POINTS:.3g}",
+        )
+    return estimate
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,13 +171,7 @@ class CrossSection:
         spacing in some direction).
         """
         n = self.dim_n
-        estimate = _ball_volume(n) * radius**n / abs(float(np.linalg.det(mat)))
-        if not estimate <= MAX_WINDOW_POINTS:
-            raise ConfigError(
-                "cross_section.lattice_basis",
-                f"the {window} window (radius {radius:.6g}) holds about {estimate:.3g} "
-                f"lattice points, above the limit {MAX_WINDOW_POINTS:.3g}",
-            )
+        estimate = _estimate_points(mat, radius, window)
         r_fac = np.linalg.qr(mat, mode="r")
         r_fac *= np.sign(np.diag(r_fac))[:, None]
         r2 = radius * radius * (1 + 1e-12)
@@ -217,15 +225,35 @@ class CrossSection:
 
         A new level starts wherever the gap to the previous value exceeds
         GROUP_TOL * (1 + previous); each level is the mean of its members.
+        The gaps are tested in blocks of _GROUP_BLOCK values, so no temporary
+        is as large as ``values``.
         """
         if values.size == 0:
             return np.empty(0), np.empty(0, dtype=int)
-        gap = np.diff(values) > GROUP_TOL * (1.0 + values[:-1])
-        starts = np.flatnonzero(np.concatenate(([True], gap)))
+        starts = [np.zeros(1, dtype=np.intp)]
+        for lo in range(1, values.size, _GROUP_BLOCK):
+            cur = values[lo : lo + _GROUP_BLOCK]
+            prev = values[lo - 1 : lo - 1 + cur.size]
+            starts.append(np.flatnonzero(cur - prev > GROUP_TOL * (1.0 + prev)) + lo)
+        starts = np.concatenate(starts)
         counts = np.diff(np.append(starts, values.size))
         return np.add.reduceat(values, starts) / counts, counts
 
-    def _cached_levels(self, key, mat, radius):
+    def _window(self, key: str, bound: float) -> tuple[np.ndarray, float]:
+        """Basis and radius of the dual window eta <= bound ("dual") or of the
+        primal window |p|^2 <= bound ("primal")."""
+        self._require_torus()
+        if key == "dual":
+            return self.dual_basis(), math.sqrt(max(bound, 0.0)) / (2.0 * math.pi)
+        return self.lattice_basis.T, math.sqrt(bound)
+
+    def check_window(self, key: str, bound: float) -> None:
+        """Raise the ConfigError that enumerating the window would raise up
+        front, without enumerating it."""
+        _estimate_points(*self._window(key, bound), key)
+
+    def _cached_levels(self, key, bound):
+        mat, radius = self._window(key, bound)
         cached = self._caches.get(key)
         if cached is not None and cached[0] >= radius * (1 - 1e-15):
             return cached[1]
@@ -235,16 +263,14 @@ class CrossSection:
 
     def lattice_eta_levels(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
         """Distinct eta = 4 pi^2 |B^{-T} m|^2 <= cutoff with lattice-point counts."""
-        radius = math.sqrt(max(cutoff, 0.0)) / (2.0 * math.pi)
-        sq, counts = self._cached_levels("dual", self.dual_basis(), radius)
+        sq, counts = self._cached_levels("dual", cutoff)
         eta = (2.0 * math.pi) ** 2 * sq
         keep = eta <= cutoff * (1 + 1e-12)
         return eta[keep], counts[keep]
 
     def primal_norms(self, max_sq: float) -> tuple[np.ndarray, np.ndarray]:
         """Distinct squared lengths <= max_sq of nonzero primal lattice vectors."""
-        self._require_torus()
-        sq, counts = self._cached_levels("primal", self.lattice_basis.T, math.sqrt(max_sq))
+        sq, counts = self._cached_levels("primal", max_sq)
         keep = sq <= max_sq * (1 + 1e-12)
         return sq[keep], counts[keep]
 
@@ -546,6 +572,8 @@ def brute_force_form_laplacian(
     multiplication by the dual covector and its transpose, diagonalized with
     ``eigh``, and restricted to the kernel of the codifferential block.
     """
+    from scipy.linalg import eigh, null_space
+
     cs._require_torus()
     n = cs.dim_n
     if k < 0 or k > n - 1:

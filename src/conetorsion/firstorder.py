@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .crosssection import SpectralSlice
 from .errors import DomainError
@@ -144,6 +144,7 @@ class FirstOrderZeta:
         """R1(t): subordinated transform of the second-order remainder."""
         if t <= 0:
             return 0.0
+        from scipy import integrate
 
         def integrand(u: float) -> float:
             return u**-1.5 * math.exp(-t * t / (4.0 * u)) * self._second_order_remainder(u)
@@ -193,6 +194,7 @@ class FirstOrderZeta:
         """B1 = Int_0^t0 e^{-ct} R1(t) dt / t with the two integrals swapped:
         (1/(2 sqrt(pi))) Int u^{-3/2} R(u) G(u) du, G the closed-form t window."""
         if self._b0 is None:
+            from scipy import integrate
 
             def integrand(u: float) -> float:
                 window = _window_integral(self.c, self.t0, u)

@@ -30,14 +30,20 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import __version__
 from .bessel import bracket_pair
-from .crosssection import CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
+from .crosssection import FLAT_TORUS, CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
 from .errors import DomainError, ODEIntegrationError
 from .olver import harmonic_number, z_diff_by_b
-from .zeta import DEFAULT_TOLERANCE, cutoff_for_tolerance, default_order, shifted_zeta0, shifted_zeta_prime0
+from .zeta import (
+    DEFAULT_TOLERANCE,
+    cutoff_for_tolerance,
+    default_order,
+    primal_window,
+    shifted_zeta0,
+    shifted_zeta_prime0,
+)
 
 
 @dataclass
@@ -58,13 +64,25 @@ class NumericsParams:
         return cutoff_for_tolerance(cs, k, tol)
 
 
-def build_slices(cs: CrossSection, ks: Iterable[int], params: NumericsParams) -> Dict[int, SpectralSlice]:
+def build_slices(
+    cs: CrossSection, ks: Iterable[int], params: NumericsParams, mellin: bool = True
+) -> Dict[int, SpectralSlice]:
     """The spectral slices of degrees ``ks`` at the cutoffs ``params`` sets.
 
-    Each slice caches its Mellin engine, so routes that share one dict share
-    the enumeration and the continuation work.
+    On a torus every lattice window the slices need is checked against the
+    point limit before any slice is built: first the primal window of their
+    Mellin splits (unless ``mellin`` is false: the caller builds no split),
+    then, once the cutoffs are known, the largest dual window.  Each slice
+    caches its Mellin engine, so routes that share one dict share the
+    enumeration and the continuation work.
     """
-    return {k: coclosed_spectrum(cs, k, params.slice_cutoff(cs, k)) for k in ks}
+    torus = cs.family == FLAT_TORUS
+    if torus and mellin:
+        cs.check_window("primal", primal_window())
+    cutoffs = {k: params.slice_cutoff(cs, k) for k in ks}
+    if torus and cutoffs:
+        cs.check_window("dual", max(cutoffs.values()))
+    return {k: coclosed_spectrum(cs, k, cutoff) for k, cutoff in cutoffs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +454,8 @@ def _integrate_model_ode(nu, w2, x_start, x_end, y0, yp0, rtol=1e-12):
     if m > chunk:
         parts = [_integrate_model_ode(*rows[:, i : i + chunk], rtol=rtol) for i in range(0, m, chunk)]
         return tuple(np.concatenate(ends) for ends in zip(*parts))
+    from scipy.integrate import solve_ivp
+
     nu, w2, x_start, x_end, y0, yp0 = rows
     dx = x_end - x_start
     c_dx = (nu * nu - 0.25) * dx

@@ -225,3 +225,85 @@ def test_first_eta_and_min_primal_length_match_box_scan(name):
     cs = _torus(FIRST_LEVEL_BASES[name])
     assert cs.min_primal_length() == math.sqrt(_first_level(cs, cs.lattice_basis.T))
     assert cs.first_eta() == (2.0 * math.pi) ** 2 * _first_level(cs, cs.dual_basis())
+
+
+def _count_enumerations(monkeypatch) -> list:
+    calls = []
+    enumerate_ = C.CrossSection._enumerate
+
+    def counting(self, mat, radius, window="lattice"):
+        calls.append(window)
+        return enumerate_(self, mat, radius, window)
+
+    monkeypatch.setattr(C.CrossSection, "_enumerate", counting)
+    return calls
+
+
+def _write_config(tmp_path, basis, **extra):
+    doc = {
+        "schema": 1,
+        "cross_section": {"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis},
+        **extra,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_unit_t8_torsion_is_refused_before_any_enumeration(tmp_path, capsys, monkeypatch):
+    calls = _count_enumerations(monkeypatch)
+    path = _write_config(tmp_path, _diag(8, 1.0), tolerance=1e-10)
+    assert cli.main(["torsion", "--config", path]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert (
+        "cross_section.lattice_basis: the primal window (radius 15.2315) holds about "
+        "1.18e+10 lattice points, above the limit 1e+08" in err
+    )
+
+
+def test_oversized_dual_window_is_refused_before_any_enumeration(tmp_path, capsys, monkeypatch):
+    """Unit T^2 at cutoff 1e10: the primal window fits, the dual window
+    (about 8e8 points) does not."""
+    calls = _count_enumerations(monkeypatch)
+    path = _write_config(tmp_path, _diag(2, 1.0))
+    assert cli.main(["torsion", "--config", path, "--cutoff", "1e10"]) == 2
+    assert calls == []
+    assert "the dual window" in capsys.readouterr().err
+
+
+def test_dump_spectrum_needs_no_primal_window(tmp_path, capsys, monkeypatch):
+    """With the limit at 100 points the unit-T^2 primal window (about 729)
+    is refused, but its dual windows (a few points) are not, and only the
+    commands that build Mellin splits need the primal one."""
+    monkeypatch.setattr(C, "MAX_WINDOW_POINTS", 100)
+    path = _write_config(tmp_path, _diag(2, 1.0))
+    assert cli.main(["dump-spectrum", "--config", path, "--out", str(tmp_path / "s.json")]) == 0
+    assert cli.main(["torsion", "--config", path]) == 2
+    assert "the primal window" in capsys.readouterr().err
+
+
+def test_group_memory_t4():
+    """The T^4 0.7 I primal window: 1,104,928 sorted norms (8.4 MiB)."""
+    cs = _torus(BASES["t4-0.7I"])
+    values = cs._enumerate(cs.lattice_basis.T, math.sqrt(PRIMAL_MAX_SQ), "primal")
+    assert values.size == 1_104_928
+    tracemalloc.start()
+    try:
+        C.CrossSection._group(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * values.nbytes, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+@pytest.mark.parametrize("name", ["t2-sheared", "t2-skinny", "t4-sheared-x2"])
+def test_group_independent_of_block(name, block, monkeypatch):
+    cs = _torus(BASES[name])
+    values = cs._enumerate(cs.lattice_basis.T, math.sqrt(PRIMAL_MAX_SQ), "primal")
+    ref_levels, ref_counts = C.CrossSection._group(values)
+    monkeypatch.setattr(C, "_GROUP_BLOCK", block)
+    levels, counts = C.CrossSection._group(values)
+    assert np.array_equal(levels, ref_levels)
+    assert np.array_equal(counts, ref_counts)

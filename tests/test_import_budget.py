@@ -1,0 +1,80 @@
+"""The production commands import only numpy and scipy.special from the
+scientific stack; scipy.integrate and scipy.linalg belong to the oracles
+(``verify``, the Gelfand-Yaglom ODE, the first-order route, the brute-force
+Laplacian).  Each check runs in a fresh interpreter, because pytest itself
+has scipy.integrate loaded."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+
+
+def _run(code: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+
+
+def _config(tmp_path: Path, n: int) -> Path:
+    basis = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    path = tmp_path / f"unit-t{n}.json"
+    path.write_text(
+        json.dumps({"schema": 1, "cross_section": {"family": "flat_torus", "dim_n": n, "lattice_basis": basis}})
+    )
+    return path
+
+
+def test_production_commands_load_no_oracle_modules(tmp_path):
+    t2, t4 = _config(tmp_path, 2), _config(tmp_path, 4)
+    runs = [
+        ["torsion", "--config", str(t2)],
+        ["torsion", "--config", str(t4)],
+        ["truncated", "--config", str(t2), "--epsilon", "0.25"],
+        ["anomaly", "--config", str(t2)],
+        ["scaling", "--config", str(t2), "--mu", "2,4"],
+        ["dump-spectrum", "--config", str(t2)],
+        ["dump-zeta", "--config", str(t2)],
+        ["dump-olver", "--order", "4"],
+    ]
+    code = f"""
+        import sys
+        from conetorsion import cli
+
+        for i, argv in enumerate({runs!r}):
+            rc = cli.main(argv + ["--out", f"out{{i}}.json"])
+            assert rc == 0, (argv, rc)
+        print(sorted(m for m in {HEAVY!r} if m in sys.modules))
+    """
+    proc = _run(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert len(list(tmp_path.glob("out*.json"))) == len(runs)
+
+
+def test_verify_passes_in_a_fresh_process(tmp_path):
+    proc = _run(
+        """
+        import sys
+        from conetorsion import cli
+
+        sys.exit(cli.main(["verify"]))
+        """,
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = [line for line in proc.stdout.splitlines() if line.strip()]
+    assert lines and all(line.startswith("pass") for line in lines), proc.stdout
