@@ -1,20 +1,20 @@
 """Modified Bessel functions I_nu, K_nu and their derivatives.
 
 Point evaluation is delegated to scipy.special (AMOS), which handles real
-nonnegative order directly; derivatives come from the standard recurrences
-I'_nu = (I_{nu-1} + I_{nu+1})/2 and K'_nu = -(K_{nu-1} + K_{nu+1})/2, which
-hold verbatim for the exponentially scaled variants since the scaling factor
-does not depend on the order.  The uniform large-order (Olver) expansions are
-built from the exact u_r/v_r polynomials in :mod:`conetorsion.olver` and
-return a truncation estimate alongside the value.
+nonnegative order directly; it is imported by the first evaluation, so
+importing this module (as ``torsion`` does) loads no scipy.  Derivatives
+come from the standard recurrences I'_nu = (I_{nu-1} + I_{nu+1})/2 and
+K'_nu = -(K_{nu-1} + K_{nu+1})/2, which hold verbatim for the exponentially
+scaled variants since the scaling factor does not depend on the order.  The
+uniform large-order (Olver) expansions are built from the exact u_r/v_r
+polynomials in :mod:`conetorsion.olver` and return a truncation estimate
+alongside the value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy import special as sp
 
 from .errors import DomainError
 from .olver import DEFAULT_MAX_ORDER, eval_t_poly, olver_pair
@@ -54,6 +54,8 @@ def modified_bessel(nu: float, x: float, scaled: bool = False) -> BesselQuad:
         raise OverflowError(
             f"x={x} overflows unscaled K/I in binary64; request scaled values"
         )
+    from scipy import special as sp
+
     if scaled:
         iv = sp.ive
         kv = sp.kve

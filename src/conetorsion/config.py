@@ -31,6 +31,7 @@ path; the CLI maps them to exit code 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,7 +63,15 @@ def _positive_number(value, path: str) -> float:
         raise ConfigError(path, "must be a number")
     if not value > 0:
         raise ConfigError(path, "must be positive")
-    return float(value)
+    # JSON's Infinity and 1e400 and the flag value "inf" arrive as inf; an
+    # integer too large for binary64 makes float() raise OverflowError
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(path, "must be finite")
+    return number
 
 
 def parse_config(doc: dict) -> RunConfig:

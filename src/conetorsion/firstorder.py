@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .crosssection import SpectralSlice
 from .errors import DomainError
@@ -48,14 +47,16 @@ def _window_integral(c: float, t0: float, u: float) -> float:
     erf difference is rewritten through erfcx, so no term overflows and no
     difference of two values near 1 is formed.
     """
+    from scipy.special import erfcx
+
     root = math.sqrt(u)
     a = c * root
     d = t0 / (2.0 * root)
     b = a + d
     if a >= 0.0:
-        diff = special.erfcx(a) - math.exp(-d * (2.0 * a + d)) * special.erfcx(b)
+        diff = erfcx(a) - math.exp(-d * (2.0 * a + d)) * erfcx(b)
     elif b <= 0.0:
-        diff = math.exp(-d * (2.0 * a + d)) * special.erfcx(-b) - special.erfcx(-a)
+        diff = math.exp(-d * (2.0 * a + d)) * erfcx(-b) - erfcx(-a)
     else:
         diff = math.exp(a * a) * (math.erf(b) - math.erf(a))
     return math.sqrt(math.pi) * root * float(diff)
@@ -209,9 +210,11 @@ class FirstOrderZeta:
         """F1 = sum m Int_t0^inf e^{-mu t} dt / t = sum m E_1(mu t0) (DLMF 6.2.1),
         over the levels mu = nu + c with mu t0 <= _HORIZON."""
         if self._f0 is None:
+            from scipy.special import exp1
+
             mu = self._nu + self.c
             keep = mu * self.t0 <= _HORIZON
-            terms = self.kappa * self._counts[keep] * special.exp1(mu[keep] * self.t0)
+            terms = self.kappa * self._counts[keep] * exp1(mu[keep] * self.t0)
             self._f0 = math.fsum(terms.tolist())
         return self._f0
 

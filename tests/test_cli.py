@@ -150,6 +150,29 @@ def test_invalid_threads_is_config_error(tmp_path, capsys, threads):
     assert "threads:" in capsys.readouterr().err
 
 
+UNIT_T2_CUTOFF = {key: value for key, value in UNIT_T2.items() if key != "tolerance"}
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags, field",
+    [
+        ("scaling", UNIT_T2, ["--mu", "2,inf"], "mu_grid[1]"),
+        ("scaling", {**UNIT_T2, "mu_grid": [2, math.inf]}, [], "mu_grid[1]"),
+        ("torsion", UNIT_T2, ["--tolerance", "inf"], "tolerance"),
+        ("torsion", UNIT_T2, ["--cutoff", "inf"], "cutoff"),
+        ("torsion", {**UNIT_T2_CUTOFF, "cutoff": 10**400}, [], "cutoff"),
+        ("truncated", {**UNIT_T2, "epsilon": math.inf}, [], "epsilon"),
+        ("truncated", UNIT_T2, ["--epsilon", "inf"], "epsilon"),
+    ],
+)
+def test_non_finite_number_is_config_error(tmp_path, capsys, command, doc, flags, field):
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--config", cfg, *flags, "--out", str(out)]) == 2
+    assert f"{field}: must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_float_serialization_is_lossless():
     value = 0.1 + 0.2
     text = cli.dumps17({"x": value})

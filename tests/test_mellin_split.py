@@ -1,5 +1,5 @@
 """The B and F parts of the Mellin split against scalar per-sigma and
-per-level quadrature, independence of the request order, loud
+per-level quadrature, their independence of the request order, loud
 non-convergence, and split-point independence on a skinny torus."""
 
 from __future__ import annotations
@@ -86,6 +86,20 @@ def test_b_independent_of_request_order(name):
     backward = zeta.MellinSplit(sl)
     ahead = [forward.b_value(s) for s in sigmas]
     behind = [backward.b_value(s) for s in reversed(sigmas)][::-1]
+    assert ahead == behind
+
+
+@pytest.mark.parametrize("name", ["sheared-t2", "unit-t4"])
+def test_f_independent_of_request_order(name):
+    """The first request fills the whole grid, so F is the same whether an
+    off-grid sigma (forward) or a grid sigma (backward) comes first."""
+    cs = _torus(GEOMETRIES[name])
+    sl = coclosed_spectrum(cs, 1, zeta.cutoff_for_tolerance(cs, 1, 1e-8))
+    sigmas = [-0.25, 0.3] + [r / 2.0 for r in range(zeta.default_order(cs.dim_n) + 1)]
+    forward = zeta.MellinSplit(sl)
+    backward = zeta.MellinSplit(sl)
+    ahead = [forward.f_value(s) for s in sigmas]
+    behind = [backward.f_value(s) for s in reversed(sigmas)][::-1]
     assert ahead == behind
 
 
