@@ -16,7 +16,6 @@ from .errors import (  # noqa: E402,F401
     ConfigError,
     CutoffInsufficientError,
     DomainError,
-    ExperimentalUnsupportedError,
     ODEIntegrationError,
     ZetaPoleError,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "ConfigError",
     "CutoffInsufficientError",
     "DomainError",
-    "ExperimentalUnsupportedError",
     "ODEIntegrationError",
     "ZetaPoleError",
     "__version__",

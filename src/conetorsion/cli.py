@@ -37,7 +37,6 @@ from .errors import (
     ConfigError,
     CutoffInsufficientError,
     DomainError,
-    ExperimentalUnsupportedError,
     ODEIntegrationError,
 )
 from .firstorder import first_order_shifted
@@ -193,7 +192,7 @@ def cmd_anomaly(cfg: RunConfig) -> int:
     cs = cfg.cross_section
     res, anomaly = res_term(cs)
     result = {"anomaly_integral": anomaly, "res": res}
-    if cs.family == "flat_torus" and cs.dim_n == 2:
+    if cs.dim_n == 2:
         closed = -cs.bundle_rank * cs.volume / (8.0 * math.pi)
         result["flat_t2_closed_form"] = closed
         result["closed_form_rel_error"] = abs(anomaly - closed) / abs(closed)
@@ -489,20 +488,19 @@ def _build_parser() -> argparse.ArgumentParser:
         "scaling": "Tors under metric scaling",
         "dump-spectrum": "enumerated spectral slices",
         "dump-zeta": "zeta continuation artifacts per slice",
-        "verify": "run the identity and oracle suite",
     }
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a schema-1 JSON configuration")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], help="report format")
+        p.add_argument("--format", choices=["json", "csv"], help="json, or csv for scaling")
         p.add_argument("--threads", type=int, help="recorded in provenance; no effect")
         p.add_argument("--tolerance", type=float, help="target tolerance")
         p.add_argument("--cutoff", type=float, help="eigenvalue cutoff")
         p.add_argument("--epsilon", type=float, help="truncation parameter in (0,1)")
         p.add_argument("--mu", help="comma-separated scaling grid, e.g. 2,4,8")
-        if name == "verify":
-            p.add_argument("what", nargs="?", help="restrict to one check group or check name")
+    p = sub.add_parser("verify", help="run the identity and oracle suite")
+    p.add_argument("what", nargs="?", help="restrict to one check group or check name")
     p = sub.add_parser("dump-olver", help="exact expansion-coefficient tables")
     p.add_argument("--order", type=int, default=6, help="highest order r (<= 12)")
     p.add_argument("--out", help="output file (default: stdout)")
@@ -543,13 +541,7 @@ def _config_from_args(args) -> RunConfig:
 
 # what the library raises when a computation cannot meet its contract; any
 # other exception is a defect and propagates with its traceback
-_NUMERICAL_FAILURES = (
-    DomainError,
-    CutoffInsufficientError,
-    ArithmeticError,
-    ExperimentalUnsupportedError,
-    ODEIntegrationError,
-)
+_NUMERICAL_FAILURES = (DomainError, CutoffInsufficientError, ArithmeticError, ODEIntegrationError)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -560,6 +552,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "dump-olver":
             return cmd_dump_olver(args.order, args.out)
         cfg = _config_from_args(args)
+        if cfg.output_format == "csv" and args.command != "scaling":
+            raise ConfigError("output.format", "csv is written only by scaling")
         handler = {
             "torsion": cmd_torsion,
             "truncated": cmd_truncated,

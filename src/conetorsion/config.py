@@ -6,11 +6,10 @@ consulted, so a config file plus a command line reproduces a run exactly.
     {
       "schema": 1,
       "cross_section": {
-        "family": "flat_torus",        // or "round_sphere" (experimental)
+        "family": "flat_torus",        // the only family
         "dim_n": 2,                    // even, >= 2
-        "lattice_basis": [[1,0],[0,1]],
-        "bundle_rank": 1,
-        "radius": 1.0                  // round_sphere only
+        "lattice_basis": [[1,0],[0,1]],  // invertible n x n
+        "bundle_rank": 1
       },
       "cutoff": 500.0,                 // exactly one of cutoff / tolerance
       "tolerance": 1e-10,

@@ -1,16 +1,12 @@
 """Model cross-sections and their coclosed form-Laplacian spectra.
 
-The production family is the flat torus T^n = R^n / (B Z^n) with even n.  For
+The cross-section is the flat torus T^n = R^n / (B Z^n) with even n.  For
 a dual-lattice vector m != 0 the Laplacian on coclosed k-forms contributes
 the eigenvalue eta = 4 pi^2 |B^{-T} m|^2 with multiplicity rank * C(n-1, k);
 the m = 0 modes are harmonic, are excluded from the spectrum, and are counted
 separately through the Betti numbers rank * C(n, k).  The per-point coclosed
 multiplicity is not assumed: :func:`brute_force_form_laplacian` assembles the
 Hodge Laplacian on a truncated Fourier basis and rediscovers it numerically.
-
-The round-sphere family is accepted by the constructor but is experimental:
-spectrum requests are rejected unless the caller supplies an explicit
-spectrum table.
 """
 
 from __future__ import annotations
@@ -19,11 +15,10 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ExperimentalUnsupportedError
+from .errors import ConfigError, DomainError
 
 GROUP_TOL = 1e-12  # relative grouping tolerance for equal eigenvalues
 
@@ -38,10 +33,8 @@ _BLOCK_ROWS = 1 << 18
 # Sorted values whose gaps one step of the level grouping tests at once.
 _GROUP_BLOCK = 1 << 16
 
-FLAT_TORUS = "flat_torus"
-ROUND_SPHERE = "round_sphere"
 # the fields of a cross_section block (docs/config.schema.json)
-CROSS_SECTION_FIELDS = frozenset({"family", "dim_n", "bundle_rank", "lattice_basis", "radius"})
+CROSS_SECTION_FIELDS = frozenset({"family", "dim_n", "bundle_rank", "lattice_basis"})
 
 
 def _ball_volume(n: int) -> float:
@@ -63,42 +56,30 @@ def _estimate_points(mat: np.ndarray, radius: float, window: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CrossSection:
-    """Descriptor of the closed even-dimensional cross-section N."""
+    """The flat torus R^n / (B Z^n), B = ``lattice_basis``, carrying a flat
+    bundle of rank ``bundle_rank``."""
 
-    family: str
     dim_n: int
+    lattice_basis: np.ndarray
     bundle_rank: int = 1
-    lattice_basis: Optional[np.ndarray] = None
-    radius: Optional[float] = None
     volume: float = field(init=False, default=0.0)
 
     def __post_init__(self):
-        if self.family not in (FLAT_TORUS, ROUND_SPHERE):
-            raise ConfigError("cross_section.family", f"unknown family {self.family!r}")
         if self.dim_n < 2 or self.dim_n % 2 != 0:
             raise ConfigError("cross_section.dim_n", "must be an even integer >= 2")
         if self.bundle_rank < 1:
             raise ConfigError("cross_section.bundle_rank", "must be a positive integer")
-        if self.family == FLAT_TORUS:
-            if self.lattice_basis is None:
-                raise ConfigError("cross_section.lattice_basis", "required for flat_torus")
-            basis = np.asarray(self.lattice_basis, dtype=float)
-            if basis.shape != (self.dim_n, self.dim_n):
-                raise ConfigError(
-                    "cross_section.lattice_basis",
-                    f"must be {self.dim_n}x{self.dim_n}, got {basis.shape}",
-                )
-            det = float(np.linalg.det(basis))
-            if not math.isfinite(det) or abs(det) < 1e-12:
-                raise ConfigError("cross_section.lattice_basis", "matrix is singular")
-            object.__setattr__(self, "lattice_basis", basis)
-            object.__setattr__(self, "volume", abs(det))
-        else:
-            if self.radius is None or self.radius <= 0:
-                raise ConfigError("cross_section.radius", "required and positive for round_sphere")
-            n = self.dim_n
-            vol = 2.0 * math.pi ** ((n + 1) / 2.0) / math.gamma((n + 1) / 2.0) * self.radius**n
-            object.__setattr__(self, "volume", vol)
+        basis = np.asarray(self.lattice_basis, dtype=float)
+        if basis.shape != (self.dim_n, self.dim_n):
+            raise ConfigError(
+                "cross_section.lattice_basis",
+                f"must be {self.dim_n}x{self.dim_n}, got {basis.shape}",
+            )
+        det = float(np.linalg.det(basis))
+        if not math.isfinite(det) or abs(det) < 1e-12:
+            raise ConfigError("cross_section.lattice_basis", "matrix is singular")
+        object.__setattr__(self, "lattice_basis", basis)
+        object.__setattr__(self, "volume", abs(det))
         object.__setattr__(self, "_caches", {})
 
     # -- topology ---------------------------------------------------------
@@ -106,9 +87,7 @@ class CrossSection:
     def betti(self, k: int) -> int:
         if k < 0 or k > self.dim_n:
             return 0
-        if self.family == FLAT_TORUS:
-            return self.bundle_rank * math.comb(self.dim_n, k)
-        return self.bundle_rank if k in (0, self.dim_n) else 0
+        return self.bundle_rank * math.comb(self.dim_n, k)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.betti(k) for k in range(self.dim_n + 1))
@@ -121,23 +100,15 @@ class CrossSection:
         """Coclosed multiplicity per nonzero lattice point: rank * C(n-1, k)."""
         return self.bundle_rank * math.comb(self.dim_n - 1, k)
 
-    # -- lattice geometry (flat torus only) -------------------------------
-
-    def _require_torus(self):
-        if self.family != FLAT_TORUS:
-            raise ExperimentalUnsupportedError(
-                "round_sphere is experimental: supply a spectrum table"
-            )
+    # -- lattice geometry -------------------------------------------------
 
     def dual_basis(self) -> np.ndarray:
-        self._require_torus()
-        return np.linalg.inv(np.asarray(self.lattice_basis)).T
+        return np.linalg.inv(self.lattice_basis).T
 
     # The ball of radius 1.1 times the shortest basis vector holds that basis
     # vector, so it also holds the shortest lattice vector and its shell.
 
     def min_primal_length(self) -> float:
-        self._require_torus()
         shortest = float(np.min(np.linalg.norm(self.lattice_basis, axis=1)))
         sq, _ = self.primal_norms((1.1 * shortest) ** 2)
         return math.sqrt(float(sq[0]))
@@ -242,7 +213,6 @@ class CrossSection:
     def _window(self, key: str, bound: float) -> tuple[np.ndarray, float]:
         """Basis and radius of the dual window eta <= bound ("dual") or of the
         primal window |p|^2 <= bound ("primal")."""
-        self._require_torus()
         if key == "dual":
             return self.dual_basis(), math.sqrt(max(bound, 0.0)) / (2.0 * math.pi)
         return self.lattice_basis.T, math.sqrt(bound)
@@ -280,8 +250,9 @@ class CrossSection:
 
     def weyl_tail(self, k: int) -> "WeylTail":
         """Weyl counting model of the degree-k coclosed spectrum."""
-        cell = self.dual_cell_diameter() if self.family == FLAT_TORUS else 0.0
-        return WeylTail(self.coclosed_point_multiplicity(k), self.volume, self.dim_n, cell)
+        return WeylTail(
+            self.coclosed_point_multiplicity(k), self.volume, self.dim_n, self.dual_cell_diameter()
+        )
 
 
 def build_cross_section(config: dict) -> CrossSection:
@@ -289,8 +260,8 @@ def build_cross_section(config: dict) -> CrossSection:
     if not isinstance(config, dict):
         raise ConfigError("cross_section", "must be an object")
     family = config.get("family")
-    if family is None:
-        raise ConfigError("cross_section.family", "missing")
+    if family != "flat_torus":
+        raise ConfigError("cross_section.family", f"must be 'flat_torus', got {family!r}")
     try:
         dim_n = int(config["dim_n"])
     except KeyError:
@@ -301,18 +272,16 @@ def build_cross_section(config: dict) -> CrossSection:
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ConfigError("cross_section.bundle_rank", "must be an integer")
     basis = config.get("lattice_basis")
-    if basis is not None:
-        try:
-            basis = np.asarray(basis, dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigError("cross_section.lattice_basis", "must be a numeric matrix") from None
-    radius = config.get("radius")
+    if basis is None:
+        raise ConfigError("cross_section.lattice_basis", "missing")
+    try:
+        basis = np.asarray(basis, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("cross_section.lattice_basis", "must be a numeric matrix") from None
     for key in config:
         if key not in CROSS_SECTION_FIELDS:
             raise ConfigError(f"cross_section.{key}", "unknown field")
-    return CrossSection(
-        family=family, dim_n=dim_n, bundle_rank=rank, lattice_basis=basis, radius=radius
-    )
+    return CrossSection(dim_n=dim_n, lattice_basis=basis, bundle_rank=rank)
 
 
 def betti_numbers(cs: CrossSection) -> tuple[list[int], int]:
@@ -464,8 +433,6 @@ class SpectralSlice:
         exponentially small as t -> 0 but order one at t ~ 1.
         """
         series = self.heat.series_remainder_bound(t)
-        if self.cross_section.family != FLAT_TORUS:
-            return series
         sq, counts = self.cross_section.primal_norms(max_sq=4.0 * t * 60.0)
         s_p = float(np.sum(np.exp(-sq / (4.0 * t)) * counts)) if sq.size else 0.0
         lattice = self.kappa * self.heat.v_n * t ** (-self.heat.n / 2.0) * math.exp(
@@ -485,33 +452,15 @@ class SpectralSlice:
             raise AssertionError("levels must be strictly increasing")
 
 
-def coclosed_spectrum(
-    cs: CrossSection,
-    k: int,
-    cutoff: float,
-    spectrum_table: Optional[Iterable[tuple[float, int]]] = None,
-) -> SpectralSlice:
-    """Enumerate the nonzero coclosed k-form spectrum up to ``cutoff``.
-
-    For the experimental sphere family a `(eta, mult)` table must be supplied;
-    multiplicities in the table are taken as already including the bundle rank.
-    """
+def coclosed_spectrum(cs: CrossSection, k: int, cutoff: float) -> SpectralSlice:
+    """Enumerate the nonzero coclosed k-form spectrum up to ``cutoff``."""
     n = cs.dim_n
     if k < 0 or k > n - 1:
         raise DomainError(f"degree k={k} outside 0..{n - 1}")
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
-    if cs.family == ROUND_SPHERE:
-        if spectrum_table is None:
-            raise ExperimentalUnsupportedError(
-                "round_sphere is experimental: supply spectrum_table=[(eta, mult), ...]"
-            )
-        pairs = sorted((float(e), int(m)) for e, m in spectrum_table if float(e) <= cutoff)
-        eta = np.asarray([p[0] for p in pairs])
-        mult = np.asarray([p[1] for p in pairs], dtype=int)
-    else:
-        eta, counts = cs.lattice_eta_levels(cutoff)
-        mult = counts * cs.coclosed_point_multiplicity(k)
+    eta, counts = cs.lattice_eta_levels(cutoff)
+    mult = counts * cs.coclosed_point_multiplicity(k)
     sl = SpectralSlice(cs, k, float(cs.alpha(k)), float(cutoff), eta, mult)
     sl.validate()
     return sl
@@ -525,10 +474,6 @@ def theta_heat_coeffs(cs: CrossSection, k: int) -> HeatModel:
     coincides with b_k only in degree 0; slice duality and the brute-force
     oracle pin this down.
     """
-    if cs.family != FLAT_TORUS:
-        raise ExperimentalUnsupportedError(
-            "heat coefficients are only available for the flat torus family"
-        )
     n = cs.dim_n
     if k < 0 or k > n - 1:
         raise DomainError(f"degree k={k} outside 0..{n - 1}")
@@ -574,7 +519,6 @@ def brute_force_form_laplacian(
     """
     from scipy.linalg import eigh, null_space
 
-    cs._require_torus()
     n = cs.dim_n
     if k < 0 or k > n - 1:
         raise DomainError(f"degree k={k} outside 0..{n - 1}")

@@ -34,9 +34,5 @@ class ZetaPoleError(DomainError):
     """A zeta function was evaluated at a pole without requesting PP mode."""
 
 
-class ExperimentalUnsupportedError(NotImplementedError):
-    """The round-sphere family needs a user-supplied spectrum table."""
-
-
 class ODEIntegrationError(RuntimeError):
     """An ODE oracle's integrator failed to reach the end of its interval."""

@@ -73,8 +73,6 @@ class FirstOrderZeta:
 
     def __init__(self, sl: SpectralSlice, c: float, t0: float = 1.0):
         cs = sl.cross_section
-        if cs.family != "flat_torus":
-            raise DomainError("first-order oracle supports the flat torus family only")
         self.n = cs.dim_n
         self.h = self.n // 2
         self.kappa = sl.kappa

@@ -10,8 +10,7 @@ only when a polynomial is evaluated.  The module provides
   the u-series,
 * ``m_poly(r)``: M_r(t, a), the order-r coefficient of the formal logarithm
   of the derivative-series with shift parameter a; its coefficient table
-  z_{r,b}(a) is exposed through ``z_table``,
-* ``z_diff_sum(r, a)``: the closed-form sum of z_{r,b}(-a) - z_{r,b}(a).
+  z_{r,b}(a) is exposed through ``z_table``.
 
 Key structural facts (asserted in the test suite): D_r and M_r contain only
 the powers t^(r+2b) with 0 <= b <= r, each z_{r,b} is a polynomial in the
@@ -225,21 +224,6 @@ def m_poly_eval(r: int, t, a):
     total = t * 0
     for e, ap in sorted(m_poly(r).items()):
         total += eval_a_poly(ap, a) * t**e
-    return total
-
-
-def z_diff_sum(r: int, a):
-    """Return sum_b (z_{r,b}(-a) - z_{r,b}(a)) = ((-a)^r - a^r) / r.
-
-    Evaluated from the z-table, not from the closed form; the closed form is
-    what the test suite checks it against.
-    """
-    if r < 1:
-        raise ValueError("order must be >= 1")
-    table = z_table(r)
-    total = a * 0
-    for b in sorted(table):
-        total += eval_a_poly(table[b], -a) - eval_a_poly(table[b], a)
     return total
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bessel import bracket_pair
-from .crosssection import FLAT_TORUS, CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
+from .crosssection import CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
 from .errors import DomainError, ODEIntegrationError
 from .olver import harmonic_number, z_diff_by_b
 from .zeta import (
@@ -69,18 +69,17 @@ def build_slices(
 ) -> Dict[int, SpectralSlice]:
     """The spectral slices of degrees ``ks`` at the cutoffs ``params`` sets.
 
-    On a torus every lattice window the slices need is checked against the
-    point limit before any slice is built: first the primal window of their
-    Mellin splits (unless ``mellin`` is false: the caller builds no split),
-    then, once the cutoffs are known, the largest dual window.  Each slice
-    caches its Mellin engine, so routes that share one dict share the
-    enumeration and the continuation work.
+    Every lattice window the slices need is checked against the point limit
+    before any slice is built: first the primal window of their Mellin
+    splits (unless ``mellin`` is false: the caller builds no split), then,
+    once the cutoffs are known, the largest dual window.  Each slice caches
+    its Mellin engine, so routes that share one dict share the enumeration
+    and the continuation work.
     """
-    torus = cs.family == FLAT_TORUS
-    if torus and mellin:
+    if mellin:
         cs.check_window("primal", primal_window())
     cutoffs = {k: params.slice_cutoff(cs, k) for k in ks}
-    if torus and cutoffs:
+    if cutoffs:
         cs.check_window("dual", max(cutoffs.values()))
     return {k: coclosed_spectrum(cs, k, cutoff) for k, cutoff in cutoffs.items()}
 

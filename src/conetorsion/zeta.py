@@ -48,12 +48,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .crosssection import CrossSection, SpectralSlice, WeylTail
-from .errors import (
-    CutoffInsufficientError,
-    DomainError,
-    ExperimentalUnsupportedError,
-    ZetaPoleError,
-)
+from .errors import CutoffInsufficientError, DomainError, ZetaPoleError
 from .olver import harmonic_number
 
 EULER_GAMMA = 0.5772156649015328606
@@ -192,10 +187,6 @@ class MellinSplit:
     """
 
     def __init__(self, sl: SpectralSlice, t0: float = 1.0):
-        if sl.cross_section.family != "flat_torus":
-            raise ExperimentalUnsupportedError(
-                "zeta continuation requires the flat-torus heat model"
-            )
         self.sl = sl
         self.t0 = float(t0)
         self.n = sl.cross_section.dim_n
@@ -592,7 +583,7 @@ def k_series(
     big = order if order is not None else default_order(n)
     if big < n:
         raise DomainError(f"subtraction order must be >= n = {n}")
-    val, bound = _k_direct(sl, c, big)
+    val, bound = _k_at_order(sl, c, n, big)
     tol = tol if tol is not None else DEFAULT_TOLERANCE
     if bound > tol:
         nu_max = float(sl.nu()[-1]) if sl.eta.size else 1.0
@@ -601,20 +592,18 @@ def k_series(
             f"K-series tail bound {bound:.3e} exceeds tolerance {tol:.1e}",
             required_cutoff=needed_nu**2 - sl.alpha**2,
         )
-    ms = mellin_split(sl)
-    correction = math.fsum(
-        (-c) ** r / r * ms.pp_s(r)[0] for r in range(n + 1, big + 1)
-    )
-    return val + correction
+    return val
 
 
-def _k_at_order(sl: SpectralSlice, c: float, order: int) -> tuple[float, float]:
-    """Accelerated K(0, c) at an arbitrary subtraction order >= n."""
-    n = sl.cross_section.dim_n
-    big = max(order, default_order(n))
-    val, bound = _k_direct(sl, c, big)
+def _k_at_order(sl: SpectralSlice, c: float, order: int, direct: int) -> tuple[float, float]:
+    """K(0, c) at subtraction order ``order`` and the tail bound of its direct sum.
+
+    The series is summed directly at order ``direct`` >= ``order``, and the
+    orders in between are restored through the Mellin values PP zeta_{k,N}(r).
+    """
+    val, bound = _k_direct(sl, c, direct)
     ms = mellin_split(sl)
-    corr = [(-c) ** r / r * ms.pp_s(r)[0] for r in range(order + 1, big + 1)]
+    corr = [(-c) ** r / r * ms.pp_s(r)[0] for r in range(order + 1, direct + 1)]
     return val + math.fsum(corr), bound
 
 
@@ -644,7 +633,7 @@ def shifted_zeta_prime0(
     j = order if order is not None else default_order(n)
     if j < n:
         raise DomainError(f"subtraction order must be >= n = {n}")
-    kval, kbound = _k_at_order(sl, c, j)
+    kval, kbound = _k_at_order(sl, c, j, max(j, default_order(n)))
     terms = []
     errs = [zp_err, min(kbound, 1.0)]
     for r in range(1, j + 1):

@@ -185,6 +185,62 @@ def test_verify_group(capsys):
     assert "m-at-one-identity" in out and "wronskian" not in out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--config", "cfg.json"],
+        ["--out", "v.txt"],
+        ["--format", "json"],
+        ["--threads", "2"],
+        ["--tolerance", "1e-8"],
+        ["--cutoff", "200"],
+        ["--epsilon", "0.25"],
+        ["--mu", "2,4"],
+    ],
+)
+def test_verify_takes_no_run_flags(tmp_path, monkeypatch, capsys, flags):
+    """verify runs fixed checks, so a flag it would ignore is a usage error."""
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as info:
+        cli.main(["verify", "olver", *flags])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "v.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("torsion", []),
+        ("truncated", ["--epsilon", "0.25"]),
+        ("anomaly", []),
+        ("dump-spectrum", []),
+        ("dump-zeta", []),
+    ],
+)
+def test_csv_is_config_error_outside_scaling(tmp_path, capsys, command, extra):
+    """Only scaling writes CSV; any other command refuses the format, from
+    the flag and from the config file, before it writes anything."""
+    out = tmp_path / "report.csv"
+    plain = _write_config(tmp_path, UNIT_T2)
+    in_file = _write_config(
+        tmp_path, {**UNIT_T2, "output": {"path": str(out), "format": "csv"}}, "csv.json"
+    )
+    for argv in (
+        [command, "--config", plain, *extra, "--format", "csv", "--out", str(out)],
+        [command, "--config", in_file, *extra],
+    ):
+        assert cli.main(argv) == 2
+        assert "output.format: csv is written only by scaling" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_round_sphere_is_config_error(tmp_path, capsys):
+    doc = {**UNIT_T2, "cross_section": {"family": "round_sphere", "dim_n": 2, "radius": 1.0}}
+    assert cli.main(["torsion", "--config", _write_config(tmp_path, doc)]) == 2
+    assert "cross_section.family" in capsys.readouterr().err
+
+
 def test_unwritable_output_path_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, UNIT_T2)
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"

@@ -17,7 +17,7 @@ from conetorsion.crosssection import (
     betti_numbers,
     theta_heat_coeffs,
 )
-from conetorsion.errors import ConfigError, DomainError, ExperimentalUnsupportedError
+from conetorsion.errors import ConfigError, DomainError
 from conetorsion.zeta import cutoff_for_tolerance
 
 
@@ -197,18 +197,22 @@ def test_exact_model_part(unit_t2):
         assert diff >= 0.5 * shell  # the remainder really is the lattice term
 
 
-def test_sphere_gating():
-    sphere = build_cross_section({"family": "round_sphere", "dim_n": 2, "radius": 1.0})
-    assert sphere.volume == pytest.approx(4 * math.pi)
-    assert betti_numbers(sphere) == ([1, 0, 1], 2)
-    with pytest.raises(ExperimentalUnsupportedError):
-        coclosed_spectrum(sphere, 0, 100.0)
-    with pytest.raises(ExperimentalUnsupportedError):
-        theta_heat_coeffs(sphere, 0)
-    # a user-supplied table is accepted as-is
-    sl = coclosed_spectrum(sphere, 0, 100.0, spectrum_table=[(2.0, 3), (6.0, 5)])
-    assert sl.eta.tolist() == [2.0, 6.0]
-    assert sl.mult.tolist() == [3, 5]
+@pytest.mark.parametrize(
+    "block, field",
+    [
+        ({"family": "round_sphere", "dim_n": 2, "radius": 1.0}, "cross_section.family"),
+        (
+            {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0], [0, 1]], "radius": 1.0},
+            "cross_section.radius",
+        ),
+        ({"family": "flat_torus", "dim_n": 2}, "cross_section.lattice_basis"),
+    ],
+    ids=["round-sphere-family", "radius-key", "missing-lattice-basis"],
+)
+def test_flat_torus_is_the_only_family(block, field):
+    with pytest.raises(ConfigError) as info:
+        build_cross_section(block)
+    assert info.value.field == field
 
 
 def test_brute_force_size_guard(unit_t4):
