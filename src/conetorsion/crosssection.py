@@ -24,8 +24,8 @@ GROUP_TOL = 1e-12  # relative grouping tolerance for equal eigenvalues
 
 # Most lattice points one enumeration window may hold.  The sorted squared
 # norms cost 8 bytes per point twice over (blocks, then their concatenation),
-# so the limit bounds that memory at about 1.6 GB; unit T^6 at the Mellin
-# split's primal window |p|^2 <= 232 (6.5e7 points) fits.
+# so the limit bounds that memory at about 1.6 GB; at the planned split point
+# unit T^6 and T^8 hold under 1e6 points, and unit T^14 is refused.
 MAX_WINDOW_POINTS = 1e8
 # Rows a single expansion step of the enumeration may produce before the
 # partial vectors are split into blocks.
@@ -109,13 +109,18 @@ class CrossSection:
     # vector, so it also holds the shortest lattice vector and its shell.
 
     def min_primal_length(self) -> float:
-        shortest = float(np.min(np.linalg.norm(self.lattice_basis, axis=1)))
+        shortest = float(np.min(np.linalg.norm(self.lattice_basis, axis=0)))
         sq, _ = self.primal_norms((1.1 * shortest) ** 2)
         return math.sqrt(float(sq[0]))
 
-    def first_eta(self) -> float:
+    def first_eta_bound(self) -> float:
+        """(2 pi 1.1 |shortest column of B^{-T}|)^2 >= 1.21 first eta, found
+        without enumeration."""
         shortest = float(np.min(np.linalg.norm(self.dual_basis(), axis=0)))
-        eta, _ = self.lattice_eta_levels((2.0 * math.pi * 1.1 * shortest) ** 2)
+        return (2.0 * math.pi * 1.1 * shortest) ** 2
+
+    def first_eta(self) -> float:
+        eta, _ = self.lattice_eta_levels(self.first_eta_bound())
         return float(eta[0])
 
     def _enumerate(self, mat: np.ndarray, radius: float, window: str = "lattice") -> np.ndarray:
@@ -212,10 +217,10 @@ class CrossSection:
 
     def _window(self, key: str, bound: float) -> tuple[np.ndarray, float]:
         """Basis and radius of the dual window eta <= bound ("dual") or of the
-        primal window |p|^2 <= bound ("primal")."""
+        primal window |B m|^2 <= bound ("primal")."""
         if key == "dual":
             return self.dual_basis(), math.sqrt(max(bound, 0.0)) / (2.0 * math.pi)
-        return self.lattice_basis.T, math.sqrt(bound)
+        return self.lattice_basis, math.sqrt(bound)
 
     def check_window(self, key: str, bound: float) -> None:
         """Raise the ConfigError that enumerating the window would raise up
@@ -239,7 +244,7 @@ class CrossSection:
         return eta[keep], counts[keep]
 
     def primal_norms(self, max_sq: float) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct squared lengths <= max_sq of nonzero primal lattice vectors."""
+        """Distinct squared lengths |B m|^2 <= max_sq of nonzero primal lattice vectors."""
         sq, counts = self._cached_levels("primal", max_sq)
         keep = sq <= max_sq * (1 + 1e-12)
         return sq[keep], counts[keep]

@@ -40,6 +40,7 @@ from .zeta import (
     DEFAULT_TOLERANCE,
     cutoff_for_tolerance,
     default_order,
+    plan_t0,
     primal_window,
     shifted_zeta0,
     shifted_zeta_prime0,
@@ -71,13 +72,13 @@ def build_slices(
 
     Every lattice window the slices need is checked against the point limit
     before any slice is built: first the primal window of their Mellin
-    splits (unless ``mellin`` is false: the caller builds no split), then,
-    once the cutoffs are known, the largest dual window.  Each slice caches
-    its Mellin engine, so routes that share one dict share the enumeration
-    and the continuation work.
+    splits at the planned t0 (unless ``mellin`` is false: the caller builds
+    no split), then, once the cutoffs are known, the largest dual window.
+    Each slice caches its Mellin engine, so routes that share one dict share
+    the enumeration and the continuation work.
     """
     if mellin:
-        cs.check_window("primal", primal_window())
+        cs.check_window("primal", primal_window(plan_t0(cs)))
     cutoffs = {k: params.slice_cutoff(cs, k) for k in ks}
     if cutoffs:
         cs.check_window("dual", max(cutoffs.values()))
@@ -247,6 +248,7 @@ def log_torsion_cone(
             "tolerance": params.tolerance,
             "cutoff": params.cutoff,
             "order": default_order(cs.dim_n),
+            "t0": plan_t0(cs),
             "tors_cross_check_residual": tors.cross_check_residual,
             "wall_time_s": time.time() - started,
         },

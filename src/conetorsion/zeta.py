@@ -56,6 +56,13 @@ DEFAULT_TOLERANCE = 1e-10
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 _EXP_FLOOR = 50.0  # e^{-50} ~ 2e-22: summation horizon for exponential tails
+# Largest alpha^2 t0 a Mellin split accepts: the A part's series of
+# e^{-alpha^2 t} cancels as alpha^2 t0 grows (on 32 I T^2 at J = n + 10 the
+# error is 6e-14 at alpha^2 t0 = 0.25 and 1.7e-12 at 8)
+A_CAP = 8.0
+# t0 = _T0_VOLUME Vol^{2/n} makes the primal estimate omega (4 t0 (50 + 8))^{n/2} / Vol
+# equal the dual one omega (55 / (4 pi^2 t0))^{n/2} Vol
+_T0_VOLUME = 0.0775
 # e^{-700} ~ 1e-304: lattice-remainder terms smaller than this cannot change a
 # binary64 B, and skipping them keeps the exponentials out of the subnormal range
 _REMAINDER_CUT = 700.0
@@ -98,10 +105,21 @@ _E1_SERIES = [1.0 / ((k + 1) * math.factorial(k + 1)) for k in range(20)]
 
 def default_order(n: int) -> int:
     """Default K-series subtraction order for dimension n."""
-    return n + 6
+    return n + 10
 
 
-def primal_window(t0: float = 1.0) -> float:
+def plan_t0(cs: CrossSection) -> float:
+    """Mellin split point of the torus: min(1, 0.0775 Vol^{2/n}, A_CAP / alpha_max^2).
+
+    The volume term balances the primal window |B m|^2 <= 4 t0 (50 + 8) against
+    the dual window eta <= 55 / t0, so neither dominates the enumeration; the
+    last term keeps alpha_max^2 t0 within A_CAP, alpha_max = (n - 1)/2.
+    """
+    alpha_max = float(cs.alpha(0))
+    return min(1.0, _T0_VOLUME * cs.volume ** (2.0 / cs.dim_n), A_CAP / (alpha_max * alpha_max))
+
+
+def primal_window(t0: float) -> float:
     """Largest squared primal norm the lattice remainder on (0, t0] sums over."""
     return 4.0 * t0 * (_EXP_FLOOR + 8.0)
 
@@ -193,6 +211,11 @@ class MellinSplit:
         self.h = self.n // 2
         self.kappa = sl.kappa
         self.a2 = sl.alpha * sl.alpha
+        if self.a2 * self.t0 > A_CAP:
+            raise DomainError(
+                f"alpha^2 t0 = {self.a2 * self.t0:.6g} exceeds A_CAP = {A_CAP:g}: "
+                "the A-part series of exp(-alpha^2 t) cancels"
+            )
         self.v_n = sl.heat.v_n
         self._b_cache: Dict[float, tuple[float, float]] = {}
         self._f_cache: Dict[float, tuple[float, float]] = {}
@@ -392,8 +415,8 @@ class MellinSplit:
         ``upper_gamma_grid``; a sigma > 0 off the grid uses scipy's
         ``gammaincc * gamma``.  The terms are positive, and the error
         estimate allows 1e-13 relative, above the worst relative error of
-        either against mpmath for 1e-4 <= mu t0 <= 50 and 0 < sigma <= 6
-        (6.1e-15 for the grid, 3.1e-14 for ``gammaincc * gamma``).
+        either against mpmath for 1e-4 <= mu t0 <= 50 (6.1e-15 for the grid
+        up to sigma = 9, 3.1e-14 for ``gammaincc * gamma`` up to sigma = 6).
         ``gammaincc`` is undefined for sigma < 0, so there each level is
         integrated by adaptive quadrature.
         """
@@ -486,10 +509,11 @@ class MellinSplit:
 
 
 def mellin_split(sl: SpectralSlice) -> MellinSplit:
-    """The slice's continuation engine, built on first use and kept on the slice."""
+    """The slice's continuation engine at the planned t0, built on first use
+    and kept on the slice."""
     ms = getattr(sl, "_mellin_split", None)
     if ms is None:
-        ms = sl._mellin_split = MellinSplit(sl)
+        ms = sl._mellin_split = MellinSplit(sl, plan_t0(sl.cross_section))
     return ms
 
 
@@ -620,7 +644,7 @@ def shifted_zeta_prime0(
 ) -> tuple[float, float]:
     """zeta'_{k,N}(0, sign*alpha) with an error estimate.
 
-    Uses the decomposition at subtraction order ``order`` (default n + 6);
+    Uses the decomposition at subtraction order ``order`` (default n + 10);
     the result is order-independent, which the test suite exploits as a
     consistency check.
     """
@@ -698,12 +722,18 @@ def build_zeta_eval(sl: SpectralSlice) -> ZetaEval:
     )
 
 
-def cutoff_for_tolerance(cs: CrossSection, k: int, tol: float, t0: float = 1.0) -> float:
+def cutoff_for_tolerance(
+    cs: CrossSection, k: int, tol: float, t0: Optional[float] = None
+) -> float:
     """Eigenvalue cutoff so the K-series tail at the default order J stays below ``tol``.
 
     Inverts the Weyl tail bound for the slowest-converging downstream series
-    and never returns less than the window needed by the Mellin tail sum.
+    and never returns less than the window needed by the Mellin tail sum at
+    ``t0`` (default: the planned split point), nor less than
+    ``cs.first_eta_bound()``, which keeps the first level in every slice.
     """
+    if t0 is None:
+        t0 = plan_t0(cs)
     n = cs.dim_n
     j = default_order(n)
     alpha = abs(float(cs.alpha(k)))
@@ -714,4 +744,4 @@ def cutoff_for_tolerance(cs: CrossSection, k: int, tol: float, t0: float = 1.0) 
         geo = 1.0 / max(1.0 - alpha / v, 0.5)
         v = max(2.0 * alpha + 1.0, (base * geo) ** (1.0 / power))
     lam = v * v - alpha * alpha
-    return max(lam, (_EXP_FLOOR + 5.0) / t0, 1.2 * cs.first_eta())
+    return max(lam, (_EXP_FLOOR + 5.0) / t0, cs.first_eta_bound())

@@ -393,7 +393,7 @@ def test_torsion_provenance_records_the_subtraction_order(tmp_path, doc):
     out = tmp_path / "report.json"
     assert cli.main(["torsion", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
     n = doc["cross_section"]["dim_n"]
-    assert json.loads(out.read_text())["provenance"]["order"] == n + 6
+    assert json.loads(out.read_text())["provenance"]["order"] == zeta.default_order(n)
 
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"

@@ -191,13 +191,13 @@ def test_count_guard_holds_where_the_estimate_undercounts(monkeypatch):
     assert int(counts.sum()) == 3046
 
 
-def test_unit_t8_torsion_exits_2_quickly(tmp_path, capsys):
+def test_unit_t14_torsion_exits_2_quickly(tmp_path, capsys):
     doc = {
         "schema": 1,
-        "cross_section": {"family": "flat_torus", "dim_n": 8, "lattice_basis": _diag(8, 1.0)},
+        "cross_section": {"family": "flat_torus", "dim_n": 14, "lattice_basis": _diag(14, 1.0)},
         "tolerance": 1e-10,
     }
-    path = tmp_path / "t8.json"
+    path = tmp_path / "t14.json"
     path.write_text(json.dumps(doc))
     started = time.perf_counter()
     assert cli.main(["torsion", "--config", str(path)]) == 2
@@ -250,15 +250,15 @@ def _write_config(tmp_path, basis, **extra):
     return str(path)
 
 
-def test_unit_t8_torsion_is_refused_before_any_enumeration(tmp_path, capsys, monkeypatch):
+def test_unit_t14_torsion_is_refused_before_any_enumeration(tmp_path, capsys, monkeypatch):
     calls = _count_enumerations(monkeypatch)
-    path = _write_config(tmp_path, _diag(8, 1.0), tolerance=1e-10)
+    path = _write_config(tmp_path, _diag(14, 1.0), tolerance=1e-10)
     assert cli.main(["torsion", "--config", path]) == 2
     assert calls == []
     err = capsys.readouterr().err
     assert (
-        "cross_section.lattice_basis: the primal window (radius 15.2315) holds about "
-        "1.18e+10 lattice points, above the limit 1e+08" in err
+        "cross_section.lattice_basis: the primal window (radius 4.24028) holds about "
+        "3.64e+08 lattice points, above the limit 1e+08" in err
     )
 
 
@@ -273,11 +273,12 @@ def test_oversized_dual_window_is_refused_before_any_enumeration(tmp_path, capsy
 
 
 def test_dump_spectrum_needs_no_primal_window(tmp_path, capsys, monkeypatch):
-    """With the limit at 100 points the unit-T^2 primal window (about 729)
-    is refused, but its dual windows (a few points) are not, and only the
-    commands that build Mellin splits need the primal one."""
-    monkeypatch.setattr(C, "MAX_WINDOW_POINTS", 100)
-    path = _write_config(tmp_path, _diag(2, 1.0))
+    """With the limit at 30 points the unit-T^2 primal window at the planned
+    t0 = 0.0775 (about 56 points) is refused, but the dual window at cutoff
+    100 (about 8) is not, and only the commands that build Mellin splits
+    need the primal one."""
+    monkeypatch.setattr(C, "MAX_WINDOW_POINTS", 30)
+    path = _write_config(tmp_path, _diag(2, 1.0), cutoff=100.0)
     assert cli.main(["dump-spectrum", "--config", path, "--out", str(tmp_path / "s.json")]) == 0
     assert cli.main(["torsion", "--config", path]) == 2
     assert "the primal window" in capsys.readouterr().err
