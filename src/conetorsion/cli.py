@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .bessel import modified_bessel, uniform_expansion, wronskian_residual
 from .config import RunConfig, parse_config, read_config_document
-from .crosssection import SpectralSlice
+from .crosssection import CrossSection, SpectralSlice
 from .errors import (
     ConfigError,
     CutoffInsufficientError,
@@ -384,6 +384,27 @@ def _check_harmonic() -> float:
     return float(np.max(np.abs(closed - gy) / closed))
 
 
+def _check_heat_identity() -> float:
+    """Worst relative residual of the heat-trace identity
+
+        1 + sum m e^(-eta t) = Vol / (4 pi t)^(n/2) (1 + sum c e^(-|p|^2 / 4t))
+
+    between the dual levels and the primal norms of two non-symmetric bases,
+    whose row and column lattices differ, at t = 0.7 and 0.1; both sums run
+    to the e^(-50) horizon."""
+    worst = 0.0
+    for basis in ([[1.0, 1.0], [0.0, 2.0]], [[1.0, 0.0], [1.0, 2.0]]):
+        cs = CrossSection(2, np.array(basis))
+        for t in (0.7, 0.1):
+            eta, mult = cs.lattice_eta_levels(50.0 / t)
+            sq, counts = cs.primal_norms(200.0 * t)
+            dual = 1.0 + math.fsum((mult * np.exp(-eta * t)).tolist())
+            primal = 1.0 + math.fsum((counts * np.exp(-sq / (4.0 * t))).tolist())
+            ratio = dual / (cs.volume / (4.0 * math.pi * t) * primal)
+            worst = max(worst, abs(ratio - 1.0))
+    return worst
+
+
 def _unit_t2_slices() -> Dict[int, SpectralSlice]:
     """Every slice of the default unit T^2 at its default tolerance."""
     cfg = parse_config(DEFAULT_CONFIG)
@@ -424,6 +445,7 @@ def _check_regularization() -> float:
 
 
 _CHECKS: list[tuple[str, str, Callable[..., float], float]] = [
+    ("lattice", "heat-identity", _check_heat_identity, 1e-12),
     ("olver", "m-at-one-identity", _check_m_at_one_identity, 0.0),
     ("olver", "z-diff-sum-identity", _check_zdiff_sum_identity, 0.0),
     ("olver", "z2-table", _check_z2_table, 0.0),
@@ -474,7 +496,11 @@ def cmd_verify(group: Optional[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: argparse asks the
+    terminal for its size at every argument, and parsing leaves the parser
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="conetorsion",
         description="Analytic torsion of bounded cones over model cross-sections",

@@ -19,6 +19,7 @@ shift of degree <= r, and M_r(1, a) = D_r(1) - (-a)^r / r.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -233,7 +234,9 @@ def z_diff_by_b(r: int, a) -> Dict[int, object]:
     return {b: eval_a_poly(table[b], -a) - eval_a_poly(table[b], a) for b in sorted(table)}
 
 
+@functools.cache
 def harmonic_number(m: int) -> Fraction:
     """H_m = sum_{j=1..m} 1/j; equals gamma + digamma(m+1) exactly in the
-    rational part, which is how digamma factors enter the residue sums."""
+    rational part, which is how digamma factors enter the residue sums.
+    Computed once per m and process."""
     return sum((Fraction(1, j) for j in range(1, m + 1)), start=Fraction(0))

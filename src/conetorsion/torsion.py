@@ -23,6 +23,7 @@ the torsion-like invariant.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -114,8 +115,10 @@ def _residue_even_s(cs: CrossSection, k: int, r: int) -> float:
     return 2.0 * heat.kappa * heat.v_n * (-a2) ** (h - r) / math.factorial(h - r) / math.gamma(r)
 
 
+@functools.cache
 def _digamma_weighted_zdiff(r: int, alpha: Fraction) -> Fraction:
-    """sum_b (z_{2r,b}(-a) - z_{2r,b}(a)) * H_{b+r-1}, exactly rational.
+    """sum_b (z_{2r,b}(-a) - z_{2r,b}(a)) * H_{b+r-1}, exactly rational, and
+    computed once per (r, a) and process.
 
     The companion sum with weight 1 vanishes for even order 2r, which is what
     cancels the Euler-gamma part of the digamma factors; that vanishing is

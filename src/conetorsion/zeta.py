@@ -18,7 +18,11 @@ parts (PP values) at integer s all come out of one component decomposition
 
     zeta(s) = M(s/2) / Gamma(s/2),    M = A + B + F,
 
-where only A carries poles and those are explicit.
+where only A carries poles and those are explicit.  Each slice's
+:class:`MellinSplit` tabulates every component once: the A series is built
+with the split, and every A value, A residue and finite part, B and F value,
+and PP value is computed on its first request and kept for the split's
+lifetime.
 
 The shifted derivatives at zero are assembled from the absolutely convergent
 series
@@ -199,7 +203,11 @@ class MellinSplit:
     its own.  F, the spectral sum on [t0, inf), is
     the closed form sum m mu^(-sigma) Gamma(sigma, mu t0); its first request
     fills the same grid at once from ``upper_gamma_grid``, which needs no
-    special-function library.  Level sums run in sorted order through
+    special-function library.  A, the integral of the exact heat model over
+    (0, t0], sums a (coefficient, power) table built once per split.  Every
+    A value, A residue and finite part, B and F value and PP value is
+    computed on its first request and kept in a per-split dict, so a second
+    request costs a lookup.  Level sums run in sorted order through
     ``math.fsum``, and no value depends on the order of requests, so results
     are reproducible bit for bit.
     """
@@ -217,15 +225,24 @@ class MellinSplit:
                 "the A-part series of exp(-alpha^2 t) cancels"
             )
         self.v_n = sl.heat.v_n
+        self._a_cache: Dict[float, float] = {}
+        self._a_pole_cache: Dict[float, tuple[float, float]] = {}
         self._b_cache: Dict[float, tuple[float, float]] = {}
         self._f_cache: Dict[float, tuple[float, float]] = {}
+        self._pp_cache: Dict[int, tuple[float, float]] = {}
         self._b_grid = np.arange(default_order(self.n) + 1) / 2.0
-        # exponential series length for the A-part
+        # A-part series: (coefficient, power q) with model integrand
+        # coefficient * t^{q-1+sigma}, the heat model times the exponential
+        # series of e^{-alpha^2 t}, cut h + 4 terms past the first one below 1e-24
         x = self.a2 * self.t0
         terms = 8
         while x**terms / math.factorial(terms) > 1e-24 and terms < 400:
             terms += 1
-        self._series_len = terms + self.h + 4
+        self._a_series: list[tuple[float, int]] = []
+        for i in range(terms + self.h + 4):
+            c = (-self.a2) ** i / math.factorial(i)
+            self._a_series.append((self.kappa * self.v_n * c, i - self.h))
+            self._a_series.append((-self.kappa * c, i))
         # primal norms for the lattice remainder on (0, t0]
         self._p_sq, self._p_counts = sl.cross_section.primal_norms(primal_window(self.t0))
         # levels that matter on [t0, inf)
@@ -239,35 +256,33 @@ class MellinSplit:
 
     # -- A: exact heat-model part -----------------------------------------
 
-    def _a_terms(self):
-        """Yield (coefficient, power q) with model integrand coeff * t^{q-1+s}."""
-        for i in range(self._series_len):
-            c = (-self.a2) ** i / math.factorial(i)
-            yield self.kappa * self.v_n * c, i - self.h
-            yield -self.kappa * c, i
-
     def a_value(self, sigma: float) -> float:
-        total = 0.0
-        for coef, q in self._a_terms():
-            d = sigma + q
-            if abs(d) < 1e-13:
-                raise ZetaPoleError(f"sigma={sigma} hits a heat-expansion pole")
-            total += coef * self.t0**d / d
-        return total
+        """A(sigma) = int_0^t0 t^(sigma-1) (heat model) dt away from its poles."""
+        if sigma not in self._a_cache:
+            total = 0.0
+            for coef, q in self._a_series:
+                d = sigma + q
+                if abs(d) < 1e-13:
+                    raise ZetaPoleError(f"sigma={sigma} hits a heat-expansion pole")
+                total += coef * self.t0**d / d
+            self._a_cache[sigma] = total
+        return self._a_cache[sigma]
 
     def a_residue_and_finite(self, sigma0: float) -> tuple[float, float]:
         """Residue and finite part of A at sigma0 (exact pole extraction)."""
-        res = 0.0
-        fin = 0.0
-        logt0 = math.log(self.t0)
-        for coef, q in self._a_terms():
-            d = sigma0 + q
-            if abs(d) < 1e-9:
-                res += coef
-                fin += coef * logt0
-            else:
-                fin += coef * self.t0**d / d
-        return res, fin
+        if sigma0 not in self._a_pole_cache:
+            res = 0.0
+            fin = 0.0
+            logt0 = math.log(self.t0)
+            for coef, q in self._a_series:
+                d = sigma0 + q
+                if abs(d) < 1e-9:
+                    res += coef
+                    fin += coef * logt0
+                else:
+                    fin += coef * self.t0**d / d
+            self._a_pole_cache[sigma0] = (res, fin)
+        return self._a_pole_cache[sigma0]
 
     # -- B: lattice remainder on (0, t0] ----------------------------------
 
@@ -482,19 +497,20 @@ class MellinSplit:
         """PP value of zeta_{k,N} at integer s = r (plain value off poles)."""
         if r <= 0:
             raise DomainError("PP values are defined for integer s >= 1")
+        if r in self._pp_cache:
+            return self._pp_cache[r]
         sigma0 = r / 2.0
-        if r % 2 == 0 and r <= self.n:
-            rho, fin = self.a_residue_and_finite(sigma0)
-            b, be = self.b_value(sigma0)
-            f, fe = self.f_value(sigma0)
-            m0 = fin + b + f
-            # digamma(r/2) = H_{r/2-1} - gamma at the integer r/2
-            psi = float(harmonic_number(r // 2 - 1)) - EULER_GAMMA
-            return (m0 - rho * psi) / math.gamma(sigma0), (be + fe) / math.gamma(sigma0)
-        a = self.a_value(sigma0)
         b, be = self.b_value(sigma0)
         f, fe = self.f_value(sigma0)
-        return (a + b + f) / math.gamma(sigma0), (be + fe) / math.gamma(sigma0)
+        if r % 2 == 0 and r <= self.n:
+            rho, fin = self.a_residue_and_finite(sigma0)
+            # digamma(r/2) = H_{r/2-1} - gamma at the integer r/2
+            psi = float(harmonic_number(r // 2 - 1)) - EULER_GAMMA
+            pp = (fin + b + f - rho * psi) / math.gamma(sigma0)
+        else:
+            pp = (self.a_value(sigma0) + b + f) / math.gamma(sigma0)
+        self._pp_cache[r] = (pp, (be + fe) / math.gamma(sigma0))
+        return self._pp_cache[r]
 
     def zeta0(self) -> float:
         rho, _ = self.a_residue_and_finite(0.0)

@@ -11,7 +11,7 @@ import pytest
 from conetorsion import cli, zeta
 from conetorsion import torsion as T
 from conetorsion.config import FIELDS, parse_config
-from conetorsion.crosssection import CROSS_SECTION_FIELDS
+from conetorsion.crosssection import CROSS_SECTION_FIELDS, CrossSection
 from conetorsion.errors import DomainError
 
 
@@ -288,6 +288,41 @@ def test_verify_unknown_group_is_config_error(capsys):
     err = capsys.readouterr().err
     assert "besel" in err
     assert "bessel" in err and "det-ratio-oracle-grid" in err  # the valid names
+
+
+def test_verify_heat_identity_pins_the_column_lattice(monkeypatch, capsys):
+    """The heat-identity check holds to 1e-12 on the non-symmetric bases and
+    fails once the primal window is the row lattice B^T again."""
+    assert cli._check_heat_identity() <= 1e-12
+    assert cli.main(["verify", "heat-identity"]) == 0
+    window = CrossSection._window
+
+    def row_window(self, key, bound):
+        if key == "primal":
+            return self.lattice_basis.T, math.sqrt(bound)
+        return window(self, key, bound)
+
+    monkeypatch.setattr(CrossSection, "_window", row_window)
+    assert cli._check_heat_identity() > 1e-3
+    assert cli.main(["verify", "heat-identity"]) == 1
+    assert "heat-identity" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_left_unchanged(tmp_path, capsys):
+    """One process reuses one parser: a flag given to one call does not leak
+    into the next, and a usage error leaves the parser working."""
+    assert cli._build_parser() is cli._build_parser()
+    cfg = _write_config(tmp_path, UNIT_T2)
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["torsion", "--config", cfg, "--tolerance", "1e-8", "--out", str(a)]) == 0
+    assert cli.main(["torsion", "--config", cfg, "--out", str(b)]) == 0
+    assert json.loads(a.read_text())["provenance"]["tolerance"] == 1e-8
+    assert json.loads(b.read_text())["provenance"]["tolerance"] == UNIT_T2["tolerance"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["torsion", "--bogus"])
+    assert exc.value.code == 2
+    assert cli.main(["torsion", "--config", cfg, "--out", str(b)]) == 0
+    assert json.loads(b.read_text())["provenance"]["tolerance"] == UNIT_T2["tolerance"]
 
 
 def test_defect_in_a_handler_propagates(tmp_path, monkeypatch):

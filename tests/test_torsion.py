@@ -333,6 +333,32 @@ def test_scaling_route_matches_rescaled_lattice(unit_t2):
         assert abs(row.tors - direct) <= 1e-12
 
 
+COVARIANCE_BASES = {
+    "unit-t2": np.eye(2),
+    "sheared-t2": np.array([[1.0, 0.37], [0.0, 1.0]]),
+    "unit-t4": np.eye(4),
+}
+
+
+@pytest.mark.parametrize("name", list(COVARIANCE_BASES))
+def test_scaling_rows_are_covariant(name):
+    """Scaling the metric by mu^-2 is the lattice B / mu: every scaling row
+    equals tors_term on B / mu within 1e-12 at tolerance 1e-12, for
+    mu = 2, 4, 8 (on T^4 mu = 8 is the 0.125 I torus)."""
+    basis = COVARIANCE_BASES[name]
+    params = T.NumericsParams(tolerance=1e-12)
+
+    def torus(b):
+        return build_cross_section(
+            {"family": "flat_torus", "dim_n": b.shape[0], "lattice_basis": b.tolist()}
+        )
+
+    mus = (2.0, 4.0, 8.0)
+    rows, _ = T.tors_scaling_profile(torus(basis), mus, params)
+    for mu, row in zip(mus, rows):
+        assert abs(row.tors - T.tors_term(torus(basis / mu), params).value) <= 1e-12
+
+
 def test_t_eta_lambda_guards():
     with pytest.raises(DomainError):
         T.t_eta_lambda(0.4, 0.5, 0.25, -1.0)
