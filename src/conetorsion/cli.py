@@ -39,7 +39,7 @@ from .errors import (
     DomainError,
     ODEIntegrationError,
 )
-from .firstorder import first_order_shifted
+from .firstorder import FirstOrderZeta, first_order_shifted
 from .olver import d_poly, eval_t_poly, m_poly_eval, z_diff_by_b, z_table
 from .torsion import (
     ModelOperatorSpec,
@@ -360,27 +360,35 @@ def _check_uniform() -> float:
     return worst  # must be <= 1: error within the reported bound
 
 
-def _check_det_grid() -> float:
-    specs, zs = [], []
-    for kind in ("psi_truncated", "phi_truncated"):
-        for nu in (1.0, 2.0, 3.5, 6.0, 10.0):
-            for z in (0.1, 0.4, 1.0, 2.0, 4.0):
-                for eps in (0.1, 0.25, 0.5):
-                    specs.append(ModelOperatorSpec(kind, nu, 0.5, eps))
-                    zs.append(z)
-    cf = np.array([model_det_ratio(spec, z) for spec, z in zip(specs, zs)])
-    gy = gy_det_ratio_oracles(specs, zs)
-    return float(np.max(np.abs(cf - gy) / np.abs(cf)))
+def _det_grid_entries() -> list[tuple[ModelOperatorSpec, float]]:
+    """The 150 (spec, z) entries of the det-ratio-oracle-grid check."""
+    return [
+        (ModelOperatorSpec(kind, nu, 0.5, eps), z)
+        for kind in ("psi_truncated", "phi_truncated")
+        for nu in (1.0, 2.0, 3.5, 6.0, 10.0)
+        for z in (0.1, 0.4, 1.0, 2.0, 4.0)
+        for eps in (0.1, 0.25, 0.5)
+    ]
 
 
-def _check_harmonic() -> float:
-    specs = [
+def _harmonic_specs() -> list[ModelOperatorSpec]:
+    """The 9 entries of the harmonic-det check, all at z = 0."""
+    return [
         ModelOperatorSpec("harmonic_H0", abs(alpha), alpha, eps)
         for alpha in (0.5, 1.5, 2.5)
         for eps in (0.1, 0.25, 0.5)
     ]
-    closed = np.array([harmonic_det(spec.alpha, spec.eps) for spec in specs])
-    gy = gy_det_ratio_oracles(specs, [0.0] * len(specs))
+
+
+def _check_det_grid(inputs: _VerifyInputs) -> float:
+    cf = np.array([model_det_ratio(spec, z) for spec, z in _det_grid_entries()])
+    gy, _ = inputs.gy
+    return float(np.max(np.abs(cf - gy) / np.abs(cf)))
+
+
+def _check_harmonic(inputs: _VerifyInputs) -> float:
+    closed = np.array([harmonic_det(spec.alpha, spec.eps) for spec in _harmonic_specs()])
+    _, gy = inputs.gy
     return float(np.max(np.abs(closed - gy) / closed))
 
 
@@ -405,32 +413,53 @@ def _check_heat_identity() -> float:
     return worst
 
 
-def _unit_t2_slices() -> Dict[int, SpectralSlice]:
-    """Every slice of the default unit T^2 at its default tolerance."""
-    cfg = parse_config(DEFAULT_CONFIG)
-    return build_slices(cfg.cross_section, range(2), _params(cfg))
+class _VerifyInputs:
+    """Inputs that several verify checks read, each built on first use and at
+    most once per verify run."""
+
+    @functools.cached_property
+    def unit_t2(self) -> Dict[int, SpectralSlice]:
+        """Every slice of the default unit T^2 at its default tolerance."""
+        cfg = parse_config(DEFAULT_CONFIG)
+        return build_slices(cfg.cross_section, range(2), _params(cfg))
+
+    @functools.cached_property
+    def first_order(self) -> Dict[int, FirstOrderZeta]:
+        """The first-order oracles of the unit-T^2 degree-0 slice, by sign."""
+        return {sign: first_order_shifted(self.unit_t2[0], sign) for sign in (+1, -1)}
+
+    @functools.cached_property
+    def gy(self) -> tuple[np.ndarray, np.ndarray]:
+        """Gelfand-Yaglom values of the det-ratio grid and of the harmonic
+        entries, from one batched solve."""
+        grid, harmonic = _det_grid_entries(), _harmonic_specs()
+        specs = [spec for spec, _ in grid] + harmonic
+        zs = [z for _, z in grid] + [0.0] * len(harmonic)
+        values = gy_det_ratio_oracles(specs, zs)
+        return values[: len(grid)], values[len(grid) :]
 
 
-def _check_zeta_exp(slices: Dict[int, SpectralSlice]) -> float:
-    sl = slices[0]
+def _check_zeta_exp(inputs: _VerifyInputs) -> float:
+    sl = inputs.unit_t2[0]
     worst = 0.0
     for sign in (+1, -1):
-        oracle = first_order_shifted(sl, sign).zeta0()
+        oracle = inputs.first_order[sign].zeta0()
         worst = max(worst, abs(shifted_zeta0(sl, sign) - oracle))
     return worst
 
 
-def _check_shifted_derivative_route(slices: Dict[int, SpectralSlice]) -> float:
-    sl = slices[0]
+def _check_shifted_derivative_route(inputs: _VerifyInputs) -> float:
+    sl = inputs.unit_t2[0]
     worst = 0.0
     for sign in (+1, -1):
-        oracle = first_order_shifted(sl, sign).zeta_prime0()
+        oracle = inputs.first_order[sign].zeta_prime0()
         value, _ = shifted_zeta_prime0(sl, sign)
         worst = max(worst, abs(value - oracle))
     return worst
 
 
-def _check_tors_duality(slices: Dict[int, SpectralSlice]) -> float:
+def _check_tors_duality(inputs: _VerifyInputs) -> float:
+    slices = inputs.unit_t2
     return tors_term(slices[0].cross_section, slices=slices).cross_check_residual
 
 
@@ -458,8 +487,14 @@ _CHECKS: list[tuple[str, str, Callable[..., float], float]] = [
     ("torsion", "tors-duality", _check_tors_duality, 1e-8),
     ("torsion", "regularization-surface", _check_regularization, 1.0),
 ]
-# checks that take the unit-T^2 slices, which one verify run builds at most once
-_ON_UNIT_T2 = (_check_zeta_exp, _check_shifted_derivative_route, _check_tors_duality)
+# checks that read the shared inputs of the run (``_VerifyInputs``)
+_ON_INPUTS = (
+    _check_det_grid,
+    _check_harmonic,
+    _check_zeta_exp,
+    _check_shifted_derivative_route,
+    _check_tors_duality,
+)
 
 
 def cmd_verify(group: Optional[str]) -> int:
@@ -469,12 +504,12 @@ def cmd_verify(group: Optional[str]) -> int:
         raise ConfigError(
             "verify", f"unknown group or check {group!r}; groups: {groups}; checks: {names}"
         )
-    unit_t2 = functools.cache(_unit_t2_slices)
+    inputs = _VerifyInputs()
     failures: list[tuple[str, float, float]] = []
     for grp, name, fn, bound in _CHECKS:
         if group and group not in (grp, name):
             continue
-        value = fn(unit_t2()) if fn in _ON_UNIT_T2 else fn()
+        value = fn(inputs) if fn in _ON_INPUTS else fn()
         ok = value <= bound
         status = "pass" if ok else "FAIL"
         print(f"{status}  {name:28s} worst={value:.3e}  bound={bound:.3e}")

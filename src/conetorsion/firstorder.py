@@ -5,7 +5,7 @@ Mellin split of the genuinely first-order theta function
 
     theta_c(t) = sum m(eta) exp(-(nu + c) t),
 
-so it shares nothing with :mod:`conetorsion.zeta` beyond the spectrum itself.
+so its continuation is independent of :mod:`conetorsion.zeta`.
 The small-time model comes from the subordination identity
 
     exp(-nu t) = (t / (2 sqrt(pi))) Int_0^inf u^(-3/2) e^(-t^2/(4u)) e^(-nu^2 u) du,
@@ -21,7 +21,10 @@ second-order route.
 
 This is a verification surface: slower than the production route, used by the
 test suite and the CLI ``verify`` command to validate the shifted values and
-derivatives at s = 0 independently.
+derivatives at s = 0 independently.  It shares with :mod:`conetorsion.zeta`
+the spectrum and the generic vectorised Gauss-Kronrod-21 engine
+``quad_gk21`` with its constants (Euler's gamma, the e^-700 term cut, the
+block bound), and nothing else.
 """
 
 from __future__ import annotations
@@ -33,33 +36,58 @@ import numpy as np
 
 from .crosssection import SpectralSlice
 from .errors import DomainError
-from .zeta import EULER_GAMMA
+from .zeta import _BLOCK_SIZE, _REMAINDER_CUT, EULER_GAMMA, quad_gk21
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 _HORIZON = 46.0
 
 
-def _window_integral(c: float, t0: float, u: float) -> float:
-    """G(u) = Int_0^t0 exp(-c t - t^2/(4u)) dt for u > 0, in closed form.
+def _window_integral(c: float, t0: float, u):
+    """G(u) = Int_0^t0 exp(-c t - t^2/(4u)) dt for u > 0 (scalar or array), in
+    closed form.
 
     Completing the square gives sqrt(pi u) e^{a^2} (erf b - erf a) with
     a = c sqrt(u) and b = a + t0/(2 sqrt(u)).  Where a and b share a sign the
     erf difference is rewritten through erfcx, so no term overflows and no
-    difference of two values near 1 is formed.
+    difference of two values near 1 is formed.  A scalar u runs the same
+    array code, so it agrees bit for bit with the same entry of an array.
     """
-    from scipy.special import erfcx
+    from scipy.special import erf, erfcx
 
-    root = math.sqrt(u)
+    root = np.sqrt(np.asarray(u, dtype=float))
     a = c * root
     d = t0 / (2.0 * root)
     b = a + d
-    if a >= 0.0:
-        diff = erfcx(a) - math.exp(-d * (2.0 * a + d)) * erfcx(b)
-    elif b <= 0.0:
-        diff = math.exp(-d * (2.0 * a + d)) * erfcx(-b) - erfcx(-a)
-    else:
-        diff = math.exp(a * a) * (math.erf(b) - math.erf(a))
-    return math.sqrt(math.pi) * root * float(diff)
+    diff = np.empty(root.shape)
+    pos = a >= 0.0
+    neg = b <= 0.0
+    mid = ~(pos | neg)
+    damp = np.exp(-d[pos] * (2.0 * a[pos] + d[pos]))
+    diff[pos] = erfcx(a[pos]) - damp * erfcx(b[pos])
+    damp = np.exp(-d[neg] * (2.0 * a[neg] + d[neg]))
+    diff[neg] = damp * erfcx(-b[neg]) - erfcx(-a[neg])
+    diff[mid] = np.exp(a[mid] * a[mid]) * (erf(b[mid]) - erf(a[mid]))
+    return (math.sqrt(math.pi) * root * diff)[()]
+
+
+def _cut_exp_sums(levels: np.ndarray, counts: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """sum_j counts_j e^{-levels_j rate_i} for every rate_i, over the terms
+    with levels_j rate_i <= _REMAINDER_CUT (a prefix of the sorted levels).
+
+    The nodes run in blocks of at most _BLOCK_SIZE (node x level) entries;
+    within a block, the levels beyond a node's own prefix are masked out.
+    """
+    prefix = np.searchsorted(levels, _REMAINDER_CUT / rates, side="right")
+    width = int(prefix.max(initial=0))
+    out = np.zeros(rates.shape)
+    step = max(1, _BLOCK_SIZE // max(width, 1))
+    for i in range(0, rates.size, step):
+        terms = -levels[:width] * rates[i : i + step, None]
+        terms[np.arange(width) >= prefix[i : i + step, None]] = -np.inf
+        np.exp(terms, out=terms)
+        terms *= counts[:width]
+        out[i : i + step] = terms.sum(axis=1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -84,7 +112,6 @@ class FirstOrderZeta:
         if nu_min + self.c <= 0:
             raise DomainError("nu + c must stay positive")
         self.t0 = float(t0)
-        self._cs = cs
         self.v_n = cs.volume / (4.0 * math.pi) ** self.h
         self.a2 = sl.alpha * sl.alpha
         # geometry sums, enumerated independently of the slice cutoff; the
@@ -122,46 +149,20 @@ class FirstOrderZeta:
         terms.append(_ModelTerm(-float(self.kappa), 0))
         return terms
 
-    def model_theta(self, t: float) -> float:
-        decay = math.exp(-self.alpha_abs * t)
-        return decay * sum(term.coef * t**term.power for term in self._model)
-
     # -- lattice remainder ---------------------------------------------------
 
-    def _second_order_remainder(self, u: float) -> float:
-        """R(u) = kappa e^{-a^2 u} (theta_L(u) - V_n u^{-h}), exact both ways."""
-        if u <= 0:
-            return 0.0
-        if u <= self._u_c:
-            expo = self._p_sq / (4.0 * u)
-            s_p = float(np.sum(np.exp(-np.minimum(expo, 745.0)) * self._p_counts))
-            return self.kappa * self.v_n * u ** (-self.h) * math.exp(-self.a2 * u) * s_p
-        dual = 1.0 + float(np.sum(np.exp(-np.minimum(self._eta * u, 745.0)) * self._counts))
-        return self.kappa * math.exp(-self.a2 * u) * (dual - self.v_n * u ** (-self.h))
-
-    def remainder_theta(self, t: float) -> float:
-        """R1(t): subordinated transform of the second-order remainder."""
-        if t <= 0:
-            return 0.0
-        from scipy import integrate
-
-        def integrand(u: float) -> float:
-            return u**-1.5 * math.exp(-t * t / (4.0 * u)) * self._second_order_remainder(u)
-
-        v1, _ = integrate.quad(integrand, 0.0, self._u_c, **_QUAD)
-        v2, _ = integrate.quad(integrand, self._u_c, self._u_upper, **_QUAD)
-        return t / (2.0 * math.sqrt(math.pi)) * (v1 + v2)
-
-    def theta(self, t: float) -> float:
-        """First-order theta sum m(eta) exp(-(nu + c) t) via subordination."""
-        return math.exp(-self.c * t) * (self.model_theta(t) + self.remainder_theta(t))
-
-    def theta_direct(self, t: float) -> float:
-        """Direct spectral sum with its own adequate enumeration window."""
-        nu_need = (_HORIZON + 8.0) / t
-        eta, counts = self._cs.lattice_eta_levels(cutoff=nu_need * nu_need)
-        nu = np.sqrt(eta + self.a2)
-        return float(np.sum(counts * self.kappa * np.exp(-(nu + self.c) * t)))
+    def _remainders(self, u: np.ndarray) -> np.ndarray:
+        """R(u) = kappa e^{-a^2 u} (theta_L(u) - V_n u^{-h}) at every entry of
+        ``u`` (all > 0): the primal form up to u_c, the dual form past it,
+        each summing its terms above e^{-_REMAINDER_CUT}."""
+        out = np.empty(u.shape)
+        primal = u <= self._u_c
+        up, ud = u[primal], u[~primal]
+        s_p = _cut_exp_sums(self._p_sq, self._p_counts, 0.25 / up)
+        out[primal] = self.kappa * self.v_n * up ** (-self.h) * np.exp(-self.a2 * up) * s_p
+        s_d = _cut_exp_sums(self._eta, self._counts, ud)
+        out[~primal] = self.kappa * np.exp(-self.a2 * ud) * (1.0 + s_d - self.v_n * ud ** (-self.h))
+        return out
 
     # -- Mellin components ---------------------------------------------------
 
@@ -191,17 +192,21 @@ class FirstOrderZeta:
 
     def _b1_value(self) -> float:
         """B1 = Int_0^t0 e^{-ct} R1(t) dt / t with the two integrals swapped:
-        (1/(2 sqrt(pi))) Int u^{-3/2} R(u) G(u) du, G the closed-form t window."""
+        (1/(2 sqrt(pi))) Int u^{-3/2} R(u) G(u) du, G the closed-form t window,
+        from one ``quad_gk21`` run on [0, u_c, u_upper]."""
         if self._b0 is None:
-            from scipy import integrate
 
-            def integrand(u: float) -> float:
+            def integrand(u: np.ndarray) -> np.ndarray:
                 window = _window_integral(self.c, self.t0, u)
-                return u**-1.5 * self._second_order_remainder(u) * window
+                return (u**-1.5 * self._remainders(u) * window)[:, None]
 
-            v1, _ = integrate.quad(integrand, 0.0, self._u_c, **_QUAD)
-            v2, _ = integrate.quad(integrand, self._u_c, self._u_upper, **_QUAD)
-            self._b0 = (v1 + v2) / (2.0 * math.sqrt(math.pi))
+            total, _ = quad_gk21(
+                integrand,
+                [0.0, self._u_c, self._u_upper],
+                label=lambda: f"first-order B on (0, {self._u_upper:.6g}] for c = {self.c:.6g}",
+                **_QUAD,
+            )
+            self._b0 = float(total[0]) / (2.0 * math.sqrt(math.pi))
         return self._b0
 
     def _f1_value(self) -> float:

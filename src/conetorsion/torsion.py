@@ -555,38 +555,6 @@ def gy_det_ratio_oracle(spec: ModelOperatorSpec, z: float) -> float:
     return float(gy_det_ratio_oracles([spec], [z])[0])
 
 
-def gy_full_cone_oracle(spec: ModelOperatorSpec, z: float, x_start: float = 0.3, terms: int = 60) -> float:
-    """Shooting oracle for the full-cone ratios (verification surface).
-
-    Starts from the regular Frobenius solution x^{nu+1/2} sum a_j x^{2j} of
-    the model equation (recursion a_j = w^2 a_{j-1} / (4 j (j + nu)), derived
-    from the ODE itself), integrates to x = 1, and applies the Robin
-    functional; the z = 0 reference is the exact power solution.
-    """
-    if spec.kind not in ("psi_full", "phi_full"):
-        raise DomainError("full-cone oracle handles psi_full/phi_full only")
-    if z == 0.0:
-        return 1.0
-    nu, alpha = spec.nu, spec.alpha
-    beta = spec.robin_beta
-    w = nu * z
-    coeffs = [1.0]
-    for j in range(1, terms):
-        coeffs.append(coeffs[-1] * w * w / (4.0 * j * (j + nu)))
-    x2 = x_start * x_start
-    series = 0.0
-    dseries = 0.0
-    for j in reversed(range(terms)):
-        series = series * x2 + coeffs[j]
-        dseries = dseries * x2 + coeffs[j] * 2 * j
-    f0 = series
-    fp0 = (nu + 0.5) / x_start * series + dseries / x_start
-    f1, fp1 = (float(v[0]) for v in _integrate_model_ode(nu, w * w, x_start, 1.0, f0, fp0))
-    num = fp1 + beta * f1
-    den = (nu + 0.5 + beta) * x_start ** -(nu + 0.5)
-    return num / den
-
-
 # ---------------------------------------------------------------------------
 # Regularization surface
 # ---------------------------------------------------------------------------

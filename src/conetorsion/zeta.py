@@ -8,9 +8,9 @@ together with the shifted variants sum m (nu +- a)^(-s).  The continuation
 runs through the Mellin split of zeta(s/2, Delta + a^2): the integral over
 (0, t0] of the exact heat model integrates to an explicit meromorphic
 series, the exponentially small lattice remainder is integrated for a fixed
-set of sigma at once by a globally adaptive Gauss-Kronrod rule that
-evaluates the remainder at all new nodes of a refinement round in one
-vectorised pass, and the integral over [t0, inf) is a per-level sum of
+set of sigma at once by a globally adaptive Gauss-Kronrod rule
+(``quad_gk21``, which the first-order oracle also runs) that evaluates the
+remainder at all new nodes of a refinement round in one vectorised pass, and the integral over [t0, inf) is a per-level sum of
 upper incomplete gamma functions, which on the half-integer grid of sigma
 have closed forms (E_1, erfc and exp, then an upward recurrence), so the
 production path needs numpy and ``math`` alone.  Values and derivatives at s = 0, residues at even s, and finite
@@ -47,7 +47,7 @@ import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -105,6 +105,88 @@ _GK21_WG = np.concatenate([_GK21_WG, _GK21_WG[::-1]])
 _ROUND_PANELS = 128
 # 1 / ((k+1) (k+1)!): the E_1 power series over x, to below 1e-19 relative at x = 1
 _E1_SERIES = [1.0 / ((k + 1) * math.factorial(k + 1)) for k in range(20)]
+
+
+def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray):
+    """Gauss-Kronrod-21 of the vector integrand ``f`` on the panels
+    [lo_i, hi_i], with QUADPACK's error and rounding estimates in the max
+    norm over the integrand's components.
+    Returns (integrals (panels x components), errors, rounding errors)."""
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    t = c[:, None] + h[:, None] * _GK21_X
+    fv = f(t.ravel()).reshape(t.shape + (-1,))
+    s_k = np.einsum("j,pjk->pk", _GK21_WK, fv)
+    s_g = np.einsum("j,pjk->pk", _GK21_WG, fv[:, 1::2])
+    s_abs = np.einsum("j,pjk->pk", _GK21_WK, np.abs(fv))
+    s_dev = np.einsum("j,pjk->pk", _GK21_WK, np.abs(fv - 0.5 * s_k[:, None, :]))
+    h = h[:, None]
+    err = np.max(np.abs((s_k - s_g) * h), axis=1)
+    dabs = np.max(np.abs(s_dev * h), axis=1)
+    scaled = (dabs != 0.0) & (err != 0.0)
+    err[scaled] = dabs[scaled] * np.minimum(1.0, (200.0 * err[scaled] / dabs[scaled]) ** 1.5)
+    rounding = np.max(np.abs(50.0 * np.finfo(float).eps * h * s_abs), axis=1)
+    err = np.where(rounding > np.finfo(float).tiny, np.maximum(err, rounding), err)
+    return h * s_k, err, rounding
+
+
+def quad_gk21(
+    f, breaks, epsabs: float, epsrel: float, limit: int, label: Callable[[], str]
+) -> tuple[np.ndarray, float]:
+    """Integral over [breaks[0], breaks[-1]] of the vector integrand ``f``,
+    which maps a 1-d array of nodes to a (nodes x components) array, by
+    globally adaptive Gauss-Kronrod-21 in the scheme of scipy's ``quad_vec``.
+
+    The panels start at ``breaks``.  Each round bisects the worst panels (at
+    most _ROUND_PANELS) until the rest carry under an eighth of the
+    tolerance, and evaluates ``f`` at the 21 nodes of every new panel in one
+    call.  It stops once the total error estimate is under an eighth of
+    max(epsabs, epsrel |integral|_max), or below the summed rounding
+    estimate (not converged), or at ``limit`` panels; a quadrature that did
+    not converge warns with ``label()`` (IntegrationWarning); the label is
+    only built then, as the quadrature runs on the hot path.  Returns the
+    integral of every component and the max-norm error estimate.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    vals, errs, rounds = _gk21_panels(f, breaks[:-1], breaks[1:])
+    total, total_err, round_err = vals.sum(axis=0), float(errs.sum()), float(rounds.sum())
+    # heap of (-error, lo, hi, integral); no two panels share lo, so the
+    # integral arrays are never compared
+    panels = [(-float(e), float(a), float(b), v) for e, a, b, v in zip(errs, breaks[:-1], breaks[1:], vals)]
+    heapq.heapify(panels)
+    converged = False
+    while len(panels) < limit:
+        tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
+        split = [heapq.heappop(panels)]
+        split_err = -split[0][0]
+        while panels and len(split) < _ROUND_PANELS and split_err <= total_err - tol / 8:
+            split.append(heapq.heappop(panels))
+            split_err -= split[-1][0]
+        lo = np.array([p[1] for p in split])
+        hi = np.array([p[2] for p in split])
+        mid = 0.5 * (lo + hi)
+        vals, errs, rounds = _gk21_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        halves = len(split)
+        for i, (neg_err, a, b, old) in enumerate(split):
+            left, right = i, i + halves
+            total = total + (vals[left] + vals[right] - old)
+            total_err += float(errs[left] + errs[right]) + neg_err
+            round_err += float(rounds[left] + rounds[right])
+            heapq.heappush(panels, (-float(errs[left]), a, float(mid[i]), vals[left]))
+            heapq.heappush(panels, (-float(errs[right]), float(mid[i]), b, vals[right]))
+        tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
+        if total_err < tol / 8:
+            converged = True
+            break
+        if total_err < round_err or not (math.isfinite(total_err) and math.isfinite(round_err)):
+            break
+    err = total_err + round_err
+    if not converged:
+        from scipy.integrate import IntegrationWarning
+
+        # attributed to the caller of the method that ran the quadrature
+        warnings.warn(f"{label()} did not converge: error estimate {err:.3e}", IntegrationWarning, stacklevel=4)
+    return total, err
 
 
 def default_order(n: int) -> int:
@@ -328,80 +410,20 @@ class MellinSplit:
             i = j
         return out
 
-    def _gk21(self, lo: np.ndarray, hi: np.ndarray, powers: np.ndarray):
-        """Gauss-Kronrod-21 on the panels [lo_i, hi_i] of t^powers R(t), with
-        QUADPACK's error and rounding estimates in the max norm over powers.
-        Returns (integrals (panels x sigmas), errors, rounding errors)."""
-        c = 0.5 * (lo + hi)
-        h = 0.5 * (hi - lo)
-        t = c[:, None] + h[:, None] * _GK21_X
-        fv = t[:, :, None] ** powers * self._remainders(t.ravel()).reshape(t.shape)[:, :, None]
-        s_k = np.einsum("j,pjk->pk", _GK21_WK, fv)
-        s_g = np.einsum("j,pjk->pk", _GK21_WG, fv[:, 1::2])
-        s_abs = np.einsum("j,pjk->pk", _GK21_WK, np.abs(fv))
-        s_dev = np.einsum("j,pjk->pk", _GK21_WK, np.abs(fv - 0.5 * s_k[:, None, :]))
-        h = h[:, None]
-        err = np.max(np.abs((s_k - s_g) * h), axis=1)
-        dabs = np.max(np.abs(s_dev * h), axis=1)
-        scaled = (dabs != 0.0) & (err != 0.0)
-        err[scaled] = dabs[scaled] * np.minimum(1.0, (200.0 * err[scaled] / dabs[scaled]) ** 1.5)
-        rounding = np.max(np.abs(50.0 * np.finfo(float).eps * h * s_abs), axis=1)
-        err = np.where(rounding > np.finfo(float).tiny, np.maximum(err, rounding), err)
-        return h * s_k, err, rounding
-
     def _b_quad(self, sigmas: np.ndarray) -> tuple[np.ndarray, float]:
-        """B at every entry of ``sigmas`` from one globally adaptive
-        Gauss-Kronrod-21 vector quadrature, the scheme of scipy's
-        ``quad_vec``: each round bisects the worst panels (at most
-        _ROUND_PANELS) until the rest carry under an eighth of the tolerance,
-        and evaluates the remainder at the 21 nodes of every new panel in
-        one ``_remainders`` call.  It stops once the total error estimate is
-        under an eighth of max(epsabs, epsrel |B|_max), or below the summed
-        rounding estimate (not converged), or at ``limit`` panels."""
-        epsabs, epsrel, limit = _QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"], _QUAD_OPTS["limit"]
+        """B at every entry of ``sigmas`` from one ``quad_gk21`` vector
+        quadrature of t^(sigma-1) R(t) over (0, t0] (tolerances _QUAD_OPTS)."""
         powers = sigmas - 1.0
-        vals, errs, rounds = self._gk21(np.array([0.0]), np.array([self.t0]), powers)
-        total, total_err, round_err = vals[0], float(errs[0]), float(rounds[0])
-        # heap of (-error, lo, hi, integral); no two panels share lo, so the
-        # integral arrays are never compared
-        panels = [(-total_err, 0.0, self.t0, vals[0])]
-        converged = False
-        while len(panels) < limit:
-            tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
-            split = [heapq.heappop(panels)]
-            split_err = -split[0][0]
-            while panels and len(split) < _ROUND_PANELS and split_err <= total_err - tol / 8:
-                split.append(heapq.heappop(panels))
-                split_err -= split[-1][0]
-            lo = np.array([p[1] for p in split])
-            hi = np.array([p[2] for p in split])
-            mid = 0.5 * (lo + hi)
-            vals, errs, rounds = self._gk21(np.concatenate([lo, mid]), np.concatenate([mid, hi]), powers)
-            halves = len(split)
-            for i, (neg_err, a, b, old) in enumerate(split):
-                left, right = i, i + halves
-                total = total + (vals[left] + vals[right] - old)
-                total_err += float(errs[left] + errs[right]) + neg_err
-                round_err += float(rounds[left] + rounds[right])
-                heapq.heappush(panels, (-float(errs[left]), a, float(mid[i]), vals[left]))
-                heapq.heappush(panels, (-float(errs[right]), float(mid[i]), b, vals[right]))
-            tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
-            if total_err < tol / 8:
-                converged = True
-                break
-            if total_err < round_err or not (math.isfinite(total_err) and math.isfinite(round_err)):
-                break
-        err = total_err + round_err
-        if not converged:
-            from scipy.integrate import IntegrationWarning
 
-            warnings.warn(
-                f"B quadrature on (0, {self.t0}] did not converge for sigma in "
-                f"{sigmas.tolist()}: error estimate {err:.3e}",
-                IntegrationWarning,
-                stacklevel=3,
-            )
-        return total, err
+        def integrand(t: np.ndarray) -> np.ndarray:
+            return t[:, None] ** powers * self._remainders(t)[:, None]
+
+        return quad_gk21(
+            integrand,
+            [0.0, self.t0],
+            label=lambda: f"B quadrature on (0, {self.t0}] for sigma in {sigmas.tolist()}",
+            **_QUAD_OPTS,
+        )
 
     def b_value(self, sigma: float) -> tuple[float, float]:
         """B(sigma) = int_0^t0 t^(sigma-1) R(t) dt with its error estimate.

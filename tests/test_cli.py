@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conetorsion import cli, zeta
+from conetorsion import cli, firstorder, zeta
 from conetorsion import torsion as T
 from conetorsion.config import FIELDS, parse_config
 from conetorsion.crosssection import CROSS_SECTION_FIELDS, CrossSection
@@ -421,6 +421,40 @@ def test_verify_builds_the_unit_t2_slices_once(monkeypatch, capsys, what, builds
         assert [line.split()[:2] for line in out.splitlines()] == [
             ["pass", name] for _, name, _, _ in cli._CHECKS
         ]
+
+
+@pytest.mark.parametrize(
+    "what, solves, oracles",
+    [
+        (None, 1, 2),
+        ("detratio", 1, 0),
+        ("det-ratio-oracle-grid", 1, 0),
+        ("harmonic-det", 1, 0),
+        ("zeta", 0, 2),
+        ("bessel", 0, 0),
+    ],
+)
+def test_verify_shares_one_gy_solve_and_one_first_order_oracle_per_sign(
+    monkeypatch, capsys, what, solves, oracles
+):
+    """One verify run advances the det-ratio grid and the harmonic entries
+    in one Gelfand-Yaglom ODE solve, and shifted-zeta0 and
+    shifted-zeta-prime0 share one first-order oracle per sign."""
+    calls = {"ode": 0, "oracle": 0}
+    ode, init = T._integrate_model_ode, firstorder.FirstOrderZeta.__init__
+
+    def counting_ode(*args, **kwargs):
+        calls["ode"] += 1
+        return ode(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["oracle"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(T, "_integrate_model_ode", counting_ode)
+    monkeypatch.setattr(firstorder.FirstOrderZeta, "__init__", counting_init)
+    assert cli.main(["verify"] + ([what] if what else [])) == 0
+    assert (calls["ode"], calls["oracle"]) == (solves, oracles)
 
 
 @pytest.mark.parametrize("doc", [UNIT_T2, UNIT_T4], ids=["t2", "t4"])

@@ -3,13 +3,16 @@
 The Gelfand-Yaglom oracle advances a whole batch of model ODEs in one solve;
 each entry must match its one-element call.  The first-order B integral takes
 its t integral in closed form; the window must match direct quadrature and
-the swapped integral must match the nested t/u form it replaces.  The
+the swapped integral must match the nested t/u form it replaces, with the
+remainder evaluated in a few vectorised calls that match the scalar
+reference sum.  The
 first-order F is a sum of exponential integrals; it must match the per-level
 quadrature it replaces.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -17,10 +20,12 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conetorsion import firstorder, zeta
 from conetorsion import torsion as T
 from conetorsion.crosssection import build_cross_section, coclosed_spectrum
 from conetorsion.errors import DomainError
 from conetorsion.firstorder import _HORIZON, _window_integral, first_order_shifted
+from reference_oracles import remainder_theta, second_order_remainder
 
 
 def _det_grid():
@@ -117,11 +122,26 @@ def test_window_integral_matches_quadrature():
     assert worst <= 1e-13
 
 
+def test_window_integral_array_matches_scalar_calls():
+    """The arrays over u, one per shift c, span all three branches and equal
+    the per-element scalar calls bit for bit."""
+    branches = set()
+    u = np.geomspace(1e-4, 300.0, 200)
+    for c in (0.5, -0.5, 2.5, -2.5):
+        a = c * np.sqrt(u)
+        b = a + 1.0 / (2.0 * np.sqrt(u))
+        branches |= {"a>=0" if x >= 0 else ("b<=0" if y <= 0 else "a<0<b") for x, y in zip(a, b)}
+        window = _window_integral(c, 1.0, u)
+        assert window.shape == u.shape
+        assert window.tolist() == [float(_window_integral(c, 1.0, x)) for x in u.tolist()]
+    assert branches == {"a>=0", "b<=0", "a<0<b"}
+
+
 def _nested_b1(fo) -> float:
     """B1 as the t quadrature of the subordinated remainder (the inner u
-    quadrature runs inside ``remainder_theta``)."""
+    quadrature runs inside the reference ``remainder_theta``)."""
     val, _ = integrate.quad(
-        lambda t: math.exp(-fo.c * t) * fo.remainder_theta(t) / t,
+        lambda t: math.exp(-fo.c * t) * remainder_theta(fo, t) / t,
         0.0,
         fo.t0,
         epsabs=1e-11,
@@ -174,3 +194,51 @@ def test_closed_form_f1_matches_quadrature(geometry, sign):
         fo = first_order_shifted(coclosed_spectrum(cs, k, 400.0), sign)
         ref = _quad_f1(fo)
         assert abs(fo._f1_value() - ref) <= 1e-14 * ref
+
+
+def _first_order(geometry, k=0, sign=+1):
+    basis = _GEOMETRIES[geometry]
+    cs = build_cross_section({"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis})
+    return first_order_shifted(coclosed_spectrum(cs, k, 400.0), sign)
+
+
+@pytest.mark.parametrize("geometry", list(_GEOMETRIES))
+def test_array_remainder_matches_the_scalar_reference(geometry):
+    """The blocked array remainder, which drops the terms below e^-700,
+    against the scalar sum over every enumerated term, on both sides of u_c."""
+    fo = _first_order(geometry)
+    u = np.concatenate([np.geomspace(1e-3, fo._u_c, 60), np.geomspace(fo._u_c * 1.001, fo._u_upper, 60)])
+    got = fo._remainders(u)
+    ref = np.array([second_order_remainder(fo, x) for x in u.tolist()])
+    assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref) + 1e-300)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+@pytest.mark.parametrize("geometry", list(_GEOMETRIES))
+def test_b1_evaluates_the_remainder_in_few_vectorised_calls(geometry, sign):
+    fo = _first_order(geometry, sign=sign)
+    calls = []
+    remainders = fo._remainders
+
+    def counting(u):
+        calls.append(u.size)
+        return remainders(u)
+
+    fo._remainders = counting
+    fo._b1_value()
+    assert 1 <= len(calls) <= 20
+
+
+@pytest.mark.parametrize("route", ["first-order B1", "production B"])
+def test_quadrature_warns_when_the_panel_limit_is_hit(monkeypatch, route):
+    """Both users of the shared Gauss-Kronrod engine report non-convergence."""
+    if route == "first-order B1":
+        monkeypatch.setitem(firstorder._QUAD, "limit", 3)
+        run = _first_order("sheared-t2")._b1_value
+    else:
+        monkeypatch.setitem(zeta._QUAD_OPTS, "limit", 3)
+        cs = build_cross_section({"family": "flat_torus", "dim_n": 2, "lattice_basis": _GEOMETRIES["sheared-t2"]})
+        sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8))
+        run = functools.partial(zeta.MellinSplit(sl).b_value, 0.0)
+    with pytest.warns(integrate.IntegrationWarning, match="did not converge: error estimate"):
+        run()
