@@ -35,4 +35,4 @@ class ZetaPoleError(DomainError):
 
 
 class ODEIntegrationError(RuntimeError):
-    """An ODE oracle's integrator failed to reach the end of its interval."""
+    """An ODE oracle could not resolve a system or its end state overflows."""

@@ -316,13 +316,6 @@ def torsion_difference(
     return line1 + line2 + line3 + line4 + line5
 
 
-def rs_norm_product_metric(
-    cs: CrossSection, params: Optional[NumericsParams] = None
-) -> float:
-    """Log Ray-Singer quotient for the product-near-boundary metric: Top + Tors."""
-    return top_term(cs) + tors_term(cs, params).value
-
-
 # ---------------------------------------------------------------------------
 # Model operators: closed forms and the ODE oracle
 # ---------------------------------------------------------------------------
@@ -436,66 +429,126 @@ def model_det_ratio(spec: ModelOperatorSpec, z: float) -> float:
     return math.exp(log_ratio)
 
 
-# scipy clamps a relative tolerance below this floor (with a warning)
-_RTOL_FLOOR = 100.0 * np.finfo(float).eps
+# The Gelfand-Yaglom propagator: every step is about _RHO0 of its distance
+# to the singular point x = 0 or less, and about _KAPPA0 / w and
+# _KAPPA0 x / nu or less, so a local Taylor series of _TAYLOR_TERMS terms
+# reaches round-off.
+_RHO0 = 0.15
+_KAPPA0 = 3.0
+_TAYLOR_TERMS = 30
+_MESH_NEWTON_STEPS = 8
+
+
+def _model_mesh(nu, w, x_start, x_end):
+    """Nodes ``x[i, 0] = x_start[i], ..., x[i, N] = x_end[i]`` of every system,
+    uniform in xi(x) = a ln x + w x / _KAPPA0 with a = max(1/_RHO0, nu/_KAPPA0);
+    N is the largest finite |xi(x_end) - xi(x_start)| of the batch, rounded
+    up, so every step moves xi by at most 1 (a system with no finite xi gets
+    a nan mesh, which :func:`_integrate_model_ode` reports)."""
+    a = np.maximum(1.0 / _RHO0, nu / _KAPPA0)[:, None]
+    b = (w / _KAPPA0)[:, None]
+    ends = np.stack([x_start, x_end], axis=1)
+    xi_ends = a * np.log(ends) + b * ends
+    span = np.abs(xi_ends[:, 1] - xi_ends[:, 0])
+    n_steps = max(1, math.ceil(np.max(span, where=np.isfinite(span), initial=0.0)))
+    xi = xi_ends[:, :1] + (xi_ends[:, 1:] - xi_ends[:, :1]) * (np.arange(n_steps + 1) / n_steps)
+    # Newton on g(u) = a u + b e^u - xi in u = ln x: g increases and is convex,
+    # and both xi / a and the log of the larger end lie at or right of the root,
+    # so the iterates fall monotonically onto it
+    u = np.minimum(xi / a, np.log(ends.max(axis=1))[:, None])
+    for _ in range(_MESH_NEWTON_STEPS):
+        eu = np.exp(u)
+        u -= (a * u + b * eu - xi) / (a + b * eu)
+    x = np.exp(u)
+    x[:, 0], x[:, -1] = x_start, x_end
+    return x
+
+
+def _step_propagators(nu, w2, x):
+    """The 2x2 maps of (f, f') across every mesh step, less the identity, in
+    shape (2, 2, m, N), and the tail ratio of their Taylor series, shape (m, N).
+
+    Around a node x_j with step h, rho = h / x_j and H = w2 h^2, the
+    coefficients A_k of f(x_j + h s) = sum A_k s^k follow from
+    x^2 f'' = (c + w2 x^2) f, c = nu^2 - 1/4:
+
+        (k+2)(k+1) A_{k+2} = (rho^2 (c - k(k-1)) + H) A_k - 2 rho k(k+1) A_{k+1}
+                             + 2 rho H A_{k-1} + rho^2 H A_{k-2}.
+
+    The two columns start from (A_0, A_1) = (1, 0) and (0, 1), i.e. from
+    (f, h f') = (1, 0) and (0, 1); at s = 1, f = sum A_k and h f' = sum k A_k.
+    The sums leave out their leading terms A_0 = 1 and 1 A_1 = 1, which are
+    the identity, so a short step keeps its full relative precision.  The
+    tail ratio is (K-1)(|A_{K-2}| + |A_{K-1}|), K = _TAYLOR_TERMS, which
+    bounds the last two terms of both sums, against 1 + the largest entry of
+    the map less the identity in these scaled variables.
+    """
+    c = (nu * nu - 0.25)[:, None]
+    h = np.diff(x, axis=1)
+    rho = h / x[:, :-1]
+    hh = w2[:, None] * h * h
+    r2 = rho * rho
+    base, two_rho, two_rho_hh, r2_hh = r2 * c + hh, 2.0 * rho, 2.0 * rho * hh, r2 * hh
+    # the two columns lead, so the (m, N) coefficients broadcast over them
+    a_prev2 = a_prev1 = np.zeros(1)
+    a_k, a_next = np.zeros((2, 2) + h.shape)
+    a_k[0] = a_next[1] = 1.0
+    f_sum, hfp_sum = a_next.copy(), np.zeros(a_k.shape)
+    for k in range(_TAYLOR_TERMS - 2):
+        a_new = (
+            (base - r2 * (k * (k - 1))) * a_k
+            - two_rho * (k * (k + 1)) * a_next
+            + two_rho_hh * a_prev1
+            + r2_hh * a_prev2
+        ) / ((k + 2) * (k + 1))
+        f_sum += a_new
+        hfp_sum += (k + 2) * a_new
+        a_prev2, a_prev1, a_k, a_next = a_prev1, a_k, a_next, a_new
+    tail = (_TAYLOR_TERMS - 1) * (np.abs(a_k) + np.abs(a_next)).max(axis=0)
+    scale = 1.0 + np.maximum(np.abs(f_sum), np.abs(hfp_sum)).max(axis=0)
+    maps = np.array([[f_sum[0], h * f_sum[1]], [hfp_sum[0] / h, hfp_sum[1]]])
+    return maps, tail / scale
 
 
 def _integrate_model_ode(nu, w2, x_start, x_end, y0, yp0, rtol=1e-12):
     """End states (f, f') of f'' = ((nu^2 - 1/4)/x^2 + w2) f for many systems.
 
     Every argument broadcasts to one array of m systems.  System i runs from
-    ``x_start[i]`` to ``x_end[i]`` with f = ``y0[i]``, f' = ``yp0[i]``; each is
-    mapped to s in [0, 1] by x = x_start + s (x_end - x_start), so one DOP853
-    solve advances them all with ``max_step`` 1/8 in s (|dx|/8 in x).
-    solve_ivp bounds the RMS of the scaled error over all 2m components, so
-    the tolerance passed is rtol / sqrt(2m): every component keeps a scaled
-    local error <= rtol, as when integrated alone.  Batches whose reduced
-    tolerance would fall below scipy's floor are solved in chunks.
+    ``x_start[i]`` to ``x_end[i]`` (both positive) with f = ``y0[i]``,
+    f' = ``yp0[i]``.  The equation is linear with polynomial coefficients
+    after multiplying by x^2, so each mesh step has an exact 2x2 propagator
+    given by a local Taylor series (:func:`_step_propagators`, on the mesh of
+    :func:`_model_mesh`).  All steps of all systems are built at once, and a
+    pairwise product tree composes each system's steps in log2 N batched
+    products.  Raises :class:`ODEIntegrationError`, naming the first failing
+    system, when the Taylor tail of some step exceeds ``rtol`` or an end state
+    is not finite (the solution overflows binary64).
     """
-    rows = np.array(np.broadcast_arrays(nu, w2, x_start, x_end, y0, yp0), dtype=float).reshape(6, -1)
-    m = rows.shape[1]
-    chunk = max(1, int((rtol / _RTOL_FLOOR) ** 2 / 2.0))
-    if m > chunk:
-        parts = [_integrate_model_ode(*rows[:, i : i + chunk], rtol=rtol) for i in range(0, m, chunk)]
-        return tuple(np.concatenate(ends) for ends in zip(*parts))
-    from scipy.integrate import solve_ivp
-
-    nu, w2, x_start, x_end, y0, yp0 = rows
-    dx = x_end - x_start
-    c_dx = (nu * nu - 0.25) * dx
-    w2_dx = w2 * dx
-    q = np.empty(m)
-
-    def rhs(s, y):
-        # d/ds (f, f') = (dx f', q f) with q = dx ((nu^2 - 1/4)/x^2 + w2);
-        # a fresh output array per call, because the solver keeps the
-        # returned array as its stored derivative
-        out = np.empty(2 * m)
-        np.multiply(dx, y[m:], out=out[:m])
-        np.multiply(dx, s, out=q)
-        np.add(q, x_start, out=q)
-        np.multiply(q, q, out=q)
-        np.divide(c_dx, q, out=q)
-        np.add(q, w2_dx, out=q)
-        np.multiply(q, y[:m], out=out[m:])
-        return out
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, 1.0),
-        np.concatenate([y0, yp0]),
-        method="DOP853",
-        t_eval=[1.0],
-        rtol=rtol / math.sqrt(2 * m),
-        atol=1e-30,
-        max_step=0.125,
-    )
-    if not sol.success:
+    nu, w2, x_start, x_end, y0, yp0 = np.array(
+        np.broadcast_arrays(nu, w2, x_start, x_end, y0, yp0), dtype=float
+    ).reshape(6, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _model_mesh(nu, np.sqrt(w2), x_start, x_end)
+        maps, tail = _step_propagators(nu, w2, x)
+        # (I + L)(I + E) = I + (L + E + L E), pairwise; an odd step count is
+        # padded with a zero (identity) step
+        while maps.shape[-1] > 1:
+            if maps.shape[-1] % 2:
+                maps = np.concatenate([maps, np.zeros(maps.shape[:3] + (1,))], axis=-1)
+            later, earlier = maps[..., 1::2], maps[..., 0::2]
+            maps = later + earlier + np.einsum("ijmn,jkmn->ikmn", later, earlier)
+        f = y0 + (maps[0, 0, :, 0] * y0 + maps[0, 1, :, 0] * yp0)
+        fp = yp0 + (maps[1, 0, :, 0] * y0 + maps[1, 1, :, 0] * yp0)
+        worst = tail.max(axis=1)
+    bad = ~((worst <= rtol) & np.isfinite(f) & np.isfinite(fp))
+    if bad.any():
+        i = int(np.argmax(bad))
+        why = "the Taylor series is not converged" if not worst[i] <= rtol else "the solution overflows binary64"
         raise ODEIntegrationError(
-            "model ODE integration failed (stiff regime); use the scaled Bessel path"
+            f"model ODE with nu={nu[i]:g}, w^2={w2[i]:g} on [{x_start[i]:g}, {x_end[i]:g}]: "
+            f"{why} (Taylor tail ratio {worst[i]:.3e}, rtol {rtol:.1e})"
         )
-    end = sol.y[:, -1]
-    return end[:m], end[m:]
+    return f, fp
 
 
 def gy_det_ratio_oracles(specs: Sequence[ModelOperatorSpec], zs: Sequence[float]) -> np.ndarray:

@@ -5,6 +5,7 @@ own model terms and geometry sums, with the remainder as one scalar numpy
 sum per node and scipy ``quad`` for the subordination integral: the nested
 form that the production ``_b1_value`` swaps and vectorises.  The full-cone
 Gelfand-Yaglom shooting oracle checks ``model_det_ratio`` on the full cone.
+The Ray-Singer quotient of the product metric checks the torsion assembly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from scipy import integrate
 
 from conetorsion.errors import DomainError
 from conetorsion.firstorder import _HORIZON, _QUAD
-from conetorsion.torsion import _integrate_model_ode
+from conetorsion.torsion import _integrate_model_ode, top_term, tors_term
 
 
 def second_order_remainder(fo, u: float) -> float:
@@ -93,3 +94,8 @@ def gy_full_cone_oracle(spec, z: float, x_start: float = 0.3, terms: int = 60) -
     num = fp1 + beta * f1
     den = (nu + 0.5 + beta) * x_start ** -(nu + 0.5)
     return num / den
+
+
+def rs_norm_product_metric(cs, params=None) -> float:
+    """Log Ray-Singer quotient for the product-near-boundary metric: Top + Tors."""
+    return top_term(cs) + tors_term(cs, params).value

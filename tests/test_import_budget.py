@@ -1,9 +1,9 @@
 """The production commands import only numpy from the scientific stack, and
-no scipy module at all: scipy belongs to the oracles (``verify``, the
-Bessel-function checks, the Gelfand-Yaglom ODE, the first-order route, the
-brute-force Laplacian) and to the off-grid sigma of the Mellin split.  Each
-check runs in a fresh interpreter, because pytest itself has scipy
-loaded."""
+no scipy module at all: scipy belongs to the oracles (the Bessel functions
+and the first-order route of ``verify``, the brute-force Laplacian) and to
+the off-grid sigma of the Mellin split.  ``verify`` loads ``scipy.special``
+and no other scipy subpackage: its Gelfand-Yaglom ODE is numpy.  Each check
+runs in a fresh interpreter, because pytest itself has scipy loaded."""
 
 from __future__ import annotations
 
@@ -17,10 +17,10 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _run(code: str, cwd: Path) -> subprocess.CompletedProcess:
+def _run(code: str, cwd: Path, *flags: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code)],
+        [sys.executable, *flags, "-c", textwrap.dedent(code)],
         cwd=cwd,
         env=env,
         capture_output=True,
@@ -85,3 +85,23 @@ def test_verify_passes_in_a_fresh_process(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = [line for line in proc.stdout.splitlines() if line.strip()]
     assert lines and all(line.startswith("pass") for line in lines), proc.stdout
+
+
+def test_verify_loads_only_scipy_special_and_warns_nothing(tmp_path):
+    """Under ``-W error::RuntimeWarning`` a numerical warning fails the run."""
+    proc = _run(
+        """
+        import sys
+        from conetorsion import cli
+
+        rc = cli.main(["verify"])
+        subpackages = {m.split(".")[1] for m in sys.modules if m.startswith("scipy.")}
+        print(sorted(subpackages & {"integrate", "linalg", "optimize", "sparse", "special"}))
+        sys.exit(rc)
+        """,
+        tmp_path,
+        "-W",
+        "error::RuntimeWarning",
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "['special']"

@@ -1,7 +1,9 @@
 """The verify oracles in batched and closed form against their per-point forms.
 
 The Gelfand-Yaglom oracle advances a whole batch of model ODEs in one solve;
-each entry must match its one-element call.  The first-order B integral takes
+each entry must match its one-element call and, on a grid reaching far into
+the growing regime, the Bessel closed form to 1e-12, and a system it cannot
+resolve is a named error.  The first-order B integral takes
 its t integral in closed form; the window must match direct quadrature and
 the swapped integral must match the nested t/u form it replaces, with the
 remainder evaluated in a few vectorised calls that match the scalar
@@ -20,10 +22,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conetorsion import firstorder, zeta
+from conetorsion import cli, firstorder, zeta
 from conetorsion import torsion as T
 from conetorsion.crosssection import build_cross_section, coclosed_spectrum
-from conetorsion.errors import DomainError
+from conetorsion.errors import DomainError, ODEIntegrationError
 from conetorsion.firstorder import _HORIZON, _window_integral, first_order_shifted
 from reference_oracles import remainder_theta, second_order_remainder
 
@@ -87,8 +89,8 @@ def test_one_bad_entry_raises_the_scalar_error(bad):
 
 
 def test_batches_beyond_the_tolerance_floor_are_chunked():
-    """rtol 1e-13 allows 10 systems per solve above scipy's 100 eps floor;
-    25 systems run in three solves, with no tolerance-clamping warning."""
+    """A batch of 25 systems at rtol 1e-13 matches the one-system solves,
+    with no warning."""
     nu = np.linspace(1.0, 6.0, 25)
     w2 = np.linspace(0.0, 4.0, 25)
     with warnings.catch_warnings():
@@ -98,6 +100,52 @@ def test_batches_beyond_the_tolerance_floor_are_chunked():
         fi, fpi = T._integrate_model_ode(nu[i], w2[i], 1.0, 0.25, 1.0, 0.0, rtol=1e-13)
         assert f[i] == pytest.approx(fi[0], rel=1e-11)
         assert fp[i] == pytest.approx(fpi[0], rel=1e-11)
+
+
+def test_gy_matches_the_closed_form_on_the_stress_grid():
+    """Both truncated kinds over nu up to 20, z up to 20 and eps from 0.05 to
+    0.9 (the closed form is finite on all 160 entries; the largest ratio
+    is about e^331), all in one batch."""
+    specs, zs = [], []
+    for kind in ("psi_truncated", "phi_truncated"):
+        for nu in (0.6, 2.0, 10.0, 20.0):
+            for z in (0.1, 1.0, 4.0, 8.0, 20.0):
+                for eps in (0.05, 0.1, 0.5, 0.9):
+                    specs.append(T.ModelOperatorSpec(kind, nu, 0.5, eps))
+                    zs.append(z)
+    cf = np.array([T.model_det_ratio(spec, z) for spec, z in zip(specs, zs)])
+    gy = T.gy_det_ratio_oracles(specs, zs)
+    assert np.max(np.abs(gy - cf) / cf) <= 1e-12
+
+
+def test_verify_det_grid_agrees_to_1e_12():
+    assert cli._check_det_grid(cli._VerifyInputs()) <= 1e-12
+
+
+def test_overflowing_system_is_a_named_error_without_warnings():
+    spec = T.ModelOperatorSpec("psi_truncated", 10.0, 0.5, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ODEIntegrationError) as err:
+            T.gy_det_ratio_oracle(spec, 100.0)
+    message = str(err.value)
+    assert "nu=10, w^2=1e+06 on [1, 0.1]: the solution overflows binary64" in message
+    assert "Taylor tail ratio" in message
+
+
+@pytest.mark.parametrize(
+    "w2,x_start,rtol",
+    [(4.0, 1.0, 1e-30), (math.nan, 1.0, 1e-12), (4.0, -1.0, 1e-12)],
+    ids=["unreachable-rtol", "nan-w2", "interval-through-0"],
+)
+def test_unresolved_system_is_a_named_error(w2, x_start, rtol):
+    """No 30-term Taylor step reaches a tail of 1e-30 of its sum, and no mesh
+    resolves a nan coefficient or the singular point x = 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ODEIntegrationError) as err:
+            T._integrate_model_ode(2.0, w2, x_start, 0.25, 1.0, 0.0, rtol=rtol)
+    assert f"nu=2, w^2={w2:g} on [{x_start:g}, 0.25]: the Taylor series is not converged" in str(err.value)
 
 
 def test_window_integral_matches_quadrature():
