@@ -543,7 +543,8 @@ def _integrate_model_ode(nu, w2, x_start, x_end, y0, yp0, rtol=1e-12):
     bad = ~((worst <= rtol) & np.isfinite(f) & np.isfinite(fp))
     if bad.any():
         i = int(np.argmax(bad))
-        why = "the Taylor series is not converged" if not worst[i] <= rtol else "the solution overflows binary64"
+        converged = worst[i] <= rtol
+        why = "the solution overflows binary64" if converged else "the Taylor series is not converged"
         raise ODEIntegrationError(
             f"model ODE with nu={nu[i]:g}, w^2={w2[i]:g} on [{x_start[i]:g}, {x_end[i]:g}]: "
             f"{why} (Taylor tail ratio {worst[i]:.3e}, rtol {rtol:.1e})"
