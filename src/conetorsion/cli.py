@@ -46,6 +46,7 @@ from .torsion import (
     NumericsParams,
     ab_constant,
     build_slices,
+    dual_slice,
     gy_det_ratio_oracles,
     harmonic_det,
     log_torsion_cone,
@@ -170,7 +171,7 @@ def cmd_truncated(cfg: RunConfig) -> int:
     cs, params = cfg.cross_section, _params(cfg)
     # one slice set serves both routes, so each slice and its Mellin engine
     # is built once per job
-    slices = build_slices(cs, range(cs.dim_n), params)
+    slices = build_slices(cs, params)
     value = log_torsion_truncated(cs, cfg.epsilon)
     diff = torsion_difference(cs, cfg.epsilon, params, slices)
     cone = log_torsion_cone(cs, params, slices)
@@ -255,11 +256,13 @@ def cmd_dump_olver(order: int, path: Optional[str]) -> int:
 
 def cmd_dump_spectrum(cfg: RunConfig) -> int:
     cs = cfg.cross_section
+    built = build_slices(cs, _params(cfg), mellin=False)
     slices = {}
-    for k, sl in build_slices(cs, range(cs.dim_n), _params(cfg), mellin=False).items():
+    for k in range(cs.dim_n):
+        sl = built[dual_slice(cs.dim_n, k)[0]]
         slices[str(k)] = {
-            "alpha": sl.alpha,
-            "betti": sl.betti_k,
+            "alpha": float(cs.alpha(k)),
+            "betti": cs.betti(k),
             "cutoff": sl.cutoff,
             "point_multiplicity": sl.kappa,
             "heat_powers": sl.heat.powers,
@@ -273,19 +276,21 @@ def cmd_dump_spectrum(cfg: RunConfig) -> int:
 
 def cmd_dump_zeta(cfg: RunConfig) -> int:
     cs = cfg.cross_section
+    evals = {j: build_zeta_eval(sl) for j, sl in build_slices(cs, _params(cfg)).items()}
     slices = {}
-    for k, sl in build_slices(cs, range(cs.dim_n), _params(cfg)).items():
-        ev = build_zeta_eval(sl)
+    for k in range(cs.dim_n):
+        j, sign = dual_slice(cs.dim_n, k)
+        ev = evals[j]
         slices[str(k)] = {
-            "alpha": sl.alpha,
+            "alpha": float(cs.alpha(k)),
             "residues": {str(r): v for r, v in ev.residues.items()},
             "zeta0": ev.zeta0,
             "zeta_prime0": ev.zeta_prime0,
             "pp_values": {str(r): v for r, v in ev.pp_values.items()},
-            "shifted0": {"plus": ev.shifted0[+1], "minus": ev.shifted0[-1]},
+            "shifted0": {"plus": ev.shifted0[sign], "minus": ev.shifted0[-sign]},
             "shifted_prime0": {
-                "plus": ev.shifted_prime0[+1],
-                "minus": ev.shifted_prime0[-1],
+                "plus": ev.shifted_prime0[sign],
+                "minus": ev.shifted_prime0[-sign],
             },
             "err": ev.err,
         }
@@ -419,9 +424,9 @@ class _VerifyInputs:
 
     @functools.cached_property
     def unit_t2(self) -> Dict[int, SpectralSlice]:
-        """Every slice of the default unit T^2 at its default tolerance."""
+        """The built slice set of the default unit T^2 at its default tolerance."""
         cfg = parse_config(DEFAULT_CONFIG)
-        return build_slices(cfg.cross_section, range(2), _params(cfg))
+        return build_slices(cfg.cross_section, _params(cfg))
 
     @functools.cached_property
     def first_order(self) -> Dict[int, FirstOrderZeta]:

@@ -267,21 +267,26 @@ def build_cross_section(config: dict) -> CrossSection:
     family = config.get("family")
     if family != "flat_torus":
         raise ConfigError("cross_section.family", f"must be 'flat_torus', got {family!r}")
-    try:
-        dim_n = int(config["dim_n"])
-    except KeyError:
-        raise ConfigError("cross_section.dim_n", "missing") from None
-    except (TypeError, ValueError):
-        raise ConfigError("cross_section.dim_n", "must be an integer") from None
+    if "dim_n" not in config:
+        raise ConfigError("cross_section.dim_n", "missing")
+    dim_n = config["dim_n"]
+    if not isinstance(dim_n, int) or isinstance(dim_n, bool):
+        raise ConfigError("cross_section.dim_n", "must be an integer")
     rank = config.get("bundle_rank", 1)
     if not isinstance(rank, int) or isinstance(rank, bool):
         raise ConfigError("cross_section.bundle_rank", "must be an integer")
     basis = config.get("lattice_basis")
     if basis is None:
         raise ConfigError("cross_section.lattice_basis", "missing")
+    if not isinstance(basis, list) or not all(isinstance(row, list) for row in basis):
+        raise ConfigError("cross_section.lattice_basis", "must be a numeric matrix")
+    for i, row in enumerate(basis):
+        for j, entry in enumerate(row):
+            if not isinstance(entry, (int, float)) or isinstance(entry, bool):
+                raise ConfigError(f"cross_section.lattice_basis[{i}][{j}]", "must be a number")
     try:
         basis = np.asarray(basis, dtype=float)
-    except (TypeError, ValueError):
+    except (ValueError, OverflowError):  # ragged rows; an integer beyond binary64
         raise ConfigError("cross_section.lattice_basis", "must be a numeric matrix") from None
     for key in config:
         if key not in CROSS_SECTION_FIELDS:
@@ -409,10 +414,6 @@ class SpectralSlice:
     cutoff: float
     eta: np.ndarray
     mult: np.ndarray
-
-    @property
-    def betti_k(self) -> int:
-        return self.cross_section.betti(self.k)
 
     @property
     def kappa(self) -> int:

@@ -28,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -66,10 +66,17 @@ class NumericsParams:
         return cutoff_for_tolerance(cs, k, tol)
 
 
+def dual_slice(n: int, k: int) -> tuple[int, int]:
+    """(j, sign): degree k of an n-torus is built slice j < n/2 with its shift
+    times sign.  Slice n-1-k has the levels, multiplicities and cutoff of
+    slice k and the shift alpha_{n-1-k} = -alpha_k."""
+    return (k, +1) if k < n // 2 else (n - 1 - k, -1)
+
+
 def build_slices(
-    cs: CrossSection, ks: Iterable[int], params: NumericsParams, mellin: bool = True
+    cs: CrossSection, params: NumericsParams, mellin: bool = True
 ) -> Dict[int, SpectralSlice]:
-    """The spectral slices of degrees ``ks`` at the cutoffs ``params`` sets.
+    """The slices of degrees k < n/2 (:func:`dual_slice`) at the cutoffs ``params`` sets.
 
     Every lattice window the slices need is checked against the point limit
     before any slice is built: first the primal window of their Mellin
@@ -80,9 +87,8 @@ def build_slices(
     """
     if mellin:
         cs.check_window("primal", primal_window(plan_t0(cs)))
-    cutoffs = {k: params.slice_cutoff(cs, k) for k in ks}
-    if cutoffs:
-        cs.check_window("dual", max(cutoffs.values()))
+    cutoffs = {k: params.slice_cutoff(cs, k) for k in range(cs.dim_n // 2)}
+    cs.check_window("dual", max(cutoffs.values()))
     return {k: coclosed_spectrum(cs, k, cutoff) for k, cutoff in cutoffs.items()}
 
 
@@ -165,10 +171,8 @@ def res_term(cs: CrossSection) -> tuple[float, float]:
 class TorsResult:
     value: float
     cross_check_residual: float
-    full_range: float
-    dual_half_range: float
     err: float
-    # the slices the run built and zeta'_k(0, +alpha_k) on each, keyed by k
+    # the built slices (k < n/2) and zeta'_k(0, +alpha_k) for every k = 0..n-1
     slices: Dict[int, SpectralSlice] = field(default_factory=dict)
     shifted_prime0_plus: Dict[int, float] = field(default_factory=dict)
 
@@ -180,27 +184,23 @@ def tors_term(
 ) -> TorsResult:
     """Torsion-like invariant Tors(N, E_N; g^N).
 
-    ``full_range`` sums (1/2) (-1)^k zeta'_k(0, a_k) over k = 0..n-1;
-    ``dual_half_range`` sums (1/2) (-1)^k (zeta'_k(0, a_k) - zeta'_k(0, -a_k))
-    over the lower half and is the ``value``.  Both are computed and the
-    residual of their agreement (an exact identity on tori) is reported
-    alongside.  ``slices`` (every degree 0..n-1, from :func:`build_slices`)
-    are built when omitted.
+    ``value`` sums (1/2) (-1)^k (zeta'_k(0, a_k) - zeta'_k(0, -a_k)) over
+    k < n/2.  The residual compares it with (1/2) sum_{k<n} (-1)^k
+    zeta'_k(0, a_k), whose upper half is read off the same minus values
+    (:func:`dual_slice`), so it sums one set of values two ways.
+    ``slices`` (from :func:`build_slices`) are built when omitted.
     """
     params = params or NumericsParams()
     n = cs.dim_n
     if slices is None:
-        slices = build_slices(cs, range(n), params)
+        slices = build_slices(cs, params)
 
-    tasks = [(k, +1) for k in range(n)] + [(k, -1) for k in range(n // 2)]
-    results = {(k, sign): shifted_zeta_prime0(slices[k], sign) for k, sign in tasks}
-    full = 0.5 * math.fsum((-1) ** k * results[(k, +1)][0] for k in range(n))
-    dual = 0.5 * math.fsum(
-        (-1) ** k * (results[(k, +1)][0] - results[(k, -1)][0]) for k in range(n // 2)
-    )
+    results = {(k, s): shifted_zeta_prime0(slices[k], s) for k in range(n // 2) for s in (+1, -1)}
+    plus = {k: results[dual_slice(n, k)][0] for k in range(n)}
+    full = 0.5 * math.fsum((-1) ** k * v for k, v in plus.items())
+    dual = 0.5 * math.fsum((-1) ** k * (plus[k] - results[(k, -1)][0]) for k in range(n // 2))
     err = math.fsum(e for (_, e) in results.values())
-    plus = {k: results[(k, +1)][0] for k in range(n)}
-    return TorsResult(dual, abs(full - dual), full, dual, err, slices, plus)
+    return TorsResult(dual, abs(full - dual), err, slices, plus)
 
 
 @dataclass
@@ -229,16 +229,16 @@ def log_torsion_cone(
     top = top_term(cs)
     tors = tors_term(cs, params, slices)
     res, anomaly = res_term(cs)
-    per_slice = {
-        k: {
-            "alpha": sl.alpha,
-            "betti": float(sl.betti_k),
+    per_slice = {}
+    for k, value in tors.shifted_prime0_plus.items():
+        sl = tors.slices[dual_slice(cs.dim_n, k)[0]]
+        per_slice[k] = {
+            "alpha": float(cs.alpha(k)),
+            "betti": float(cs.betti(k)),
             "cutoff": sl.cutoff,
             "levels": float(sl.eta.size),
-            "shifted_prime0_plus": tors.shifted_prime0_plus[k],
+            "shifted_prime0_plus": value,
         }
-        for k, sl in tors.slices.items()
-    }
     report = TorsionReport(
         top=top,
         tors=tors.value,
@@ -290,8 +290,7 @@ def torsion_difference(
 ) -> float:
     """log T(C_eps(N)) - log T(C(N)) by its five-line closed form.
 
-    Uses the slices of degree k < n/2; ``slices`` (from :func:`build_slices`,
-    covering at least those degrees) are built when omitted."""
+    ``slices`` (from :func:`build_slices`) are built when omitted."""
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     params = params or NumericsParams()
@@ -307,7 +306,7 @@ def torsion_difference(
     )
     line4 = 0.5 * _residue_double_sum(cs)
     if slices is None:
-        slices = build_slices(cs, range(h), params)
+        slices = build_slices(cs, params)
     line5 = 0.0
     for k in range(h):
         vp, _ = shifted_zeta_prime0(slices[k], +1)
@@ -702,7 +701,7 @@ def tors_scaling_profile(
     """
     params = params or NumericsParams()
     h = cs.dim_n // 2
-    base = build_slices(cs, range(h), params)
+    base = build_slices(cs, params)
     rows: list[ScalingRow] = []
     for mu in mu_values:
         if mu < 1.0:

@@ -241,6 +241,38 @@ def test_round_sphere_is_config_error(tmp_path, capsys):
     assert "cross_section.family" in capsys.readouterr().err
 
 
+def _eye(n):
+    return [[float(i == j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "cross_section, field",
+    [
+        ({"dim_n": 4.5, "lattice_basis": _eye(4)}, "cross_section.dim_n"),
+        ({"dim_n": 4.0, "lattice_basis": _eye(4)}, "cross_section.dim_n"),
+        ({"dim_n": "4", "lattice_basis": _eye(4)}, "cross_section.dim_n"),
+        ({"dim_n": True, "lattice_basis": _eye(2)}, "cross_section.dim_n"),
+        ({"dim_n": 2, "lattice_basis": [["1", 0], [0, 1]]}, "cross_section.lattice_basis[0][0]"),
+        ({"dim_n": 2, "lattice_basis": [[1, 0], [0, True]]}, "cross_section.lattice_basis[1][1]"),
+        ({"dim_n": 2, "lattice_basis": [[1, 0], [None, 1]]}, "cross_section.lattice_basis[1][0]"),
+        ({"dim_n": 2, "lattice_basis": [[10**400, 0], [0, 1]]}, "cross_section.lattice_basis"),
+        ({"dim_n": 2, "lattice_basis": [1, 0]}, "cross_section.lattice_basis"),
+    ],
+    ids=["dim_n-4.5", "dim_n-4.0", "dim_n-string", "dim_n-bool", "basis-string", "basis-bool",
+         "basis-null", "basis-overflow", "basis-flat"],
+)
+def test_non_integer_dim_n_and_non_number_basis_entry_are_config_errors(
+    tmp_path, capsys, cross_section, field
+):
+    """The schema wants an integer dim_n and number entries in the basis: a
+    float, string or bool is refused by name, not converted and run."""
+    doc = {**UNIT_T2, "cross_section": {"family": "flat_torus", **cross_section}}
+    out = tmp_path / "out.json"
+    assert cli.main(["torsion", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert f"{field}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_path_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, UNIT_T2)
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
@@ -361,10 +393,10 @@ UNIT_T4 = {
 }
 
 
-@pytest.mark.parametrize("doc,splits", [(SHEARED_T2, 2), (UNIT_T4, 4)], ids=["t2", "t4"])
+@pytest.mark.parametrize("doc,splits", [(SHEARED_T2, 1), (UNIT_T4, 2)], ids=["t2", "t4"])
 def test_truncated_builds_each_split_once(tmp_path, monkeypatch, doc, splits):
     """Both routes of one ``truncated`` job share one slice set: one
-    MellinSplit per slice degree the job evaluates."""
+    MellinSplit per built slice, degrees k < n/2."""
     built = []
     init = zeta.MellinSplit.__init__
 
@@ -377,6 +409,85 @@ def test_truncated_builds_each_split_once(tmp_path, monkeypatch, doc, splits):
     out = tmp_path / "trunc.json"
     assert cli.main(["truncated", "--config", cfg, "--epsilon", "0.25", "--out", str(out)]) == 0
     assert len(built) == splits
+
+
+@pytest.mark.parametrize(
+    "command, extra", [("torsion", []), ("truncated", ["--epsilon", "0.25"]), ("dump-zeta", [])]
+)
+def test_unit_t4_runs_build_the_lower_half_slices_once(tmp_path, monkeypatch, command, extra):
+    """A run builds the slices of degrees k < n/2 and one MellinSplit on
+    each: 2 of each on unit T^4, whose degrees 2 and 3 are read off 1 and 0."""
+    spectra, splits = [], []
+    spectrum, init = T.coclosed_spectrum, zeta.MellinSplit.__init__
+
+    def counting_spectrum(*args, **kwargs):
+        spectra.append(args)
+        return spectrum(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        splits.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(T, "coclosed_spectrum", counting_spectrum)
+    monkeypatch.setattr(zeta.MellinSplit, "__init__", counting_init)
+    cfg = _write_config(tmp_path, UNIT_T4)
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--config", cfg, *extra, "--out", str(out)]) == 0
+    assert (len(spectra), len(splits)) == (2, 2)
+
+
+MIRROR_BASES = {
+    "unit-t2": _eye(2),
+    "sheared-t2": [[1.0, 0.37], [0.0, 1.0]],
+    "unit-t4": _eye(4),
+    "sheared-x2-t4": [[2.0, 0.74, 0, 0], [0, 2.0, 0, 0], [0, 0, 2.0, 0.4], [0, 0, 0, 2.0]],
+}
+
+
+@pytest.mark.parametrize("setting", [("tolerance", 1e-10), ("cutoff", 700.0)], ids=lambda s: s[0])
+@pytest.mark.parametrize("name", list(MIRROR_BASES))
+def test_upper_degrees_equal_their_own_slices(tmp_path, name, setting):
+    """dump-spectrum and dump-zeta read degree k >= n/2 off slice n-1-k; each
+    such entry equals, bit for bit, the one computed on slice k built on its
+    own (the reports round-trip floats losslessly)."""
+    basis = MIRROR_BASES[name]
+    doc = {
+        "schema": 1,
+        "cross_section": {"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis},
+    }
+    path = _write_config(tmp_path, doc)
+    key, value = setting
+    cs = parse_config(doc).cross_section
+    params = T.NumericsParams(**{key: value})
+    reports = {}
+    for command in ("dump-spectrum", "dump-zeta"):
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command, "--config", path, f"--{key}", repr(value), "--out", str(out)]) == 0
+        reports[command] = json.loads(out.read_text())["result"]["slices"]
+    for k in range(cs.dim_n // 2, cs.dim_n):
+        sl = T.coclosed_spectrum(cs, k, params.slice_cutoff(cs, k))
+        ev = zeta.build_zeta_eval(sl)
+        spectrum = {
+            "alpha": sl.alpha,
+            "betti": cs.betti(k),
+            "cutoff": sl.cutoff,
+            "point_multiplicity": sl.kappa,
+            "heat_powers": sl.heat.powers,
+            "heat_coefficients": sl.heat.coefficients,
+            "levels": [[float(e), int(m)] for e, m in zip(sl.eta, sl.mult)],
+        }
+        zeta_entry = {
+            "alpha": sl.alpha,
+            "residues": {str(r): v for r, v in ev.residues.items()},
+            "zeta0": ev.zeta0,
+            "zeta_prime0": ev.zeta_prime0,
+            "pp_values": {str(r): v for r, v in ev.pp_values.items()},
+            "shifted0": {"plus": ev.shifted0[+1], "minus": ev.shifted0[-1]},
+            "shifted_prime0": {"plus": ev.shifted_prime0[+1], "minus": ev.shifted_prime0[-1]},
+            "err": ev.err,
+        }
+        assert reports["dump-spectrum"][str(k)] == json.loads(cli.dumps17(spectrum))
+        assert reports["dump-zeta"][str(k)] == json.loads(cli.dumps17(zeta_entry))
 
 
 def test_truncated_residual_matches_separately_built_routes(tmp_path):
@@ -396,11 +507,12 @@ def test_truncated_residual_matches_separately_built_routes(tmp_path):
         assert report["difference_formula"] == diff
 
 
-@pytest.mark.parametrize("what, builds", [(None, 2), ("bessel", 0)])
+@pytest.mark.parametrize("what, builds", [(None, 1), ("bessel", 0)])
 def test_verify_builds_the_unit_t2_slices_once(monkeypatch, capsys, what, builds):
     """One verify run builds the unit-T^2 slice set at most once and shares
     it between the shifted-zeta0, shifted-zeta-prime0 and tors-duality
-    checks: one slice and one MellinSplit per degree."""
+    checks: one slice and one MellinSplit, degree 0, which also gives
+    degree 1."""
     spectra, splits = [], []
     spectrum, init = T.coclosed_spectrum, zeta.MellinSplit.__init__
 

@@ -126,7 +126,7 @@ def test_log_torsion_cone_builds_each_split_once(name, monkeypatch):
 
     monkeypatch.setattr(zeta.MellinSplit, "__init__", counting_init)
     report = log_torsion_cone(cs, params)
-    assert len(built) == cs.dim_n
+    assert len(built) == cs.dim_n // 2
     monkeypatch.undo()
     for k in range(cs.dim_n):
         sl = coclosed_spectrum(cs, k, params.slice_cutoff(cs, k))
