@@ -30,7 +30,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import __version__
-from .bessel import modified_bessel, uniform_expansion, wronskian_residual
+from .bessel import modified_bessels, uniform_expansion, wronskian_residual
 from .config import RunConfig, parse_config, read_config_document
 from .crosssection import CrossSection, SpectralSlice
 from .errors import (
@@ -39,7 +39,7 @@ from .errors import (
     DomainError,
     ODEIntegrationError,
 )
-from .firstorder import FirstOrderZeta, first_order_shifted
+from .firstorder import FirstOrderZeta, first_order_oracles
 from .olver import d_poly, eval_t_poly, m_poly_eval, z_diff_by_b, z_table
 from .torsion import (
     ModelOperatorSpec,
@@ -51,7 +51,7 @@ from .torsion import (
     harmonic_det,
     log_torsion_cone,
     log_torsion_truncated,
-    model_det_ratio,
+    model_det_ratios,
     res_term,
     t_eta_lambda,
     tors_scaling_profile,
@@ -335,33 +335,31 @@ def _check_z2_table() -> float:
     return 0.0 if table == pinned else 1.0
 
 
+def _wronskian_draws() -> tuple[np.ndarray, np.ndarray]:
+    """The 100 (nu, x) draws of the wronskian check: nu uniform on [0, 50)
+    and x on [0.1, 50), alternating, from one batch of 200 uniforms (each
+    low + (high - low) u, as ``Generator.uniform`` forms it)."""
+    u = np.random.default_rng(20240901).random(200).reshape(100, 2)
+    return 50.0 * u[:, 0], 0.1 + (50.0 - 0.1) * u[:, 1]
+
+
 def _check_wronskian() -> float:
-    rng = np.random.default_rng(20240901)
-    worst = 0.0
-    for _ in range(100):
-        nu = rng.uniform(0.0, 50.0)
-        x = rng.uniform(0.1, 50.0)
-        worst = max(worst, wronskian_residual(nu, x))
-    return worst
+    return float(np.max(wronskian_residual(*_wronskian_draws())))
 
 
 def _check_uniform() -> float:
+    grid = [(nu, z) for nu in (30.0, 60.0, 120.0) for z in (0.4, 1.0, 2.5)]
+    nu, z = np.array(grid).T
+    q = modified_bessels(nu, nu * z, scaled=False)
     worst = 0.0
-    for nu in (30.0, 60.0, 120.0):
+    for j, (nu_j, z_j) in enumerate(grid):
         # keep the truncation estimate above the reference's own noise floor
-        n_terms = 5 if nu <= 40 else (4 if nu <= 80 else 3)
-        for z in (0.4, 1.0, 2.5):
-            q = modified_bessel(nu, nu * z, scaled=False)
-            direct = {
-                "I": q.i_val,
-                "Iprime": q.i_prime,
-                "K": q.k_val,
-                "Kprime": q.k_prime,
-            }
-            for kind, ref in direct.items():
-                val, est = uniform_expansion(kind, nu, z, n_terms)
-                defect = abs(val - ref) / est if est > 0 else math.inf
-                worst = max(worst, defect)
+        n_terms = 5 if nu_j <= 40 else (4 if nu_j <= 80 else 3)
+        direct = {"I": q.i_val, "Iprime": q.i_prime, "K": q.k_val, "Kprime": q.k_prime}
+        for kind, ref in direct.items():
+            val, est = uniform_expansion(kind, nu_j, z_j, n_terms)
+            defect = abs(val - float(ref[j])) / est if est > 0 else math.inf
+            worst = max(worst, defect)
     return worst  # must be <= 1: error within the reported bound
 
 
@@ -386,7 +384,8 @@ def _harmonic_specs() -> list[ModelOperatorSpec]:
 
 
 def _check_det_grid(inputs: _VerifyInputs) -> float:
-    cf = np.array([model_det_ratio(spec, z) for spec, z in _det_grid_entries()])
+    grid = _det_grid_entries()
+    cf = model_det_ratios([spec for spec, _ in grid], [z for _, z in grid])
     gy, _ = inputs.gy
     return float(np.max(np.abs(cf - gy) / np.abs(cf)))
 
@@ -430,8 +429,9 @@ class _VerifyInputs:
 
     @functools.cached_property
     def first_order(self) -> Dict[int, FirstOrderZeta]:
-        """The first-order oracles of the unit-T^2 degree-0 slice, by sign."""
-        return {sign: first_order_shifted(self.unit_t2[0], sign) for sign in (+1, -1)}
+        """The first-order oracles of the unit-T^2 degree-0 slice, by sign,
+        sharing one B quadrature."""
+        return first_order_oracles(self.unit_t2[0], (+1, -1))
 
     @functools.cached_property
     def gy(self) -> tuple[np.ndarray, np.ndarray]:

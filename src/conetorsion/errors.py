@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the entry-by-entry check
+of batched evaluations."""
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -36,3 +39,19 @@ class ZetaPoleError(DomainError):
 
 class ODEIntegrationError(RuntimeError):
     """An ODE oracle could not resolve a system or its end state overflows."""
+
+
+def first_failure(checks) -> tuple[int, type, str] | None:
+    """The first entry of a batch that fails a check, as (flat index, error
+    class, message), or None when every entry passes.
+
+    ``checks`` lists (boolean mask over the batch, error class, message) in
+    the order a scalar evaluation would run them; the entry's first failing
+    check names the error.
+    """
+    bad = np.logical_or.reduce([mask for mask, _, _ in checks]).ravel()
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    err, message = next((err, msg) for mask, err, msg in checks if mask.flat[i])
+    return i, err, message

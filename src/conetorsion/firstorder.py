@@ -22,21 +22,24 @@ second-order route.
 This is a verification surface: slower than the production route, used by the
 test suite and the CLI ``verify`` command to validate the shifted values and
 derivatives at s = 0 independently.  It shares with :mod:`conetorsion.zeta`
-the spectrum and the generic vectorised Gauss-Kronrod-21 engine
-``quad_gk21`` with its constants (Euler's gamma, the e^-700 term cut, the
-block bound), and nothing else.
+the spectrum, the generic vectorised Gauss-Kronrod-21 engine ``quad_gk21``
+with its starting breaks ``remainder_breaks`` and its constants (Euler's
+gamma, the e^-700 term cut, the block bound), and nothing else.  The
+oracles of one slice for both signs of the shift (``first_order_oracles``)
+share one B quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict, Sequence
 
 import numpy as np
 
 from .crosssection import SpectralSlice
 from .errors import DomainError
-from .zeta import _BLOCK_SIZE, _REMAINDER_CUT, EULER_GAMMA, quad_gk21
+from .zeta import _BLOCK_SIZE, _REMAINDER_CUT, EULER_GAMMA, quad_gk21, remainder_breaks
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 _HORIZON = 46.0
@@ -97,7 +100,13 @@ class _ModelTerm:
 
 
 class FirstOrderZeta:
-    """Continuation of sum m (nu + c)^(-s) for one slice and one shift c."""
+    """Continuation of sum m (nu + c)^(-s) for one slice and one shift c.
+
+    Everything but the shift is a function of the slice and t0 alone, so
+    oracles of one slice and t0 can share their B quadrature: the B of every
+    oracle in ``_b1_batch`` (set by :func:`first_order_oracles`) comes from
+    one vector quadrature over the shared remainder.
+    """
 
     def __init__(self, sl: SpectralSlice, c: float, t0: float = 1.0):
         cs = sl.cross_section
@@ -115,12 +124,13 @@ class FirstOrderZeta:
         self.v_n = cs.volume / (4.0 * math.pi) ** self.h
         self.a2 = sl.alpha * sl.alpha
         # geometry sums, enumerated independently of the slice cutoff; the
-        # window must cover the upper Mellin sum (nu + c <= horizon / t0)
-        # and the dual-side remainder sums down to u = u_c
+        # window must cover the upper Mellin sum (nu + c <= horizon / t0 for
+        # c and for -c, so it does not depend on the sign) and the dual-side
+        # remainder sums down to u = u_c
         self._u_c = cs.min_primal_length() / (2.0 * math.sqrt(cs.first_eta()))
         # the subordination integrals over u stop where e^{-a^2 u} is spent
         self._u_upper = (_HORIZON + 20.0) / self.a2 + 4.0 * self._u_c
-        nu_max = (_HORIZON + 6.0) / self.t0 - min(self.c, 0.0)
+        nu_max = (_HORIZON + 6.0) / self.t0 + abs(self.c)
         eta_window = max(nu_max * nu_max, (_HORIZON + 8.0) / self._u_c)
         eta, counts = cs.lattice_eta_levels(cutoff=eta_window)
         self._eta = eta
@@ -131,6 +141,7 @@ class FirstOrderZeta:
         self._model = self._model_terms()
         self._b0 = None
         self._f0 = None
+        self._b1_batch = (self,)
 
     # -- subordinated model ------------------------------------------------
 
@@ -192,21 +203,28 @@ class FirstOrderZeta:
 
     def _b1_value(self) -> float:
         """B1 = Int_0^t0 e^{-ct} R1(t) dt / t with the two integrals swapped:
-        (1/(2 sqrt(pi))) Int u^{-3/2} R(u) G(u) du, G the closed-form t window,
-        from one ``quad_gk21`` run on [0, u_c, u_upper]."""
+        (1/(2 sqrt(pi))) Int u^{-3/2} R(u) G(u) du, G the closed-form t window.
+
+        One ``quad_gk21`` run on the ``remainder_breaks`` of (0, u_upper],
+        with u_c added, yields the B1 of every oracle in ``_b1_batch``: its
+        components are the windows of their shifts times the one remainder.
+        """
         if self._b0 is None:
+            batch = self._b1_batch
+            shifts = [fo.c for fo in batch]
 
             def integrand(u: np.ndarray) -> np.ndarray:
-                window = _window_integral(self.c, self.t0, u)
-                return (u**-1.5 * self._remainders(u) * window)[:, None]
+                common = u**-1.5 * self._remainders(u)
+                return np.stack([common * _window_integral(c, self.t0, u) for c in shifts], axis=1)
 
             total, _ = quad_gk21(
                 integrand,
-                [0.0, self._u_c, self._u_upper],
-                label=lambda: f"first-order B on (0, {self._u_upper:.6g}] for c = {self.c:.6g}",
+                sorted({*remainder_breaks(self._p_sq, self._u_upper), self._u_c}),
+                label=lambda: f"first-order B on (0, {self._u_upper:.6g}] for c in {shifts}",
                 **_QUAD,
             )
-            self._b0 = float(total[0]) / (2.0 * math.sqrt(math.pi))
+            for fo, value in zip(batch, total.tolist()):
+                fo._b0 = value / (2.0 * math.sqrt(math.pi))
         return self._b0
 
     def _f1_value(self) -> float:
@@ -233,6 +251,18 @@ class FirstOrderZeta:
         return m0 + EULER_GAMMA * rho
 
 
+def first_order_oracles(
+    sl: SpectralSlice, signs: Sequence[int] = (+1, -1), t0: float = 1.0
+) -> Dict[int, FirstOrderZeta]:
+    """Oracles for zeta_{k,N}(s, sign * alpha_k) on a torus slice, by sign,
+    whose B values come from one shared quadrature."""
+    oracles = {sign: FirstOrderZeta(sl, sign * sl.alpha, t0=t0) for sign in signs}
+    batch = tuple(oracles.values())
+    for fo in batch:
+        fo._b1_batch = batch
+    return oracles
+
+
 def first_order_shifted(sl: SpectralSlice, sign: int, t0: float = 1.0) -> FirstOrderZeta:
     """Oracle for zeta_{k,N}(s, sign * alpha_k) on a torus slice."""
-    return FirstOrderZeta(sl, sign * sl.alpha, t0=t0)
+    return first_order_oracles(sl, (sign,), t0)[sign]

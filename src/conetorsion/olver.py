@@ -1,7 +1,13 @@
 """Exact-rational polynomials for the uniform large-order Bessel expansions.
 
 Everything here is built over ``fractions.Fraction``; floating point enters
-only when a polynomial is evaluated.  The module provides
+only when a polynomial is evaluated.  Each table is built once per process,
+and the public getters return copies of it.  Evaluation at an exact
+(``Fraction`` or ``int``) argument sums integer numerators over one common
+denominator, so it is exact and builds a single ``Fraction``; u_r and v_r at
+a float (the uniform expansions) read float coefficient lists derived once
+from the exact tables.
+The module provides
 
 * ``olver_pair(r)``: the coefficient polynomials u_r(t), v_r(t) of the
   large-order (Debye/Olver) expansions of I_nu and K_nu and their
@@ -20,6 +26,7 @@ shift of degree <= r, and M_r(1, a) = D_r(1) - (-a)^r / r.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Dict, Tuple
 
@@ -197,41 +204,111 @@ def m_poly(r: int) -> TAPoly:
     return {e: dict(ap) for e, ap in _m_cache[r].items()}
 
 
-def z_table(r: int) -> Dict[int, Dict[int, Fraction]]:
-    """Coefficient table z_{r,b}(a) of M_r, keyed by b with t-power r+2b."""
-    m = m_poly(r)
+@functools.cache
+def _z_table(r: int) -> Dict[int, Dict[int, Fraction]]:
+    """The z table of M_r, built once per r and process (see :func:`z_table`)."""
     table: Dict[int, Dict[int, Fraction]] = {}
-    for e, ap in m.items():
+    for e, ap in m_poly(r).items():
         b, rem = divmod(e - r, 2)
         if rem != 0 or b < 0 or b > r:
             raise AssertionError(f"M_{r} contains unexpected power t^{e}")
-        table[b] = dict(ap)
+        table[b] = ap
     for b in range(r + 1):
         table.setdefault(b, {})
     return table
 
 
+def z_table(r: int) -> Dict[int, Dict[int, Fraction]]:
+    """Coefficient table z_{r,b}(a) of M_r, keyed by b with t-power r+2b."""
+    return {b: dict(ap) for b, ap in _z_table(r).items()}
+
+
+# -- evaluation ------------------------------------------------------------
+
+
+def _exact(x) -> bool:
+    return isinstance(x, (int, Fraction))
+
+
+def _integer_form(p: Dict[int, Fraction]) -> tuple[int, list[int]]:
+    """(D, [n_0, ..., n_deg]) with p(x) = sum_e n_e x^e / D in integers."""
+    den = math.lcm(*(c.denominator for c in p.values()))
+    nums = [0] * (max(p, default=0) + 1)
+    for e, c in p.items():
+        nums[e] = c.numerator * (den // c.denominator)
+    return den, nums
+
+
+def _scaled_horner(nums: list[int], x: Fraction) -> int:
+    """q^deg sum_e nums[e] x^e for x = p/q and deg = len(nums) - 1: an integer."""
+    p, q = x.numerator, x.denominator
+    acc, q_pow = 0, 1
+    for n in reversed(nums):
+        acc = acc * p + n * q_pow
+        q_pow *= q
+    return acc
+
+
+def _eval_form(form: tuple[int, list[int]], x: Fraction) -> Fraction:
+    den, nums = form
+    return Fraction(_scaled_horner(nums, x), den * x.denominator ** (len(nums) - 1))
+
+
 def eval_a_poly(ap: Dict[int, Fraction], a):
     """Evaluate an a-polynomial; exact if ``a`` is a Fraction."""
+    if _exact(a):
+        return _eval_form(_integer_form(ap), Fraction(a))
     return sum((c * a**d for d, c in sorted(ap.items())), start=a * 0)
 
 
 def eval_t_poly(p: TPoly, t):
+    """Evaluate a t-polynomial; exact if ``t`` is a Fraction."""
+    if _exact(t):
+        return _eval_form(_integer_form(p), Fraction(t))
     return sum((c * t**e for e, c in sorted(p.items())), start=t * 0)
 
 
+@functools.cache
+def _uv_floats(r: int) -> tuple[list, list]:
+    """(u_r, v_r) as sorted [(t-exponent, float coefficient)] lists."""
+    return tuple([(e, float(c)) for e, c in sorted(p.items())] for p in olver_pair(r))
+
+
+def eval_uv(r: int, t: float) -> tuple[float, float]:
+    """(u_r(t), v_r(t)) at a float t, from the float view of the tables; the
+    same terms in the same order as :func:`eval_t_poly`."""
+    u, v = _uv_floats(r)
+    return sum(c * t**e for e, c in u), sum(c * t**e for e, c in v)
+
+
+@functools.cache
+def _z_forms(r: int) -> Dict[int, tuple[int, list[int]]]:
+    """The rows z_{r,b} of M_r in integer form (:func:`_integer_form`), by b."""
+    return {b: _integer_form(ap) for b, ap in sorted(_z_table(r).items())}
+
+
 def m_poly_eval(r: int, t, a):
-    """Evaluate M_r(t, a); exact for Fraction inputs."""
+    """Evaluate M_r(t, a) = sum_b z_{r,b}(a) t^(r+2b); exact if both ``t`` and
+    ``a`` are Fractions."""
+    if _exact(t) and _exact(a):
+        a = Fraction(a)
+        rows = {r + 2 * b: _eval_form(form, a) for b, form in _z_forms(r).items()}
+        return eval_t_poly(rows, Fraction(t))
     total = t * 0
-    for e, ap in sorted(m_poly(r).items()):
-        total += eval_a_poly(ap, a) * t**e
+    for b, ap in sorted(_z_table(r).items()):
+        total += eval_a_poly(ap, a) * t ** (r + 2 * b)
     return total
 
 
 def z_diff_by_b(r: int, a) -> Dict[int, object]:
     """Per-b differences z_{r,b}(-a) - z_{r,b}(a), exact for Fraction a."""
-    table = z_table(r)
-    return {b: eval_a_poly(table[b], -a) - eval_a_poly(table[b], a) for b in sorted(table)}
+    if _exact(a):
+        a = Fraction(a)
+        return {
+            b: Fraction(_scaled_horner(nums, -a) - _scaled_horner(nums, a), den * a.denominator ** (len(nums) - 1))
+            for b, (den, nums) in _z_forms(r).items()
+        }
+    return {b: eval_a_poly(ap, -a) - eval_a_poly(ap, a) for b, ap in sorted(_z_table(r).items())}
 
 
 @functools.cache

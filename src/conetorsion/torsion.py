@@ -33,9 +33,9 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .bessel import bracket_pair
+from .bessel import bracket_pairs
 from .crosssection import CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
-from .errors import DomainError, ODEIntegrationError
+from .errors import DomainError, ODEIntegrationError, first_failure
 from .olver import harmonic_number, z_diff_by_b
 from .zeta import (
     DEFAULT_TOLERANCE,
@@ -371,61 +371,87 @@ def harmonic_det(alpha: float, eps: float) -> float:
     return math.sqrt(eps) / a * (eps**-a - eps**a)
 
 
-def model_det_ratio(spec: ModelOperatorSpec, z: float) -> float:
-    """Closed-form determinant ratio det(L + nu^2 z^2)/det(L).
+def model_det_ratios(specs: Sequence[ModelOperatorSpec], zs: Sequence[float]) -> np.ndarray:
+    """Closed-form determinant ratios det(L + nu^2 z^2)/det(L) for a batch.
 
-    Evaluated in log space from exponentially scaled Bessel brackets so the
-    closed forms remain finite far beyond their naive binary64 range.
+    Entry i is the ratio of ``(specs[i], zs[i])``.  Evaluated in log space
+    from exponentially scaled Bessel brackets so the closed forms remain
+    finite far beyond their naive binary64 range.  The domain of every entry
+    is checked before any evaluation, the brackets of the whole batch come
+    from one :func:`bracket_pairs` call, and the bracket and overflow checks
+    then run on every entry; the first entry that fails a check raises that
+    check's error, naming the entry when the batch has more than one.
     """
-    if spec.kind == "harmonic_H0":
-        raise DomainError("harmonic determinants are absolute values: use harmonic_det")
-    if z < 0:
-        raise DomainError("z must be >= 0")
-    nu, alpha, s = spec.nu, spec.alpha, spec.bracket_sign
-    if nu <= abs(alpha):
-        raise DomainError(f"nu={nu} <= |alpha|={abs(alpha)}: determinant prefactor pole")
-    if z == 0.0:
-        return 1.0
-    w = nu * z
-    ib_w, kb_w = bracket_pair(nu, w, s * alpha)
-    if ib_w <= 0:
-        raise DomainError("I-bracket must be positive for nu > |alpha|")
-    if spec.kind in ("psi_full", "phi_full"):
-        log_ratio = (
-            nu * math.log(2.0)
-            + math.lgamma(nu)
-            - nu * math.log(w)
-            + w
-            + math.log(ib_w)
-            - math.log(1.0 + s * alpha / nu)
-        )
-        if log_ratio > 700.0:
-            raise OverflowError("full-cone determinant ratio overflows binary64")
-        return math.exp(log_ratio)
-    eps = spec.eps
+
+    def entry_error(i, err, message):
+        where = f" (entry {i}: {specs[i]}, z={zs[i]})" if len(specs) > 1 else ""
+        return err(message + where)
+
+    for i, (spec, z) in enumerate(zip(specs, zs, strict=True)):
+        if spec.kind == "harmonic_H0":
+            raise entry_error(i, DomainError, "harmonic determinants are absolute values: use harmonic_det")
+        if z < 0:
+            raise entry_error(i, DomainError, "z must be >= 0")
+        if spec.nu <= abs(spec.alpha):
+            raise entry_error(
+                i, DomainError, f"nu={spec.nu} <= |alpha|={abs(spec.alpha)}: determinant prefactor pole"
+            )
+    out = np.ones(len(specs))
+    rows = [i for i, z in enumerate(zs) if z != 0.0]
+    if not rows:
+        return out
+    nu = np.array([specs[i].nu for i in rows])
+    alpha = np.array([specs[i].alpha for i in rows])
+    s = np.array([specs[i].bracket_sign for i in rows])
+    trunc = np.array([specs[i].truncated for i in rows])
+    # eps = 1 stands in on the full kinds, whose eps-end quantities are unused
+    eps = np.array([specs[i].eps if specs[i].truncated else 1.0 for i in rows])
+    w = nu * np.array([zs[i] for i in rows])
     we = w * eps
-    ib_we, kb_we = bracket_pair(nu, we, s * alpha)
-    if kb_we >= 0 or kb_w >= 0:
-        raise DomainError("K-bracket sign violated; parameters outside the valid range")
-    r_s = (kb_w / ib_w) * (ib_we / kb_we) * math.exp(-2.0 * w * (1.0 - eps))
-    if r_s >= 1.0:
-        raise DomainError("bracket ratio >= 1; eps too large for this regime")
-    # prefactor 2 nu, not 2 nu sqrt(eps): the ratio must tend to 1 as z -> 0,
-    # which pins the normalization (the sqrt(eps) belongs to absolute
-    # determinants such as harmonic_det, not to ratios)
-    log_ratio = (
-        w
-        + math.log(ib_w)
-        - we
-        + math.log(-kb_we)
-        + math.log(2.0 * nu)
-        + math.log1p(-r_s)
-        - math.log(nu * nu - alpha * alpha)
-        - (nu * math.log(1.0 / eps) + math.log1p(-(eps ** (2.0 * nu))))
-    )
-    if log_ratio > 700.0:
-        raise OverflowError("truncated determinant ratio overflows binary64")
-    return math.exp(log_ratio)
+    (ib_w, ib_we), (kb_w, kb_we) = bracket_pairs(nu, [w, we], s * alpha)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_full = (
+            nu * math.log(2.0)
+            + np.array([math.lgamma(v) for v in nu.tolist()])
+            - nu * np.log(w)
+            + w
+            + np.log(ib_w)
+            - np.log(1.0 + s * alpha / nu)
+        )
+        r_s = (kb_w / ib_w) * (ib_we / kb_we) * np.exp(-2.0 * w * (1.0 - eps))
+        # prefactor 2 nu, not 2 nu sqrt(eps): the ratio must tend to 1 as z -> 0,
+        # which pins the normalization (the sqrt(eps) belongs to absolute
+        # determinants such as harmonic_det, not to ratios)
+        log_trunc = (
+            w
+            + np.log(ib_w)
+            - we
+            + np.log(-kb_we)
+            + np.log(2.0 * nu)
+            + np.log1p(-r_s)
+            - np.log(nu * nu - alpha * alpha)
+            - (nu * np.log(1.0 / eps) + np.log1p(-(eps ** (2.0 * nu))))
+        )
+    log_ratio = np.where(trunc, log_trunc, log_full)
+    checks = [  # in the order of precedence on one entry
+        (ib_w <= 0, DomainError, "I-bracket must be positive for nu > |alpha|"),
+        (trunc & ((kb_we >= 0) | (kb_w >= 0)), DomainError, "K-bracket sign violated; parameters outside the valid range"),
+        (trunc & (r_s >= 1.0), DomainError, "bracket ratio >= 1; eps too large for this regime"),
+        (~trunc & (log_ratio > 700.0), OverflowError, "full-cone determinant ratio overflows binary64"),
+        (trunc & (log_ratio > 700.0), OverflowError, "truncated determinant ratio overflows binary64"),
+    ]
+    first = first_failure(checks)
+    if first:
+        j, err, message = first
+        raise entry_error(rows[j], err, message)
+    out[rows] = np.exp(log_ratio)
+    return out
+
+
+def model_det_ratio(spec: ModelOperatorSpec, z: float) -> float:
+    """Closed-form determinant ratio det(L + nu^2 z^2)/det(L): the one-element
+    case of :func:`model_det_ratios`."""
+    return float(model_det_ratios([spec], [z])[0])
 
 
 # The Gelfand-Yaglom propagator: every step is about _RHO0 of its distance
@@ -644,12 +670,11 @@ def t_eta_lambda(
     z = math.sqrt(-lam)
     w = nu * z
     we = w * eps
-    ib_p, kb_p = bracket_pair(nu, we, +alpha)
-    ib_m, kb_m = bracket_pair(nu, we, -alpha)
+    ib, kb = bracket_pairs(nu, [we, we, w, w], [alpha, -alpha, alpha, -alpha])
+    ib_p, ib_m, ibw_p, ibw_m = ib.tolist()
+    kb_p, kb_m, kbw_p, kbw_m = kb.tolist()
     if kb_p >= 0 or kb_m >= 0:
         raise DomainError("positive K-bracket at x = eps: eps too large for this lambda")
-    ibw_p, kbw_p = bracket_pair(nu, w, +alpha)
-    ibw_m, kbw_m = bracket_pair(nu, w, -alpha)
     if ibw_p <= 0 or ibw_m <= 0 or ib_p <= 0 or ib_m <= 0:
         raise DomainError("nonpositive I-bracket: outside the valid parameter range")
     decay = math.exp(-2.0 * w * (1.0 - eps))

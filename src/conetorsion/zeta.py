@@ -70,6 +70,11 @@ _T0_VOLUME = 0.0775
 # e^{-700} ~ 1e-304: lattice-remainder terms smaller than this cannot change a
 # binary64 B, and skipping them keeps the exponentials out of the subnormal range
 _REMAINDER_CUT = 700.0
+# the starting breaks of a remainder quadrature begin where the first primal
+# shell's term e^{-|p|^2/(4t)} reaches e^{-(_REMAINDER_CUT + _SHELL_MARGIN)}
+# and grow by _BREAK_RATIO
+_SHELL_MARGIN = 50.0
+_BREAK_RATIO = 4.0
 # (node x level) entries one block of the batched lattice remainder may hold:
 # 2 MiB of float64 temporaries whatever the primal window
 _BLOCK_SIZE = 1 << 18
@@ -189,6 +194,26 @@ def quad_gk21(
     return total, err
 
 
+def remainder_breaks(p_sq: np.ndarray, upper: float) -> list[float]:
+    """Starting breaks [0, lo, 4 lo, 16 lo, ..., upper] of a quadrature over
+    (0, upper] of a lattice remainder whose primal form sums
+    e^{-|p|^2/(4t)} over the sorted squared norms ``p_sq``.
+
+    lo = |p_min|^2 / (4 (_REMAINDER_CUT + _SHELL_MARGIN)) is where the first
+    shell's term reaches e^-750, so the remainder vanishes to binary64 on
+    [0, lo] and the geometric panels above it follow its growth; with no
+    primal point (or lo >= upper) the single panel [0, upper].
+    """
+    breaks = [0.0]
+    if p_sq.size:
+        b = float(p_sq[0]) / (4.0 * (_REMAINDER_CUT + _SHELL_MARGIN))
+        while b < upper:
+            breaks.append(b)
+            b *= _BREAK_RATIO
+    breaks.append(float(upper))
+    return breaks
+
+
 def default_order(n: int) -> int:
     """Default K-series subtraction order for dimension n."""
     return n + 10
@@ -278,7 +303,8 @@ class MellinSplit:
 
     B, the lattice remainder on (0, t0], comes from one globally adaptive
     Gauss-Kronrod-21 vector quadrature (absolute tolerance 1e-13, relative
-    1e-12 in the max norm) that yields every sigma of the fixed grid
+    1e-12 in the max norm), started from the panels of ``remainder_breaks``,
+    that yields every sigma of the fixed grid
     {0, 1/2, ..., default_order(n)/2} at once; each refinement round
     evaluates the remainder at the nodes of all its new panels in one
     vectorised pass, and a sigma off the grid is a one-element quadrature of
@@ -412,7 +438,8 @@ class MellinSplit:
 
     def _b_quad(self, sigmas: np.ndarray) -> tuple[np.ndarray, float]:
         """B at every entry of ``sigmas`` from one ``quad_gk21`` vector
-        quadrature of t^(sigma-1) R(t) over (0, t0] (tolerances _QUAD_OPTS)."""
+        quadrature of t^(sigma-1) R(t) over (0, t0] (tolerances _QUAD_OPTS),
+        started from the panels of ``remainder_breaks``."""
         powers = sigmas - 1.0
 
         def integrand(t: np.ndarray) -> np.ndarray:
@@ -420,7 +447,7 @@ class MellinSplit:
 
         return quad_gk21(
             integrand,
-            [0.0, self.t0],
+            remainder_breaks(self._p_sq, self.t0),
             label=lambda: f"B quadrature on (0, {self.t0}] for sigma in {sigmas.tolist()}",
             **_QUAD_OPTS,
         )

@@ -6,14 +6,19 @@ sum per node and scipy ``quad`` for the subordination integral: the nested
 form that the production ``_b1_value`` swaps and vectorises.  The full-cone
 Gelfand-Yaglom shooting oracle checks ``model_det_ratio`` on the full cone.
 The Ray-Singer quotient of the product metric checks the torsion assembly.
+The scalar loops that the batched verify layers replaced are kept here as
+references for them: the per-point scipy Bessel quadruple, the per-entry
+closed-form determinant ratio, the per-draw Wronskian sampling and the
+Fraction-by-Fraction polynomial sum.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from conetorsion.errors import DomainError
 from conetorsion.firstorder import _HORIZON, _QUAD
@@ -99,3 +104,60 @@ def gy_full_cone_oracle(spec, z: float, x_start: float = 0.3, terms: int = 60) -
 def rs_norm_product_metric(cs, params=None) -> float:
     """Log Ray-Singer quotient for the product-near-boundary metric: Top + Tors."""
     return top_term(cs) + tors_term(cs, params).value
+
+
+def modified_bessel_reference(nu: float, x: float, scaled: bool = False) -> tuple[float, float, float, float]:
+    """(I, I', K, K') at one point from six one-element scipy calls."""
+    iv, kv = (special.ive, special.kve) if scaled else (special.iv, special.kv)
+    i0 = float(iv(nu, x))
+    k0 = float(kv(nu, x))
+    ip = 0.5 * (float(iv(nu - 1.0, x)) + float(iv(nu + 1.0, x)))
+    kp = -0.5 * (float(kv(nu - 1.0, x)) + float(kv(nu + 1.0, x)))
+    return i0, ip, k0, kp
+
+
+def _bracket_pair_reference(nu: float, w: float, a: float) -> tuple[float, float]:
+    i0, ip, k0, kp = modified_bessel_reference(nu, w, scaled=True)
+    return w * ip + a * i0, w * kp + a * k0
+
+
+def model_det_ratio_reference(spec, z: float) -> float:
+    """The closed-form determinant ratio of one (spec, z), in math-module
+    log space, for 0 < z and nu > |alpha|."""
+    nu, alpha, s = spec.nu, spec.alpha, spec.bracket_sign
+    w = nu * z
+    ib_w, kb_w = _bracket_pair_reference(nu, w, s * alpha)
+    if not spec.truncated:
+        return math.exp(
+            nu * math.log(2.0)
+            + math.lgamma(nu)
+            - nu * math.log(w)
+            + w
+            + math.log(ib_w)
+            - math.log(1.0 + s * alpha / nu)
+        )
+    eps = spec.eps
+    we = w * eps
+    ib_we, kb_we = _bracket_pair_reference(nu, we, s * alpha)
+    r_s = (kb_w / ib_w) * (ib_we / kb_we) * math.exp(-2.0 * w * (1.0 - eps))
+    return math.exp(
+        w
+        + math.log(ib_w)
+        - we
+        + math.log(-kb_we)
+        + math.log(2.0 * nu)
+        + math.log1p(-r_s)
+        - math.log(nu * nu - alpha * alpha)
+        - (nu * math.log(1.0 / eps) + math.log1p(-(eps ** (2.0 * nu))))
+    )
+
+
+def wronskian_draws_reference() -> list[tuple[float, float]]:
+    """The (nu, x) pairs of the verify wronskian check, one uniform per call."""
+    rng = np.random.default_rng(20240901)
+    return [(rng.uniform(0.0, 50.0), rng.uniform(0.1, 50.0)) for _ in range(100)]
+
+
+def eval_poly_reference(p: dict, x):
+    """sum_e c_e x^e as a sum of Fraction products, in order of the exponent."""
+    return sum((c * x**e for e, c in sorted(p.items())), start=x * 0)

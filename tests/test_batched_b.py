@@ -1,7 +1,8 @@
 """The batched B quadrature: the vectorised lattice remainder against the
 scalar one node by node, independence of its block size, its memory on the
-skinny torus, and its node count against scipy's ``quad_vec`` running the
-scalar remainder, the quadrature it replaced."""
+skinny torus, its node count against scipy's ``quad_vec`` running the
+scalar remainder, the quadrature it replaced, and its starting breaks,
+from which every benchmark B converges in two rounds."""
 
 from __future__ import annotations
 
@@ -114,3 +115,26 @@ def test_node_count_matches_quad_vec(name):
         got, _ = ms._b_quad(sigmas)
         assert batched_nodes <= 1.1 * scalar_nodes, (batched_nodes, scalar_nodes)
         assert np.all(np.abs(got - ref) <= 1e-13 + 1e-12 * np.abs(ref))
+
+
+def test_remainder_breaks():
+    """Geometric breaks by 4 from where the first shell's term reaches
+    e^-750, and the single panel without a primal point below ``upper``."""
+    breaks = zeta.remainder_breaks(np.array([3.0, 5.0]), 0.1)
+    lo = 3.0 / (4.0 * 750.0)
+    assert breaks == [0.0, lo, 4 * lo, 16 * lo, 64 * lo, 0.1]
+    assert zeta.remainder_breaks(np.array([]), 0.1) == [0.0, 0.1]
+    assert zeta.remainder_breaks(np.array([400.0]), 0.1) == [0.0, 0.1]
+
+
+@pytest.mark.parametrize("name", list(BENCH))
+def test_planned_b_takes_two_rounds(name, monkeypatch):
+    """Started from its breaks, each B of the benchmark geometries at the
+    planned t0 converges in the starting round and one bisection round."""
+    rounds = []
+    panels = zeta._gk21_panels
+    monkeypatch.setattr(zeta, "_gk21_panels", lambda *a: rounds.append(1) or panels(*a))
+    for ms in _splits(BENCH[name], zeta.plan_t0(_torus(BENCH[name]))):
+        rounds.clear()
+        ms.b_value(0.0)
+        assert len(rounds) <= 2, (ms.kappa, ms.a2, len(rounds))

@@ -11,6 +11,7 @@ import pytest
 
 from conetorsion import bessel
 from conetorsion.errors import DomainError
+from reference_oracles import modified_bessel_reference
 
 
 def test_half_integer_closed_forms():
@@ -145,3 +146,74 @@ def test_error_paths():
         bessel.uniform_expansion("J", 50.0, 1.0, 3)
     with pytest.raises(DomainError):
         bessel.uniform_expansion("I", 10.0, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "args, n_terms, pinned",
+    [
+        (("K", 50.0, 1.0), 1, (4.0072310678393757e-13, 2.436071284145099e-16)),
+        (("K", 50.0, 1.0), 12, (4.006013476640052e-13, 3.3479065487312945e-32)),
+        (("Iprime", 30.0, 0.4), 1, (7.0369778669396555e-09, 5.427697922450796e-11)),
+        (("Iprime", 30.0, 0.4), 12, (7.0102923288785065e-09, 1.8301729657235088e-25)),
+    ],
+)
+def test_uniform_expansion_term_count(args, n_terms, pinned):
+    """n_terms counts the leading 1: at 1 the value is the bare prefactor and
+    the estimate is built from orders 1 and 2; at 12 it sums orders up to 11
+    and the estimate counts order 12 twice."""
+    from conetorsion.olver import eval_uv
+
+    kind, nu, z = args
+    val, est = bessel.uniform_expansion(kind, nu, z, n_terms)
+    assert (val, est) == pytest.approx(pinned, rel=1e-14)
+    pref, _ = bessel.uniform_expansion(kind, nu, z, 1)
+    t = 1.0 / math.sqrt(1.0 + z * z)
+    pick = 0 if kind == "K" else 1
+    orders = (1, 2) if n_terms == 1 else (12, 12)
+    omitted = sum(abs(eval_uv(r, t)[pick]) / nu**r for r in orders)
+    assert est == pytest.approx(2.0 * abs(pref) * omitted, rel=1e-14)
+
+
+def test_batched_quadruples_match_the_scalar_calls_bit_for_bit():
+    """One array call per scipy function and order gives, entry by entry,
+    the bits of six one-element calls; the scalar form is its one-element
+    case."""
+    nu = np.array([0.0, 0.3, 0.5, 3.7, 12.5, 45.0])
+    x = np.array([0.7, 2.1, 11.0, 30.0, 600.0])
+    for scaled in (False, True):
+        q = bessel.modified_bessels(nu[:, None], x[None, :], scaled=scaled)
+        assert q.i_val.shape == (6, 5) and q.scaled == scaled
+        for i, n in enumerate(nu.tolist()):
+            for j, y in enumerate(x.tolist()):
+                got = (q.i_val[i, j], q.i_prime[i, j], q.k_val[i, j], q.k_prime[i, j])
+                ref = modified_bessel_reference(n, y, scaled)
+                assert tuple(map(float, got)) == ref
+                single = bessel.modified_bessel(n, y, scaled)
+                assert (single.i_val, single.i_prime, single.k_val, single.k_prime) == ref
+
+
+def test_batched_errors_name_the_first_failing_entry():
+    """Each entry runs the scalar checks in the scalar order; the first
+    failing entry raises its first failing check, naming the entry."""
+    for (nu, x), message in [
+        ((float("nan"), 1.0), "NaN input to modified_bessel"),
+        ((-1.0, 1.0), "order must be >= 0"),
+        ((2e4, 1.0), "order 20000.0 exceeds 1e+04; use uniform_expansion instead"),
+        ((1.0, 0.0), "argument must be > 0"),
+    ]:
+        with pytest.raises(DomainError) as err:
+            bessel.modified_bessel(nu, x)
+        assert str(err.value) == message
+    with pytest.raises(OverflowError) as err:
+        bessel.modified_bessels([1.0, 2.0, -1.0], [1.0, 800.0, 1.0])
+    assert str(err.value) == (
+        "x=800.0 overflows unscaled K/I in binary64; request scaled values (entry 1: nu=2.0, x=800.0)"
+    )
+    with pytest.raises(DomainError) as err:
+        bessel.modified_bessels([1.0, -1.0, 2.0], [1.0, -1.0, 800.0])
+    assert str(err.value) == "order must be >= 0 (entry 1: nu=-1.0, x=-1.0)"
+    with pytest.raises(OverflowError) as err:
+        bessel.modified_bessels([1.0, 300.0], [1.0, 0.01])
+    assert str(err.value) == "modified_bessel overflowed at nu=300.0, x=0.01"
+    ib, kb = bessel.bracket_pairs([1.0, 2.0], [1.0, 5.0], 0.5)
+    assert (float(ib[1]), float(kb[1])) == bessel.bracket_pair(2.0, 5.0, 0.5)

@@ -569,6 +569,40 @@ def test_verify_shares_one_gy_solve_and_one_first_order_oracle_per_sign(
     assert (calls["ode"], calls["oracle"]) == (solves, oracles)
 
 
+def _count_verify_calls(monkeypatch, capsys) -> tuple[int, int]:
+    """(scipy iv/kv/ive/kve calls, first-order B quadratures) of one verify run."""
+    from scipy import special
+
+    calls = {"bessel": 0, "b1": 0}
+
+    def counting(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    with monkeypatch.context() as m:
+        for name in ("iv", "kv", "ive", "kve"):
+            m.setattr(special, name, counting("bessel", getattr(special, name)))
+        m.setattr(firstorder, "quad_gk21", counting("b1", firstorder.quad_gk21))
+        assert cli.main(["verify"]) == 0
+    capsys.readouterr()
+    return calls["bessel"], calls["b1"]
+
+
+def test_verify_makes_a_fixed_number_of_bessel_calls_and_one_b1_quadrature(monkeypatch, capsys):
+    """Every Bessel evaluation of verify is an array call, one per scipy
+    function and order: 6 each for the Wronskian draws, the uniform-expansion
+    references and the det-ratio grid, and 6 for each of the 6
+    regularization points.  The count does not grow with the det-ratio grid.
+    Both signs of the first-order oracle share one B quadrature."""
+    assert _count_verify_calls(monkeypatch, capsys) == (54, 1)
+    grid = cli._det_grid_entries()
+    monkeypatch.setattr(cli, "_det_grid_entries", lambda: grid + [(spec, 1.5 * z) for spec, z in grid])
+    assert _count_verify_calls(monkeypatch, capsys) == (54, 1)
+
+
 @pytest.mark.parametrize("doc", [UNIT_T2, UNIT_T4], ids=["t2", "t4"])
 def test_torsion_provenance_records_the_subtraction_order(tmp_path, doc):
     out = tmp_path / "report.json"

@@ -1,5 +1,6 @@
 """Exact-rational polynomial layer: recursion values, log-expansion tables,
-and the closed identities they must satisfy."""
+the closed identities they must satisfy, and the evaluators (integer sums
+over a common denominator, the float view) against plain Fraction sums."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from conetorsion import olver
+from reference_oracles import eval_poly_reference
 
 
 def test_recursion_base():
@@ -186,3 +188,59 @@ def test_order_cap():
         olver.olver_pair(13)
     with pytest.raises(ValueError):
         olver.d_poly(0)
+
+
+def test_public_tables_are_copies():
+    """Mutating a returned table leaves the cached one, and every later
+    call, unchanged."""
+    before = (olver.olver_pair(3), olver.d_poly(3), olver.m_poly(3), olver.z_table(3))
+    u, v = olver.olver_pair(3)
+    u[1] = F(99)
+    v.clear()
+    olver.d_poly(3)[5] = F(7)
+    olver.m_poly(3)[3][0] = F(7)
+    olver.z_table(3)[0][0] = F(7)
+    after = (olver.olver_pair(3), olver.d_poly(3), olver.m_poly(3), olver.z_table(3))
+    assert after == before
+    assert olver.m_poly_eval(3, F(1), F(1, 2)) == reference_eval_m(3, F(1), F(1, 2))
+
+
+def reference_eval_m(r, t, a):
+    return sum(
+        (eval_poly_reference(ap, a) * t**e for e, ap in sorted(olver.m_poly(r).items())), start=t * 0
+    )
+
+
+SHIFTS = [F(1, 2), F(-1, 2), F(3, 2), F(-3, 2), F(5, 2), F(-5, 2), F(7, 3), F(0.1)]
+
+
+@pytest.mark.parametrize("r", range(0, olver.DEFAULT_MAX_ORDER + 1))
+def test_exact_evaluation_matches_the_fraction_sums(r):
+    """The common-denominator integer sums equal the Fraction-by-Fraction
+    sums on every table of order r and every shift."""
+    tables = list(olver.olver_pair(r))
+    if r >= 1:
+        tables.append(olver.d_poly(r))
+        tables += olver.z_table(r).values()
+    for a in SHIFTS:
+        for p in tables:
+            assert olver.eval_t_poly(p, a) == eval_poly_reference(p, a)
+            assert olver.eval_a_poly(p, a) == eval_poly_reference(p, a)
+        if r >= 1:
+            table = olver.z_table(r)
+            assert olver.z_diff_by_b(r, a) == {
+                b: eval_poly_reference(table[b], -a) - eval_poly_reference(table[b], a) for b in sorted(table)
+            }
+            for t in (F(1), F(2, 3), a):
+                assert olver.m_poly_eval(r, t, a) == reference_eval_m(r, t, a)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_float_evaluation_matches_the_exact_tables_bit_for_bit(r):
+    """The float view of the tables sums the same terms in the same order as
+    the generic sums over the exact tables."""
+    for t in (0.15, 0.5, 1.0 / math.sqrt(2.0), 1.0):
+        u, v = olver.olver_pair(r)
+        assert olver.eval_uv(r, t) == (olver.eval_t_poly(u, t), olver.eval_t_poly(v, t))
+        for a in (0.5, -1.5, 2.25):
+            assert olver.m_poly_eval(r, t, a) == reference_eval_m(r, t, a)

@@ -9,7 +9,9 @@ the swapped integral must match the nested t/u form it replaces, with the
 remainder evaluated in a few vectorised calls that match the scalar
 reference sum.  The
 first-order F is a sum of exponential integrals; it must match the per-level
-quadrature it replaces.
+quadrature it replaces.  Both signs' B1 come from one quadrature.  The
+closed-form determinant ratios and the Wronskian draws of ``verify`` run in
+batches that must match the per-entry and per-draw forms they replace.
 """
 
 from __future__ import annotations
@@ -22,12 +24,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from conetorsion import cli, firstorder, zeta
+from conetorsion import bessel, cli, firstorder, zeta
 from conetorsion import torsion as T
 from conetorsion.crosssection import build_cross_section, coclosed_spectrum
 from conetorsion.errors import DomainError, ODEIntegrationError
 from conetorsion.firstorder import _HORIZON, _window_integral, first_order_shifted
-from reference_oracles import remainder_theta, second_order_remainder
+from reference_oracles import (
+    model_det_ratio_reference,
+    remainder_theta,
+    second_order_remainder,
+    wronskian_draws_reference,
+)
 
 
 def _det_grid():
@@ -290,3 +297,90 @@ def test_quadrature_warns_when_the_panel_limit_is_hit(monkeypatch, route):
         run = functools.partial(zeta.MellinSplit(sl).b_value, 0.0)
     with pytest.warns(integrate.IntegrationWarning, match="did not converge: error estimate"):
         run()
+
+
+def test_more_starting_panels_than_the_limit_still_warn():
+    """A quadrature that starts with more panels than ``limit`` never
+    refines, so it warns even when its integrand is smooth."""
+    with pytest.warns(integrate.IntegrationWarning, match="did not converge: error estimate"):
+        zeta.quad_gk21(
+            lambda t: np.exp(-t)[:, None], np.linspace(0.0, 1.0, 7), epsabs=1e-13, epsrel=1e-12, limit=3,
+            label=lambda: "six panels",
+        )
+
+
+@pytest.mark.parametrize("geometry", list(_GEOMETRIES))
+def test_both_signs_share_one_b1_quadrature(geometry, monkeypatch):
+    """The pair's B1 values, from one two-component quadrature over one
+    remainder, agree with the single-sign oracles within the quadrature
+    tolerance; both oracles enumerate the same geometry."""
+    basis = _GEOMETRIES[geometry]
+    cs = build_cross_section({"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis})
+    sl = coclosed_spectrum(cs, 0, 400.0)
+    single = {sign: first_order_shifted(sl, sign)._b1_value() for sign in (+1, -1)}
+    calls = []
+    quad = firstorder.quad_gk21
+    monkeypatch.setattr(firstorder, "quad_gk21", lambda *a, **k: calls.append(1) or quad(*a, **k))
+    pair = firstorder.first_order_oracles(sl)
+    assert np.array_equal(pair[+1]._eta, pair[-1]._eta)
+    for sign in (-1, +1):
+        assert abs(pair[sign]._b1_value() - single[sign]) <= 1e-13
+    assert len(calls) == 1
+
+
+def test_wronskian_draws_match_the_per_draw_sampling():
+    """One batch of 200 uniforms gives the bits of the 200 alternating
+    ``uniform`` calls, and the batched residuals those of the scalar ones."""
+    nu, x = cli._wronskian_draws()
+    draws = wronskian_draws_reference()
+    assert list(zip(nu.tolist(), x.tolist())) == draws
+    assert cli._check_wronskian() == max(bessel.wronskian_residual(n, y) for n, y in draws)
+
+
+def _closed_form_grid():
+    """The verify grid, both full kinds, and the stress grid of
+    ``test_gy_matches_the_closed_form_on_the_stress_grid`` with a z = 0 entry."""
+    specs, zs = _det_grid()
+    for kind in ("psi_full", "phi_full"):
+        for nu in (1.0, 3.5, 12.0):
+            for z in (0.3, 1.3, 6.0):
+                specs.append(T.ModelOperatorSpec(kind, nu, 0.5))
+                zs.append(z)
+    for kind in ("psi_truncated", "phi_truncated"):
+        for nu in (0.6, 20.0):
+            for z in (0.0, 8.0, 20.0):
+                for eps in (0.05, 0.9):
+                    specs.append(T.ModelOperatorSpec(kind, nu, 0.5, eps))
+                    zs.append(z)
+    return specs, zs
+
+
+def test_batched_closed_form_matches_the_per_entry_form():
+    specs, zs = _closed_form_grid()
+    got = T.model_det_ratios(specs, zs)
+    for value, spec, z in zip(got.tolist(), specs, zs):
+        ref = 1.0 if z == 0.0 else model_det_ratio_reference(spec, z)
+        assert abs(value - ref) <= 1e-15 * ref
+        assert abs(T.model_det_ratio(spec, z) - ref) <= 1e-15 * ref
+    assert T.model_det_ratios([], []).shape == (0,)
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ((T.ModelOperatorSpec("psi_truncated", 0.5, 0.5, 0.25), 1.0), DomainError),
+        ((T.ModelOperatorSpec("harmonic_H0", 1.5, 1.5, 0.1), 1.0), DomainError),
+        ((T.ModelOperatorSpec("phi_truncated", 2.0, 0.5, 0.25), -1.0), DomainError),
+        ((T.ModelOperatorSpec("psi_full", 1.0, 0.5), 1000.0), OverflowError),
+        ((T.ModelOperatorSpec("psi_truncated", 1.0, 0.5, 0.1), 2000.0), OverflowError),
+    ],
+    ids=["pole", "harmonic", "negative-z", "full-overflow", "truncated-overflow"],
+)
+def test_batched_closed_form_names_the_first_failing_entry(bad, error):
+    spec, z = bad
+    with pytest.raises(error) as scalar:
+        T.model_det_ratio(spec, z)
+    good = T.ModelOperatorSpec("psi_truncated", 1.0, 0.5, 0.25)
+    with pytest.raises(error) as batched:
+        T.model_det_ratios([good, spec, spec], [1.0, z, z])
+    assert str(batched.value) == f"{scalar.value} (entry 1: {spec}, z={z})"
