@@ -39,6 +39,9 @@ number, which is gamma + digamma(r) with the Euler constants cancelled
 exactly; the same identity gives digamma at the integer poles of the PP
 values.  Raising J accelerates the K series from O(nu^{-(n+1)}) to
 O(nu^{-(J+1)}) term decay, which is what makes desk-scale cutoffs sufficient.
+One evaluator, ``_k_direct``, sums K at J = n + 10, the order slice cutoffs
+are planned for: levels with |c|/nu > 1/2 by ``log1p`` minus the Taylor
+head, the rest by the Horner tail.  As nu > |c|, no shift is refused.
 """
 
 from __future__ import annotations
@@ -527,7 +530,7 @@ class MellinSplit:
         if s <= -1.0:
             raise DomainError("zeta values are supported for s > -1 only")
         if s == 0.0:
-            raise DomainError("use zeta0_and_prime0 at s = 0")
+            raise DomainError("use zeta0 and zeta_prime0 at s = 0")
         sigma = 0.5 * s
         a = self.a_value(sigma)
         b, _ = self.b_value(sigma)
@@ -587,11 +590,6 @@ def mellin_split(sl: SpectralSlice) -> MellinSplit:
 # ---------------------------------------------------------------------------
 
 
-def zeta_residues(sl: SpectralSlice) -> Dict[int, float]:
-    """Map r -> Res_{s=2r} zeta_{k,N}(s) for r = 1..n/2, from the heat model."""
-    return {r: mellin_split(sl).residue_s(2 * r) for r in range(1, sl.cross_section.dim_n // 2 + 1)}
-
-
 def zeta_mellin(sl: SpectralSlice, s: float, pp: bool = False) -> float:
     """Evaluate zeta_{k,N}(s); at an even-integer pole return the PP value
     when ``pp`` is set, otherwise raise :class:`ZetaPoleError`."""
@@ -606,11 +604,6 @@ def zeta_mellin(sl: SpectralSlice, s: float, pp: bool = False) -> float:
     return ms.value(s)
 
 
-def zeta0_and_prime0(sl: SpectralSlice) -> tuple[float, float]:
-    ms = mellin_split(sl)
-    return ms.zeta0(), ms.zeta_prime0()[0]
-
-
 def _k_tail_bound(tail: WeylTail, c: float, nu_max: float, order: int) -> float:
     """Weyl-density bound on the dropped K-series tail beyond nu_max."""
     n = tail.n
@@ -623,31 +616,41 @@ def _k_tail_bound(tail: WeylTail, c: float, nu_max: float, order: int) -> float:
 
 
 def _k_direct(sl: SpectralSlice, c: float, order: int) -> tuple[float, float]:
-    """Direct evaluation of the order-``order`` K series over the slice levels.
+    """K(0, c) at subtraction order J = ``order`` over the slice levels, and
+    the Weyl bound on the levels beyond the cutoff.
 
-    The generic term -log(1+x) - sum_{r<=J}(-x)^r/r is summed as the explicit
-    tail sum_{r>J}(-x)^r/r, avoiding the catastrophic cancellation of the
-    log-minus-Taylor form.
+    Each level's term -log(1+x) - sum_{r<=J} (-x)^r / r, x = c/nu, is finite,
+    as nu > |c|.  A level with |x| > 1/2 takes this form as it stands
+    (``log1p`` minus the Taylor head by Horner), with an absolute rounding
+    error of a few ulps of log 2 however slowly its tail converges.  Every
+    other level sums its tail sum_{r>J} (-x)^r / r by Horner to e^-50 of the
+    first term (at most 73 terms), free of the cancellation between
+    ``log1p`` and the head.
     """
     if c == 0.0:
         return 0.0, 0.0
     nu = sl.nu()
     if nu.size == 0:
         return 0.0, math.inf
-    x = c / nu
-    xmax = float(np.max(np.abs(x)))
-    if xmax >= 0.95:
-        raise DomainError(f"|c|/nu too close to 1 (max {xmax:.3f}); K series unreliable")
-    extra = min(400, max(8, int(math.ceil(-_EXP_FLOOR / math.log(max(xmax, 1e-12))))))
-    # sum_{r=J+1}^{J+extra} (-x)^r / r = (-x)^(J+1) sum_j (-x)^j / (J+1+j), by Horner
-    y = -x
-    acc = np.zeros_like(x)
+    y = -c / nu
+    near = np.abs(y) > 0.5
+    terms = np.empty_like(y)
+    # near: -log1p(x) - y sum_{r<=J} y^(r-1) / r
+    yn = y[near]
+    acc = np.zeros_like(yn)
+    for r in range(order, 0, -1):
+        acc = acc * yn + 1.0 / r
+    terms[near] = -np.log1p(-yn) - acc * yn
+    # far: sum_{r=J+1}^{J+extra} y^r / r = y^(J+1) sum_j y^j / (J+1+j)
+    yf = y[~near]
+    xmax = float(np.abs(yf).max(initial=0.0))
+    extra = max(8, int(math.ceil(-_EXP_FLOOR / math.log(max(xmax, 1e-12)))))
+    acc = np.zeros_like(yf)
     for r in range(order + extra, order, -1):
-        acc = acc * y + 1.0 / r
-    terms = acc * y ** (order + 1) * sl.mult
-    value = math.fsum(terms.tolist())
-    bound = _k_tail_bound(sl.tail, c, float(nu[-1]), order)
-    return value, bound
+        acc = acc * yf + 1.0 / r
+    terms[~near] = acc * yf ** (order + 1)
+    value = math.fsum((terms * sl.mult).tolist())
+    return value, _k_tail_bound(sl.tail, c, float(nu[-1]), order)
 
 
 def k_series(
@@ -659,11 +662,11 @@ def k_series(
     """K(0, sign*alpha_k) at subtraction order n (the convergent correction
     series of the shifted-derivative decomposition).
 
-    Internally an accelerated order-J form is summed and the orders between
-    n and J are restored through Mellin values of zeta_{k,N}(r), so the
-    result meets ``tol`` at desk-scale cutoffs.  If even the accelerated tail
-    bound exceeds ``tol`` a :class:`CutoffInsufficientError` names the
-    required cutoff.
+    The series is summed directly at order J = ``order`` (default n + 10),
+    and the orders between n and J are restored through the Mellin values
+    PP zeta_{k,N}(r), so the result meets ``tol`` at desk-scale cutoffs.  If
+    the order-J tail bound exceeds ``tol`` a :class:`CutoffInsufficientError`
+    names the required cutoff.
     """
     n = sl.cross_section.dim_n
     c = sign * sl.alpha
@@ -672,7 +675,9 @@ def k_series(
     big = order if order is not None else default_order(n)
     if big < n:
         raise DomainError(f"subtraction order must be >= n = {n}")
-    val, bound = _k_at_order(sl, c, n, big)
+    val, bound = _k_direct(sl, c, big)
+    ms = mellin_split(sl)
+    val += math.fsum([(-c) ** r / r * ms.pp_s(r)[0] for r in range(n + 1, big + 1)])
     tol = tol if tol is not None else DEFAULT_TOLERANCE
     if bound > tol:
         nu_max = float(sl.nu()[-1]) if sl.eta.size else 1.0
@@ -682,18 +687,6 @@ def k_series(
             required_cutoff=needed_nu**2 - sl.alpha**2,
         )
     return val
-
-
-def _k_at_order(sl: SpectralSlice, c: float, order: int, direct: int) -> tuple[float, float]:
-    """K(0, c) at subtraction order ``order`` and the tail bound of its direct sum.
-
-    The series is summed directly at order ``direct`` >= ``order``, and the
-    orders in between are restored through the Mellin values PP zeta_{k,N}(r).
-    """
-    val, bound = _k_direct(sl, c, direct)
-    ms = mellin_split(sl)
-    corr = [(-c) ** r / r * ms.pp_s(r)[0] for r in range(order + 1, direct + 1)]
-    return val + math.fsum(corr), bound
 
 
 def shifted_zeta0(sl: SpectralSlice, sign: int) -> float:
@@ -709,9 +702,11 @@ def shifted_zeta_prime0(
 ) -> tuple[float, float]:
     """zeta'_{k,N}(0, sign*alpha) with an error estimate.
 
-    Uses the decomposition at subtraction order ``order`` (default n + 10);
-    the result is order-independent, which the test suite exploits as a
-    consistency check.
+    Sums the decomposition once at subtraction order J = ``order``: the K
+    series summed directly at order J plus the Mellin terms r <= J.  J
+    defaults to n + 10, the order the slice cutoff is planned for, and a
+    smaller J is a :class:`DomainError`; the result does not depend on J,
+    which the test suite checks.
     """
     n = sl.cross_section.dim_n
     c = sign * sl.alpha
@@ -720,9 +715,9 @@ def shifted_zeta_prime0(
     if c == 0.0:
         return zp, zp_err
     j = order if order is not None else default_order(n)
-    if j < n:
-        raise DomainError(f"subtraction order must be >= n = {n}")
-    kval, kbound = _k_at_order(sl, c, j, max(j, default_order(n)))
+    if j < default_order(n):
+        raise DomainError(f"subtraction order {j} is below J = {default_order(n)}, the cutoff's order")
+    kval, kbound = _k_direct(sl, c, j)
     terms = []
     errs = [zp_err, min(kbound, 1.0)]
     for r in range(1, j + 1):
@@ -751,7 +746,7 @@ def build_zeta_eval(sl: SpectralSlice) -> ZetaEval:
     """Assemble every continuation artifact of a slice."""
     n = sl.cross_section.dim_n
     ms = mellin_split(sl)
-    residues = zeta_residues(sl)
+    residues = {r: ms.residue_s(2 * r) for r in range(1, n // 2 + 1)}
     z0 = ms.zeta0()
     zp, zp_err = ms.zeta_prime0()
     pp = {}

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,6 +132,29 @@ def test_deterministic_reports(tmp_path):
     # same numerical payload across thread counts (threads is provenance)
     strip = lambda s: "\n".join(l for l in s.splitlines() if '"threads"' not in l)
     assert strip(outs[0]) == strip(outs[2])
+
+
+def test_skinny_torus_torsion_runs_deterministically(tmp_path):
+    """``conetorsion torsion`` on the skinny diag(100, 0.01) T^2, whose first
+    dual levels sit at |alpha| / nu = 0.99, exits 0 in two fresh processes
+    with reports equal byte for byte apart from ``wall_time_s``."""
+    doc = {**UNIT_T2, "cross_section": {**UNIT_T2["cross_section"], "lattice_basis": [[100, 0], [0, 0.01]]}}
+    cfg = _write_config(tmp_path, doc)
+    reports = []
+    for i in range(2):
+        out = tmp_path / f"skinny{i}.json"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from conetorsion.cli import main; sys.exit(main())",
+             "torsion", "--config", cfg, "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert run.returncode == 0, run.stderr
+        assert math.isfinite(json.loads(out.read_text())["result"]["log_torsion"])
+        reports.append(_strip_wall_time(out.read_text()))
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("command", ["torsion", "truncated", "anomaly", "scaling", "dump-zeta"])

@@ -1,18 +1,18 @@
 """Terms that cannot change a binary64 result are not evaluated, and each
-term is evaluated once per torsion run: the pruned lattice remainder and the
-Horner K series against the full forms they replace, and one Mellin split
-per slice in ``log_torsion_cone``."""
+term is evaluated once per torsion run: the pruned lattice remainder against
+the full sum it replaces, the K series against a 40-digit sum of its terms,
+and one Mellin split per slice in ``log_torsion_cone``."""
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conetorsion import zeta
 from conetorsion.crosssection import CrossSection, build_cross_section, coclosed_spectrum
-from conetorsion.errors import DomainError
 from conetorsion.torsion import NumericsParams, log_torsion_cone
 
 # the benchmark geometries and the skinny torus (lattice basis rows)
@@ -30,6 +30,11 @@ GEOMETRIES = {
         [[1.0, 0.37, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.2], [0.0, 0.0, 0.0, 1.0]]
     ),
     "t4-0.7I": 0.7 * np.eye(4),
+}
+# tori whose first levels sit close to the shift, |alpha| / nu up to 0.99
+NEAR_GEOMETRIES = {
+    "t2-64I": 64.0 * np.eye(2),
+    "t2-diag-100-0.01": np.diag([100.0, 0.01]),
 }
 
 
@@ -50,16 +55,21 @@ def _remainder_ref(ms: zeta.MellinSplit, t: float) -> float:
     return ms.kappa * ms.v_n * t ** (-ms.h) * math.exp(-ms.a2 * t) * s_p
 
 
-def _k_direct_ref(sl, c: float, order: int) -> tuple[float, float]:
-    """The order-J K series from the full levels x extra power table."""
-    nu = sl.nu()
-    x = c / nu
-    xmax = float(np.max(np.abs(x)))
-    extra = min(400, max(8, int(math.ceil(-zeta._EXP_FLOOR / math.log(max(xmax, 1e-12))))))
-    powers = np.power.outer(-x, np.arange(order + 1, order + 1 + extra))
-    series = powers / np.arange(order + 1, order + 1 + extra)
-    terms = series.sum(axis=1) * sl.mult
-    return math.fsum(terms.tolist()), zeta._k_tail_bound(sl.tail, c, float(nu[-1]), order)
+def _k_direct_ref(sl, c: float, order: int) -> float:
+    """The order-J K series sum m (-log1p(x) - sum_{r<=J} (-x)^r / r),
+    x = c / nu, over the slice levels, in 40-digit arithmetic."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        a2 = mpmath.mpf(sl.alpha) ** 2
+        inverse = [mpmath.mpf(1) / r for r in range(order, 0, -1)]
+        total = mpmath.mpf(0)
+        for eta, m in zip(sl.eta.tolist(), sl.mult.tolist()):
+            x = c / mpmath.sqrt(mpmath.mpf(eta) + a2)
+            head = mpmath.mpf(0)  # sum_{r<=J} (-x)^(r-1) / r by Horner
+            for inv in inverse:
+                head = head * -x + inv
+            total += m * (-mpmath.log1p(x) + x * head)
+        return float(total)
 
 
 @pytest.mark.parametrize("t0", [0.3, 1.0, 2.0])
@@ -91,26 +101,34 @@ def test_remainder_empty_window_and_nonpositive_t():
     assert full._remainder(-0.5) == 0.0
 
 
-@pytest.mark.parametrize("order_shift", [0, 6])
+@pytest.mark.parametrize("order_shift", [0, 6, 10])
 @pytest.mark.parametrize("sign", [+1, -1])
-@pytest.mark.parametrize("name", ["t2-unit", "t2-sheared", "t2-32I", "t4-sheared-x2"])
+@pytest.mark.parametrize("name", ["t2-unit", "t2-sheared", "t2-32I", "t4-sheared-x2", *NEAR_GEOMETRIES])
 def test_k_direct_matches_power_table(name, sign, order_shift):
-    cs = _torus(GEOMETRIES[name])
+    """``_k_direct`` against the 40-digit sum of the same series terms, at
+    orders n, n + 6 and the default J = n + 10."""
+    cs = _torus({**GEOMETRIES, **NEAR_GEOMETRIES}[name])
     order = cs.dim_n + order_shift
-    for k in range(cs.dim_n):
+    # slice n-1-k is slice k with the shift negated, which the other sign covers
+    for k in range(cs.dim_n // 2):
         sl = coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-10))
         c = sign * sl.alpha
         got, bound = zeta._k_direct(sl, c, order)
-        ref, ref_bound = _k_direct_ref(sl, c, order)
+        ref = _k_direct_ref(sl, c, order)
         assert abs(got - ref) <= 1e-14 * abs(ref), (k, got, ref)
-        assert bound == ref_bound
+        assert bound == zeta._k_tail_bound(sl.tail, c, float(sl.nu()[-1]), order)
 
 
-def test_k_direct_rejects_shift_close_to_levels():
+def test_k_direct_takes_shift_close_to_levels():
+    """Every K term is finite, since nu > |c| on every level: a shift with
+    |c| / nu_min ~ 0.99 is summed, not refused."""
     cs = _torus(GEOMETRIES["t2-32I"])
-    sl = coclosed_spectrum(cs, 0, 50.0).with_alpha(1.5)  # 1.5 / nu_min ~ 0.99
-    with pytest.raises(DomainError, match="too close to 1"):
-        zeta._k_direct(sl, sl.alpha, cs.dim_n)
+    sl = coclosed_spectrum(cs, 0, 50.0).with_alpha(1.5)
+    order = zeta.default_order(cs.dim_n)
+    for sign in (+1, -1):
+        got, _ = zeta._k_direct(sl, sign * sl.alpha, order)
+        ref = _k_direct_ref(sl, sign * sl.alpha, order)
+        assert abs(got - ref) <= 1e-14 * abs(ref), (sign, got, ref)
 
 
 @pytest.mark.parametrize("name", ["t2-unit", "t4-unit"])

@@ -195,6 +195,30 @@ def test_log_torsion_independent_of_t0(name, monkeypatch):
     assert abs(values[2.0] - values[1.0]) <= 1e-12
 
 
+# tori whose first dual levels sit close to the shift, |alpha| / nu up to 0.995
+NEAR_SHIFT_BASES = {
+    "64I-t2": 64.0 * np.eye(2),
+    "128I-t2": 128.0 * np.eye(2),
+    "skinny-100-t2": [[100.0, 0.0], [0.0, 0.01]],
+}
+
+
+@pytest.mark.parametrize("name", list(NEAR_SHIFT_BASES))
+def test_near_shift_tori_finish_independent_of_t0(name, monkeypatch):
+    """Every K term is finite however close the shift comes to the first
+    levels, so these tori finish at tolerance 1e-12, and log T moves by at
+    most the tolerance over t0 in {1, 1/2, 1/4} times the planned t0."""
+    plan = zeta.plan_t0
+    values = []
+    for scale in (1.0, 0.5, 0.25):
+        monkeypatch.setattr(zeta, "plan_t0", lambda cs, s=scale: s * plan(cs))
+        monkeypatch.setattr(T, "plan_t0", zeta.plan_t0)
+        report = log_torsion_cone(_torus(NEAR_SHIFT_BASES[name]), NumericsParams(tolerance=1e-12))
+        assert math.isfinite(report.log_t)
+        values.append(report.log_t)
+    assert max(values) - min(values) <= 1e-12, values
+
+
 # ---------------------------------------------------------------------------
 # Enumeration counts
 # ---------------------------------------------------------------------------

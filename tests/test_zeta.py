@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from conetorsion.crosssection import build_cross_section, coclosed_spectrum
-from conetorsion.errors import CutoffInsufficientError, ZetaPoleError
+from conetorsion.errors import CutoffInsufficientError, DomainError, ZetaPoleError
 from conetorsion.firstorder import first_order_shifted
 from conetorsion import zeta
 from reference_oracles import theta, theta_direct
 
 
 def test_residues_unit_t2(t2_slices):
-    res = zeta.zeta_residues(t2_slices[0])
+    res = zeta.build_zeta_eval(t2_slices[0]).residues
     assert set(res) == {1}
     assert res[1] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
     # residues at odd s vanish identically on even-dimensional N
@@ -35,7 +35,7 @@ def test_residue_volume_scaling():
         }
     )
     sl = coclosed_spectrum(big, 0, zeta.cutoff_for_tolerance(big, 0, 1e-10))
-    assert zeta.zeta_residues(sl)[1] == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert zeta.mellin_split(sl).residue_s(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
 
 
 def test_zeta_mellin_large_s_vs_direct(unit_t2):
@@ -83,7 +83,7 @@ def test_pole_behavior(t2_slices):
     pp = zeta.zeta_mellin(sl, 2.0, pp=True)
     assert math.isfinite(pp)
     # (s - 2) zeta(s) -> residue: two-sided evaluation at s = 2 +- 1e-4
-    res = zeta.zeta_residues(sl)[1]
+    res = zeta.mellin_split(sl).residue_s(2)
     h = 1e-4
     left = zeta.zeta_mellin(sl, 2.0 - h)
     right = zeta.zeta_mellin(sl, 2.0 + h)
@@ -94,7 +94,7 @@ def test_pole_behavior(t2_slices):
 def test_zeta0_values(t2_slices):
     z0_expected = -1.0 / (16.0 * math.pi) - 1.0
     for k in (0, 1):
-        z0, _ = zeta.zeta0_and_prime0(t2_slices[k])
+        z0 = zeta.mellin_split(t2_slices[k]).zeta0()
         # identical slices by duality: the same value in both degrees (the
         # harmonic subtraction is the per-point multiplicity, not b_k)
         assert z0 == pytest.approx(z0_expected, rel=1e-13)
@@ -104,7 +104,7 @@ def test_zeta_prime0_vs_finite_difference(t2_slices):
     """Richardson-extrapolated central differences of zeta_mellin at s = +-h
     reproduce zeta'(0) to <= 1e-7."""
     sl = t2_slices[0]
-    _, zp = zeta.zeta0_and_prime0(sl)
+    zp, _ = zeta.mellin_split(sl).zeta_prime0()
 
     def central(h):
         return (zeta.zeta_mellin(sl, h) - zeta.zeta_mellin(sl, -h)) / (2.0 * h)
@@ -120,11 +120,10 @@ def test_zeta_mellin_small_negative_s(t2_slices):
     """Just left of zero the continuation follows zeta(0) + zeta'(0) s, which
     is what legitimizes the central-difference oracle."""
     sl = t2_slices[0]
-    z0, zp = zeta.zeta0_and_prime0(sl)
+    ms = zeta.mellin_split(sl)
+    z0, (zp, _) = ms.zeta0(), ms.zeta_prime0()
     for s in (-1e-3, -1e-4):
         assert zeta.zeta_mellin(sl, s) == pytest.approx(z0 + zp * s, abs=5e-7)
-    from conetorsion.errors import DomainError
-
     with pytest.raises(DomainError):
         zeta.zeta_mellin(sl, -1.5)
 
@@ -162,28 +161,35 @@ def test_shifted_zeta0(t2_slices):
     assert zeta.shifted_zeta0(sl, -1) == pytest.approx(-1.0, abs=1e-12)
     # alpha = 0 reduces to zeta(0)
     sl0 = sl.with_alpha(0.0)
-    z0, _ = zeta.zeta0_and_prime0(sl0)
-    assert zeta.shifted_zeta0(sl0, +1) == z0
+    assert zeta.shifted_zeta0(sl0, +1) == zeta.mellin_split(sl0).zeta0()
     # sign difference vanishes on even-dimensional N (odd residues are zero)
     assert zeta.shifted_zeta0(sl, +1) - zeta.shifted_zeta0(sl, -1) == 0.0
 
 
-def test_shifted_prime0_order_independence(t2_slices):
-    sl = t2_slices[0]
-    for sign in (+1, -1):
-        v_n, _ = zeta.shifted_zeta_prime0(sl, sign, order=2)
-        v_n2, _ = zeta.shifted_zeta_prime0(sl, sign, order=4)
-        assert abs(v_n - v_n2) <= 1e-8
-        # genuinely different numerical routes: direct K at different orders
-        v8, _ = zeta.shifted_zeta_prime0(sl, sign, order=8)
-        v10, _ = zeta.shifted_zeta_prime0(sl, sign, order=10)
-        assert abs(v8 - v10) <= 1e-8
-        assert abs(v_n - v8) <= 1e-8
+def test_shifted_prime0_order_independence(unit_t2):
+    """The K series summed directly at orders J, J + 4 and J + 8, each with
+    the Mellin terms up to its own order, gives one zeta'(0, +-a) to 1e-12
+    on unit and 32 I T^2; an order below J, the order the cutoff is planned
+    for, is refused."""
+    big = build_cross_section(
+        {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[32, 0], [0, 32]]}
+    )
+    j = zeta.default_order(2)
+    for cs in (unit_t2, big):
+        sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-12))
+        for sign in (+1, -1):
+            v_j, _ = zeta.shifted_zeta_prime0(sl, sign)
+            assert zeta.shifted_zeta_prime0(sl, sign, order=j)[0] == v_j
+            for order in (j + 4, j + 8):
+                v, _ = zeta.shifted_zeta_prime0(sl, sign, order=order)
+                assert abs(v - v_j) <= 1e-12, (cs.volume, sign, order, v - v_j)
+    with pytest.raises(DomainError, match="below J"):
+        zeta.shifted_zeta_prime0(sl, +1, order=j - 1)
 
 
 def test_shifted_prime0_alpha_zero(t2_slices):
     sl0 = t2_slices[0].with_alpha(0.0)
-    z0, zp = zeta.zeta0_and_prime0(sl0)
+    zp, _ = zeta.mellin_split(sl0).zeta_prime0()
     v, _ = zeta.shifted_zeta_prime0(sl0, +1)
     assert v == zp
 
