@@ -6,7 +6,6 @@ from .crosssection import (  # noqa: E402,F401
     CrossSection,
     EigenLevel,
     SpectralSlice,
-    betti_numbers,
     brute_force_form_laplacian,
     build_cross_section,
     coclosed_spectrum,
@@ -24,7 +23,6 @@ __all__ = [
     "CrossSection",
     "EigenLevel",
     "SpectralSlice",
-    "betti_numbers",
     "brute_force_form_laplacian",
     "build_cross_section",
     "coclosed_spectrum",

@@ -168,13 +168,10 @@ def cmd_truncated(cfg: RunConfig) -> int:
     if cfg.epsilon is None:
         raise ConfigError("epsilon", "required for the truncated subcommand")
     started = time.time()
-    cs, params = cfg.cross_section, _params(cfg)
-    # one slice set serves both routes, so each slice and its Mellin engine
-    # is built once per job
-    slices = build_slices(cs, params)
+    cs = cfg.cross_section
+    cone = log_torsion_cone(cs, _params(cfg))
     value = log_torsion_truncated(cs, cfg.epsilon)
-    diff = torsion_difference(cs, cfg.epsilon, params, slices)
-    cone = log_torsion_cone(cs, params, slices)
+    diff = torsion_difference(cs, cfg.epsilon, cone.tors)
     doc = {
         "result": {
             "log_torsion_truncated": value,

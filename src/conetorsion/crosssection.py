@@ -294,12 +294,6 @@ def build_cross_section(config: dict) -> CrossSection:
     return CrossSection(dim_n=dim_n, lattice_basis=basis, bundle_rank=rank)
 
 
-def betti_numbers(cs: CrossSection) -> tuple[list[int], int]:
-    """All Betti numbers b_0..b_n of (N, E_N) and the Euler characteristic."""
-    betti = [cs.betti(k) for k in range(cs.dim_n + 1)]
-    return betti, sum((-1) ** k * b for k, b in enumerate(betti))
-
-
 # ---------------------------------------------------------------------------
 # Heat-trace model
 # ---------------------------------------------------------------------------

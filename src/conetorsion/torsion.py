@@ -18,7 +18,9 @@ difference between truncated and full cone, the one-dimensional model
 operator determinant ratios in Bessel form together with their
 Gelfand-Yaglom ODE oracle, the regularized t/p surface used to validate the
 large-order and large-argument asymptotic regimes, and the scaling study of
-the torsion-like invariant.
+the torsion-like invariant.  Tors is summed only in :func:`tors_term`: the
+difference formula takes it as its fifth line, and each scaling row is
+:func:`tors_term` on rescaled slices.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from . import __version__
 from .bessel import bracket_pairs
 from .crosssection import CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
 from .errors import DomainError, ODEIntegrationError, first_failure
@@ -43,18 +44,13 @@ from .zeta import (
     default_order,
     plan_t0,
     primal_window,
-    shifted_zeta0,
     shifted_zeta_prime0,
 )
 
 
 @dataclass
 class NumericsParams:
-    """Runtime knobs shared by the assembly operations.
-
-    Evaluation is single-threaded, so there is no worker count here; the
-    schema-1 ``threads`` setting is only echoed in the CLI provenance.
-    """
+    """Runtime knobs shared by the assembly operations."""
 
     cutoff: Optional[float] = None
     tolerance: Optional[float] = None
@@ -116,9 +112,7 @@ def _residue_even_s(cs: CrossSection, k: int, r: int) -> float:
     h = n // 2
     if r < 1 or r > h:
         return 0.0
-    heat = theta_heat_coeffs(cs, k)
-    a2 = heat.alpha * heat.alpha
-    return 2.0 * heat.kappa * heat.v_n * (-a2) ** (h - r) / math.factorial(h - r) / math.gamma(r)
+    return 2.0 * theta_heat_coeffs(cs, k).coefficient(h - r) / math.gamma(r)
 
 
 @functools.cache
@@ -184,11 +178,14 @@ def tors_term(
 ) -> TorsResult:
     """Torsion-like invariant Tors(N, E_N; g^N).
 
-    ``value`` sums (1/2) (-1)^k (zeta'_k(0, a_k) - zeta'_k(0, -a_k)) over
-    k < n/2.  The residual compares it with (1/2) sum_{k<n} (-1)^k
+    The only code that sums Tors: :func:`torsion_difference` takes its value,
+    and :func:`tors_scaling_profile` calls it on rescaled slices.  ``value``
+    sums (1/2) (-1)^k (zeta'_k(0, a_k) - zeta'_k(0, -a_k)) over k < n/2.
+    The residual compares it with (1/2) sum_{k<n} (-1)^k
     zeta'_k(0, a_k), whose upper half is read off the same minus values
     (:func:`dual_slice`), so it sums one set of values two ways.
-    ``slices`` (from :func:`build_slices`) are built when omitted.
+    ``slices`` (from :func:`build_slices`, or those with shifts alpha_k / mu)
+    are built when omitted.
     """
     params = params or NumericsParams()
     n = cs.dim_n
@@ -216,18 +213,12 @@ class TorsionReport:
     provenance: Dict[str, object] = field(default_factory=dict)
 
 
-def log_torsion_cone(
-    cs: CrossSection,
-    params: Optional[NumericsParams] = None,
-    slices: Optional[Dict[int, SpectralSlice]] = None,
-) -> TorsionReport:
-    """log T(C(N)) = Top + Tors + Res, with Res = -anomaly/2.
-
-    ``slices`` as in :func:`tors_term`."""
+def log_torsion_cone(cs: CrossSection, params: Optional[NumericsParams] = None) -> TorsionReport:
+    """log T(C(N)) = Top + Tors + Res, with Res = -anomaly/2."""
     params = params or NumericsParams()
     started = time.time()
     top = top_term(cs)
-    tors = tors_term(cs, params, slices)
+    tors = tors_term(cs, params)
     res, anomaly = res_term(cs)
     per_slice = {}
     for k, value in tors.shifted_prime0_plus.items():
@@ -247,9 +238,6 @@ def log_torsion_cone(
         log_t=top + tors.value + res,
         per_slice=per_slice,
         provenance={
-            "version": __version__,
-            "tolerance": params.tolerance,
-            "cutoff": params.cutoff,
             "order": default_order(cs.dim_n),
             "t0": plan_t0(cs),
             "tors_cross_check_residual": tors.cross_check_residual,
@@ -282,18 +270,14 @@ def log_torsion_truncated(cs: CrossSection, eps: float) -> float:
     return _betti_log_sum(cs, eps) + 0.5 * math.log(2.0) * chi + _residue_double_sum(cs)
 
 
-def torsion_difference(
-    cs: CrossSection,
-    eps: float,
-    params: Optional[NumericsParams] = None,
-    slices: Optional[Dict[int, SpectralSlice]] = None,
-) -> float:
+def torsion_difference(cs: CrossSection, eps: float, tors: float) -> float:
     """log T(C_eps(N)) - log T(C(N)) by its five-line closed form.
 
-    ``slices`` (from :func:`build_slices`) are built when omitted."""
+    Lines 1-4 are the Betti logarithms and the residue double sum; line 5 is
+    -Tors, so ``tors`` is :func:`tors_term`'s value (the cone report's
+    ``tors``)."""
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
-    params = params or NumericsParams()
     n = cs.dim_n
     h = n // 2
     line1 = _betti_log_sum(cs, eps)
@@ -305,14 +289,7 @@ def torsion_difference(
         (-1) ** k / 2.0 * cs.betti(k) * math.log(n - 2 * k + 1) for k in range(h)
     )
     line4 = 0.5 * _residue_double_sum(cs)
-    if slices is None:
-        slices = build_slices(cs, params)
-    line5 = 0.0
-    for k in range(h):
-        vp, _ = shifted_zeta_prime0(slices[k], +1)
-        vm, _ = shifted_zeta_prime0(slices[k], -1)
-        line5 += (-1) ** k / 2.0 * (vm - vp)
-    return line1 + line2 + line3 + line4 + line5
+    return line1 + line2 + line3 + line4 - tors
 
 
 # ---------------------------------------------------------------------------
@@ -722,25 +699,20 @@ def tors_scaling_profile(
 
         zeta'_mu(0, +-alpha_k) = -log(mu) zeta_a(0, +-a) + zeta'_a(0, +-a).
 
+    The -log(mu) terms cancel in Tors: zeta_a(0, +a) - zeta_a(0, -a) is the
+    odd-residue sum, and the odd residues vanish on even n.  So each row is
+    :func:`tors_term` on the slices with shift alpha_k / mu.
+
     Returns the table and the fitted bound constant max |Tors| mu / log mu.
     """
     params = params or NumericsParams()
-    h = cs.dim_n // 2
     base = build_slices(cs, params)
     rows: list[ScalingRow] = []
     for mu in mu_values:
         if mu < 1.0:
             raise DomainError("scaling grid must satisfy mu >= 1")
-        total = 0.0
-        for k in range(h):
-            sl = base[k].with_alpha(float(base[k].alpha) / mu)
-            log_mu = math.log(mu)
-            parts = {}
-            for sign in (+1, -1):
-                z0 = shifted_zeta0(sl, sign)
-                zp, _ = shifted_zeta_prime0(sl, sign)
-                parts[sign] = -log_mu * z0 + zp
-            total += (-1) ** k / 2.0 * (parts[+1] - parts[-1])
+        scaled = {k: sl.with_alpha(float(sl.alpha) / mu) for k, sl in base.items()}
+        total = tors_term(cs, params, scaled).value
         bound = abs(total) * mu / math.log(mu) if mu > 1.0 else None
         rows.append(ScalingRow(float(mu), total, bound))
     fitted = max((row.bound for row in rows if row.bound is not None), default=math.nan)

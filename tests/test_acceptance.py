@@ -191,12 +191,14 @@ def test_criterion_6_regularization_surface():
 
 def test_criterion_7_cross_route_consistency(unit_t2):
     """torsion_difference(eps) = log_torsion_truncated(eps) - log_torsion_cone
-    to <= 1e-8 for eps in {0.1, 0.25, 0.5}."""
-    cone = T.log_torsion_cone(unit_t2).log_t
+    to <= 1e-8 for eps in {0.1, 0.25, 0.5}.  Line 5 of the difference is
+    -Tors by construction, so this checks lines 1-4 against the closed forms
+    of Top and Res."""
+    cone = T.log_torsion_cone(unit_t2)
     worst = 0.0
     for eps in (0.1, 0.25, 0.5):
-        diff = T.torsion_difference(unit_t2, eps)
-        other = T.log_torsion_truncated(unit_t2, eps) - cone
+        diff = T.torsion_difference(unit_t2, eps, cone.tors)
+        other = T.log_torsion_truncated(unit_t2, eps) - cone.log_t
         worst = max(worst, abs(diff - other))
     _report(7, worst <= 1e-8, f"worst residual {worst:.2e} (<= 1e-8)")
 

@@ -421,8 +421,9 @@ UNIT_T4 = {
 
 @pytest.mark.parametrize("doc,splits", [(SHEARED_T2, 1), (UNIT_T4, 2)], ids=["t2", "t4"])
 def test_truncated_builds_each_split_once(tmp_path, monkeypatch, doc, splits):
-    """Both routes of one ``truncated`` job share one slice set: one
-    MellinSplit per built slice, degrees k < n/2."""
+    """A ``truncated`` job builds one slice set, for the cone, whose Tors
+    the difference formula reads: one MellinSplit per built slice, degrees
+    k < n/2."""
     built = []
     init = zeta.MellinSplit.__init__
 
@@ -435,6 +436,44 @@ def test_truncated_builds_each_split_once(tmp_path, monkeypatch, doc, splits):
     out = tmp_path / "trunc.json"
     assert cli.main(["truncated", "--config", cfg, "--epsilon", "0.25", "--out", str(out)]) == 0
     assert len(built) == splits
+
+
+def _count_shifted_calls(monkeypatch) -> dict[str, int]:
+    """Count the torsion module's shifted_zeta0 and shifted_zeta_prime0 calls."""
+    calls = {"shifted_zeta0": 0, "shifted_zeta_prime0": 0}
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(T, name, counting(name, getattr(zeta, name)), raising=False)
+    return calls
+
+
+@pytest.mark.parametrize("doc", [SHEARED_T2, UNIT_T4], ids=["t2", "t4"])
+def test_truncated_sums_each_shifted_derivative_once(tmp_path, monkeypatch, doc):
+    """A ``truncated`` job evaluates zeta'_k(0, +-alpha_k) once per slice
+    k < n/2 and sign, for the cone's Tors; the difference formula reuses it."""
+    calls = _count_shifted_calls(monkeypatch)
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "trunc.json"
+    assert cli.main(["truncated", "--config", cfg, "--epsilon", "0.25", "--out", str(out)]) == 0
+    n = doc["cross_section"]["dim_n"]
+    assert calls == {"shifted_zeta0": 0, "shifted_zeta_prime0": 2 * (n // 2)}
+
+
+def test_scaling_rows_sum_only_shifted_derivatives(tmp_path, monkeypatch):
+    """Each scaling row is tors_term on the rescaled slices: two shifted
+    derivatives per slice and no zeta(0, +-a), whose -log(mu) terms cancel."""
+    calls = _count_shifted_calls(monkeypatch)
+    cfg = _write_config(tmp_path, SHEARED_T2)
+    out = tmp_path / "scaling.json"
+    assert cli.main(["scaling", "--config", cfg, "--mu", "2,4,8", "--out", str(out)]) == 0
+    assert calls == {"shifted_zeta0": 0, "shifted_zeta_prime0": 2 * 1 * 3}
 
 
 @pytest.mark.parametrize(
@@ -516,9 +555,10 @@ def test_upper_degrees_equal_their_own_slices(tmp_path, name, setting):
         assert reports["dump-zeta"][str(k)] == json.loads(cli.dumps17(zeta_entry))
 
 
-def test_truncated_residual_matches_separately_built_routes(tmp_path):
-    """Sharing the slices leaves cross_route_residual bit-identical to the
-    two routes run on their own slice sets."""
+def test_truncated_report_matches_the_library_routes(tmp_path):
+    """The truncated report's difference_formula is torsion_difference on the
+    cone's Tors, and its cross_route_residual compares that with the two
+    direct routes, bit for bit."""
     params = cli._params(parse_config(SHEARED_T2))
     path = _write_config(tmp_path, SHEARED_T2)
     for eps in (0.1, 0.25, 0.5):
@@ -527,8 +567,8 @@ def test_truncated_residual_matches_separately_built_routes(tmp_path):
         report = json.loads(out.read_text())["result"]
         cs = parse_config(SHEARED_T2).cross_section
         value = T.log_torsion_truncated(cs, eps)
-        diff = T.torsion_difference(cs, eps, params)
         cone = T.log_torsion_cone(cs, params)
+        diff = T.torsion_difference(cs, eps, cone.tors)
         assert report["cross_route_residual"] == abs(diff - (value - cone.log_t))
         assert report["difference_formula"] == diff
 
