@@ -90,28 +90,6 @@ def modified_bessel(nu: float, x: float, scaled: bool = False) -> BesselQuad:
     return BesselQuad(float(q.i_val), float(q.i_prime), float(q.k_val), float(q.k_prime), scaled)
 
 
-def small_argument_leading(nu: float, z: float) -> BesselQuad:
-    """Leading small-argument forms: I ~ z^nu/(2^nu Gamma(nu+1)),
-    K ~ 2^(nu-1) Gamma(nu) z^(-nu), and the matching derivative forms."""
-    if nu <= 0:
-        raise DomainError("small_argument_leading requires nu > 0 (nu = 0 is the log case)")
-    if z <= 0:
-        raise DomainError("argument must be > 0")
-    log_i = nu * math.log(z) - nu * math.log(2.0) - math.lgamma(nu + 1.0)
-    log_k = (nu - 1.0) * math.log(2.0) + math.lgamma(nu) - nu * math.log(z)
-    if max(abs(log_i), abs(log_k)) > 700.0:
-        raise OverflowError("leading terms overflow binary64 at these (nu, z)")
-    i_val = math.exp(log_i)
-    k_val = math.exp(log_k)
-    return BesselQuad(
-        i_val=i_val,
-        i_prime=i_val * nu / z,
-        k_val=k_val,
-        k_prime=-k_val * nu / z,
-        scaled=False,
-    )
-
-
 _KINDS = ("I", "Iprime", "K", "Kprime")
 
 

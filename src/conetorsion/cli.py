@@ -577,12 +577,13 @@ def _config_from_args(args) -> RunConfig:
         doc = json.loads(json.dumps(DEFAULT_CONFIG))
     if not isinstance(doc, dict):
         raise ConfigError("$", "configuration must be a JSON object")
-    if args.tolerance is not None:
-        doc["tolerance"] = args.tolerance
-        doc.pop("cutoff", None)
-    if args.cutoff is not None:
-        doc["cutoff"] = args.cutoff
+    # a flag displaces both config keys; two flags meet parse_config's
+    # "exactly one" refusal
+    flags = {key: getattr(args, key) for key in ("tolerance", "cutoff") if getattr(args, key) is not None}
+    if flags:
         doc.pop("tolerance", None)
+        doc.pop("cutoff", None)
+        doc.update(flags)
     if args.epsilon is not None:
         doc["epsilon"] = args.epsilon
     if args.mu is not None:

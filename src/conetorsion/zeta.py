@@ -7,20 +7,23 @@ For a slice of degree k with shift a = alpha_k the object of interest is
 together with the shifted variants sum m (nu +- a)^(-s).  The continuation
 runs through the Mellin split of zeta(s/2, Delta + a^2): the integral over
 (0, t0] of the exact heat model integrates to an explicit meromorphic
-series, the exponentially small lattice remainder is integrated for a fixed
-set of sigma at once by a globally adaptive Gauss-Kronrod rule
-(``quad_gk21``, which the first-order oracle also runs) that evaluates the
-remainder at all new nodes of a refinement round in one vectorised pass, and the integral over [t0, inf) is a per-level sum of
-upper incomplete gamma functions, which on the half-integer grid of sigma
+series, the exponentially small lattice remainder is integrated for every
+sigma at once by a globally adaptive Gauss-Kronrod rule (``quad_gk21``,
+which the first-order oracle also runs) that evaluates the remainder at all
+new nodes of a refinement round in one vectorised pass, and the integral
+over [t0, inf) is a per-level sum of upper incomplete gamma functions, which
 have closed forms (E_1, erfc and exp, then an upward recurrence), so the
-production path needs numpy and ``math`` alone.  Values and derivatives at s = 0, residues at even s, and finite
-parts (PP values) at integer s all come out of one component decomposition
+continuation needs numpy and ``math`` alone.  Values and derivatives at
+s = 0, residues at even s, and finite parts (PP values) at integer s all
+come out of one component decomposition
 
     zeta(s) = M(s/2) / Gamma(s/2),    M = A + B + F,
 
-where only A carries poles and those are explicit.  Each slice's
-:class:`MellinSplit` tabulates every component once: the A series is built
-with the split, and every A value, A residue and finite part, B and F value,
+where only A carries poles and those are explicit.  The decomposition is
+only ever read on the half-integer grid sigma in {0, 1/2, ..., J/2}, and B
+and F exist there alone.  Each slice's :class:`MellinSplit` tabulates every
+component once: the A series is built with the split, the B and F grids are
+filled on their first request, and every A value, A residue and finite part
 and PP value is computed on its first request and kept for the split's
 lifetime.
 
@@ -39,9 +42,10 @@ number, which is gamma + digamma(r) with the Euler constants cancelled
 exactly; the same identity gives digamma at the integer poles of the PP
 values.  Raising J accelerates the K series from O(nu^{-(n+1)}) to
 O(nu^{-(J+1)}) term decay, which is what makes desk-scale cutoffs sufficient.
-One evaluator, ``_k_direct``, sums K at J = n + 10, the order slice cutoffs
-are planned for: levels with |c|/nu > 1/2 by ``log1p`` minus the Taylor
-head, the rest by the Horner tail.  As nu > |c|, no shift is refused.
+The one order is J = ``default_order(n)`` = n + 10, the order slice cutoffs
+are planned for.  One evaluator, ``_k_direct``, sums K: levels with
+|c|/nu > 1/2 by ``log1p`` minus the Taylor head, the rest by the Horner
+tail.  As nu > |c|, no shift is refused.
 """
 
 from __future__ import annotations
@@ -304,23 +308,22 @@ def upper_gamma_grid(x: np.ndarray, r_max: int) -> list[np.ndarray]:
 class MellinSplit:
     """Continuation engine for one spectral slice.
 
+    B and F are defined on the grid sigma in {0, 1/2, ..., J/2},
+    J = default_order(n), alone; a sigma off it is a :class:`DomainError`.
     B, the lattice remainder on (0, t0], comes from one globally adaptive
     Gauss-Kronrod-21 vector quadrature (absolute tolerance 1e-13, relative
     1e-12 in the max norm), started from the panels of ``remainder_breaks``,
-    that yields every sigma of the fixed grid
-    {0, 1/2, ..., default_order(n)/2} at once; each refinement round
-    evaluates the remainder at the nodes of all its new panels in one
-    vectorised pass, and a sigma off the grid is a one-element quadrature of
-    its own.  F, the spectral sum on [t0, inf), is
-    the closed form sum m mu^(-sigma) Gamma(sigma, mu t0); its first request
-    fills the same grid at once from ``upper_gamma_grid``, which needs no
-    special-function library.  A, the integral of the exact heat model over
-    (0, t0], sums a (coefficient, power) table built once per split.  Every
-    A value, A residue and finite part, B and F value and PP value is
-    computed on its first request and kept in a per-split dict, so a second
-    request costs a lookup.  Level sums run in sorted order through
-    ``math.fsum``, and no value depends on the order of requests, so results
-    are reproducible bit for bit.
+    that yields the whole grid at once; each refinement round evaluates the
+    remainder at the nodes of all its new panels in one vectorised pass.
+    F, the spectral sum on [t0, inf), is the closed form
+    sum m mu^(-sigma) Gamma(sigma, mu t0), filled for the whole grid at once
+    from ``upper_gamma_grid``.  Each is one table, filled on its first
+    request.  A, the integral of the exact heat model over (0, t0], sums a
+    (coefficient, power) table built once per split.  Every A value, A
+    residue and finite part and PP value is computed on its first request
+    and kept in a per-split dict, so a second request costs a lookup.  Level
+    sums run in sorted order through ``math.fsum``, and no value depends on
+    the order of requests, so results are reproducible bit for bit.
     """
 
     def __init__(self, sl: SpectralSlice, t0: float = 1.0):
@@ -338,8 +341,8 @@ class MellinSplit:
         self.v_n = sl.heat.v_n
         self._a_cache: Dict[float, float] = {}
         self._a_pole_cache: Dict[float, tuple[float, float]] = {}
-        self._b_cache: Dict[float, tuple[float, float]] = {}
-        self._f_cache: Dict[float, tuple[float, float]] = {}
+        self._b: Optional[tuple[np.ndarray, float]] = None
+        self._f: Optional[list[float]] = None
         self._pp_cache: Dict[int, tuple[float, float]] = {}
         self._b_grid = np.arange(default_order(self.n) + 1) / 2.0
         # A-part series: (coefficient, power q) with model integrand
@@ -455,21 +458,26 @@ class MellinSplit:
             **_QUAD_OPTS,
         )
 
+    def _grid_index(self, sigma: float) -> int:
+        """Position of sigma in the grid ``_b_grid``; a DomainError off it."""
+        r = 2.0 * sigma
+        if r != round(r) or not 0 <= r < self._b_grid.size:
+            raise DomainError(
+                f"sigma = {sigma} is off the Mellin grid {{0, 1/2, ..., {self._b_grid[-1]:g}}}"
+            )
+        return int(r)
+
     def b_value(self, sigma: float) -> tuple[float, float]:
         """B(sigma) = int_0^t0 t^(sigma-1) R(t) dt with its error estimate.
 
         The first call fills the whole grid ``_b_grid``; the error estimate
-        is the max-norm estimate of the quadrature that produced the value.
+        is the max-norm estimate of that quadrature.
         """
-        key = round(sigma, 12)
-        if not self._b_cache:
-            vals, err = self._b_quad(self._b_grid)
-            for s, v in zip(self._b_grid.tolist(), vals.tolist()):
-                self._b_cache[round(s, 12)] = (v, err)
-        if key not in self._b_cache:
-            vals, err = self._b_quad(np.array([float(sigma)]))
-            self._b_cache[key] = (float(vals[0]), err)
-        return self._b_cache[key]
+        i = self._grid_index(sigma)
+        if self._b is None:
+            self._b = self._b_quad(self._b_grid)
+        vals, err = self._b
+        return float(vals[i]), err
 
     # -- F: spectral sum on [t0, inf) --------------------------------------
 
@@ -479,63 +487,27 @@ class MellinSplit:
 
         Each level integral is mu^(-sigma) Gamma(sigma, mu t0) (DLMF 8.2).
         The first call fills the whole grid ``_b_grid`` from
-        ``upper_gamma_grid``; a sigma > 0 off the grid uses scipy's
-        ``gammaincc * gamma``.  The terms are positive, and the error
+        ``upper_gamma_grid``.  The terms are positive, and the error
         estimate allows 1e-13 relative, above the worst relative error of
-        either against mpmath for 1e-4 <= mu t0 <= 50 (6.1e-15 for the grid
-        up to sigma = 9, 3.1e-14 for ``gammaincc * gamma`` up to sigma = 6).
-        ``gammaincc`` is undefined for sigma < 0, so there each level is
-        integrated by adaptive quadrature.
+        the grid against mpmath for 1e-4 <= mu t0 <= 50 (6.1e-15 up to
+        sigma = 9).
         """
         if not self._f_complete:
             raise CutoffInsufficientError(
                 "slice cutoff too small for the Mellin tail sum",
                 required_cutoff=_EXP_FLOOR / self.t0,
             )
-        if not self._f_cache:
+        i = self._grid_index(sigma)
+        if self._f is None:
             levels = upper_gamma_grid(self._f_mu * self.t0, self._b_grid.size - 1)
-            for s, level in zip(self._b_grid.tolist(), levels):
-                val = math.fsum((self._f_mult * (self._f_mu**-s * level)).tolist())
-                self._f_cache[round(s, 12)] = (val, 1e-13 * val + 1e-22)
-        key = round(sigma, 12)
-        if key in self._f_cache:
-            return self._f_cache[key]
-        if sigma < 0.0:
-            from scipy import integrate
-
-            vals = []
-            errs = []
-            for mu, m in zip(self._f_mu, self._f_mult):
-                upper = self.t0 + (_EXP_FLOOR + 10.0) / mu
-                v, e = integrate.quad(
-                    lambda t: t ** (sigma - 1.0) * math.exp(-mu * t), self.t0, upper, **_QUAD_OPTS
-                )
-                vals.append(float(m) * v)
-                errs.append(float(m) * e)
-            val = math.fsum(vals)
-            err = math.fsum(errs) + 1e-22
-        else:
-            from scipy.special import gamma, gammaincc
-
-            level = self._f_mu**-sigma * gammaincc(sigma, self._f_mu * self.t0) * float(gamma(sigma))
-            val = math.fsum((self._f_mult * level).tolist())
-            err = 1e-13 * val + 1e-22
-        self._f_cache[key] = (val, err)
-        return val, err
+            self._f = [
+                math.fsum((self._f_mult * (self._f_mu**-s * level)).tolist())
+                for s, level in zip(self._b_grid.tolist(), levels)
+            ]
+        val = self._f[i]
+        return val, 1e-13 * val + 1e-22
 
     # -- assembled quantities ----------------------------------------------
-
-    def value(self, s: float) -> float:
-        """zeta_{k,N}(s) away from poles (s > -1, s != 0)."""
-        if s <= -1.0:
-            raise DomainError("zeta values are supported for s > -1 only")
-        if s == 0.0:
-            raise DomainError("use zeta0 and zeta_prime0 at s = 0")
-        sigma = 0.5 * s
-        a = self.a_value(sigma)
-        b, _ = self.b_value(sigma)
-        f, _ = self.f_value(sigma)
-        return (a + b + f) / math.gamma(sigma)
 
     def residue_s(self, r: int) -> float:
         """Residue of zeta_{k,N} at integer s = r (zero at odd r)."""
@@ -590,20 +562,6 @@ def mellin_split(sl: SpectralSlice) -> MellinSplit:
 # ---------------------------------------------------------------------------
 
 
-def zeta_mellin(sl: SpectralSlice, s: float, pp: bool = False) -> float:
-    """Evaluate zeta_{k,N}(s); at an even-integer pole return the PP value
-    when ``pp`` is set, otherwise raise :class:`ZetaPoleError`."""
-    ms = mellin_split(sl)
-    nearest = round(s)
-    if abs(s - nearest) < 1e-12 and nearest % 2 == 0 and 2 <= nearest <= sl.cross_section.dim_n:
-        if not pp:
-            raise ZetaPoleError(f"s={s} is a pole of zeta_k; request pp=True for the PP value")
-        return ms.pp_s(int(nearest))[0]
-    if abs(s - nearest) < 1e-12 and nearest >= 1:
-        return ms.pp_s(int(nearest))[0]
-    return ms.value(s)
-
-
 def _k_tail_bound(tail: WeylTail, c: float, nu_max: float, order: int) -> float:
     """Weyl-density bound on the dropped K-series tail beyond nu_max."""
     n = tail.n
@@ -653,42 +611,6 @@ def _k_direct(sl: SpectralSlice, c: float, order: int) -> tuple[float, float]:
     return value, _k_tail_bound(sl.tail, c, float(nu[-1]), order)
 
 
-def k_series(
-    sl: SpectralSlice,
-    sign: int,
-    order: Optional[int] = None,
-    tol: Optional[float] = None,
-) -> float:
-    """K(0, sign*alpha_k) at subtraction order n (the convergent correction
-    series of the shifted-derivative decomposition).
-
-    The series is summed directly at order J = ``order`` (default n + 10),
-    and the orders between n and J are restored through the Mellin values
-    PP zeta_{k,N}(r), so the result meets ``tol`` at desk-scale cutoffs.  If
-    the order-J tail bound exceeds ``tol`` a :class:`CutoffInsufficientError`
-    names the required cutoff.
-    """
-    n = sl.cross_section.dim_n
-    c = sign * sl.alpha
-    if c == 0.0:
-        return 0.0
-    big = order if order is not None else default_order(n)
-    if big < n:
-        raise DomainError(f"subtraction order must be >= n = {n}")
-    val, bound = _k_direct(sl, c, big)
-    ms = mellin_split(sl)
-    val += math.fsum([(-c) ** r / r * ms.pp_s(r)[0] for r in range(n + 1, big + 1)])
-    tol = tol if tol is not None else DEFAULT_TOLERANCE
-    if bound > tol:
-        nu_max = float(sl.nu()[-1]) if sl.eta.size else 1.0
-        needed_nu = nu_max * (bound / tol) ** (1.0 / (big + 1 - n))
-        raise CutoffInsufficientError(
-            f"K-series tail bound {bound:.3e} exceeds tolerance {tol:.1e}",
-            required_cutoff=needed_nu**2 - sl.alpha**2,
-        )
-    return val
-
-
 def shifted_zeta0(sl: SpectralSlice, sign: int) -> float:
     """zeta_{k,N}(0, sign*alpha) = zeta(0) + sum_r ((-c)^r/r) Res_{s=r} zeta."""
     n = sl.cross_section.dim_n
@@ -697,16 +619,13 @@ def shifted_zeta0(sl: SpectralSlice, sign: int) -> float:
     return ms.zeta0() + math.fsum((-c) ** r / r * ms.residue_s(r) for r in range(1, n + 1))
 
 
-def shifted_zeta_prime0(
-    sl: SpectralSlice, sign: int, order: Optional[int] = None
-) -> tuple[float, float]:
+def shifted_zeta_prime0(sl: SpectralSlice, sign: int) -> tuple[float, float]:
     """zeta'_{k,N}(0, sign*alpha) with an error estimate.
 
-    Sums the decomposition once at subtraction order J = ``order``: the K
-    series summed directly at order J plus the Mellin terms r <= J.  J
-    defaults to n + 10, the order the slice cutoff is planned for, and a
-    smaller J is a :class:`DomainError`; the result does not depend on J,
-    which the test suite checks.
+    Sums the decomposition once at subtraction order J = ``default_order(n)``,
+    the order the slice cutoff is planned for: the K series summed directly
+    at order J plus the Mellin terms r <= J.  The result does not depend on
+    J, which the test suite checks.
     """
     n = sl.cross_section.dim_n
     c = sign * sl.alpha
@@ -714,9 +633,7 @@ def shifted_zeta_prime0(
     zp, zp_err = ms.zeta_prime0()
     if c == 0.0:
         return zp, zp_err
-    j = order if order is not None else default_order(n)
-    if j < default_order(n):
-        raise DomainError(f"subtraction order {j} is below J = {default_order(n)}, the cutoff's order")
+    j = default_order(n)
     kval, kbound = _k_direct(sl, c, j)
     terms = []
     errs = [zp_err, min(kbound, 1.0)]

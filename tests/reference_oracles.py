@@ -6,6 +6,9 @@ sum per node and scipy ``quad`` for the subordination integral: the nested
 form that the production ``_b1_value`` swaps and vectorises.  The full-cone
 Gelfand-Yaglom shooting oracle checks ``model_det_ratio`` on the full cone.
 The Ray-Singer quotient of the product metric checks the torsion assembly.
+The Mellin split's B and F, which production fills on the half-integer grid
+alone, are rebuilt here at any sigma by scalar quadrature (one for B, one
+per level for F), and with production A they continue zeta off that grid.
 The scalar loops that the batched verify layers replaced are kept here as
 references for them: the per-point scipy Bessel quadruple, the per-entry
 closed-form determinant ratio, the per-draw Wronskian sampling and the
@@ -20,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate, special
 
+from conetorsion import zeta
 from conetorsion.errors import DomainError
 from conetorsion.firstorder import _HORIZON, _QUAD
 from conetorsion.torsion import _integrate_model_ode, top_term, tors_term
@@ -53,6 +57,33 @@ def remainder_theta(fo, t: float) -> float:
     v1, _ = integrate.quad(integrand, 0.0, fo._u_c, **_QUAD)
     v2, _ = integrate.quad(integrand, fo._u_c, fo._u_upper, **_QUAD)
     return t / (2.0 * math.sqrt(math.pi)) * (v1 + v2)
+
+
+def b_ref(ms, sigma: float) -> float:
+    """B(sigma) of the Mellin split ``ms`` by one scalar adaptive quadrature."""
+    return integrate.quad(
+        lambda t: t ** (sigma - 1.0) * ms._remainder(t), 0.0, ms.t0, **zeta._QUAD_OPTS
+    )[0]
+
+
+def f_ref(ms, sigma: float) -> float:
+    """F(sigma) of the Mellin split ``ms`` by one scalar adaptive quadrature
+    per level."""
+    vals = []
+    for mu, m in zip(ms._f_mu, ms._f_mult):
+        upper = ms.t0 + (zeta._EXP_FLOOR + 10.0) / mu
+        v, _ = integrate.quad(
+            lambda t: t ** (sigma - 1.0) * math.exp(-mu * t), ms.t0, upper, **zeta._QUAD_OPTS
+        )
+        vals.append(float(m) * v)
+    return math.fsum(vals)
+
+
+def continued_zeta(ms, s: float) -> float:
+    """zeta_{k,N}(s) = (A + B + F)(s/2) / Gamma(s/2) at any s off the poles:
+    production A, and B and F by ``b_ref`` and ``f_ref``."""
+    sigma = 0.5 * s
+    return (ms.a_value(sigma) + b_ref(ms, sigma) + f_ref(ms, sigma)) / math.gamma(sigma)
 
 
 def theta(fo, t: float) -> float:

@@ -76,18 +76,17 @@ def test_derivative_recurrence_against_mpmath():
         assert abs(q.i_prime - ref) / abs(ref) <= 1e-11
 
 
-def test_small_argument_leading():
+def test_modified_bessel_small_argument():
+    """At z = 1e-5 the quadruple follows the leading small-argument forms
+    I ~ z^nu / (2^nu Gamma(nu+1)) and K' ~ -nu 2^(nu-1) Gamma(nu) z^(-nu-1)."""
     nu, z = 1.7, 1e-5
-    lead = bessel.small_argument_leading(nu, z)
-    assert lead.i_val == pytest.approx(z**nu / (2**nu * math.gamma(nu + 1)), rel=1e-12)
-    assert lead.k_val == pytest.approx(2 ** (nu - 1) * math.gamma(nu) / z**nu, rel=1e-12)
-    # ratio I'/I -> nu/z as z -> 0, and the leading forms track the real values
+    i_lead = z**nu / (2**nu * math.gamma(nu + 1))
+    k_prime_lead = -nu * 2 ** (nu - 1) * math.gamma(nu) / z ** (nu + 1)
     q = bessel.modified_bessel(nu, z)
+    # ratio I'/I -> nu/z as z -> 0, and the leading forms track the real values
     assert q.i_prime / q.i_val == pytest.approx(nu / z, rel=1e-8)
-    assert lead.i_val == pytest.approx(q.i_val, rel=1e-9)
-    assert lead.k_prime == pytest.approx(q.k_prime, rel=1e-6)
-    with pytest.raises(DomainError):
-        bessel.small_argument_leading(0.0, 0.5)
+    assert i_lead == pytest.approx(q.i_val, rel=1e-9)
+    assert k_prime_lead == pytest.approx(q.k_prime, rel=1e-6)
 
 
 def test_uniform_expansion_spot():

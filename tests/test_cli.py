@@ -334,6 +334,19 @@ def test_cli_overrides_drop_conflicting_keys(tmp_path):
     assert report["provenance"]["tolerance"] is None
 
 
+@pytest.mark.parametrize("config", [False, True])
+def test_tolerance_and_cutoff_flags_together_are_config_error(tmp_path, capsys, config):
+    """Both flags are refused like a document with both keys, with or
+    without a config file, instead of one flag silently dropping the other."""
+    out = tmp_path / "o.json"
+    argv = ["torsion", "--tolerance", "1e-8", "--cutoff", "2000", "--out", str(out)]
+    if config:
+        argv += ["--config", _write_config(tmp_path, UNIT_T2)]
+    assert cli.main(argv) == 2
+    assert "cutoff: give exactly one of cutoff / tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_or_unreadable_config_is_config_error(tmp_path, capsys):
     assert cli.main(["torsion", "--config", str(tmp_path / "absent.json")]) == 2
     assert "not found" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 """The production commands import only numpy from the scientific stack, and
 no scipy module at all: scipy belongs to the oracles (the Bessel functions
-and the first-order route of ``verify``, the brute-force Laplacian) and to
-the off-grid sigma of the Mellin split.  ``verify`` loads ``scipy.special``
-and no other scipy subpackage: its Gelfand-Yaglom ODE is numpy.  Each check
-runs in a fresh interpreter, because pytest itself has scipy loaded."""
+and the first-order route of ``verify``, the brute-force Laplacian), and the
+Mellin split, which serves its half-integer grid alone, reads none of it.
+``verify`` loads ``scipy.special`` and no other scipy subpackage: its
+Gelfand-Yaglom ODE is numpy.  Each check runs in a fresh interpreter,
+because pytest itself has scipy loaded."""
 
 from __future__ import annotations
 

@@ -1,10 +1,9 @@
 """The B and F parts of the Mellin split against scalar per-sigma and
-per-level quadrature, their independence of the request order, loud
-non-convergence, and split-point independence on a skinny torus."""
+per-level quadrature, their independence of the request order, their
+refusal of a sigma off the half-integer grid, loud non-convergence, and
+split-point independence on a skinny torus."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -12,6 +11,8 @@ from scipy import integrate
 
 from conetorsion import zeta
 from conetorsion.crosssection import CrossSection, build_cross_section, coclosed_spectrum
+from conetorsion.errors import DomainError
+from reference_oracles import b_ref, f_ref
 
 # fixed before the vector quadrature and the closed forms were written
 ABS_BOUND = 1e-13
@@ -33,27 +34,8 @@ def _torus(basis) -> CrossSection:
     )
 
 
-def _b_ref(ms: zeta.MellinSplit, sigma: float) -> float:
-    """B(sigma) by one scalar adaptive quadrature."""
-    return integrate.quad(
-        lambda t: t ** (sigma - 1.0) * ms._remainder(t), 0.0, ms.t0, **zeta._QUAD_OPTS
-    )[0]
-
-
-def _f_ref(ms: zeta.MellinSplit, sigma: float) -> float:
-    """F(sigma) by one scalar adaptive quadrature per level."""
-    vals = []
-    for mu, m in zip(ms._f_mu, ms._f_mult):
-        upper = ms.t0 + (zeta._EXP_FLOOR + 10.0) / mu
-        v, _ = integrate.quad(
-            lambda t: t ** (sigma - 1.0) * math.exp(-mu * t), ms.t0, upper, **zeta._QUAD_OPTS
-        )
-        vals.append(float(m) * v)
-    return math.fsum(vals)
-
-
 def _sigmas(n: int) -> list[float]:
-    return [-0.25, -5e-4] + [r / 2.0 for r in range(zeta.default_order(n) + 1)]
+    return [r / 2.0 for r in range(zeta.default_order(n) + 1)]
 
 
 @pytest.mark.parametrize("t0", [2.0, 1.0, 0.3])
@@ -69,10 +51,10 @@ def test_b_and_f_match_scalar_quadrature(name, t0):
         for sigma in _sigmas(cs.dim_n):
             b_key = (ms.kappa, ms.a2, sigma)
             if b_key not in b_refs:
-                b_refs[b_key] = _b_ref(ms, sigma)
+                b_refs[b_key] = b_ref(ms, sigma)
             f_key = (ms.a2, ms._f_mult.tobytes(), sigma)
             if f_key not in f_refs:
-                f_refs[f_key] = _f_ref(ms, sigma)
+                f_refs[f_key] = f_ref(ms, sigma)
             for got, ref in ((ms.b_value(sigma)[0], b_refs[b_key]), (ms.f_value(sigma)[0], f_refs[f_key])):
                 assert abs(got - ref) <= ABS_BOUND + REL_BOUND * abs(ref), (k, sigma, got, ref)
 
@@ -81,7 +63,7 @@ def test_b_and_f_match_scalar_quadrature(name, t0):
 def test_b_independent_of_request_order(name):
     cs = _torus(GEOMETRIES[name])
     sl = coclosed_spectrum(cs, 1, zeta.cutoff_for_tolerance(cs, 1, 1e-8))
-    sigmas = _sigmas(cs.dim_n) + [0.3]
+    sigmas = _sigmas(cs.dim_n)
     forward = zeta.MellinSplit(sl)
     backward = zeta.MellinSplit(sl)
     ahead = [forward.b_value(s) for s in sigmas]
@@ -91,16 +73,30 @@ def test_b_independent_of_request_order(name):
 
 @pytest.mark.parametrize("name", ["sheared-t2", "unit-t4"])
 def test_f_independent_of_request_order(name):
-    """The first request fills the whole grid, so F is the same whether an
-    off-grid sigma (forward) or a grid sigma (backward) comes first."""
+    """The first request fills the whole grid, so F is the same whichever
+    end of the grid comes first."""
     cs = _torus(GEOMETRIES[name])
     sl = coclosed_spectrum(cs, 1, zeta.cutoff_for_tolerance(cs, 1, 1e-8))
-    sigmas = [-0.25, 0.3] + [r / 2.0 for r in range(zeta.default_order(cs.dim_n) + 1)]
+    sigmas = _sigmas(cs.dim_n)
     forward = zeta.MellinSplit(sl)
     backward = zeta.MellinSplit(sl)
     ahead = [forward.f_value(s) for s in sigmas]
     behind = [backward.f_value(s) for s in reversed(sigmas)][::-1]
     assert ahead == behind
+
+
+@pytest.mark.parametrize("part", ["b_value", "f_value"])
+def test_off_grid_sigma_is_refused(part):
+    """B and F exist on {0, 1/2, ..., J/2} alone: a sigma between its points,
+    below it or past J/2 is a DomainError that names it."""
+    cs = _torus(GEOMETRIES["sheared-t2"])
+    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8))
+    ms = zeta.MellinSplit(sl)
+    top = zeta.default_order(cs.dim_n) / 2.0
+    for sigma in (0.3, -0.25, top + 0.5):
+        with pytest.raises(DomainError, match=rf"sigma = {sigma:g} is off the Mellin grid .*{top:g}"):
+            getattr(ms, part)(sigma)
+    assert getattr(ms, part)(top)[0] > 0.0
 
 
 def test_b_non_convergence_warns(monkeypatch):

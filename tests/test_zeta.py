@@ -1,5 +1,7 @@
 """Zeta continuation: residues, Mellin values, shifted values/derivatives,
-their oracles, and the convergent K-series corrections."""
+their oracles, and the convergent K-series corrections.  Values off the
+half-integer grid, which production never reads, come from
+``continued_zeta``: production A with scalar-quadrature B and F."""
 
 from __future__ import annotations
 
@@ -10,10 +12,10 @@ import numpy as np
 import pytest
 
 from conetorsion.crosssection import build_cross_section, coclosed_spectrum
-from conetorsion.errors import CutoffInsufficientError, DomainError, ZetaPoleError
+from conetorsion.errors import ZetaPoleError
 from conetorsion.firstorder import first_order_shifted
 from conetorsion import zeta
-from reference_oracles import theta, theta_direct
+from reference_oracles import continued_zeta, theta, theta_direct
 
 
 def test_residues_unit_t2(t2_slices):
@@ -40,10 +42,11 @@ def test_residue_volume_scaling():
 
 def test_zeta_mellin_large_s_vs_direct(unit_t2):
     sl = coclosed_spectrum(unit_t2, 0, 500000.0)
+    ms = zeta.mellin_split(sl)
     nu = sl.nu()
-    for s in (6.0, 8.0, 9.5):
+    for s, value in ((6.0, ms.pp_s(6)[0]), (8.0, ms.pp_s(8)[0]), (9.5, continued_zeta(ms, 9.5))):
         direct = float(np.sum(sl.mult * nu**-s))
-        assert zeta.zeta_mellin(sl, s) == pytest.approx(direct, abs=1e-10)
+        assert value == pytest.approx(direct, abs=1e-10)
 
 
 def _epstein_z(s: float) -> float:
@@ -73,20 +76,21 @@ def test_zeta_mellin_s1_vs_epstein_acceleration(t2_slices):
     accelerated = float(np.sum(f - model))
     accelerated += c1 * _epstein_z(1.0) + c2 * _epstein_z(3.0)
     accelerated += c3 * _epstein_z(5.0) + c4 * _epstein_z(7.0)
-    assert zeta.zeta_mellin(t2_slices[0], 1.0) == pytest.approx(accelerated, abs=1e-9)
+    assert zeta.mellin_split(t2_slices[0]).pp_s(1)[0] == pytest.approx(accelerated, abs=1e-9)
 
 
 def test_pole_behavior(t2_slices):
-    sl = t2_slices[0]
+    ms = zeta.mellin_split(t2_slices[0])
+    # s = 2 is the pole of A at sigma = 1
     with pytest.raises(ZetaPoleError):
-        zeta.zeta_mellin(sl, 2.0)
-    pp = zeta.zeta_mellin(sl, 2.0, pp=True)
+        ms.a_value(1.0)
+    pp, _ = ms.pp_s(2)
     assert math.isfinite(pp)
     # (s - 2) zeta(s) -> residue: two-sided evaluation at s = 2 +- 1e-4
-    res = zeta.mellin_split(sl).residue_s(2)
+    res = ms.residue_s(2)
     h = 1e-4
-    left = zeta.zeta_mellin(sl, 2.0 - h)
-    right = zeta.zeta_mellin(sl, 2.0 + h)
+    left = continued_zeta(ms, 2.0 - h)
+    right = continued_zeta(ms, 2.0 + h)
     approx = 0.5 * (h * right + (-h) * left)
     assert abs(approx - res) / res <= 1e-6
 
@@ -101,13 +105,13 @@ def test_zeta0_values(t2_slices):
 
 
 def test_zeta_prime0_vs_finite_difference(t2_slices):
-    """Richardson-extrapolated central differences of zeta_mellin at s = +-h
-    reproduce zeta'(0) to <= 1e-7."""
-    sl = t2_slices[0]
-    zp, _ = zeta.mellin_split(sl).zeta_prime0()
+    """Richardson-extrapolated central differences of the continued zeta at
+    s = +-h reproduce zeta'(0) to <= 1e-7."""
+    ms = zeta.mellin_split(t2_slices[0])
+    zp, _ = ms.zeta_prime0()
 
     def central(h):
-        return (zeta.zeta_mellin(sl, h) - zeta.zeta_mellin(sl, -h)) / (2.0 * h)
+        return (continued_zeta(ms, h) - continued_zeta(ms, -h)) / (2.0 * h)
 
     h = 1e-3
     d1 = central(h)
@@ -119,24 +123,22 @@ def test_zeta_prime0_vs_finite_difference(t2_slices):
 def test_zeta_mellin_small_negative_s(t2_slices):
     """Just left of zero the continuation follows zeta(0) + zeta'(0) s, which
     is what legitimizes the central-difference oracle."""
-    sl = t2_slices[0]
-    ms = zeta.mellin_split(sl)
+    ms = zeta.mellin_split(t2_slices[0])
     z0, (zp, _) = ms.zeta0(), ms.zeta_prime0()
     for s in (-1e-3, -1e-4):
-        assert zeta.zeta_mellin(sl, s) == pytest.approx(z0 + zp * s, abs=5e-7)
-    with pytest.raises(DomainError):
-        zeta.zeta_mellin(sl, -1.5)
+        assert continued_zeta(ms, s) == pytest.approx(z0 + zp * s, abs=5e-7)
 
 
 def test_k_series_basics(t2_slices):
     sl = t2_slices[0]
+    j = zeta.default_order(2)
     # alpha = 0: every term vanishes
     sl0 = sl.with_alpha(0.0)
-    assert zeta.k_series(sl0, +1) == 0.0
-    # sign symmetry: K(0, +a) on the alpha -> -alpha slice equals K(0, -a)
+    assert zeta._k_direct(sl0, +sl0.alpha, j)[0] == 0.0
+    # sign symmetry: zeta'(0, +a) on the alpha -> -alpha slice equals zeta'(0, -a)
     flipped = sl.with_alpha(-sl.alpha)
-    assert zeta.k_series(flipped, +1) == zeta.k_series(sl, -1)
-    assert zeta.k_series(flipped, -1) == zeta.k_series(sl, +1)
+    assert zeta.shifted_zeta_prime0(flipped, +1) == zeta.shifted_zeta_prime0(sl, -1)
+    assert zeta.shifted_zeta_prime0(flipped, -1) == zeta.shifted_zeta_prime0(sl, +1)
 
 
 def test_k_series_cutoff_doubling(unit_t2):
@@ -144,15 +146,8 @@ def test_k_series_cutoff_doubling(unit_t2):
     values = []
     for mult in (1, 4):
         sl = coclosed_spectrum(unit_t2, 0, base * mult)
-        values.append(zeta.k_series(sl, +1))
+        values.append(zeta._k_direct(sl, sl.alpha, zeta.default_order(2))[0])
     assert abs(values[0] - values[1]) <= 1e-9  # stabilizes to 9 digits
-
-
-def test_k_series_cutoff_insufficient(unit_t2):
-    sl = coclosed_spectrum(unit_t2, 0, 90.0)
-    with pytest.raises(CutoffInsufficientError) as exc:
-        zeta.k_series(sl, +1, order=2, tol=1e-10)
-    assert exc.value.required_cutoff > sl.cutoff
 
 
 def test_shifted_zeta0(t2_slices):
@@ -166,25 +161,26 @@ def test_shifted_zeta0(t2_slices):
     assert zeta.shifted_zeta0(sl, +1) - zeta.shifted_zeta0(sl, -1) == 0.0
 
 
-def test_shifted_prime0_order_independence(unit_t2):
+def test_shifted_prime0_order_independence(unit_t2, monkeypatch):
     """The K series summed directly at orders J, J + 4 and J + 8, each with
     the Mellin terms up to its own order, gives one zeta'(0, +-a) to 1e-12
-    on unit and 32 I T^2; an order below J, the order the cutoff is planned
-    for, is refused."""
+    on unit and 32 I T^2.  J is raised by patching ``default_order`` and
+    building fresh slices at the cutoff planned for J."""
     big = build_cross_section(
         {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[32, 0], [0, 32]]}
     )
-    j = zeta.default_order(2)
+    default = zeta.default_order
     for cs in (unit_t2, big):
-        sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-12))
-        for sign in (+1, -1):
-            v_j, _ = zeta.shifted_zeta_prime0(sl, sign)
-            assert zeta.shifted_zeta_prime0(sl, sign, order=j)[0] == v_j
-            for order in (j + 4, j + 8):
-                v, _ = zeta.shifted_zeta_prime0(sl, sign, order=order)
-                assert abs(v - v_j) <= 1e-12, (cs.volume, sign, order, v - v_j)
-    with pytest.raises(DomainError, match="below J"):
-        zeta.shifted_zeta_prime0(sl, +1, order=j - 1)
+        cutoff = zeta.cutoff_for_tolerance(cs, 0, 1e-12)
+        sl = coclosed_spectrum(cs, 0, cutoff)
+        v_j = {sign: zeta.shifted_zeta_prime0(sl, sign)[0] for sign in (+1, -1)}
+        for extra in (4, 8):
+            monkeypatch.setattr(zeta, "default_order", lambda n, extra=extra: default(n) + extra)
+            sl = coclosed_spectrum(cs, 0, cutoff)
+            for sign in (+1, -1):
+                v, _ = zeta.shifted_zeta_prime0(sl, sign)
+                assert abs(v - v_j[sign]) <= 1e-12, (cs.volume, sign, extra, v - v_j[sign])
+        monkeypatch.setattr(zeta, "default_order", default)
 
 
 def test_shifted_prime0_alpha_zero(t2_slices):
@@ -276,9 +272,8 @@ def test_residue_two_routes_agree(t2_slices, unit_t2):
 
 
 def test_pp_values_match_plain_values_off_poles(t2_slices):
-    sl = t2_slices[0]
-    ms = zeta.mellin_split(sl)
-    assert ms.pp_s(1)[0] == pytest.approx(zeta.zeta_mellin(sl, 1.0), rel=1e-12)
+    ms = zeta.mellin_split(t2_slices[0])
+    assert ms.pp_s(1)[0] == pytest.approx(continued_zeta(ms, 1.0), rel=1e-12)
     for r in (3, 5):
-        near = zeta.zeta_mellin(sl, r + 1e-7)
+        near = continued_zeta(ms, r + 1e-7)
         assert ms.pp_s(r)[0] == pytest.approx(near, rel=1e-5)
