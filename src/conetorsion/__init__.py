@@ -4,9 +4,7 @@ __version__ = "0.1.0"
 
 from .crosssection import (  # noqa: E402,F401
     CrossSection,
-    EigenLevel,
     SpectralSlice,
-    brute_force_form_laplacian,
     build_cross_section,
     coclosed_spectrum,
     theta_heat_coeffs,
@@ -21,9 +19,7 @@ from .errors import (  # noqa: E402,F401
 
 __all__ = [
     "CrossSection",
-    "EigenLevel",
     "SpectralSlice",
-    "brute_force_form_laplacian",
     "build_cross_section",
     "coclosed_spectrum",
     "theta_heat_coeffs",

@@ -147,21 +147,25 @@ def _base_provenance(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_torsion(cfg: RunConfig) -> int:
-    report = log_torsion_cone(cfg.cross_section, _params(cfg))
-    doc = {
-        "result": {
-            "log_torsion": report.log_t,
-            "top": report.top,
-            "tors": report.tors,
-            "res": report.res,
-            "anomaly_integral": report.anomaly_integral,
-            "per_slice": {str(k): v for k, v in report.per_slice.items()},
-        },
-        "provenance": {**_base_provenance(cfg), **report.provenance},
-    }
+def _emit_report(cfg: RunConfig, result: dict, provenance: dict) -> int:
+    """Write {"result", "provenance"} to the configured output, the
+    provenance being the base fields followed by ``provenance``."""
+    doc = {"result": result, "provenance": {**_base_provenance(cfg), **provenance}}
     _write_report(dumps17(doc), cfg.output_path)
     return 0
+
+
+def cmd_torsion(cfg: RunConfig) -> int:
+    report = log_torsion_cone(cfg.cross_section, _params(cfg))
+    result = {
+        "log_torsion": report.log_t,
+        "top": report.top,
+        "tors": report.tors,
+        "res": report.res,
+        "anomaly_integral": report.anomaly_integral,
+        "per_slice": {str(k): v for k, v in report.per_slice.items()},
+    }
+    return _emit_report(cfg, result, report.provenance)
 
 
 def cmd_truncated(cfg: RunConfig) -> int:
@@ -172,17 +176,13 @@ def cmd_truncated(cfg: RunConfig) -> int:
     cone = log_torsion_cone(cs, _params(cfg))
     value = log_torsion_truncated(cs, cfg.epsilon)
     diff = torsion_difference(cs, cfg.epsilon, cone.tors)
-    doc = {
-        "result": {
-            "log_torsion_truncated": value,
-            "epsilon": cfg.epsilon,
-            "difference_formula": diff,
-            "cross_route_residual": abs(diff - (value - cone.log_t)),
-        },
-        "provenance": {**_base_provenance(cfg), "wall_time_s": time.time() - started},
+    result = {
+        "log_torsion_truncated": value,
+        "epsilon": cfg.epsilon,
+        "difference_formula": diff,
+        "cross_route_residual": abs(diff - (value - cone.log_t)),
     }
-    _write_report(dumps17(doc), cfg.output_path)
-    return 0
+    return _emit_report(cfg, result, {"wall_time_s": time.time() - started})
 
 
 def cmd_anomaly(cfg: RunConfig) -> int:
@@ -194,12 +194,7 @@ def cmd_anomaly(cfg: RunConfig) -> int:
         closed = -cs.bundle_rank * cs.volume / (8.0 * math.pi)
         result["flat_t2_closed_form"] = closed
         result["closed_form_rel_error"] = abs(anomaly - closed) / abs(closed)
-    doc = {
-        "result": result,
-        "provenance": {**_base_provenance(cfg), "wall_time_s": time.time() - started},
-    }
-    _write_report(dumps17(doc), cfg.output_path)
-    return 0
+    return _emit_report(cfg, result, {"wall_time_s": time.time() - started})
 
 
 def cmd_scaling(cfg: RunConfig) -> int:
@@ -213,17 +208,11 @@ def cmd_scaling(cfg: RunConfig) -> int:
             lines.append(f"{format(row.mu, '.17g')},{format(row.tors, '.17g')},{bound}")
         _write_report("\n".join(lines) + "\n", cfg.output_path)
         return 0
-    doc = {
-        "result": {
-            "rows": [
-                {"mu": row.mu, "tors": row.tors, "bound": row.bound} for row in rows
-            ],
-            "fitted_bound_constant": fitted,
-        },
-        "provenance": {**_base_provenance(cfg), "wall_time_s": time.time() - started},
+    result = {
+        "rows": [{"mu": row.mu, "tors": row.tors, "bound": row.bound} for row in rows],
+        "fitted_bound_constant": fitted,
     }
-    _write_report(dumps17(doc), cfg.output_path)
-    return 0
+    return _emit_report(cfg, result, {"wall_time_s": time.time() - started})
 
 
 def cmd_dump_olver(order: int, path: Optional[str]) -> int:
@@ -266,9 +255,7 @@ def cmd_dump_spectrum(cfg: RunConfig) -> int:
             "heat_coefficients": sl.heat.coefficients,
             "levels": [[float(e), int(m)] for e, m in zip(sl.eta, sl.mult)],
         }
-    doc = {"result": {"slices": slices}, "provenance": _base_provenance(cfg)}
-    _write_report(dumps17(doc), cfg.output_path)
-    return 0
+    return _emit_report(cfg, {"slices": slices}, {})
 
 
 def cmd_dump_zeta(cfg: RunConfig) -> int:
@@ -291,9 +278,7 @@ def cmd_dump_zeta(cfg: RunConfig) -> int:
             },
             "err": ev.err,
         }
-    doc = {"result": {"slices": slices}, "provenance": _base_provenance(cfg)}
-    _write_report(dumps17(doc), cfg.output_path)
-    return 0
+    return _emit_report(cfg, {"slices": slices}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +579,10 @@ def _config_from_args(args) -> RunConfig:
     if args.threads is not None:
         doc["threads"] = args.threads
     if args.out is not None or args.format is not None:
-        output = dict(doc.get("output") or {})
+        output = doc.get("output")
+        if output is not None and not isinstance(output, dict):
+            raise ConfigError("output", "must be an object")
+        output = dict(output or {})
         if args.out is not None:
             output["path"] = args.out
         if args.format is not None:

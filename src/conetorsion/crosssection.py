@@ -5,8 +5,10 @@ a dual-lattice vector m != 0 the Laplacian on coclosed k-forms contributes
 the eigenvalue eta = 4 pi^2 |B^{-T} m|^2 with multiplicity rank * C(n-1, k);
 the m = 0 modes are harmonic, are excluded from the spectrum, and are counted
 separately through the Betti numbers rank * C(n, k).  The per-point coclosed
-multiplicity is not assumed: :func:`brute_force_form_laplacian` assembles the
-Hodge Laplacian on a truncated Fourier basis and rediscovers it numerically.
+multiplicity is not assumed: the brute-force Hodge Laplacian of
+``tests/reference_oracles.py``, assembled on a truncated Fourier basis,
+rediscovers it numerically, and the heat-model and Weyl-count bounds that
+the tests hold the enumerated spectra to live there too.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
@@ -249,15 +250,12 @@ class CrossSection:
         keep = sq <= max_sq * (1 + 1e-12)
         return sq[keep], counts[keep]
 
-    def dual_cell_diameter(self) -> float:
-        dual = self.dual_basis()
-        return float(np.sum(np.linalg.norm(dual, axis=0)))
-
-    def weyl_tail(self, k: int) -> "WeylTail":
-        """Weyl counting model of the degree-k coclosed spectrum."""
-        return WeylTail(
-            self.coclosed_point_multiplicity(k), self.volume, self.dim_n, self.dual_cell_diameter()
-        )
+    def weyl_density(self, k: int) -> float:
+        """Coefficient of V^{n-1} dV in the Weyl density of the degree-k
+        coclosed levels, measured in nu."""
+        n = self.dim_n
+        kappa = self.coclosed_point_multiplicity(k)
+        return n * kappa * self.volume * _ball_volume(n) / (2.0 * math.pi) ** n
 
 
 def build_cross_section(config: dict) -> CrossSection:
@@ -338,60 +336,10 @@ class HeatModel:
     def coefficients(self) -> list[float]:
         return [self.coefficient(j) for j in range(self.n + 1)]
 
-    def truncated_expansion(self, t: float) -> float:
-        return sum(c * t**p for c, p in zip(self.coefficients, self.powers))
-
-    def series_remainder_bound(self, t: float) -> float:
-        """Bound for the dropped exponential-series tail beyond order t^{n/2}."""
-        h = self.n // 2
-        a2t = self.alpha * self.alpha * t
-        lead = self.v_n * t ** (-h) * a2t ** (self.n + 1) / math.factorial(self.n + 1)
-        sub = a2t ** (h + 1) / math.factorial(h + 1)
-        return self.kappa * (lead + sub) * math.exp(a2t)
-
-    def model_part(self, t: float) -> float:
-        return self.kappa * (self.v_n * t ** (-self.n / 2.0) - 1.0) * math.exp(-self.alpha**2 * t)
-
-
-@dataclass(frozen=True)
-class WeylTail:
-    """Weyl-law counting model with a rigorous lattice-boundary error bound."""
-
-    kappa: int
-    volume: float
-    n: int
-    cell_diameter: float
-
-    @property
-    def weyl_constant(self) -> float:
-        # N(lam) ~ c_W lam^{n/2} = kappa Vol lam^{n/2} / ((4 pi)^{n/2} Gamma(n/2+1))
-        return self.kappa * self.volume / ((4.0 * math.pi) ** (self.n / 2.0) * math.gamma(self.n / 2.0 + 1.0))
-
-    def expected_count(self, cutoff: float) -> float:
-        return self.weyl_constant * cutoff ** (self.n / 2.0)
-
-    def count_bound(self, cutoff: float) -> float:
-        r = math.sqrt(max(cutoff, 0.0)) / (2.0 * math.pi)
-        d = self.cell_diameter
-        omega = _ball_volume(self.n)
-        hi = (r + d) ** self.n
-        lo = max(r - d, 0.0) ** self.n
-        return self.kappa * self.volume * omega * (hi - lo) + self.kappa
-
-    def density_constant(self) -> float:
-        """Coefficient of V^{n-1} dV in the level density measured in nu."""
-        return self.n * self.kappa * self.volume * _ball_volume(self.n) / (2.0 * math.pi) ** self.n
-
 
 # ---------------------------------------------------------------------------
 # Spectral slices
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class EigenLevel:
-    eta: float
-    mult: int
 
 
 @dataclass(eq=False)
@@ -418,27 +366,8 @@ class SpectralSlice:
         cs = self.cross_section
         return HeatModel(self.kappa, cs.volume, cs.dim_n, self.alpha)
 
-    @property
-    def tail(self) -> WeylTail:
-        return self.cross_section.weyl_tail(self.k)
-
     def nu(self) -> np.ndarray:
         return np.sqrt(self.eta + self.alpha * self.alpha)
-
-    def heat_remainder_bound(self, t: float) -> float:
-        """Bound for |Theta_k(t) - truncated expansion|.
-
-        Combines the dropped exponential-series tail with the lattice
-        remainder kappa V_n t^{-n/2} e^{-alpha^2 t} S_P(t), which is
-        exponentially small as t -> 0 but order one at t ~ 1.
-        """
-        series = self.heat.series_remainder_bound(t)
-        sq, counts = self.cross_section.primal_norms(max_sq=4.0 * t * 60.0)
-        s_p = float(np.sum(np.exp(-sq / (4.0 * t)) * counts)) if sq.size else 0.0
-        lattice = self.kappa * self.heat.v_n * t ** (-self.heat.n / 2.0) * math.exp(
-            -self.alpha**2 * t
-        ) * s_p
-        return series + lattice * (1.0 + 1e-9) + 1e-15
 
     def with_alpha(self, a: float) -> "SpectralSlice":
         """Same spectrum with a different shift (used by the scaling study)."""
@@ -478,79 +407,3 @@ def theta_heat_coeffs(cs: CrossSection, k: int) -> HeatModel:
     if k < 0 or k > n - 1:
         raise DomainError(f"degree k={k} outside 0..{n - 1}")
     return HeatModel(cs.coclosed_point_multiplicity(k), cs.volume, n, float(cs.alpha(k)))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def _ext_matrix(w: np.ndarray, k: int) -> np.ndarray:
-    """Matrix of exterior multiplication by the covector w on k-forms."""
-    n = w.size
-    rows = list(combinations(range(n), k + 1))
-    cols = list(combinations(range(n), k))
-    row_index = {subset: i for i, subset in enumerate(rows)}
-    mat = np.zeros((len(rows), len(cols)))
-    for ci, subset in enumerate(cols):
-        members = set(subset)
-        for j in range(n):
-            if j in members:
-                continue
-            merged = tuple(sorted(subset + (j,)))
-            sign = (-1) ** merged.index(j)
-            mat[row_index[merged], ci] += sign * w[j]
-    return mat
-
-
-MAX_BRUTE_MODES = 40000
-
-
-def brute_force_form_laplacian(
-    cs: CrossSection, k: int, fourier_cutoff: int
-) -> list[EigenLevel]:
-    """Independent oracle: diagonalize the Hodge Laplacian on a truncated
-    Fourier x Lambda^k basis and keep the coclosed nonzero spectrum.
-
-    ``fourier_cutoff`` bounds the lattice index box (|m_i| <= cutoff).  Works
-    mode by mode: for each m the Laplacian block is assembled from exterior
-    multiplication by the dual covector and its transpose, diagonalized with
-    ``eigh``, and restricted to the kernel of the codifferential block.
-    """
-    from scipy.linalg import eigh, null_space
-
-    n = cs.dim_n
-    if k < 0 or k > n - 1:
-        raise DomainError(f"degree k={k} outside 0..{n - 1}")
-    if fourier_cutoff < 1 or fourier_cutoff > 6:
-        raise DomainError("fourier_cutoff must lie in 1..6 (dense diagonalization)")
-    total_modes = (2 * fourier_cutoff + 1) ** n * math.comb(n, k)
-    if total_modes > MAX_BRUTE_MODES:
-        raise DomainError(
-            f"truncated basis has {total_modes} modes (> {MAX_BRUTE_MODES}); reduce the cutoff"
-        )
-    dual = cs.dual_basis()
-    axes = [range(-fourier_cutoff, fourier_cutoff + 1)] * n
-    eigs: list[float] = []
-    grids = np.meshgrid(*[np.arange(-fourier_cutoff, fourier_cutoff + 1)] * n, indexing="ij")
-    ms = np.stack([g.ravel() for g in grids], axis=1)
-    for m in ms:
-        if not np.any(m):
-            continue
-        w = 2.0 * math.pi * (dual @ m.astype(float))
-        ek = _ext_matrix(w, k)  # d_k block / i
-        ekm1 = _ext_matrix(w, k - 1) if k >= 1 else np.zeros((math.comb(n, k), 1))
-        lap = ek.T @ ek + ekm1 @ ekm1.T
-        if k >= 1:
-            coclosed_basis = null_space(ekm1.T)
-        else:
-            coclosed_basis = np.eye(math.comb(n, k))
-        if coclosed_basis.shape[1] == 0:
-            continue
-        sub = coclosed_basis.T @ lap @ coclosed_basis
-        vals = eigh(sub, eigvals_only=True)
-        eigs.extend(float(v) for v in vals if v > 1e-10)
-    eigs_arr = np.sort(np.asarray(eigs))
-    vals, counts = CrossSection._group(eigs_arr)
-    rank = cs.bundle_rank
-    return [EigenLevel(float(v), int(c) * rank) for v, c in zip(vals, counts)]

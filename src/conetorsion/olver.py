@@ -1,12 +1,14 @@
 """Exact-rational polynomials for the uniform large-order Bessel expansions.
 
 Everything here is built over ``fractions.Fraction``; floating point enters
-only when a polynomial is evaluated.  Each table is built once per process,
-and the public getters return copies of it.  Evaluation at an exact
-(``Fraction`` or ``int``) argument sums integer numerators over one common
-denominator, so it is exact and builds a single ``Fraction``; u_r and v_r at
-a float (the uniform expansions) read float coefficient lists derived once
-from the exact tables.
+only when u_r and v_r are evaluated at a float.  Each table is built once
+per process, and the public getters return copies of it.  ``eval_t_poly``,
+``m_poly_eval`` and ``z_diff_by_b`` evaluate exactly: each argument is read
+as a ``Fraction`` (a float as its exact binary value), and the integer
+numerators are summed over one common denominator into a single
+``Fraction``.  The uniform expansions evaluate u_r and v_r at a float
+through ``eval_uv``, which reads float coefficient lists derived once from
+the exact tables.
 The module provides
 
 * ``olver_pair(r)``: the coefficient polynomials u_r(t), v_r(t) of the
@@ -226,10 +228,6 @@ def z_table(r: int) -> Dict[int, Dict[int, Fraction]]:
 # -- evaluation ------------------------------------------------------------
 
 
-def _exact(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
 def _integer_form(p: Dict[int, Fraction]) -> tuple[int, list[int]]:
     """(D, [n_0, ..., n_deg]) with p(x) = sum_e n_e x^e / D in integers."""
     den = math.lcm(*(c.denominator for c in p.values()))
@@ -254,18 +252,9 @@ def _eval_form(form: tuple[int, list[int]], x: Fraction) -> Fraction:
     return Fraction(_scaled_horner(nums, x), den * x.denominator ** (len(nums) - 1))
 
 
-def eval_a_poly(ap: Dict[int, Fraction], a):
-    """Evaluate an a-polynomial; exact if ``a`` is a Fraction."""
-    if _exact(a):
-        return _eval_form(_integer_form(ap), Fraction(a))
-    return sum((c * a**d for d, c in sorted(ap.items())), start=a * 0)
-
-
-def eval_t_poly(p: TPoly, t):
-    """Evaluate a t-polynomial; exact if ``t`` is a Fraction."""
-    if _exact(t):
-        return _eval_form(_integer_form(p), Fraction(t))
-    return sum((c * t**e for e, c in sorted(p.items())), start=t * 0)
+def eval_t_poly(p: TPoly, t) -> Fraction:
+    """p(t), exactly."""
+    return _eval_form(_integer_form(p), Fraction(t))
 
 
 @functools.cache
@@ -275,8 +264,8 @@ def _uv_floats(r: int) -> tuple[list, list]:
 
 
 def eval_uv(r: int, t: float) -> tuple[float, float]:
-    """(u_r(t), v_r(t)) at a float t, from the float view of the tables; the
-    same terms in the same order as :func:`eval_t_poly`."""
+    """(u_r(t), v_r(t)) at a float t, from the float view of the tables:
+    sum_e float(c_e) t^e in order of the exponent."""
     u, v = _uv_floats(r)
     return sum(c * t**e for e, c in u), sum(c * t**e for e, c in v)
 
@@ -287,28 +276,20 @@ def _z_forms(r: int) -> Dict[int, tuple[int, list[int]]]:
     return {b: _integer_form(ap) for b, ap in sorted(_z_table(r).items())}
 
 
-def m_poly_eval(r: int, t, a):
-    """Evaluate M_r(t, a) = sum_b z_{r,b}(a) t^(r+2b); exact if both ``t`` and
-    ``a`` are Fractions."""
-    if _exact(t) and _exact(a):
-        a = Fraction(a)
-        rows = {r + 2 * b: _eval_form(form, a) for b, form in _z_forms(r).items()}
-        return eval_t_poly(rows, Fraction(t))
-    total = t * 0
-    for b, ap in sorted(_z_table(r).items()):
-        total += eval_a_poly(ap, a) * t ** (r + 2 * b)
-    return total
+def m_poly_eval(r: int, t, a) -> Fraction:
+    """M_r(t, a) = sum_b z_{r,b}(a) t^(r+2b), exactly."""
+    a = Fraction(a)
+    rows = {r + 2 * b: _eval_form(form, a) for b, form in _z_forms(r).items()}
+    return eval_t_poly(rows, t)
 
 
-def z_diff_by_b(r: int, a) -> Dict[int, object]:
-    """Per-b differences z_{r,b}(-a) - z_{r,b}(a), exact for Fraction a."""
-    if _exact(a):
-        a = Fraction(a)
-        return {
-            b: Fraction(_scaled_horner(nums, -a) - _scaled_horner(nums, a), den * a.denominator ** (len(nums) - 1))
-            for b, (den, nums) in _z_forms(r).items()
-        }
-    return {b: eval_a_poly(ap, -a) - eval_a_poly(ap, a) for b, ap in sorted(_z_table(r).items())}
+def z_diff_by_b(r: int, a) -> Dict[int, Fraction]:
+    """Per-b differences z_{r,b}(-a) - z_{r,b}(a), exactly."""
+    a = Fraction(a)
+    return {
+        b: Fraction(_scaled_horner(nums, -a) - _scaled_horner(nums, a), den * a.denominator ** (len(nums) - 1))
+        for b, (den, nums) in _z_forms(r).items()
+    }
 
 
 @functools.cache

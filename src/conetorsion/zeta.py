@@ -58,7 +58,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .crosssection import CrossSection, SpectralSlice, WeylTail
+from .crosssection import CrossSection, SpectralSlice
 from .errors import CutoffInsufficientError, DomainError, ZetaPoleError
 from .olver import harmonic_number
 
@@ -400,21 +400,12 @@ class MellinSplit:
 
     # -- B: lattice remainder on (0, t0] ----------------------------------
 
-    def _remainder(self, t: float) -> float:
-        """R(t) = scale * sum m e^{-|p|^2/(4t)} over the prefix of the sorted
-        primal norms whose terms scale * e^{-|p|^2/(4t)} reach e^{-_REMAINDER_CUT}."""
-        if t <= 0.0:
-            return 0.0
-        scale = self.kappa * self.v_n * t ** (-self.h) * math.exp(-self.a2 * t)
-        horizon = 4.0 * t * (_REMAINDER_CUT + math.log(scale))
-        m = int(np.searchsorted(self._p_sq, horizon, side="right"))
-        if m == 0:
-            return 0.0
-        vals = np.exp(-self._p_sq[:m] / (4.0 * t)) * self._p_counts[:m]
-        return scale * float(vals.sum())
-
     def _remainders(self, t: np.ndarray) -> np.ndarray:
-        """``_remainder`` at every entry of ``t`` (all > 0) in one pass.
+        """R(t) = scale * sum m e^{-|p|^2/(4t)} at every entry of ``t`` (all
+        > 0) in one pass, with scale = kappa V_n t^{-n/2} e^{-alpha^2 t}.  Each
+        node sums the prefix of the sorted primal norms whose terms
+        scale * e^{-|p|^2/(4t)} reach e^{-_REMAINDER_CUT}; the scalar form,
+        one node at a time, is ``remainder_ref`` of ``tests/reference_oracles.py``.
 
         The nodes are taken in order of their prefix length, in blocks of at
         most _BLOCK_SIZE (node x level) entries; within a block, the levels
@@ -562,12 +553,12 @@ def mellin_split(sl: SpectralSlice) -> MellinSplit:
 # ---------------------------------------------------------------------------
 
 
-def _k_tail_bound(tail: WeylTail, c: float, nu_max: float, order: int) -> float:
-    """Weyl-density bound on the dropped K-series tail beyond nu_max."""
-    n = tail.n
+def _k_tail_bound(sl: SpectralSlice, c: float, nu_max: float, order: int) -> float:
+    """Weyl-density bound on the dropped K-series tail of ``sl`` beyond nu_max."""
+    n = sl.cross_section.dim_n
     if nu_max <= abs(c) or order + 1 <= n:
         return math.inf
-    dens = tail.density_constant()
+    dens = sl.cross_section.weyl_density(sl.k)
     geo = 1.0 / (1.0 - abs(c) / nu_max)
     power = order + 1 - n
     return dens * abs(c) ** (order + 1) / (order + 1) * geo * nu_max ** (-power) / power
@@ -608,7 +599,7 @@ def _k_direct(sl: SpectralSlice, c: float, order: int) -> tuple[float, float]:
         acc = acc * yf + 1.0 / r
     terms[~near] = acc * yf ** (order + 1)
     value = math.fsum((terms * sl.mult).tolist())
-    return value, _k_tail_bound(sl.tail, c, float(nu[-1]), order)
+    return value, _k_tail_bound(sl, c, float(nu[-1]), order)
 
 
 def shifted_zeta0(sl: SpectralSlice, sign: int) -> float:
@@ -715,7 +706,7 @@ def cutoff_for_tolerance(
     j = default_order(n)
     alpha = abs(float(cs.alpha(k)))
     power = j + 1 - n
-    base = cs.weyl_tail(k).density_constant() * alpha ** (j + 1) / ((j + 1) * power * tol)
+    base = cs.weyl_density(k) * alpha ** (j + 1) / ((j + 1) * power * tol)
     v = max(2.0 * alpha + 1.0, base ** (1.0 / power))
     for _ in range(3):
         geo = 1.0 / max(1.0 - alpha / v, 0.5)

@@ -12,18 +12,25 @@ per level for F), and with production A they continue zeta off that grid.
 The scalar loops that the batched verify layers replaced are kept here as
 references for them: the per-point scipy Bessel quadruple, the per-entry
 closed-form determinant ratio, the per-draw Wronskian sampling and the
-Fraction-by-Fraction polynomial sum.
+Fraction-by-Fraction polynomial sum, and the scalar lattice remainder of
+the Mellin split.  The cross-section references are here too: a slice's
+heat expansion and Weyl count with their error bounds, and the brute-force
+Hodge Laplacian on a truncated Fourier basis.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 from scipy import integrate, special
+from scipy.linalg import eigh, null_space
 
 from conetorsion import zeta
+from conetorsion.crosssection import CrossSection, _ball_volume
 from conetorsion.errors import DomainError
 from conetorsion.firstorder import _HORIZON, _QUAD
 from conetorsion.torsion import _integrate_model_ode, top_term, tors_term
@@ -59,10 +66,25 @@ def remainder_theta(fo, t: float) -> float:
     return t / (2.0 * math.sqrt(math.pi)) * (v1 + v2)
 
 
+def remainder_ref(ms, t: float) -> float:
+    """R(t) = scale * sum m e^{-|p|^2/(4t)} of the Mellin split ``ms`` at one
+    node, over the prefix of the sorted primal norms whose terms
+    scale * e^{-|p|^2/(4t)} reach e^{-_REMAINDER_CUT}; 0 for t <= 0."""
+    if t <= 0.0:
+        return 0.0
+    scale = ms.kappa * ms.v_n * t ** (-ms.h) * math.exp(-ms.a2 * t)
+    horizon = 4.0 * t * (zeta._REMAINDER_CUT + math.log(scale))
+    m = int(np.searchsorted(ms._p_sq, horizon, side="right"))
+    if m == 0:
+        return 0.0
+    vals = np.exp(-ms._p_sq[:m] / (4.0 * t)) * ms._p_counts[:m]
+    return scale * float(vals.sum())
+
+
 def b_ref(ms, sigma: float) -> float:
     """B(sigma) of the Mellin split ``ms`` by one scalar adaptive quadrature."""
     return integrate.quad(
-        lambda t: t ** (sigma - 1.0) * ms._remainder(t), 0.0, ms.t0, **zeta._QUAD_OPTS
+        lambda t: t ** (sigma - 1.0) * remainder_ref(ms, t), 0.0, ms.t0, **zeta._QUAD_OPTS
     )[0]
 
 
@@ -192,3 +214,109 @@ def wronskian_draws_reference() -> list[tuple[float, float]]:
 def eval_poly_reference(p: dict, x):
     """sum_e c_e x^e as a sum of Fraction products, in order of the exponent."""
     return sum((c * x**e for e, c in sorted(p.items())), start=x * 0)
+
+
+
+def truncated_expansion(sl, t: float) -> float:
+    """The heat expansion of the slice ``sl`` through order t^{n/2}."""
+    return sum(c * t**p for c, p in zip(sl.heat.coefficients, sl.heat.powers))
+
+
+def model_part(sl, t: float) -> float:
+    """kappa (V_n t^{-n/2} - 1) e^{-alpha^2 t}, the un-truncated heat model of ``sl``."""
+    hm = sl.heat
+    return hm.kappa * (hm.v_n * t ** (-hm.n / 2.0) - 1.0) * math.exp(-hm.alpha**2 * t)
+
+
+def series_remainder_bound(sl, t: float) -> float:
+    """Bound for the dropped exponential-series tail of the heat expansion of
+    ``sl`` beyond order t^{n/2}."""
+    hm = sl.heat
+    h, a2t = hm.n // 2, hm.alpha * hm.alpha * t
+    lead = hm.v_n * t ** (-h) * a2t ** (hm.n + 1) / math.factorial(hm.n + 1)
+    return hm.kappa * (lead + a2t ** (h + 1) / math.factorial(h + 1)) * math.exp(a2t)
+
+
+def heat_remainder_bound(sl, t: float) -> float:
+    """Bound for |Theta_k(t) - truncated expansion| of ``sl``: the series tail
+    plus the lattice remainder kappa V_n t^{-n/2} e^{-alpha^2 t} S_P(t), which
+    is exponentially small as t -> 0 but order one at t ~ 1."""
+    sq, counts = sl.cross_section.primal_norms(max_sq=4.0 * t * 60.0)
+    s_p = float(np.sum(np.exp(-sq / (4.0 * t)) * counts)) if sq.size else 0.0
+    lattice = sl.kappa * sl.heat.v_n * t ** (-sl.heat.n / 2.0) * math.exp(-sl.alpha**2 * t) * s_p
+    return series_remainder_bound(sl, t) + lattice * (1.0 + 1e-9) + 1e-15
+
+
+def weyl_constant(sl) -> float:
+    """c_W in the Weyl count c_W lam^{n/2} = kappa Vol lam^{n/2} / ((4 pi)^{n/2} Gamma(n/2+1))."""
+    n = sl.cross_section.dim_n
+    return sl.kappa * sl.cross_section.volume / ((4.0 * math.pi) ** (n / 2.0) * math.gamma(n / 2.0 + 1.0))
+
+
+def expected_count(sl, cutoff: float) -> float:
+    """The Weyl count of the levels of ``sl`` up to ``cutoff``."""
+    return weyl_constant(sl) * cutoff ** (sl.cross_section.dim_n / 2.0)
+
+
+def count_bound(sl, cutoff: float) -> float:
+    """Bound on |count - expected_count|: the lattice points within one dual
+    cell diameter d of the sphere, kappa Vol omega_n ((r + d)^n - (r - d)^n) + kappa."""
+    cs = sl.cross_section
+    r = math.sqrt(max(cutoff, 0.0)) / (2.0 * math.pi)
+    d = float(np.sum(np.linalg.norm(cs.dual_basis(), axis=0)))
+    shell = (r + d) ** cs.dim_n - max(r - d, 0.0) ** cs.dim_n
+    return sl.kappa * cs.volume * _ball_volume(cs.dim_n) * shell + sl.kappa
+
+
+class EigenLevel(NamedTuple):
+    eta: float
+    mult: int
+
+
+def _ext_matrix(w: np.ndarray, k: int) -> np.ndarray:
+    """Matrix of exterior multiplication by the covector w on k-forms."""
+    n = w.size
+    row_index = {subset: i for i, subset in enumerate(combinations(range(n), k + 1))}
+    mat = np.zeros((len(row_index), math.comb(n, k)))
+    for ci, subset in enumerate(combinations(range(n), k)):
+        for j in sorted(set(range(n)) - set(subset)):
+            merged = tuple(sorted(subset + (j,)))
+            mat[row_index[merged], ci] += (-1) ** merged.index(j) * w[j]
+    return mat
+
+
+MAX_BRUTE_MODES = 40000
+
+
+def brute_force_form_laplacian(cs: CrossSection, k: int, fourier_cutoff: int) -> list[EigenLevel]:
+    """Independent oracle: diagonalize the Hodge Laplacian on a truncated
+    Fourier x Lambda^k basis (|m_i| <= ``fourier_cutoff``) and keep the
+    coclosed nonzero spectrum.  For each m the Laplacian block is assembled
+    from exterior multiplication by the dual covector and its transpose,
+    restricted to the kernel of the codifferential block and diagonalized
+    with ``eigh``."""
+    n = cs.dim_n
+    if k < 0 or k > n - 1:
+        raise DomainError(f"degree k={k} outside 0..{n - 1}")
+    if fourier_cutoff < 1 or fourier_cutoff > 6:
+        raise DomainError("fourier_cutoff must lie in 1..6 (dense diagonalization)")
+    total_modes = (2 * fourier_cutoff + 1) ** n * math.comb(n, k)
+    if total_modes > MAX_BRUTE_MODES:
+        raise DomainError(f"truncated basis has {total_modes} modes (> {MAX_BRUTE_MODES}); reduce the cutoff")
+    dual = cs.dual_basis()
+    grids = np.meshgrid(*[np.arange(-fourier_cutoff, fourier_cutoff + 1)] * n, indexing="ij")
+    eigs: list[float] = []
+    for m in np.stack([g.ravel() for g in grids], axis=1):
+        if not np.any(m):
+            continue
+        w = 2.0 * math.pi * (dual @ m.astype(float))
+        ek = _ext_matrix(w, k)  # d_k block / i
+        ekm1 = _ext_matrix(w, k - 1) if k >= 1 else np.zeros((math.comb(n, k), 1))
+        lap = ek.T @ ek + ekm1 @ ekm1.T
+        coclosed_basis = null_space(ekm1.T) if k >= 1 else np.eye(math.comb(n, k))
+        if coclosed_basis.shape[1] == 0:
+            continue
+        vals = eigh(coclosed_basis.T @ lap @ coclosed_basis, eigvals_only=True)
+        eigs.extend(float(v) for v in vals if v > 1e-10)
+    vals, counts = CrossSection._group(np.sort(np.asarray(eigs)))
+    return [EigenLevel(float(v), int(c) * cs.bundle_rank) for v, c in zip(vals, counts)]

@@ -347,6 +347,21 @@ def test_tolerance_and_cutoff_flags_together_are_config_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("output", ["report.json", [1]], ids=["string", "list"])
+@pytest.mark.parametrize("flag", ["--out", "--format"])
+def test_non_object_output_is_config_error_with_output_flags(tmp_path, capsys, flag, output):
+    """A non-object ``output`` is refused the same way with --out or --format
+    as without them, instead of failing while the flag is merged into it."""
+    cfg = _write_config(tmp_path, {**UNIT_T2, "output": output})
+    out = tmp_path / "o.json"
+    assert cli.main(["anomaly", "--config", cfg]) == 2
+    assert "output: must be an object" in capsys.readouterr().err
+    value = str(out) if flag == "--out" else "json"
+    assert cli.main(["anomaly", "--config", cfg, flag, value]) == 2
+    assert "output: must be an object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_or_unreadable_config_is_config_error(tmp_path, capsys):
     assert cli.main(["torsion", "--config", str(tmp_path / "absent.json")]) == 2
     assert "not found" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Cross-section spectra: topology, enumeration, heat model, and the
-brute-force Hodge-Laplacian oracle."""
+brute-force Hodge-Laplacian oracle, which with the heat-remainder and Weyl
+count bounds is a test reference in ``reference_oracles``."""
 
 from __future__ import annotations
 
@@ -11,13 +12,20 @@ import pytest
 from conetorsion.crosssection import (
     GROUP_TOL,
     CrossSection,
-    brute_force_form_laplacian,
     build_cross_section,
     coclosed_spectrum,
     theta_heat_coeffs,
 )
 from conetorsion.errors import ConfigError, DomainError
 from conetorsion.zeta import cutoff_for_tolerance
+from reference_oracles import (
+    brute_force_form_laplacian,
+    count_bound,
+    expected_count,
+    heat_remainder_bound,
+    model_part,
+    truncated_expansion,
+)
 
 
 def test_build_examples():
@@ -101,7 +109,7 @@ def test_weyl_law_three_cutoffs(unit_t2):
     for lam in (500.0, 2000.0, 8000.0):
         sl = coclosed_spectrum(unit_t2, 0, lam)
         count = int(sl.mult.sum())
-        assert abs(count - sl.tail.expected_count(lam)) <= sl.tail.count_bound(lam)
+        assert abs(count - expected_count(sl, lam)) <= count_bound(sl, lam)
 
 
 def test_oracle_agreement_t2(unit_t2):
@@ -180,8 +188,8 @@ def test_theta_direct_vs_expansion(unit_t2):
     a2 = sl.alpha**2
     for t in (0.5, 1.0, 2.0):
         direct = float(np.sum(sl.mult * np.exp(-(sl.eta + a2) * t)))
-        expansion = sl.heat.truncated_expansion(t)
-        assert abs(direct - expansion) <= sl.heat_remainder_bound(t)
+        expansion = truncated_expansion(sl, t)
+        assert abs(direct - expansion) <= heat_remainder_bound(sl, t)
 
 
 def test_exact_model_part(unit_t2):
@@ -193,7 +201,7 @@ def test_exact_model_part(unit_t2):
     for t in (0.05, 0.1):
         direct = float(np.sum(sl.mult * np.exp(-(sl.eta + a2) * t)))
         shell = 4.0 / (4.0 * math.pi) * math.exp(-1.0 / (4.0 * t)) / t
-        diff = abs(direct - sl.heat.model_part(t))
+        diff = abs(direct - model_part(sl, t))
         assert diff <= 2.0 * shell
         assert diff >= 0.5 * shell  # the remainder really is the lattice term
 

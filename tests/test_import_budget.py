@@ -1,13 +1,15 @@
 """The production commands import only numpy from the scientific stack, and
-no scipy module at all: scipy belongs to the oracles (the Bessel functions
-and the first-order route of ``verify``, the brute-force Laplacian), and the
-Mellin split, which serves its half-integer grid alone, reads none of it.
-``verify`` loads ``scipy.special`` and no other scipy subpackage: its
-Gelfand-Yaglom ODE is numpy.  Each check runs in a fresh interpreter,
-because pytest itself has scipy loaded."""
+no scipy module at all: scipy belongs to the ``verify`` oracles (the Bessel
+functions and the first-order route), and the Mellin split, which serves its
+half-integer grid alone, reads none of it.  ``verify`` loads
+``scipy.special`` and no other scipy subpackage: its Gelfand-Yaglom ODE is
+numpy.  No module of the package names ``scipy.linalg``; the brute-force
+Laplacian that diagonalizes with it is a test reference.  Each run-time
+check runs in a fresh interpreter, because pytest itself has scipy loaded."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -106,3 +108,17 @@ def test_verify_loads_only_scipy_special_and_warns_nothing(tmp_path):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "['special']"
+
+
+
+def test_no_module_imports_scipy_linalg():
+    """Read from the source, so an import inside a function counts too."""
+    for path in (SRC / "conetorsion").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(f"{name}.".startswith("scipy.linalg.") for name in names), path.name

@@ -1,0 +1,82 @@
+"""Every function in ``src/conetorsion`` is entered by some command.
+
+One fresh interpreter runs every subcommand on the sheared T^2, ``torsion``
+on the unit T^4, a ``--cutoff 10`` run (``CutoffInsufficientError``), a
+``truncated`` run without ``--epsilon`` (``ConfigError``), ``verify`` and
+``dump-olver`` under ``sys.setprofile``.  Exempt are the callables the
+benchmark tracer wraps (``TARGETS``, read as ``test_tracer_targets.py``
+reads it), the benchmark worker's ``load_config`` and error-only paths.  A
+function no command enters is a test reference, which belongs in
+``tests/reference_oracles.py``, or dead.
+"""
+
+from __future__ import annotations
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from test_tracer_targets import _targets
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "conetorsion"
+EXEMPT = {("config", "load_config"), ("torsion", "model_det_ratios.<locals>.entry_error")}
+EYE4 = [[float(i == j) for j in range(4)] for i in range(4)]
+SCRIPT = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+entered = set()
+
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(sys.argv[1]):
+        entered.add((Path(frame.f_code.co_filename).stem, frame.f_code.co_qualname))
+
+sys.setprofile(profile)
+from conetorsion import cli
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[2])]
+sys.setprofile(None)
+print(json.dumps([codes, sorted(entered)]))
+"""
+
+
+def _defined(node, module: str, prefix: str = ""):
+    """(module, qualified name) of every def under ``node``, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield module, prefix + child.name
+            yield from _defined(child, module, f"{prefix}{child.name}.<locals>.")
+        else:
+            suffix = f"{child.name}." if isinstance(child, ast.ClassDef) else ""
+            yield from _defined(child, module, prefix + suffix)
+
+
+def test_every_function_is_entered_by_a_command(tmp_path):
+    sheared, t4 = tmp_path / "sheared.json", tmp_path / "t4.json"
+    for path, basis in ((sheared, [[1, 0.37], [0, 1]]), (t4, EYE4)):
+        block = {"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis}
+        path.write_text(json.dumps({"schema": 1, "cross_section": block}))
+    out = ["--out", str(tmp_path / "report")]
+    runs = [[cmd, "--config", str(sheared), *extra, *out] for cmd, extra in [
+        ("torsion", []), ("truncated", ["--epsilon", "0.25"]), ("anomaly", []), ("scaling", ["--mu", "2,4"]),
+        ("dump-spectrum", []), ("dump-zeta", []), ("torsion", ["--cutoff", "10"]), ("truncated", []),
+    ]]
+    runs += [["torsion", "--config", str(t4), *out], ["verify"], ["dump-olver", "--order", "6", *out]]
+    run = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(PACKAGE), json.dumps(runs)],
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    codes, entered = json.loads(run.stdout)
+    assert codes == [0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0]
+    defined = {d for path in PACKAGE.glob("*.py") for d in _defined(ast.parse(path.read_text()), path.stem)}
+    targets = {(layer, name) for layer, names in _targets().items() for name in names}
+    unreached = sorted(defined - {tuple(e) for e in entered} - targets - EXEMPT)
+    assert unreached == [], f"defined in src/conetorsion but entered by no command: {unreached}"
