@@ -543,7 +543,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"], help="json, or csv for scaling")
         p.add_argument("--threads", type=int, help="recorded in provenance; no effect")
-        p.add_argument("--tolerance", type=float, help="target tolerance")
+        p.add_argument("--tolerance", type=float, help="bound on each K-series tail, not on log T (ROADMAP item 4)")
         p.add_argument("--cutoff", type=float, help="eigenvalue cutoff")
         p.add_argument("--epsilon", type=float, help="truncation parameter in (0,1)")
         p.add_argument("--mu", help="comma-separated scaling grid, e.g. 2,4,8")

@@ -308,7 +308,8 @@ class HeatModel:
         kappa * (V_n t^{-n/2} - 1) * exp(-alpha^2 t),   V_n = Vol/(4 pi)^{n/2}.
 
     ``coefficient(j)`` is the exact coefficient of t^{j - n/2} in the power
-    expansion of the model part.
+    expansion of the model part, for every j >= 0; ``residue(s)`` reads the
+    residue of the slice zeta function off it.
     """
 
     kappa: int
@@ -327,6 +328,13 @@ class HeatModel:
         if j >= h:
             c -= (-a2) ** (j - h) / math.factorial(j - h)
         return self.kappa * c
+
+    def residue(self, s: int) -> float:
+        """Res_{s} zeta_{k,N} = 2 coefficient(n/2 - s/2) / Gamma(s/2) at even
+        2 <= s <= n; zero at every other integer s."""
+        if s % 2 != 0 or not 2 <= s <= self.n:
+            return 0.0
+        return 2.0 * self.coefficient((self.n - s) // 2) / math.gamma(s // 2)
 
     @property
     def powers(self) -> list[int]:

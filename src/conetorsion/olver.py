@@ -20,6 +20,9 @@ The module provides
   of the derivative-series with shift parameter a; its coefficient table
   z_{r,b}(a) is exposed through ``z_table``.
 
+Both logarithms follow the recurrence r L_r = r w_r - sum_{j<r} j L_j w_{r-j}
+of (1 + S) L' = S', so their tables grow one order at a time.
+
 Key structural facts (asserted in the test suite): D_r and M_r contain only
 the powers t^(r+2b) with 0 <= b <= r, each z_{r,b} is a polynomial in the
 shift of degree <= r, and M_r(1, a) = D_r(1) - (-a)^r / r.
@@ -41,8 +44,10 @@ TAPoly = Dict[int, Dict[int, Fraction]]
 
 _u_cache: list[TPoly] = []
 _v_cache: list[TPoly] = []
-_d_cache: dict[int, TPoly] = {}
-_m_cache: dict[int, TAPoly] = {}
+# D_r, w_r and M_r at index r, extended one order at a time (index 0 unused)
+_d_cache: list = [None]
+_w_cache: list = [None]
+_m_cache: list = [None]
 
 
 def _tp_add(p: TPoly, q: TPoly) -> TPoly:
@@ -113,28 +118,23 @@ def olver_pair(r: int) -> Tuple[TPoly, TPoly]:
     return dict(_u_cache[r]), dict(_v_cache[r])
 
 
-def _series_log(coeffs: list, order: int, mul, scale, add):
+def _series_log(coeffs: list, order: int, mul, scale, add, out: list | None = None) -> list:
     """Order coefficients of log(1 + sum_{r>=1} w_r x^r), truncated at x^order.
 
     ``coeffs[r]`` is w_r (``coeffs[0]`` unused); the coefficient ring is
     abstracted through ``mul``/``scale``/``add`` so t- and (t,a)-polynomials
-    share the code.  Uses log(1+S) = sum (-1)^(j+1) S^j / j.
+    share the code.  ``out`` (default ``[None]``) holds the coefficients
+    L_1, L_2, ... already known at their index and is extended in place to
+    index ``order``, one order at a time, by the x^(r-1) coefficient of
+    (1 + S) L' = S':  r L_r = r w_r - sum_{j<r} j L_j w_{r-j}.
     """
-    out = [None] + [dict() for _ in range(order)]
-    power = [None] + [coeffs[r] for r in range(1, order + 1)]  # S^1 truncated
-    sign = Fraction(1)
-    for j in range(1, order + 1):
-        for r in range(j, order + 1):
-            out[r] = add(out[r], scale(power[r], sign / j))
-        if j == order:
-            break
-        sign = -sign
-        # power <- power * S, truncated
-        new = [None] + [dict() for _ in range(order)]
-        for r1 in range(j, order + 1):
-            for r2 in range(1, order - r1 + 1):
-                new[r1 + r2] = add(new[r1 + r2], mul(power[r1], coeffs[r2]))
-        power = new
+    out = [None] if out is None else out
+    while len(out) <= order:
+        r = len(out)
+        acc = add({}, coeffs[r])
+        for j in range(1, r):
+            acc = add(acc, scale(mul(out[j], coeffs[r - j]), Fraction(-j, r)))
+        out.append(acc)
     return out
 
 
@@ -143,13 +143,8 @@ def d_poly(r: int) -> TPoly:
     if r < 1:
         raise ValueError("order must be >= 1")
     _check_order(r)
-    if r not in _d_cache:
-        _extend_uv(max(r, len(_u_cache) - 1))
-        us = [None] + [_u_cache[j] for j in range(1, r + 1)]
-        logs = _series_log(us, r, _tp_mul, _tp_scale, _tp_add)
-        for j in range(1, r + 1):
-            _d_cache.setdefault(j, logs[j])
-    return dict(_d_cache[r])
+    _extend_uv(r)
+    return dict(_series_log(_u_cache, r, _tp_mul, _tp_scale, _tp_add, _d_cache)[r])
 
 
 def _tap_add(p: TAPoly, q: TAPoly) -> TAPoly:
@@ -158,7 +153,7 @@ def _tap_add(p: TAPoly, q: TAPoly) -> TAPoly:
         tgt = out.setdefault(e, {})
         for d, c in ap.items():
             tgt[d] = tgt.get(d, Fraction(0)) + c
-    return {e: {d: c for d, c in ap.items() if c} for e, ap in out.items()}
+    return {e: ap for e, ap in ((e, {d: c for d, c in ap.items() if c}) for e, ap in out.items()) if ap}
 
 
 def _tap_scale(p: TAPoly, c: Fraction) -> TAPoly:
@@ -177,10 +172,6 @@ def _tap_mul(p: TAPoly, q: TAPoly) -> TAPoly:
     return out
 
 
-def _clean_tap(p: TAPoly) -> TAPoly:
-    return {e: ap for e, ap in ((e, {d: c for d, c in ap.items() if c}) for e, ap in p.items()) if ap}
-
-
 def m_poly(r: int) -> TAPoly:
     """Return M_r(t, a) as {t-exponent: {a-exponent: Fraction}}.
 
@@ -190,20 +181,16 @@ def m_poly(r: int) -> TAPoly:
     if r < 1:
         raise ValueError("order must be >= 1")
     _check_order(r)
-    if r not in _m_cache:
-        _extend_uv(r)
+    _extend_uv(r)
+    while len(_w_cache) <= r:
+        j = len(_w_cache)
         # w_j = v_j + a * t * u_{j-1}
-        ws: list = [None]
-        for j in range(1, r + 1):
-            w: TAPoly = {e: {0: c} for e, c in _v_cache[j].items()}
-            for e, c in _u_cache[j - 1].items():
-                tgt = w.setdefault(e + 1, {})
-                tgt[1] = tgt.get(1, Fraction(0)) + c
-            ws.append(_clean_tap(w))
-        logs = _series_log(ws, r, _tap_mul, _tap_scale, _tap_add)
-        for j in range(1, r + 1):
-            _m_cache.setdefault(j, _clean_tap(logs[j]))
-    return {e: dict(ap) for e, ap in _m_cache[r].items()}
+        w: TAPoly = {e: {0: c} for e, c in _v_cache[j].items()}
+        for e, c in _u_cache[j - 1].items():
+            w.setdefault(e + 1, {})[1] = c
+        _w_cache.append(w)
+    logs = _series_log(_w_cache, r, _tap_mul, _tap_scale, _tap_add, _m_cache)
+    return {e: dict(ap) for e, ap in logs[r].items()}
 
 
 @functools.cache

@@ -106,15 +106,6 @@ def top_term(cs: CrossSection) -> float:
     return total
 
 
-def _residue_even_s(cs: CrossSection, k: int, r: int) -> float:
-    """Res_{s=2r} zeta_{k,N}(s) from the exact heat model."""
-    n = cs.dim_n
-    h = n // 2
-    if r < 1 or r > h:
-        return 0.0
-    return 2.0 * theta_heat_coeffs(cs, k).coefficient(h - r) / math.gamma(r)
-
-
 @functools.cache
 def _digamma_weighted_zdiff(r: int, alpha: Fraction) -> Fraction:
     """sum_b (z_{2r,b}(-a) - z_{2r,b}(a)) * H_{b+r-1}, exactly rational, and
@@ -140,8 +131,9 @@ def _residue_double_sum(cs: CrossSection) -> float:
     total = 0.0
     for k in range(h):
         alpha = cs.alpha(k)
+        heat = theta_heat_coeffs(cs, k)
         inner = math.fsum(
-            _residue_even_s(cs, k, r) * float(_digamma_weighted_zdiff(r, alpha))
+            heat.residue(2 * r) * float(_digamma_weighted_zdiff(r, alpha))
             for r in range(1, h + 1)
         )
         total += (-1) ** k / 2.0 * inner

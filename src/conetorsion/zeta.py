@@ -20,12 +20,13 @@ come out of one component decomposition
     zeta(s) = M(s/2) / Gamma(s/2),    M = A + B + F,
 
 where only A carries poles and those are explicit.  The decomposition is
-only ever read on the half-integer grid sigma in {0, 1/2, ..., J/2}, and B
-and F exist there alone.  Each slice's :class:`MellinSplit` tabulates every
-component once: the A series is built with the split, the B and F grids are
-filled on their first request, and every A value, A residue and finite part
-and PP value is computed on its first request and kept for the split's
-lifetime.
+only ever read on the half-integer grid sigma in {0, 1/2, ..., J/2}, and A,
+B and F exist there alone.  Each slice's :class:`MellinSplit` tabulates
+every component once: the A table (residue, finite part and pole flag at
+each grid sigma, from the coefficients of ``HeatModel``) is built with the
+split, and the B and F grids and the row of PP values at s = 1..J are
+filled on their first request.  Every residue of zeta is
+``HeatModel.residue``, here as in the Res term of the torsion.
 
 The shifted derivatives at zero are assembled from the absolutely convergent
 series
@@ -58,7 +59,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .crosssection import CrossSection, SpectralSlice
+from .crosssection import CrossSection, HeatModel, SpectralSlice
 from .errors import CutoffInsufficientError, DomainError, ZetaPoleError
 from .olver import harmonic_number
 
@@ -305,25 +306,45 @@ def upper_gamma_grid(x: np.ndarray, r_max: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+def _a_table(heat: HeatModel, t0: float, grid: np.ndarray, terms: int) -> tuple[list, list, list]:
+    """(residues, finite parts, pole flags) at every grid sigma of
+    A(sigma) = int_0^t0 t^(sigma-1) (heat model) dt, from the coefficients
+    c_j of t^(j-h), j < ``terms``.
+
+    Term by term A = sum_j c_j t0^d / d with d = sigma + j - h.  A pole,
+    d = 0, falls at the integer sigma <= h alone; there the residue is c_j
+    and the finite part takes c_j log t0 for that term.  Each sigma's sum
+    runs through ``math.fsum``; off the poles the finite part is A itself.
+    """
+    coef = np.array([heat.coefficient(j) for j in range(terms)])
+    d = grid[:, None] + (np.arange(terms) - heat.n // 2)
+    pole = d == 0.0
+    safe = np.where(pole, 1.0, d)
+    parts = np.where(pole, coef * math.log(t0), coef * t0**safe / safe)
+    # at most one pole per row, so each residue is one coefficient exactly
+    res = np.where(pole, coef, 0.0).sum(axis=1)
+    return res.tolist(), [math.fsum(row) for row in parts.tolist()], pole.any(axis=1).tolist()
+
+
 class MellinSplit:
     """Continuation engine for one spectral slice.
 
-    B and F are defined on the grid sigma in {0, 1/2, ..., J/2},
+    A, B and F are defined on the grid sigma in {0, 1/2, ..., J/2},
     J = default_order(n), alone; a sigma off it is a :class:`DomainError`.
-    B, the lattice remainder on (0, t0], comes from one globally adaptive
+    A, the integral of the exact heat model over (0, t0], is tabulated when
+    the split is built (``_a_table``): its residue, finite part and pole
+    flag at every grid sigma, from the coefficients of ``HeatModel``.  B,
+    the lattice remainder on (0, t0], comes from one globally adaptive
     Gauss-Kronrod-21 vector quadrature (absolute tolerance 1e-13, relative
     1e-12 in the max norm), started from the panels of ``remainder_breaks``,
     that yields the whole grid at once; each refinement round evaluates the
     remainder at the nodes of all its new panels in one vectorised pass.
     F, the spectral sum on [t0, inf), is the closed form
     sum m mu^(-sigma) Gamma(sigma, mu t0), filled for the whole grid at once
-    from ``upper_gamma_grid``.  Each is one table, filled on its first
-    request.  A, the integral of the exact heat model over (0, t0], sums a
-    (coefficient, power) table built once per split.  Every A value, A
-    residue and finite part and PP value is computed on its first request
-    and kept in a per-split dict, so a second request costs a lookup.  Level
-    sums run in sorted order through ``math.fsum``, and no value depends on
-    the order of requests, so results are reproducible bit for bit.
+    from ``upper_gamma_grid``.  B, F and the row of PP values at s = 1..J
+    are each one table, filled on its first request.  Sums run through
+    ``math.fsum``, level sums in sorted order, and no value depends on the
+    order of requests, so results are reproducible bit for bit.
     """
 
     def __init__(self, sl: SpectralSlice, t0: float = 1.0):
@@ -331,6 +352,7 @@ class MellinSplit:
         self.t0 = float(t0)
         self.n = sl.cross_section.dim_n
         self.h = self.n // 2
+        self.order = default_order(self.n)
         self.kappa = sl.kappa
         self.a2 = sl.alpha * sl.alpha
         if self.a2 * self.t0 > A_CAP:
@@ -338,25 +360,23 @@ class MellinSplit:
                 f"alpha^2 t0 = {self.a2 * self.t0:.6g} exceeds A_CAP = {A_CAP:g}: "
                 "the A-part series of exp(-alpha^2 t) cancels"
             )
-        self.v_n = sl.heat.v_n
-        self._a_cache: Dict[float, float] = {}
-        self._a_pole_cache: Dict[float, tuple[float, float]] = {}
-        self._b: Optional[tuple[np.ndarray, float]] = None
-        self._f: Optional[list[float]] = None
-        self._pp_cache: Dict[int, tuple[float, float]] = {}
-        self._b_grid = np.arange(default_order(self.n) + 1) / 2.0
-        # A-part series: (coefficient, power q) with model integrand
-        # coefficient * t^{q-1+sigma}, the heat model times the exponential
-        # series of e^{-alpha^2 t}, cut h + 4 terms past the first one below 1e-24
+        self.heat = heat = sl.heat
+        self.v_n = heat.v_n
+        self._grid = np.arange(self.order + 1) / 2.0
+        # the heat expansion through t^(terms + h + 3): h + 4 powers past the
+        # first term x^i / i! of e^{-x}, x = alpha^2 t0, below 1e-24
         x = self.a2 * self.t0
         terms = 8
         while x**terms / math.factorial(terms) > 1e-24 and terms < 400:
             terms += 1
-        self._a_series: list[tuple[float, int]] = []
-        for i in range(terms + self.h + 4):
-            c = (-self.a2) ** i / math.factorial(i)
-            self._a_series.append((self.kappa * self.v_n * c, i - self.h))
-            self._a_series.append((-self.kappa * c, i))
+        self._a_res, self._a_fin, self._a_pole = _a_table(heat, self.t0, self._grid, terms + 2 * self.h + 4)
+        # Res_{s=r} zeta H_{r-1} for r = 1..J, nonzero at the even r <= n alone
+        self._res_h = [0.0] * self.order
+        for r in range(2, self.n + 1, 2):
+            self._res_h[r - 1] = heat.residue(r) * float(harmonic_number(r - 1))
+        self._b: Optional[tuple[np.ndarray, float]] = None
+        self._f: Optional[list[float]] = None
+        self._pp: Optional[list[tuple[float, float]]] = None
         # primal norms for the lattice remainder on (0, t0]
         self._p_sq, self._p_counts = sl.cross_section.primal_norms(primal_window(self.t0))
         # levels that matter on [t0, inf)
@@ -368,35 +388,28 @@ class MellinSplit:
         # the tail sum silently misses levels
         self._f_complete = (sl.cutoff + self.a2) * self.t0 >= _EXP_FLOOR
 
+    def _grid_index(self, sigma: float) -> int:
+        """Position of sigma in the grid ``_grid``; a DomainError off it."""
+        r = 2.0 * sigma
+        if r != round(r) or not 0 <= r < self._grid.size:
+            raise DomainError(
+                f"sigma = {sigma} is off the Mellin grid {{0, 1/2, ..., {self._grid[-1]:g}}}"
+            )
+        return int(r)
+
     # -- A: exact heat-model part -----------------------------------------
 
     def a_value(self, sigma: float) -> float:
         """A(sigma) = int_0^t0 t^(sigma-1) (heat model) dt away from its poles."""
-        if sigma not in self._a_cache:
-            total = 0.0
-            for coef, q in self._a_series:
-                d = sigma + q
-                if abs(d) < 1e-13:
-                    raise ZetaPoleError(f"sigma={sigma} hits a heat-expansion pole")
-                total += coef * self.t0**d / d
-            self._a_cache[sigma] = total
-        return self._a_cache[sigma]
+        i = self._grid_index(sigma)
+        if self._a_pole[i]:
+            raise ZetaPoleError(f"sigma={sigma} hits a heat-expansion pole")
+        return self._a_fin[i]
 
     def a_residue_and_finite(self, sigma0: float) -> tuple[float, float]:
-        """Residue and finite part of A at sigma0 (exact pole extraction)."""
-        if sigma0 not in self._a_pole_cache:
-            res = 0.0
-            fin = 0.0
-            logt0 = math.log(self.t0)
-            for coef, q in self._a_series:
-                d = sigma0 + q
-                if abs(d) < 1e-9:
-                    res += coef
-                    fin += coef * logt0
-                else:
-                    fin += coef * self.t0**d / d
-            self._a_pole_cache[sigma0] = (res, fin)
-        return self._a_pole_cache[sigma0]
+        """Residue and finite part of A at sigma0 (residue 0 off the poles)."""
+        i = self._grid_index(sigma0)
+        return self._a_res[i], self._a_fin[i]
 
     # -- B: lattice remainder on (0, t0] ----------------------------------
 
@@ -449,24 +462,15 @@ class MellinSplit:
             **_QUAD_OPTS,
         )
 
-    def _grid_index(self, sigma: float) -> int:
-        """Position of sigma in the grid ``_b_grid``; a DomainError off it."""
-        r = 2.0 * sigma
-        if r != round(r) or not 0 <= r < self._b_grid.size:
-            raise DomainError(
-                f"sigma = {sigma} is off the Mellin grid {{0, 1/2, ..., {self._b_grid[-1]:g}}}"
-            )
-        return int(r)
-
     def b_value(self, sigma: float) -> tuple[float, float]:
         """B(sigma) = int_0^t0 t^(sigma-1) R(t) dt with its error estimate.
 
-        The first call fills the whole grid ``_b_grid``; the error estimate
+        The first call fills the whole grid ``_grid``; the error estimate
         is the max-norm estimate of that quadrature.
         """
         i = self._grid_index(sigma)
         if self._b is None:
-            self._b = self._b_quad(self._b_grid)
+            self._b = self._b_quad(self._grid)
         vals, err = self._b
         return float(vals[i]), err
 
@@ -477,7 +481,7 @@ class MellinSplit:
         estimate, over the levels with mu t0 <= _EXP_FLOOR.
 
         Each level integral is mu^(-sigma) Gamma(sigma, mu t0) (DLMF 8.2).
-        The first call fills the whole grid ``_b_grid`` from
+        The first call fills the whole grid ``_grid`` from
         ``upper_gamma_grid``.  The terms are positive, and the error
         estimate allows 1e-13 relative, above the worst relative error of
         the grid against mpmath for 1e-4 <= mu t0 <= 50 (6.1e-15 up to
@@ -490,10 +494,10 @@ class MellinSplit:
             )
         i = self._grid_index(sigma)
         if self._f is None:
-            levels = upper_gamma_grid(self._f_mu * self.t0, self._b_grid.size - 1)
+            levels = upper_gamma_grid(self._f_mu * self.t0, self._grid.size - 1)
             self._f = [
                 math.fsum((self._f_mult * (self._f_mu**-s * level)).tolist())
-                for s, level in zip(self._b_grid.tolist(), levels)
+                for s, level in zip(self._grid.tolist(), levels)
             ]
         val = self._f[i]
         return val, 1e-13 * val + 1e-22
@@ -501,31 +505,30 @@ class MellinSplit:
     # -- assembled quantities ----------------------------------------------
 
     def residue_s(self, r: int) -> float:
-        """Residue of zeta_{k,N} at integer s = r (zero at odd r)."""
-        if r % 2 != 0 or r <= 0 or r > self.n:
-            return 0.0
-        sigma0 = r / 2.0
-        rho, _ = self.a_residue_and_finite(sigma0)
-        return 2.0 * rho / math.gamma(sigma0)
+        """Residue of zeta_{k,N} at integer s = r (``HeatModel.residue``)."""
+        return self.heat.residue(r)
+
+    def _pp_row(self) -> list[tuple[float, float]]:
+        """(PP value, error) of zeta_{k,N} at s = r for r = 1..J, filled on
+        the first request from the A table, ``b_value`` and ``f_value``."""
+        if self._pp is None:
+            row = []
+            for r in range(1, self.order + 1):
+                sigma = r / 2.0
+                b, be = self.b_value(sigma)
+                f, fe = self.f_value(sigma)
+                # digamma(r/2) = H_{r/2-1} - gamma at a pole r/2; the residue is 0 elsewhere
+                psi = float(harmonic_number(r // 2 - 1)) - EULER_GAMMA if self._a_pole[r] else 0.0
+                g = math.gamma(sigma)
+                row.append(((self._a_fin[r] + b + f - self._a_res[r] * psi) / g, (be + fe) / g))
+            self._pp = row
+        return self._pp
 
     def pp_s(self, r: int) -> tuple[float, float]:
         """PP value of zeta_{k,N} at integer s = r (plain value off poles)."""
         if r <= 0:
             raise DomainError("PP values are defined for integer s >= 1")
-        if r in self._pp_cache:
-            return self._pp_cache[r]
-        sigma0 = r / 2.0
-        b, be = self.b_value(sigma0)
-        f, fe = self.f_value(sigma0)
-        if r % 2 == 0 and r <= self.n:
-            rho, fin = self.a_residue_and_finite(sigma0)
-            # digamma(r/2) = H_{r/2-1} - gamma at the integer r/2
-            psi = float(harmonic_number(r // 2 - 1)) - EULER_GAMMA
-            pp = (fin + b + f - rho * psi) / math.gamma(sigma0)
-        else:
-            pp = (self.a_value(sigma0) + b + f) / math.gamma(sigma0)
-        self._pp_cache[r] = (pp, (be + fe) / math.gamma(sigma0))
-        return self._pp_cache[r]
+        return self._pp_row()[self._grid_index(r / 2.0) - 1]
 
     def zeta0(self) -> float:
         rho, _ = self.a_residue_and_finite(0.0)
@@ -613,26 +616,22 @@ def shifted_zeta0(sl: SpectralSlice, sign: int) -> float:
 def shifted_zeta_prime0(sl: SpectralSlice, sign: int) -> tuple[float, float]:
     """zeta'_{k,N}(0, sign*alpha) with an error estimate.
 
-    Sums the decomposition once at subtraction order J = ``default_order(n)``,
-    the order the slice cutoff is planned for: the K series summed directly
-    at order J plus the Mellin terms r <= J.  The result does not depend on
+    Sums the decomposition once at the split's subtraction order
+    J = ``default_order(n)``, the order the slice cutoff is planned for: the
+    K series summed directly at order J plus the Mellin terms r <= J, read
+    off the split's residue and PP rows.  The result does not depend on
     J, which the test suite checks.
     """
-    n = sl.cross_section.dim_n
     c = sign * sl.alpha
     ms = mellin_split(sl)
     zp, zp_err = ms.zeta_prime0()
     if c == 0.0:
         return zp, zp_err
-    j = default_order(n)
-    kval, kbound = _k_direct(sl, c, j)
+    kval, kbound = _k_direct(sl, c, ms.order)
     terms = []
     errs = [zp_err, min(kbound, 1.0)]
-    for r in range(1, j + 1):
-        res = ms.residue_s(r)
-        pp, pe = ms.pp_s(r)
-        hr = float(harmonic_number(r - 1))
-        terms.append((-c) ** r / r * (res * hr + pp))
+    for r, (res_h, (pp, pe)) in enumerate(zip(ms._res_h, ms._pp_row()), start=1):
+        terms.append((-c) ** r / r * (res_h + pp))
         errs.append(abs(c) ** r / r * pe)
     return zp + kval + math.fsum(terms), math.fsum(errs)
 

@@ -6,14 +6,17 @@ sum per node and scipy ``quad`` for the subordination integral: the nested
 form that the production ``_b1_value`` swaps and vectorises.  The full-cone
 Gelfand-Yaglom shooting oracle checks ``model_det_ratio`` on the full cone.
 The Ray-Singer quotient of the product metric checks the torsion assembly.
-The Mellin split's B and F, which production fills on the half-integer grid
-alone, are rebuilt here at any sigma by scalar quadrature (one for B, one
-per level for F), and with production A they continue zeta off that grid.
+The Mellin split's A, B and F, which production tabulates on the
+half-integer grid alone, are rebuilt here at any sigma: A as the term-by-term
+integral of the heat model times its exponential series, B and F by scalar
+quadrature (one for B, one per level for F); together they continue zeta
+off that grid.
 The scalar loops that the batched verify layers replaced are kept here as
 references for them: the per-point scipy Bessel quadruple, the per-entry
-closed-form determinant ratio, the per-draw Wronskian sampling and the
-Fraction-by-Fraction polynomial sum, and the scalar lattice remainder of
-the Mellin split.  The cross-section references are here too: a slice's
+closed-form determinant ratio, the per-draw Wronskian sampling, the
+Fraction-by-Fraction polynomial sum, the scalar lattice remainder of the
+Mellin split, and the formal logarithm of the Olver series by powers of
+its argument, which the recurrence of ``olver._series_log`` replaced.  The cross-section references are here too: a slice's
 heat expansion and Weyl count with their error bounds, and the brute-force
 Hodge Laplacian on a truncated Fourier basis.
 """
@@ -31,7 +34,7 @@ from scipy.linalg import eigh, null_space
 
 from conetorsion import zeta
 from conetorsion.crosssection import CrossSection, _ball_volume
-from conetorsion.errors import DomainError
+from conetorsion.errors import DomainError, ZetaPoleError
 from conetorsion.firstorder import _HORIZON, _QUAD
 from conetorsion.torsion import _integrate_model_ode, top_term, tors_term
 
@@ -101,11 +104,32 @@ def f_ref(ms, sigma: float) -> float:
     return math.fsum(vals)
 
 
+def a_ref(ms, sigma: float) -> float:
+    """A(sigma) of the Mellin split ``ms`` at any sigma off its poles: the heat
+    model kappa (V_n t^{-h} - 1) times the exponential series of
+    e^{-alpha^2 t}, integrated over (0, t0] term by term and summed in order.
+    The series is cut h + 4 terms past the first term (alpha^2 t0)^i / i!
+    below 1e-24."""
+    x = ms.a2 * ms.t0
+    terms = 8
+    while x**terms / math.factorial(terms) > 1e-24 and terms < 400:
+        terms += 1
+    total = 0.0
+    for i in range(terms + ms.h + 4):
+        c = (-ms.a2) ** i / math.factorial(i)
+        for coef, q in ((ms.kappa * ms.v_n * c, i - ms.h), (-ms.kappa * c, i)):
+            d = sigma + q
+            if abs(d) < 1e-13:
+                raise ZetaPoleError(f"sigma={sigma} hits a heat-expansion pole")
+            total += coef * ms.t0**d / d
+    return total
+
+
 def continued_zeta(ms, s: float) -> float:
-    """zeta_{k,N}(s) = (A + B + F)(s/2) / Gamma(s/2) at any s off the poles:
-    production A, and B and F by ``b_ref`` and ``f_ref``."""
+    """zeta_{k,N}(s) = (A + B + F)(s/2) / Gamma(s/2) at any s off the poles,
+    with A, B and F by ``a_ref``, ``b_ref`` and ``f_ref``."""
     sigma = 0.5 * s
-    return (ms.a_value(sigma) + b_ref(ms, sigma) + f_ref(ms, sigma)) / math.gamma(sigma)
+    return (a_ref(ms, sigma) + b_ref(ms, sigma) + f_ref(ms, sigma)) / math.gamma(sigma)
 
 
 def theta(fo, t: float) -> float:
@@ -209,6 +233,29 @@ def wronskian_draws_reference() -> list[tuple[float, float]]:
     """The (nu, x) pairs of the verify wronskian check, one uniform per call."""
     rng = np.random.default_rng(20240901)
     return [(rng.uniform(0.0, 50.0), rng.uniform(0.1, 50.0)) for _ in range(100)]
+
+
+def series_log_powers(coeffs: list, order: int, mul, scale, add) -> list:
+    """Order coefficients of log(1 + S), S = sum_{r>=1} w_r x^r truncated at
+    x^order, from log(1 + S) = sum_j (-1)^(j+1) S^j / j with the powers of S
+    built one product at a time; ``coeffs[r]`` is w_r (``coeffs[0]``
+    unused) and the ring is abstracted as in ``olver._series_log``."""
+    out = [None] + [dict() for _ in range(order)]
+    power = [None] + [coeffs[r] for r in range(1, order + 1)]  # S^1 truncated
+    sign = Fraction(1)
+    for j in range(1, order + 1):
+        for r in range(j, order + 1):
+            out[r] = add(out[r], scale(power[r], sign / j))
+        if j == order:
+            break
+        sign = -sign
+        # power <- power * S, truncated
+        new = [None] + [dict() for _ in range(order)]
+        for r1 in range(j, order + 1):
+            for r2 in range(1, order - r1 + 1):
+                new[r1 + r2] = add(new[r1 + r2], mul(power[r1], coeffs[r2]))
+        power = new
+    return out
 
 
 def eval_poly_reference(p: dict, x):

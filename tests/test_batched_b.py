@@ -68,9 +68,9 @@ def test_remainders_match_scalar(name, t0):
 def test_b_independent_of_block_size(name, block, monkeypatch):
     basis = SKINNY if name == "t2-skinny" else BENCH[name]
     for ms in _splits(basis):
-        ref, _ = ms._b_quad(ms._b_grid)
+        ref, _ = ms._b_quad(ms._grid)
         monkeypatch.setattr(zeta, "_BLOCK_SIZE", block)
-        got, _ = ms._b_quad(ms._b_grid)
+        got, _ = ms._b_quad(ms._grid)
         monkeypatch.undo()
         assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), (got - ref) / ref
 
@@ -92,7 +92,7 @@ def test_b_fill_memory_skinny_torus():
 @pytest.mark.parametrize("name", list(BENCH))
 def test_node_count_matches_quad_vec(name):
     for ms in _splits(BENCH[name]):
-        sigmas = ms._b_grid
+        sigmas = ms._grid
         scalar_nodes = 0
 
         def integrand(t):

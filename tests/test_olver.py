@@ -4,6 +4,8 @@ over a common denominator, the float view) against plain Fraction sums."""
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 from fractions import Fraction as F
 
@@ -11,8 +13,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from conetorsion import olver
-from reference_oracles import eval_poly_reference
+from conetorsion import cli, olver
+from reference_oracles import eval_poly_reference, series_log_powers
 
 
 def test_recursion_base():
@@ -241,3 +243,54 @@ def test_float_evaluation_matches_the_exact_tables_bit_for_bit(r):
     for t in (0.15, 0.5, 1.0 / math.sqrt(2.0), 1.0):
         u, v = olver.olver_pair(r)
         assert olver.eval_uv(r, t) == (eval_poly_reference(u, t), eval_poly_reference(v, t))
+
+
+def _w_series(order: int) -> list:
+    """w_r = v_r + a t u_{r-1} for r = 1..order, as (t, a)-polynomials."""
+    ws = [None]
+    for r in range(1, order + 1):
+        w = {e: {0: c} for e, c in olver.olver_pair(r)[1].items()}
+        for e, c in olver.olver_pair(r - 1)[0].items():
+            w.setdefault(e + 1, {})[1] = c
+        ws.append(w)
+    return ws
+
+
+def test_recurrence_matches_the_powers_of_s():
+    """D_r and M_r from the recurrence r L_r = r w_r - sum j L_j w_{r-j} equal
+    the formal logarithm summed over the powers of its argument, exactly,
+    for every r <= 12."""
+    top = olver.DEFAULT_MAX_ORDER
+    us = [None] + [olver.olver_pair(r)[0] for r in range(1, top + 1)]
+    d_ref = series_log_powers(us, top, olver._tp_mul, olver._tp_scale, olver._tp_add)
+    m_ref = series_log_powers(_w_series(top), top, olver._tap_mul, olver._tap_scale, olver._tap_add)
+    for r in range(1, top + 1):
+        assert olver.d_poly(r) == d_ref[r]
+        assert olver.m_poly(r) == {e: ap for e, ap in m_ref[r].items() if ap}
+
+
+def test_dump_olver_builds_each_order_once(tmp_path, monkeypatch):
+    """From empty tables, ``dump-olver --order 12`` appends every order of D
+    and of M to its table once, ascending, and writes the bytes the
+    powers-of-S build wrote (SHA-256 below)."""
+    appended = {"d": [], "m": []}
+
+    class Recording(list):
+        def __init__(self, key):
+            super().__init__([None])
+            self.key = key
+
+        def append(self, value):
+            appended[self.key].append(len(self))
+            super().append(value)
+
+    monkeypatch.setattr(olver, "_d_cache", Recording("d"))
+    monkeypatch.setattr(olver, "_w_cache", [None])
+    monkeypatch.setattr(olver, "_m_cache", Recording("m"))
+    monkeypatch.setattr(olver, "_z_table", functools.cache(olver._z_table.__wrapped__))
+    out = tmp_path / "olver.json"
+    assert cli.main(["dump-olver", "--order", "12", "--out", str(out)]) == 0
+    assert appended == {"d": list(range(1, 13)), "m": list(range(1, 13))}
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "9c818d25c109953d235354268b0b8d3a7431883799b8639bdd1bfd1199248e72"
+    )

@@ -1,7 +1,7 @@
-"""Per-split tabulation of the Mellin continuation: every A value, A residue
-and finite part, and PP value is computed once per split and key, cached
-values equal freshly computed ones bit for bit whatever the request order,
-and harmonic numbers come from a once-per-process table."""
+"""Per-split tabulation of the Mellin continuation: the A table is filled
+once per split and the PP row once per split and sigma, tabulated values
+equal freshly computed ones bit for bit whatever the request order, and
+harmonic numbers come from a once-per-process table."""
 
 from __future__ import annotations
 
@@ -61,44 +61,32 @@ def test_split_values_do_not_depend_on_request_order(name):
 
 
 def test_log_torsion_sums_each_a_series_once(unit_t4, monkeypatch):
-    """On unit T^4 a torsion run sums the A series at most once per split and
-    sigma, counted at the summation itself rather than at the calls."""
-    summations = [0]
-    per_key: Counter = Counter()
+    """On unit T^4 a torsion run sums the A series once per split, counted at
+    the A table fill itself rather than at the calls; later requests at
+    every grid sigma are read off the table."""
+    fills = [0]
     splits = []
-
-    class CountingSeries(list):
-        def __iter__(self):
-            summations[0] += 1
-            return super().__iter__()
-
+    a_table = zeta._a_table
     init = zeta.MellinSplit.__init__
 
     def counting_init(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self._a_series = CountingSeries(self._a_series)
         splits.append(self)
 
-    def attribute(method):
-        def counted(self, sigma):
-            before = summations[0]
-            try:
-                return method(self, sigma)
-            finally:
-                per_key[(id(self), sigma)] += summations[0] - before
-
-        return counted
+    def counting_table(*args):
+        fills[0] += 1
+        return a_table(*args)
 
     monkeypatch.setattr(zeta.MellinSplit, "__init__", counting_init)
-    for name in ("a_value", "a_residue_and_finite"):
-        monkeypatch.setattr(zeta.MellinSplit, name, attribute(getattr(zeta.MellinSplit, name)))
+    monkeypatch.setattr(zeta, "_a_table", counting_table)
     log_torsion_cone(unit_t4, NumericsParams(tolerance=1e-10))
     assert len(splits) == unit_t4.dim_n // 2
-    for ms in splits:  # a value off the run's grid, asked twice
-        ms.a_value(0.25)
-        ms.a_value(0.25)
-    assert summations[0] == sum(per_key.values()) > 0
-    assert max(per_key.values()) == 1
+    for ms in splits:  # every grid sigma, asked twice
+        for sigma in ms._grid.tolist():
+            ms.a_residue_and_finite(sigma)
+            ms.a_residue_and_finite(sigma)
+    # every split has a table, so one fill per split is at most one each
+    assert fills[0] == len(splits) > 0
 
 
 def test_log_torsion_assembles_each_pp_value_once(unit_t4, monkeypatch):

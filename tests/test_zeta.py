@@ -1,7 +1,7 @@
 """Zeta continuation: residues, Mellin values, shifted values/derivatives,
 their oracles, and the convergent K-series corrections.  Values off the
 half-integer grid, which production never reads, come from
-``continued_zeta``: production A with scalar-quadrature B and F."""
+``continued_zeta``: the reference A series with scalar-quadrature B and F."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conetorsion.crosssection import build_cross_section, coclosed_spectrum
+from conetorsion.crosssection import build_cross_section, coclosed_spectrum, theta_heat_coeffs
 from conetorsion.errors import ZetaPoleError
 from conetorsion.firstorder import first_order_shifted
 from conetorsion import zeta
@@ -263,12 +263,12 @@ def test_error_estimates_monotone(unit_t2):
 
 
 def test_residue_two_routes_agree(t2_slices, unit_t2):
-    """Residues extracted from the Mellin A-series equal the closed heat-model
-    formula used by the torsion assembly (internal consistency of the routes)."""
-    from conetorsion.torsion import _residue_even_s
-
+    """The residue of the split's A table at its pole sigma = 1, turned into
+    Res_{s=2} zeta = 2 Res_{sigma=1} A / Gamma(1), equals the closed
+    heat-model formula ``HeatModel.residue`` that Res and the split read."""
     ms = zeta.mellin_split(t2_slices[0])
-    assert ms.residue_s(2) == pytest.approx(_residue_even_s(unit_t2, 0, 1), rel=1e-14)
+    rho, _ = ms.a_residue_and_finite(1.0)
+    assert 2.0 * rho / math.gamma(1.0) == pytest.approx(theta_heat_coeffs(unit_t2, 0).residue(2), rel=1e-14)
 
 
 def test_pp_values_match_plain_values_off_poles(t2_slices):
