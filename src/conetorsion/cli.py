@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .bessel import modified_bessels, uniform_expansion, wronskian_residual
 from .config import RunConfig, parse_config, read_config_document
-from .crosssection import CrossSection, SpectralSlice
+from .crosssection import CrossSection, SpectralSlice, theta_sums
 from .errors import (
     ConfigError,
     CutoffInsufficientError,
@@ -143,7 +143,6 @@ def _base_provenance(cfg: RunConfig) -> dict:
         "schema": 1,
         "tolerance": cfg.tolerance,
         "cutoff": cfg.cutoff,
-        "threads": cfg.threads,
     }
 
 
@@ -286,7 +285,7 @@ def cmd_dump_zeta(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_m_at_one_identity() -> float:
+def _check_m_at_one_identity(inputs: _VerifyInputs) -> float:
     worst = Fraction(0)
     for r in range(1, 7):
         for a in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)):
@@ -296,7 +295,7 @@ def _check_m_at_one_identity() -> float:
     return float(worst)
 
 
-def _check_zdiff_sum_identity() -> float:
+def _check_zdiff_sum_identity(inputs: _VerifyInputs) -> float:
     worst = Fraction(0)
     for r in range(1, 7):
         for a in (Fraction(1, 2), Fraction(3, 2)):
@@ -307,7 +306,7 @@ def _check_zdiff_sum_identity() -> float:
     return float(worst)
 
 
-def _check_z2_table() -> float:
+def _check_z2_table(inputs: _VerifyInputs) -> float:
     table = z_table(2)
     pinned = {
         0: {0: Fraction(-3, 16), 1: Fraction(1, 2), 2: Fraction(-1, 2)},
@@ -325,11 +324,11 @@ def _wronskian_draws() -> tuple[np.ndarray, np.ndarray]:
     return 50.0 * u[:, 0], 0.1 + (50.0 - 0.1) * u[:, 1]
 
 
-def _check_wronskian() -> float:
+def _check_wronskian(inputs: _VerifyInputs) -> float:
     return float(np.max(wronskian_residual(*_wronskian_draws())))
 
 
-def _check_uniform() -> float:
+def _check_uniform(inputs: _VerifyInputs) -> float:
     grid = [(nu, z) for nu in (30.0, 60.0, 120.0) for z in (0.4, 1.0, 2.5)]
     nu, z = np.array(grid).T
     q = modified_bessels(nu, nu * z, scaled=False)
@@ -378,22 +377,22 @@ def _check_harmonic(inputs: _VerifyInputs) -> float:
     return float(np.max(np.abs(closed - gy) / closed))
 
 
-def _check_heat_identity() -> float:
+def _check_heat_identity(inputs: _VerifyInputs) -> float:
     """Worst relative residual of the heat-trace identity
 
         1 + sum m e^(-eta t) = Vol / (4 pi t)^(n/2) (1 + sum c e^(-|p|^2 / 4t))
 
     between the dual levels and the primal norms of two non-symmetric bases,
-    whose row and column lattices differ, at t = 0.7 and 0.1; both sums run
-    to the e^(-50) horizon."""
+    whose row and column lattices differ, at t = 0.7 and 0.1, with windows to
+    the e^(-50) horizon and both sums through B's kernel ``theta_sums``."""
     worst = 0.0
     for basis in ([[1.0, 1.0], [0.0, 2.0]], [[1.0, 0.0], [1.0, 2.0]]):
         cs = CrossSection(2, np.array(basis))
         for t in (0.7, 0.1):
             eta, mult = cs.lattice_eta_levels(50.0 / t)
             sq, counts = cs.primal_norms(200.0 * t)
-            dual = 1.0 + math.fsum((mult * np.exp(-eta * t)).tolist())
-            primal = 1.0 + math.fsum((counts * np.exp(-sq / (4.0 * t))).tolist())
+            dual = 1.0 + theta_sums(eta, mult, np.array([1.0 / t]))[0]
+            primal = 1.0 + theta_sums(sq, counts, np.array([4.0 * t]))[0]
             ratio = dual / (cs.volume / (4.0 * math.pi * t) * primal)
             worst = max(worst, abs(ratio - 1.0))
     return worst
@@ -450,7 +449,7 @@ def _check_tors_duality(inputs: _VerifyInputs) -> float:
     return tors_term(slices[0].cross_section, slices=slices).cross_check_residual
 
 
-def _check_regularization() -> float:
+def _check_regularization(inputs: _VerifyInputs) -> float:
     worst = 0.0
     for nu, alpha, eps in ((2.5, 0.5, 0.25), (3.5, 1.5, 0.1), (4.5, 0.5, 0.5)):
         _, p_small = t_eta_lambda(nu, alpha, eps, -1e-8)
@@ -460,7 +459,7 @@ def _check_regularization() -> float:
     return worst  # must be <= 1
 
 
-_CHECKS: list[tuple[str, str, Callable[..., float], float]] = [
+_CHECKS: list[tuple[str, str, Callable[[_VerifyInputs], float], float]] = [
     ("lattice", "heat-identity", _check_heat_identity, 1e-12),
     ("olver", "m-at-one-identity", _check_m_at_one_identity, 0.0),
     ("olver", "z-diff-sum-identity", _check_zdiff_sum_identity, 0.0),
@@ -474,14 +473,6 @@ _CHECKS: list[tuple[str, str, Callable[..., float], float]] = [
     ("torsion", "tors-duality", _check_tors_duality, 1e-8),
     ("torsion", "regularization-surface", _check_regularization, 1.0),
 ]
-# checks that read the shared inputs of the run (``_VerifyInputs``)
-_ON_INPUTS = (
-    _check_det_grid,
-    _check_harmonic,
-    _check_zeta_exp,
-    _check_shifted_derivative_route,
-    _check_tors_duality,
-)
 
 
 def cmd_verify(group: Optional[str]) -> int:
@@ -496,7 +487,7 @@ def cmd_verify(group: Optional[str]) -> int:
     for grp, name, fn, bound in _CHECKS:
         if group and group not in (grp, name):
             continue
-        value = fn(inputs) if fn in _ON_INPUTS else fn()
+        value = fn(inputs)
         ok = value <= bound
         status = "pass" if ok else "FAIL"
         print(f"{status}  {name:28s} worst={value:.3e}  bound={bound:.3e}")
@@ -542,7 +533,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a schema-1 JSON configuration")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"], help="json, or csv for scaling")
-        p.add_argument("--threads", type=int, help="recorded in provenance; no effect")
         p.add_argument("--tolerance", type=float, help="bound on each K-series tail, not on log T (ROADMAP item 4)")
         p.add_argument("--cutoff", type=float, help="eigenvalue cutoff")
         p.add_argument("--epsilon", type=float, help="truncation parameter in (0,1)")
@@ -576,8 +566,6 @@ def _config_from_args(args) -> RunConfig:
             doc["mu_grid"] = [float(v) for v in args.mu.split(",") if v]
         except ValueError:
             raise ConfigError("mu_grid", "must be a comma-separated list of numbers") from None
-    if args.threads is not None:
-        doc["threads"] = args.threads
     if args.out is not None or args.format is not None:
         output = doc.get("output")
         if output is not None and not isinstance(output, dict):

@@ -20,8 +20,8 @@ consulted, so a config file plus a command line reproduces a run exactly.
     }
 
 Evaluation is single-threaded: ``threads`` is validated so that existing
-schema-1 documents still load, and the CLI records it in each report's
-provenance, but it does not change how a run is computed.
+schema-1 documents still load, and then dropped; no report records it, and
+it does not change how a run is computed.
 
 Validation failures raise :class:`ConfigError` carrying the dotted field
 path; the CLI maps them to exit code 2.
@@ -54,7 +54,6 @@ class RunConfig:
     mu_grid: Optional[list[float]] = None
     output_path: Optional[str] = None
     output_format: str = "json"
-    threads: int = 1
 
 
 def _positive_number(value, path: str) -> float:
@@ -143,7 +142,6 @@ def parse_config(doc: dict) -> RunConfig:
         mu_grid=mu_grid,
         output_path=output_path,
         output_format=output_format,
-        threads=threads,
     )
 
 

@@ -33,6 +33,13 @@ MAX_WINDOW_POINTS = 1e8
 _BLOCK_ROWS = 1 << 18
 # Sorted values whose gaps one step of the level grouping tests at once.
 _GROUP_BLOCK = 1 << 16
+# e^{-700} ~ 1e-304: theta-sum terms smaller than this cannot change a
+# binary64 result, and skipping them keeps the exponentials out of the
+# subnormal range
+THETA_CUT = 700.0
+# (node x level) entries one block of a theta sum may hold: 2 MiB of float64
+# temporaries whatever the window
+_THETA_BLOCK = 1 << 18
 
 # the fields of a cross_section block (docs/config.schema.json)
 CROSS_SECTION_FIELDS = frozenset({"family", "dim_n", "bundle_rank", "lattice_basis"})
@@ -40,6 +47,33 @@ CROSS_SECTION_FIELDS = frozenset({"family", "dim_n", "bundle_rank", "lattice_bas
 
 def _ball_volume(n: int) -> float:
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+def theta_sums(levels: np.ndarray, counts: np.ndarray, spreads: np.ndarray, log_scale=0.0) -> np.ndarray:
+    """sum_j counts_j e^{-levels_j / spreads_i} at every node i over the prefix
+    of the sorted ``levels`` whose terms, scaled by e^{log_scale_i} (a scalar
+    or one per node), reach e^{-THETA_CUT}.  The nodes run in order of prefix
+    length, in blocks of at most _THETA_BLOCK (node x level) entries; within a
+    block, the levels past a node's own prefix are masked out of its sum."""
+    prefix = np.searchsorted(levels, (THETA_CUT + log_scale) * spreads, side="right")
+    order = np.argsort(prefix, kind="stable")
+    widths = prefix[order]
+    out = np.zeros(spreads.shape)
+    i = int(np.searchsorted(widths, 0, side="right"))
+    while i < order.size:
+        # the block's width is that of its last node; widths ascend
+        fits = np.arange(1, order.size - i + 1) * widths[i:] <= _THETA_BLOCK
+        j = i + max(1, int(np.count_nonzero(fits)))
+        rows = order[i:j]
+        width = int(widths[j - 1])
+        terms = -levels[:width] / spreads[rows, None]
+        terms[np.arange(width) >= widths[i:j, None]] = -np.inf
+        np.exp(terms, out=terms)
+        terms *= counts[:width]
+        out[rows] = terms.sum(axis=1)
+        del terms  # free this block before the next one is allocated
+        i = j
+    return out
 
 
 def _estimate_points(mat: np.ndarray, radius: float, window: str) -> float:
@@ -106,18 +140,19 @@ class CrossSection:
     def dual_basis(self) -> np.ndarray:
         return np.linalg.inv(self.lattice_basis).T
 
-    # The ball of radius 1.1 times the shortest basis vector holds that basis
-    # vector, so it also holds the shortest lattice vector and its shell.
+    # The ball of radius 1.1 times the shortest basis vector (a hypot, which
+    # neither overflows nor underflows) holds that basis vector, so it also
+    # holds the shortest lattice vector and its shell.
 
     def min_primal_length(self) -> float:
-        shortest = float(np.min(np.linalg.norm(self.lattice_basis, axis=0)))
+        shortest = float(np.min(np.hypot.reduce(self.lattice_basis, axis=0)))
         sq, _ = self.primal_norms((1.1 * shortest) ** 2)
         return math.sqrt(float(sq[0]))
 
     def first_eta_bound(self) -> float:
         """(2 pi 1.1 |shortest column of B^{-T}|)^2 >= 1.21 first eta, found
         without enumeration."""
-        shortest = float(np.min(np.linalg.norm(self.dual_basis(), axis=0)))
+        shortest = float(np.min(np.hypot.reduce(self.dual_basis(), axis=0)))
         return (2.0 * math.pi * 1.1 * shortest) ** 2
 
     def first_eta(self) -> float:
@@ -145,7 +180,9 @@ class CrossSection:
         than MAX_WINDOW_POINTS points: up front from the estimate
         omega_n radius^n / |det mat|, and again if the enumeration passes the
         limit (the estimate undercounts a ball thinner than the lattice
-        spacing in some direction).
+        spacing in some direction).  A single partial vector with more than
+        MAX_WINDOW_POINTS candidates, which no block split can divide, is
+        refused while its count is still a float, before any allocation.
         """
         n = self.dim_n
         estimate = _estimate_points(mat, radius, window)
@@ -163,7 +200,14 @@ class CrossSection:
             c = -(m @ r_fac[i]) / rii
             half = np.sqrt(np.maximum(r2 - part, 0.0)) / rii
             lo = np.ceil(c - half - 1e-9)
-            counts = np.maximum(np.floor(c + half + 1e-9) - lo + 1.0, 0.0).astype(np.intp)
+            counts = np.maximum(np.floor(c + half + 1e-9) - lo + 1.0, 0.0)
+            if not counts.max() <= MAX_WINDOW_POINTS:
+                raise ConfigError(
+                    "cross_section.lattice_basis",
+                    f"the {window} window (radius {radius:.6g}) puts more than "
+                    f"{MAX_WINDOW_POINTS:.3g} candidates on one line",
+                )
+            counts = counts.astype(np.intp)
             ends = np.cumsum(counts)
             total = int(ends[-1])
             if total == 0:

@@ -22,11 +22,11 @@ second-order route.
 This is a verification surface: slower than the production route, used by the
 test suite and the CLI ``verify`` command to validate the shifted values and
 derivatives at s = 0 independently.  It shares with :mod:`conetorsion.zeta`
-the spectrum, the generic vectorised Gauss-Kronrod-21 engine ``quad_gk21``
-with its starting breaks ``remainder_breaks`` and its constants (Euler's
-gamma, the e^-700 term cut, the block bound), and nothing else.  The
-oracles of one slice for both signs of the shift (``first_order_oracles``)
-share one B quadrature.
+the spectrum, the lattice kernel ``crosssection.theta_sums`` (with its e^-700
+term cut and block bound), the generic vectorised Gauss-Kronrod-21 engine
+``quad_gk21`` with its starting breaks ``remainder_breaks`` and Euler's gamma,
+and nothing else.  The oracles of one slice for both signs of the shift
+(``first_order_oracles``) share one B quadrature.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from .crosssection import SpectralSlice
+from .crosssection import SpectralSlice, theta_sums
 from .errors import DomainError
-from .zeta import _BLOCK_SIZE, _REMAINDER_CUT, EULER_GAMMA, quad_gk21, remainder_breaks
+from .zeta import EULER_GAMMA, quad_gk21, remainder_breaks
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 _HORIZON = 46.0
@@ -71,26 +71,6 @@ def _window_integral(c: float, t0: float, u):
     diff[neg] = damp * erfcx(-b[neg]) - erfcx(-a[neg])
     diff[mid] = np.exp(a[mid] * a[mid]) * (erf(b[mid]) - erf(a[mid]))
     return (math.sqrt(math.pi) * root * diff)[()]
-
-
-def _cut_exp_sums(levels: np.ndarray, counts: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """sum_j counts_j e^{-levels_j rate_i} for every rate_i, over the terms
-    with levels_j rate_i <= _REMAINDER_CUT (a prefix of the sorted levels).
-
-    The nodes run in blocks of at most _BLOCK_SIZE (node x level) entries;
-    within a block, the levels beyond a node's own prefix are masked out.
-    """
-    prefix = np.searchsorted(levels, _REMAINDER_CUT / rates, side="right")
-    width = int(prefix.max(initial=0))
-    out = np.zeros(rates.shape)
-    step = max(1, _BLOCK_SIZE // max(width, 1))
-    for i in range(0, rates.size, step):
-        terms = -levels[:width] * rates[i : i + step, None]
-        terms[np.arange(width) >= prefix[i : i + step, None]] = -np.inf
-        np.exp(terms, out=terms)
-        terms *= counts[:width]
-        out[i : i + step] = terms.sum(axis=1)
-    return out
 
 
 @dataclass(frozen=True)
@@ -165,13 +145,13 @@ class FirstOrderZeta:
     def _remainders(self, u: np.ndarray) -> np.ndarray:
         """R(u) = kappa e^{-a^2 u} (theta_L(u) - V_n u^{-h}) at every entry of
         ``u`` (all > 0): the primal form up to u_c, the dual form past it,
-        each summing its terms above e^{-_REMAINDER_CUT}."""
+        each a ``theta_sums`` of its terms above e^{-THETA_CUT}."""
         out = np.empty(u.shape)
         primal = u <= self._u_c
         up, ud = u[primal], u[~primal]
-        s_p = _cut_exp_sums(self._p_sq, self._p_counts, 0.25 / up)
+        s_p = theta_sums(self._p_sq, self._p_counts, 4.0 * up)
         out[primal] = self.kappa * self.v_n * up ** (-self.h) * np.exp(-self.a2 * up) * s_p
-        s_d = _cut_exp_sums(self._eta, self._counts, ud)
+        s_d = theta_sums(self._eta, self._counts, 1.0 / ud)
         out[~primal] = self.kappa * np.exp(-self.a2 * ud) * (1.0 + s_d - self.v_n * ud ** (-self.h))
         return out
 

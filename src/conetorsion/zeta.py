@@ -59,7 +59,7 @@ from typing import Callable, Dict, Optional
 
 import numpy as np
 
-from .crosssection import CrossSection, HeatModel, SpectralSlice
+from .crosssection import THETA_CUT, CrossSection, HeatModel, SpectralSlice, theta_sums
 from .errors import CutoffInsufficientError, DomainError, ZetaPoleError
 from .olver import harmonic_number
 
@@ -75,17 +75,11 @@ A_CAP = 8.0
 # t0 = _T0_VOLUME Vol^{2/n} makes the primal estimate omega (4 t0 (50 + 8))^{n/2} / Vol
 # equal the dual one omega (55 / (4 pi^2 t0))^{n/2} Vol
 _T0_VOLUME = 0.0775
-# e^{-700} ~ 1e-304: lattice-remainder terms smaller than this cannot change a
-# binary64 B, and skipping them keeps the exponentials out of the subnormal range
-_REMAINDER_CUT = 700.0
 # the starting breaks of a remainder quadrature begin where the first primal
-# shell's term e^{-|p|^2/(4t)} reaches e^{-(_REMAINDER_CUT + _SHELL_MARGIN)}
+# shell's term e^{-|p|^2/(4t)} reaches e^{-(THETA_CUT + _SHELL_MARGIN)}
 # and grow by _BREAK_RATIO
 _SHELL_MARGIN = 50.0
 _BREAK_RATIO = 4.0
-# (node x level) entries one block of the batched lattice remainder may hold:
-# 2 MiB of float64 temporaries whatever the primal window
-_BLOCK_SIZE = 1 << 18
 
 # Gauss-Kronrod 21-point rule on [-1, 1] (QUADPACK qk21): Kronrod nodes and
 # weights, and the weights of the embedded 10-point Gauss rule, whose nodes
@@ -207,14 +201,14 @@ def remainder_breaks(p_sq: np.ndarray, upper: float) -> list[float]:
     (0, upper] of a lattice remainder whose primal form sums
     e^{-|p|^2/(4t)} over the sorted squared norms ``p_sq``.
 
-    lo = |p_min|^2 / (4 (_REMAINDER_CUT + _SHELL_MARGIN)) is where the first
+    lo = |p_min|^2 / (4 (THETA_CUT + _SHELL_MARGIN)) is where the first
     shell's term reaches e^-750, so the remainder vanishes to binary64 on
     [0, lo] and the geometric panels above it follow its growth; with no
     primal point (or lo >= upper) the single panel [0, upper].
     """
     breaks = [0.0]
     if p_sq.size:
-        b = float(p_sq[0]) / (4.0 * (_REMAINDER_CUT + _SHELL_MARGIN))
+        b = float(p_sq[0]) / (4.0 * (THETA_CUT + _SHELL_MARGIN))
         while b < upper:
             breaks.append(b)
             b *= _BREAK_RATIO
@@ -415,36 +409,12 @@ class MellinSplit:
 
     def _remainders(self, t: np.ndarray) -> np.ndarray:
         """R(t) = scale * sum m e^{-|p|^2/(4t)} at every entry of ``t`` (all
-        > 0) in one pass, with scale = kappa V_n t^{-n/2} e^{-alpha^2 t}.  Each
-        node sums the prefix of the sorted primal norms whose terms
-        scale * e^{-|p|^2/(4t)} reach e^{-_REMAINDER_CUT}; the scalar form,
-        one node at a time, is ``remainder_ref`` of ``tests/reference_oracles.py``.
-
-        The nodes are taken in order of their prefix length, in blocks of at
-        most _BLOCK_SIZE (node x level) entries; within a block, the levels
-        beyond a node's own prefix are masked out of its sum.
-        """
+        > 0) in one ``theta_sums`` pass, with scale = kappa V_n t^{-n/2}
+        e^{-alpha^2 t}, so each node sums the prefix of the sorted primal norms
+        whose terms reach e^{-THETA_CUT}; the scalar form, one node at a time,
+        is ``remainder_ref`` of ``tests/reference_oracles.py``."""
         scale = self.kappa * self.v_n * t ** (-self.h) * np.exp(-self.a2 * t)
-        horizon = 4.0 * t * (_REMAINDER_CUT + np.log(scale))
-        prefix = np.searchsorted(self._p_sq, horizon, side="right")
-        order = np.argsort(prefix, kind="stable")
-        widths = prefix[order]
-        out = np.zeros(t.shape)
-        i = int(np.searchsorted(widths, 0, side="right"))
-        while i < order.size:
-            # the block's width is that of its last node; widths ascend
-            fits = np.arange(1, order.size - i + 1) * widths[i:] <= _BLOCK_SIZE
-            j = i + max(1, int(np.count_nonzero(fits)))
-            rows = order[i:j]
-            width = int(widths[j - 1])
-            terms = -self._p_sq[:width] / (4.0 * t[rows, None])
-            terms[np.arange(width) >= widths[i:j, None]] = -np.inf
-            np.exp(terms, out=terms)
-            terms *= self._p_counts[:width]
-            out[rows] = scale[rows] * terms.sum(axis=1)
-            del terms  # free this block before the next one is allocated
-            i = j
-        return out
+        return scale * theta_sums(self._p_sq, self._p_counts, 4.0 * t, np.log(scale))
 
     def _b_quad(self, sigmas: np.ndarray) -> tuple[np.ndarray, float]:
         """B at every entry of ``sigmas`` from one ``quad_gk21`` vector

@@ -32,7 +32,7 @@ import numpy as np
 from scipy import integrate, special
 from scipy.linalg import eigh, null_space
 
-from conetorsion import zeta
+from conetorsion import crosssection, zeta
 from conetorsion.crosssection import CrossSection, _ball_volume
 from conetorsion.errors import DomainError, ZetaPoleError
 from conetorsion.firstorder import _HORIZON, _QUAD
@@ -72,11 +72,11 @@ def remainder_theta(fo, t: float) -> float:
 def remainder_ref(ms, t: float) -> float:
     """R(t) = scale * sum m e^{-|p|^2/(4t)} of the Mellin split ``ms`` at one
     node, over the prefix of the sorted primal norms whose terms
-    scale * e^{-|p|^2/(4t)} reach e^{-_REMAINDER_CUT}; 0 for t <= 0."""
+    scale * e^{-|p|^2/(4t)} reach e^{-THETA_CUT}; 0 for t <= 0."""
     if t <= 0.0:
         return 0.0
     scale = ms.kappa * ms.v_n * t ** (-ms.h) * math.exp(-ms.a2 * t)
-    horizon = 4.0 * t * (zeta._REMAINDER_CUT + math.log(scale))
+    horizon = 4.0 * t * (crosssection.THETA_CUT + math.log(scale))
     m = int(np.searchsorted(ms._p_sq, horizon, side="right"))
     if m == 0:
         return 0.0

@@ -1,19 +1,23 @@
-"""The batched B quadrature: the vectorised lattice remainder against the
-scalar one node by node, independence of its block size, its memory on the
-skinny torus, its node count against scipy's ``quad_vec`` running the
-scalar remainder, the quadrature it replaced, and its starting breaks,
-from which every benchmark B converges in two rounds."""
+"""The batched B quadrature: the lattice kernel ``theta_sums`` against a
+plain sum over its cut prefix, the vectorised lattice remainder against the
+scalar one node by node, independence of the kernel's block size (production
+B and the first-order B1), its memory on the skinny torus, its node count
+against scipy's ``quad_vec`` running the scalar remainder, the quadrature it
+replaced, and its starting breaks, from which every benchmark B converges in
+two rounds."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from conetorsion import zeta
-from conetorsion.crosssection import CrossSection, build_cross_section, coclosed_spectrum
+from conetorsion import crosssection, zeta
+from conetorsion.crosssection import THETA_CUT, CrossSection, build_cross_section, coclosed_spectrum, theta_sums
+from conetorsion.firstorder import first_order_oracles
 from reference_oracles import remainder_ref
 
 # the benchmark geometries (lattice basis rows)
@@ -52,6 +56,22 @@ def _splits(basis, t0: float = 1.0):
     return list(seen.values())
 
 
+@pytest.mark.parametrize("log_scale", ["scalar", "per-node"])
+def test_theta_sums_match_a_plain_sum_over_the_cut_prefix(log_scale, monkeypatch):
+    """Each node's sum against ``math.fsum`` over the levels with
+    levels_j <= (THETA_CUT + log_scale_i) spreads_i, in blocks small enough
+    that the nodes, sorted by prefix, span several of them."""
+    levels, counts = _torus(BENCH["t2-sheared"]).primal_norms(400.0)
+    spreads = np.geomspace(0.05, 4.0, 40)
+    shift = 3.5 if log_scale == "scalar" else np.linspace(-30.0, 30.0, spreads.size)
+    monkeypatch.setattr(crosssection, "_THETA_BLOCK", 500)
+    got = theta_sums(levels, counts, spreads, shift)
+    for i, spread in enumerate(spreads.tolist()):
+        cut = (THETA_CUT + float(np.broadcast_to(shift, spreads.shape)[i])) * spread
+        ref = math.fsum(c * math.exp(-x / spread) for x, c in zip(levels.tolist(), counts.tolist()) if x <= cut)
+        assert abs(got[i] - ref) <= 1e-14 * ref, (i, got[i], ref)
+
+
 @pytest.mark.parametrize("t0", [0.3, 1.0, 2.0])
 @pytest.mark.parametrize("name", [*BENCH, "t2-skinny"])
 def test_remainders_match_scalar(name, t0):
@@ -63,16 +83,37 @@ def test_remainders_match_scalar(name, t0):
         assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref) + 1e-300), (ms.kappa, ms.a2)
 
 
+def _first_order_b1(basis) -> np.ndarray:
+    """The first-order B1 of every slice k < n/2 for both signs, each batch
+    from fresh oracles."""
+    cs = _torus(basis)
+    values = []
+    for k in range(cs.dim_n // 2):
+        oracles = first_order_oracles(coclosed_spectrum(cs, k, 50.0))
+        values += [fo._b1_value() for fo in oracles.values()]
+    return np.array(values)
+
+
 @pytest.mark.parametrize("block", [1, 300, 5000])
 @pytest.mark.parametrize("name", ["t2-unit", "t2-diag-0.1", "t4-0.7I", "t2-skinny"])
 def test_b_independent_of_block_size(name, block, monkeypatch):
     basis = SKINNY if name == "t2-skinny" else BENCH[name]
     for ms in _splits(basis):
         ref, _ = ms._b_quad(ms._grid)
-        monkeypatch.setattr(zeta, "_BLOCK_SIZE", block)
+        monkeypatch.setattr(crosssection, "_THETA_BLOCK", block)
         got, _ = ms._b_quad(ms._grid)
         monkeypatch.undo()
         assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), (got - ref) / ref
+
+
+@pytest.mark.parametrize("block", [1, 300, 5000])
+@pytest.mark.parametrize("name", ["t2-unit", "t2-sheared", "t2-diag-0.1", "t4-0.7I"])
+def test_first_order_b1_independent_of_block_size(name, block, monkeypatch):
+    """The first-order oracle runs the same kernel on both sides of u_c."""
+    ref = _first_order_b1(BENCH[name])
+    monkeypatch.setattr(crosssection, "_THETA_BLOCK", block)
+    got = _first_order_b1(BENCH[name])
+    assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref)), (got - ref) / ref
 
 
 def test_b_fill_memory_skinny_torus():

@@ -119,19 +119,14 @@ def _strip_wall_time(text: str) -> str:
 
 
 def test_deterministic_reports(tmp_path):
-    cfg = _write_config(tmp_path, UNIT_T2)
+    """Equal reports apart from wall_time_s, whatever the config's threads."""
     outs = []
     for i, threads in enumerate((1, 1, 2)):
+        cfg = _write_config(tmp_path, {**UNIT_T2, "threads": threads}, f"c{i}.json")
         out = tmp_path / f"r{i}.json"
-        assert (
-            cli.main(["torsion", "--config", cfg, "--threads", str(threads), "--out", str(out)])
-            == 0
-        )
+        assert cli.main(["torsion", "--config", cfg, "--out", str(out)]) == 0
         outs.append(_strip_wall_time(out.read_text()))
-    assert outs[0] == outs[1]
-    # same numerical payload across thread counts (threads is provenance)
-    strip = lambda s: "\n".join(l for l in s.splitlines() if '"threads"' not in l)
-    assert strip(outs[0]) == strip(outs[2])
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_skinny_torus_torsion_runs_deterministically(tmp_path):
@@ -159,14 +154,17 @@ def test_skinny_torus_torsion_runs_deterministically(tmp_path):
 
 @pytest.mark.parametrize("command", ["torsion", "truncated", "anomaly", "scaling", "dump-zeta"])
 def test_threads_is_accepted_and_recorded(tmp_path, command):
-    """Schema-1 ``threads`` still validates and is echoed in provenance, both
-    from the config file and from --threads, which takes precedence."""
+    """Schema-1 ``threads`` is accepted: it still validates, has no effect
+    and is not recorded in any report (the test keeps its name and ID from
+    when provenance echoed it).  There is no --threads flag."""
     extra = {"truncated": ["--epsilon", "0.25"], "scaling": ["--mu", "2"]}.get(command, [])
     cfg = _write_config(tmp_path, {**UNIT_T2, "threads": 2})
     out = tmp_path / "report.json"
-    for flags, expected in (([], 2), (["--threads", "3"], 3)):
-        assert cli.main([command, "--config", cfg, *extra, *flags, "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["provenance"]["threads"] == expected
+    assert cli.main([command, "--config", cfg, *extra, "--out", str(out)]) == 0
+    assert "threads" not in json.loads(out.read_text())["provenance"]
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--config", cfg, *extra, "--threads", "2", "--out", str(out)])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("threads", [0, True, "2"])
@@ -379,7 +377,7 @@ def test_verify_unknown_group_is_config_error(capsys):
 def test_verify_heat_identity_pins_the_column_lattice(monkeypatch, capsys):
     """The heat-identity check holds to 1e-12 on the non-symmetric bases and
     fails once the primal window is the row lattice B^T again."""
-    assert cli._check_heat_identity() <= 1e-12
+    assert cli._check_heat_identity(cli._VerifyInputs()) <= 1e-12
     assert cli.main(["verify", "heat-identity"]) == 0
     window = CrossSection._window
 
@@ -389,7 +387,7 @@ def test_verify_heat_identity_pins_the_column_lattice(monkeypatch, capsys):
         return window(self, key, bound)
 
     monkeypatch.setattr(CrossSection, "_window", row_window)
-    assert cli._check_heat_identity() > 1e-3
+    assert cli._check_heat_identity(cli._VerifyInputs()) > 1e-3
     assert cli.main(["verify", "heat-identity"]) == 1
     assert "heat-identity" in capsys.readouterr().err
 

@@ -191,6 +191,42 @@ def test_count_guard_holds_where_the_estimate_undercounts(monkeypatch):
     assert int(counts.sum()) == 3046
 
 
+def test_count_guard_holds_below_the_line_guard(monkeypatch):
+    """diag(100, 100, 0.01, 0.01) at |p|^2 <= 1: the estimate is 4.9 and no
+    line holds more than 201 candidates, but the skinny plane holds about
+    31,400 points, so the kept count passes the limit 5,000."""
+    monkeypatch.setattr(C, "MAX_WINDOW_POINTS", 5000)
+    cs = _torus(np.diag([100.0, 100.0, 0.01, 0.01]))
+    with pytest.raises(ConfigError, match=r"primal window .* holds more than 5e\+03 lattice points"):
+        cs.primal_norms(1.0)
+
+
+@pytest.mark.parametrize("scale", [1e12, 1e200])
+def test_one_line_past_the_limit_is_refused_before_allocating(tmp_path, capsys, scale):
+    """det diag(s, 1/s) = 1 passes the estimate, but one partial vector has
+    about s candidates, which no block split can divide.  Both windows refuse
+    while that count is still a float: no allocation of s entries (61.7 TiB at
+    1e12) and no overflowing integer cast (at 1e200)."""
+    basis = [[scale, 0.0], [0.0, 1.0 / scale]]
+    cs = _torus(basis)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=r"primal window .* more than 1e\+08 candidates on one line"):
+            cs.primal_norms(PRIMAL_MAX_SQ)
+        with pytest.raises(ConfigError, match=r"dual window .* more than 1e\+08 candidates on one line"):
+            cs.lattice_eta_levels(cutoff=100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 2**20:.3f} MiB"
+    doc = {"schema": 1, "cross_section": {"family": "flat_torus", "dim_n": 2, "lattice_basis": basis}}
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["torsion", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "cross_section.lattice_basis: the " in err and " window (radius " in err
+
+
 def test_unit_t14_torsion_exits_2_quickly(tmp_path, capsys):
     doc = {
         "schema": 1,

@@ -334,7 +334,7 @@ def test_wronskian_draws_match_the_per_draw_sampling():
     nu, x = cli._wronskian_draws()
     draws = wronskian_draws_reference()
     assert list(zip(nu.tolist(), x.tolist())) == draws
-    assert cli._check_wronskian() == max(bessel.wronskian_residual(n, y) for n, y in draws)
+    assert cli._check_wronskian(cli._VerifyInputs()) == max(bessel.wronskian_residual(n, y) for n, y in draws)
 
 
 def _closed_form_grid():

@@ -8,6 +8,9 @@ benchmark tracer wraps (``TARGETS``, read as ``test_tracer_targets.py``
 reads it), the benchmark worker's ``load_config`` and error-only paths.  A
 function no command enters is a test reference, which belongs in
 ``tests/reference_oracles.py``, or dead.
+
+No module imports another module's underscore-prefixed name either: what two
+modules share is public in the module that owns it.
 """
 
 from __future__ import annotations
@@ -80,3 +83,15 @@ def test_every_function_is_entered_by_a_command(tmp_path):
     targets = {(layer, name) for layer, names in _targets().items() for name in names}
     unreached = sorted(defined - {tuple(e) for e in entered} - targets - EXEMPT)
     assert unreached == [], f"defined in src/conetorsion but entered by no command: {unreached}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A name with one leading underscore belongs to its module: a constant or
+    helper that two modules need is public in the module that owns it."""
+    private = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("conetorsion")):
+                names = [a.name for a in node.names]
+                private += [f"{path.stem}: {n}" for n in names if n.startswith("_") and not n.endswith("__")]
+    assert private == [], f"private names imported across src/conetorsion modules: {private}"
