@@ -421,10 +421,6 @@ class SpectralSlice:
     def nu(self) -> np.ndarray:
         return np.sqrt(self.eta + self.alpha * self.alpha)
 
-    def with_alpha(self, a: float) -> "SpectralSlice":
-        """Same spectrum with a different shift (used by the scaling study)."""
-        return SpectralSlice(self.cross_section, self.k, float(a), self.cutoff, self.eta, self.mult)
-
     def validate(self):
         nu = self.nu()
         if np.any(self.eta <= 0):

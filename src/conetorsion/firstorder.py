@@ -24,8 +24,8 @@ test suite and the CLI ``verify`` command to validate the shifted values and
 derivatives at s = 0 independently.  It shares with :mod:`conetorsion.zeta`
 the spectrum, the lattice kernel ``crosssection.theta_sums`` (with its e^-700
 term cut and block bound), the generic vectorised Gauss-Kronrod-21 engine
-``quad_gk21`` with its starting breaks ``remainder_breaks`` and Euler's gamma,
-and nothing else.  The oracles of one slice for both signs of the shift
+``quad_gk21`` with its starting breaks ``remainder_breaks``, Euler's gamma
+and the cap ``A_CAP`` on its model series, and nothing else.  The oracles of one slice for both signs of the shift
 (``first_order_oracles``) share one B quadrature.
 """
 
@@ -39,7 +39,7 @@ import numpy as np
 
 from .crosssection import SpectralSlice, theta_sums
 from .errors import DomainError
-from .zeta import EULER_GAMMA, quad_gk21, remainder_breaks
+from .zeta import A_CAP, EULER_GAMMA, quad_gk21, remainder_breaks
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 _HORIZON = 46.0
@@ -101,6 +101,14 @@ class FirstOrderZeta:
         if nu_min + self.c <= 0:
             raise DomainError("nu + c must stay positive")
         self.t0 = float(t0)
+        # the model integral's series of e^{-rate t}, rate = c + |alpha|,
+        # cancels as rate t0 grows, as the production A part does in alpha^2 t0
+        x = (self.c + self.alpha_abs) * self.t0
+        if x > A_CAP:
+            raise DomainError(
+                f"(c + |alpha|) t0 = {x:.6g} exceeds A_CAP = {A_CAP:g}: "
+                "the model-integral series of exp(-(c + |alpha|) t) cancels"
+            )
         self.v_n = cs.volume / (4.0 * math.pi) ** self.h
         self.a2 = sl.alpha * sl.alpha
         # geometry sums, enumerated independently of the slice cutoff; the
@@ -161,7 +169,10 @@ class FirstOrderZeta:
         """Residue at s = 0 and finite part of the model integral.
 
         Int_0^{t0} t^{s-1} e^{-c t} * model(t) dt expands into terms
-        coef (-rate)^p / p! * t0^{s+q+p} / (s+q+p) with rate = c + |alpha|.
+        coef (-rate)^p / p! * t0^{s+q+p} / (s+q+p) with rate = c + |alpha|;
+        the constructor keeps rate t0 within ``zeta.A_CAP``: on unit T^2 the
+        gap to the production route is 7.4e-15 at rate t0 = 8, and 4.3e-6 at
+        30, where the alternating terms cancel.
         """
         rate = self.c + self.alpha_abs
         rho = 0.0

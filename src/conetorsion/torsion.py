@@ -20,7 +20,7 @@ Gelfand-Yaglom ODE oracle, the regularized t/p surface used to validate the
 large-order and large-argument asymptotic regimes, and the scaling study of
 the torsion-like invariant.  Tors is summed only in :func:`tors_term`: the
 difference formula takes it as its fifth line, and each scaling row is
-:func:`tors_term` on rescaled slices.
+:func:`tors_term` at rescaled shifts, one row of each slice's Mellin split.
 """
 
 from __future__ import annotations
@@ -36,12 +36,13 @@ import numpy as np
 
 from .bessel import bracket_pairs
 from .crosssection import CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
-from .errors import DomainError, ODEIntegrationError, first_failure
-from .olver import harmonic_number, z_diff_by_b
+from .errors import ConfigError, DomainError, ODEIntegrationError, first_failure
+from .olver import DEFAULT_MAX_ORDER, harmonic_number, z_diff_by_b
 from .zeta import (
     DEFAULT_TOLERANCE,
     cutoff_for_tolerance,
     default_order,
+    mellin_split,
     plan_t0,
     primal_window,
     shifted_zeta_prime0,
@@ -126,7 +127,16 @@ def _digamma_weighted_zdiff(r: int, alpha: Fraction) -> Fraction:
 def _residue_double_sum(cs: CrossSection) -> float:
     """sum_{k<n/2} ((-1)^k/2) sum_r Res_{s=2r} zeta_k * weighted z-differences.
 
-    Contains no truncation parameter: identical (bitwise) for every eps."""
+    Contains no truncation parameter: identical (bitwise) for every eps.  The
+    z-differences run to order 2r = n, so a dimension past the Olver tables
+    (``olver.DEFAULT_MAX_ORDER``) is a ConfigError before any table is read.
+    """
+    if cs.dim_n > DEFAULT_MAX_ORDER:
+        raise ConfigError(
+            "cross_section.dim_n",
+            f"Res needs the Olver z-coefficients to order n = {cs.dim_n}, "
+            f"and the tables stop at {DEFAULT_MAX_ORDER}",
+        )
     h = cs.dim_n // 2
     total = 0.0
     for k in range(h):
@@ -167,24 +177,27 @@ def tors_term(
     cs: CrossSection,
     params: Optional[NumericsParams] = None,
     slices: Optional[Dict[int, SpectralSlice]] = None,
+    row: int = 0,
 ) -> TorsResult:
     """Torsion-like invariant Tors(N, E_N; g^N).
 
     The only code that sums Tors: :func:`torsion_difference` takes its value,
-    and :func:`tors_scaling_profile` calls it on rescaled slices.  ``value``
-    sums (1/2) (-1)^k (zeta'_k(0, a_k) - zeta'_k(0, -a_k)) over k < n/2.
-    The residual compares it with (1/2) sum_{k<n} (-1)^k
-    zeta'_k(0, a_k), whose upper half is read off the same minus values
-    (:func:`dual_slice`), so it sums one set of values two ways.
-    ``slices`` (from :func:`build_slices`, or those with shifts alpha_k / mu)
-    are built when omitted.
+    and :func:`tors_scaling_profile` calls it once per row of its slices'
+    Mellin splits.  ``value`` sums (1/2) (-1)^k (zeta'_k(0, a_k) -
+    zeta'_k(0, -a_k)) over k < n/2, a_k the shift of row ``row`` of slice
+    k's split (by default its own alpha_k).  The residual compares it with
+    (1/2) sum_{k<n} (-1)^k zeta'_k(0, a_k), whose upper half is read off the
+    same minus values (:func:`dual_slice`), so it sums one set of values two
+    ways.  ``slices`` (from :func:`build_slices`) are built when omitted.
     """
     params = params or NumericsParams()
     n = cs.dim_n
     if slices is None:
         slices = build_slices(cs, params)
 
-    results = {(k, s): shifted_zeta_prime0(slices[k], s) for k in range(n // 2) for s in (+1, -1)}
+    results = {
+        (k, s): shifted_zeta_prime0(slices[k], s, row) for k in range(n // 2) for s in (+1, -1)
+    }
     plus = {k: results[dual_slice(n, k)][0] for k in range(n)}
     full = 0.5 * math.fsum((-1) ** k * v for k, v in plus.items())
     dual = 0.5 * math.fsum((-1) ** k * (plus[k] - results[(k, -1)][0]) for k in range(n // 2))
@@ -425,42 +438,52 @@ def model_det_ratio(spec: ModelOperatorSpec, z: float) -> float:
 
 # The Gelfand-Yaglom propagator: every step is about _RHO0 of its distance
 # to the singular point x = 0 or less, and about _KAPPA0 / w and
-# _KAPPA0 x / nu or less, so a local Taylor series of _TAYLOR_TERMS terms
-# reaches round-off.
+# _KAPPA_NU x / nu or less, so a local Taylor series of _TAYLOR_TERMS terms
+# reaches round-off: on a system's own mesh the worst step tail ratio over
+# nu in [1, 200], w^2 <= 2500 is 1.8e-13, at nu = 16.5, where the first and
+# last bounds meet (with _KAPPA_NU = 3 it was 2.6e-12 at nu = 20)
 _RHO0 = 0.15
 _KAPPA0 = 3.0
+_KAPPA_NU = 2.5
 _TAYLOR_TERMS = 30
 _MESH_NEWTON_STEPS = 8
 
 
 def _model_mesh(nu, w, x_start, x_end):
-    """Nodes ``x[i, 0] = x_start[i], ..., x[i, N] = x_end[i]`` of every system,
-    uniform in xi(x) = a ln x + w x / _KAPPA0 with a = max(1/_RHO0, nu/_KAPPA0);
-    N is the largest finite |xi(x_end) - xi(x_start)| of the batch, rounded
-    up, so every step moves xi by at most 1 (a system with no finite xi gets
-    a nan mesh, which :func:`_integrate_model_ode` reports)."""
-    a = np.maximum(1.0 / _RHO0, nu / _KAPPA0)[:, None]
-    b = (w / _KAPPA0)[:, None]
+    """Every system's own mesh, uniform in xi(x) = a ln x + w x / _KAPPA0 with
+    a = max(1/_RHO0, nu/_KAPPA_NU): system i takes N_i = |xi(x_end) -
+    xi(x_start)| steps, rounded up and at least 1, so every step moves xi by
+    at most 1.  Returns the nodes of all systems in order, N_i + 1 each from
+    ``x_start[i]`` to ``x_end[i]``, and N (a system with no finite xi gets one
+    nan step, which :func:`_integrate_model_ode` reports)."""
+    a = np.maximum(1.0 / _RHO0, nu / _KAPPA_NU)
+    b = w / _KAPPA0
     ends = np.stack([x_start, x_end], axis=1)
-    xi_ends = a * np.log(ends) + b * ends
+    xi_ends = a[:, None] * np.log(ends) + b[:, None] * ends
     span = np.abs(xi_ends[:, 1] - xi_ends[:, 0])
-    n_steps = max(1, math.ceil(np.max(span, where=np.isfinite(span), initial=0.0)))
-    xi = xi_ends[:, :1] + (xi_ends[:, 1:] - xi_ends[:, :1]) * (np.arange(n_steps + 1) / n_steps)
+    steps = np.maximum(1, np.ceil(np.where(np.isfinite(span), span, 1.0))).astype(np.intp)
+    owner = np.repeat(np.arange(nu.size), steps + 1)
+    first = np.cumsum(steps + 1) - (steps + 1)
+    xi_start, xi_end = xi_ends[owner, 0], xi_ends[owner, 1]
+    xi = xi_start + (xi_end - xi_start) * ((np.arange(owner.size) - first[owner]) / steps[owner])
     # Newton on g(u) = a u + b e^u - xi in u = ln x: g increases and is convex,
     # and both xi / a and the log of the larger end lie at or right of the root,
     # so the iterates fall monotonically onto it
-    u = np.minimum(xi / a, np.log(ends.max(axis=1))[:, None])
+    a, b = a[owner], b[owner]
+    u = np.minimum(xi / a, np.log(ends.max(axis=1))[owner])
     for _ in range(_MESH_NEWTON_STEPS):
         eu = np.exp(u)
         u -= (a * u + b * eu - xi) / (a + b * eu)
     x = np.exp(u)
-    x[:, 0], x[:, -1] = x_start, x_end
-    return x
+    x[first], x[first + steps] = x_start, x_end
+    return x, steps
 
 
-def _step_propagators(nu, w2, x):
-    """The 2x2 maps of (f, f') across every mesh step, less the identity, in
-    shape (2, 2, m, N), and the tail ratio of their Taylor series, shape (m, N).
+def _step_propagators(nu, w2, x, h):
+    """The 2x2 maps of (f, f') across mesh steps, less the identity, in shape
+    (2, 2, steps), and the tail ratio of their Taylor series, one per step.
+    Step j starts at the node ``x[j]`` with length ``h[j]``, on the system
+    with ``nu[j]`` and ``w2[j]``.
 
     Around a node x_j with step h, rho = h / x_j and H = w2 h^2, the
     coefficients A_k of f(x_j + h s) = sum A_k s^k follow from
@@ -477,13 +500,12 @@ def _step_propagators(nu, w2, x):
     bounds the last two terms of both sums, against 1 + the largest entry of
     the map less the identity in these scaled variables.
     """
-    c = (nu * nu - 0.25)[:, None]
-    h = np.diff(x, axis=1)
-    rho = h / x[:, :-1]
-    hh = w2[:, None] * h * h
+    c = nu * nu - 0.25
+    rho = h / x
+    hh = w2 * h * h
     r2 = rho * rho
     base, two_rho, two_rho_hh, r2_hh = r2 * c + hh, 2.0 * rho, 2.0 * rho * hh, r2 * hh
-    # the two columns lead, so the (m, N) coefficients broadcast over them
+    # the two columns lead, so the per-step coefficients broadcast over them
     a_prev2 = a_prev1 = np.zeros(1)
     a_k, a_next = np.zeros((2, 2) + h.shape)
     a_k[0] = a_next[1] = 1.0
@@ -511,19 +533,30 @@ def _integrate_model_ode(nu, w2, x_start, x_end, y0, yp0, rtol=1e-12):
     ``x_start[i]`` to ``x_end[i]`` (both positive) with f = ``y0[i]``,
     f' = ``yp0[i]``.  The equation is linear with polynomial coefficients
     after multiplying by x^2, so each mesh step has an exact 2x2 propagator
-    given by a local Taylor series (:func:`_step_propagators`, on the mesh of
-    :func:`_model_mesh`).  All steps of all systems are built at once, and a
-    pairwise product tree composes each system's steps in log2 N batched
-    products.  Raises :class:`ODEIntegrationError`, naming the first failing
-    system, when the Taylor tail of some step exceeds ``rtol`` or an end state
-    is not finite (the solution overflows binary64).
+    given by a local Taylor series (:func:`_step_propagators`).  Each system
+    runs on its own mesh (:func:`_model_mesh`), and the steps of all systems
+    are built at once, as one flat array.  They are then laid out one row
+    per system, padded with zero (identity) steps to the longest, and a
+    pairwise product tree composes each row in log2 N batched products, so
+    a system's result does not depend on the batch it came in.  Raises
+    :class:`ODEIntegrationError`, naming the first failing system, when the
+    Taylor tail of some step exceeds ``rtol`` or an end state is not finite
+    (the solution overflows binary64).
     """
     nu, w2, x_start, x_end, y0, yp0 = np.array(
         np.broadcast_arrays(nu, w2, x_start, x_end, y0, yp0), dtype=float
     ).reshape(6, -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        x = _model_mesh(nu, np.sqrt(w2), x_start, x_end)
-        maps, tail = _step_propagators(nu, w2, x)
+        x, steps = _model_mesh(nu, np.sqrt(w2), x_start, x_end)
+        # step j of system i runs from its node j to node j + 1
+        owner = np.repeat(np.arange(nu.size), steps)
+        slot = np.arange(owner.size) - (np.cumsum(steps) - steps)[owner]
+        left = owner + np.arange(owner.size)
+        flat, flat_tail = _step_propagators(nu[owner], w2[owner], x[left], x[left + 1] - x[left])
+        maps = np.zeros((2, 2, nu.size, int(steps.max())))
+        maps[:, :, owner, slot] = flat
+        tail = np.zeros(maps.shape[2:])
+        tail[owner, slot] = flat_tail
         # (I + L)(I + E) = I + (L + E + L E), pairwise; an odd step count is
         # padded with a zero (identity) step
         while maps.shape[-1] > 1:
@@ -693,18 +726,22 @@ def tors_scaling_profile(
 
     The -log(mu) terms cancel in Tors: zeta_a(0, +a) - zeta_a(0, -a) is the
     odd-residue sum, and the odd residues vanish on even n.  So each row is
-    :func:`tors_term` on the slices with shift alpha_k / mu.
+    :func:`tors_term` at the shifts alpha_k / mu.  Each slice k < n/2 is
+    built once, with one Mellin split whose rows are those shifts, one per
+    mu: the split's B quadrature, F table and K series serve the whole grid,
+    so a longer grid adds rows to those tables, not splits.
 
     Returns the table and the fitted bound constant max |Tors| mu / log mu.
     """
     params = params or NumericsParams()
+    if not mu_values or min(mu_values) < 1.0:
+        raise DomainError("scaling grid must be non-empty and satisfy mu >= 1")
     base = build_slices(cs, params)
+    for sl in base.values():
+        mellin_split(sl, [sl.alpha / mu for mu in mu_values])
     rows: list[ScalingRow] = []
-    for mu in mu_values:
-        if mu < 1.0:
-            raise DomainError("scaling grid must satisfy mu >= 1")
-        scaled = {k: sl.with_alpha(float(sl.alpha) / mu) for k, sl in base.items()}
-        total = tors_term(cs, params, scaled).value
+    for i, mu in enumerate(mu_values):
+        total = tors_term(cs, params, base, row=i).value
         bound = abs(total) * mu / math.log(mu) if mu > 1.0 else None
         rows.append(ScalingRow(float(mu), total, bound))
     fitted = max((row.bound for row in rows if row.bound is not None), default=math.nan)

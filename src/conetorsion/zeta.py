@@ -22,11 +22,15 @@ come out of one component decomposition
 where only A carries poles and those are explicit.  The decomposition is
 only ever read on the half-integer grid sigma in {0, 1/2, ..., J/2}, and A,
 B and F exist there alone.  Each slice's :class:`MellinSplit` tabulates
-every component once: the A table (residue, finite part and pole flag at
-each grid sigma, from the coefficients of ``HeatModel``) is built with the
-split, and the B and F grids and the row of PP values at s = 1..J are
-filled on their first request.  Every residue of zeta is
-``HeatModel.residue``, here as in the Res term of the torsion.
+every component once, for a tuple of shifts a (its rows: the slice's own
+alpha, or the alpha / mu of every row of a scaling grid), which change the
+continuation only through e^{-a^2 t}, nu and c: the A table (residue,
+finite part and pole flag at each row and grid sigma, from the
+coefficients of ``HeatModel``) is built with the split, and the B and F
+grids, the rows of PP values at s = 1..J and the K series of both signs
+are filled on their first request, each for every row in one vectorised
+pass.  Every residue of zeta is ``HeatModel.residue``, here as in the Res
+term of the torsion.
 
 The shifted derivatives at zero are assembled from the absolutely convergent
 series
@@ -44,18 +48,19 @@ exactly; the same identity gives digamma at the integer poles of the PP
 values.  Raising J accelerates the K series from O(nu^{-(n+1)}) to
 O(nu^{-(J+1)}) term decay, which is what makes desk-scale cutoffs sufficient.
 The one order is J = ``default_order(n)`` = n + 10, the order slice cutoffs
-are planned for.  One evaluator, ``_k_direct``, sums K: levels with
-|c|/nu > 1/2 by ``log1p`` minus the Taylor head, the rest by the Horner
-tail.  As nu > |c|, no shift is refused.
+are planned for.  One evaluator, ``_k_direct``, sums K for every row and
+sign at once: levels with |c|/nu > 1/2 by ``log1p`` minus the Taylor head,
+the rest by the Horner tail.  As nu > |c|, no shift is refused.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -300,87 +305,116 @@ def upper_gamma_grid(x: np.ndarray, r_max: int) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _a_table(heat: HeatModel, t0: float, grid: np.ndarray, terms: int) -> tuple[list, list, list]:
-    """(residues, finite parts, pole flags) at every grid sigma of
-    A(sigma) = int_0^t0 t^(sigma-1) (heat model) dt, from the coefficients
-    c_j of t^(j-h), j < ``terms``.
+def _a_table(
+    heats: list[HeatModel], t0: float, grid: np.ndarray, terms: list[int]
+) -> tuple[np.ndarray, np.ndarray, list]:
+    """(residues, finite parts) at every (row, grid sigma), and the pole flags
+    at every grid sigma, of A(sigma) = int_0^t0 t^(sigma-1) (heat model) dt
+    for the heat model of each row, from its coefficients c_j of t^(j-h),
+    j < that row's ``terms``.
 
     Term by term A = sum_j c_j t0^d / d with d = sigma + j - h.  A pole,
-    d = 0, falls at the integer sigma <= h alone; there the residue is c_j
-    and the finite part takes c_j log t0 for that term.  Each sigma's sum
-    runs through ``math.fsum``; off the poles the finite part is A itself.
+    d = 0, falls at the integer sigma <= h alone, in every row alike; there
+    the residue is c_j and the finite part takes c_j log t0 for that term.
+    Each (row, sigma) sum runs through ``math.fsum``, a row's coefficients
+    past its own ``terms`` entering as exact zeros; off the poles the finite
+    part is A itself.
     """
-    coef = np.array([heat.coefficient(j) for j in range(terms)])
-    d = grid[:, None] + (np.arange(terms) - heat.n // 2)
+    width = max(terms)
+    coef = np.array([[heat.coefficient(j) if j < n else 0.0 for j in range(width)] for heat, n in zip(heats, terms)])
+    coef = coef[:, None, :]
+    d = grid[:, None] + (np.arange(width) - heats[0].n // 2)
     pole = d == 0.0
     safe = np.where(pole, 1.0, d)
     parts = np.where(pole, coef * math.log(t0), coef * t0**safe / safe)
     # at most one pole per row, so each residue is one coefficient exactly
-    res = np.where(pole, coef, 0.0).sum(axis=1)
-    return res.tolist(), [math.fsum(row) for row in parts.tolist()], pole.any(axis=1).tolist()
+    res = np.where(pole, coef, 0.0).sum(axis=2)
+    fin = np.array([[math.fsum(row) for row in shift] for shift in parts.tolist()])
+    return res, fin, pole.any(axis=1).tolist()
 
 
 class MellinSplit:
-    """Continuation engine for one spectral slice.
+    """Continuation engine for one spectral slice at a tuple of shifts.
 
-    A, B and F are defined on the grid sigma in {0, 1/2, ..., J/2},
-    J = default_order(n), alone; a sigma off it is a :class:`DomainError`.
-    A, the integral of the exact heat model over (0, t0], is tabulated when
-    the split is built (``_a_table``): its residue, finite part and pole
-    flag at every grid sigma, from the coefficients of ``HeatModel``.  B,
-    the lattice remainder on (0, t0], comes from one globally adaptive
-    Gauss-Kronrod-21 vector quadrature (absolute tolerance 1e-13, relative
-    1e-12 in the max norm), started from the panels of ``remainder_breaks``,
-    that yields the whole grid at once; each refinement round evaluates the
-    remainder at the nodes of all its new panels in one vectorised pass.
-    F, the spectral sum on [t0, inf), is the closed form
-    sum m mu^(-sigma) Gamma(sigma, mu t0), filled for the whole grid at once
-    from ``upper_gamma_grid``.  B, F and the row of PP values at s = 1..J
-    are each one table, filled on its first request.  Sums run through
-    ``math.fsum``, level sums in sorted order, and no value depends on the
-    order of requests, so results are reproducible bit for bit.
+    Row i of the split is the slice's spectrum eta with the shift a_i of
+    ``shifts`` (default: the slice's own alpha alone), i.e. the levels
+    eta + a_i^2 and the heat model of a_i; the scaling study reads one row
+    per mu, at a_i = alpha / mu_i.  Every component is one table over (row,
+    grid sigma), filled for all rows at once.  A, B and F are defined on the
+    grid sigma in {0, 1/2, ..., J/2}, J = default_order(n), alone; a sigma
+    off it is a :class:`DomainError`.  A, the integral of the exact heat
+    model over (0, t0], is tabulated when the split is built (``_a_table``):
+    its residue, finite part and pole flag at every grid sigma, from the
+    coefficients of ``HeatModel``.  B, the lattice remainder on (0, t0],
+    comes from one globally adaptive Gauss-Kronrod-21 vector quadrature
+    (absolute tolerance 1e-13, relative 1e-12 in the max norm over every
+    (row, sigma) component), started from the panels of
+    ``remainder_breaks``; each refinement round evaluates the remainder at
+    the nodes of all its new panels in one ``theta_sums`` pass shared by the
+    rows, and with no primal point in the window B is 0.  F, the spectral
+    sum on [t0, inf), is the closed form sum m mu^(-sigma) Gamma(sigma, mu t0),
+    filled from one ``upper_gamma_grid`` call over the (row x level) array.
+    B, F, the rows of PP values at s = 1..J and the K series at both signs
+    of every row (``_k_direct``, one Horner pass) are each one table, filled
+    on its first request.  Sums run through ``math.fsum``, level sums in
+    sorted order, and no value depends on the order of requests, so results
+    are reproducible bit for bit.
     """
 
-    def __init__(self, sl: SpectralSlice, t0: float = 1.0):
+    def __init__(self, sl: SpectralSlice, t0: float = 1.0, shifts: Optional[Sequence[float]] = None):
         self.sl = sl
         self.t0 = float(t0)
-        self.n = sl.cross_section.dim_n
+        cs = sl.cross_section
+        self.n = cs.dim_n
         self.h = self.n // 2
         self.order = default_order(self.n)
         self.kappa = sl.kappa
-        self.a2 = sl.alpha * sl.alpha
-        if self.a2 * self.t0 > A_CAP:
+        self.shifts = (float(sl.alpha),) if shifts is None else tuple(map(float, shifts))
+        a2 = [a * a for a in self.shifts]
+        self.a2 = np.array(a2)
+        if max(a2) * self.t0 > A_CAP:
             raise DomainError(
-                f"alpha^2 t0 = {self.a2 * self.t0:.6g} exceeds A_CAP = {A_CAP:g}: "
+                f"alpha^2 t0 = {max(a2) * self.t0:.6g} exceeds A_CAP = {A_CAP:g}: "
                 "the A-part series of exp(-alpha^2 t) cancels"
             )
-        self.heat = heat = sl.heat
-        self.v_n = heat.v_n
+        self.heats = [HeatModel(self.kappa, cs.volume, self.n, a) for a in self.shifts]
+        self.v_n = self.heats[0].v_n
         self._grid = np.arange(self.order + 1) / 2.0
-        # the heat expansion through t^(terms + h + 3): h + 4 powers past the
-        # first term x^i / i! of e^{-x}, x = alpha^2 t0, below 1e-24
-        x = self.a2 * self.t0
-        terms = 8
-        while x**terms / math.factorial(terms) > 1e-24 and terms < 400:
-            terms += 1
-        self._a_res, self._a_fin, self._a_pole = _a_table(heat, self.t0, self._grid, terms + 2 * self.h + 4)
+        # each row's heat expansion through t^(terms + h + 3): h + 4 powers
+        # past the first term x^i / i! of e^{-x}, x = a^2 t0, below 1e-24
+        widths = []
+        for x in a2:
+            x *= self.t0
+            terms = 8
+            while x**terms / math.factorial(terms) > 1e-24 and terms < 400:
+                terms += 1
+            widths.append(terms + 2 * self.h + 4)
+        self._a_res, self._a_fin, self._a_pole = _a_table(self.heats, self.t0, self._grid, widths)
         # Res_{s=r} zeta H_{r-1} for r = 1..J, nonzero at the even r <= n alone
-        self._res_h = [0.0] * self.order
+        self._res_h = [[0.0] * self.order for _ in a2]
         for r in range(2, self.n + 1, 2):
-            self._res_h[r - 1] = heat.residue(r) * float(harmonic_number(r - 1))
+            harmonic = float(harmonic_number(r - 1))
+            for row, heat in zip(self._res_h, self.heats):
+                row[r - 1] = heat.residue(r) * harmonic
         self._b: Optional[tuple[np.ndarray, float]] = None
-        self._f: Optional[list[float]] = None
-        self._pp: Optional[list[tuple[float, float]]] = None
-        # primal norms for the lattice remainder on (0, t0]
-        self._p_sq, self._p_counts = sl.cross_section.primal_norms(primal_window(self.t0))
-        # levels that matter on [t0, inf)
-        mu = sl.eta + self.a2
+        self._f: Optional[np.ndarray] = None
+        self._pp: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._k: Optional[tuple[list, list]] = None
+        # primal norms for the lattice remainder on (0, t0]; the smallest
+        # shift has the largest remainder scale, and its theta-sum prefix
+        # holds every other row's
+        self._p_sq, self._p_counts = cs.primal_norms(primal_window(self.t0))
+        self._widest = a2.index(min(a2))
+        # levels that matter on [t0, inf), row after row; row i's are
+        # _f_mu[_f_ends[i-1]:_f_ends[i]]
+        mu = sl.eta + self.a2[:, None]
         keep = mu * self.t0 <= _EXP_FLOOR
         self._f_mu = mu[keep]
-        self._f_mult = sl.mult[keep]
+        self._f_mult = sl.mult[np.nonzero(keep)[1]]
+        self._f_ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
         # the enumeration must extend past the summation horizon, otherwise
         # the tail sum silently misses levels
-        self._f_complete = (sl.cutoff + self.a2) * self.t0 >= _EXP_FLOOR
+        self._f_complete = (sl.cutoff + min(a2)) * self.t0 >= _EXP_FLOOR
 
     def _grid_index(self, sigma: float) -> int:
         """Position of sigma in the grid ``_grid``; a DomainError off it."""
@@ -394,130 +428,159 @@ class MellinSplit:
     # -- A: exact heat-model part -----------------------------------------
 
     def a_value(self, sigma: float) -> float:
-        """A(sigma) = int_0^t0 t^(sigma-1) (heat model) dt away from its poles."""
+        """A(sigma) = int_0^t0 t^(sigma-1) (heat model) dt of the first row,
+        away from its poles."""
         i = self._grid_index(sigma)
         if self._a_pole[i]:
             raise ZetaPoleError(f"sigma={sigma} hits a heat-expansion pole")
-        return self._a_fin[i]
+        return float(self._a_fin[0, i])
 
-    def a_residue_and_finite(self, sigma0: float) -> tuple[float, float]:
+    def a_residue_and_finite(self, sigma0: float, row: int = 0) -> tuple[float, float]:
         """Residue and finite part of A at sigma0 (residue 0 off the poles)."""
         i = self._grid_index(sigma0)
-        return self._a_res[i], self._a_fin[i]
+        return float(self._a_res[row, i]), float(self._a_fin[row, i])
 
     # -- B: lattice remainder on (0, t0] ----------------------------------
 
     def _remainders(self, t: np.ndarray) -> np.ndarray:
-        """R(t) = scale * sum m e^{-|p|^2/(4t)} at every entry of ``t`` (all
-        > 0) in one ``theta_sums`` pass, with scale = kappa V_n t^{-n/2}
-        e^{-alpha^2 t}, so each node sums the prefix of the sorted primal norms
-        whose terms reach e^{-THETA_CUT}; the scalar form, one node at a time,
-        is ``remainder_ref`` of ``tests/reference_oracles.py``."""
-        scale = self.kappa * self.v_n * t ** (-self.h) * np.exp(-self.a2 * t)
-        return scale * theta_sums(self._p_sq, self._p_counts, 4.0 * t, np.log(scale))
+        """R_i(t) = scale_i * sum m e^{-|p|^2/(4t)} at every entry of ``t``
+        (all > 0) and row i, shape (nodes x rows), with scale_i = kappa V_n
+        t^{-n/2} e^{-a_i^2 t}.  One ``theta_sums`` pass serves every row: each
+        node sums the prefix of the sorted primal norms whose terms, scaled
+        by the largest scale (the smallest shift's), reach e^{-THETA_CUT}, a
+        superset of each row's own prefix; the scalar form, one node and row
+        at a time, is ``remainder_ref`` of ``tests/reference_oracles.py``."""
+        scale = self.kappa * self.v_n * t[:, None] ** (-self.h) * np.exp(-self.a2 * t[:, None])
+        sums = theta_sums(self._p_sq, self._p_counts, 4.0 * t, np.log(scale[:, self._widest]))
+        return scale * sums[:, None]
 
     def _b_quad(self, sigmas: np.ndarray) -> tuple[np.ndarray, float]:
-        """B at every entry of ``sigmas`` from one ``quad_gk21`` vector
-        quadrature of t^(sigma-1) R(t) over (0, t0] (tolerances _QUAD_OPTS),
-        started from the panels of ``remainder_breaks``."""
+        """B at every row and every entry of ``sigmas``, shape (rows x
+        sigmas), from one ``quad_gk21`` vector quadrature of t^(sigma-1) R_i(t)
+        over (0, t0] (tolerances _QUAD_OPTS), started from the panels of
+        ``remainder_breaks``; with no primal point in the window R = 0, and B
+        is 0 with error 0 without a quadrature."""
+        rows = len(self.shifts)
+        if self._p_sq.size == 0:
+            return np.zeros((rows, sigmas.size)), 0.0
         powers = sigmas - 1.0
 
         def integrand(t: np.ndarray) -> np.ndarray:
-            return t[:, None] ** powers * self._remainders(t)[:, None]
+            return (t[:, None, None] ** powers * self._remainders(t)[:, :, None]).reshape(t.size, -1)
 
-        return quad_gk21(
+        vals, err = quad_gk21(
             integrand,
             remainder_breaks(self._p_sq, self.t0),
-            label=lambda: f"B quadrature on (0, {self.t0}] for sigma in {sigmas.tolist()}",
+            label=lambda: f"B quadrature on (0, {self.t0}] for sigma in {sigmas.tolist()} at shifts {list(self.shifts)}",
             **_QUAD_OPTS,
         )
+        return vals.reshape(rows, sigmas.size), err
 
-    def b_value(self, sigma: float) -> tuple[float, float]:
+    def b_value(self, sigma: float, row: int = 0) -> tuple[float, float]:
         """B(sigma) = int_0^t0 t^(sigma-1) R(t) dt with its error estimate.
 
-        The first call fills the whole grid ``_grid``; the error estimate
-        is the max-norm estimate of that quadrature.
+        The first call fills the whole grid ``_grid`` of every row; the error
+        estimate is the max-norm estimate of that quadrature.
         """
         i = self._grid_index(sigma)
+        vals, err = self._b_table()
+        return float(vals[row, i]), err
+
+    def _b_table(self) -> tuple[np.ndarray, float]:
         if self._b is None:
             self._b = self._b_quad(self._grid)
-        vals, err = self._b
-        return float(vals[i]), err
+        return self._b
 
     # -- F: spectral sum on [t0, inf) --------------------------------------
 
-    def f_value(self, sigma: float) -> tuple[float, float]:
+    def f_value(self, sigma: float, row: int = 0) -> tuple[float, float]:
         """F(sigma) = sum m int_t0^inf t^(sigma-1) e^(-mu t) dt with an error
         estimate, over the levels with mu t0 <= _EXP_FLOOR.
 
         Each level integral is mu^(-sigma) Gamma(sigma, mu t0) (DLMF 8.2).
-        The first call fills the whole grid ``_grid`` from
-        ``upper_gamma_grid``.  The terms are positive, and the error
+        The first call fills the whole grid ``_grid`` of every row from one
+        ``upper_gamma_grid`` call.  The terms are positive, and the error
         estimate allows 1e-13 relative, above the worst relative error of
         the grid against mpmath for 1e-4 <= mu t0 <= 50 (6.1e-15 up to
         sigma = 9).
         """
+        i = self._grid_index(sigma)
+        val = float(self._f_table()[row, i])
+        return val, 1e-13 * val + 1e-22
+
+    def _f_table(self) -> np.ndarray:
         if not self._f_complete:
             raise CutoffInsufficientError(
                 "slice cutoff too small for the Mellin tail sum",
                 required_cutoff=_EXP_FLOOR / self.t0,
             )
-        i = self._grid_index(sigma)
         if self._f is None:
             levels = upper_gamma_grid(self._f_mu * self.t0, self._grid.size - 1)
-            self._f = [
-                math.fsum((self._f_mult * (self._f_mu**-s * level)).tolist())
-                for s, level in zip(self._grid.tolist(), levels)
-            ]
-        val = self._f[i]
-        return val, 1e-13 * val + 1e-22
+            # one scalar exponent per sigma: a broadcast array of exponents
+            # takes another power routine, an ulp off on some levels
+            terms = [(self._f_mult * (self._f_mu**-s * level)).tolist() for s, level in zip(self._grid.tolist(), levels)]
+            rows = zip([0] + self._f_ends[:-1], self._f_ends)
+            self._f = np.array([[math.fsum(t[a:b]) for t in terms] for a, b in rows])
+        return self._f
 
     # -- assembled quantities ----------------------------------------------
 
     def residue_s(self, r: int) -> float:
-        """Residue of zeta_{k,N} at integer s = r (``HeatModel.residue``)."""
-        return self.heat.residue(r)
+        """Residue of zeta_{k,N} at integer s = r (``HeatModel.residue``) in
+        the first row."""
+        return self.heats[0].residue(r)
 
-    def _pp_row(self) -> list[tuple[float, float]]:
-        """(PP value, error) of zeta_{k,N} at s = r for r = 1..J, filled on
-        the first request from the A table, ``b_value`` and ``f_value``."""
+    def _pp_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """PP values of zeta_{k,N} at s = r for r = 1..J and their errors,
+        each (rows x J), filled on the first request from the A, B and F
+        tables."""
         if self._pp is None:
-            row = []
-            for r in range(1, self.order + 1):
-                sigma = r / 2.0
-                b, be = self.b_value(sigma)
-                f, fe = self.f_value(sigma)
-                # digamma(r/2) = H_{r/2-1} - gamma at a pole r/2; the residue is 0 elsewhere
-                psi = float(harmonic_number(r // 2 - 1)) - EULER_GAMMA if self._a_pole[r] else 0.0
-                g = math.gamma(sigma)
-                row.append(((self._a_fin[r] + b + f - self._a_res[r] * psi) / g, (be + fe) / g))
-            self._pp = row
+            b, b_err = self._b_table()
+            f = self._f_table()[:, 1:]
+            r = np.arange(1, self.order + 1)
+            # digamma(r/2) = H_{r/2-1} - gamma at a pole r/2; the residue is 0 elsewhere
+            psi = np.array([
+                float(harmonic_number(k // 2 - 1)) - EULER_GAMMA if self._a_pole[k] else 0.0 for k in r.tolist()
+            ])
+            g = np.array([math.gamma(k / 2.0) for k in r.tolist()])
+            pp = (self._a_fin[:, 1:] + b[:, 1:] + f - self._a_res[:, 1:] * psi) / g
+            self._pp = pp, (b_err + (1e-13 * f + 1e-22)) / g
         return self._pp
 
     def pp_s(self, r: int) -> tuple[float, float]:
-        """PP value of zeta_{k,N} at integer s = r (plain value off poles)."""
+        """PP value of zeta_{k,N} at integer s = r (plain value off poles) in
+        the first row."""
         if r <= 0:
             raise DomainError("PP values are defined for integer s >= 1")
-        return self._pp_row()[self._grid_index(r / 2.0) - 1]
+        i = self._grid_index(r / 2.0) - 1
+        pp, err = self._pp_table()
+        return float(pp[0, i]), float(err[0, i])
 
     def zeta0(self) -> float:
         rho, _ = self.a_residue_and_finite(0.0)
         return rho
 
-    def zeta_prime0(self) -> tuple[float, float]:
-        rho, fin = self.a_residue_and_finite(0.0)
-        b, be = self.b_value(0.0)
-        f, fe = self.f_value(0.0)
+    def zeta_prime0(self, row: int = 0) -> tuple[float, float]:
+        rho, fin = self.a_residue_and_finite(0.0, row)
+        b, be = self.b_value(0.0, row)
+        f, fe = self.f_value(0.0, row)
         m0 = fin + b + f
         return 0.5 * (m0 + EULER_GAMMA * rho), 0.5 * (be + fe)
 
+    def _k_table(self) -> tuple[list, list]:
+        """``_k_direct`` of every row, filled on the first request."""
+        if self._k is None:
+            self._k = _k_direct(self.sl, self.shifts, self.order)
+        return self._k
 
-def mellin_split(sl: SpectralSlice) -> MellinSplit:
+
+def mellin_split(sl: SpectralSlice, shifts: Optional[Sequence[float]] = None) -> MellinSplit:
     """The slice's continuation engine at the planned t0, built on first use
-    and kept on the slice."""
+    and kept on the slice.  The first call fixes its rows: ``shifts``, or
+    the slice's own alpha alone."""
     ms = getattr(sl, "_mellin_split", None)
     if ms is None:
-        ms = sl._mellin_split = MellinSplit(sl, plan_t0(sl.cross_section))
+        ms = sl._mellin_split = MellinSplit(sl, plan_t0(sl.cross_section), shifts)
     return ms
 
 
@@ -537,54 +600,82 @@ def _k_tail_bound(sl: SpectralSlice, c: float, nu_max: float, order: int) -> flo
     return dens * abs(c) ** (order + 1) / (order + 1) * geo * nu_max ** (-power) / power
 
 
-def _k_direct(sl: SpectralSlice, c: float, order: int) -> tuple[float, float]:
-    """K(0, c) at subtraction order J = ``order`` over the slice levels, and
-    the Weyl bound on the levels beyond the cutoff.
+def _k_direct(sl: SpectralSlice, shifts: Sequence[float], order: int) -> tuple[list, list]:
+    """K(0, c) at subtraction order J = ``order`` over the slice levels
+    nu = sqrt(eta + a^2), for c = +a and c = -a at every shift a of
+    ``shifts``, and the Weyl bounds on the levels beyond the cutoff: two
+    (shifts x 2) lists, sign +1 first.
 
     Each level's term -log(1+x) - sum_{r<=J} (-x)^r / r, x = c/nu, is finite,
     as nu > |c|.  A level with |x| > 1/2 takes this form as it stands
     (``log1p`` minus the Taylor head by Horner), with an absolute rounding
     error of a few ulps of log 2 however slowly its tail converges.  Every
     other level sums its tail sum_{r>J} (-x)^r / r by Horner to e^-50 of the
-    first term (at most 73 terms), free of the cancellation between
-    ``log1p`` and the head.
+    first term of the shift's largest |x| (at most 73 terms), free of the
+    cancellation between ``log1p`` and the head.  Both Horner passes run over
+    all rows at once.  The two signs of a shift share its near levels and
+    its tail length; the rows run in order of descending tail length, and
+    each tail step updates the prefix of rows whose tails reach it, so every
+    term is the one its row would get alone.
     """
-    if c == 0.0:
-        return 0.0, 0.0
-    nu = sl.nu()
-    if nu.size == 0:
-        return 0.0, math.inf
-    y = -c / nu
-    near = np.abs(y) > 0.5
+    if sl.eta.size == 0:
+        return [[0.0, 0.0] for _ in shifts], [[math.inf, math.inf] for _ in shifts]
+    a = np.array(shifts, dtype=float)[:, None]
+    nu = np.sqrt(sl.eta + a * a)
+    q = a / nu  # y = -c/nu is -q at c = +a and q at c = -a
+    x = np.abs(q)
+    far = x <= 0.5
+    xmax = np.where(far, x, 0.0).max(axis=1).tolist()
+    extra = [max(8, int(math.ceil(-_EXP_FLOOR / math.log(max(m, 1e-12))))) for m in xmax]
+    # the rows in order of descending extra, so that the tail entries a
+    # Horner step reaches are a prefix
+    rows = sorted(range(len(shifts)), key=lambda i: -extra[i])
+    q, nu, far = q[rows], nu[rows], far[rows]
+    y = np.stack([-q, q], axis=1)  # (shift, sign, level)
+    far = np.stack([far, far], axis=1)
+    near = ~far
     terms = np.empty_like(y)
     # near: -log1p(x) - y sum_{r<=J} y^(r-1) / r
     yn = y[near]
     acc = np.zeros_like(yn)
     for r in range(order, 0, -1):
-        acc = acc * yn + 1.0 / r
+        acc *= yn
+        acc += 1.0 / r
     terms[near] = -np.log1p(-yn) - acc * yn
     # far: sum_{r=J+1}^{J+extra} y^r / r = y^(J+1) sum_j y^j / (J+1+j)
-    yf = y[~near]
-    xmax = float(np.abs(yf).max(initial=0.0))
-    extra = max(8, int(math.ceil(-_EXP_FLOOR / math.log(max(xmax, 1e-12)))))
+    yf = y[far]
+    ends = np.cumsum(far.sum(axis=(1, 2))).tolist()
+    tops = [order + extra[i] for i in rows]
     acc = np.zeros_like(yf)
-    for r in range(order + extra, order, -1):
-        acc = acc * yf + 1.0 / r
-    terms[~near] = acc * yf ** (order + 1)
-    value = math.fsum((terms * sl.mult).tolist())
-    return value, _k_tail_bound(sl, c, float(nu[-1]), order)
+    reached = 0
+    for r in range(tops[0], order, -1):
+        while reached < len(tops) and tops[reached] >= r:
+            reached += 1
+        head = acc[: ends[reached - 1]]
+        head *= yf[: head.size]
+        head += 1.0 / r
+    terms[far] = acc * yf ** (order + 1)
+    values = [[math.fsum(row) for row in shift] for shift in (terms * sl.mult).tolist()]
+    bounds = [
+        [_k_tail_bound(sl, c, nu_max, order) for c in (shifts[i], -shifts[i])]
+        for i, nu_max in zip(rows, nu[:, -1].tolist())
+    ]
+    back = sorted(range(len(rows)), key=rows.__getitem__)
+    return [values[i] for i in back], [bounds[i] for i in back]
 
 
 def shifted_zeta0(sl: SpectralSlice, sign: int) -> float:
-    """zeta_{k,N}(0, sign*alpha) = zeta(0) + sum_r ((-c)^r/r) Res_{s=r} zeta."""
+    """zeta_{k,N}(0, sign*a) = zeta(0) + sum_r ((-c)^r/r) Res_{s=r} zeta at
+    the shift a of the split's first row (the slice's alpha)."""
     n = sl.cross_section.dim_n
-    c = sign * sl.alpha
     ms = mellin_split(sl)
+    c = sign * ms.shifts[0]
     return ms.zeta0() + math.fsum((-c) ** r / r * ms.residue_s(r) for r in range(1, n + 1))
 
 
-def shifted_zeta_prime0(sl: SpectralSlice, sign: int) -> tuple[float, float]:
-    """zeta'_{k,N}(0, sign*alpha) with an error estimate.
+def shifted_zeta_prime0(sl: SpectralSlice, sign: int, row: int = 0) -> tuple[float, float]:
+    """zeta'_{k,N}(0, sign*a) with an error estimate, a the shift of row
+    ``row`` of the slice's split (by default the slice's alpha).
 
     Sums the decomposition once at the split's subtraction order
     J = ``default_order(n)``, the order the slice cutoff is planned for: the
@@ -592,17 +683,20 @@ def shifted_zeta_prime0(sl: SpectralSlice, sign: int) -> tuple[float, float]:
     off the split's residue and PP rows.  The result does not depend on
     J, which the test suite checks.
     """
-    c = sign * sl.alpha
     ms = mellin_split(sl)
-    zp, zp_err = ms.zeta_prime0()
+    c = sign * ms.shifts[row]
+    zp, zp_err = ms.zeta_prime0(row)
     if c == 0.0:
         return zp, zp_err
-    kval, kbound = _k_direct(sl, c, ms.order)
+    values, bounds = ms._k_table()
+    column = 0 if sign > 0 else 1
+    kval, kbound = values[row][column], bounds[row][column]
+    pp, pe = ms._pp_table()
     terms = []
     errs = [zp_err, min(kbound, 1.0)]
-    for r, (res_h, (pp, pe)) in enumerate(zip(ms._res_h, ms._pp_row()), start=1):
-        terms.append((-c) ** r / r * (res_h + pp))
-        errs.append(abs(c) ** r / r * pe)
+    for r, (res_h, pp_r, pe_r) in enumerate(zip(ms._res_h[row], pp[row].tolist(), pe[row].tolist()), start=1):
+        terms.append((-c) ** r / r * (res_h + pp_r))
+        errs.append(abs(c) ** r / r * pe_r)
     return zp + kval + math.fsum(terms), math.fsum(errs)
 
 

@@ -70,12 +70,12 @@ def remainder_theta(fo, t: float) -> float:
 
 
 def remainder_ref(ms, t: float) -> float:
-    """R(t) = scale * sum m e^{-|p|^2/(4t)} of the Mellin split ``ms`` at one
-    node, over the prefix of the sorted primal norms whose terms
-    scale * e^{-|p|^2/(4t)} reach e^{-THETA_CUT}; 0 for t <= 0."""
+    """R(t) = scale * sum m e^{-|p|^2/(4t)} of the first row of the Mellin
+    split ``ms`` at one node, over the prefix of the sorted primal norms
+    whose terms scale * e^{-|p|^2/(4t)} reach e^{-THETA_CUT}; 0 for t <= 0."""
     if t <= 0.0:
         return 0.0
-    scale = ms.kappa * ms.v_n * t ** (-ms.h) * math.exp(-ms.a2 * t)
+    scale = ms.kappa * ms.v_n * t ** (-ms.h) * math.exp(-float(ms.a2[0]) * t)
     horizon = 4.0 * t * (crosssection.THETA_CUT + math.log(scale))
     m = int(np.searchsorted(ms._p_sq, horizon, side="right"))
     if m == 0:
@@ -92,10 +92,11 @@ def b_ref(ms, sigma: float) -> float:
 
 
 def f_ref(ms, sigma: float) -> float:
-    """F(sigma) of the Mellin split ``ms`` by one scalar adaptive quadrature
-    per level."""
+    """F(sigma) of the first row of the Mellin split ``ms`` by one scalar
+    adaptive quadrature per level."""
     vals = []
-    for mu, m in zip(ms._f_mu, ms._f_mult):
+    levels = ms._f_ends[0]
+    for mu, m in zip(ms._f_mu[:levels].tolist(), ms._f_mult[:levels].tolist()):
         upper = ms.t0 + (zeta._EXP_FLOOR + 10.0) / mu
         v, _ = integrate.quad(
             lambda t: t ** (sigma - 1.0) * math.exp(-mu * t), ms.t0, upper, **zeta._QUAD_OPTS
@@ -105,18 +106,19 @@ def f_ref(ms, sigma: float) -> float:
 
 
 def a_ref(ms, sigma: float) -> float:
-    """A(sigma) of the Mellin split ``ms`` at any sigma off its poles: the heat
+    """A(sigma) of the first row of the Mellin split ``ms`` at any sigma off its poles: the heat
     model kappa (V_n t^{-h} - 1) times the exponential series of
     e^{-alpha^2 t}, integrated over (0, t0] term by term and summed in order.
     The series is cut h + 4 terms past the first term (alpha^2 t0)^i / i!
     below 1e-24."""
-    x = ms.a2 * ms.t0
+    a2 = float(ms.a2[0])
+    x = a2 * ms.t0
     terms = 8
     while x**terms / math.factorial(terms) > 1e-24 and terms < 400:
         terms += 1
     total = 0.0
     for i in range(terms + ms.h + 4):
-        c = (-ms.a2) ** i / math.factorial(i)
+        c = (-a2) ** i / math.factorial(i)
         for coef, q in ((ms.kappa * ms.v_n * c, i - ms.h), (-ms.kappa * c, i)):
             d = sigma + q
             if abs(d) < 1e-13:

@@ -4,7 +4,7 @@ scalar one node by node, independence of the kernel's block size (production
 B and the first-order B1), its memory on the skinny torus, its node count
 against scipy's ``quad_vec`` running the scalar remainder, the quadrature it
 replaced, and its starting breaks, from which every benchmark B converges in
-two rounds."""
+two rounds, or in none when the primal window is empty."""
 
 from __future__ import annotations
 
@@ -52,7 +52,7 @@ def _splits(basis, t0: float = 1.0):
     seen = {}
     for k in range(cs.dim_n):
         ms = zeta.MellinSplit(coclosed_spectrum(cs, k, 0.0), t0)
-        seen.setdefault((ms.kappa, ms.a2), ms)
+        seen.setdefault((ms.kappa, float(ms.a2[0])), ms)
     return list(seen.values())
 
 
@@ -78,7 +78,7 @@ def test_remainders_match_scalar(name, t0):
     basis = SKINNY if name == "t2-skinny" else BENCH[name]
     t = np.concatenate([np.geomspace(1e-4, t0, 200), t0 * (0.5 + 0.5 * zeta._GK21_X)])
     for ms in _splits(basis, t0):
-        got = ms._remainders(t)
+        got = ms._remainders(t)[:, 0]
         ref = np.array([remainder_ref(ms, float(x)) for x in t])
         assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref) + 1e-300), (ms.kappa, ms.a2)
 
@@ -167,6 +167,20 @@ def test_remainder_breaks():
     assert breaks == [0.0, lo, 4 * lo, 16 * lo, 64 * lo, 0.1]
     assert zeta.remainder_breaks(np.array([]), 0.1) == [0.0, 0.1]
     assert zeta.remainder_breaks(np.array([400.0]), 0.1) == [0.0, 0.1]
+
+
+@pytest.mark.parametrize("name", ["t2-16I", "t2-24I", "t2-32I"])
+def test_empty_primal_window_skips_the_b_quadrature(name, monkeypatch):
+    """At the planned t0 these tori hold no primal point in the window, so
+    the remainder is 0 at every node: B is 0 with error 0 at every grid
+    sigma, without a Gauss-Kronrod round."""
+    rounds = []
+    panels = zeta._gk21_panels
+    monkeypatch.setattr(zeta, "_gk21_panels", lambda *a: rounds.append(1) or panels(*a))
+    for ms in _splits(BENCH[name], zeta.plan_t0(_torus(BENCH[name]))):
+        assert ms._p_sq.size == 0
+        assert [ms.b_value(s) for s in ms._grid.tolist()] == [(0.0, 0.0)] * ms._grid.size
+    assert rounds == []
 
 
 @pytest.mark.parametrize("name", list(BENCH))

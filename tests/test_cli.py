@@ -297,6 +297,17 @@ def test_non_integer_dim_n_and_non_number_basis_entry_are_config_errors(
     assert not out.exists()
 
 
+def test_anomaly_past_the_olver_tables_is_a_config_error(tmp_path, capsys):
+    """Res of T^n reads the Olver z-coefficients to order n, and the tables
+    stop at 12: ``anomaly`` on the schema-valid unit T^14 exits 2 naming
+    dim_n, where it died on an uncaught ValueError."""
+    doc = {"schema": 1, "cross_section": {"family": "flat_torus", "dim_n": 14, "lattice_basis": _eye(14)}}
+    out = tmp_path / "out.json"
+    assert cli.main(["anomaly", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "cross_section.dim_n: Res needs the Olver z-coefficients to order n = 14" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_path_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, UNIT_T2)
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
@@ -502,12 +513,12 @@ def test_scaling_rows_sum_only_shifted_derivatives(tmp_path, monkeypatch):
     assert calls == {"shifted_zeta0": 0, "shifted_zeta_prime0": 2 * 1 * 3}
 
 
-@pytest.mark.parametrize(
-    "command, extra", [("torsion", []), ("truncated", ["--epsilon", "0.25"]), ("dump-zeta", [])]
-)
-def test_unit_t4_runs_build_the_lower_half_slices_once(tmp_path, monkeypatch, command, extra):
-    """A run builds the slices of degrees k < n/2 and one MellinSplit on
-    each: 2 of each on unit T^4, whose degrees 2 and 3 are read off 1 and 0."""
+MU_32 = ",".join(str(2 + i) for i in range(32))
+
+
+def _count_builds(monkeypatch) -> tuple[list, list]:
+    """Record the torsion module's coclosed_spectrum calls and every
+    MellinSplit construction."""
     spectra, splits = [], []
     spectrum, init = T.coclosed_spectrum, zeta.MellinSplit.__init__
 
@@ -521,10 +532,34 @@ def test_unit_t4_runs_build_the_lower_half_slices_once(tmp_path, monkeypatch, co
 
     monkeypatch.setattr(T, "coclosed_spectrum", counting_spectrum)
     monkeypatch.setattr(zeta.MellinSplit, "__init__", counting_init)
+    return spectra, splits
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("torsion", []), ("truncated", ["--epsilon", "0.25"]), ("dump-zeta", []), ("scaling", ["--mu", MU_32])],
+)
+def test_unit_t4_runs_build_the_lower_half_slices_once(tmp_path, monkeypatch, command, extra):
+    """A run builds the slices of degrees k < n/2 and one MellinSplit on
+    each: 2 of each on unit T^4, whose degrees 2 and 3 are read off 1 and 0.
+    A scaling run's splits carry one row per mu, 32 here."""
+    spectra, splits = _count_builds(monkeypatch)
     cfg = _write_config(tmp_path, UNIT_T4)
     out = tmp_path / "out.json"
     assert cli.main([command, "--config", cfg, *extra, "--out", str(out)]) == 0
     assert (len(spectra), len(splits)) == (2, 2)
+
+
+@pytest.mark.parametrize("mu", ["2,4,8", MU_32], ids=["3-rows", "32-rows"])
+def test_sheared_t2_scaling_builds_one_split_for_any_grid(tmp_path, monkeypatch, mu):
+    """The sheared T^2 has one slice below n/2, and its one Mellin split
+    serves every mu of the grid."""
+    spectra, splits = _count_builds(monkeypatch)
+    cfg = _write_config(tmp_path, SHEARED_T2)
+    out = tmp_path / "scaling.json"
+    assert cli.main(["scaling", "--config", cfg, "--mu", mu, "--out", str(out)]) == 0
+    assert (len(spectra), len(splits)) == (1, 1)
+    assert len(json.loads(out.read_text())["result"]["rows"]) == mu.count(",") + 1
 
 
 MIRROR_BASES = {

@@ -267,14 +267,6 @@ def test_shear_torus_spectrum():
         assert lv.mult == ms
 
 
-def test_with_alpha_keeps_levels(unit_t2):
-    sl = coclosed_spectrum(unit_t2, 0, 500.0)
-    mod = sl.with_alpha(0.125)
-    assert mod.alpha == 0.125
-    assert mod.eta is sl.eta
-    assert mod.heat.alpha == 0.125
-
-
 def _group_loop(values):
     """Reference grouping: extend a level while values stay within
     GROUP_TOL * (1 + first member) of its first member."""

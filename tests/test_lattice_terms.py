@@ -5,6 +5,7 @@ and one Mellin split per slice in ``log_torsion_cone``."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import mpmath
@@ -53,7 +54,7 @@ def _remainder_ref(ms: zeta.MellinSplit, t: float) -> float:
     expo = ms._p_sq / (4.0 * t)
     vals = np.exp(-np.minimum(expo, 745.0)) * ms._p_counts
     s_p = float(vals.sum())
-    return ms.kappa * ms.v_n * t ** (-ms.h) * math.exp(-ms.a2 * t) * s_p
+    return ms.kappa * ms.v_n * t ** (-ms.h) * math.exp(-float(ms.a2[0]) * t) * s_p
 
 
 def _k_direct_ref(sl, c: float, order: int) -> float:
@@ -82,9 +83,9 @@ def test_remainder_matches_full_sum(name, t0):
         # the remainder depends on the slice through (kappa, alpha^2) only;
         # the spectral cutoff plays no part in it
         ms = zeta.MellinSplit(coclosed_spectrum(cs, k, 0.0), t0)
-        if (ms.kappa, ms.a2) in seen:
+        if (ms.kappa, float(ms.a2[0])) in seen:
             continue
-        seen.add((ms.kappa, ms.a2))
+        seen.add((ms.kappa, float(ms.a2[0])))
         for t in np.geomspace(1e-4, t0, 200):
             got, ref = remainder_ref(ms, float(t)), _remainder_ref(ms, float(t))
             assert abs(got - ref) <= 1e-15 * abs(ref) + 1e-300, (k, t, got, ref)
@@ -107,27 +108,46 @@ def test_remainder_empty_window_and_nonpositive_t():
 @pytest.mark.parametrize("name", ["t2-unit", "t2-sheared", "t2-32I", "t4-sheared-x2", *NEAR_GEOMETRIES])
 def test_k_direct_matches_power_table(name, sign, order_shift):
     """``_k_direct`` against the 40-digit sum of the same series terms, at
-    orders n, n + 6 and the default J = n + 10."""
+    orders n, n + 6 and the default J = n + 10, reading the sign's column
+    of the one pass that sums both signs."""
     cs = _torus({**GEOMETRIES, **NEAR_GEOMETRIES}[name])
     order = cs.dim_n + order_shift
+    column = 0 if sign > 0 else 1
     # slice n-1-k is slice k with the shift negated, which the other sign covers
     for k in range(cs.dim_n // 2):
         sl = coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-10))
         c = sign * sl.alpha
-        got, bound = zeta._k_direct(sl, c, order)
+        values, bounds = zeta._k_direct(sl, [sl.alpha], order)
+        got, bound = values[0][column], bounds[0][column]
         ref = _k_direct_ref(sl, c, order)
         assert abs(got - ref) <= 1e-14 * abs(ref), (k, got, ref)
         assert bound == zeta._k_tail_bound(sl, c, float(sl.nu()[-1]), order)
+
+
+@pytest.mark.parametrize("name", ["t2-unit", "t2-sheared", "t4-sheared-x2", *NEAR_GEOMETRIES])
+def test_k_direct_rows_equal_their_own_pass(name):
+    """Each row of a many-shift K pass (the scaling grid alpha / mu, mu = 1,
+    2, 4, ..., 64) equals, bit for bit, the pass over its shift alone: a
+    Horner tail step reaches only the rows whose tails are that long, so
+    each row sees its own steps."""
+    cs = _torus({**GEOMETRIES, **NEAR_GEOMETRIES}[name])
+    order = zeta.default_order(cs.dim_n)
+    for k in range(cs.dim_n // 2):
+        sl = coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-10))
+        shifts = [sl.alpha / mu for mu in (1, 2, 4, 8, 16, 32, 64)]
+        values, bounds = zeta._k_direct(sl, shifts, order)
+        for a, row, row_bounds in zip(shifts, values, bounds):
+            assert (row, row_bounds) == tuple(x[0] for x in zeta._k_direct(sl, [a], order)), (k, a)
 
 
 def test_k_direct_takes_shift_close_to_levels():
     """Every K term is finite, since nu > |c| on every level: a shift with
     |c| / nu_min ~ 0.99 is summed, not refused."""
     cs = _torus(GEOMETRIES["t2-32I"])
-    sl = coclosed_spectrum(cs, 0, 50.0).with_alpha(1.5)
+    sl = dataclasses.replace(coclosed_spectrum(cs, 0, 50.0), alpha=1.5)
     order = zeta.default_order(cs.dim_n)
-    for sign in (+1, -1):
-        got, _ = zeta._k_direct(sl, sign * sl.alpha, order)
+    (both,), _ = zeta._k_direct(sl, [sl.alpha], order)
+    for sign, got in zip((+1, -1), both):
         ref = _k_direct_ref(sl, sign * sl.alpha, order)
         assert abs(got - ref) <= 1e-14 * abs(ref), (sign, got, ref)
 

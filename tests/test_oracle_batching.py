@@ -129,6 +129,45 @@ def test_verify_det_grid_agrees_to_1e_12():
     assert cli._check_det_grid(cli._VerifyInputs()) <= 1e-12
 
 
+def test_each_system_runs_on_its_own_mesh(monkeypatch):
+    """verify's 159 Gelfand-Yaglom systems build the 1,865 Taylor steps of
+    their own meshes, not 159 copies of the longest; and a system's result
+    does not depend on its batch: nu = 20, z = 0.1, eps = 0.05, which the
+    longest mesh of a batch used to carry, is solved alone to the closed
+    form, bit for bit as in the stress batch."""
+    built = []
+    steps = T._step_propagators
+
+    def counting(nu, w2, x, h):
+        built.append(h.size)
+        return steps(nu, w2, x, h)
+
+    grid, harmonic = cli._det_grid_entries(), cli._harmonic_specs()
+    specs = [spec for spec, _ in grid] + harmonic
+    zs = [z for _, z in grid] + [0.0] * len(harmonic)
+    monkeypatch.setattr(T, "_step_propagators", counting)
+    T.gy_det_ratio_oracles(specs, zs)
+    monkeypatch.undo()
+    assert built == [1865]
+    spec = T.ModelOperatorSpec("psi_truncated", 20.0, 0.5, 0.05)
+    alone = T.gy_det_ratio_oracle(spec, 0.1)
+    wide = T.ModelOperatorSpec("phi_truncated", 20.0, 0.5, 0.05)
+    assert alone == T.gy_det_ratio_oracles([spec, wide], [0.1, 20.0])[0]
+    assert abs(alone - T.model_det_ratio(spec, 0.1)) <= 1e-12 * alone
+
+
+@pytest.mark.parametrize("t0", [30.0, 100.0])
+def test_first_order_model_series_is_capped(t0):
+    """The model integral's series of e^{-rate t}, rate = c + |alpha| = 1 on
+    unit T^2 with sign +1, cancels as rate t0 grows (4.3e-6 off the
+    production value at t0 = 30, an OverflowError at 100): past A_CAP the
+    oracle is a DomainError naming rate t0, as the production A part is."""
+    cs = build_cross_section({"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0], [0, 1]]})
+    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-10))
+    with pytest.raises(DomainError, match=rf"\(c \+ \|alpha\|\) t0 = {t0:g} exceeds A_CAP = 8"):
+        first_order_shifted(sl, +1, t0)
+
+
 def test_overflowing_system_is_a_named_error_without_warnings():
     spec = T.ModelOperatorSpec("psi_truncated", 10.0, 0.5, 0.1)
     with warnings.catch_warnings():

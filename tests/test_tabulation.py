@@ -90,21 +90,27 @@ def test_log_torsion_sums_each_a_series_once(unit_t4, monkeypatch):
 
 
 def test_log_torsion_assembles_each_pp_value_once(unit_t4, monkeypatch):
-    """On unit T^4 a torsion run assembles each PP value once per split: B
-    is read once per split and sigma = r/2 > 0 (sigma = 0 is zeta'(0)), on
-    the n/2 splits of the built slices."""
-    reads: Counter = Counter()
-    b_value = zeta.MellinSplit.b_value
+    """On unit T^4 a torsion run assembles the PP values once per split: on
+    each of the n/2 splits of the built slices one B quadrature fills the
+    whole sigma grid, and the PP table at s = 1..J is filled once, from the
+    B, F and A tables, however often the shifted derivatives read it."""
+    quads: Counter = Counter()
+    fills: Counter = Counter()
+    b_quad, pp_table = zeta.MellinSplit._b_quad, zeta.MellinSplit._pp_table
 
-    def counted(self, sigma):
-        reads[(id(self), sigma)] += 1
-        return b_value(self, sigma)
+    def counted_quad(self, sigmas):
+        quads[id(self)] += 1
+        return b_quad(self, sigmas)
 
-    monkeypatch.setattr(zeta.MellinSplit, "b_value", counted)
+    def counted_table(self):
+        fills[id(self)] += self._pp is None
+        return pp_table(self)
+
+    monkeypatch.setattr(zeta.MellinSplit, "_b_quad", counted_quad)
+    monkeypatch.setattr(zeta.MellinSplit, "_pp_table", counted_table)
     log_torsion_cone(unit_t4, NumericsParams(tolerance=1e-10))
-    pp_reads = [count for (_, sigma), count in reads.items() if sigma > 0]
-    assert len(pp_reads) == unit_t4.dim_n // 2 * zeta.default_order(unit_t4.dim_n)
-    assert max(pp_reads) == 1
+    assert sorted(quads.values()) == sorted(fills.values()) == [1] * (unit_t4.dim_n // 2)
+    assert quads.keys() == fills.keys()
 
 
 def test_harmonic_number_matches_the_fraction_sum():

@@ -3,6 +3,7 @@ regularized surface, and the scaling study."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -359,6 +360,36 @@ def test_scaling_rows_are_covariant(name):
         assert abs(row.tors - T.tors_term(torus(basis / mu), params).value) <= 1e-12
 
 
+PINNED_SCALING_BASES = {
+    "unit-t2": np.eye(2),
+    "sheared-t2": np.array([[1.0, 0.37], [0.0, 1.0]]),
+    "16I-t2": 16.0 * np.eye(2),
+    "diag-t2": np.diag([1.0, 0.1]),
+    "unit-t4": np.eye(4),
+    "sheared-x2-t4": 2.0 * np.array(
+        [[1.0, 0.37, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.2], [0.0, 0.0, 0.0, 1.0]]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_SCALING_BASES))
+def test_scaling_rows_equal_their_own_splits_bit_for_bit(name):
+    """Each row of the scaling table, read off one Mellin split per slice
+    whose rows are the shifts alpha_k / mu for mu = 1, 2, ..., 64, equals
+    bit for bit tors_term on slices re-shifted to alpha_k / mu, each with a
+    split of its own: the shared theta-sum prefix, B quadrature, F table and
+    K pass move no value."""
+    basis = PINNED_SCALING_BASES[name]
+    cs = build_cross_section({"family": "flat_torus", "dim_n": basis.shape[0], "lattice_basis": basis.tolist()})
+    params = T.NumericsParams(tolerance=1e-10)
+    mus = list(range(1, 65))
+    rows, _ = T.tors_scaling_profile(cs, mus, params)
+    base = T.build_slices(cs, params)
+    for mu, row in zip(mus, rows):
+        shifted = {k: dataclasses.replace(sl, alpha=sl.alpha / mu) for k, sl in base.items()}
+        assert row.tors == T.tors_term(cs, params, shifted).value, mu
+
+
 def test_t_eta_lambda_guards():
     with pytest.raises(DomainError):
         T.t_eta_lambda(0.4, 0.5, 0.25, -1.0)
@@ -380,3 +411,5 @@ def test_scaling_profile(unit_t2):
     assert all(a >= b for a, b in zip(from_eight, from_eight[1:]))
     with pytest.raises(DomainError):
         T.tors_scaling_profile(unit_t2, [0.5])
+    with pytest.raises(DomainError):
+        T.tors_scaling_profile(unit_t2, [])
