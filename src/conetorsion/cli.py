@@ -32,20 +32,21 @@ import numpy as np
 from . import __version__
 from .bessel import modified_bessels, uniform_expansion, wronskian_residual
 from .config import RunConfig, parse_config, read_config_document
-from .crosssection import CrossSection, SpectralSlice, theta_sums
+from .crosssection import CrossSection, theta_sums
 from .errors import (
     ConfigError,
     CutoffInsufficientError,
     DomainError,
     ODEIntegrationError,
 )
-from .firstorder import FirstOrderZeta, first_order_oracles
+from .firstorder import FirstOrderZeta
 from .olver import d_poly, eval_t_poly, m_poly_eval, z_diff_by_b, z_table
 from .torsion import (
     ModelOperatorSpec,
     NumericsParams,
     ab_constant,
     build_slices,
+    build_splits,
     dual_slice,
     gy_det_ratio_oracles,
     harmonic_det,
@@ -58,7 +59,7 @@ from .torsion import (
     tors_term,
     torsion_difference,
 )
-from .zeta import build_zeta_eval, shifted_zeta0, shifted_zeta_prime0
+from .zeta import MellinSplit, build_zeta_eval, shifted_zeta0, shifted_zeta_prime0
 
 DEFAULT_CONFIG = {
     "schema": 1,
@@ -241,7 +242,7 @@ def cmd_dump_olver(order: int, path: Optional[str]) -> int:
 
 def cmd_dump_spectrum(cfg: RunConfig) -> int:
     cs = cfg.cross_section
-    built = build_slices(cs, _params(cfg), mellin=False)
+    built = build_slices(cs, _params(cfg))
     slices = {}
     for k in range(cs.dim_n):
         sl = built[dual_slice(cs.dim_n, k)[0]]
@@ -259,7 +260,7 @@ def cmd_dump_spectrum(cfg: RunConfig) -> int:
 
 def cmd_dump_zeta(cfg: RunConfig) -> int:
     cs = cfg.cross_section
-    evals = {j: build_zeta_eval(sl) for j, sl in build_slices(cs, _params(cfg)).items()}
+    evals = {j: build_zeta_eval(ms) for j, ms in build_splits(cs, _params(cfg)).items()}
     slices = {}
     for k in range(cs.dim_n):
         j, sign = dual_slice(cs.dim_n, k)
@@ -403,16 +404,17 @@ class _VerifyInputs:
     most once per verify run."""
 
     @functools.cached_property
-    def unit_t2(self) -> Dict[int, SpectralSlice]:
-        """The built slice set of the default unit T^2 at its default tolerance."""
+    def unit_t2(self) -> Dict[int, MellinSplit]:
+        """The Mellin splits of the default unit T^2 at its default tolerance."""
         cfg = parse_config(DEFAULT_CONFIG)
-        return build_slices(cfg.cross_section, _params(cfg))
+        return build_splits(cfg.cross_section, _params(cfg))
 
     @functools.cached_property
-    def first_order(self) -> Dict[int, FirstOrderZeta]:
-        """The first-order oracles of the unit-T^2 degree-0 slice, by sign,
-        sharing one B quadrature."""
-        return first_order_oracles(self.unit_t2[0], (+1, -1))
+    def first_order(self) -> FirstOrderZeta:
+        """The first-order oracle of the unit-T^2 degree-0 slice with the
+        rows +alpha and -alpha, which share one B quadrature."""
+        sl = self.unit_t2[0].sl
+        return FirstOrderZeta(sl, (sl.alpha, -sl.alpha))
 
     @functools.cached_property
     def gy(self) -> tuple[np.ndarray, np.ndarray]:
@@ -426,27 +428,27 @@ class _VerifyInputs:
 
 
 def _check_zeta_exp(inputs: _VerifyInputs) -> float:
-    sl = inputs.unit_t2[0]
+    ms = inputs.unit_t2[0]
     worst = 0.0
-    for sign in (+1, -1):
-        oracle = inputs.first_order[sign].zeta0()
-        worst = max(worst, abs(shifted_zeta0(sl, sign) - oracle))
+    for row, sign in enumerate((+1, -1)):
+        oracle = inputs.first_order.zeta0(row)
+        worst = max(worst, abs(shifted_zeta0(ms, sign) - oracle))
     return worst
 
 
 def _check_shifted_derivative_route(inputs: _VerifyInputs) -> float:
-    sl = inputs.unit_t2[0]
+    ms = inputs.unit_t2[0]
     worst = 0.0
-    for sign in (+1, -1):
-        oracle = inputs.first_order[sign].zeta_prime0()
-        value, _ = shifted_zeta_prime0(sl, sign)
+    for row, sign in enumerate((+1, -1)):
+        oracle = inputs.first_order.zeta_prime0(row)
+        value, _ = shifted_zeta_prime0(ms, sign)
         worst = max(worst, abs(value - oracle))
     return worst
 
 
 def _check_tors_duality(inputs: _VerifyInputs) -> float:
-    slices = inputs.unit_t2
-    return tors_term(slices[0].cross_section, slices=slices).cross_check_residual
+    splits = inputs.unit_t2
+    return tors_term(splits[0].sl.cross_section, splits=splits).cross_check_residual
 
 
 def _check_regularization(inputs: _VerifyInputs) -> float:

@@ -45,8 +45,9 @@ _THETA_BLOCK = 1 << 18
 CROSS_SECTION_FIELDS = frozenset({"family", "dim_n", "bundle_rank", "lattice_basis"})
 
 
-def _ball_volume(n: int) -> float:
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+def _log_ball_volume(n: int) -> float:
+    """log of the volume pi^{n/2} / Gamma(n/2 + 1) of the unit n-ball."""
+    return n / 2.0 * math.log(math.pi) - math.lgamma(n / 2.0 + 1.0)
 
 
 def theta_sums(levels: np.ndarray, counts: np.ndarray, spreads: np.ndarray, log_scale=0.0) -> np.ndarray:
@@ -78,15 +79,19 @@ def theta_sums(levels: np.ndarray, counts: np.ndarray, spreads: np.ndarray, log_
 
 def _estimate_points(mat: np.ndarray, radius: float, window: str) -> float:
     """omega_n radius^n / |det mat|, the points of the lattice mat Z^n in the
-    ball; raises ConfigError, naming ``window``, above MAX_WINDOW_POINTS."""
-    estimate = _ball_volume(mat.shape[0]) * radius ** mat.shape[0] / abs(float(np.linalg.det(mat)))
-    if not estimate <= MAX_WINDOW_POINTS:
+    ball, formed in logs; raises ConfigError, naming ``window``, above
+    MAX_WINDOW_POINTS."""
+    n = mat.shape[0]
+    log_radius = math.log(radius) if radius > 0.0 else -math.inf
+    log_estimate = _log_ball_volume(n) + n * log_radius - float(np.linalg.slogdet(mat)[1])
+    if not log_estimate <= math.log(MAX_WINDOW_POINTS):
+        about = f"{math.exp(log_estimate):.3g}" if log_estimate < 700.0 else f"10^{log_estimate / math.log(10.0):.0f}"
         raise ConfigError(
             "cross_section.lattice_basis",
-            f"the {window} window (radius {radius:.6g}) holds about {estimate:.3g} "
+            f"the {window} window (radius {radius:.6g}) holds about {about} "
             f"lattice points, above the limit {MAX_WINDOW_POINTS:.3g}",
         )
-    return estimate
+    return math.exp(log_estimate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,8 +115,12 @@ class CrossSection:
                 "cross_section.lattice_basis",
                 f"must be {self.dim_n}x{self.dim_n}, got {basis.shape}",
             )
-        det = float(np.linalg.det(basis))
-        if not math.isfinite(det) or abs(det) < 1e-12:
+        # |det| against the Hadamard bound, the product of the column lengths
+        with np.errstate(over="ignore", invalid="ignore"):
+            det = float(np.linalg.det(basis))
+        if not math.isfinite(det):
+            raise ConfigError("cross_section.lattice_basis", "determinant is not finite")
+        if abs(det) <= 1e-12 * float(np.prod(np.hypot.reduce(basis, axis=0))):
             raise ConfigError("cross_section.lattice_basis", "matrix is singular")
         object.__setattr__(self, "lattice_basis", basis)
         object.__setattr__(self, "volume", abs(det))
@@ -299,7 +308,16 @@ class CrossSection:
         coclosed levels, measured in nu."""
         n = self.dim_n
         kappa = self.coclosed_point_multiplicity(k)
-        return n * kappa * self.volume * _ball_volume(n) / (2.0 * math.pi) ** n
+        ball = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+        return n * kappa * self.volume * ball / (2.0 * math.pi) ** n
+
+    def log_weyl_density(self, k: int) -> float:
+        """:meth:`weyl_density` formed in logs, finite at every dimension, for
+        planning the cutoffs; the direct form, whose bits the K-tail bounds
+        keep, overflows past n = 340."""
+        n = self.dim_n
+        kappa = self.coclosed_point_multiplicity(k)
+        return math.log(n * kappa) + math.log(self.volume) + _log_ball_volume(n) - n * math.log(2.0 * math.pi)
 
 
 def build_cross_section(config: dict) -> CrossSection:

@@ -25,15 +25,15 @@ derivatives at s = 0 independently.  It shares with :mod:`conetorsion.zeta`
 the spectrum, the lattice kernel ``crosssection.theta_sums`` (with its e^-700
 term cut and block bound), the generic vectorised Gauss-Kronrod-21 engine
 ``quad_gk21`` with its starting breaks ``remainder_breaks``, Euler's gamma
-and the cap ``A_CAP`` on its model series, and nothing else.  The oracles of one slice for both signs of the shift
-(``first_order_oracles``) share one B quadrature.
+and the cap ``A_CAP`` on its model series, and nothing else.  One oracle
+serves a tuple of shifts c, its rows, which share one B quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,15 +80,14 @@ class _ModelTerm:
 
 
 class FirstOrderZeta:
-    """Continuation of sum m (nu + c)^(-s) for one slice and one shift c.
+    """Continuation of sum m (nu + c)^(-s) for one slice at a tuple of shifts.
 
-    Everything but the shift is a function of the slice and t0 alone, so
-    oracles of one slice and t0 can share their B quadrature: the B of every
-    oracle in ``_b1_batch`` (set by :func:`first_order_oracles`) comes from
-    one vector quadrature over the shared remainder.
+    Row i is the shift c_i of ``shifts``, as in a ``MellinSplit``.
+    Everything but the shift is a function of the slice and t0 alone, so the
+    rows share the geometry sums and one B quadrature over the remainder.
     """
 
-    def __init__(self, sl: SpectralSlice, c: float, t0: float = 1.0):
+    def __init__(self, sl: SpectralSlice, shifts: Sequence[float], t0: float = 1.0):
         cs = sl.cross_section
         self.n = cs.dim_n
         self.h = self.n // 2
@@ -96,14 +95,14 @@ class FirstOrderZeta:
         self.alpha_abs = abs(sl.alpha)
         if self.alpha_abs == 0.0:
             raise DomainError("first-order oracle needs a nonzero shift alpha")
-        self.c = float(c)
+        self.shifts = tuple(map(float, shifts))
         nu_min = math.sqrt(cs.first_eta() + sl.alpha * sl.alpha)
-        if nu_min + self.c <= 0:
+        if nu_min + min(self.shifts) <= 0:
             raise DomainError("nu + c must stay positive")
         self.t0 = float(t0)
         # the model integral's series of e^{-rate t}, rate = c + |alpha|,
         # cancels as rate t0 grows, as the production A part does in alpha^2 t0
-        x = (self.c + self.alpha_abs) * self.t0
+        x = (max(self.shifts) + self.alpha_abs) * self.t0
         if x > A_CAP:
             raise DomainError(
                 f"(c + |alpha|) t0 = {x:.6g} exceeds A_CAP = {A_CAP:g}: "
@@ -114,11 +113,11 @@ class FirstOrderZeta:
         # geometry sums, enumerated independently of the slice cutoff; the
         # window must cover the upper Mellin sum (nu + c <= horizon / t0 for
         # c and for -c, so it does not depend on the sign) and the dual-side
-        # remainder sums down to u = u_c
+        # remainder sums down to u = u_c, for every row
         self._u_c = cs.min_primal_length() / (2.0 * math.sqrt(cs.first_eta()))
         # the subordination integrals over u stop where e^{-a^2 u} is spent
         self._u_upper = (_HORIZON + 20.0) / self.a2 + 4.0 * self._u_c
-        nu_max = (_HORIZON + 6.0) / self.t0 + abs(self.c)
+        nu_max = (_HORIZON + 6.0) / self.t0 + max(map(abs, self.shifts))
         eta_window = max(nu_max * nu_max, (_HORIZON + 8.0) / self._u_c)
         eta, counts = cs.lattice_eta_levels(cutoff=eta_window)
         self._eta = eta
@@ -127,9 +126,8 @@ class FirstOrderZeta:
         max_sq = 4.0 * (_HORIZON + 8.0) * max(self.t0, 1.0) * 4.0
         self._p_sq, self._p_counts = cs.primal_norms(max_sq)
         self._model = self._model_terms()
-        self._b0 = None
-        self._f0 = None
-        self._b1_batch = (self,)
+        self._b1 = None
+        self._f1 = [None] * len(self.shifts)
 
     # -- subordinated model ------------------------------------------------
 
@@ -165,8 +163,8 @@ class FirstOrderZeta:
 
     # -- Mellin components ---------------------------------------------------
 
-    def _a1_pole_and_finite(self) -> tuple[float, float]:
-        """Residue at s = 0 and finite part of the model integral.
+    def _a1_pole_and_finite(self, row: int) -> tuple[float, float]:
+        """Residue at s = 0 and finite part of the model integral in row ``row``.
 
         Int_0^{t0} t^{s-1} e^{-c t} * model(t) dt expands into terms
         coef (-rate)^p / p! * t0^{s+q+p} / (s+q+p) with rate = c + |alpha|;
@@ -174,7 +172,7 @@ class FirstOrderZeta:
         gap to the production route is 7.4e-15 at rate t0 = 8, and 4.3e-6 at
         30, where the alternating terms cancel.
         """
-        rate = self.c + self.alpha_abs
+        rate = self.shifts[row] + self.alpha_abs
         rho = 0.0
         fin = 0.0
         logt0 = math.log(self.t0)
@@ -192,17 +190,16 @@ class FirstOrderZeta:
                     fin += coef * self.t0**d / d
         return rho, fin
 
-    def _b1_value(self) -> float:
-        """B1 = Int_0^t0 e^{-ct} R1(t) dt / t with the two integrals swapped:
-        (1/(2 sqrt(pi))) Int u^{-3/2} R(u) G(u) du, G the closed-form t window.
+    def _b1_value(self, row: int = 0) -> float:
+        """B1 = Int_0^t0 e^{-ct} R1(t) dt / t in row ``row``, with the two
+        integrals swapped: (1/(2 sqrt(pi))) Int u^{-3/2} R(u) G(u) du, G the
+        closed-form t window.
 
-        One ``quad_gk21`` run on the ``remainder_breaks`` of (0, u_upper],
-        with u_c added, yields the B1 of every oracle in ``_b1_batch``: its
-        components are the windows of their shifts times the one remainder.
+        The first call runs one ``quad_gk21`` on the ``remainder_breaks`` of
+        (0, u_upper], with u_c added, whose components are the rows.
         """
-        if self._b0 is None:
-            batch = self._b1_batch
-            shifts = [fo.c for fo in batch]
+        if self._b1 is None:
+            shifts = list(self.shifts)
 
             def integrand(u: np.ndarray) -> np.ndarray:
                 common = u**-1.5 * self._remainders(u)
@@ -214,46 +211,34 @@ class FirstOrderZeta:
                 label=lambda: f"first-order B on (0, {self._u_upper:.6g}] for c in {shifts}",
                 **_QUAD,
             )
-            for fo, value in zip(batch, total.tolist()):
-                fo._b0 = value / (2.0 * math.sqrt(math.pi))
-        return self._b0
+            self._b1 = [value / (2.0 * math.sqrt(math.pi)) for value in total.tolist()]
+        return self._b1[row]
 
-    def _f1_value(self) -> float:
-        """F1 = sum m Int_t0^inf e^{-mu t} dt / t = sum m E_1(mu t0) (DLMF 6.2.1),
-        over the levels mu = nu + c with mu t0 <= _HORIZON."""
-        if self._f0 is None:
+    def _f1_value(self, row: int = 0) -> float:
+        """F1 = sum m Int_t0^inf e^{-mu t} dt / t = sum m E_1(mu t0) (DLMF 6.2.1)
+        in row ``row``, over the levels mu = nu + c with mu t0 <= _HORIZON."""
+        if self._f1[row] is None:
             from scipy.special import exp1
 
-            mu = self._nu + self.c
+            mu = self._nu + self.shifts[row]
             keep = mu * self.t0 <= _HORIZON
             terms = self.kappa * self._counts[keep] * exp1(mu[keep] * self.t0)
-            self._f0 = math.fsum(terms.tolist())
-        return self._f0
+            self._f1[row] = math.fsum(terms.tolist())
+        return self._f1[row]
 
-    def zeta0(self) -> float:
-        """zeta_k(0, c), from the pole of the model integral alone."""
-        rho, _ = self._a1_pole_and_finite()
+    def zeta0(self, row: int = 0) -> float:
+        """zeta_k(0, c) in row ``row``, from the pole of the model integral alone."""
+        rho, _ = self._a1_pole_and_finite(row)
         return rho
 
-    def zeta_prime0(self) -> float:
-        """zeta_k'(0, c) = finite part + gamma * residue."""
-        rho, fin = self._a1_pole_and_finite()
-        m0 = fin + self._b1_value() + self._f1_value()
+    def zeta_prime0(self, row: int = 0) -> float:
+        """zeta_k'(0, c) in row ``row`` = finite part + gamma * residue."""
+        rho, fin = self._a1_pole_and_finite(row)
+        m0 = fin + self._b1_value(row) + self._f1_value(row)
         return m0 + EULER_GAMMA * rho
 
 
-def first_order_oracles(
-    sl: SpectralSlice, signs: Sequence[int] = (+1, -1), t0: float = 1.0
-) -> Dict[int, FirstOrderZeta]:
-    """Oracles for zeta_{k,N}(s, sign * alpha_k) on a torus slice, by sign,
-    whose B values come from one shared quadrature."""
-    oracles = {sign: FirstOrderZeta(sl, sign * sl.alpha, t0=t0) for sign in signs}
-    batch = tuple(oracles.values())
-    for fo in batch:
-        fo._b1_batch = batch
-    return oracles
-
-
 def first_order_shifted(sl: SpectralSlice, sign: int, t0: float = 1.0) -> FirstOrderZeta:
-    """Oracle for zeta_{k,N}(s, sign * alpha_k) on a torus slice."""
-    return first_order_oracles(sl, (sign,), t0)[sign]
+    """Oracle for zeta_{k,N}(s, sign * alpha_k) on a torus slice: the
+    one-row case of :class:`FirstOrderZeta`."""
+    return FirstOrderZeta(sl, (sign * sl.alpha,), t0)

@@ -40,9 +40,9 @@ from .errors import ConfigError, DomainError, ODEIntegrationError, first_failure
 from .olver import DEFAULT_MAX_ORDER, harmonic_number, z_diff_by_b
 from .zeta import (
     DEFAULT_TOLERANCE,
+    MellinSplit,
     cutoff_for_tolerance,
     default_order,
-    mellin_split,
     plan_t0,
     primal_window,
     shifted_zeta_prime0,
@@ -70,23 +70,26 @@ def dual_slice(n: int, k: int) -> tuple[int, int]:
     return (k, +1) if k < n // 2 else (n - 1 - k, -1)
 
 
-def build_slices(
-    cs: CrossSection, params: NumericsParams, mellin: bool = True
-) -> Dict[int, SpectralSlice]:
-    """The slices of degrees k < n/2 (:func:`dual_slice`) at the cutoffs ``params`` sets.
-
-    Every lattice window the slices need is checked against the point limit
-    before any slice is built: first the primal window of their Mellin
-    splits at the planned t0 (unless ``mellin`` is false: the caller builds
-    no split), then, once the cutoffs are known, the largest dual window.
-    Each slice caches its Mellin engine, so routes that share one dict share
-    the enumeration and the continuation work.
-    """
-    if mellin:
-        cs.check_window("primal", primal_window(plan_t0(cs)))
+def build_slices(cs: CrossSection, params: NumericsParams) -> Dict[int, SpectralSlice]:
+    """The slices of degrees k < n/2 (:func:`dual_slice`) at the cutoffs ``params`` sets,
+    once their largest dual window has passed the point limit."""
     cutoffs = {k: params.slice_cutoff(cs, k) for k in range(cs.dim_n // 2)}
     cs.check_window("dual", max(cutoffs.values()))
     return {k: coclosed_spectrum(cs, k, cutoff) for k, cutoff in cutoffs.items()}
+
+
+def build_splits(
+    cs: CrossSection, params: NumericsParams, mu_values: Sequence[float] = (1.0,)
+) -> Dict[int, MellinSplit]:
+    """One Mellin split per slice k < n/2 at the planned t0, whose row i is
+    the shift alpha_k / mu_i (the default (1,) gives alpha_k exactly), once
+    their primal window has passed the point limit."""
+    t0 = plan_t0(cs)
+    cs.check_window("primal", primal_window(t0))
+    return {
+        k: MellinSplit(sl, t0, [sl.alpha / mu for mu in mu_values])
+        for k, sl in build_slices(cs, params).items()
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -168,41 +171,41 @@ class TorsResult:
     value: float
     cross_check_residual: float
     err: float
-    # the built slices (k < n/2) and zeta'_k(0, +alpha_k) for every k = 0..n-1
-    slices: Dict[int, SpectralSlice] = field(default_factory=dict)
+    # the splits of the slices k < n/2 and zeta'_k(0, +alpha_k), k = 0..n-1
+    splits: Dict[int, MellinSplit] = field(default_factory=dict)
     shifted_prime0_plus: Dict[int, float] = field(default_factory=dict)
 
 
 def tors_term(
     cs: CrossSection,
     params: Optional[NumericsParams] = None,
-    slices: Optional[Dict[int, SpectralSlice]] = None,
+    splits: Optional[Dict[int, MellinSplit]] = None,
     row: int = 0,
 ) -> TorsResult:
     """Torsion-like invariant Tors(N, E_N; g^N).
 
     The only code that sums Tors: :func:`torsion_difference` takes its value,
-    and :func:`tors_scaling_profile` calls it once per row of its slices'
-    Mellin splits.  ``value`` sums (1/2) (-1)^k (zeta'_k(0, a_k) -
-    zeta'_k(0, -a_k)) over k < n/2, a_k the shift of row ``row`` of slice
-    k's split (by default its own alpha_k).  The residual compares it with
-    (1/2) sum_{k<n} (-1)^k zeta'_k(0, a_k), whose upper half is read off the
-    same minus values (:func:`dual_slice`), so it sums one set of values two
-    ways.  ``slices`` (from :func:`build_slices`) are built when omitted.
+    and :func:`tors_scaling_profile` calls it once per row of its splits.
+    ``value`` sums (1/2) (-1)^k (zeta'_k(0, a_k) - zeta'_k(0, -a_k)) over
+    k < n/2, a_k the shift of row ``row`` of slice k's split (by default
+    its own alpha_k).  The residual compares it with (1/2) sum_{k<n} (-1)^k
+    zeta'_k(0, a_k), whose upper half is read off the same minus values
+    (:func:`dual_slice`), so it sums one set of values two ways.
+    ``splits`` (from :func:`build_splits`) are built when omitted.
     """
     params = params or NumericsParams()
     n = cs.dim_n
-    if slices is None:
-        slices = build_slices(cs, params)
+    if splits is None:
+        splits = build_splits(cs, params)
 
     results = {
-        (k, s): shifted_zeta_prime0(slices[k], s, row) for k in range(n // 2) for s in (+1, -1)
+        (k, s): shifted_zeta_prime0(splits[k], s, row) for k in range(n // 2) for s in (+1, -1)
     }
     plus = {k: results[dual_slice(n, k)][0] for k in range(n)}
     full = 0.5 * math.fsum((-1) ** k * v for k, v in plus.items())
     dual = 0.5 * math.fsum((-1) ** k * (plus[k] - results[(k, -1)][0]) for k in range(n // 2))
     err = math.fsum(e for (_, e) in results.values())
-    return TorsResult(dual, abs(full - dual), err, slices, plus)
+    return TorsResult(dual, abs(full - dual), err, splits, plus)
 
 
 @dataclass
@@ -220,14 +223,13 @@ class TorsionReport:
 
 def log_torsion_cone(cs: CrossSection, params: Optional[NumericsParams] = None) -> TorsionReport:
     """log T(C(N)) = Top + Tors + Res, with Res = -anomaly/2."""
-    params = params or NumericsParams()
     started = time.time()
     top = top_term(cs)
     tors = tors_term(cs, params)
     res, anomaly = res_term(cs)
     per_slice = {}
     for k, value in tors.shifted_prime0_plus.items():
-        sl = tors.slices[dual_slice(cs.dim_n, k)[0]]
+        sl = tors.splits[dual_slice(cs.dim_n, k)[0]].sl
         per_slice[k] = {
             "alpha": float(cs.alpha(k)),
             "betti": float(cs.betti(k)),
@@ -235,7 +237,7 @@ def log_torsion_cone(cs: CrossSection, params: Optional[NumericsParams] = None) 
             "levels": float(sl.eta.size),
             "shifted_prime0_plus": value,
         }
-    report = TorsionReport(
+    return TorsionReport(
         top=top,
         tors=tors.value,
         res=res,
@@ -244,12 +246,11 @@ def log_torsion_cone(cs: CrossSection, params: Optional[NumericsParams] = None) 
         per_slice=per_slice,
         provenance={
             "order": default_order(cs.dim_n),
-            "t0": plan_t0(cs),
+            "t0": tors.splits[0].t0,
             "tors_cross_check_residual": tors.cross_check_residual,
             "wall_time_s": time.time() - started,
         },
     )
-    return report
 
 
 def _betti_log_sum(cs: CrossSection, eps: float) -> float:
@@ -726,22 +727,21 @@ def tors_scaling_profile(
 
     The -log(mu) terms cancel in Tors: zeta_a(0, +a) - zeta_a(0, -a) is the
     odd-residue sum, and the odd residues vanish on even n.  So each row is
-    :func:`tors_term` at the shifts alpha_k / mu.  Each slice k < n/2 is
-    built once, with one Mellin split whose rows are those shifts, one per
-    mu: the split's B quadrature, F table and K series serve the whole grid,
-    so a longer grid adds rows to those tables, not splits.
+    :func:`tors_term` at the shifts alpha_k / mu.  :func:`build_splits`
+    builds each slice k < n/2 once, with one Mellin split whose rows are
+    those shifts, one per mu: the split's B quadrature, F table and K series
+    serve the whole grid, so a longer grid adds rows to those tables, not
+    splits.
 
     Returns the table and the fitted bound constant max |Tors| mu / log mu.
     """
     params = params or NumericsParams()
     if not mu_values or min(mu_values) < 1.0:
         raise DomainError("scaling grid must be non-empty and satisfy mu >= 1")
-    base = build_slices(cs, params)
-    for sl in base.values():
-        mellin_split(sl, [sl.alpha / mu for mu in mu_values])
+    splits = build_splits(cs, params, mu_values)
     rows: list[ScalingRow] = []
     for i, mu in enumerate(mu_values):
-        total = tors_term(cs, params, base, row=i).value
+        total = tors_term(cs, params, splits, row=i).value
         bound = abs(total) * mu / math.log(mu) if mu > 1.0 else None
         rows.append(ScalingRow(float(mu), total, bound))
     fitted = max((row.bound for row in rows if row.bound is not None), default=math.nan)

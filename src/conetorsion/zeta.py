@@ -30,7 +30,8 @@ coefficients of ``HeatModel``) is built with the split, and the B and F
 grids, the rows of PP values at s = 1..J and the K series of both signs
 are filled on their first request, each for every row in one vectorised
 pass.  Every residue of zeta is ``HeatModel.residue``, here as in the Res
-term of the torsion.
+term of the torsion.  Callers build each split with every row it serves
+(``torsion.build_splits``) and pass it to its readers; its tables live on it.
 
 The shifted derivatives at zero are assembled from the absolutely convergent
 series
@@ -334,7 +335,8 @@ def _a_table(
 
 
 class MellinSplit:
-    """Continuation engine for one spectral slice at a tuple of shifts.
+    """Continuation engine for one spectral slice at one split point t0 and
+    a tuple of shifts, built by its caller with every row it is to serve.
 
     Row i of the split is the slice's spectrum eta with the shift a_i of
     ``shifts`` (default: the slice's own alpha alone), i.e. the levels
@@ -574,16 +576,6 @@ class MellinSplit:
         return self._k
 
 
-def mellin_split(sl: SpectralSlice, shifts: Optional[Sequence[float]] = None) -> MellinSplit:
-    """The slice's continuation engine at the planned t0, built on first use
-    and kept on the slice.  The first call fixes its rows: ``shifts``, or
-    the slice's own alpha alone."""
-    ms = getattr(sl, "_mellin_split", None)
-    if ms is None:
-        ms = sl._mellin_split = MellinSplit(sl, plan_t0(sl.cross_section), shifts)
-    return ms
-
-
 # ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
@@ -664,18 +656,16 @@ def _k_direct(sl: SpectralSlice, shifts: Sequence[float], order: int) -> tuple[l
     return [values[i] for i in back], [bounds[i] for i in back]
 
 
-def shifted_zeta0(sl: SpectralSlice, sign: int) -> float:
+def shifted_zeta0(ms: MellinSplit, sign: int) -> float:
     """zeta_{k,N}(0, sign*a) = zeta(0) + sum_r ((-c)^r/r) Res_{s=r} zeta at
-    the shift a of the split's first row (the slice's alpha)."""
-    n = sl.cross_section.dim_n
-    ms = mellin_split(sl)
+    the shift a of the first row of the split ``ms``."""
     c = sign * ms.shifts[0]
-    return ms.zeta0() + math.fsum((-c) ** r / r * ms.residue_s(r) for r in range(1, n + 1))
+    return ms.zeta0() + math.fsum((-c) ** r / r * ms.residue_s(r) for r in range(1, ms.n + 1))
 
 
-def shifted_zeta_prime0(sl: SpectralSlice, sign: int, row: int = 0) -> tuple[float, float]:
+def shifted_zeta_prime0(ms: MellinSplit, sign: int, row: int = 0) -> tuple[float, float]:
     """zeta'_{k,N}(0, sign*a) with an error estimate, a the shift of row
-    ``row`` of the slice's split (by default the slice's alpha).
+    ``row`` of the split ``ms``.
 
     Sums the decomposition once at the split's subtraction order
     J = ``default_order(n)``, the order the slice cutoff is planned for: the
@@ -683,7 +673,6 @@ def shifted_zeta_prime0(sl: SpectralSlice, sign: int, row: int = 0) -> tuple[flo
     off the split's residue and PP rows.  The result does not depend on
     J, which the test suite checks.
     """
-    ms = mellin_split(sl)
     c = sign * ms.shifts[row]
     zp, zp_err = ms.zeta_prime0(row)
     if c == 0.0:
@@ -713,10 +702,9 @@ class ZetaEval:
     err: Dict[str, float] = field(default_factory=dict)
 
 
-def build_zeta_eval(sl: SpectralSlice) -> ZetaEval:
-    """Assemble every continuation artifact of a slice."""
-    n = sl.cross_section.dim_n
-    ms = mellin_split(sl)
+def build_zeta_eval(ms: MellinSplit) -> ZetaEval:
+    """Assemble every continuation artifact of the split's first row."""
+    n = ms.n
     residues = {r: ms.residue_s(2 * r) for r in range(1, n // 2 + 1)}
     z0 = ms.zeta0()
     zp, zp_err = ms.zeta_prime0()
@@ -726,11 +714,11 @@ def build_zeta_eval(sl: SpectralSlice) -> ZetaEval:
         v, e = ms.pp_s(r)
         pp[r] = v
         pp_err = max(pp_err, e)
-    shifted0 = {sign: shifted_zeta0(sl, sign) for sign in (+1, -1)}
+    shifted0 = {sign: shifted_zeta0(ms, sign) for sign in (+1, -1)}
     sp = {}
     sp_err = 0.0
     for sign in (+1, -1):
-        v, e = shifted_zeta_prime0(sl, sign)
+        v, e = shifted_zeta_prime0(ms, sign)
         sp[sign] = v
         sp_err = max(sp_err, e)
     eps = 1e-15
@@ -769,10 +757,11 @@ def cutoff_for_tolerance(
     j = default_order(n)
     alpha = abs(float(cs.alpha(k)))
     power = j + 1 - n
-    base = cs.weyl_density(k) * alpha ** (j + 1) / ((j + 1) * power * tol)
-    v = max(2.0 * alpha + 1.0, base ** (1.0 / power))
+    # solved for v in logs: alpha^(J+1) overflows binary64 at high n
+    log_base = cs.log_weyl_density(k) + (j + 1) * math.log(alpha) - math.log((j + 1) * power * tol)
+    v = max(2.0 * alpha + 1.0, math.exp(log_base / power))
     for _ in range(3):
         geo = 1.0 / max(1.0 - alpha / v, 0.5)
-        v = max(2.0 * alpha + 1.0, (base * geo) ** (1.0 / power))
+        v = max(2.0 * alpha + 1.0, math.exp((log_base + math.log(geo)) / power))
     lam = v * v - alpha * alpha
     return max(lam, (_EXP_FLOOR + 5.0) / t0, cs.first_eta_bound())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conetorsion.crosssection import build_cross_section, coclosed_spectrum
-from conetorsion.zeta import cutoff_for_tolerance
+from conetorsion.zeta import MellinSplit, cutoff_for_tolerance, plan_t0
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +27,9 @@ def t2_slices(unit_t2):
         k: coclosed_spectrum(unit_t2, k, cutoff_for_tolerance(unit_t2, k, 1e-12))
         for k in range(2)
     }
+
+
+@pytest.fixture(scope="session")
+def t2_splits(unit_t2, t2_slices):
+    """One Mellin split per slice of ``t2_slices``, at the planned t0."""
+    return {k: MellinSplit(sl, plan_t0(unit_t2)) for k, sl in t2_slices.items()}

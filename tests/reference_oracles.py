@@ -33,7 +33,7 @@ from scipy import integrate, special
 from scipy.linalg import eigh, null_space
 
 from conetorsion import crosssection, zeta
-from conetorsion.crosssection import CrossSection, _ball_volume
+from conetorsion.crosssection import CrossSection
 from conetorsion.errors import DomainError, ZetaPoleError
 from conetorsion.firstorder import _HORIZON, _QUAD
 from conetorsion.torsion import _integrate_model_ode, top_term, tors_term
@@ -135,17 +135,18 @@ def continued_zeta(ms, s: float) -> float:
 
 
 def theta(fo, t: float) -> float:
-    """First-order theta sum m(eta) exp(-(nu + c) t) via subordination."""
-    return math.exp(-fo.c * t) * (model_theta(fo, t) + remainder_theta(fo, t))
+    """First-order theta sum m(eta) exp(-(nu + c) t) via subordination, c the
+    shift of the first row of ``fo``."""
+    return math.exp(-fo.shifts[0] * t) * (model_theta(fo, t) + remainder_theta(fo, t))
 
 
 def theta_direct(fo, cs, t: float) -> float:
-    """Direct spectral sum over the cross-section ``cs`` of ``fo``'s slice,
-    with its own adequate enumeration window."""
+    """Direct spectral sum over the cross-section ``cs`` of ``fo``'s slice
+    in its first row, with its own adequate enumeration window."""
     nu_need = (_HORIZON + 8.0) / t
     eta, counts = cs.lattice_eta_levels(cutoff=nu_need * nu_need)
     nu = np.sqrt(eta + fo.a2)
-    return float(np.sum(counts * fo.kappa * np.exp(-(nu + fo.c) * t)))
+    return float(np.sum(counts * fo.kappa * np.exp(-(nu + fo.shifts[0]) * t)))
 
 
 def gy_full_cone_oracle(spec, z: float, x_start: float = 0.3, terms: int = 60) -> float:
@@ -314,7 +315,8 @@ def count_bound(sl, cutoff: float) -> float:
     r = math.sqrt(max(cutoff, 0.0)) / (2.0 * math.pi)
     d = float(np.sum(np.linalg.norm(cs.dual_basis(), axis=0)))
     shell = (r + d) ** cs.dim_n - max(r - d, 0.0) ** cs.dim_n
-    return sl.kappa * cs.volume * _ball_volume(cs.dim_n) * shell + sl.kappa
+    omega = math.pi ** (cs.dim_n / 2.0) / math.gamma(cs.dim_n / 2.0 + 1.0)
+    return sl.kappa * cs.volume * omega * shell + sl.kappa
 
 
 class EigenLevel(NamedTuple):

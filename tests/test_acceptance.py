@@ -136,37 +136,39 @@ def test_criterion_5_zeta_layer(unit_t2, monkeypatch):
     """Shifted zeta(0, +-a) and zeta'(0, +-a) on unit T^2 vs the independent
     first-order Mellin oracle <= 1e-7; stable <= 1e-8 under cutoff doubling
     and under extending the subtraction order from J = n+10 to J+2 (patched
-    ``default_order``, fresh slices at the same cutoff)."""
+    ``default_order``, fresh slices and splits at the same cutoff)."""
     base = zeta.cutoff_for_tolerance(unit_t2, 0, 1e-12)
+    t0 = zeta.plan_t0(unit_t2)
     worst_oracle = 0.0
     worst_double = 0.0
     worst_order = 0.0
     at_j = {}
     for k in (0, 1):
         sl = coclosed_spectrum(unit_t2, k, base)
-        sl2 = coclosed_spectrum(unit_t2, k, 2 * base)
+        ms = zeta.MellinSplit(sl, t0)
+        ms2 = zeta.MellinSplit(coclosed_spectrum(unit_t2, k, 2 * base), t0)
         for sign in (+1, -1):
             oracle = first_order_shifted(sl, sign)
-            z0 = zeta.shifted_zeta0(sl, sign)
-            zp, _ = zeta.shifted_zeta_prime0(sl, sign)
+            z0 = zeta.shifted_zeta0(ms, sign)
+            zp, _ = zeta.shifted_zeta_prime0(ms, sign)
             at_j[k, sign] = zp
             worst_oracle = max(
                 worst_oracle,
                 abs(z0 - oracle.zeta0()),
                 abs(zp - oracle.zeta_prime0()),
             )
-            zp2, _ = zeta.shifted_zeta_prime0(sl2, sign)
+            zp2, _ = zeta.shifted_zeta_prime0(ms2, sign)
             worst_double = max(
                 worst_double,
                 abs(zp - zp2),
-                abs(z0 - zeta.shifted_zeta0(sl2, sign)),
+                abs(z0 - zeta.shifted_zeta0(ms2, sign)),
             )
     default = zeta.default_order
     monkeypatch.setattr(zeta, "default_order", lambda n: default(n) + 2)
     for k in (0, 1):
-        sl = coclosed_spectrum(unit_t2, k, base)
+        ms = zeta.MellinSplit(coclosed_spectrum(unit_t2, k, base), t0)
         for sign in (+1, -1):
-            v_j2, _ = zeta.shifted_zeta_prime0(sl, sign)
+            v_j2, _ = zeta.shifted_zeta_prime0(ms, sign)
             worst_order = max(worst_order, abs(at_j[k, sign] - v_j2))
     ok = worst_oracle <= 1e-7 and worst_double <= 1e-8 and worst_order <= 1e-8
     _report(

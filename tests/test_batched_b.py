@@ -17,7 +17,7 @@ from scipy import integrate
 
 from conetorsion import crosssection, zeta
 from conetorsion.crosssection import THETA_CUT, CrossSection, build_cross_section, coclosed_spectrum, theta_sums
-from conetorsion.firstorder import first_order_oracles
+from conetorsion.firstorder import FirstOrderZeta
 from reference_oracles import remainder_ref
 
 # the benchmark geometries (lattice basis rows)
@@ -84,13 +84,14 @@ def test_remainders_match_scalar(name, t0):
 
 
 def _first_order_b1(basis) -> np.ndarray:
-    """The first-order B1 of every slice k < n/2 for both signs, each batch
-    from fresh oracles."""
+    """The first-order B1 of every slice k < n/2 for both signs, each pair
+    from a fresh oracle with the rows +alpha and -alpha."""
     cs = _torus(basis)
     values = []
     for k in range(cs.dim_n // 2):
-        oracles = first_order_oracles(coclosed_spectrum(cs, k, 50.0))
-        values += [fo._b1_value() for fo in oracles.values()]
+        sl = coclosed_spectrum(cs, k, 50.0)
+        fo = FirstOrderZeta(sl, (sl.alpha, -sl.alpha))
+        values += [fo._b1_value(row) for row in (0, 1)]
     return np.array(values)
 
 

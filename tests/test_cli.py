@@ -592,7 +592,7 @@ def test_upper_degrees_equal_their_own_slices(tmp_path, name, setting):
         reports[command] = json.loads(out.read_text())["result"]["slices"]
     for k in range(cs.dim_n // 2, cs.dim_n):
         sl = T.coclosed_spectrum(cs, k, params.slice_cutoff(cs, k))
-        ev = zeta.build_zeta_eval(sl)
+        ev = zeta.build_zeta_eval(zeta.MellinSplit(sl, zeta.plan_t0(cs)))
         spectrum = {
             "alpha": sl.alpha,
             "betti": cs.betti(k),
@@ -665,11 +665,11 @@ def test_verify_builds_the_unit_t2_slices_once(monkeypatch, capsys, what, builds
 @pytest.mark.parametrize(
     "what, solves, oracles",
     [
-        (None, 1, 2),
+        (None, 1, 1),
         ("detratio", 1, 0),
         ("det-ratio-oracle-grid", 1, 0),
         ("harmonic-det", 1, 0),
-        ("zeta", 0, 2),
+        ("zeta", 0, 1),
         ("bessel", 0, 0),
     ],
 )
@@ -678,7 +678,8 @@ def test_verify_shares_one_gy_solve_and_one_first_order_oracle_per_sign(
 ):
     """One verify run advances the det-ratio grid and the harmonic entries
     in one Gelfand-Yaglom ODE solve, and shifted-zeta0 and
-    shifted-zeta-prime0 share one first-order oracle per sign."""
+    shifted-zeta-prime0 share one first-order oracle, whose two rows are
+    the two signs of the shift."""
     calls = {"ode": 0, "oracle": 0}
     ode, init = T._integrate_model_ode, firstorder.FirstOrderZeta.__init__
 

@@ -4,11 +4,13 @@ count bounds is a test reference in ``reference_oracles``."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from conetorsion import cli
 from conetorsion.crosssection import (
     GROUP_TOL,
     CrossSection,
@@ -59,6 +61,48 @@ def test_build_rejections():
         build_cross_section(
             {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0], [0, 1]], "spin": 1}
         )
+
+
+@pytest.mark.parametrize(
+    "basis, cause",
+    [
+        ([[1.0, 1.0], [1.0, 1.0]], "matrix is singular"),
+        ([[1.0, 1.0], [1.0, 1.0 + 1e-13]], "matrix is singular"),
+        ([[1e200, 0.0], [0.0, 1e200]], "determinant is not finite"),
+    ],
+    ids=["equal-columns", "near-equal-columns", "overflowing-det"],
+)
+def test_singular_and_non_finite_bases_exit_2(tmp_path, capsys, basis, cause):
+    """|det| at most 1e-12 of the product of the column lengths (the
+    Hadamard bound) is singular, whatever the torus's scale; a determinant
+    that is not finite is refused with its own cause."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"schema": 1, "cross_section": {"family": "flat_torus", "dim_n": 2, "lattice_basis": basis}}))
+    assert cli.main(["torsion", "--config", str(path)]) == 2
+    assert f"cross_section.lattice_basis: {cause}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [0.03 * np.eye(8), 0.01 * np.eye(8), np.diag([1e-7, 1e-6])],
+    ids=["0.03I-t8", "0.01I-t8", "diag-1e-7-1e-6-t2"],
+)
+def test_small_tori_are_not_singular(basis):
+    """det 6.6e-13 (0.03 I T^8), 1e-16 (0.01 I T^8) and 1e-13 are small
+    only by the torus's scale: each basis is orthogonal, at the Hadamard
+    bound."""
+    cs = build_cross_section({"family": "flat_torus", "dim_n": basis.shape[0], "lattice_basis": basis.tolist()})
+    assert cs.volume == pytest.approx(float(np.prod(np.diag(basis))), rel=1e-14)
+
+
+def test_small_t8_torsion_runs(tmp_path, capsys):
+    """0.01 I T^8, refused as singular by an absolute determinant threshold,
+    assembles a finite log T."""
+    doc = {"schema": 1, "cross_section": {"family": "flat_torus", "dim_n": 8, "lattice_basis": (0.01 * np.eye(8)).tolist()}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["torsion", "--config", str(path)]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["result"]["log_torsion"])
 
 
 def test_betti_numbers(unit_t2, unit_t4):

@@ -308,6 +308,23 @@ def test_oversized_dual_window_is_refused_before_any_enumeration(tmp_path, capsy
     assert "the dual window" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["torsion", "dump-spectrum"])
+@pytest.mark.parametrize("n", [72, 154])
+def test_high_dimensions_are_refused_by_the_window_guard(tmp_path, capsys, monkeypatch, n, command):
+    """Unit T^72 and T^154 are schema-valid, and their planning stays finite:
+    radius^n of the point estimate (at n = 72) and alpha^(J+1) of the
+    cutoff inversion (at n = 154) pass binary64, so both are formed in logs.
+    Both commands exit 2 naming the dual window, before any enumeration."""
+    calls = _count_enumerations(monkeypatch)
+    path = _write_config(tmp_path, _diag(n, 1.0), tolerance=1e-10)
+    assert cli.main([command, "--config", path]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert "cross_section.lattice_basis: the dual window" in err and "above the limit 1e+08" in err
+    cs = _torus(_diag(n, 1.0))
+    assert all(math.isfinite(cutoff_for_tolerance(cs, k, 1e-10)) for k in range(n))
+
+
 def test_dump_spectrum_needs_no_primal_window(tmp_path, capsys, monkeypatch):
     """With the limit at 30 points the unit-T^2 primal window at the planned
     t0 = 0.0775 (about 56 points) is refused, but the dual window at cutoff

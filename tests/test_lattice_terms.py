@@ -169,5 +169,5 @@ def test_log_torsion_cone_builds_each_split_once(name, monkeypatch):
     monkeypatch.undo()
     for k in range(cs.dim_n):
         sl = coclosed_spectrum(cs, k, params.slice_cutoff(cs, k))
-        fresh, _ = zeta.shifted_zeta_prime0(sl, +1)
+        fresh, _ = zeta.shifted_zeta_prime0(zeta.MellinSplit(sl, zeta.plan_t0(cs)), +1)
         assert report.per_slice[k]["shifted_prime0_plus"] == fresh

@@ -235,7 +235,7 @@ def _nested_b1(fo) -> float:
     """B1 as the t quadrature of the subordinated remainder (the inner u
     quadrature runs inside the reference ``remainder_theta``)."""
     val, _ = integrate.quad(
-        lambda t: math.exp(-fo.c * t) * remainder_theta(fo, t) / t,
+        lambda t: math.exp(-fo.shifts[0] * t) * remainder_theta(fo, t) / t,
         0.0,
         fo.t0,
         epsabs=1e-11,
@@ -267,7 +267,7 @@ def test_swapped_b1_matches_nested_form(geometry, k, sign):
 def _quad_f1(fo) -> float:
     """F1 as the per-level quadrature of e^{-mu t} / t that the closed form
     replaced, over the same levels."""
-    mu_all = fo._nu + fo.c
+    mu_all = fo._nu + fo.shifts[0]
     keep = mu_all * fo.t0 <= _HORIZON
     vals = []
     for mu, cnt in zip(mu_all[keep], fo._counts[keep]):
@@ -350,20 +350,22 @@ def test_more_starting_panels_than_the_limit_still_warn():
 
 @pytest.mark.parametrize("geometry", list(_GEOMETRIES))
 def test_both_signs_share_one_b1_quadrature(geometry, monkeypatch):
-    """The pair's B1 values, from one two-component quadrature over one
-    remainder, agree with the single-sign oracles within the quadrature
-    tolerance; both oracles enumerate the same geometry."""
+    """The B1 values of an oracle with the rows +alpha and -alpha, from one
+    two-component quadrature over one remainder, agree with the single-sign
+    oracles within the quadrature tolerance; all three enumerate the same
+    geometry."""
     basis = _GEOMETRIES[geometry]
     cs = build_cross_section({"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis})
     sl = coclosed_spectrum(cs, 0, 400.0)
-    single = {sign: first_order_shifted(sl, sign)._b1_value() for sign in (+1, -1)}
+    single = {sign: first_order_shifted(sl, sign) for sign in (+1, -1)}
+    b1 = {sign: fo._b1_value() for sign, fo in single.items()}
     calls = []
     quad = firstorder.quad_gk21
     monkeypatch.setattr(firstorder, "quad_gk21", lambda *a, **k: calls.append(1) or quad(*a, **k))
-    pair = firstorder.first_order_oracles(sl)
-    assert np.array_equal(pair[+1]._eta, pair[-1]._eta)
-    for sign in (-1, +1):
-        assert abs(pair[sign]._b1_value() - single[sign]) <= 1e-13
+    pair = firstorder.FirstOrderZeta(sl, (sl.alpha, -sl.alpha))
+    assert np.array_equal(pair._eta, single[+1]._eta) and np.array_equal(pair._eta, single[-1]._eta)
+    for row, sign in enumerate((+1, -1)):
+        assert abs(pair._b1_value(row) - b1[sign]) <= 1e-13
     assert len(calls) == 1
 
 

@@ -195,6 +195,37 @@ def test_log_torsion_independent_of_t0(name, monkeypatch):
     assert abs(values[2.0] - values[1.0]) <= 1e-12
 
 
+CALLER_T0_BASES = {
+    "unit-t2": np.eye(2),
+    "sheared-t2": [[1.0, 0.37], [0.0, 1.0]],
+    "unit-t4": np.eye(4),
+}
+
+
+@pytest.mark.parametrize("name", list(CALLER_T0_BASES))
+def test_caller_built_splits_agree_over_t0(name):
+    """Slices built at the cutoff for t0 / 2 serve splits at t0 / 2, t0 and
+    2 t0 that the caller builds and passes, with nothing patched:
+    zeta'(0, +-alpha_k) of every slice and Tors agree within 1e-12."""
+    cs = _torus(CALLER_T0_BASES[name])
+    t0 = zeta.plan_t0(cs)
+    slices = {
+        k: coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-12, t0=t0 / 2))
+        for k in range(cs.dim_n // 2)
+    }
+    by_t0 = {t: {k: zeta.MellinSplit(sl, t) for k, sl in slices.items()} for t in (t0 / 2, t0, 2 * t0)}
+    ref = by_t0[t0]
+    tors = T.tors_term(cs, splits=ref)
+    assert tors.splits is ref
+    for t, splits in by_t0.items():
+        assert all(ms.t0 == t for ms in splits.values())
+        for k, ms in splits.items():
+            for sign in (+1, -1):
+                gap = zeta.shifted_zeta_prime0(ms, sign)[0] - zeta.shifted_zeta_prime0(ref[k], sign)[0]
+                assert abs(gap) <= 1e-12, (t, k, sign, gap)
+        assert abs(T.tors_term(cs, splits=splits).value - tors.value) <= 1e-12, t
+
+
 # tori whose first dual levels sit close to the shift, |alpha| / nu up to 0.995
 NEAR_SHIFT_BASES = {
     "64I-t2": 64.0 * np.eye(2),

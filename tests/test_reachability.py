@@ -10,7 +10,9 @@ function no command enters is a test reference, which belongs in
 ``tests/reference_oracles.py``, or dead.
 
 No module imports another module's underscore-prefixed name either: what two
-modules share is public in the module that owns it.
+modules share is public in the module that owns it.  Nor does any code write
+a private attribute of an object other than ``self``: engines are built by
+their callers and passed to their readers, never patched from outside.
 """
 
 from __future__ import annotations
@@ -95,3 +97,36 @@ def test_no_module_imports_another_modules_private_name():
                 names = [a.name for a in node.names]
                 private += [f"{path.stem}: {n}" for n in names if n.startswith("_") and not n.endswith("__")]
     assert private == [], f"private names imported across src/conetorsion modules: {private}"
+
+
+def _outside_writes(tree: ast.AST) -> list[str]:
+    """``<name>._<attr>`` stores and ``setattr``/``__setattr__`` calls on a
+    private attribute, where ``<name>`` is not ``self``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            owner, attr = node.value, node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("setattr", "__setattr__")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+        ):
+            owner, attr = node.args[0], node.args[1].value
+        else:
+            continue
+        if attr.startswith("_") and not (isinstance(owner, ast.Name) and owner.id == "self"):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_engine_is_patched_from_outside():
+    """An object's private state is written by its own methods alone: a
+    caller builds an engine (a Mellin split, a first-order oracle) with
+    everything it serves and passes it on, and no code stores a private
+    attribute on another object, nor patches one after construction."""
+    patched = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        patched += [f"{path.stem}: {w}" for w in _outside_writes(ast.parse(path.read_text()))]
+    assert patched == [], f"private attributes written from outside their object: {patched}"

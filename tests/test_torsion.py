@@ -14,6 +14,7 @@ import pytest
 from conetorsion.crosssection import build_cross_section
 from conetorsion.errors import DomainError
 from conetorsion import torsion as T
+from conetorsion.zeta import MellinSplit
 from reference_oracles import gy_full_cone_oracle, rs_norm_product_metric
 
 GAMMA = 0.5772156649015328606
@@ -72,6 +73,48 @@ def test_res_term_flat_tori():
         closed = -volume / (8.0 * math.pi)
         assert abs(anomaly - closed) / abs(closed) <= 1e-10
         assert res == -anomaly / 2.0
+
+
+def _res_closed_form(n: int) -> F:
+    """Res / (rank V_n) = (-1)^(h+1) (n-1)! / (4 h!), h = n/2, V_n = Vol / (4 pi)^h."""
+    h = n // 2
+    return F((-1) ** (h + 1) * math.factorial(n - 1), 4 * math.factorial(h))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_res_exact_double_sum_is_the_closed_form(n):
+    """With V_n factored out, the residue double sum is the rational
+    sum_k ((-1)^k/2) sum_r 2 c_{h-r} / (r-1)! * (digamma-weighted
+    z-differences at alpha_k), c_j = C(n-1, k) (-alpha_k^2)^j / j!, and half
+    of it, Res / V_n, is (-1)^(h+1) (n-1)! / (4 h!) exactly: 1/4, -3/4, 5,
+    -105/2, 756 and -13860 for n = 2, ..., 12."""
+    h = n // 2
+    total = F(0)
+    for k in range(h):
+        alpha = F(n - 1, 2) - k
+        inner = F(0)
+        for r in range(1, h + 1):
+            j = h - r
+            c = math.comb(n - 1, k) * (-alpha * alpha) ** j / math.factorial(j)
+            inner += 2 * c / math.factorial(r - 1) * T._digamma_weighted_zdiff(r, alpha)
+        total += F((-1) ** k, 2) * inner
+    assert total / 2 == _res_closed_form(n)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_res_term_meets_the_closed_form(n, rank):
+    """Float ``res_term`` on the unit and a sheared basis is within 1e-13
+    relative of rank Vol / (4 pi)^h * (-1)^(h+1) (n-1)! / (4 h!)."""
+    sheared = np.eye(n)
+    sheared[0, 1], sheared[n - 2, n - 1] = 0.37, -0.2
+    for basis in (np.eye(n), 1.3 * sheared):
+        cs = build_cross_section(
+            {"family": "flat_torus", "dim_n": n, "lattice_basis": basis.tolist(), "bundle_rank": rank}
+        )
+        want = rank * cs.volume / (4.0 * math.pi) ** (n // 2) * float(_res_closed_form(n))
+        res, _ = T.res_term(cs)
+        assert abs(res - want) <= 1e-13 * abs(want), (n, rank, res, want)
 
 
 def test_res_term_rank_linearity(unit_t2):
@@ -377,17 +420,34 @@ def test_scaling_rows_equal_their_own_splits_bit_for_bit(name):
     """Each row of the scaling table, read off one Mellin split per slice
     whose rows are the shifts alpha_k / mu for mu = 1, 2, ..., 64, equals
     bit for bit tors_term on slices re-shifted to alpha_k / mu, each with a
-    split of its own: the shared theta-sum prefix, B quadrature, F table and
-    K pass move no value."""
+    split of its own at the same t0: the shared theta-sum prefix, B
+    quadrature, F table and K pass move no value."""
     basis = PINNED_SCALING_BASES[name]
     cs = build_cross_section({"family": "flat_torus", "dim_n": basis.shape[0], "lattice_basis": basis.tolist()})
     params = T.NumericsParams(tolerance=1e-10)
     mus = list(range(1, 65))
     rows, _ = T.tors_scaling_profile(cs, mus, params)
-    base = T.build_slices(cs, params)
+    base = T.build_splits(cs, params)
     for mu, row in zip(mus, rows):
-        shifted = {k: dataclasses.replace(sl, alpha=sl.alpha / mu) for k, sl in base.items()}
+        shifted = {
+            k: MellinSplit(dataclasses.replace(ms.sl, alpha=ms.sl.alpha / mu), ms.t0) for k, ms in base.items()
+        }
         assert row.tors == T.tors_term(cs, params, shifted).value, mu
+
+
+def test_build_splits_serves_the_rows_it_is_built_with(unit_t2):
+    """The default rows are the slices' own shifts, exactly; splits built
+    for a scaling grid after a Tors run have that grid's rows, and every row
+    is readable: no split found on a slice fixes the rows of a later one."""
+    params = T.NumericsParams(tolerance=1e-10)
+    first = T.tors_term(unit_t2, params)
+    assert [ms.shifts for ms in first.splits.values()] == [(ms.sl.alpha,) for ms in first.splits.values()]
+    mus = (2.0, 4.0)
+    splits = T.build_splits(unit_t2, params, mus)
+    assert [ms.shifts for ms in splits.values()] == [tuple(ms.sl.alpha / mu for mu in mus) for ms in splits.values()]
+    rows, _ = T.tors_scaling_profile(unit_t2, mus, params)
+    for i, row in enumerate(rows):
+        assert T.tors_term(unit_t2, params, splits, row=i).value == row.tors
 
 
 def test_t_eta_lambda_guards():

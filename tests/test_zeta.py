@@ -19,12 +19,17 @@ from conetorsion import zeta
 from reference_oracles import continued_zeta, theta, theta_direct
 
 
-def test_residues_unit_t2(t2_slices):
-    res = zeta.build_zeta_eval(t2_slices[0]).residues
+def _split(sl) -> zeta.MellinSplit:
+    """A fresh split of ``sl`` at the planned t0."""
+    return zeta.MellinSplit(sl, zeta.plan_t0(sl.cross_section))
+
+
+def test_residues_unit_t2(t2_splits):
+    res = zeta.build_zeta_eval(t2_splits[0]).residues
     assert set(res) == {1}
     assert res[1] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
     # residues at odd s vanish identically on even-dimensional N
-    ms = zeta.mellin_split(t2_slices[0])
+    ms = t2_splits[0]
     assert ms.residue_s(1) == 0.0
     assert ms.residue_s(3) == 0.0
 
@@ -38,12 +43,12 @@ def test_residue_volume_scaling():
         }
     )
     sl = coclosed_spectrum(big, 0, zeta.cutoff_for_tolerance(big, 0, 1e-10))
-    assert zeta.mellin_split(sl).residue_s(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert _split(sl).residue_s(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
 
 
 def test_zeta_mellin_large_s_vs_direct(unit_t2):
     sl = coclosed_spectrum(unit_t2, 0, 500000.0)
-    ms = zeta.mellin_split(sl)
+    ms = _split(sl)
     nu = sl.nu()
     for s, value in ((6.0, ms.pp_s(6)[0]), (8.0, ms.pp_s(8)[0]), (9.5, continued_zeta(ms, 9.5))):
         direct = float(np.sum(sl.mult * nu**-s))
@@ -58,7 +63,7 @@ def _epstein_z(s: float) -> float:
     return float(4 * mpmath.zeta(half) * beta)
 
 
-def test_zeta_mellin_s1_vs_epstein_acceleration(t2_slices):
+def test_zeta_mellin_s1_vs_epstein_acceleration(t2_splits):
     """Independent acceleration oracle at the odd non-pole point s = 1:
     subtract the large-|m| expansion of nu^{-1} term by term and restore the
     subtracted pieces from the Epstein zeta closed form 4 zeta beta."""
@@ -77,11 +82,11 @@ def test_zeta_mellin_s1_vs_epstein_acceleration(t2_slices):
     accelerated = float(np.sum(f - model))
     accelerated += c1 * _epstein_z(1.0) + c2 * _epstein_z(3.0)
     accelerated += c3 * _epstein_z(5.0) + c4 * _epstein_z(7.0)
-    assert zeta.mellin_split(t2_slices[0]).pp_s(1)[0] == pytest.approx(accelerated, abs=1e-9)
+    assert t2_splits[0].pp_s(1)[0] == pytest.approx(accelerated, abs=1e-9)
 
 
-def test_pole_behavior(t2_slices):
-    ms = zeta.mellin_split(t2_slices[0])
+def test_pole_behavior(t2_splits):
+    ms = t2_splits[0]
     # s = 2 is the pole of A at sigma = 1
     with pytest.raises(ZetaPoleError):
         ms.a_value(1.0)
@@ -96,19 +101,19 @@ def test_pole_behavior(t2_slices):
     assert abs(approx - res) / res <= 1e-6
 
 
-def test_zeta0_values(t2_slices):
+def test_zeta0_values(t2_splits):
     z0_expected = -1.0 / (16.0 * math.pi) - 1.0
     for k in (0, 1):
-        z0 = zeta.mellin_split(t2_slices[k]).zeta0()
+        z0 = t2_splits[k].zeta0()
         # identical slices by duality: the same value in both degrees (the
         # harmonic subtraction is the per-point multiplicity, not b_k)
         assert z0 == pytest.approx(z0_expected, rel=1e-13)
 
 
-def test_zeta_prime0_vs_finite_difference(t2_slices):
+def test_zeta_prime0_vs_finite_difference(t2_splits):
     """Richardson-extrapolated central differences of the continued zeta at
     s = +-h reproduce zeta'(0) to <= 1e-7."""
-    ms = zeta.mellin_split(t2_slices[0])
+    ms = t2_splits[0]
     zp, _ = ms.zeta_prime0()
 
     def central(h):
@@ -121,16 +126,16 @@ def test_zeta_prime0_vs_finite_difference(t2_slices):
     assert abs(richardson - zp) <= 1e-7
 
 
-def test_zeta_mellin_small_negative_s(t2_slices):
+def test_zeta_mellin_small_negative_s(t2_splits):
     """Just left of zero the continuation follows zeta(0) + zeta'(0) s, which
     is what legitimizes the central-difference oracle."""
-    ms = zeta.mellin_split(t2_slices[0])
+    ms = t2_splits[0]
     z0, (zp, _) = ms.zeta0(), ms.zeta_prime0()
     for s in (-1e-3, -1e-4):
         assert continued_zeta(ms, s) == pytest.approx(z0 + zp * s, abs=5e-7)
 
 
-def test_k_series_basics(t2_slices):
+def test_k_series_basics(t2_slices, t2_splits):
     sl = t2_slices[0]
     j = zeta.default_order(2)
     # alpha = 0: every term vanishes
@@ -138,8 +143,9 @@ def test_k_series_basics(t2_slices):
     assert zeta._k_direct(sl0, [sl0.alpha], j)[0] == [[0.0, 0.0]]
     # sign symmetry: zeta'(0, +a) on the alpha -> -alpha slice equals zeta'(0, -a)
     flipped = dataclasses.replace(sl, alpha=-sl.alpha)
-    assert zeta.shifted_zeta_prime0(flipped, +1) == zeta.shifted_zeta_prime0(sl, -1)
-    assert zeta.shifted_zeta_prime0(flipped, -1) == zeta.shifted_zeta_prime0(sl, +1)
+    flipped = _split(flipped)
+    assert zeta.shifted_zeta_prime0(flipped, +1) == zeta.shifted_zeta_prime0(t2_splits[0], -1)
+    assert zeta.shifted_zeta_prime0(flipped, -1) == zeta.shifted_zeta_prime0(t2_splits[0], +1)
 
 
 def test_k_series_cutoff_doubling(unit_t2):
@@ -151,43 +157,43 @@ def test_k_series_cutoff_doubling(unit_t2):
     assert abs(values[0] - values[1]) <= 1e-9  # stabilizes to 9 digits
 
 
-def test_shifted_zeta0(t2_slices):
-    sl = t2_slices[0]
-    assert zeta.shifted_zeta0(sl, +1) == pytest.approx(-1.0, abs=1e-12)
-    assert zeta.shifted_zeta0(sl, -1) == pytest.approx(-1.0, abs=1e-12)
+def test_shifted_zeta0(t2_slices, t2_splits):
+    ms = t2_splits[0]
+    assert zeta.shifted_zeta0(ms, +1) == pytest.approx(-1.0, abs=1e-12)
+    assert zeta.shifted_zeta0(ms, -1) == pytest.approx(-1.0, abs=1e-12)
     # alpha = 0 reduces to zeta(0)
-    sl0 = dataclasses.replace(sl, alpha=0.0)
-    assert zeta.shifted_zeta0(sl0, +1) == zeta.mellin_split(sl0).zeta0()
+    ms0 = _split(dataclasses.replace(t2_slices[0], alpha=0.0))
+    assert zeta.shifted_zeta0(ms0, +1) == ms0.zeta0()
     # sign difference vanishes on even-dimensional N (odd residues are zero)
-    assert zeta.shifted_zeta0(sl, +1) - zeta.shifted_zeta0(sl, -1) == 0.0
+    assert zeta.shifted_zeta0(ms, +1) - zeta.shifted_zeta0(ms, -1) == 0.0
 
 
 def test_shifted_prime0_order_independence(unit_t2, monkeypatch):
     """The K series summed directly at orders J, J + 4 and J + 8, each with
     the Mellin terms up to its own order, gives one zeta'(0, +-a) to 1e-12
     on unit and 32 I T^2.  J is raised by patching ``default_order`` and
-    building fresh slices at the cutoff planned for J."""
+    building fresh slices and splits at the cutoff planned for J."""
     big = build_cross_section(
         {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[32, 0], [0, 32]]}
     )
     default = zeta.default_order
     for cs in (unit_t2, big):
         cutoff = zeta.cutoff_for_tolerance(cs, 0, 1e-12)
-        sl = coclosed_spectrum(cs, 0, cutoff)
-        v_j = {sign: zeta.shifted_zeta_prime0(sl, sign)[0] for sign in (+1, -1)}
+        ms = _split(coclosed_spectrum(cs, 0, cutoff))
+        v_j = {sign: zeta.shifted_zeta_prime0(ms, sign)[0] for sign in (+1, -1)}
         for extra in (4, 8):
             monkeypatch.setattr(zeta, "default_order", lambda n, extra=extra: default(n) + extra)
-            sl = coclosed_spectrum(cs, 0, cutoff)
+            ms = _split(coclosed_spectrum(cs, 0, cutoff))
             for sign in (+1, -1):
-                v, _ = zeta.shifted_zeta_prime0(sl, sign)
+                v, _ = zeta.shifted_zeta_prime0(ms, sign)
                 assert abs(v - v_j[sign]) <= 1e-12, (cs.volume, sign, extra, v - v_j[sign])
         monkeypatch.setattr(zeta, "default_order", default)
 
 
 def test_shifted_prime0_alpha_zero(t2_slices):
-    sl0 = dataclasses.replace(t2_slices[0], alpha=0.0)
-    zp, _ = zeta.mellin_split(sl0).zeta_prime0()
-    v, _ = zeta.shifted_zeta_prime0(sl0, +1)
+    ms0 = _split(dataclasses.replace(t2_slices[0], alpha=0.0))
+    zp, _ = ms0.zeta_prime0()
+    v, _ = zeta.shifted_zeta_prime0(ms0, +1)
     assert v == zp
 
 
@@ -201,15 +207,15 @@ def test_first_order_oracle_theta_identity(t2_slices):
         assert abs(sub - direct) <= 1e-12 * max(1.0, abs(direct))
 
 
-def test_shifted_values_against_first_order_oracle(t2_slices):
+def test_shifted_values_against_first_order_oracle(t2_slices, t2_splits):
     """Acceptance-grade check: zeta(0, +-a) and zeta'(0, +-a) from the
     production route agree with the independent first-order Mellin oracle."""
     for k in (0, 1):
-        sl = t2_slices[k]
+        ms = t2_splits[k]
         for sign in (+1, -1):
-            oracle = first_order_shifted(sl, sign)
-            assert zeta.shifted_zeta0(sl, sign) == pytest.approx(oracle.zeta0(), abs=1e-9)
-            v, _ = zeta.shifted_zeta_prime0(sl, sign)
+            oracle = first_order_shifted(t2_slices[k], sign)
+            assert zeta.shifted_zeta0(ms, sign) == pytest.approx(oracle.zeta0(), abs=1e-9)
+            v, _ = zeta.shifted_zeta_prime0(ms, sign)
             assert v == pytest.approx(oracle.zeta_prime0(), abs=1e-7)
 
 
@@ -219,10 +225,11 @@ def test_shifted_values_against_first_order_oracle_t4(unit_t4):
     the subtraction order."""
     for k in (0, 1):
         sl = coclosed_spectrum(unit_t4, k, zeta.cutoff_for_tolerance(unit_t4, k, 1e-12))
+        ms = _split(sl)
         for sign in (+1, -1):
             oracle = first_order_shifted(sl, sign)
-            assert zeta.shifted_zeta0(sl, sign) == pytest.approx(oracle.zeta0(), abs=1e-10)
-            v, _ = zeta.shifted_zeta_prime0(sl, sign)
+            assert zeta.shifted_zeta0(ms, sign) == pytest.approx(oracle.zeta0(), abs=1e-10)
+            v, _ = zeta.shifted_zeta_prime0(ms, sign)
             assert v == pytest.approx(oracle.zeta_prime0(), abs=1e-9)
 
 
@@ -233,18 +240,19 @@ def test_shifted_values_oracle_shear_torus():
         {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0.5], [0, 1]]}
     )
     sl = coclosed_spectrum(shear, 0, zeta.cutoff_for_tolerance(shear, 0, 1e-12))
+    ms = _split(sl)
     for sign in (+1, -1):
         oracle = first_order_shifted(sl, sign)
-        assert zeta.shifted_zeta0(sl, sign) == pytest.approx(oracle.zeta0(), abs=1e-10)
-        v, _ = zeta.shifted_zeta_prime0(sl, sign)
+        assert zeta.shifted_zeta0(ms, sign) == pytest.approx(oracle.zeta0(), abs=1e-10)
+        v, _ = zeta.shifted_zeta_prime0(ms, sign)
         assert v == pytest.approx(oracle.zeta_prime0(), abs=1e-10)
 
 
-def test_zeta_eval_duality(t2_slices):
+def test_zeta_eval_duality(t2_splits):
     """ZetaEval of slice k equals ZetaEval of slice n-1-k with the shifted
     fields swapped in sign, exactly on tori."""
-    ev0 = zeta.build_zeta_eval(t2_slices[0])
-    ev1 = zeta.build_zeta_eval(t2_slices[1])
+    ev0 = zeta.build_zeta_eval(t2_splits[0])
+    ev1 = zeta.build_zeta_eval(t2_splits[1])
     assert ev0.residues == ev1.residues
     assert ev0.zeta0 == ev1.zeta0
     assert ev0.zeta_prime0 == ev1.zeta_prime0
@@ -257,23 +265,23 @@ def test_zeta_eval_duality(t2_slices):
 
 def test_error_estimates_monotone(unit_t2):
     base = zeta.cutoff_for_tolerance(unit_t2, 0, 1e-10)
-    ev1 = zeta.build_zeta_eval(coclosed_spectrum(unit_t2, 0, base))
-    ev2 = zeta.build_zeta_eval(coclosed_spectrum(unit_t2, 0, 2 * base))
+    ev1 = zeta.build_zeta_eval(_split(coclosed_spectrum(unit_t2, 0, base)))
+    ev2 = zeta.build_zeta_eval(_split(coclosed_spectrum(unit_t2, 0, 2 * base)))
     for key in ev1.err:
         assert ev2.err[key] <= ev1.err[key] * (1 + 1e-12)
 
 
-def test_residue_two_routes_agree(t2_slices, unit_t2):
+def test_residue_two_routes_agree(t2_splits, unit_t2):
     """The residue of the split's A table at its pole sigma = 1, turned into
     Res_{s=2} zeta = 2 Res_{sigma=1} A / Gamma(1), equals the closed
     heat-model formula ``HeatModel.residue`` that Res and the split read."""
-    ms = zeta.mellin_split(t2_slices[0])
+    ms = t2_splits[0]
     rho, _ = ms.a_residue_and_finite(1.0)
     assert 2.0 * rho / math.gamma(1.0) == pytest.approx(theta_heat_coeffs(unit_t2, 0).residue(2), rel=1e-14)
 
 
-def test_pp_values_match_plain_values_off_poles(t2_slices):
-    ms = zeta.mellin_split(t2_slices[0])
+def test_pp_values_match_plain_values_off_poles(t2_splits):
+    ms = t2_splits[0]
     assert ms.pp_s(1)[0] == pytest.approx(continued_zeta(ms, 1.0), rel=1e-12)
     for r in (3, 5):
         near = continued_zeta(ms, r + 1e-7)
