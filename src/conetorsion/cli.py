@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``torsion``        assemble log T(C(N)) = Top + Tors + Res and emit the report
 ``truncated``      scalar log torsion of the truncated cone (needs --epsilon)
-``anomaly``        boundary anomaly integral, with the flat-T^2 closed form
+``anomaly``        boundary anomaly integral, with its flat-torus closed form
 ``scaling``        Tors under metric scaling over a mu grid (CSV or JSON)
 ``dump-spectrum``  enumerated slices with multiplicities and heat coefficients
 ``dump-zeta``      full continuation artifacts per slice
@@ -59,7 +59,7 @@ from .torsion import (
     tors_term,
     torsion_difference,
 )
-from .zeta import MellinSplit, build_zeta_eval, shifted_zeta0, shifted_zeta_prime0
+from .zeta import MellinSplit, build_zeta_eval, plan_t0, shifted_zeta0, shifted_zeta_prime0
 
 DEFAULT_CONFIG = {
     "schema": 1,
@@ -189,11 +189,17 @@ def cmd_anomaly(cfg: RunConfig) -> int:
     started = time.time()
     cs = cfg.cross_section
     res, anomaly = res_term(cs)
-    result = {"anomaly_integral": anomaly, "res": res}
-    if cs.dim_n == 2:
-        closed = -cs.bundle_rank * cs.volume / (8.0 * math.pi)
-        result["flat_t2_closed_form"] = closed
-        result["closed_form_rel_error"] = abs(anomaly - closed) / abs(closed)
+    # -2 Res = -2 (-1)^(h+1) (n-1)! / (4 h!) rank Vol / (4 pi)^h, h = n/2: equal
+    # to the Olver double sum in exact rationals for n = 2..12, not derived
+    h = cs.dim_n // 2
+    coef = (-1) ** h * math.factorial(cs.dim_n - 1) / (2 * math.factorial(h))
+    closed = coef * cs.bundle_rank * cs.volume / (4.0 * math.pi) ** h
+    result = {
+        "anomaly_integral": anomaly,
+        "res": res,
+        "closed_form": closed,
+        "closed_form_rel_error": abs(anomaly - closed) / abs(closed),
+    }
     return _emit_report(cfg, result, {"wall_time_s": time.time() - started})
 
 
@@ -242,7 +248,7 @@ def cmd_dump_olver(order: int, path: Optional[str]) -> int:
 
 def cmd_dump_spectrum(cfg: RunConfig) -> int:
     cs = cfg.cross_section
-    built = build_slices(cs, _params(cfg))
+    built = build_slices(cs, _params(cfg), plan_t0(cs))
     slices = {}
     for k in range(cs.dim_n):
         sl = built[dual_slice(cs.dim_n, k)[0]]
@@ -447,8 +453,7 @@ def _check_shifted_derivative_route(inputs: _VerifyInputs) -> float:
 
 
 def _check_tors_duality(inputs: _VerifyInputs) -> float:
-    splits = inputs.unit_t2
-    return tors_term(splits[0].sl.cross_section, splits=splits).cross_check_residual
+    return tors_term(inputs.unit_t2).cross_check_residual
 
 
 def _check_regularization(inputs: _VerifyInputs) -> float:
@@ -470,8 +475,8 @@ _CHECKS: list[tuple[str, str, Callable[[_VerifyInputs], float], float]] = [
     ("bessel", "uniform-expansion", _check_uniform, 1.0),
     ("detratio", "det-ratio-oracle-grid", _check_det_grid, 1e-6),
     ("detratio", "harmonic-det", _check_harmonic, 1e-6),
-    ("zeta", "shifted-zeta0", _check_zeta_exp, 1e-9),
-    ("zeta", "shifted-zeta-prime0", _check_shifted_derivative_route, 1e-7),
+    ("zeta", "shifted-zeta0", _check_zeta_exp, 1e-12),
+    ("zeta", "shifted-zeta-prime0", _check_shifted_derivative_route, 1e-12),
     ("torsion", "tors-duality", _check_tors_duality, 1e-8),
     ("torsion", "regularization-surface", _check_regularization, 1.0),
 ]
@@ -535,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="path to a schema-1 JSON configuration")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=["json", "csv"], help="json, or csv for scaling")
-        p.add_argument("--tolerance", type=float, help="bound on each K-series tail, not on log T (ROADMAP item 4)")
+        p.add_argument("--tolerance", type=float, help="bound on each slice's K-series tail; the error in log T is not bounded by it")
         p.add_argument("--cutoff", type=float, help="eigenvalue cutoff")
         p.add_argument("--epsilon", type=float, help="truncation parameter in (0,1)")
         p.add_argument("--mu", help="comma-separated scaling grid, e.g. 2,4,8")

@@ -42,7 +42,6 @@ from .zeta import (
     DEFAULT_TOLERANCE,
     MellinSplit,
     cutoff_for_tolerance,
-    default_order,
     plan_t0,
     primal_window,
     shifted_zeta_prime0,
@@ -56,11 +55,15 @@ class NumericsParams:
     cutoff: Optional[float] = None
     tolerance: Optional[float] = None
 
-    def slice_cutoff(self, cs: CrossSection, k: int) -> float:
+    def slice_cutoff(self, cs: CrossSection, k: int, t0: float = math.inf) -> float:
+        """Cutoff of slice k: ``cutoff`` when set, else the K-tail cutoff at
+        the tolerance raised to the Mellin horizon of a split at ``t0``.  The
+        default t0 = inf raises it to nothing; ``perfbench/make_refs.py``
+        calls it so and builds its own window for its splits."""
         if self.cutoff is not None:
             return self.cutoff
         tol = self.tolerance if self.tolerance is not None else DEFAULT_TOLERANCE
-        return cutoff_for_tolerance(cs, k, tol)
+        return cutoff_for_tolerance(cs, k, tol, t0)
 
 
 def dual_slice(n: int, k: int) -> tuple[int, int]:
@@ -70,10 +73,11 @@ def dual_slice(n: int, k: int) -> tuple[int, int]:
     return (k, +1) if k < n // 2 else (n - 1 - k, -1)
 
 
-def build_slices(cs: CrossSection, params: NumericsParams) -> Dict[int, SpectralSlice]:
-    """The slices of degrees k < n/2 (:func:`dual_slice`) at the cutoffs ``params`` sets,
-    once their largest dual window has passed the point limit."""
-    cutoffs = {k: params.slice_cutoff(cs, k) for k in range(cs.dim_n // 2)}
+def build_slices(cs: CrossSection, params: NumericsParams, t0: float) -> Dict[int, SpectralSlice]:
+    """The slices of degrees k < n/2 (:func:`dual_slice`) at the cutoffs
+    ``params`` sets for Mellin splits at ``t0``, once their largest dual
+    window has passed the point limit."""
+    cutoffs = {k: params.slice_cutoff(cs, k, t0) for k in range(cs.dim_n // 2)}
     cs.check_window("dual", max(cutoffs.values()))
     return {k: coclosed_spectrum(cs, k, cutoff) for k, cutoff in cutoffs.items()}
 
@@ -83,12 +87,13 @@ def build_splits(
 ) -> Dict[int, MellinSplit]:
     """One Mellin split per slice k < n/2 at the planned t0, whose row i is
     the shift alpha_k / mu_i (the default (1,) gives alpha_k exactly), once
-    their primal window has passed the point limit."""
+    their primal window has passed the point limit.  The one place a command
+    plans t0 for splits; the slices are built for it."""
     t0 = plan_t0(cs)
     cs.check_window("primal", primal_window(t0))
     return {
         k: MellinSplit(sl, t0, [sl.alpha / mu for mu in mu_values])
-        for k, sl in build_slices(cs, params).items()
+        for k, sl in build_slices(cs, params, t0).items()
     }
 
 
@@ -170,19 +175,13 @@ def res_term(cs: CrossSection) -> tuple[float, float]:
 class TorsResult:
     value: float
     cross_check_residual: float
-    err: float
-    # the splits of the slices k < n/2 and zeta'_k(0, +alpha_k), k = 0..n-1
-    splits: Dict[int, MellinSplit] = field(default_factory=dict)
-    shifted_prime0_plus: Dict[int, float] = field(default_factory=dict)
+    # zeta'_k(0, +alpha_k), k = 0..n-1
+    shifted_prime0_plus: Dict[int, float]
 
 
-def tors_term(
-    cs: CrossSection,
-    params: Optional[NumericsParams] = None,
-    splits: Optional[Dict[int, MellinSplit]] = None,
-    row: int = 0,
-) -> TorsResult:
-    """Torsion-like invariant Tors(N, E_N; g^N).
+def tors_term(splits: Dict[int, MellinSplit], row: int = 0) -> TorsResult:
+    """Torsion-like invariant Tors(N, E_N; g^N) from the Mellin splits of
+    the slices k < n/2 (:func:`build_splits`), which it only reads.
 
     The only code that sums Tors: :func:`torsion_difference` takes its value,
     and :func:`tors_scaling_profile` calls it once per row of its splits.
@@ -191,21 +190,15 @@ def tors_term(
     its own alpha_k).  The residual compares it with (1/2) sum_{k<n} (-1)^k
     zeta'_k(0, a_k), whose upper half is read off the same minus values
     (:func:`dual_slice`), so it sums one set of values two ways.
-    ``splits`` (from :func:`build_splits`) are built when omitted.
     """
-    params = params or NumericsParams()
-    n = cs.dim_n
-    if splits is None:
-        splits = build_splits(cs, params)
-
+    n = splits[0].n
     results = {
         (k, s): shifted_zeta_prime0(splits[k], s, row) for k in range(n // 2) for s in (+1, -1)
     }
     plus = {k: results[dual_slice(n, k)][0] for k in range(n)}
     full = 0.5 * math.fsum((-1) ** k * v for k, v in plus.items())
     dual = 0.5 * math.fsum((-1) ** k * (plus[k] - results[(k, -1)][0]) for k in range(n // 2))
-    err = math.fsum(e for (_, e) in results.values())
-    return TorsResult(dual, abs(full - dual), err, splits, plus)
+    return TorsResult(dual, abs(full - dual), plus)
 
 
 @dataclass
@@ -225,11 +218,12 @@ def log_torsion_cone(cs: CrossSection, params: Optional[NumericsParams] = None) 
     """log T(C(N)) = Top + Tors + Res, with Res = -anomaly/2."""
     started = time.time()
     top = top_term(cs)
-    tors = tors_term(cs, params)
+    splits = build_splits(cs, params or NumericsParams())
+    tors = tors_term(splits)
     res, anomaly = res_term(cs)
     per_slice = {}
     for k, value in tors.shifted_prime0_plus.items():
-        sl = tors.splits[dual_slice(cs.dim_n, k)[0]].sl
+        sl = splits[dual_slice(cs.dim_n, k)[0]].sl
         per_slice[k] = {
             "alpha": float(cs.alpha(k)),
             "betti": float(cs.betti(k)),
@@ -245,8 +239,8 @@ def log_torsion_cone(cs: CrossSection, params: Optional[NumericsParams] = None) 
         log_t=top + tors.value + res,
         per_slice=per_slice,
         provenance={
-            "order": default_order(cs.dim_n),
-            "t0": tors.splits[0].t0,
+            "order": splits[0].order,
+            "t0": splits[0].t0,
             "tors_cross_check_residual": tors.cross_check_residual,
             "wall_time_s": time.time() - started,
         },
@@ -741,7 +735,7 @@ def tors_scaling_profile(
     splits = build_splits(cs, params, mu_values)
     rows: list[ScalingRow] = []
     for i, mu in enumerate(mu_values):
-        total = tors_term(cs, params, splits, row=i).value
+        total = tors_term(splits, row=i).value
         bound = abs(total) * mu / math.log(mu) if mu > 1.0 else None
         rows.append(ScalingRow(float(mu), total, bound))
     fitted = max((row.bound for row in rows if row.bound is not None), default=math.nan)

@@ -363,7 +363,7 @@ class MellinSplit:
     are reproducible bit for bit.
     """
 
-    def __init__(self, sl: SpectralSlice, t0: float = 1.0, shifts: Optional[Sequence[float]] = None):
+    def __init__(self, sl: SpectralSlice, t0: float, shifts: Optional[Sequence[float]] = None):
         self.sl = sl
         self.t0 = float(t0)
         cs = sl.cross_section
@@ -741,18 +741,14 @@ def build_zeta_eval(ms: MellinSplit) -> ZetaEval:
     )
 
 
-def cutoff_for_tolerance(
-    cs: CrossSection, k: int, tol: float, t0: Optional[float] = None
-) -> float:
+def cutoff_for_tolerance(cs: CrossSection, k: int, tol: float, t0: float) -> float:
     """Eigenvalue cutoff so the K-series tail at the default order J stays below ``tol``.
 
     Inverts the Weyl tail bound for the slowest-converging downstream series
-    and never returns less than the window needed by the Mellin tail sum at
-    ``t0`` (default: the planned split point), nor less than
-    ``cs.first_eta_bound()``, which keeps the first level in every slice.
+    and never returns less than the window needed by the Mellin tail sum of
+    a split at ``t0``, nor less than ``cs.first_eta_bound()``, which keeps
+    the first level in every slice.
     """
-    if t0 is None:
-        t0 = plan_t0(cs)
     n = cs.dim_n
     j = default_order(n)
     alpha = abs(float(cs.alpha(k)))

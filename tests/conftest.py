@@ -24,7 +24,7 @@ def unit_t4():
 @pytest.fixture(scope="session")
 def t2_slices(unit_t2):
     return {
-        k: coclosed_spectrum(unit_t2, k, cutoff_for_tolerance(unit_t2, k, 1e-12))
+        k: coclosed_spectrum(unit_t2, k, cutoff_for_tolerance(unit_t2, k, 1e-12, plan_t0(unit_t2)))
         for k in range(2)
     }
 

@@ -36,7 +36,7 @@ from conetorsion import crosssection, zeta
 from conetorsion.crosssection import CrossSection
 from conetorsion.errors import DomainError, ZetaPoleError
 from conetorsion.firstorder import _HORIZON, _QUAD
-from conetorsion.torsion import _integrate_model_ode, top_term, tors_term
+from conetorsion.torsion import NumericsParams, _integrate_model_ode, build_splits, top_term, tors_term
 
 
 def second_order_remainder(fo, u: float) -> float:
@@ -183,7 +183,7 @@ def gy_full_cone_oracle(spec, z: float, x_start: float = 0.3, terms: int = 60) -
 
 def rs_norm_product_metric(cs, params=None) -> float:
     """Log Ray-Singer quotient for the product-near-boundary metric: Top + Tors."""
-    return top_term(cs) + tors_term(cs, params).value
+    return top_term(cs) + tors_term(build_splits(cs, params or NumericsParams())).value
 
 
 def modified_bessel_reference(nu: float, x: float, scaled: bool = False) -> tuple[float, float, float, float]:

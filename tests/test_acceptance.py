@@ -137,7 +137,7 @@ def test_criterion_5_zeta_layer(unit_t2, monkeypatch):
     first-order Mellin oracle <= 1e-7; stable <= 1e-8 under cutoff doubling
     and under extending the subtraction order from J = n+10 to J+2 (patched
     ``default_order``, fresh slices and splits at the same cutoff)."""
-    base = zeta.cutoff_for_tolerance(unit_t2, 0, 1e-12)
+    base = zeta.cutoff_for_tolerance(unit_t2, 0, 1e-12, zeta.plan_t0(unit_t2))
     t0 = zeta.plan_t0(unit_t2)
     worst_oracle = 0.0
     worst_double = 0.0
@@ -213,8 +213,8 @@ def test_criterion_8_tors_duality_and_scaling(unit_t2, unit_t4):
     scaling bound |Tors| mu / log mu is finite and non-increasing from mu = 8;
     whole grid <= 60 s."""
     worst_dual = max(
-        T.tors_term(unit_t2).cross_check_residual,
-        T.tors_term(unit_t4).cross_check_residual,
+        T.tors_term(T.build_splits(unit_t2, T.NumericsParams())).cross_check_residual,
+        T.tors_term(T.build_splits(unit_t4, T.NumericsParams())).cross_check_residual,
     )
     started = time.time()
     rows, fitted = T.tors_scaling_profile(unit_t2, [2, 4, 8, 16, 32, 64])

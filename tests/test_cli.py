@@ -80,6 +80,37 @@ def test_anomaly_closed_form(tmp_path):
     assert doc["result"]["closed_form_rel_error"] <= 1e-10
 
 
+ANOMALY_TORI = {
+    # T^2: -rank Vol / (8 pi); T^4: 3 rank Vol / (32 pi^2), i.e. -2 Res
+    "unit-t2": ([[1.0, 0.0], [0.0, 1.0]], 1, lambda vol: -vol / (8.0 * math.pi)),
+    "sheared-t4-rank2": (
+        [[1.3, 0.2, 0.0, 0.1], [0.0, 0.9, 0.3, 0.0], [0.0, 0.0, 1.1, -0.2], [0.0, 0.0, 0.0, 0.8]],
+        2,
+        lambda vol: 2 * 3.0 * vol / (32.0 * math.pi**2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ANOMALY_TORI))
+def test_anomaly_reports_the_closed_form_for_every_even_n(tmp_path, name):
+    """``anomaly`` reports ``closed_form`` = -2 (-1)^(h+1) (n-1)! / (4 h!)
+    rank Vol / (4 pi)^h and its relative error on T^2 and T^4; the T^2-only
+    ``flat_t2_closed_form`` is gone."""
+    basis, rank, want = ANOMALY_TORI[name]
+    doc = {
+        "schema": 1,
+        "cross_section": {"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis, "bundle_rank": rank},
+    }
+    out = tmp_path / "anomaly.json"
+    assert cli.main(["anomaly", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert "flat_t2_closed_form" not in result
+    got = result["closed_form"]
+    assert got == pytest.approx(want(parse_config(doc).cross_section.volume), rel=1e-15)
+    assert result["closed_form_rel_error"] == abs(result["anomaly_integral"] - got) / abs(got)
+    assert result["closed_form_rel_error"] <= 1e-13
+
+
 def test_scaling_csv(tmp_path):
     cfg = _write_config(tmp_path, UNIT_T2)
     out = tmp_path / "scaling.csv"
@@ -591,7 +622,7 @@ def test_upper_degrees_equal_their_own_slices(tmp_path, name, setting):
         assert cli.main([command, "--config", path, f"--{key}", repr(value), "--out", str(out)]) == 0
         reports[command] = json.loads(out.read_text())["result"]["slices"]
     for k in range(cs.dim_n // 2, cs.dim_n):
-        sl = T.coclosed_spectrum(cs, k, params.slice_cutoff(cs, k))
+        sl = T.coclosed_spectrum(cs, k, params.slice_cutoff(cs, k, zeta.plan_t0(cs)))
         ev = zeta.build_zeta_eval(zeta.MellinSplit(sl, zeta.plan_t0(cs)))
         spectrum = {
             "alpha": sl.alpha,

@@ -19,7 +19,7 @@ from conetorsion.crosssection import (
     theta_heat_coeffs,
 )
 from conetorsion.errors import ConfigError, DomainError
-from conetorsion.zeta import cutoff_for_tolerance
+from conetorsion.zeta import cutoff_for_tolerance, plan_t0
 from reference_oracles import (
     brute_force_form_laplacian,
     count_bound,
@@ -345,7 +345,7 @@ def test_group_matches_loop(name):
     basis = np.asarray(_BENCH_BASES[name], dtype=float)
     n = basis.shape[0]
     cs = build_cross_section({"family": "flat_torus", "dim_n": n, "lattice_basis": basis.tolist()})
-    cutoff = max(cutoff_for_tolerance(cs, k, 1e-12) for k in range(n))
+    cutoff = max(cutoff_for_tolerance(cs, k, 1e-12, plan_t0(cs)) for k in range(n))
     windows = [
         (cs.dual_basis(), math.sqrt(cutoff) / (2.0 * math.pi)),
         (basis.T, math.sqrt(4.0 * 58.0)),  # the Mellin split's primal window at t0 = 1

@@ -15,7 +15,7 @@ from conetorsion import cli
 from conetorsion import crosssection as C
 from conetorsion.crosssection import build_cross_section
 from conetorsion.errors import ConfigError
-from conetorsion.zeta import cutoff_for_tolerance
+from conetorsion.zeta import cutoff_for_tolerance, plan_t0
 
 
 def _box_scan(n, mat, radius):
@@ -89,7 +89,7 @@ def _torus(basis):
 def _windows(cs):
     """(name, mat, radius) of the dual window a torsion run at tolerance
     1e-12 enumerates and of the primal window of its Mellin split."""
-    cutoff = max(cutoff_for_tolerance(cs, k, 1e-12) for k in range(cs.dim_n))
+    cutoff = max(cutoff_for_tolerance(cs, k, 1e-12, plan_t0(cs)) for k in range(cs.dim_n))
     return [
         ("dual", cs.dual_basis(), math.sqrt(cutoff) / (2.0 * math.pi)),
         ("primal", np.asarray(cs.lattice_basis).T, math.sqrt(PRIMAL_MAX_SQ)),
@@ -322,7 +322,7 @@ def test_high_dimensions_are_refused_by_the_window_guard(tmp_path, capsys, monke
     err = capsys.readouterr().err
     assert "cross_section.lattice_basis: the dual window" in err and "above the limit 1e+08" in err
     cs = _torus(_diag(n, 1.0))
-    assert all(math.isfinite(cutoff_for_tolerance(cs, k, 1e-10)) for k in range(n))
+    assert all(math.isfinite(cutoff_for_tolerance(cs, k, 1e-10, plan_t0(cs))) for k in range(n))
 
 
 def test_dump_spectrum_needs_no_primal_window(tmp_path, capsys, monkeypatch):

@@ -115,7 +115,7 @@ def test_k_direct_matches_power_table(name, sign, order_shift):
     column = 0 if sign > 0 else 1
     # slice n-1-k is slice k with the shift negated, which the other sign covers
     for k in range(cs.dim_n // 2):
-        sl = coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-10))
+        sl = coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-10, zeta.plan_t0(cs)))
         c = sign * sl.alpha
         values, bounds = zeta._k_direct(sl, [sl.alpha], order)
         got, bound = values[0][column], bounds[0][column]
@@ -133,7 +133,7 @@ def test_k_direct_rows_equal_their_own_pass(name):
     cs = _torus({**GEOMETRIES, **NEAR_GEOMETRIES}[name])
     order = zeta.default_order(cs.dim_n)
     for k in range(cs.dim_n // 2):
-        sl = coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-10))
+        sl = coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-10, zeta.plan_t0(cs)))
         shifts = [sl.alpha / mu for mu in (1, 2, 4, 8, 16, 32, 64)]
         values, bounds = zeta._k_direct(sl, shifts, order)
         for a, row, row_bounds in zip(shifts, values, bounds):
@@ -168,6 +168,6 @@ def test_log_torsion_cone_builds_each_split_once(name, monkeypatch):
     assert len(built) == cs.dim_n // 2
     monkeypatch.undo()
     for k in range(cs.dim_n):
-        sl = coclosed_spectrum(cs, k, params.slice_cutoff(cs, k))
+        sl = coclosed_spectrum(cs, k, params.slice_cutoff(cs, k, zeta.plan_t0(cs)))
         fresh, _ = zeta.shifted_zeta_prime0(zeta.MellinSplit(sl, zeta.plan_t0(cs)), +1)
         assert report.per_slice[k]["shifted_prime0_plus"] == fresh

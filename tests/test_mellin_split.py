@@ -64,10 +64,10 @@ def test_b_and_f_match_scalar_quadrature(name, t0):
 @pytest.mark.parametrize("name", ["sheared-t2", "unit-t4"])
 def test_b_independent_of_request_order(name):
     cs = _torus(GEOMETRIES[name])
-    sl = coclosed_spectrum(cs, 1, zeta.cutoff_for_tolerance(cs, 1, 1e-8))
+    sl = coclosed_spectrum(cs, 1, zeta.cutoff_for_tolerance(cs, 1, 1e-8, zeta.plan_t0(cs)))
     sigmas = _sigmas(cs.dim_n)
-    forward = zeta.MellinSplit(sl)
-    backward = zeta.MellinSplit(sl)
+    forward = zeta.MellinSplit(sl, 1.0)
+    backward = zeta.MellinSplit(sl, 1.0)
     ahead = [forward.b_value(s) for s in sigmas]
     behind = [backward.b_value(s) for s in reversed(sigmas)][::-1]
     assert ahead == behind
@@ -78,10 +78,10 @@ def test_f_independent_of_request_order(name):
     """The first request fills the whole grid, so F is the same whichever
     end of the grid comes first."""
     cs = _torus(GEOMETRIES[name])
-    sl = coclosed_spectrum(cs, 1, zeta.cutoff_for_tolerance(cs, 1, 1e-8))
+    sl = coclosed_spectrum(cs, 1, zeta.cutoff_for_tolerance(cs, 1, 1e-8, zeta.plan_t0(cs)))
     sigmas = _sigmas(cs.dim_n)
-    forward = zeta.MellinSplit(sl)
-    backward = zeta.MellinSplit(sl)
+    forward = zeta.MellinSplit(sl, 1.0)
+    backward = zeta.MellinSplit(sl, 1.0)
     ahead = [forward.f_value(s) for s in sigmas]
     behind = [backward.f_value(s) for s in reversed(sigmas)][::-1]
     assert ahead == behind
@@ -101,8 +101,8 @@ def test_off_grid_sigma_is_refused(part):
     """A, B and F exist on {0, 1/2, ..., J/2} alone: a sigma between its
     points, below it or past J/2 is a DomainError that names it."""
     cs = _torus(GEOMETRIES["sheared-t2"])
-    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8))
-    ms = zeta.MellinSplit(sl)
+    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8, zeta.plan_t0(cs)))
+    ms = zeta.MellinSplit(sl, 1.0)
     top = zeta.default_order(cs.dim_n) / 2.0
     for sigma in (0.3, -0.25, top + 0.5):
         with pytest.raises(DomainError, match=rf"sigma = {sigma:g} is off the Mellin grid .*{top:g}"):
@@ -134,9 +134,9 @@ def test_a_table_matches_the_series_loop(name):
 
 def test_b_non_convergence_warns(monkeypatch):
     cs = _torus(GEOMETRIES["sheared-t2"])
-    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8))
+    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8, zeta.plan_t0(cs)))
     monkeypatch.setitem(zeta._QUAD_OPTS, "limit", 1)
-    ms = zeta.MellinSplit(sl)
+    ms = zeta.MellinSplit(sl, 1.0)
     with pytest.warns(integrate.IntegrationWarning, match=r"\(0, 1\.0\].*sigma in \[0\.0, 0\.5.*error estimate"):
         ms.b_value(0.0)
 

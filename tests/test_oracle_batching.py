@@ -163,7 +163,7 @@ def test_first_order_model_series_is_capped(t0):
     production value at t0 = 30, an OverflowError at 100): past A_CAP the
     oracle is a DomainError naming rate t0, as the production A part is."""
     cs = build_cross_section({"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0], [0, 1]]})
-    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-10))
+    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-10, zeta.plan_t0(cs)))
     with pytest.raises(DomainError, match=rf"\(c \+ \|alpha\|\) t0 = {t0:g} exceeds A_CAP = 8"):
         first_order_shifted(sl, +1, t0)
 
@@ -332,8 +332,8 @@ def test_quadrature_warns_when_the_panel_limit_is_hit(monkeypatch, route):
     else:
         monkeypatch.setitem(zeta._QUAD_OPTS, "limit", 3)
         cs = build_cross_section({"family": "flat_torus", "dim_n": 2, "lattice_basis": _GEOMETRIES["sheared-t2"]})
-        sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8))
-        run = functools.partial(zeta.MellinSplit(sl).b_value, 0.0)
+        sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8, zeta.plan_t0(cs)))
+        run = functools.partial(zeta.MellinSplit(sl, 1.0).b_value, 0.0)
     with pytest.warns(integrate.IntegrationWarning, match="did not converge: error estimate"):
         run()
 

@@ -4,8 +4,10 @@ cuts, each window is enumerated once, and the planned windows stay small."""
 
 from __future__ import annotations
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -185,8 +187,7 @@ def test_log_torsion_independent_of_t0(name, monkeypatch):
     plan = zeta.plan_t0
     values = {}
     for scale in (1.0, 0.5, 2.0):
-        monkeypatch.setattr(zeta, "plan_t0", lambda cs, s=scale: s * plan(cs))
-        monkeypatch.setattr(T, "plan_t0", zeta.plan_t0)
+        monkeypatch.setattr(T, "plan_t0", lambda cs, s=scale: s * plan(cs))
         cs = _torus(T0_BASES[name])
         report = log_torsion_cone(cs, NumericsParams(tolerance=1e-12))
         assert report.provenance["t0"] == scale * plan(cs)
@@ -204,26 +205,23 @@ CALLER_T0_BASES = {
 
 @pytest.mark.parametrize("name", list(CALLER_T0_BASES))
 def test_caller_built_splits_agree_over_t0(name):
-    """Slices built at the cutoff for t0 / 2 serve splits at t0 / 2, t0 and
-    2 t0 that the caller builds and passes, with nothing patched:
-    zeta'(0, +-alpha_k) of every slice and Tors agree within 1e-12."""
+    """``build_slices`` builds the slices for the t0 its caller passes: built
+    for t0 / 2, they serve splits at t0 / 2, t0 and 2 t0, with nothing
+    patched, and zeta'(0, +-alpha_k) of every slice and Tors agree within
+    1e-12."""
     cs = _torus(CALLER_T0_BASES[name])
     t0 = zeta.plan_t0(cs)
-    slices = {
-        k: coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-12, t0=t0 / 2))
-        for k in range(cs.dim_n // 2)
-    }
+    slices = T.build_slices(cs, NumericsParams(tolerance=1e-12), t0 / 2)
     by_t0 = {t: {k: zeta.MellinSplit(sl, t) for k, sl in slices.items()} for t in (t0 / 2, t0, 2 * t0)}
     ref = by_t0[t0]
-    tors = T.tors_term(cs, splits=ref)
-    assert tors.splits is ref
+    tors = T.tors_term(ref)
     for t, splits in by_t0.items():
         assert all(ms.t0 == t for ms in splits.values())
         for k, ms in splits.items():
             for sign in (+1, -1):
                 gap = zeta.shifted_zeta_prime0(ms, sign)[0] - zeta.shifted_zeta_prime0(ref[k], sign)[0]
                 assert abs(gap) <= 1e-12, (t, k, sign, gap)
-        assert abs(T.tors_term(cs, splits=splits).value - tors.value) <= 1e-12, t
+        assert abs(T.tors_term(splits).value - tors.value) <= 1e-12, t
 
 
 # tori whose first dual levels sit close to the shift, |alpha| / nu up to 0.995
@@ -242,8 +240,7 @@ def test_near_shift_tori_finish_independent_of_t0(name, monkeypatch):
     plan = zeta.plan_t0
     values = []
     for scale in (1.0, 0.5, 0.25):
-        monkeypatch.setattr(zeta, "plan_t0", lambda cs, s=scale: s * plan(cs))
-        monkeypatch.setattr(T, "plan_t0", zeta.plan_t0)
+        monkeypatch.setattr(T, "plan_t0", lambda cs, s=scale: s * plan(cs))
         report = log_torsion_cone(_torus(NEAR_SHIFT_BASES[name]), NumericsParams(tolerance=1e-12))
         assert math.isfinite(report.log_t)
         values.append(report.log_t)
@@ -277,3 +274,65 @@ def test_unit_t6_and_t8_windows_stay_small(tmp_path, monkeypatch, n):
     assert sorted(window for window, _ in calls) == ["dual", "primal"]
     assert all(points < 1e6 for _, points in calls), calls
     assert math.isfinite(json.loads(out.read_text())["result"]["log_torsion"])
+
+
+# ---------------------------------------------------------------------------
+# One planner
+# ---------------------------------------------------------------------------
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "conetorsion"
+# the callers that plan t0: splits for a run, and the slices dump-spectrum lists
+T0_PLANNERS = {("torsion", "build_splits"), ("cli", "cmd_dump_spectrum")}
+# t0 parameters that may have a default: the first-order oracle keeps its
+# documented t0 = 1, independent of the planner, and slice_cutoff's t0 = inf
+# (no Mellin horizon) serves perfbench/make_refs.py, which calls it with
+# (cs, k) and builds its own split windows
+T0_DEFAULTS = {
+    ("firstorder", "FirstOrderZeta.__init__"),
+    ("firstorder", "first_order_shifted"),
+    ("torsion", "NumericsParams.slice_cutoff"),
+}
+
+
+def _functions(node, prefix=""):
+    """(qualified name, def) of every def under ``node``, methods included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield prefix + child.name, child
+            yield from _functions(child, f"{prefix}{child.name}.<locals>.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.")
+
+
+def _body_nodes(fn):
+    """Every node of ``fn``'s body outside the defs nested in it."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_t0_is_planned_in_one_place():
+    """``plan_t0`` is called only by ``build_splits`` and
+    ``cmd_dump_spectrum``; every other function takes t0 from its caller,
+    and no t0 parameter has a default outside ``T0_DEFAULTS``."""
+    callers, defaults = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, fn in _functions(ast.parse(path.read_text())):
+            where = (path.stem, name)
+            for node in _body_nodes(fn):
+                if isinstance(node, ast.Call) and "plan_t0" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    callers.add(where)
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults) :]
+            with_default += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if any(a.arg == "t0" for a in with_default):
+                defaults.add(where)
+    assert callers == T0_PLANNERS
+    assert defaults == T0_DEFAULTS

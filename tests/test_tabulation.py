@@ -50,7 +50,7 @@ def test_split_values_do_not_depend_on_request_order(name):
     cs = _torus(GEOMETRIES[name])
     t0 = zeta.plan_t0(cs)
     reqs = _requests(cs.dim_n)
-    for sl in build_slices(cs, NumericsParams(tolerance=1e-10)).values():
+    for sl in build_slices(cs, NumericsParams(tolerance=1e-10), t0).values():
         forward = zeta.MellinSplit(sl, t0)
         backward = zeta.MellinSplit(sl, t0)
         want = {req: _ask(forward, req) for req in reqs}

@@ -20,6 +20,11 @@ from reference_oracles import gy_full_cone_oracle, rs_norm_product_metric
 GAMMA = 0.5772156649015328606
 
 
+def _tors(cs, params=None):
+    """Tors of ``cs`` from the splits that ``build_splits`` plans for it."""
+    return T.tors_term(T.build_splits(cs, params or T.NumericsParams()))
+
+
 def test_top_term_unit_t2(unit_t2):
     assert T.top_term(unit_t2) == pytest.approx(-0.5 * math.log(3.0), rel=1e-15)
 
@@ -138,7 +143,7 @@ def test_alpha_is_half_integer_for_even_n():
 
 def test_tors_term_forms_agree(unit_t2, unit_t4):
     for cs in (unit_t2, unit_t4):
-        result = T.tors_term(cs)
+        result = _tors(cs)
         assert result.cross_check_residual <= 1e-8
 
 
@@ -146,17 +151,17 @@ def test_tors_rank_linearity(unit_t2):
     rank2 = build_cross_section(
         {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0], [0, 1]], "bundle_rank": 2}
     )
-    v1 = T.tors_term(unit_t2).value
-    v2 = T.tors_term(rank2).value
+    v1 = _tors(unit_t2).value
+    v2 = _tors(rank2).value
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
 
 def test_tors_term_cutoff_stability(unit_t2):
-    from conetorsion.zeta import cutoff_for_tolerance
+    from conetorsion.zeta import cutoff_for_tolerance, plan_t0
 
-    base = cutoff_for_tolerance(unit_t2, 0, 1e-12)
-    v1 = T.tors_term(unit_t2, params=T.NumericsParams(cutoff=base)).value
-    v2 = T.tors_term(unit_t2, params=T.NumericsParams(cutoff=2 * base)).value
+    base = cutoff_for_tolerance(unit_t2, 0, 1e-12, plan_t0(unit_t2))
+    v1 = _tors(unit_t2, T.NumericsParams(cutoff=base)).value
+    v2 = _tors(unit_t2, T.NumericsParams(cutoff=2 * base)).value
     assert abs(v1 - v2) <= 1e-8
 
 
@@ -373,7 +378,7 @@ def test_scaling_route_matches_rescaled_lattice(unit_t2):
                 "lattice_basis": (np.eye(2) / mu).tolist(),
             }
         )
-        direct = T.tors_term(scaled).value
+        direct = _tors(scaled).value
         assert abs(row.tors - direct) <= 1e-12
 
 
@@ -400,7 +405,7 @@ def test_scaling_rows_are_covariant(name):
     mus = (2.0, 4.0, 8.0)
     rows, _ = T.tors_scaling_profile(torus(basis), mus, params)
     for mu, row in zip(mus, rows):
-        assert abs(row.tors - T.tors_term(torus(basis / mu), params).value) <= 1e-12
+        assert abs(row.tors - _tors(torus(basis / mu), params).value) <= 1e-12
 
 
 PINNED_SCALING_BASES = {
@@ -432,7 +437,7 @@ def test_scaling_rows_equal_their_own_splits_bit_for_bit(name):
         shifted = {
             k: MellinSplit(dataclasses.replace(ms.sl, alpha=ms.sl.alpha / mu), ms.t0) for k, ms in base.items()
         }
-        assert row.tors == T.tors_term(cs, params, shifted).value, mu
+        assert row.tors == T.tors_term(shifted).value, mu
 
 
 def test_build_splits_serves_the_rows_it_is_built_with(unit_t2):
@@ -440,14 +445,15 @@ def test_build_splits_serves_the_rows_it_is_built_with(unit_t2):
     for a scaling grid after a Tors run have that grid's rows, and every row
     is readable: no split found on a slice fixes the rows of a later one."""
     params = T.NumericsParams(tolerance=1e-10)
-    first = T.tors_term(unit_t2, params)
-    assert [ms.shifts for ms in first.splits.values()] == [(ms.sl.alpha,) for ms in first.splits.values()]
+    first = T.build_splits(unit_t2, params)
+    assert [ms.shifts for ms in first.values()] == [(ms.sl.alpha,) for ms in first.values()]
+    T.tors_term(first)
     mus = (2.0, 4.0)
     splits = T.build_splits(unit_t2, params, mus)
     assert [ms.shifts for ms in splits.values()] == [tuple(ms.sl.alpha / mu for mu in mus) for ms in splits.values()]
     rows, _ = T.tors_scaling_profile(unit_t2, mus, params)
     for i, row in enumerate(rows):
-        assert T.tors_term(unit_t2, params, splits, row=i).value == row.tors
+        assert T.tors_term(splits, row=i).value == row.tors
 
 
 def test_t_eta_lambda_guards():
@@ -462,7 +468,7 @@ def test_t_eta_lambda_guards():
 def test_scaling_profile(unit_t2):
     rows, fitted = T.tors_scaling_profile(unit_t2, [1, 2, 4, 8, 16, 32, 64])
     assert rows[0].bound is None
-    assert rows[0].tors == T.tors_term(unit_t2).value
+    assert rows[0].tors == _tors(unit_t2).value
     bounds = [r.bound for r in rows if r.bound is not None]
     assert all(math.isfinite(b) for b in bounds)
     assert fitted == max(bounds)

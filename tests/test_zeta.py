@@ -42,7 +42,7 @@ def test_residue_volume_scaling():
             "lattice_basis": [[2 * math.pi, 0], [0, 2 * math.pi]],
         }
     )
-    sl = coclosed_spectrum(big, 0, zeta.cutoff_for_tolerance(big, 0, 1e-10))
+    sl = coclosed_spectrum(big, 0, zeta.cutoff_for_tolerance(big, 0, 1e-10, zeta.plan_t0(big)))
     assert _split(sl).residue_s(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
 
 
@@ -149,7 +149,7 @@ def test_k_series_basics(t2_slices, t2_splits):
 
 
 def test_k_series_cutoff_doubling(unit_t2):
-    base = zeta.cutoff_for_tolerance(unit_t2, 0, 1e-12)
+    base = zeta.cutoff_for_tolerance(unit_t2, 0, 1e-12, zeta.plan_t0(unit_t2))
     values = []
     for mult in (1, 4):
         sl = coclosed_spectrum(unit_t2, 0, base * mult)
@@ -178,7 +178,7 @@ def test_shifted_prime0_order_independence(unit_t2, monkeypatch):
     )
     default = zeta.default_order
     for cs in (unit_t2, big):
-        cutoff = zeta.cutoff_for_tolerance(cs, 0, 1e-12)
+        cutoff = zeta.cutoff_for_tolerance(cs, 0, 1e-12, zeta.plan_t0(cs))
         ms = _split(coclosed_spectrum(cs, 0, cutoff))
         v_j = {sign: zeta.shifted_zeta_prime0(ms, sign)[0] for sign in (+1, -1)}
         for extra in (4, 8):
@@ -224,7 +224,7 @@ def test_shifted_values_against_first_order_oracle_t4(unit_t4):
     production route involves residues at s = 2 and s = 4 and PP values up to
     the subtraction order."""
     for k in (0, 1):
-        sl = coclosed_spectrum(unit_t4, k, zeta.cutoff_for_tolerance(unit_t4, k, 1e-12))
+        sl = coclosed_spectrum(unit_t4, k, zeta.cutoff_for_tolerance(unit_t4, k, 1e-12, zeta.plan_t0(unit_t4)))
         ms = _split(sl)
         for sign in (+1, -1):
             oracle = first_order_shifted(sl, sign)
@@ -239,7 +239,7 @@ def test_shifted_values_oracle_shear_torus():
     shear = build_cross_section(
         {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0.5], [0, 1]]}
     )
-    sl = coclosed_spectrum(shear, 0, zeta.cutoff_for_tolerance(shear, 0, 1e-12))
+    sl = coclosed_spectrum(shear, 0, zeta.cutoff_for_tolerance(shear, 0, 1e-12, zeta.plan_t0(shear)))
     ms = _split(sl)
     for sign in (+1, -1):
         oracle = first_order_shifted(sl, sign)
@@ -264,7 +264,7 @@ def test_zeta_eval_duality(t2_splits):
 
 
 def test_error_estimates_monotone(unit_t2):
-    base = zeta.cutoff_for_tolerance(unit_t2, 0, 1e-10)
+    base = zeta.cutoff_for_tolerance(unit_t2, 0, 1e-10, zeta.plan_t0(unit_t2))
     ev1 = zeta.build_zeta_eval(_split(coclosed_spectrum(unit_t2, 0, base)))
     ev2 = zeta.build_zeta_eval(_split(coclosed_spectrum(unit_t2, 0, 2 * base)))
     for key in ev1.err:
