@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``torsion``        assemble log T(C(N)) = Top + Tors + Res and emit the report
 ``truncated``      scalar log torsion of the truncated cone (needs --epsilon)
-``anomaly``        boundary anomaly integral, with its flat-torus closed form
+``anomaly``        boundary anomaly integral, with its closed form for every even n <= 12
 ``scaling``        Tors under metric scaling over a mu grid (CSV or JSON)
 ``dump-spectrum``  enumerated slices with multiplicities and heat coefficients
 ``dump-zeta``      full continuation artifacts per slice
@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .bessel import modified_bessels, uniform_expansion, wronskian_residual
 from .config import RunConfig, parse_config, read_config_document
-from .crosssection import CrossSection, theta_sums
+from .crosssection import CrossSection, theta_heat_coeffs, theta_sums
 from .errors import (
     ConfigError,
     CutoffInsufficientError,
@@ -252,13 +252,14 @@ def cmd_dump_spectrum(cfg: RunConfig) -> int:
     slices = {}
     for k in range(cs.dim_n):
         sl = built[dual_slice(cs.dim_n, k)[0]]
+        heat = theta_heat_coeffs(cs, k)
         slices[str(k)] = {
             "alpha": float(cs.alpha(k)),
             "betti": cs.betti(k),
             "cutoff": sl.cutoff,
             "point_multiplicity": sl.kappa,
-            "heat_powers": sl.heat.powers,
-            "heat_coefficients": sl.heat.coefficients,
+            "heat_powers": heat.powers,
+            "heat_coefficients": heat.coefficients,
             "levels": [[float(e), int(m)] for e, m in zip(sl.eta, sl.mult)],
         }
     return _emit_report(cfg, {"slices": slices}, {})

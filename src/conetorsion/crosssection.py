@@ -109,6 +109,16 @@ class CrossSection:
             raise ConfigError("cross_section.dim_n", "must be an even integer >= 2")
         if self.bundle_rank < 1:
             raise ConfigError("cross_section.bundle_rank", "must be a positive integer")
+        # a level's multiplicity rank * C(n-1, k) * (its lattice points) is an
+        # int64; from n = 42 on C(n-1, k) * MAX_WINDOW_POINTS alone passes
+        # 2^63, and rank 1 is left to the window guards
+        max_rank = max(1, (2**63 - 1) // (math.comb(self.dim_n - 1, (self.dim_n - 1) // 2) * int(MAX_WINDOW_POINTS)))
+        if self.bundle_rank > max_rank:
+            raise ConfigError(
+                "cross_section.bundle_rank",
+                f"must be at most {max_rank} at n = {self.dim_n}: a level's multiplicity "
+                f"rank * C(n-1, k) * (its lattice points, up to {MAX_WINDOW_POINTS:.3g}) must fit in int64",
+            )
         basis = np.asarray(self.lattice_basis, dtype=float)
         if basis.shape != (self.dim_n, self.dim_n):
             raise ConfigError(
@@ -303,18 +313,12 @@ class CrossSection:
         keep = sq <= max_sq * (1 + 1e-12)
         return sq[keep], counts[keep]
 
-    def weyl_density(self, k: int) -> float:
-        """Coefficient of V^{n-1} dV in the Weyl density of the degree-k
-        coclosed levels, measured in nu."""
-        n = self.dim_n
-        kappa = self.coclosed_point_multiplicity(k)
-        ball = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-        return n * kappa * self.volume * ball / (2.0 * math.pi) ** n
-
     def log_weyl_density(self, k: int) -> float:
-        """:meth:`weyl_density` formed in logs, finite at every dimension, for
-        planning the cutoffs; the direct form, whose bits the K-tail bounds
-        keep, overflows past n = 340."""
+        """log Res_{s=n} zeta_k, the log of the coefficient of V^{n-1} dV in
+        the Weyl density of the degree-k coclosed levels measured in nu,
+        formed in logs for planning the cutoffs: finite at every dimension,
+        where ``HeatModel.residue(n)``, which the K-tail bounds read,
+        overflows past n = 340."""
         n = self.dim_n
         kappa = self.coclosed_point_multiplicity(k)
         return math.log(n * kappa) + math.log(self.volume) + _log_ball_volume(n) - n * math.log(2.0 * math.pi)
@@ -414,7 +418,8 @@ class HeatModel:
 
 @dataclass(eq=False)
 class SpectralSlice:
-    """Enumerated nonzero coclosed spectrum of degree k with its heat model.
+    """Enumerated nonzero coclosed spectrum of degree k; its heat model is
+    ``theta_heat_coeffs(cross_section, k)``.
 
     Everything else about the slice follows from the cross-section, k and
     the shift alpha, so it is derived on access rather than stored.
@@ -430,11 +435,6 @@ class SpectralSlice:
     @property
     def kappa(self) -> int:
         return self.cross_section.coclosed_point_multiplicity(self.k)
-
-    @property
-    def heat(self) -> HeatModel:
-        cs = self.cross_section
-        return HeatModel(self.kappa, cs.volume, cs.dim_n, self.alpha)
 
     def nu(self) -> np.ndarray:
         return np.sqrt(self.eta + self.alpha * self.alpha)

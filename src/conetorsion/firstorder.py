@@ -24,9 +24,10 @@ test suite and the CLI ``verify`` command to validate the shifted values and
 derivatives at s = 0 independently.  It shares with :mod:`conetorsion.zeta`
 the spectrum, the lattice kernel ``crosssection.theta_sums`` (with its e^-700
 term cut and block bound), the generic vectorised Gauss-Kronrod-21 engine
-``quad_gk21`` with its starting breaks ``remainder_breaks``, Euler's gamma
-and the cap ``A_CAP`` on its model series, and nothing else.  One oracle
-serves a tuple of shifts c, its rows, which share one B quadrature.
+``quad_gk21`` with its starting breaks ``remainder_breaks``, Euler's gamma,
+the exponential integral ``exp1`` and the cap ``A_CAP`` on its model
+series, and nothing else.  One oracle serves a tuple of shifts c, its rows,
+which share one B quadrature.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from .crosssection import SpectralSlice, theta_sums
 from .errors import DomainError
-from .zeta import A_CAP, EULER_GAMMA, quad_gk21, remainder_breaks
+from .zeta import A_CAP, EULER_GAMMA, exp1, quad_gk21, remainder_breaks
 
 _QUAD = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 _HORIZON = 46.0
@@ -218,8 +219,6 @@ class FirstOrderZeta:
         """F1 = sum m Int_t0^inf e^{-mu t} dt / t = sum m E_1(mu t0) (DLMF 6.2.1)
         in row ``row``, over the levels mu = nu + c with mu t0 <= _HORIZON."""
         if self._f1[row] is None:
-            from scipy.special import exp1
-
             mu = self._nu + self.shifts[row]
             keep = mu * self.t0 <= _HORIZON
             terms = self.kappa * self._counts[keep] * exp1(mu[keep] * self.t0)

@@ -41,67 +41,57 @@ DEFAULT_MAX_ORDER = 12
 TPoly = Dict[int, Fraction]
 # A polynomial in (t, a) is a dict {t-exponent: {a-exponent: Fraction}}.
 TAPoly = Dict[int, Dict[int, Fraction]]
+# The tables are built in one ring, {(t-exponent, a-exponent): Fraction};
+# u_r, v_r and D_r have a-exponent 0.  The getters convert to the forms above.
+Poly = Dict[Tuple[int, int], Fraction]
 
-_u_cache: list[TPoly] = []
-_v_cache: list[TPoly] = []
+# u_r and v_r at index r, extended one order at a time from u_0 = v_0 = 1
+_u_cache: list[Poly] = [{(0, 0): Fraction(1)}]
+_v_cache: list[Poly] = [{(0, 0): Fraction(1)}]
 # D_r, w_r and M_r at index r, extended one order at a time (index 0 unused)
 _d_cache: list = [None]
 _w_cache: list = [None]
 _m_cache: list = [None]
 
 
-def _tp_add(p: TPoly, q: TPoly) -> TPoly:
+def _add(p: Poly, q: Poly) -> Poly:
     out = dict(p)
     for e, c in q.items():
-        out[e] = out.get(e, Fraction(0)) + c
+        out[e] = out.get(e, 0) + c
     return {e: c for e, c in out.items() if c}
 
 
-def _tp_scale(p: TPoly, c: Fraction) -> TPoly:
-    return {e: v * c for e, v in p.items() if v * c}
+def _scale(p: Poly, c: Fraction) -> Poly:
+    return {e: v * c for e, v in p.items()}
 
 
-def _tp_mul(p: TPoly, q: TPoly) -> TPoly:
-    out: TPoly = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            e = e1 + e2
-            out[e] = out.get(e, Fraction(0)) + c1 * c2
+def _mul(p: Poly, q: Poly) -> Poly:
+    out: Poly = {}
+    for (t1, a1), c1 in p.items():
+        for (t2, a2), c2 in q.items():
+            e = (t1 + t2, a1 + a2)
+            out[e] = out.get(e, 0) + c1 * c2
     return {e: c for e, c in out.items() if c}
 
 
-def _tp_diff(p: TPoly) -> TPoly:
-    return {e - 1: c * e for e, c in p.items() if e != 0}
-
-
-def _tp_integrate(p: TPoly) -> TPoly:
-    # Antiderivative with zero constant term, matching the standard
-    # normalization u_r(0) = 0 for r >= 1.
-    return {e + 1: c / (e + 1) for e, c in p.items()}
+def _t_poly(p: Poly) -> TPoly:
+    """p as {t-exponent: Fraction}, for p free of a."""
+    return {t: c for (t, _), c in p.items()}
 
 
 def _extend_uv(order: int) -> None:
-    if not _u_cache:
-        _u_cache.append({0: Fraction(1)})
-        _v_cache.append({0: Fraction(1)})
-    one_minus_t2 = {0: Fraction(1), 2: Fraction(-1)}
     while len(_u_cache) <= order:
         u = _u_cache[-1]
-        du = _tp_diff(u)
-        # u_{r+1} = t^2 (1 - t^2) u_r' / 2 + (1/8) int_0^t (1 - 5 s^2) u_r ds
-        term1 = _tp_scale(_tp_mul({2: Fraction(1)}, _tp_mul(one_minus_t2, du)), Fraction(1, 2))
-        term2 = _tp_scale(_tp_integrate(_tp_mul({0: Fraction(1), 2: Fraction(-5)}, u)), Fraction(1, 8))
-        unext = _tp_add(term1, term2)
+        # t^2 (1 - t^2) u_r' and t (1 - t^2) u_r
+        t2_du = _mul({(2, 0): Fraction(1), (4, 0): Fraction(-1)}, {(t - 1, 0): c * t for (t, _), c in u.items() if t})
+        t_u = _mul({(1, 0): Fraction(1), (3, 0): Fraction(-1)}, u)
+        # u_{r+1} = t^2 (1 - t^2) u_r' / 2 + (1/8) int_0^t (1 - 5 s^2) u_r ds,
+        # the antiderivative with zero constant term (u_r(0) = 0 for r >= 1)
+        integrand = _mul({(0, 0): Fraction(1), (2, 0): Fraction(-5)}, u)
+        unext = _add(_scale(t2_du, Fraction(1, 2)), {(t + 1, 0): c / (8 * t + 8) for (t, _), c in integrand.items()})
         # v_{r+1} = u_{r+1} - t (1 - t^2) u_r / 2 - t^2 (1 - t^2) u_r'
-        vnext = _tp_add(
-            unext,
-            _tp_add(
-                _tp_scale(_tp_mul({1: Fraction(1)}, _tp_mul(one_minus_t2, u)), Fraction(-1, 2)),
-                _tp_scale(_tp_mul({2: Fraction(1)}, _tp_mul(one_minus_t2, du)), Fraction(-1)),
-            ),
-        )
+        _v_cache.append(_add(unext, _add(_scale(t_u, Fraction(-1, 2)), _scale(t2_du, Fraction(-1)))))
         _u_cache.append(unext)
-        _v_cache.append(vnext)
 
 
 def _check_order(r: int) -> None:
@@ -115,25 +105,24 @@ def olver_pair(r: int) -> Tuple[TPoly, TPoly]:
         raise ValueError("order must be >= 0")
     _check_order(r)
     _extend_uv(r)
-    return dict(_u_cache[r]), dict(_v_cache[r])
+    return _t_poly(_u_cache[r]), _t_poly(_v_cache[r])
 
 
-def _series_log(coeffs: list, order: int, mul, scale, add, out: list | None = None) -> list:
+def _series_log(coeffs: list, order: int, out: list | None = None) -> list:
     """Order coefficients of log(1 + sum_{r>=1} w_r x^r), truncated at x^order.
 
-    ``coeffs[r]`` is w_r (``coeffs[0]`` unused); the coefficient ring is
-    abstracted through ``mul``/``scale``/``add`` so t- and (t,a)-polynomials
-    share the code.  ``out`` (default ``[None]``) holds the coefficients
-    L_1, L_2, ... already known at their index and is extended in place to
-    index ``order``, one order at a time, by the x^(r-1) coefficient of
-    (1 + S) L' = S':  r L_r = r w_r - sum_{j<r} j L_j w_{r-j}.
+    ``coeffs[r]`` is w_r (``coeffs[0]`` unused).  ``out`` (default
+    ``[None]``) holds the coefficients L_1, L_2, ... already known at their
+    index and is extended in place to index ``order``, one order at a time,
+    by the x^(r-1) coefficient of (1 + S) L' = S':
+    r L_r = r w_r - sum_{j<r} j L_j w_{r-j}.
     """
     out = [None] if out is None else out
     while len(out) <= order:
         r = len(out)
-        acc = add({}, coeffs[r])
+        acc = dict(coeffs[r])
         for j in range(1, r):
-            acc = add(acc, scale(mul(out[j], coeffs[r - j]), Fraction(-j, r)))
+            acc = _add(acc, _scale(_mul(out[j], coeffs[r - j]), Fraction(-j, r)))
         out.append(acc)
     return out
 
@@ -144,32 +133,7 @@ def d_poly(r: int) -> TPoly:
         raise ValueError("order must be >= 1")
     _check_order(r)
     _extend_uv(r)
-    return dict(_series_log(_u_cache, r, _tp_mul, _tp_scale, _tp_add, _d_cache)[r])
-
-
-def _tap_add(p: TAPoly, q: TAPoly) -> TAPoly:
-    out = {e: dict(ap) for e, ap in p.items()}
-    for e, ap in q.items():
-        tgt = out.setdefault(e, {})
-        for d, c in ap.items():
-            tgt[d] = tgt.get(d, Fraction(0)) + c
-    return {e: ap for e, ap in ((e, {d: c for d, c in ap.items() if c}) for e, ap in out.items()) if ap}
-
-
-def _tap_scale(p: TAPoly, c: Fraction) -> TAPoly:
-    return {e: {d: v * c for d, v in ap.items() if v * c} for e, ap in p.items()}
-
-
-def _tap_mul(p: TAPoly, q: TAPoly) -> TAPoly:
-    out: TAPoly = {}
-    for e1, ap1 in p.items():
-        for e2, ap2 in q.items():
-            tgt = out.setdefault(e1 + e2, {})
-            for d1, c1 in ap1.items():
-                for d2, c2 in ap2.items():
-                    d = d1 + d2
-                    tgt[d] = tgt.get(d, Fraction(0)) + c1 * c2
-    return out
+    return _t_poly(_series_log(_u_cache, r, _d_cache)[r])
 
 
 def m_poly(r: int) -> TAPoly:
@@ -185,12 +149,11 @@ def m_poly(r: int) -> TAPoly:
     while len(_w_cache) <= r:
         j = len(_w_cache)
         # w_j = v_j + a * t * u_{j-1}
-        w: TAPoly = {e: {0: c} for e, c in _v_cache[j].items()}
-        for e, c in _u_cache[j - 1].items():
-            w.setdefault(e + 1, {})[1] = c
-        _w_cache.append(w)
-    logs = _series_log(_w_cache, r, _tap_mul, _tap_scale, _tap_add, _m_cache)
-    return {e: dict(ap) for e, ap in logs[r].items()}
+        _w_cache.append({**_v_cache[j], **{(t + 1, 1): c for (t, _), c in _u_cache[j - 1].items()}})
+    out: TAPoly = {}
+    for (t, a), c in _series_log(_w_cache, r, _m_cache)[r].items():
+        out.setdefault(t, {})[a] = c
+    return out
 
 
 @functools.cache

@@ -65,7 +65,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
-from .crosssection import THETA_CUT, CrossSection, HeatModel, SpectralSlice, theta_sums
+from .crosssection import THETA_CUT, CrossSection, HeatModel, SpectralSlice, theta_heat_coeffs, theta_sums
 from .errors import CutoffInsufficientError, DomainError, ZetaPoleError
 from .olver import harmonic_number
 
@@ -527,11 +527,6 @@ class MellinSplit:
 
     # -- assembled quantities ----------------------------------------------
 
-    def residue_s(self, r: int) -> float:
-        """Residue of zeta_{k,N} at integer s = r (``HeatModel.residue``) in
-        the first row."""
-        return self.heats[0].residue(r)
-
     def _pp_table(self) -> tuple[np.ndarray, np.ndarray]:
         """PP values of zeta_{k,N} at s = r for r = 1..J and their errors,
         each (rows x J), filled on the first request from the A, B and F
@@ -582,11 +577,12 @@ class MellinSplit:
 
 
 def _k_tail_bound(sl: SpectralSlice, c: float, nu_max: float, order: int) -> float:
-    """Weyl-density bound on the dropped K-series tail of ``sl`` beyond nu_max."""
+    """Weyl-density bound on the dropped K-series tail of ``sl`` beyond nu_max;
+    the density is the leading residue Res_{s=n} zeta_k."""
     n = sl.cross_section.dim_n
     if nu_max <= abs(c) or order + 1 <= n:
         return math.inf
-    dens = sl.cross_section.weyl_density(sl.k)
+    dens = theta_heat_coeffs(sl.cross_section, sl.k).residue(n)
     geo = 1.0 / (1.0 - abs(c) / nu_max)
     power = order + 1 - n
     return dens * abs(c) ** (order + 1) / (order + 1) * geo * nu_max ** (-power) / power
@@ -660,7 +656,7 @@ def shifted_zeta0(ms: MellinSplit, sign: int) -> float:
     """zeta_{k,N}(0, sign*a) = zeta(0) + sum_r ((-c)^r/r) Res_{s=r} zeta at
     the shift a of the first row of the split ``ms``."""
     c = sign * ms.shifts[0]
-    return ms.zeta0() + math.fsum((-c) ** r / r * ms.residue_s(r) for r in range(1, ms.n + 1))
+    return ms.zeta0() + math.fsum((-c) ** r / r * ms.heats[0].residue(r) for r in range(1, ms.n + 1))
 
 
 def shifted_zeta_prime0(ms: MellinSplit, sign: int, row: int = 0) -> tuple[float, float]:
@@ -705,7 +701,7 @@ class ZetaEval:
 def build_zeta_eval(ms: MellinSplit) -> ZetaEval:
     """Assemble every continuation artifact of the split's first row."""
     n = ms.n
-    residues = {r: ms.residue_s(2 * r) for r in range(1, n // 2 + 1)}
+    residues = {r: ms.heats[0].residue(2 * r) for r in range(1, n // 2 + 1)}
     z0 = ms.zeta0()
     zp, zp_err = ms.zeta_prime0()
     pp = {}

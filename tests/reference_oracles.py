@@ -16,7 +16,8 @@ references for them: the per-point scipy Bessel quadruple, the per-entry
 closed-form determinant ratio, the per-draw Wronskian sampling, the
 Fraction-by-Fraction polynomial sum, the scalar lattice remainder of the
 Mellin split, and the formal logarithm of the Olver series by powers of
-its argument, which the recurrence of ``olver._series_log`` replaced.  The cross-section references are here too: a slice's
+its argument, which the recurrence of ``olver._series_log`` replaced, over
+a polynomial ring of its own.  The cross-section references are here too: a slice's
 heat expansion and Weyl count with their error bounds, and the brute-force
 Hodge Laplacian on a truncated Fourier basis.
 """
@@ -238,17 +239,34 @@ def wronskian_draws_reference() -> list[tuple[float, float]]:
     return [(rng.uniform(0.0, 50.0), rng.uniform(0.1, 50.0)) for _ in range(100)]
 
 
-def series_log_powers(coeffs: list, order: int, mul, scale, add) -> list:
+def _ring_add(p: dict, q: dict) -> dict:
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _ring_mul(p: dict, q: dict) -> dict:
+    out: dict = {}
+    for (t1, a1), c1 in p.items():
+        for (t2, a2), c2 in q.items():
+            e = (t1 + t2, a1 + a2)
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def series_log_powers(coeffs: list, order: int) -> list:
     """Order coefficients of log(1 + S), S = sum_{r>=1} w_r x^r truncated at
     x^order, from log(1 + S) = sum_j (-1)^(j+1) S^j / j with the powers of S
-    built one product at a time; ``coeffs[r]`` is w_r (``coeffs[0]``
-    unused) and the ring is abstracted as in ``olver._series_log``."""
+    built one product at a time.  ``coeffs[r]`` is w_r (``coeffs[0]``
+    unused), a polynomial in (t, a) as {(t-exponent, a-exponent): Fraction};
+    the ring arithmetic is this module's own, not ``olver``'s."""
     out = [None] + [dict() for _ in range(order)]
     power = [None] + [coeffs[r] for r in range(1, order + 1)]  # S^1 truncated
     sign = Fraction(1)
     for j in range(1, order + 1):
         for r in range(j, order + 1):
-            out[r] = add(out[r], scale(power[r], sign / j))
+            out[r] = _ring_add(out[r], {e: c * sign / j for e, c in power[r].items()})
         if j == order:
             break
         sign = -sign
@@ -256,7 +274,7 @@ def series_log_powers(coeffs: list, order: int, mul, scale, add) -> list:
         new = [None] + [dict() for _ in range(order)]
         for r1 in range(j, order + 1):
             for r2 in range(1, order - r1 + 1):
-                new[r1 + r2] = add(new[r1 + r2], mul(power[r1], coeffs[r2]))
+                new[r1 + r2] = _ring_add(new[r1 + r2], _ring_mul(power[r1], coeffs[r2]))
         power = new
     return out
 
@@ -269,19 +287,20 @@ def eval_poly_reference(p: dict, x):
 
 def truncated_expansion(sl, t: float) -> float:
     """The heat expansion of the slice ``sl`` through order t^{n/2}."""
-    return sum(c * t**p for c, p in zip(sl.heat.coefficients, sl.heat.powers))
+    hm = crosssection.theta_heat_coeffs(sl.cross_section, sl.k)
+    return sum(c * t**p for c, p in zip(hm.coefficients, hm.powers))
 
 
 def model_part(sl, t: float) -> float:
     """kappa (V_n t^{-n/2} - 1) e^{-alpha^2 t}, the un-truncated heat model of ``sl``."""
-    hm = sl.heat
+    hm = crosssection.theta_heat_coeffs(sl.cross_section, sl.k)
     return hm.kappa * (hm.v_n * t ** (-hm.n / 2.0) - 1.0) * math.exp(-hm.alpha**2 * t)
 
 
 def series_remainder_bound(sl, t: float) -> float:
     """Bound for the dropped exponential-series tail of the heat expansion of
     ``sl`` beyond order t^{n/2}."""
-    hm = sl.heat
+    hm = crosssection.theta_heat_coeffs(sl.cross_section, sl.k)
     h, a2t = hm.n // 2, hm.alpha * hm.alpha * t
     lead = hm.v_n * t ** (-h) * a2t ** (hm.n + 1) / math.factorial(hm.n + 1)
     return hm.kappa * (lead + a2t ** (h + 1) / math.factorial(h + 1)) * math.exp(a2t)
@@ -293,7 +312,8 @@ def heat_remainder_bound(sl, t: float) -> float:
     is exponentially small as t -> 0 but order one at t ~ 1."""
     sq, counts = sl.cross_section.primal_norms(max_sq=4.0 * t * 60.0)
     s_p = float(np.sum(np.exp(-sq / (4.0 * t)) * counts)) if sq.size else 0.0
-    lattice = sl.kappa * sl.heat.v_n * t ** (-sl.heat.n / 2.0) * math.exp(-sl.alpha**2 * t) * s_p
+    hm = crosssection.theta_heat_coeffs(sl.cross_section, sl.k)
+    lattice = sl.kappa * hm.v_n * t ** (-hm.n / 2.0) * math.exp(-sl.alpha**2 * t) * s_p
     return series_remainder_bound(sl, t) + lattice * (1.0 + 1e-9) + 1e-15
 
 

@@ -14,7 +14,7 @@ import pytest
 from conetorsion import cli, firstorder, zeta
 from conetorsion import torsion as T
 from conetorsion.config import FIELDS, parse_config
-from conetorsion.crosssection import CROSS_SECTION_FIELDS, CrossSection
+from conetorsion.crosssection import CROSS_SECTION_FIELDS, CrossSection, theta_heat_coeffs
 from conetorsion.errors import DomainError
 
 
@@ -339,6 +339,26 @@ def test_anomaly_past_the_olver_tables_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rank", [10**20, 10**400], ids=["1e20", "1e400"])
+@pytest.mark.parametrize("command", ["torsion", "anomaly", "dump-spectrum"])
+def test_a_rank_past_int64_multiplicities_is_a_config_error(tmp_path, capsys, rank, command):
+    """A schema-valid rank whose multiplicities rank * C(n-1, k) * (lattice
+    points) could pass int64 exits 2 naming bundle_rank, where it died on an
+    integer conversion (exit 1)."""
+    doc = {**UNIT_T2, "cross_section": {**UNIT_T2["cross_section"], "bundle_rank": rank}}
+    out = tmp_path / "out.json"
+    assert cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "cross_section.bundle_rank: must be at most 92233720368 at n = 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_large_rank_below_the_int64_limit_runs(tmp_path):
+    doc = {**UNIT_T2, "cross_section": {**UNIT_T2["cross_section"], "bundle_rank": 10**6}}
+    out = tmp_path / "out.json"
+    assert cli.main(["torsion", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["log_torsion"] == -218281.05090467934
+
+
 def test_unwritable_output_path_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, UNIT_T2)
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"
@@ -624,13 +644,14 @@ def test_upper_degrees_equal_their_own_slices(tmp_path, name, setting):
     for k in range(cs.dim_n // 2, cs.dim_n):
         sl = T.coclosed_spectrum(cs, k, params.slice_cutoff(cs, k, zeta.plan_t0(cs)))
         ev = zeta.build_zeta_eval(zeta.MellinSplit(sl, zeta.plan_t0(cs)))
+        heat = theta_heat_coeffs(cs, k)
         spectrum = {
             "alpha": sl.alpha,
             "betti": cs.betti(k),
             "cutoff": sl.cutoff,
             "point_multiplicity": sl.kappa,
-            "heat_powers": sl.heat.powers,
-            "heat_coefficients": sl.heat.coefficients,
+            "heat_powers": heat.powers,
+            "heat_coefficients": heat.coefficients,
             "levels": [[float(e), int(m)] for e, m in zip(sl.eta, sl.mult)],
         }
         zeta_entry = {

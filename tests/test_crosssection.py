@@ -237,16 +237,17 @@ WEYL_TORI = {
 
 @pytest.mark.parametrize("name", list(WEYL_TORI))
 def test_weyl_density_is_the_leading_residue(name):
-    """The Weyl density that bounds every K-series tail and sets every slice
-    cutoff is the leading residue Res_{s=n} zeta_k = 2 kappa Vol /
-    ((4 pi)^{n/2} Gamma(n/2)) in every degree (measured gap 1.8e-16)."""
+    """The log Weyl density that sets every slice cutoff is the log of the
+    leading residue Res_{s=n} zeta_k = 2 kappa Vol / ((4 pi)^{n/2}
+    Gamma(n/2)), which bounds every K-series tail, in every degree (measured
+    gap 1.78e-15, one ulp of the log on the T^6)."""
     basis, rank = WEYL_TORI[name]
     cs = build_cross_section(
         {"family": "flat_torus", "dim_n": len(basis), "lattice_basis": np.asarray(basis).tolist(), "bundle_rank": rank}
     )
     for k in range(cs.dim_n):
-        residue = theta_heat_coeffs(cs, k).residue(cs.dim_n)
-        assert cs.weyl_density(k) == pytest.approx(residue, rel=4.4e-16, abs=0.0), k
+        log_residue = math.log(theta_heat_coeffs(cs, k).residue(cs.dim_n))
+        assert cs.log_weyl_density(k) == pytest.approx(log_residue, rel=0.0, abs=1.8e-15), k
 
 
 def test_theta_direct_vs_expansion(unit_t2):

@@ -133,12 +133,12 @@ def test_z_diff_closed_form(r):
 
 def test_alpha_zero_matches_pure_v_series():
     """At a = 0 the t-coefficients of M_r reduce to the log of the v-series."""
-    vs = [None] + [olver.olver_pair(r)[1] for r in range(1, 5)]
-    logs = olver._series_log(vs, 4, olver._tp_mul, olver._tp_scale, olver._tp_add)
+    vs = [None] + [_ring(olver.olver_pair(r)[1]) for r in range(1, 5)]
+    logs = series_log_powers(vs, 4)
     for r in range(1, 5):
         m_at_zero = {e: ap.get(0, F(0)) for e, ap in olver.m_poly(r).items()}
         m_at_zero = {e: c for e, c in m_at_zero.items() if c}
-        assert m_at_zero == logs[r]
+        assert m_at_zero == _t_only(logs[r])
 
 
 def test_uniform_expansion_property():
@@ -245,13 +245,23 @@ def test_float_evaluation_matches_the_exact_tables_bit_for_bit(r):
         assert olver.eval_uv(r, t) == (eval_poly_reference(u, t), eval_poly_reference(v, t))
 
 
+def _ring(p: dict) -> dict:
+    """A t-polynomial {e: c} in the (t, a) ring of ``series_log_powers``."""
+    return {(e, 0): c for e, c in p.items()}
+
+
+def _t_only(p: dict) -> dict:
+    """An a-free (t, a)-polynomial as {t-exponent: c}."""
+    return {e: c for (e, _), c in p.items()}
+
+
 def _w_series(order: int) -> list:
     """w_r = v_r + a t u_{r-1} for r = 1..order, as (t, a)-polynomials."""
     ws = [None]
     for r in range(1, order + 1):
-        w = {e: {0: c} for e, c in olver.olver_pair(r)[1].items()}
+        w = _ring(olver.olver_pair(r)[1])
         for e, c in olver.olver_pair(r - 1)[0].items():
-            w.setdefault(e + 1, {})[1] = c
+            w[e + 1, 1] = c
         ws.append(w)
     return ws
 
@@ -261,12 +271,15 @@ def test_recurrence_matches_the_powers_of_s():
     the formal logarithm summed over the powers of its argument, exactly,
     for every r <= 12."""
     top = olver.DEFAULT_MAX_ORDER
-    us = [None] + [olver.olver_pair(r)[0] for r in range(1, top + 1)]
-    d_ref = series_log_powers(us, top, olver._tp_mul, olver._tp_scale, olver._tp_add)
-    m_ref = series_log_powers(_w_series(top), top, olver._tap_mul, olver._tap_scale, olver._tap_add)
+    us = [None] + [_ring(olver.olver_pair(r)[0]) for r in range(1, top + 1)]
+    d_ref = series_log_powers(us, top)
+    m_ref = series_log_powers(_w_series(top), top)
     for r in range(1, top + 1):
-        assert olver.d_poly(r) == d_ref[r]
-        assert olver.m_poly(r) == {e: ap for e, ap in m_ref[r].items() if ap}
+        assert olver.d_poly(r) == _t_only(d_ref[r])
+        m_nested: dict = {}
+        for (e, a), c in m_ref[r].items():
+            m_nested.setdefault(e, {})[a] = c
+        assert olver.m_poly(r) == m_nested
 
 
 def test_dump_olver_builds_each_order_once(tmp_path, monkeypatch):

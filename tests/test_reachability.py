@@ -130,3 +130,34 @@ def test_no_engine_is_patched_from_outside():
     for path in sorted(PACKAGE.glob("*.py")):
         patched += [f"{path.stem}: {w}" for w in _outside_writes(ast.parse(path.read_text()))]
     assert patched == [], f"private attributes written from outside their object: {patched}"
+
+
+# TARGETS names that only the benchmark tracer calls: scalar twins of the
+# batched routines the commands run (ROADMAP items 6 and 7)
+TRACER_ONLY = {
+    ("bessel", "bracket_pair"),
+    ("bessel", "modified_bessel"),
+    ("firstorder", "first_order_shifted"),
+    ("torsion", "gy_det_ratio_oracle"),
+    ("torsion", "model_det_ratio"),
+    ("zeta", "MellinSplit.a_value"),
+}
+
+
+def test_the_targets_exemption_hides_only_the_tracer_only_twins(tmp_path, monkeypatch):
+    """The reachability run exempts every ``TARGETS`` name, so a command that
+    stopped calling one would pass it silently: the names it leaves unentered
+    are exactly the tracer-only twins.  Reads the profiling run of
+    :func:`test_every_function_is_entered_by_a_command`."""
+    runs = []
+    real_run = subprocess.run
+
+    def recording_run(*args, **kwargs):
+        runs.append(real_run(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(subprocess, "run", recording_run)
+    test_every_function_is_entered_by_a_command(tmp_path)
+    _, entered = json.loads(runs[-1].stdout)
+    targets = {(layer, name) for layer, names in _targets().items() for name in names}
+    assert targets - {tuple(e) for e in entered} == TRACER_ONLY

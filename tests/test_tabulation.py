@@ -34,12 +34,14 @@ def _requests(n: int) -> list[tuple]:
     """Every (method, argument) a torsion run asks of a split: PP values and
     residues at r = 1..J, A at the half-integers off its poles, and zeta'(0)."""
     j = zeta.default_order(n)
-    reqs = [("pp_s", r) for r in range(1, j + 1)] + [("residue_s", r) for r in range(1, j + 1)]
+    reqs = [("pp_s", r) for r in range(1, j + 1)] + [("residue", r) for r in range(1, j + 1)]
     reqs += [("a_value", r / 2.0) for r in range(1, j + 1) if r % 2 or r > n]
     return reqs + [("zeta_prime0",)]
 
 
 def _ask(ms: zeta.MellinSplit, req: tuple):
+    if req[0] == "residue":
+        return ms.heats[0].residue(req[1])
     return getattr(ms, req[0])(*req[1:])
 
 

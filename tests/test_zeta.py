@@ -30,8 +30,8 @@ def test_residues_unit_t2(t2_splits):
     assert res[1] == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-14)
     # residues at odd s vanish identically on even-dimensional N
     ms = t2_splits[0]
-    assert ms.residue_s(1) == 0.0
-    assert ms.residue_s(3) == 0.0
+    assert ms.heats[0].residue(1) == 0.0
+    assert ms.heats[0].residue(3) == 0.0
 
 
 def test_residue_volume_scaling():
@@ -43,7 +43,7 @@ def test_residue_volume_scaling():
         }
     )
     sl = coclosed_spectrum(big, 0, zeta.cutoff_for_tolerance(big, 0, 1e-10, zeta.plan_t0(big)))
-    assert _split(sl).residue_s(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
+    assert _split(sl).heats[0].residue(2) == pytest.approx(2.0 * math.pi, rel=1e-14)
 
 
 def test_zeta_mellin_large_s_vs_direct(unit_t2):
@@ -93,7 +93,7 @@ def test_pole_behavior(t2_splits):
     pp, _ = ms.pp_s(2)
     assert math.isfinite(pp)
     # (s - 2) zeta(s) -> residue: two-sided evaluation at s = 2 +- 1e-4
-    res = ms.residue_s(2)
+    res = ms.heats[0].residue(2)
     h = 1e-4
     left = continued_zeta(ms, 2.0 - h)
     right = continued_zeta(ms, 2.0 + h)
