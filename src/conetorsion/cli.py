@@ -9,11 +9,18 @@ Subcommands
 ``dump-spectrum``  enumerated slices with multiplicities and heat coefficients
 ``dump-zeta``      full continuation artifacts per slice
 ``verify``         identity and oracle suite; nonzero exit on any failure
+``dump-olver``     exact expansion-coefficient tables
+
+Every command but ``verify`` and ``dump-olver`` takes ``--config`` and
+``--out``; ``torsion``, ``truncated``, ``scaling``, ``dump-spectrum`` and
+``dump-zeta`` also take ``--tolerance`` and ``--cutoff``, ``truncated``
+takes ``--epsilon`` and ``scaling`` takes ``--mu`` and ``--format``.  A flag
+a command does not read is a usage error.
 
 Exit codes: 0 success, 1 numerical verification failure, 2 configuration
-error.  Floating values in reports are serialized with 17 significant digits;
-apart from the wall-time provenance field, identical configurations produce
-byte-identical reports.
+error.  Reports are written by the ``json`` encoder, each float by ``repr``:
+the shortest text that reads back the same double.  Apart from the wall-time
+provenance field, identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -45,6 +52,7 @@ from .torsion import (
     ModelOperatorSpec,
     NumericsParams,
     ab_constant,
+    anomaly_closed_form,
     build_slices,
     build_splits,
     dual_slice,
@@ -72,50 +80,25 @@ DEFAULT_CONFIG = {
 # ---------------------------------------------------------------------------
 
 
-def _emit(obj, out: list[str], indent: int):
-    pad = "  " * indent
+def _jsonable(obj):
+    """``obj`` with non-finite floats as None and numpy integers as ints,
+    which ``json`` would write as NaN or Infinity or refuse; tuples become
+    lists on the way."""
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, val) in enumerate(obj.items()):
-            out.append(f'{pad}  "{key}": ')
-            _emit(val, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(seq):
-            out.append(pad + "  ")
-            _emit(val, out, indent + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            out.append("null")
-        else:
-            out.append(format(obj, ".17g"))
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif obj is None:
-        out.append("null")
-    else:
-        out.append(json.dumps(str(obj)))
+        return {key: _jsonable(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(val) for val in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
 
 
-def dumps17(obj) -> str:
-    """JSON text with floats at 17 significant digits (lossless round-trip)."""
-    out: list[str] = []
-    _emit(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+def dumps(obj) -> str:
+    """Report text: JSON indented by 2, each float written by ``repr``, the
+    shortest text that reads back the same double."""
+    return json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n"
 
 
 def _write_report(text: str, path: Optional[str]):
@@ -151,7 +134,7 @@ def _emit_report(cfg: RunConfig, result: dict, provenance: dict) -> int:
     """Write {"result", "provenance"} to the configured output, the
     provenance being the base fields followed by ``provenance``."""
     doc = {"result": result, "provenance": {**_base_provenance(cfg), **provenance}}
-    _write_report(dumps17(doc), cfg.output_path)
+    _write_report(dumps(doc), cfg.output_path)
     return 0
 
 
@@ -189,11 +172,7 @@ def cmd_anomaly(cfg: RunConfig) -> int:
     started = time.time()
     cs = cfg.cross_section
     res, anomaly = res_term(cs)
-    # -2 Res = -2 (-1)^(h+1) (n-1)! / (4 h!) rank Vol / (4 pi)^h, h = n/2: equal
-    # to the Olver double sum in exact rationals for n = 2..12, not derived
-    h = cs.dim_n // 2
-    coef = (-1) ** h * math.factorial(cs.dim_n - 1) / (2 * math.factorial(h))
-    closed = coef * cs.bundle_rank * cs.volume / (4.0 * math.pi) ** h
+    closed = anomaly_closed_form(cs)
     result = {
         "anomaly_integral": anomaly,
         "res": res,
@@ -210,8 +189,8 @@ def cmd_scaling(cfg: RunConfig) -> int:
     if cfg.output_format == "csv":
         lines = ["mu,tors,abs_tors_mu_over_log_mu"]
         for row in rows:
-            bound = "" if row.bound is None else format(row.bound, ".17g")
-            lines.append(f"{format(row.mu, '.17g')},{format(row.tors, '.17g')},{bound}")
+            bound = "" if row.bound is None else repr(row.bound)
+            lines.append(f"{row.mu!r},{row.tors!r},{bound}")
         _write_report("\n".join(lines) + "\n", cfg.output_path)
         return 0
     result = {
@@ -242,7 +221,7 @@ def cmd_dump_olver(order: int, path: Optional[str]) -> int:
             str(b): {str(deg): frac(c) for deg, c in sorted(ap.items())}
             for b, ap in sorted(z_table(r).items())
         }
-    _write_report(dumps17(doc), path)
+    _write_report(dumps(doc), path)
     return 0
 
 
@@ -528,23 +507,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"conetorsion {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "torsion": "assemble the full cone torsion report",
-        "truncated": "scalar log torsion of the truncated cone",
-        "anomaly": "boundary anomaly integral",
-        "scaling": "Tors under metric scaling",
-        "dump-spectrum": "enumerated spectral slices",
-        "dump-zeta": "zeta continuation artifacts per slice",
+    flags = {
+        "--tolerance": dict(type=float, help="bound on each slice's K-series tail; the error in log T is not bounded by it"),
+        "--cutoff": dict(type=float, help="eigenvalue cutoff"),
+        "--epsilon": dict(type=float, help="truncation parameter in (0,1)"),
+        "--mu": dict(help="comma-separated scaling grid, e.g. 2,4,8"),
+        "--format": dict(choices=["json", "csv"], help="json (default) or csv"),
     }
-    for name, help_text in commands.items():
+    numerics = ("--tolerance", "--cutoff")
+    commands = {
+        "torsion": ("assemble the full cone torsion report", numerics),
+        "truncated": ("scalar log torsion of the truncated cone", (*numerics, "--epsilon")),
+        "anomaly": ("boundary anomaly integral", ()),
+        "scaling": ("Tors under metric scaling", (*numerics, "--mu", "--format")),
+        "dump-spectrum": ("enumerated spectral slices", numerics),
+        "dump-zeta": ("zeta continuation artifacts per slice", numerics),
+    }
+    for name, (help_text, extra) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a schema-1 JSON configuration")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=["json", "csv"], help="json, or csv for scaling")
-        p.add_argument("--tolerance", type=float, help="bound on each slice's K-series tail; the error in log T is not bounded by it")
-        p.add_argument("--cutoff", type=float, help="eigenvalue cutoff")
-        p.add_argument("--epsilon", type=float, help="truncation parameter in (0,1)")
-        p.add_argument("--mu", help="comma-separated scaling grid, e.g. 2,4,8")
+        for flag in extra:
+            p.add_argument(flag, **flags[flag])
     p = sub.add_parser("verify", help="run the identity and oracle suite")
     p.add_argument("what", nargs="?", help="restrict to one check group or check name")
     p = sub.add_parser("dump-olver", help="exact expansion-coefficient tables")
@@ -560,29 +544,31 @@ def _config_from_args(args) -> RunConfig:
         doc = json.loads(json.dumps(DEFAULT_CONFIG))
     if not isinstance(doc, dict):
         raise ConfigError("$", "configuration must be a JSON object")
+    # a subcommand's namespace holds only the flags it declares
+    given = {key: val for key, val in vars(args).items() if val is not None}
     # a flag displaces both config keys; two flags meet parse_config's
     # "exactly one" refusal
-    flags = {key: getattr(args, key) for key in ("tolerance", "cutoff") if getattr(args, key) is not None}
+    flags = {key: given[key] for key in ("tolerance", "cutoff") if key in given}
     if flags:
         doc.pop("tolerance", None)
         doc.pop("cutoff", None)
         doc.update(flags)
-    if args.epsilon is not None:
-        doc["epsilon"] = args.epsilon
-    if args.mu is not None:
+    if "epsilon" in given:
+        doc["epsilon"] = given["epsilon"]
+    if "mu" in given:
         try:
-            doc["mu_grid"] = [float(v) for v in args.mu.split(",") if v]
+            doc["mu_grid"] = [float(v) for v in given["mu"].split(",") if v]
         except ValueError:
             raise ConfigError("mu_grid", "must be a comma-separated list of numbers") from None
-    if args.out is not None or args.format is not None:
+    if "out" in given or "format" in given:
         output = doc.get("output")
         if output is not None and not isinstance(output, dict):
             raise ConfigError("output", "must be an object")
         output = dict(output or {})
-        if args.out is not None:
-            output["path"] = args.out
-        if args.format is not None:
-            output["format"] = args.format
+        if "out" in given:
+            output["path"] = given["out"]
+        if "format" in given:
+            output["format"] = given["format"]
         doc["output"] = output
     return parse_config(doc)
 

@@ -455,7 +455,11 @@ def coclosed_spectrum(cs: CrossSection, k: int, cutoff: float) -> SpectralSlice:
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
     eta, counts = cs.lattice_eta_levels(cutoff)
-    mult = counts * cs.coclosed_point_multiplicity(k)
+    kappa = cs.coclosed_point_multiplicity(k)
+    # the window guards bound the points, not C(n-1, k), past int64 from n = 68 on
+    if kappa * int(counts.max(initial=1)) > 2**63 - 1:
+        raise ConfigError("cross_section.dim_n", f"the degree-{k} multiplicities rank * C(n-1, k) * points pass int64 at n = {n}")
+    mult = counts * kappa
     sl = SpectralSlice(cs, k, float(cs.alpha(k)), float(cutoff), eta, mult)
     sl.validate()
     return sl

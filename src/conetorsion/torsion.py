@@ -171,6 +171,15 @@ def res_term(cs: CrossSection) -> tuple[float, float]:
     return -anomaly / 2.0, anomaly
 
 
+def anomaly_closed_form(cs: CrossSection) -> float:
+    """-2 Res = (-1)^h (n-1)! / (2 h!) rank Vol / (4 pi)^h, h = n/2: equal to
+    the Olver double sum of :func:`res_term` in exact rationals for n = 2..12,
+    not derived."""
+    h = cs.dim_n // 2
+    coef = (-1) ** h * math.factorial(cs.dim_n - 1) / (2 * math.factorial(h))
+    return coef * cs.bundle_rank * cs.volume / (4.0 * math.pi) ** h
+
+
 @dataclass
 class TorsResult:
     value: float
@@ -226,9 +235,9 @@ def log_torsion_cone(cs: CrossSection, params: Optional[NumericsParams] = None) 
         sl = splits[dual_slice(cs.dim_n, k)[0]].sl
         per_slice[k] = {
             "alpha": float(cs.alpha(k)),
-            "betti": float(cs.betti(k)),
+            "betti": cs.betti(k),
             "cutoff": sl.cutoff,
-            "levels": float(sl.eta.size),
+            "levels": sl.eta.size,
             "shifted_prime0_plus": value,
         }
     return TorsionReport(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conetorsion import cli, firstorder, zeta
@@ -229,9 +231,19 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, command, doc, flags
 
 
 def test_float_serialization_is_lossless():
-    value = 0.1 + 0.2
-    text = cli.dumps17({"x": value})
-    assert json.loads(text)["x"] == value
+    """Every double reads back equal, with its type and sign: -0.0 stays a
+    negative float and 2.0 a float.  Non-finite floats are written as null,
+    numpy integers as ints."""
+    rng = np.random.default_rng(20261020)
+    draws = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-300.0, 300.0, 10_000)
+    values = [0.1 + 0.2, -0.0, 2.0, 5e-324, 1e300, *draws.tolist()]
+    back = json.loads(cli.dumps({"x": values}))["x"]
+    assert back == values
+    assert all(type(b) is float and math.copysign(1.0, b) == math.copysign(1.0, v) for b, v in zip(back, values))
+    special = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "n": np.int64(7), "t": (1, np.int32(2))}
+    back = json.loads(cli.dumps(special))
+    assert back == {"nan": None, "inf": None, "-inf": None, "n": 7, "t": [1, 2]}
+    assert type(back["n"]) is int and type(back["t"][1]) is int
 
 
 def test_verify_group(capsys):
@@ -263,6 +275,50 @@ def test_verify_takes_no_run_flags(tmp_path, monkeypatch, capsys, flags):
     assert not (tmp_path / "v.txt").exists()
 
 
+TORSION_FLAGS = {"--config", "--out", "--tolerance", "--cutoff"}
+COMMAND_FLAGS = {
+    "torsion": TORSION_FLAGS,
+    "truncated": TORSION_FLAGS | {"--epsilon"},
+    "anomaly": {"--config", "--out"},
+    "scaling": TORSION_FLAGS | {"--mu", "--format"},
+    "dump-spectrum": TORSION_FLAGS,
+    "dump-zeta": TORSION_FLAGS,
+    "verify": set(),
+    "dump-olver": {"--order", "--out"},
+}
+CONFIG_COMMANDS = ("torsion", "truncated", "anomaly", "scaling", "dump-spectrum", "dump-zeta")
+RUN_FLAGS = {"--tolerance": "1e-8", "--cutoff": "200", "--epsilon": "0.25", "--mu": "2,4", "--format": "json"}
+UNREAD_FLAGS = [
+    (command, flag) for command in CONFIG_COMMANDS for flag in RUN_FLAGS if flag not in COMMAND_FLAGS[command]
+]
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {s for action in p._actions for s in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert declared == COMMAND_FLAGS
+    assert sum(len(declared[command]) for command in CONFIG_COMMANDS) == 25
+    assert len(UNREAD_FLAGS) == 17
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    """As for verify: a flag the command would ignore exits 2 before any
+    output is written."""
+    cfg = _write_config(tmp_path, UNIT_T2)
+    out = tmp_path / "report.json"
+    extra = {"truncated": ["--epsilon", "0.25"]}.get(command, [])
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--config", cfg, *extra, flag, RUN_FLAGS[flag], "--out", str(out)])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command, extra",
     [
@@ -274,20 +330,22 @@ def test_verify_takes_no_run_flags(tmp_path, monkeypatch, capsys, flags):
     ],
 )
 def test_csv_is_config_error_outside_scaling(tmp_path, capsys, command, extra):
-    """Only scaling writes CSV; any other command refuses the format, from
-    the flag and from the config file, before it writes anything."""
+    """Only scaling writes CSV; any other command refuses the format before
+    it writes anything: the config file's as a configuration error, the
+    flag, which only scaling declares, as a usage error."""
     out = tmp_path / "report.csv"
     plain = _write_config(tmp_path, UNIT_T2)
     in_file = _write_config(
         tmp_path, {**UNIT_T2, "output": {"path": str(out), "format": "csv"}}, "csv.json"
     )
-    for argv in (
-        [command, "--config", plain, *extra, "--format", "csv", "--out", str(out)],
-        [command, "--config", in_file, *extra],
-    ):
-        assert cli.main(argv) == 2
-        assert "output.format: csv is written only by scaling" in capsys.readouterr().err
-        assert not out.exists()
+    with pytest.raises(SystemExit) as info:
+        cli.main([command, "--config", plain, *extra, "--format", "csv", "--out", str(out)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main([command, "--config", in_file, *extra]) == 2
+    assert "output.format: csv is written only by scaling" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_round_sphere_is_config_error(tmp_path, capsys):
@@ -388,7 +446,7 @@ def test_cli_overrides_drop_conflicting_keys(tmp_path):
     cfg = _write_config(tmp_path, doc)
     out = tmp_path / "o.json"
     # --cutoff must displace the config tolerance, not conflict with it
-    assert cli.main(["anomaly", "--config", cfg, "--cutoff", "200", "--out", str(out)]) == 0
+    assert cli.main(["dump-spectrum", "--config", cfg, "--cutoff", "200", "--out", str(out)]) == 0
     report = json.loads(out.read_text())
     assert report["provenance"]["cutoff"] == 200.0
     assert report["provenance"]["tolerance"] is None
@@ -414,10 +472,11 @@ def test_non_object_output_is_config_error_with_output_flags(tmp_path, capsys, f
     as without them, instead of failing while the flag is merged into it."""
     cfg = _write_config(tmp_path, {**UNIT_T2, "output": output})
     out = tmp_path / "o.json"
-    assert cli.main(["anomaly", "--config", cfg]) == 2
+    command = "anomaly" if flag == "--out" else "scaling"
+    assert cli.main([command, "--config", cfg]) == 2
     assert "output: must be an object" in capsys.readouterr().err
     value = str(out) if flag == "--out" else "json"
-    assert cli.main(["anomaly", "--config", cfg, flag, value]) == 2
+    assert cli.main([command, "--config", cfg, flag, value]) == 2
     assert "output: must be an object" in capsys.readouterr().err
     assert not out.exists()
 
@@ -664,8 +723,8 @@ def test_upper_degrees_equal_their_own_slices(tmp_path, name, setting):
             "shifted_prime0": {"plus": ev.shifted_prime0[+1], "minus": ev.shifted_prime0[-1]},
             "err": ev.err,
         }
-        assert reports["dump-spectrum"][str(k)] == json.loads(cli.dumps17(spectrum))
-        assert reports["dump-zeta"][str(k)] == json.loads(cli.dumps17(zeta_entry))
+        assert reports["dump-spectrum"][str(k)] == json.loads(cli.dumps(spectrum))
+        assert reports["dump-zeta"][str(k)] == json.loads(cli.dumps(zeta_entry))
 
 
 def test_truncated_report_matches_the_library_routes(tmp_path):

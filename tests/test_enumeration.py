@@ -325,6 +325,19 @@ def test_high_dimensions_are_refused_by_the_window_guard(tmp_path, capsys, monke
     assert all(math.isfinite(cutoff_for_tolerance(cs, k, 1e-10, plan_t0(cs))) for k in range(n))
 
 
+def test_multiplicities_past_int64_are_a_config_error(tmp_path, capsys):
+    """The 0.1 I T^68 passes the window guards: its dual window at cutoff
+    5000 holds the 136 points |m| = 1.  But 136 C(67, k) passes int64 from
+    degree 21 on, so dump-spectrum exits 2 naming dim_n where the level
+    multiplicities are formed, instead of wrapping them or exiting 1."""
+    out = tmp_path / "s.json"
+    path = _write_config(tmp_path, _diag(68, 0.1), cutoff=5000.0)
+    assert cli.main(["dump-spectrum", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cross_section.dim_n: the degree-21 multiplicities" in err and "pass int64 at n = 68" in err
+    assert not out.exists()
+
+
 def test_dump_spectrum_needs_no_primal_window(tmp_path, capsys, monkeypatch):
     """With the limit at 30 points the unit-T^2 primal window at the planned
     t0 = 0.0775 (about 56 points) is refused, but the dual window at cutoff
