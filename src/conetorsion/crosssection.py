@@ -28,8 +28,7 @@ GROUP_TOL = 1e-12  # relative grouping tolerance for equal eigenvalues
 # so the limit bounds that memory at about 1.6 GB; at the planned split point
 # unit T^6 and T^8 hold under 1e6 points, and unit T^14 is refused.
 MAX_WINDOW_POINTS = 1e8
-# Rows a single expansion step of the enumeration may produce before the
-# partial vectors are split into blocks.
+# Most rows one expansion step of the enumeration builds, also on a single line.
 _BLOCK_ROWS = 1 << 18
 # Sorted values whose gaps one step of the level grouping tests at once.
 _GROUP_BLOCK = 1 << 16
@@ -191,17 +190,20 @@ class CrossSection:
         Gram matrix, so a near-singular basis neither loses twice the digits
         nor fails to factor.  The candidates are a superset of the ball and pass the same
         filter as a scan of the bounding box would, so the sorted result is
-        bit-identical to that scan.  The expansion runs depth-first in blocks:
-        a level that would produce more than _BLOCK_ROWS rows is split by the
-        cumulative sum of its interval lengths.
+        bit-identical to that scan.  The expansion runs depth-first in blocks
+        of at most _BLOCK_ROWS rows: a stack entry holds partial vectors with
+        the joined ranges of their candidates and a start into them, and a
+        step builds the candidates start .. start + _BLOCK_ROWS, however few
+        partial vectors hold them (one skewed line may hold millions), and
+        pushes the rest back beneath this block's children.
 
         Raises ConfigError, naming ``window``, when the ball would hold more
         than MAX_WINDOW_POINTS points: up front from the estimate
         omega_n radius^n / |det mat|, and again if the enumeration passes the
         limit (the estimate undercounts a ball thinner than the lattice
         spacing in some direction).  A single partial vector with more than
-        MAX_WINDOW_POINTS candidates, which no block split can divide, is
-        refused while its count is still a float, before any allocation.
+        MAX_WINDOW_POINTS candidates is refused while its count is still a
+        float, before any allocation.
         """
         n = self.dim_n
         estimate = _estimate_points(mat, radius, window)
@@ -210,11 +212,12 @@ class CrossSection:
         r2 = radius * radius * (1 + 1e-12)
         pieces = []
         kept = 0
-        # (partial vectors with coordinates > i fixed and the rest 0, their
-        # partial sums of R_jj^2 (m_j - c_j)^2, level i)
-        stack = [(np.zeros((1, n)), np.zeros(1), n - 1)]
-        while stack:
-            m, part, i = stack.pop()
+
+        def lines(m, part, i):
+            """Stack entry of the partial vectors ``m`` (coordinates > i fixed,
+            the rest 0) with their partial sums ``part`` of R_jj^2 (m_j - c_j)^2:
+            each row's admissible m_i from lo, and where its candidates start
+            and end in the joined ranges of all rows."""
             rii = r_fac[i, i]
             c = -(m @ r_fac[i]) / rii
             half = np.sqrt(np.maximum(r2 - part, 0.0)) / rii
@@ -228,21 +231,30 @@ class CrossSection:
                 )
             counts = counts.astype(np.intp)
             ends = np.cumsum(counts)
+            return m, part, i, c, lo, ends - counts, ends
+
+        # (entry, start): the next step builds the entry's candidates
+        # start .. start + _BLOCK_ROWS
+        stack = [(lines(np.zeros((1, n)), np.zeros(1), n - 1), 0)]
+        while stack:
+            entry, start = stack.pop()
+            m, part, i, c, lo, firsts, ends = entry
             total = int(ends[-1])
             if total == 0:
                 continue
-            if total > _BLOCK_ROWS and m.shape[0] > 1:
-                cuts = np.searchsorted(ends, np.arange(1, -(-total // _BLOCK_ROWS)) * _BLOCK_ROWS)
-                cuts = np.unique(np.clip(cuts, 1, m.shape[0] - 1))
-                for rows in np.split(np.arange(m.shape[0]), cuts):
-                    stack.append((m[rows], part[rows], i))
-                continue
-            src = np.repeat(np.arange(m.shape[0]), counts)
-            mi = lo[src] + (np.arange(total) - (ends - counts)[src])
+            stop = min(start + _BLOCK_ROWS, total)
+            if stop < total:
+                # the rest, beneath this block's children
+                stack.append((entry, stop))
+            # rows a .. b - 1 hold this block's candidates
+            a = int(np.searchsorted(ends, start, side="right"))
+            b = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+            src = np.repeat(np.arange(a, b), np.minimum(ends[a:b], stop) - np.maximum(firsts[a:b], start))
+            mi = lo[src] + (np.arange(start, stop) - firsts[src])
             m = m[src]
             m[:, i] = mi
             if i > 0:
-                stack.append((m, part[src] + (rii * (mi - c[src])) ** 2, i - 1))
+                stack.append((lines(m, part[src] + (r_fac[i, i] * (mi - c[src])) ** 2, i - 1), 0))
                 continue
             v = m @ mat.T
             sq = np.einsum("ij,ij->i", v, v)

@@ -26,12 +26,12 @@ every component once, for a tuple of shifts a (its rows: the slice's own
 alpha, or the alpha / mu of every row of a scaling grid), which change the
 continuation only through e^{-a^2 t}, nu and c: the A table (residue,
 finite part and pole flag at each row and grid sigma, from the
-coefficients of ``HeatModel``) is built with the split, and the B and F
-grids, the rows of PP values at s = 1..J and the K series of both signs
-are filled on their first request, each for every row in one vectorised
-pass.  Every residue of zeta is ``HeatModel.residue``, here as in the Res
-term of the torsion.  Callers build each split with every row it serves
-(``torsion.build_splits``) and pass it to its readers; its tables live on it.
+coefficients of ``HeatModel``), the B and F grids, the rows of PP values
+at s = 1..J and the K series of both signs are all computed when the split
+is built, each for every row in one vectorised pass.  Every residue of
+zeta is ``HeatModel.residue``, here as in the Res term of the torsion.
+Callers build each split with every row it serves (``torsion.build_splits``)
+and pass it to its readers; its tables live on it.
 
 The shifted derivatives at zero are assembled from the absolutely convergent
 series
@@ -334,6 +334,25 @@ def _a_table(
     return res, fin, pole.any(axis=1).tolist()
 
 
+def _f_table(sl: SpectralSlice, a2: np.ndarray, t0: float, grid: np.ndarray) -> np.ndarray:
+    """F at every (row, grid sigma): sum m mu^(-sigma) Gamma(sigma, mu t0),
+    mu = eta + a2_i, over row i's levels with mu t0 <= _EXP_FLOOR, from one
+    ``upper_gamma_grid`` call over the (row x level) array; each row's level
+    sum runs through ``math.fsum`` in sorted order."""
+    mu = sl.eta + a2[:, None]
+    keep = mu * t0 <= _EXP_FLOOR
+    f_mu = mu[keep]
+    f_mult = sl.mult[np.nonzero(keep)[1]]
+    # row i's levels are f_mu[ends[i-1]:ends[i]]
+    ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
+    levels = upper_gamma_grid(f_mu * t0, grid.size - 1)
+    # one scalar exponent per sigma: a broadcast array of exponents
+    # takes another power routine, an ulp off on some levels
+    terms = [(f_mult * (f_mu**-s * level)).tolist() for s, level in zip(grid.tolist(), levels)]
+    rows = zip([0] + ends[:-1], ends)
+    return np.array([[math.fsum(t[a:b]) for t in terms] for a, b in rows])
+
+
 class MellinSplit:
     """Continuation engine for one spectral slice at one split point t0 and
     a tuple of shifts, built by its caller with every row it is to serve.
@@ -341,26 +360,28 @@ class MellinSplit:
     Row i of the split is the slice's spectrum eta with the shift a_i of
     ``shifts`` (default: the slice's own alpha alone), i.e. the levels
     eta + a_i^2 and the heat model of a_i; the scaling study reads one row
-    per mu, at a_i = alpha / mu_i.  Every component is one table over (row,
-    grid sigma), filled for all rows at once.  A, B and F are defined on the
-    grid sigma in {0, 1/2, ..., J/2}, J = default_order(n), alone; a sigma
-    off it is a :class:`DomainError`.  A, the integral of the exact heat
-    model over (0, t0], is tabulated when the split is built (``_a_table``):
-    its residue, finite part and pole flag at every grid sigma, from the
-    coefficients of ``HeatModel``.  B, the lattice remainder on (0, t0],
-    comes from one globally adaptive Gauss-Kronrod-21 vector quadrature
-    (absolute tolerance 1e-13, relative 1e-12 in the max norm over every
-    (row, sigma) component), started from the panels of
-    ``remainder_breaks``; each refinement round evaluates the remainder at
-    the nodes of all its new panels in one ``theta_sums`` pass shared by the
-    rows, and with no primal point in the window B is 0.  F, the spectral
-    sum on [t0, inf), is the closed form sum m mu^(-sigma) Gamma(sigma, mu t0),
-    filled from one ``upper_gamma_grid`` call over the (row x level) array.
-    B, F, the rows of PP values at s = 1..J and the K series at both signs
-    of every row (``_k_direct``, one Horner pass) are each one table, filled
-    on its first request.  Sums run through ``math.fsum``, level sums in
-    sorted order, and no value depends on the order of requests, so results
-    are reproducible bit for bit.
+    per mu, at a_i = alpha / mu_i.  The constructor computes every
+    component as one table over (row, grid sigma), for all rows at once, and
+    its readers index the tables.  A, B and F are defined on the grid sigma
+    in {0, 1/2, ..., J/2}, J = default_order(n), alone; a sigma off it is a
+    :class:`DomainError`.  A, the integral of the exact heat model over
+    (0, t0] (``_a_table``), is its residue, finite part and pole flag at
+    every grid sigma, from the coefficients of ``HeatModel``.  B, the
+    lattice remainder on (0, t0], and its error estimate ``b_err`` come from
+    one globally adaptive Gauss-Kronrod-21 vector quadrature (absolute
+    tolerance 1e-13, relative 1e-12 in the max norm over every (row, sigma)
+    component), started from the panels of ``remainder_breaks``; each
+    refinement round evaluates the remainder at the nodes of all its new
+    panels in one ``theta_sums`` pass shared by the rows, and with no primal
+    point in the window B is 0.  F, the spectral sum on [t0, inf), is the
+    closed form sum m mu^(-sigma) Gamma(sigma, mu t0) (``_f_table``); a
+    slice cutoff short of its summation horizon is refused with a
+    :class:`CutoffInsufficientError` before any enumeration or quadrature.
+    ``pp`` and ``pp_err`` hold the PP values at s = 1..J, ``k`` and
+    ``k_bound`` the K series at both signs of every row with its Weyl tail
+    bounds (``_k_direct``), and ``res_h`` the Res H rows.  Sums run through
+    ``math.fsum``, level sums in sorted order, so results are reproducible
+    bit for bit.
     """
 
     def __init__(self, sl: SpectralSlice, t0: float, shifts: Optional[Sequence[float]] = None):
@@ -379,6 +400,13 @@ class MellinSplit:
                 f"alpha^2 t0 = {max(a2) * self.t0:.6g} exceeds A_CAP = {A_CAP:g}: "
                 "the A-part series of exp(-alpha^2 t) cancels"
             )
+        # the enumeration must extend past the summation horizon, otherwise
+        # the tail sum silently misses levels
+        if not (sl.cutoff + min(a2)) * self.t0 >= _EXP_FLOOR:
+            raise CutoffInsufficientError(
+                "slice cutoff too small for the Mellin tail sum",
+                required_cutoff=_EXP_FLOOR / self.t0,
+            )
         self.heats = [HeatModel(self.kappa, cs.volume, self.n, a) for a in self.shifts]
         self.v_n = self.heats[0].v_n
         self._grid = np.arange(self.order + 1) / 2.0
@@ -393,30 +421,20 @@ class MellinSplit:
             widths.append(terms + 2 * self.h + 4)
         self._a_res, self._a_fin, self._a_pole = _a_table(self.heats, self.t0, self._grid, widths)
         # Res_{s=r} zeta H_{r-1} for r = 1..J, nonzero at the even r <= n alone
-        self._res_h = [[0.0] * self.order for _ in a2]
+        self.res_h = [[0.0] * self.order for _ in a2]
         for r in range(2, self.n + 1, 2):
             harmonic = float(harmonic_number(r - 1))
-            for row, heat in zip(self._res_h, self.heats):
+            for row, heat in zip(self.res_h, self.heats):
                 row[r - 1] = heat.residue(r) * harmonic
-        self._b: Optional[tuple[np.ndarray, float]] = None
-        self._f: Optional[np.ndarray] = None
-        self._pp: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._k: Optional[tuple[list, list]] = None
         # primal norms for the lattice remainder on (0, t0]; the smallest
         # shift has the largest remainder scale, and its theta-sum prefix
         # holds every other row's
         self._p_sq, self._p_counts = cs.primal_norms(primal_window(self.t0))
         self._widest = a2.index(min(a2))
-        # levels that matter on [t0, inf), row after row; row i's are
-        # _f_mu[_f_ends[i-1]:_f_ends[i]]
-        mu = sl.eta + self.a2[:, None]
-        keep = mu * self.t0 <= _EXP_FLOOR
-        self._f_mu = mu[keep]
-        self._f_mult = sl.mult[np.nonzero(keep)[1]]
-        self._f_ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
-        # the enumeration must extend past the summation horizon, otherwise
-        # the tail sum silently misses levels
-        self._f_complete = (sl.cutoff + min(a2)) * self.t0 >= _EXP_FLOOR
+        self.b, self.b_err = self._b_quad(self._grid)
+        self.f = _f_table(sl, self.a2, self.t0, self._grid)
+        self.pp, self.pp_err = self._pp_table()
+        self.k, self.k_bound = _k_direct(sl, self.shifts, self.order)
 
     def _grid_index(self, sigma: float) -> int:
         """Position of sigma in the grid ``_grid``; a DomainError off it."""
@@ -479,19 +497,9 @@ class MellinSplit:
         return vals.reshape(rows, sigmas.size), err
 
     def b_value(self, sigma: float, row: int = 0) -> tuple[float, float]:
-        """B(sigma) = int_0^t0 t^(sigma-1) R(t) dt with its error estimate.
-
-        The first call fills the whole grid ``_grid`` of every row; the error
-        estimate is the max-norm estimate of that quadrature.
-        """
-        i = self._grid_index(sigma)
-        vals, err = self._b_table()
-        return float(vals[row, i]), err
-
-    def _b_table(self) -> tuple[np.ndarray, float]:
-        if self._b is None:
-            self._b = self._b_quad(self._grid)
-        return self._b
+        """B(sigma) = int_0^t0 t^(sigma-1) R(t) dt with its error estimate,
+        the max-norm estimate of the split's one quadrature over the grid."""
+        return float(self.b[row, self._grid_index(sigma)]), self.b_err
 
     # -- F: spectral sum on [t0, inf) --------------------------------------
 
@@ -500,49 +508,27 @@ class MellinSplit:
         estimate, over the levels with mu t0 <= _EXP_FLOOR.
 
         Each level integral is mu^(-sigma) Gamma(sigma, mu t0) (DLMF 8.2).
-        The first call fills the whole grid ``_grid`` of every row from one
-        ``upper_gamma_grid`` call.  The terms are positive, and the error
-        estimate allows 1e-13 relative, above the worst relative error of
-        the grid against mpmath for 1e-4 <= mu t0 <= 50 (6.1e-15 up to
-        sigma = 9).
+        The terms are positive, and the error estimate allows 1e-13
+        relative, above the worst relative error of the grid against mpmath
+        for 1e-4 <= mu t0 <= 50 (6.1e-15 up to sigma = 9).
         """
-        i = self._grid_index(sigma)
-        val = float(self._f_table()[row, i])
+        val = float(self.f[row, self._grid_index(sigma)])
         return val, 1e-13 * val + 1e-22
-
-    def _f_table(self) -> np.ndarray:
-        if not self._f_complete:
-            raise CutoffInsufficientError(
-                "slice cutoff too small for the Mellin tail sum",
-                required_cutoff=_EXP_FLOOR / self.t0,
-            )
-        if self._f is None:
-            levels = upper_gamma_grid(self._f_mu * self.t0, self._grid.size - 1)
-            # one scalar exponent per sigma: a broadcast array of exponents
-            # takes another power routine, an ulp off on some levels
-            terms = [(self._f_mult * (self._f_mu**-s * level)).tolist() for s, level in zip(self._grid.tolist(), levels)]
-            rows = zip([0] + self._f_ends[:-1], self._f_ends)
-            self._f = np.array([[math.fsum(t[a:b]) for t in terms] for a, b in rows])
-        return self._f
 
     # -- assembled quantities ----------------------------------------------
 
     def _pp_table(self) -> tuple[np.ndarray, np.ndarray]:
         """PP values of zeta_{k,N} at s = r for r = 1..J and their errors,
-        each (rows x J), filled on the first request from the A, B and F
-        tables."""
-        if self._pp is None:
-            b, b_err = self._b_table()
-            f = self._f_table()[:, 1:]
-            r = np.arange(1, self.order + 1)
-            # digamma(r/2) = H_{r/2-1} - gamma at a pole r/2; the residue is 0 elsewhere
-            psi = np.array([
-                float(harmonic_number(k // 2 - 1)) - EULER_GAMMA if self._a_pole[k] else 0.0 for k in r.tolist()
-            ])
-            g = np.array([math.gamma(k / 2.0) for k in r.tolist()])
-            pp = (self._a_fin[:, 1:] + b[:, 1:] + f - self._a_res[:, 1:] * psi) / g
-            self._pp = pp, (b_err + (1e-13 * f + 1e-22)) / g
-        return self._pp
+        each (rows x J), from the A, B and F tables."""
+        f = self.f[:, 1:]
+        r = np.arange(1, self.order + 1)
+        # digamma(r/2) = H_{r/2-1} - gamma at a pole r/2; the residue is 0 elsewhere
+        psi = np.array([
+            float(harmonic_number(k // 2 - 1)) - EULER_GAMMA if self._a_pole[k] else 0.0 for k in r.tolist()
+        ])
+        g = np.array([math.gamma(k / 2.0) for k in r.tolist()])
+        pp = (self._a_fin[:, 1:] + self.b[:, 1:] + f - self._a_res[:, 1:] * psi) / g
+        return pp, (self.b_err + (1e-13 * f + 1e-22)) / g
 
     def pp_s(self, r: int) -> tuple[float, float]:
         """PP value of zeta_{k,N} at integer s = r (plain value off poles) in
@@ -550,8 +536,7 @@ class MellinSplit:
         if r <= 0:
             raise DomainError("PP values are defined for integer s >= 1")
         i = self._grid_index(r / 2.0) - 1
-        pp, err = self._pp_table()
-        return float(pp[0, i]), float(err[0, i])
+        return float(self.pp[0, i]), float(self.pp_err[0, i])
 
     def zeta0(self) -> float:
         rho, _ = self.a_residue_and_finite(0.0)
@@ -563,12 +548,6 @@ class MellinSplit:
         f, fe = self.f_value(0.0, row)
         m0 = fin + b + f
         return 0.5 * (m0 + EULER_GAMMA * rho), 0.5 * (be + fe)
-
-    def _k_table(self) -> tuple[list, list]:
-        """``_k_direct`` of every row, filled on the first request."""
-        if self._k is None:
-            self._k = _k_direct(self.sl, self.shifts, self.order)
-        return self._k
 
 
 # ---------------------------------------------------------------------------
@@ -673,13 +652,11 @@ def shifted_zeta_prime0(ms: MellinSplit, sign: int, row: int = 0) -> tuple[float
     zp, zp_err = ms.zeta_prime0(row)
     if c == 0.0:
         return zp, zp_err
-    values, bounds = ms._k_table()
     column = 0 if sign > 0 else 1
-    kval, kbound = values[row][column], bounds[row][column]
-    pp, pe = ms._pp_table()
+    kval, kbound = ms.k[row][column], ms.k_bound[row][column]
     terms = []
     errs = [zp_err, min(kbound, 1.0)]
-    for r, (res_h, pp_r, pe_r) in enumerate(zip(ms._res_h[row], pp[row].tolist(), pe[row].tolist()), start=1):
+    for r, (res_h, pp_r, pe_r) in enumerate(zip(ms.res_h[row], ms.pp[row].tolist(), ms.pp_err[row].tolist()), start=1):
         terms.append((-c) ** r / r * (res_h + pp_r))
         errs.append(abs(c) ** r / r * pe_r)
     return zp + kval + math.fsum(terms), math.fsum(errs)

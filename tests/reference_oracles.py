@@ -94,10 +94,13 @@ def b_ref(ms, sigma: float) -> float:
 
 def f_ref(ms, sigma: float) -> float:
     """F(sigma) of the first row of the Mellin split ``ms`` by one scalar
-    adaptive quadrature per level."""
+    adaptive quadrature per level, over the slice levels mu = eta + a^2 with
+    mu t0 <= _EXP_FLOOR."""
     vals = []
-    levels = ms._f_ends[0]
-    for mu, m in zip(ms._f_mu[:levels].tolist(), ms._f_mult[:levels].tolist()):
+    for eta, m in zip(ms.sl.eta.tolist(), ms.sl.mult.tolist()):
+        mu = eta + float(ms.a2[0])
+        if mu * ms.t0 > zeta._EXP_FLOOR:
+            continue
         upper = ms.t0 + (zeta._EXP_FLOOR + 10.0) / mu
         v, _ = integrate.quad(
             lambda t: t ** (sigma - 1.0) * math.exp(-mu * t), ms.t0, upper, **zeta._QUAD_OPTS

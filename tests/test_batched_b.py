@@ -47,11 +47,12 @@ def _torus(basis) -> CrossSection:
 
 def _splits(basis, t0: float = 1.0):
     """One split per distinct (kappa, alpha^2): the remainder depends on the
-    slice through these alone, not on the spectral cutoff."""
+    slice through these alone.  The slices reach the summation horizon of
+    the F table, which each split computes when it is built."""
     cs = _torus(basis)
     seen = {}
     for k in range(cs.dim_n):
-        ms = zeta.MellinSplit(coclosed_spectrum(cs, k, 0.0), t0)
+        ms = zeta.MellinSplit(coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-8, t0)), t0)
         seen.setdefault((ms.kappa, float(ms.a2[0])), ms)
     return list(seen.values())
 
@@ -119,16 +120,20 @@ def test_first_order_b1_independent_of_block_size(name, block, monkeypatch):
 
 def test_b_fill_memory_skinny_torus():
     """18,284 primal levels at t0 = 1 and 861 nodes: evaluated at once, the
-    node x level table alone would be 126 MB."""
-    (ms,) = _splits(SKINNY)
-    assert ms._p_sq.size == 18_284
+    node x level table alone would be 126 MB.  The split runs its B
+    quadrature when it is built; the primal window is enumerated (and
+    cached on the cross-section) before the trace starts."""
+    cs = _torus(SKINNY)
+    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8, 1.0))
+    cs.primal_norms(zeta.primal_window(1.0))
     tracemalloc.start()
     try:
-        ms.b_value(0.0)
+        ms = zeta.MellinSplit(sl, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+    assert ms._p_sq.size == 18_284
+    assert 0 < peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("name", list(BENCH))
@@ -187,11 +192,17 @@ def test_empty_primal_window_skips_the_b_quadrature(name, monkeypatch):
 @pytest.mark.parametrize("name", list(BENCH))
 def test_planned_b_takes_two_rounds(name, monkeypatch):
     """Started from its breaks, each B of the benchmark geometries at the
-    planned t0 converges in the starting round and one bisection round."""
+    planned t0 converges in the starting round and one bisection round.
+    Counted at the construction of each split, which runs its B quadrature;
+    a split with a primal point takes at least the starting round."""
     rounds = []
     panels = zeta._gk21_panels
     monkeypatch.setattr(zeta, "_gk21_panels", lambda *a: rounds.append(1) or panels(*a))
-    for ms in _splits(BENCH[name], zeta.plan_t0(_torus(BENCH[name]))):
+    cs = _torus(BENCH[name])
+    t0 = zeta.plan_t0(cs)
+    for k in range(cs.dim_n):
+        sl = coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-8, t0))
         rounds.clear()
-        ms.b_value(0.0)
+        ms = zeta.MellinSplit(sl, t0)
         assert len(rounds) <= 2, (ms.kappa, ms.a2, len(rounds))
+        assert len(rounds) >= 1 or ms._p_sq.size == 0, (ms.kappa, ms.a2)

@@ -5,8 +5,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,7 +209,7 @@ def test_count_guard_holds_below_the_line_guard(monkeypatch):
 @pytest.mark.parametrize("scale", [1e12, 1e200])
 def test_one_line_past_the_limit_is_refused_before_allocating(tmp_path, capsys, scale):
     """det diag(s, 1/s) = 1 passes the estimate, but one partial vector has
-    about s candidates, which no block split can divide.  Both windows refuse
+    about s candidates, past the limit on one line.  Both windows refuse
     while that count is still a float: no allocation of s entries (61.7 TiB at
     1e12) and no overflowing integer cast (at 1e200)."""
     basis = [[scale, 0.0], [0.0, 1.0 / scale]]
@@ -225,6 +230,35 @@ def test_one_line_past_the_limit_is_refused_before_allocating(tmp_path, capsys, 
     assert cli.main(["torsion", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "cross_section.lattice_basis: the " in err and " window (radius " in err
+
+
+def test_skewed_basis_torsion_runs_in_bounded_memory(tmp_path):
+    """[[1, 1e6], [0, 1]] generates Z^2, but its first primal line holds
+    about 8.5e6 candidates: built in blocks of _BLOCK_ROWS, a torsion run
+    fits in 512 MiB of address space and gives the unit T^2's log T bit for
+    bit.  Built as one block, that line alone needs 65 MiB per array, and the
+    run fails with a MemoryError."""
+    reports = {}
+    for name, shear in (("unit", 0.0), ("skewed", 1e6)):
+        doc = {"schema": 1, "cross_section": {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1.0, shear], [0.0, 1.0]]}}
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        reports[name] = tmp_path / f"{name}-report.json"
+        args = ["torsion", "--config", str(path), "--out", str(reports[name])]
+        if name == "unit":
+            assert cli.main(args) == 0
+            continue
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from conetorsion.cli import main; sys.exit(main())", *args],
+            env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), OPENBLAS_NUM_THREADS="1"),
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+    unit, skewed = (json.loads(reports[name].read_text())["result"]["log_torsion"] for name in ("unit", "skewed"))
+    assert skewed == unit
 
 
 def test_unit_t14_torsion_exits_2_quickly(tmp_path, capsys):

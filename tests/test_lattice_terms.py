@@ -81,8 +81,8 @@ def test_remainder_matches_full_sum(name, t0):
     seen = set()
     for k in range(cs.dim_n):
         # the remainder depends on the slice through (kappa, alpha^2) only;
-        # the spectral cutoff plays no part in it
-        ms = zeta.MellinSplit(coclosed_spectrum(cs, k, 0.0), t0)
+        # the cutoff reaches the horizon of the split's F table
+        ms = zeta.MellinSplit(coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-8, t0)), t0)
         if (ms.kappa, float(ms.a2[0])) in seen:
             continue
         seen.add((ms.kappa, float(ms.a2[0])))
@@ -93,7 +93,8 @@ def test_remainder_matches_full_sum(name, t0):
 
 def test_remainder_empty_window_and_nonpositive_t():
     cs = _torus(GEOMETRIES["t2-unit"])
-    sl = coclosed_spectrum(cs, 0, 0.0)
+    # the cutoff for the smaller t0 reaches the F horizon of both splits
+    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8, 1e-3))
     empty = zeta.MellinSplit(sl, 1e-3)  # primal window 4 t0 (50 + 8) < 1
     assert empty._p_sq.size == 0
     assert remainder_ref(empty, 1e-3) == 0.0

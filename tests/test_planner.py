@@ -91,9 +91,9 @@ def test_plan_t0_balances_the_windows():
 def test_mellin_split_refuses_alpha2_t0_above_the_cap():
     """32 I T^2 (alpha^2 = 1/4): the volume term alone would put t0 at 79,
     where alpha^2 t0 = 19.75 > A_CAP; t0 = 32 (alpha^2 t0 = A_CAP) is
-    accepted."""
+    accepted.  The slice reaches the F horizon of the smallest t0 built."""
     cs = _torus(32 * np.eye(2))
-    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-10, t0=32.0))
+    sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-10, t0=1.0))
     with pytest.raises(DomainError, match="A_CAP"):
         zeta.MellinSplit(sl, 79.0)
     for t0 in (1.0, 32.0):

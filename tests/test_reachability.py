@@ -11,8 +11,9 @@ function no command enters is a test reference, which belongs in
 
 No module imports another module's underscore-prefixed name either: what two
 modules share is public in the module that owns it.  Nor does any code write
-a private attribute of an object other than ``self``: engines are built by
-their callers and passed to their readers, never patched from outside.
+or read a private attribute of an object other than ``self``: engines are
+built by their callers and passed to their readers, never patched from
+outside, and their readers read what the engine makes public.
 """
 
 from __future__ import annotations
@@ -130,6 +131,30 @@ def test_no_engine_is_patched_from_outside():
     for path in sorted(PACKAGE.glob("*.py")):
         patched += [f"{path.stem}: {w}" for w in _outside_writes(ast.parse(path.read_text()))]
     assert patched == [], f"private attributes written from outside their object: {patched}"
+
+
+def _outside_reads(tree: ast.AST) -> list[str]:
+    """``<owner>._<attr>`` loads, dunders excepted, where ``<owner>`` is not
+    ``self``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+            continue
+        attr, owner = node.attr, node.value
+        dunder = attr.startswith("__") and attr.endswith("__")
+        if attr.startswith("_") and not dunder and not (isinstance(owner, ast.Name) and owner.id == "self"):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_code_reads_another_objects_private_attribute():
+    """An engine's readers read its public tables: no code in
+    ``src/conetorsion`` loads a private attribute of an object other than
+    ``self``."""
+    read = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        read += [f"{path.stem}: {r}" for r in _outside_reads(ast.parse(path.read_text()))]
+    assert read == [], f"private attributes read from outside their object: {read}"
 
 
 # TARGETS names that only the benchmark tracer calls: scalar twins of the

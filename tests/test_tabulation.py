@@ -94,8 +94,9 @@ def test_log_torsion_sums_each_a_series_once(unit_t4, monkeypatch):
 def test_log_torsion_assembles_each_pp_value_once(unit_t4, monkeypatch):
     """On unit T^4 a torsion run assembles the PP values once per split: on
     each of the n/2 splits of the built slices one B quadrature fills the
-    whole sigma grid, and the PP table at s = 1..J is filled once, from the
-    B, F and A tables, however often the shifted derivatives read it."""
+    whole sigma grid, and the PP table at s = 1..J is computed once, from
+    the B, F and A tables, when the split is built, however often the
+    shifted derivatives read it."""
     quads: Counter = Counter()
     fills: Counter = Counter()
     b_quad, pp_table = zeta.MellinSplit._b_quad, zeta.MellinSplit._pp_table
@@ -105,7 +106,7 @@ def test_log_torsion_assembles_each_pp_value_once(unit_t4, monkeypatch):
         return b_quad(self, sigmas)
 
     def counted_table(self):
-        fills[id(self)] += self._pp is None
+        fills[id(self)] += 1
         return pp_table(self)
 
     monkeypatch.setattr(zeta.MellinSplit, "_b_quad", counted_quad)
