@@ -47,7 +47,7 @@ from .errors import (
     ODEIntegrationError,
 )
 from .firstorder import FirstOrderZeta
-from .olver import d_poly, eval_t_poly, m_poly_eval, z_diff_by_b, z_table
+from .olver import DEFAULT_MAX_ORDER, d_poly, eval_t_poly, m_poly_eval, olver_pair, z_diff_by_b, z_table
 from .torsion import (
     ModelOperatorSpec,
     NumericsParams,
@@ -202,8 +202,6 @@ def cmd_scaling(cfg: RunConfig) -> int:
 
 def cmd_dump_olver(order: int, path: Optional[str]) -> int:
     """Exact coefficient tables u_r, v_r, D_r, z_{r,b} with 'p/q' rationals."""
-    from .olver import DEFAULT_MAX_ORDER, olver_pair
-
     if order < 1 or order > DEFAULT_MAX_ORDER:
         raise ConfigError("order", f"must lie in 1..{DEFAULT_MAX_ORDER}")
 

@@ -108,22 +108,25 @@ class CrossSection:
             raise ConfigError("cross_section.dim_n", "must be an even integer >= 2")
         if self.bundle_rank < 1:
             raise ConfigError("cross_section.bundle_rank", "must be a positive integer")
-        # a level's multiplicity rank * C(n-1, k) * (its lattice points) is an
-        # int64; from n = 42 on C(n-1, k) * MAX_WINDOW_POINTS alone passes
-        # 2^63, and rank 1 is left to the window guards
-        max_rank = max(1, (2**63 - 1) // (math.comb(self.dim_n - 1, (self.dim_n - 1) // 2) * int(MAX_WINDOW_POINTS)))
-        if self.bundle_rank > max_rank:
-            raise ConfigError(
-                "cross_section.bundle_rank",
-                f"must be at most {max_rank} at n = {self.dim_n}: a level's multiplicity "
-                f"rank * C(n-1, k) * (its lattice points, up to {MAX_WINDOW_POINTS:.3g}) must fit in int64",
-            )
         basis = np.asarray(self.lattice_basis, dtype=float)
         if basis.shape != (self.dim_n, self.dim_n):
             raise ConfigError(
                 "cross_section.lattice_basis",
                 f"must be {self.dim_n}x{self.dim_n}, got {basis.shape}",
             )
+        # a level's multiplicity rank * C(n-1, k) * (its lattice points) is an
+        # int64; from n = 42 on C(n-1, k) * MAX_WINDOW_POINTS alone passes
+        # 2^63, and rank 1 is left to the window guards; after the shape
+        # check, so a huge dim_n with a small basis never reaches the binomial
+        if self.bundle_rank > 1:
+            widest = math.comb(self.dim_n - 1, (self.dim_n - 1) // 2)
+            max_rank = max(1, (2**63 - 1) // (widest * int(MAX_WINDOW_POINTS)))
+            if self.bundle_rank > max_rank:
+                raise ConfigError(
+                    "cross_section.bundle_rank",
+                    f"must be at most {max_rank} at n = {self.dim_n}: a level's multiplicity "
+                    f"rank * C(n-1, k) * (its lattice points, up to {MAX_WINDOW_POINTS:.3g}) must fit in int64",
+                )
         # |det| against the Hadamard bound, the product of the column lengths
         with np.errstate(over="ignore", invalid="ignore"):
             det = float(np.linalg.det(basis))

@@ -17,7 +17,8 @@ integral representation with no catastrophic cancellation: its Mellin part B
 integrates over t in closed form (an erfcx window), leaving one quadrature
 over the subordination variable.  Values
 and derivatives at s = 0 then drop out of the same pole bookkeeping as in the
-second-order route.
+second-order route.  The constructor computes the three Mellin parts A1, B1
+and F1 of every row; the readers index them.
 
 This is a verification surface: slower than the production route, used by the
 test suite and the CLI ``verify`` command to validate the shifted values and
@@ -33,7 +34,6 @@ which share one B quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -74,18 +74,14 @@ def _window_integral(c: float, t0: float, u):
     return (math.sqrt(math.pi) * root * diff)[()]
 
 
-@dataclass(frozen=True)
-class _ModelTerm:
-    coef: float
-    power: int  # contributes coef * t^power * exp(-rate * t)
-
-
 class FirstOrderZeta:
     """Continuation of sum m (nu + c)^(-s) for one slice at a tuple of shifts.
 
     Row i is the shift c_i of ``shifts``, as in a ``MellinSplit``.
     Everything but the shift is a function of the slice and t0 alone, so the
     rows share the geometry sums and one B quadrature over the remainder.
+    The constructor fills the public rows ``a_res`` and ``a_fin`` (residue
+    and finite part of the model integral A1), ``b1`` and ``f1``.
     """
 
     def __init__(self, sl: SpectralSlice, shifts: Sequence[float], t0: float = 1.0):
@@ -127,24 +123,50 @@ class FirstOrderZeta:
         max_sq = 4.0 * (_HORIZON + 8.0) * max(self.t0, 1.0) * 4.0
         self._p_sq, self._p_counts = cs.primal_norms(max_sq)
         self._model = self._model_terms()
-        self._b1 = None
-        self._f1 = [None] * len(self.shifts)
+        a1 = [self._a1_pole_and_finite(c) for c in self.shifts]
+        self.a_res = [rho for rho, _ in a1]
+        self.a_fin = [fin for _, fin in a1]
+        # B1 = Int_0^t0 e^{-ct} R1(t) dt / t with the two integrals swapped:
+        # (1/(2 sqrt(pi))) Int u^{-3/2} R(u) G(u) du, G the closed-form t
+        # window; one quad_gk21 on the remainder_breaks of (0, u_upper], with
+        # u_c added, whose components are the rows
+        shifts = list(self.shifts)
+
+        def integrand(u: np.ndarray) -> np.ndarray:
+            common = u**-1.5 * self._remainders(u)
+            return np.stack([common * _window_integral(c, self.t0, u) for c in shifts], axis=1)
+
+        total, _ = quad_gk21(
+            integrand,
+            sorted({*remainder_breaks(self._p_sq, self._u_upper), self._u_c}),
+            label=lambda: f"first-order B on (0, {self._u_upper:.6g}] for c in {shifts}",
+            **_QUAD,
+        )
+        self.b1 = [value / (2.0 * math.sqrt(math.pi)) for value in total.tolist()]
+        # F1 = sum m Int_t0^inf e^{-mu t} dt / t = sum m E_1(mu t0) (DLMF
+        # 6.2.1), over the levels mu = nu + c with mu t0 <= _HORIZON
+        self.f1 = []
+        for c in self.shifts:
+            mu = self._nu + c
+            keep = mu * self.t0 <= _HORIZON
+            self.f1.append(math.fsum((self.kappa * self._counts[keep] * exp1(mu[keep] * self.t0)).tolist()))
 
     # -- subordinated model ------------------------------------------------
 
-    def _model_terms(self) -> list[_ModelTerm]:
+    def _model_terms(self) -> list[tuple[float, int]]:
         """Closed-form subordination of kappa (V_n u^{-h} - 1) e^{-a^2 u}.
 
         Yields kappa V_n (2A)^h e^{-At} sum_j w_j A^{-j} t^{-h-j} - kappa e^{-At}
-        with A = |alpha| and w_j = (h+j)! / (j! (h-j)! 2^j).
+        with A = |alpha| and w_j = (h+j)! / (j! (h-j)! 2^j), as (coef, power)
+        pairs: a pair contributes coef t^power e^{-rate t}.
         """
         h, a = self.h, self.alpha_abs
         terms = []
         for j in range(h + 1):
             w = math.factorial(h + j) / (math.factorial(j) * math.factorial(h - j) * 2.0**j)
             coef = self.kappa * self.v_n * (2.0 * a) ** h * w / a**j
-            terms.append(_ModelTerm(coef, -(h + j)))
-        terms.append(_ModelTerm(-float(self.kappa), 0))
+            terms.append((coef, -(h + j)))
+        terms.append((-float(self.kappa), 0))
         return terms
 
     # -- lattice remainder ---------------------------------------------------
@@ -164,8 +186,8 @@ class FirstOrderZeta:
 
     # -- Mellin components ---------------------------------------------------
 
-    def _a1_pole_and_finite(self, row: int) -> tuple[float, float]:
-        """Residue at s = 0 and finite part of the model integral in row ``row``.
+    def _a1_pole_and_finite(self, c: float) -> tuple[float, float]:
+        """Residue at s = 0 and finite part of the model integral at shift c.
 
         Int_0^{t0} t^{s-1} e^{-c t} * model(t) dt expands into terms
         coef (-rate)^p / p! * t0^{s+q+p} / (s+q+p) with rate = c + |alpha|;
@@ -173,17 +195,17 @@ class FirstOrderZeta:
         gap to the production route is 7.4e-15 at rate t0 = 8, and 4.3e-6 at
         30, where the alternating terms cancel.
         """
-        rate = self.shifts[row] + self.alpha_abs
+        rate = c + self.alpha_abs
         rho = 0.0
         fin = 0.0
         logt0 = math.log(self.t0)
         pmax = 8
         while rate * self.t0 > 0 and (rate * self.t0) ** pmax / math.factorial(pmax) > 1e-24 and pmax < 400:
             pmax += 1
-        for term in self._model:
-            for p in range(pmax + max(0, -term.power) + 2):
-                coef = term.coef * (-rate) ** p / math.factorial(p)
-                d = term.power + p
+        for term_coef, power in self._model:
+            for p in range(pmax + max(0, -power) + 2):
+                coef = term_coef * (-rate) ** p / math.factorial(p)
+                d = power + p
                 if d == 0:
                     rho += coef
                     fin += coef * logt0
@@ -191,50 +213,13 @@ class FirstOrderZeta:
                     fin += coef * self.t0**d / d
         return rho, fin
 
-    def _b1_value(self, row: int = 0) -> float:
-        """B1 = Int_0^t0 e^{-ct} R1(t) dt / t in row ``row``, with the two
-        integrals swapped: (1/(2 sqrt(pi))) Int u^{-3/2} R(u) G(u) du, G the
-        closed-form t window.
-
-        The first call runs one ``quad_gk21`` on the ``remainder_breaks`` of
-        (0, u_upper], with u_c added, whose components are the rows.
-        """
-        if self._b1 is None:
-            shifts = list(self.shifts)
-
-            def integrand(u: np.ndarray) -> np.ndarray:
-                common = u**-1.5 * self._remainders(u)
-                return np.stack([common * _window_integral(c, self.t0, u) for c in shifts], axis=1)
-
-            total, _ = quad_gk21(
-                integrand,
-                sorted({*remainder_breaks(self._p_sq, self._u_upper), self._u_c}),
-                label=lambda: f"first-order B on (0, {self._u_upper:.6g}] for c in {shifts}",
-                **_QUAD,
-            )
-            self._b1 = [value / (2.0 * math.sqrt(math.pi)) for value in total.tolist()]
-        return self._b1[row]
-
-    def _f1_value(self, row: int = 0) -> float:
-        """F1 = sum m Int_t0^inf e^{-mu t} dt / t = sum m E_1(mu t0) (DLMF 6.2.1)
-        in row ``row``, over the levels mu = nu + c with mu t0 <= _HORIZON."""
-        if self._f1[row] is None:
-            mu = self._nu + self.shifts[row]
-            keep = mu * self.t0 <= _HORIZON
-            terms = self.kappa * self._counts[keep] * exp1(mu[keep] * self.t0)
-            self._f1[row] = math.fsum(terms.tolist())
-        return self._f1[row]
-
     def zeta0(self, row: int = 0) -> float:
         """zeta_k(0, c) in row ``row``, from the pole of the model integral alone."""
-        rho, _ = self._a1_pole_and_finite(row)
-        return rho
+        return self.a_res[row]
 
     def zeta_prime0(self, row: int = 0) -> float:
         """zeta_k'(0, c) in row ``row`` = finite part + gamma * residue."""
-        rho, fin = self._a1_pole_and_finite(row)
-        m0 = fin + self._b1_value(row) + self._f1_value(row)
-        return m0 + EULER_GAMMA * rho
+        return (self.a_fin[row] + self.b1[row] + self.f1[row]) + EULER_GAMMA * self.a_res[row]
 
 
 def first_order_shifted(sl: SpectralSlice, sign: int, t0: float = 1.0) -> FirstOrderZeta:

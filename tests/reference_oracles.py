@@ -3,9 +3,9 @@
 The first-order theta function is rebuilt here from a ``FirstOrderZeta``'s
 own model terms and geometry sums, with the remainder as one scalar numpy
 sum per node and scipy ``quad`` for the subordination integral: the nested
-form that the production ``_b1_value`` swaps and vectorises.  The full-cone
-Gelfand-Yaglom shooting oracle checks ``model_det_ratio`` on the full cone.
-The Ray-Singer quotient of the product metric checks the torsion assembly.
+form of B1 that ``FirstOrderZeta.__init__`` swaps and vectorises.  The
+full-cone Gelfand-Yaglom shooting oracle checks ``model_det_ratio`` on the
+full cone.  The Ray-Singer quotient of the product metric checks the torsion assembly.
 The Mellin split's A, B and F, which production tabulates on the
 half-integer grid alone, are rebuilt here at any sigma: A as the term-by-term
 integral of the heat model times its exponential series, B and F by scalar
@@ -54,7 +54,7 @@ def second_order_remainder(fo, u: float) -> float:
 
 def model_theta(fo, t: float) -> float:
     decay = math.exp(-fo.alpha_abs * t)
-    return decay * sum(term.coef * t**term.power for term in fo._model)
+    return decay * sum(coef * t**power for coef, power in fo._model)
 
 
 def remainder_theta(fo, t: float) -> float:

@@ -92,7 +92,7 @@ def _first_order_b1(basis) -> np.ndarray:
     for k in range(cs.dim_n // 2):
         sl = coclosed_spectrum(cs, k, 50.0)
         fo = FirstOrderZeta(sl, (sl.alpha, -sl.alpha))
-        values += [fo._b1_value(row) for row in (0, 1)]
+        values += [fo.b1[row] for row in (0, 1)]
     return np.array(values)
 
 

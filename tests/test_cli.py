@@ -417,6 +417,43 @@ def test_a_large_rank_below_the_int64_limit_runs(tmp_path):
     assert json.loads(out.read_text())["result"]["log_torsion"] == -218281.05090467934
 
 
+HUGE_DIM_SCRIPT = """
+import contextlib, io, json, sys
+from conetorsion import cli
+
+runs = []
+for cfg in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        runs.append([cli.main(["anomaly", "--config", cfg, "--out", cfg + ".out"]), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_a_huge_dim_n_with_a_small_basis_is_refused_at_once(tmp_path):
+    """A schema-valid even dim_n far past any basis given exits 2 naming the
+    basis, at rank 1 and 2, before the rank bound forms C(n-1, (n-1)/2),
+    which took seconds at 1e6, ran without end at 1e19 and overflowed into
+    exit 1 at 1e20."""
+    configs = []
+    for dim_n in (10**6, 10**19, 10**20):
+        for rank in (1, 2):
+            block = {**UNIT_T2["cross_section"], "dim_n": dim_n, "bundle_rank": rank}
+            configs.append(_write_config(tmp_path, {**UNIT_T2, "cross_section": block}, f"n{dim_n}-r{rank}.json"))
+    run = subprocess.run(
+        [sys.executable, "-c", HUGE_DIM_SCRIPT, *configs],
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+    runs = json.loads(run.stdout)
+    assert len(runs) == 6
+    for code, err in runs:
+        assert code == 2 and "cross_section.lattice_basis" in err and "Traceback" not in err, err
+
+
 def test_unwritable_output_path_is_config_error(tmp_path, capsys):
     cfg = _write_config(tmp_path, UNIT_T2)
     missing_dir = tmp_path / "no" / "such" / "dir" / "out.json"

@@ -261,7 +261,7 @@ def test_swapped_b1_matches_nested_form(geometry, k, sign):
     basis = _GEOMETRIES[geometry]
     cs = build_cross_section({"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis})
     fo = first_order_shifted(coclosed_spectrum(cs, k, 400.0), sign)
-    assert abs(fo._b1_value() - _nested_b1(fo)) <= 1e-13
+    assert abs(fo.b1[0] - _nested_b1(fo)) <= 1e-13
 
 
 def _quad_f1(fo) -> float:
@@ -287,7 +287,7 @@ def test_closed_form_f1_matches_quadrature(geometry, sign):
     for k in range(len(basis)):
         fo = first_order_shifted(coclosed_spectrum(cs, k, 400.0), sign)
         ref = _quad_f1(fo)
-        assert abs(fo._f1_value() - ref) <= 1e-14 * ref
+        assert abs(fo.f1[0] - ref) <= 1e-14 * ref
 
 
 def _first_order(geometry, k=0, sign=+1):
@@ -309,17 +309,16 @@ def test_array_remainder_matches_the_scalar_reference(geometry):
 
 @pytest.mark.parametrize("sign", [+1, -1])
 @pytest.mark.parametrize("geometry", list(_GEOMETRIES))
-def test_b1_evaluates_the_remainder_in_few_vectorised_calls(geometry, sign):
-    fo = _first_order(geometry, sign=sign)
+def test_b1_evaluates_the_remainder_in_few_vectorised_calls(geometry, sign, monkeypatch):
     calls = []
-    remainders = fo._remainders
+    remainders = firstorder.FirstOrderZeta._remainders
 
-    def counting(u):
+    def counting(self, u):
         calls.append(u.size)
-        return remainders(u)
+        return remainders(self, u)
 
-    fo._remainders = counting
-    fo._b1_value()
+    monkeypatch.setattr(firstorder.FirstOrderZeta, "_remainders", counting)
+    _first_order(geometry, sign=sign)
     assert 1 <= len(calls) <= 20
 
 
@@ -328,7 +327,7 @@ def test_quadrature_warns_when_the_panel_limit_is_hit(monkeypatch, route):
     """Both users of the shared Gauss-Kronrod engine report non-convergence."""
     if route == "first-order B1":
         monkeypatch.setitem(firstorder._QUAD, "limit", 3)
-        run = _first_order("sheared-t2")._b1_value
+        run = functools.partial(_first_order, "sheared-t2")
     else:
         monkeypatch.setitem(zeta._QUAD_OPTS, "limit", 3)
         cs = build_cross_section({"family": "flat_torus", "dim_n": 2, "lattice_basis": _GEOMETRIES["sheared-t2"]})
@@ -358,14 +357,14 @@ def test_both_signs_share_one_b1_quadrature(geometry, monkeypatch):
     cs = build_cross_section({"family": "flat_torus", "dim_n": len(basis), "lattice_basis": basis})
     sl = coclosed_spectrum(cs, 0, 400.0)
     single = {sign: first_order_shifted(sl, sign) for sign in (+1, -1)}
-    b1 = {sign: fo._b1_value() for sign, fo in single.items()}
+    b1 = {sign: fo.b1[0] for sign, fo in single.items()}
     calls = []
     quad = firstorder.quad_gk21
     monkeypatch.setattr(firstorder, "quad_gk21", lambda *a, **k: calls.append(1) or quad(*a, **k))
     pair = firstorder.FirstOrderZeta(sl, (sl.alpha, -sl.alpha))
     assert np.array_equal(pair._eta, single[+1]._eta) and np.array_equal(pair._eta, single[-1]._eta)
     for row, sign in enumerate((+1, -1)):
-        assert abs(pair._b1_value(row) - b1[sign]) <= 1e-13
+        assert abs(pair.b1[row] - b1[sign]) <= 1e-13
     assert len(calls) == 1
 
 

@@ -13,7 +13,9 @@ No module imports another module's underscore-prefixed name either: what two
 modules share is public in the module that owns it.  Nor does any code write
 or read a private attribute of an object other than ``self``: engines are
 built by their callers and passed to their readers, never patched from
-outside, and their readers read what the engine makes public.
+outside, and their readers read what the engine makes public.  Only a
+constructor writes an object's state, save the window cache of
+``CrossSection``.
 """
 
 from __future__ import annotations
@@ -131,6 +133,56 @@ def test_no_engine_is_patched_from_outside():
     for path in sorted(PACKAGE.glob("*.py")):
         patched += [f"{path.stem}: {w}" for w in _outside_writes(ast.parse(path.read_text()))]
     assert patched == [], f"private attributes written from outside their object: {patched}"
+
+
+# methods other than a constructor that may write their object's state
+LATE_WRITERS = {
+    # the window cache: a cross-section enumerates a window when one is first
+    # asked for, and a larger window serves every smaller one after it
+    ("crosssection", "CrossSection._cached_levels"),
+}
+
+
+def _late_writes(tree: ast.AST, module: str) -> list[str]:
+    """Stores to ``self.<attr>`` or ``self.<attr>[...]`` (and ``setattr`` or
+    ``object.__setattr__`` on ``self``) in a method other than ``__init__``
+    and ``__post_init__``, nested functions counted with their method."""
+    found = []
+    for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+        for method in cls.body:
+            if not isinstance(method, ast.FunctionDef) or method.name in ("__init__", "__post_init__"):
+                continue
+            if (module, f"{cls.name}.{method.name}") in LATE_WRITERS or not method.args.args:
+                continue
+            me = method.args.args[0].arg
+            for node in ast.walk(method):
+                if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                    target = node
+                    while isinstance(target, ast.Subscript):
+                        target = target.value
+                    owner = target.value if isinstance(target, ast.Attribute) else None
+                elif (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("setattr", "__setattr__")
+                    and node.args
+                ):
+                    owner = node.args[0]
+                else:
+                    continue
+                if isinstance(owner, ast.Name) and owner.id == me:
+                    found.append(f"{cls.name}.{method.name} line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_only_a_constructor_writes_an_objects_state():
+    """An engine computes its tables when it is built, so what a reader gets
+    does not depend on which reader asked first: no method of a class in
+    ``src/conetorsion`` but its constructor stores an attribute of ``self``
+    or an entry of one, save the named ``LATE_WRITERS``."""
+    late = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        late += [f"{path.stem}: {w}" for w in _late_writes(ast.parse(path.read_text()), path.stem)]
+    assert late == [], f"state written after construction: {late}"
 
 
 def _outside_reads(tree: ast.AST) -> list[str]:
