@@ -4,7 +4,7 @@ Subcommands
 -----------
 ``torsion``        assemble log T(C(N)) = Top + Tors + Res and emit the report
 ``truncated``      scalar log torsion of the truncated cone (needs --epsilon)
-``anomaly``        boundary anomaly integral, with its closed form for every even n <= 12
+``anomaly``        boundary anomaly integral -2 Res, in closed form for every even n
 ``scaling``        Tors under metric scaling over a mu grid (CSV or JSON)
 ``dump-spectrum``  enumerated slices with multiplicities and heat coefficients
 ``dump-zeta``      full continuation artifacts per slice
@@ -52,7 +52,6 @@ from .torsion import (
     ModelOperatorSpec,
     NumericsParams,
     ab_constant,
-    anomaly_closed_form,
     build_slices,
     build_splits,
     dual_slice,
@@ -172,13 +171,7 @@ def cmd_anomaly(cfg: RunConfig) -> int:
     started = time.time()
     cs = cfg.cross_section
     res, anomaly = res_term(cs)
-    closed = anomaly_closed_form(cs)
-    result = {
-        "anomaly_integral": anomaly,
-        "res": res,
-        "closed_form": closed,
-        "closed_form_rel_error": abs(anomaly - closed) / abs(closed),
-    }
+    result = {"anomaly_integral": anomaly, "res": res}
     return _emit_report(cfg, result, {"wall_time_s": time.time() - started})
 
 

@@ -39,6 +39,9 @@ from .errors import ConfigError
 from .zeta import DEFAULT_TOLERANCE
 
 SCHEMA_VERSION = 1
+# the most rows a scaling grid may have (``maxItems`` of ``mu_grid``): the
+# scaling tables, and so a run's memory, grow with the grid
+MAX_MU_GRID = 1024
 # the top-level fields of a schema-1 document (docs/config.schema.json)
 FIELDS = frozenset(
     {"schema", "cross_section", "cutoff", "tolerance", "epsilon", "mu_grid", "output", "threads"}
@@ -107,6 +110,8 @@ def parse_config(doc: dict) -> RunConfig:
     if mu_grid is not None:
         if not isinstance(mu_grid, list) or not mu_grid:
             raise ConfigError("mu_grid", "must be a non-empty array of numbers")
+        if len(mu_grid) > MAX_MU_GRID:
+            raise ConfigError("mu_grid", f"must have at most {MAX_MU_GRID} entries, got {len(mu_grid)}")
         mu_grid = [
             _positive_number(v, f"mu_grid[{i}]") for i, v in enumerate(mu_grid)
         ]

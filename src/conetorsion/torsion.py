@@ -6,12 +6,11 @@ The log torsion of the bounded cone over a cross-section N splits into
 
 where Top is a Betti-number combination, Tors is the torsion-like invariant
 built from shifted zeta derivatives at zero, and Res is minus half the
-boundary anomaly integral, expressed through residues of the slice zeta
-functions and the z_{2r,b} coefficient differences.  The digamma factors
-Gamma'(b+r)/Gamma(b+r) = H_{b+r-1} - gamma enter only through sums in which
-the gamma parts cancel exactly (the even-order z-differences sum to zero);
-the implementation keeps that cancellation exact by working with harmonic
-numbers as rationals.
+boundary anomaly integral.  On the flat T^n, Res is the closed form
+(-1)^(h+1) (n-1)! / (4 h!) rank Vol / (4 pi)^h, h = n/2, derived in the
+README from the Olver double sum of slice-zeta residues and digamma-weighted
+z_{2r,b} coefficient differences; the tests keep that double sum as the
+exact oracle of the closed form.
 
 The module also provides the truncated-cone torsion, the closed-form
 difference between truncated and full cone, the one-dimensional model
@@ -25,7 +24,6 @@ difference formula takes it as its fifth line, and each scaling row is
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -35,9 +33,9 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .bessel import bracket_pairs
-from .crosssection import CrossSection, SpectralSlice, coclosed_spectrum, theta_heat_coeffs
-from .errors import ConfigError, DomainError, ODEIntegrationError, first_failure
-from .olver import DEFAULT_MAX_ORDER, harmonic_number, z_diff_by_b
+from .crosssection import CrossSection, SpectralSlice, coclosed_spectrum
+from .errors import DomainError, ODEIntegrationError, first_failure
+from .olver import z_diff_by_b
 from .zeta import (
     DEFAULT_TOLERANCE,
     MellinSplit,
@@ -115,69 +113,25 @@ def top_term(cs: CrossSection) -> float:
     return total
 
 
-@functools.cache
-def _digamma_weighted_zdiff(r: int, alpha: Fraction) -> Fraction:
-    """sum_b (z_{2r,b}(-a) - z_{2r,b}(a)) * H_{b+r-1}, exactly rational, and
-    computed once per (r, a) and process.
-
-    The companion sum with weight 1 vanishes for even order 2r, which is what
-    cancels the Euler-gamma part of the digamma factors; that vanishing is
-    asserted here rather than assumed.
-    """
-    diffs = z_diff_by_b(2 * r, alpha)
-    if sum(diffs.values(), start=Fraction(0)) != 0:
-        raise AssertionError("even-order z-differences must sum to zero")
-    return sum(
-        (d * harmonic_number(b + r - 1) for b, d in diffs.items()), start=Fraction(0)
-    )
-
-
-def _residue_double_sum(cs: CrossSection) -> float:
-    """sum_{k<n/2} ((-1)^k/2) sum_r Res_{s=2r} zeta_k * weighted z-differences.
-
-    Contains no truncation parameter: identical (bitwise) for every eps.  The
-    z-differences run to order 2r = n, so a dimension past the Olver tables
-    (``olver.DEFAULT_MAX_ORDER``) is a ConfigError before any table is read.
-    """
-    if cs.dim_n > DEFAULT_MAX_ORDER:
-        raise ConfigError(
-            "cross_section.dim_n",
-            f"Res needs the Olver z-coefficients to order n = {cs.dim_n}, "
-            f"and the tables stop at {DEFAULT_MAX_ORDER}",
-        )
-    h = cs.dim_n // 2
-    total = 0.0
-    for k in range(h):
-        alpha = cs.alpha(k)
-        heat = theta_heat_coeffs(cs, k)
-        inner = math.fsum(
-            heat.residue(2 * r) * float(_digamma_weighted_zdiff(r, alpha))
-            for r in range(1, h + 1)
-        )
-        total += (-1) ** k / 2.0 * inner
-    return total
-
-
 def res_term(cs: CrossSection) -> tuple[float, float]:
-    """Residual term and the anomaly integral it equals.
+    """Residual term and the anomaly integral it equals, ``(res, -2 res)``:
 
-    Returns ``(res, anomaly_integral)`` with res = -anomaly_integral / 2 and
+        res = (-1)^(h+1) (n-1)! / (4 h!) * rank * Vol / (4 pi)^h,   h = n/2,
 
-        anomaly_integral = rank * int_N B_1(g^N)
-          = sum_{k<n/2} ((-1)^{k+1}/2) sum_r Res_{s=2r} zeta_k
-            * sum_b (z_{2r,b}(-a_k) - z_{2r,b}(a_k)) Gamma'(b+r)/Gamma(b+r).
+    the Olver double sum of residues and digamma-weighted z-differences in
+    closed form (README, "Res in closed form").  Evaluated in exact rationals
+    from the float Vol and 4 pi, with one rounding; a Res that is not a
+    finite nonzero double, or whose -2 Res overflows, raises OverflowError.
     """
-    anomaly = -_residue_double_sum(cs)
-    return -anomaly / 2.0, anomaly
-
-
-def anomaly_closed_form(cs: CrossSection) -> float:
-    """-2 Res = (-1)^h (n-1)! / (2 h!) rank Vol / (4 pi)^h, h = n/2: equal to
-    the Olver double sum of :func:`res_term` in exact rationals for n = 2..12,
-    not derived."""
-    h = cs.dim_n // 2
-    coef = (-1) ** h * math.factorial(cs.dim_n - 1) / (2 * math.factorial(h))
-    return coef * cs.bundle_rank * cs.volume / (4.0 * math.pi) ** h
+    n, h = cs.dim_n, cs.dim_n // 2
+    coef = Fraction((-1) ** (h + 1) * math.factorial(n - 1), 4 * math.factorial(h))
+    try:
+        res = float(coef * cs.bundle_rank * Fraction(cs.volume) / Fraction(4.0 * math.pi) ** h)
+    except OverflowError:
+        res = math.inf
+    if res == 0.0 or not math.isfinite(2.0 * res):
+        raise OverflowError(f"Res of the flat T^{n} or its anomaly integral -2 Res lies outside binary64")
+    return res, -2.0 * res
 
 
 @dataclass
@@ -270,21 +224,19 @@ def log_torsion_truncated(cs: CrossSection, eps: float) -> float:
     """Scalar log torsion of the truncated cone [eps, 1] x N.
 
     Closed form: the Betti logarithm sum, the Euler-characteristic term, and
-    the eps-independent residue double sum (the anomaly sum with opposite
-    overall sign relative to the anomaly-integral convention).
+    the eps-independent 2 Res (minus the anomaly integral).
     """
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     chi = cs.euler_characteristic()
-    return _betti_log_sum(cs, eps) + 0.5 * math.log(2.0) * chi + _residue_double_sum(cs)
+    return _betti_log_sum(cs, eps) + 0.5 * math.log(2.0) * chi + 2.0 * res_term(cs)[0]
 
 
 def torsion_difference(cs: CrossSection, eps: float, tors: float) -> float:
     """log T(C_eps(N)) - log T(C(N)) by its five-line closed form.
 
-    Lines 1-4 are the Betti logarithms and the residue double sum; line 5 is
-    -Tors, so ``tors`` is :func:`tors_term`'s value (the cone report's
-    ``tors``)."""
+    Lines 1-3 are the Betti logarithms and line 4 is Res; line 5 is -Tors,
+    so ``tors`` is :func:`tors_term`'s value (the cone report's ``tors``)."""
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     n = cs.dim_n
@@ -297,7 +249,7 @@ def torsion_difference(cs: CrossSection, eps: float, tors: float) -> float:
     line3 = math.fsum(
         (-1) ** k / 2.0 * cs.betti(k) * math.log(n - 2 * k + 1) for k in range(h)
     )
-    line4 = 0.5 * _residue_double_sum(cs)
+    line4 = res_term(cs)[0]
     return line1 + line2 + line3 + line4 - tors
 
 

@@ -6,6 +6,10 @@ sum per node and scipy ``quad`` for the subordination integral: the nested
 form of B1 that ``FirstOrderZeta.__init__`` swaps and vectorises.  The
 full-cone Gelfand-Yaglom shooting oracle checks ``model_det_ratio`` on the
 full cone.  The Ray-Singer quotient of the product metric checks the torsion assembly.
+The Olver double sum of slice-zeta residues and digamma-weighted z_{2r,b}
+differences is the exact oracle of the closed form that ``res_term``
+evaluates (derived from it in the README); it reads the Olver tables, so it
+stops at n = 12.
 The Mellin split's A, B and F, which production tabulates on the
 half-integer grid alone, are rebuilt here at any sigma: A as the term-by-term
 integral of the heat model times its exponential series, B and F by scalar
@@ -24,6 +28,7 @@ Hodge Laplacian on a truncated Fourier basis.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from itertools import combinations
@@ -37,6 +42,7 @@ from conetorsion import crosssection, zeta
 from conetorsion.crosssection import CrossSection
 from conetorsion.errors import DomainError, ZetaPoleError
 from conetorsion.firstorder import _HORIZON, _QUAD
+from conetorsion.olver import DEFAULT_MAX_ORDER, harmonic_number, z_diff_by_b
 from conetorsion.torsion import NumericsParams, _integrate_model_ode, build_splits, top_term, tors_term
 
 
@@ -188,6 +194,48 @@ def gy_full_cone_oracle(spec, z: float, x_start: float = 0.3, terms: int = 60) -
 def rs_norm_product_metric(cs, params=None) -> float:
     """Log Ray-Singer quotient for the product-near-boundary metric: Top + Tors."""
     return top_term(cs) + tors_term(build_splits(cs, params or NumericsParams())).value
+
+
+@functools.cache
+def digamma_weighted_zdiff(r: int, alpha: Fraction) -> Fraction:
+    """sum_b (z_{2r,b}(-a) - z_{2r,b}(a)) * H_{b+r-1}, exactly rational, and
+    computed once per (r, a) and process.
+
+    The companion sum with weight 1 vanishes for even order 2r, which is what
+    cancels the Euler-gamma part of the digamma factors; that vanishing is
+    asserted here rather than assumed.
+    """
+    diffs = z_diff_by_b(2 * r, alpha)
+    if sum(diffs.values(), start=Fraction(0)) != 0:
+        raise AssertionError("even-order z-differences must sum to zero")
+    return sum(
+        (d * harmonic_number(b + r - 1) for b, d in diffs.items()), start=Fraction(0)
+    )
+
+
+def residue_double_sum(cs: CrossSection) -> float:
+    """sum_{k<n/2} ((-1)^k/2) sum_r Res_{s=2r} zeta_k * weighted z-differences,
+    which is 2 Res = -anomaly integral.
+
+    The z-differences run to order 2r = n, so a dimension past the Olver
+    tables (``olver.DEFAULT_MAX_ORDER``) is refused before any table is read.
+    """
+    if cs.dim_n > DEFAULT_MAX_ORDER:
+        raise ValueError(
+            f"the double sum needs the Olver z-coefficients to order n = {cs.dim_n}, "
+            f"and the tables stop at {DEFAULT_MAX_ORDER}"
+        )
+    h = cs.dim_n // 2
+    total = 0.0
+    for k in range(h):
+        alpha = cs.alpha(k)
+        heat = crosssection.theta_heat_coeffs(cs, k)
+        inner = math.fsum(
+            heat.residue(2 * r) * float(digamma_weighted_zdiff(r, alpha))
+            for r in range(1, h + 1)
+        )
+        total += (-1) ** k / 2.0 * inner
+    return total
 
 
 def modified_bessel_reference(nu: float, x: float, scaled: bool = False) -> tuple[float, float, float, float]:

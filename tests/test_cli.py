@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -79,7 +80,7 @@ def test_anomaly_closed_form(tmp_path):
     out = tmp_path / "anomaly.json"
     assert cli.main(["anomaly", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    assert doc["result"]["closed_form_rel_error"] <= 1e-10
+    assert doc["result"]["anomaly_integral"] == pytest.approx(-1.0 / (8.0 * math.pi), rel=1e-15)
 
 
 ANOMALY_TORI = {
@@ -95,9 +96,9 @@ ANOMALY_TORI = {
 
 @pytest.mark.parametrize("name", list(ANOMALY_TORI))
 def test_anomaly_reports_the_closed_form_for_every_even_n(tmp_path, name):
-    """``anomaly`` reports ``closed_form`` = -2 (-1)^(h+1) (n-1)! / (4 h!)
-    rank Vol / (4 pi)^h and its relative error on T^2 and T^4; the T^2-only
-    ``flat_t2_closed_form`` is gone."""
+    """``anomaly`` reports the anomaly integral -2 (-1)^(h+1) (n-1)! / (4 h!)
+    rank Vol / (4 pi)^h and Res on T^2 and T^4, and no separate closed form:
+    the value is the closed form."""
     basis, rank, want = ANOMALY_TORI[name]
     doc = {
         "schema": 1,
@@ -106,11 +107,9 @@ def test_anomaly_reports_the_closed_form_for_every_even_n(tmp_path, name):
     out = tmp_path / "anomaly.json"
     assert cli.main(["anomaly", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
     result = json.loads(out.read_text())["result"]
-    assert "flat_t2_closed_form" not in result
-    got = result["closed_form"]
-    assert got == pytest.approx(want(parse_config(doc).cross_section.volume), rel=1e-15)
-    assert result["closed_form_rel_error"] == abs(result["anomaly_integral"] - got) / abs(got)
-    assert result["closed_form_rel_error"] <= 1e-13
+    assert list(result) == ["anomaly_integral", "res"]
+    assert result["anomaly_integral"] == pytest.approx(want(parse_config(doc).cross_section.volume), rel=1e-15)
+    assert result["res"] == -result["anomaly_integral"] / 2.0
 
 
 def test_scaling_csv(tmp_path):
@@ -386,15 +385,75 @@ def test_non_integer_dim_n_and_non_number_basis_entry_are_config_errors(
     assert not out.exists()
 
 
-def test_anomaly_past_the_olver_tables_is_a_config_error(tmp_path, capsys):
-    """Res of T^n reads the Olver z-coefficients to order n, and the tables
-    stop at 12: ``anomaly`` on the schema-valid unit T^14 exits 2 naming
-    dim_n, where it died on an uncaught ValueError."""
-    doc = {"schema": 1, "cross_section": {"family": "flat_torus", "dim_n": 14, "lattice_basis": _eye(14)}}
+def _sheared_eye(n: int) -> list:
+    basis = np.eye(n)
+    basis[0, 1], basis[n - 2, n - 1] = 0.37, -0.2
+    return (1.3 * basis).tolist()
+
+
+@pytest.mark.parametrize("basis", ["unit", "sheared"])
+@pytest.mark.parametrize("n", [14, 16])
+def test_anomaly_runs_past_the_olver_tables(tmp_path, capsys, n, basis):
+    """Res is a closed form, not a sum over the Olver tables that stop at
+    order 12: ``anomaly`` on T^14 and T^16 exits 0 with Res within 1e-15
+    relative of the formula in 40-digit mpmath at the same float Vol."""
+    lattice = _eye(n) if basis == "unit" else _sheared_eye(n)
+    doc = {"schema": 1, "cross_section": {"family": "flat_torus", "dim_n": n, "lattice_basis": lattice}}
     out = tmp_path / "out.json"
-    assert cli.main(["anomaly", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
-    assert "cross_section.dim_n: Res needs the Olver z-coefficients to order n = 14" in capsys.readouterr().err
-    assert not out.exists()
+    assert cli.main(["anomaly", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    res = json.loads(out.read_text())["result"]["res"]
+    h = n // 2
+    with mpmath.workdps(40):
+        want = (
+            (-1) ** (h + 1) * mpmath.factorial(n - 1) / (4 * mpmath.factorial(h))
+            * parse_config(doc).cross_section.volume / (4 * mpmath.pi) ** h
+        )
+        assert abs(res - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("rank, code", [(10**5, 0), (10**7, 1)], ids=["1e5", "1e7"])
+def test_anomaly_near_the_top_of_binary64(tmp_path, capsys, rank, code):
+    """On 1e19 I T^16, rank Vol alone is 1e309 at rank 1e5 and the float
+    order coef * rank * Vol overflows, but Res, about -1.30e307, is a
+    double, and ``anomaly`` reports it; at rank 1e7 Res is not a double,
+    and ``anomaly`` exits 1 naming Res."""
+    doc = {
+        "schema": 1,
+        "cross_section": {"family": "flat_torus", "dim_n": 16, "lattice_basis": (1e19 * np.eye(16)).tolist(), "bundle_rank": rank},
+    }
+    out = tmp_path / "out.json"
+    assert cli.main(["anomaly", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        result = json.loads(out.read_text())["result"]
+        assert result["res"] == pytest.approx(-1.30e307, rel=5e-3)
+        assert math.isfinite(result["anomaly_integral"])
+    else:
+        assert "error: Res of the flat T^16" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["config", "flag"])
+def test_a_mu_grid_past_1024_rows_is_a_config_error(tmp_path, capsys, via):
+    """A scaling run's memory grows with its grid, so ``mu_grid`` (from the
+    config or ``--mu``) holds at most 1024 entries, the schema's maxItems:
+    1025 exit 2 naming mu_grid, and 1024 run."""
+    schema = json.loads((DOCS / "config.schema.json").read_text())
+    assert schema["properties"]["mu_grid"]["maxItems"] == 1024
+    for rows, code in ((1025, 2), (1024, 0)):
+        grid = [1.0 + i / 100 for i in range(rows)]
+        doc, flags = (({**UNIT_T2, "mu_grid": grid}, []) if via == "config"
+                      else (UNIT_T2, ["--mu", ",".join(map(repr, grid))]))
+        out = tmp_path / f"scaling{rows}.csv"
+        argv = ["scaling", "--config", _write_config(tmp_path, doc), "--format", "csv", "--out", str(out), *flags]
+        assert cli.main(argv) == code
+        if code == 2:
+            assert "mu_grid: must have at most 1024 entries, got 1025" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert len(out.read_text().splitlines()) == 1 + rows
 
 
 @pytest.mark.parametrize("rank", [10**20, 10**400], ids=["1e20", "1e400"])

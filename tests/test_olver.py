@@ -131,6 +131,35 @@ def test_z_diff_closed_form(r):
         assert _z_diff_sum(r, a) == ((-a) ** r - a**r) / r
 
 
+def _a_row(m: int, deg: int) -> dict:
+    """[a^deg] M_m as {t-exponent: Fraction}."""
+    row = {e: ap.get(deg, F(0)) for e, ap in olver.m_poly(m).items()}
+    return {e: c for e, c in row.items() if c}
+
+
+@pytest.mark.parametrize("m", range(2, olver.DEFAULT_MAX_ORDER + 1))
+def test_top_two_a_rows_of_m(m):
+    """The premises of the closed form of Res (README, "Res in closed
+    form", step 2): M_m is the order-m coefficient of log(1 + S), S =
+    a t x (1 + sum u_j x^j) + sum v_j x^j, so its a^m row is the pure
+    (a t x)^m term and its a^(m-1) row comes from u_1 - v_1 = (t - t^3)/2."""
+    assert _a_row(m, m) == {m: F((-1) ** (m + 1), m)}
+    assert _a_row(m, m - 1) == {m: F((-1) ** m, 2), m + 2: F((-1) ** (m + 1), 2)}
+
+
+@pytest.mark.parametrize("r", range(1, olver.DEFAULT_MAX_ORDER // 2 + 1))
+def test_digamma_weighted_z_difference_is_odd_with_top_coefficient_one_over_r(r):
+    """W_r(a) = sum_b (z_{2r,b}(-a) - z_{2r,b}(a)) H_{b+r-1} is odd, of
+    degree <= 2r - 1, and its a^(2r-1) coefficient is 1/r."""
+    w = {}
+    for b, ap in olver.z_table(2 * r).items():
+        for deg, c in ap.items():
+            w[deg] = w.get(deg, F(0)) + ((-1) ** deg - 1) * c * olver.harmonic_number(b + r - 1)
+    w = {deg: c for deg, c in w.items() if c}
+    assert all(deg % 2 == 1 and deg <= 2 * r - 1 for deg in w)
+    assert w[2 * r - 1] == F(1, r)
+
+
 def test_alpha_zero_matches_pure_v_series():
     """At a = 0 the t-coefficients of M_r reduce to the log of the v-series."""
     vs = [None] + [_ring(olver.olver_pair(r)[1]) for r in range(1, 5)]

@@ -15,7 +15,12 @@ from conetorsion.crosssection import build_cross_section
 from conetorsion.errors import DomainError
 from conetorsion import torsion as T
 from conetorsion.zeta import MellinSplit
-from reference_oracles import gy_full_cone_oracle, rs_norm_product_metric
+from reference_oracles import (
+    digamma_weighted_zdiff,
+    gy_full_cone_oracle,
+    residue_double_sum,
+    rs_norm_product_metric,
+)
 
 GAMMA = 0.5772156649015328606
 
@@ -101,7 +106,7 @@ def test_res_exact_double_sum_is_the_closed_form(n):
         for r in range(1, h + 1):
             j = h - r
             c = math.comb(n - 1, k) * (-alpha * alpha) ** j / math.factorial(j)
-            inner += 2 * c / math.factorial(r - 1) * T._digamma_weighted_zdiff(r, alpha)
+            inner += 2 * c / math.factorial(r - 1) * digamma_weighted_zdiff(r, alpha)
         total += F((-1) ** k, 2) * inner
     assert total / 2 == _res_closed_form(n)
 
@@ -120,6 +125,37 @@ def test_res_term_meets_the_closed_form(n, rank):
         want = rank * cs.volume / (4.0 * math.pi) ** (n // 2) * float(_res_closed_form(n))
         res, _ = T.res_term(cs)
         assert abs(res - want) <= 1e-13 * abs(want), (n, rank, res, want)
+
+
+def _sheared_basis(n: int) -> np.ndarray:
+    sheared = np.eye(n)
+    sheared[0, 1], sheared[n - 2, n - 1] = 0.37, -0.2
+    return 1.3 * sheared
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_res_term_is_half_the_olver_double_sum(n):
+    """The closed form against the float Olver double sum it was derived
+    from, on the unit and a sheared basis, at rank 3."""
+    for basis in (np.eye(n), _sheared_basis(n)):
+        cs = build_cross_section(
+            {"family": "flat_torus", "dim_n": n, "lattice_basis": basis.tolist(), "bundle_rank": 3}
+        )
+        want = residue_double_sum(cs) / 2.0
+        assert abs(T.res_term(cs)[0] - want) <= 1e-13 * abs(want), n
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10, 12])
+def test_res_term_is_correctly_rounded(n):
+    """Res is within 1e-15 relative of the formula in 40-digit mpmath with
+    the exact pi, at the same float Vol: one rounding, and the float 4 pi
+    raised to the power h (``test_cli.py`` checks T^14 and T^16)."""
+    coef = _res_closed_form(n)
+    for basis in (np.eye(n), _sheared_basis(n)):
+        cs = build_cross_section({"family": "flat_torus", "dim_n": n, "lattice_basis": basis.tolist()})
+        with mpmath.workdps(40):
+            want = mpmath.mpf(coef.numerator) / coef.denominator * cs.volume / (4 * mpmath.pi) ** (n // 2)
+            assert abs(T.res_term(cs)[0] - want) <= 1e-15 * abs(want), n
 
 
 def test_res_term_rank_linearity(unit_t2):
@@ -209,13 +245,14 @@ def test_truncated_against_high_precision_oracle(unit_t2):
 
 
 def test_truncated_chi_term_vanishes_on_tori(unit_t2):
-    """chi = 0 wipes the log2 term, and the residue double sum carries no
-    eps: repeated evaluation is bit-identical and the assembled value minus
-    the Betti sum reduces to it."""
-    assert T._residue_double_sum(unit_t2) == T._residue_double_sum(unit_t2)
+    """chi = 0 wipes the log2 term, and 2 Res carries no eps: repeated
+    evaluation is bit-identical and the assembled value minus the Betti sum
+    reduces to it, and to the Olver double sum that it closes."""
+    assert T.res_term(unit_t2) == T.res_term(unit_t2)
     for eps in (0.1, 0.25, 0.5):
         left = T.log_torsion_truncated(unit_t2, eps) - T._betti_log_sum(unit_t2, eps)
-        assert left == pytest.approx(T._residue_double_sum(unit_t2), abs=1e-15)
+        assert left == pytest.approx(2.0 * T.res_term(unit_t2)[0], abs=1e-15)
+        assert left == pytest.approx(residue_double_sum(unit_t2), abs=1e-15)
 
 
 def test_truncated_rejects_bad_eps(unit_t2):
