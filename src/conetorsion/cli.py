@@ -32,7 +32,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from .torsion import (
     ab_constant,
     build_slices,
     build_splits,
-    dual_slice,
     gy_det_ratio_oracles,
     harmonic_det,
     log_torsion_cone,
@@ -98,6 +97,14 @@ def dumps(obj) -> str:
     """Report text: JSON indented by 2, each float written by ``repr``, the
     shortest text that reads back the same double."""
     return json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n"
+
+
+def _require_finite(what: str, obj) -> None:
+    """OverflowError naming ``what`` where the report would write a weighted value as null."""
+    try:
+        json.dumps(obj, allow_nan=False, default=int)
+    except ValueError:
+        raise OverflowError(f"a {what} value lies outside binary64") from None
 
 
 def _write_report(text: str, path: Optional[str]):
@@ -217,30 +224,36 @@ def cmd_dump_olver(order: int, path: Optional[str]) -> int:
 
 
 def cmd_dump_spectrum(cfg: RunConfig) -> int:
+    """Each degree: the shared levels [eta, lattice points], its weight and its weighted heat model."""
     cs = cfg.cross_section
-    built = build_slices(cs, _params(cfg), plan_t0(cs))
+    sl = build_slices(cs, _params(cfg), plan_t0(cs))
+    levels = [[float(e), int(c)] for e, c in zip(sl.eta, sl.counts)]
     slices = {}
     for k in range(cs.dim_n):
-        sl = built[dual_slice(cs.dim_n, k)[0]]
+        weight = cs.coclosed_point_multiplicity(k)
         heat = theta_heat_coeffs(cs, k)
         slices[str(k)] = {
             "alpha": float(cs.alpha(k)),
             "betti": cs.betti(k),
             "cutoff": sl.cutoff,
-            "point_multiplicity": sl.kappa,
+            "point_multiplicity": weight,
             "heat_powers": heat.powers,
-            "heat_coefficients": heat.coefficients,
-            "levels": [[float(e), int(m)] for e, m in zip(sl.eta, sl.mult)],
+            "heat_coefficients": [weight * c for c in heat.coefficients],
+            "levels": levels,
         }
+    _require_finite("dump-spectrum", slices)
     return _emit_report(cfg, {"slices": slices}, {})
 
 
 def cmd_dump_zeta(cfg: RunConfig) -> int:
+    """Each degree k < n/2 is row k of the split; degree n-1-k, of equal weight, negates its shift."""
     cs = cfg.cross_section
-    evals = {j: build_zeta_eval(ms) for j, ms in build_splits(cs, _params(cfg)).items()}
+    n, h = cs.dim_n, cs.dim_n // 2
+    split = build_splits(cs, _params(cfg))
+    evals = [build_zeta_eval(split, k, cs.coclosed_point_multiplicity(k)) for k in range(h)]
     slices = {}
-    for k in range(cs.dim_n):
-        j, sign = dual_slice(cs.dim_n, k)
+    for k in range(n):
+        j, sign = (k, +1) if k < h else (n - 1 - k, -1)
         ev = evals[j]
         slices[str(k)] = {
             "alpha": float(cs.alpha(k)),
@@ -255,6 +268,7 @@ def cmd_dump_zeta(cfg: RunConfig) -> int:
             },
             "err": ev.err,
         }
+    _require_finite("dump-zeta", slices)
     return _emit_report(cfg, {"slices": slices}, {})
 
 
@@ -381,8 +395,8 @@ class _VerifyInputs:
     most once per verify run."""
 
     @functools.cached_property
-    def unit_t2(self) -> Dict[int, MellinSplit]:
-        """The Mellin splits of the default unit T^2 at its default tolerance."""
+    def unit_t2(self) -> MellinSplit:
+        """The Mellin split of the default unit T^2 at its default tolerance."""
         cfg = parse_config(DEFAULT_CONFIG)
         return build_splits(cfg.cross_section, _params(cfg))
 
@@ -390,7 +404,7 @@ class _VerifyInputs:
     def first_order(self) -> FirstOrderZeta:
         """The first-order oracle of the unit-T^2 degree-0 slice with the
         rows +alpha and -alpha, which share one B quadrature."""
-        sl = self.unit_t2[0].sl
+        sl = self.unit_t2.sl
         return FirstOrderZeta(sl, (sl.alpha, -sl.alpha))
 
     @functools.cached_property
@@ -405,7 +419,7 @@ class _VerifyInputs:
 
 
 def _check_zeta_exp(inputs: _VerifyInputs) -> float:
-    ms = inputs.unit_t2[0]
+    ms = inputs.unit_t2
     worst = 0.0
     for row, sign in enumerate((+1, -1)):
         oracle = inputs.first_order.zeta0(row)
@@ -414,7 +428,7 @@ def _check_zeta_exp(inputs: _VerifyInputs) -> float:
 
 
 def _check_shifted_derivative_route(inputs: _VerifyInputs) -> float:
-    ms = inputs.unit_t2[0]
+    ms = inputs.unit_t2
     worst = 0.0
     for row, sign in enumerate((+1, -1)):
         oracle = inputs.first_order.zeta_prime0(row)
@@ -499,7 +513,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"conetorsion {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     flags = {
-        "--tolerance": dict(type=float, help="bound on each slice's K-series tail; the error in log T is not bounded by it"),
+        "--tolerance": dict(type=float, help="bound on each K-series tail per lattice point; the error in log T is not bounded by it"),
         "--cutoff": dict(type=float, help="eigenvalue cutoff"),
         "--epsilon": dict(type=float, help="truncation parameter in (0,1)"),
         "--mu": dict(help="comma-separated scaling grid, e.g. 2,4,8"),

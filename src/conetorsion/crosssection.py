@@ -2,18 +2,21 @@
 
 The cross-section is the flat torus T^n = R^n / (B Z^n) with even n.  For
 a dual-lattice vector m != 0 the Laplacian on coclosed k-forms contributes
-the eigenvalue eta = 4 pi^2 |B^{-T} m|^2 with multiplicity rank * C(n-1, k);
-the m = 0 modes are harmonic, are excluded from the spectrum, and are counted
-separately through the Betti numbers rank * C(n, k).  The per-point coclosed
-multiplicity is not assumed: the brute-force Hodge Laplacian of
-``tests/reference_oracles.py``, assembled on a truncated Fourier basis,
-rediscovers it numerically, and the heat-model and Weyl-count bounds that
-the tests hold the enumerated spectra to live there too.
+the eigenvalue eta = 4 pi^2 |B^{-T} m|^2 with the weight rank * C(n-1, k)
+(``coclosed_point_multiplicity``), which callers apply once to per-point
+values: every degree shares the levels and their lattice counts.  The m = 0
+modes are harmonic, are excluded, and are counted through the Betti numbers
+rank * C(n, k).  The per-point coclosed multiplicity is not assumed: the
+brute-force Hodge Laplacian of ``tests/reference_oracles.py``, assembled on
+a truncated Fourier basis, rediscovers it numerically, and the heat-model
+and Weyl-count bounds that the tests hold the enumerated spectra to live
+there too.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -114,19 +117,14 @@ class CrossSection:
                 "cross_section.lattice_basis",
                 f"must be {self.dim_n}x{self.dim_n}, got {basis.shape}",
             )
-        # a level's multiplicity rank * C(n-1, k) * (its lattice points) is an
-        # int64; from n = 42 on C(n-1, k) * MAX_WINDOW_POINTS alone passes
-        # 2^63, and rank 1 is left to the window guards; after the shape
-        # check, so a huge dim_n with a small basis never reaches the binomial
-        if self.bundle_rank > 1:
-            widest = math.comb(self.dim_n - 1, (self.dim_n - 1) // 2)
-            max_rank = max(1, (2**63 - 1) // (widest * int(MAX_WINDOW_POINTS)))
-            if self.bundle_rank > max_rank:
-                raise ConfigError(
-                    "cross_section.bundle_rank",
-                    f"must be at most {max_rank} at n = {self.dim_n}: a level's multiplicity "
-                    f"rank * C(n-1, k) * (its lattice points, up to {MAX_WINDOW_POINTS:.3g}) must fit in int64",
-                )
+        # every Betti number and weight rank * C(n, k) converts to a double;
+        # after the shape check, so a huge dim_n with a small basis never
+        # reaches the binomial
+        if self.bundle_rank * math.comb(self.dim_n, self.dim_n // 2) > sys.float_info.max:
+            raise ConfigError(
+                "cross_section.bundle_rank",
+                f"rank * C(n, n/2) must be a finite double at n = {self.dim_n}",
+            )
         # |det| against the Hadamard bound, the product of the column lengths
         with np.errstate(over="ignore", invalid="ignore"):
             det = float(np.linalg.det(basis))
@@ -279,7 +277,8 @@ class CrossSection:
         """Distinct levels of sorted ``values`` with their counts.
 
         A new level starts wherever the gap to the previous value exceeds
-        GROUP_TOL * (1 + previous); each level is the mean of its members.
+        GROUP_TOL * previous, at every scale; each level is the mean of its
+        members.
         The gaps are tested in blocks of _GROUP_BLOCK values, so no temporary
         is as large as ``values``.
         """
@@ -289,7 +288,7 @@ class CrossSection:
         for lo in range(1, values.size, _GROUP_BLOCK):
             cur = values[lo : lo + _GROUP_BLOCK]
             prev = values[lo - 1 : lo - 1 + cur.size]
-            starts.append(np.flatnonzero(cur - prev > GROUP_TOL * (1.0 + prev)) + lo)
+            starts.append(np.flatnonzero(cur - prev > GROUP_TOL * prev) + lo)
         starts = np.concatenate(starts)
         counts = np.diff(np.append(starts, values.size))
         return np.add.reduceat(values, starts) / counts, counts
@@ -328,15 +327,14 @@ class CrossSection:
         keep = sq <= max_sq * (1 + 1e-12)
         return sq[keep], counts[keep]
 
-    def log_weyl_density(self, k: int) -> float:
-        """log Res_{s=n} zeta_k, the log of the coefficient of V^{n-1} dV in
-        the Weyl density of the degree-k coclosed levels measured in nu,
-        formed in logs for planning the cutoffs: finite at every dimension,
-        where ``HeatModel.residue(n)``, which the K-tail bounds read,
-        overflows past n = 340."""
+    def log_weyl_density(self) -> float:
+        """log Res_{s=n} zeta, the log of the coefficient of V^{n-1} dV in
+        the Weyl density of the coclosed levels per lattice point measured
+        in nu, the same in every degree, formed in logs for planning the
+        cutoffs: finite at every dimension, where ``HeatModel.residue(n)``,
+        which the K-tail bounds read, overflows past n = 340."""
         n = self.dim_n
-        kappa = self.coclosed_point_multiplicity(k)
-        return math.log(n * kappa) + math.log(self.volume) + _log_ball_volume(n) - n * math.log(2.0 * math.pi)
+        return math.log(n) + math.log(self.volume) + _log_ball_volume(n) - n * math.log(2.0 * math.pi)
 
 
 def build_cross_section(config: dict) -> CrossSection:
@@ -380,20 +378,20 @@ def build_cross_section(config: dict) -> CrossSection:
 
 @dataclass(frozen=True)
 class HeatModel:
-    """Small-time model of the harmonic-subtracted coclosed trace.
+    """Small-time model of the harmonic-subtracted coclosed trace of one
+    lattice point, the trace of a degree divided by its weight.
 
-    Theta_k(t) = kappa * (theta_L(t) - 1) * exp(-alpha^2 t) where theta_L is
-    the full dual-lattice theta function.  Up to a lattice remainder that is
+    Theta(t) = (theta_L(t) - 1) * exp(-alpha^2 t) where theta_L is the full
+    dual-lattice theta function.  Up to a lattice remainder that is
     exponentially small as t -> 0+, this equals
 
-        kappa * (V_n t^{-n/2} - 1) * exp(-alpha^2 t),   V_n = Vol/(4 pi)^{n/2}.
+        (V_n t^{-n/2} - 1) * exp(-alpha^2 t),   V_n = Vol/(4 pi)^{n/2}.
 
     ``coefficient(j)`` is the exact coefficient of t^{j - n/2} in the power
     expansion of the model part, for every j >= 0; ``residue(s)`` reads the
     residue of the slice zeta function off it.
     """
 
-    kappa: int
     volume: float
     n: int
     alpha: float
@@ -408,7 +406,7 @@ class HeatModel:
         c = self.v_n * (-a2) ** j / math.factorial(j)
         if j >= h:
             c -= (-a2) ** (j - h) / math.factorial(j - h)
-        return self.kappa * c
+        return c
 
     def residue(self, s: int) -> float:
         """Res_{s} zeta_{k,N} = 2 coefficient(n/2 - s/2) / Gamma(s/2) at even
@@ -433,11 +431,10 @@ class HeatModel:
 
 @dataclass(eq=False)
 class SpectralSlice:
-    """Enumerated nonzero coclosed spectrum of degree k; its heat model is
+    """Enumerated nonzero coclosed spectrum of degree k: the dual-lattice
+    levels eta with their lattice-point ``counts``, which every degree
+    shares, and the shift alpha of degree k; its heat model is
     ``theta_heat_coeffs(cross_section, k)``.
-
-    Everything else about the slice follows from the cross-section, k and
-    the shift alpha, so it is derived on access rather than stored.
     """
 
     cross_section: CrossSection
@@ -445,11 +442,7 @@ class SpectralSlice:
     alpha: float
     cutoff: float
     eta: np.ndarray
-    mult: np.ndarray
-
-    @property
-    def kappa(self) -> int:
-        return self.cross_section.coclosed_point_multiplicity(self.k)
+    counts: np.ndarray
 
     def nu(self) -> np.ndarray:
         return np.sqrt(self.eta + self.alpha * self.alpha)
@@ -463,32 +456,30 @@ class SpectralSlice:
 
 
 def coclosed_spectrum(cs: CrossSection, k: int, cutoff: float) -> SpectralSlice:
-    """Enumerate the nonzero coclosed k-form spectrum up to ``cutoff``."""
+    """Enumerate the nonzero coclosed k-form spectrum up to ``cutoff``, per
+    lattice point: degree k weighs each count by
+    ``cs.coclosed_point_multiplicity(k)``."""
     n = cs.dim_n
     if k < 0 or k > n - 1:
         raise DomainError(f"degree k={k} outside 0..{n - 1}")
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
     eta, counts = cs.lattice_eta_levels(cutoff)
-    kappa = cs.coclosed_point_multiplicity(k)
-    # the window guards bound the points, not C(n-1, k), past int64 from n = 68 on
-    if kappa * int(counts.max(initial=1)) > 2**63 - 1:
-        raise ConfigError("cross_section.dim_n", f"the degree-{k} multiplicities rank * C(n-1, k) * points pass int64 at n = {n}")
-    mult = counts * kappa
-    sl = SpectralSlice(cs, k, float(cs.alpha(k)), float(cutoff), eta, mult)
+    sl = SpectralSlice(cs, k, float(cs.alpha(k)), float(cutoff), eta, counts)
     sl.validate()
     return sl
 
 
 def theta_heat_coeffs(cs: CrossSection, k: int) -> HeatModel:
-    """Exact small-time expansion data for the harmonic-subtracted trace.
+    """Exact small-time expansion data for the harmonic-subtracted trace of
+    degree k per lattice point.
 
-    The subtracted constant is the per-point coclosed multiplicity
-    rank * C(n-1, k) (the m = 0 term of the dual theta function), which
-    coincides with b_k only in degree 0; slice duality and the brute-force
-    oracle pin this down.
+    The subtracted constant is 1, the m = 0 term of the dual theta function;
+    the trace of degree k is this model times the weight rank * C(n-1, k),
+    which coincides with b_k only in degree 0; slice duality and the
+    brute-force oracle pin this down.
     """
     n = cs.dim_n
     if k < 0 or k > n - 1:
         raise DomainError(f"degree k={k} outside 0..{n - 1}")
-    return HeatModel(cs.coclosed_point_multiplicity(k), cs.volume, n, float(cs.alpha(k)))
+    return HeatModel(cs.volume, n, float(cs.alpha(k)))

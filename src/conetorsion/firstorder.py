@@ -1,7 +1,8 @@
 """Independent continuation of the first-order shifted zeta functions.
 
-This module evaluates zeta_k(s, c) = sum m(eta) (nu(eta) + c)^(-s) through a
-Mellin split of the genuinely first-order theta function
+This module evaluates zeta_k(s, c) = sum m(eta) (nu(eta) + c)^(-s), per
+lattice point as the production route does, through a Mellin split of the
+genuinely first-order theta function
 
     theta_c(t) = sum m(eta) exp(-(nu + c) t),
 
@@ -75,7 +76,8 @@ def _window_integral(c: float, t0: float, u):
 
 
 class FirstOrderZeta:
-    """Continuation of sum m (nu + c)^(-s) for one slice at a tuple of shifts.
+    """Continuation of sum m (nu + c)^(-s), m the lattice-point counts, for
+    one slice at a tuple of shifts.
 
     Row i is the shift c_i of ``shifts``, as in a ``MellinSplit``.
     Everything but the shift is a function of the slice and t0 alone, so the
@@ -88,7 +90,6 @@ class FirstOrderZeta:
         cs = sl.cross_section
         self.n = cs.dim_n
         self.h = self.n // 2
-        self.kappa = sl.kappa
         self.alpha_abs = abs(sl.alpha)
         if self.alpha_abs == 0.0:
             raise DomainError("first-order oracle needs a nonzero shift alpha")
@@ -118,7 +119,7 @@ class FirstOrderZeta:
         eta_window = max(nu_max * nu_max, (_HORIZON + 8.0) / self._u_c)
         eta, counts = cs.lattice_eta_levels(cutoff=eta_window)
         self._eta = eta
-        self._counts = counts  # lattice-point counts (no kappa)
+        self._counts = counts
         self._nu = np.sqrt(eta + self.a2)
         max_sq = 4.0 * (_HORIZON + 8.0) * max(self.t0, 1.0) * 4.0
         self._p_sq, self._p_counts = cs.primal_norms(max_sq)
@@ -149,14 +150,14 @@ class FirstOrderZeta:
         for c in self.shifts:
             mu = self._nu + c
             keep = mu * self.t0 <= _HORIZON
-            self.f1.append(math.fsum((self.kappa * self._counts[keep] * exp1(mu[keep] * self.t0)).tolist()))
+            self.f1.append(math.fsum((self._counts[keep] * exp1(mu[keep] * self.t0)).tolist()))
 
     # -- subordinated model ------------------------------------------------
 
     def _model_terms(self) -> list[tuple[float, int]]:
-        """Closed-form subordination of kappa (V_n u^{-h} - 1) e^{-a^2 u}.
+        """Closed-form subordination of (V_n u^{-h} - 1) e^{-a^2 u}.
 
-        Yields kappa V_n (2A)^h e^{-At} sum_j w_j A^{-j} t^{-h-j} - kappa e^{-At}
+        Yields V_n (2A)^h e^{-At} sum_j w_j A^{-j} t^{-h-j} - e^{-At}
         with A = |alpha| and w_j = (h+j)! / (j! (h-j)! 2^j), as (coef, power)
         pairs: a pair contributes coef t^power e^{-rate t}.
         """
@@ -164,24 +165,24 @@ class FirstOrderZeta:
         terms = []
         for j in range(h + 1):
             w = math.factorial(h + j) / (math.factorial(j) * math.factorial(h - j) * 2.0**j)
-            coef = self.kappa * self.v_n * (2.0 * a) ** h * w / a**j
+            coef = self.v_n * (2.0 * a) ** h * w / a**j
             terms.append((coef, -(h + j)))
-        terms.append((-float(self.kappa), 0))
+        terms.append((-1.0, 0))
         return terms
 
     # -- lattice remainder ---------------------------------------------------
 
     def _remainders(self, u: np.ndarray) -> np.ndarray:
-        """R(u) = kappa e^{-a^2 u} (theta_L(u) - V_n u^{-h}) at every entry of
+        """R(u) = e^{-a^2 u} (theta_L(u) - V_n u^{-h}) at every entry of
         ``u`` (all > 0): the primal form up to u_c, the dual form past it,
         each a ``theta_sums`` of its terms above e^{-THETA_CUT}."""
         out = np.empty(u.shape)
         primal = u <= self._u_c
         up, ud = u[primal], u[~primal]
         s_p = theta_sums(self._p_sq, self._p_counts, 4.0 * up)
-        out[primal] = self.kappa * self.v_n * up ** (-self.h) * np.exp(-self.a2 * up) * s_p
+        out[primal] = self.v_n * up ** (-self.h) * np.exp(-self.a2 * up) * s_p
         s_d = theta_sums(self._eta, self._counts, 1.0 / ud)
-        out[~primal] = self.kappa * np.exp(-self.a2 * ud) * (1.0 + s_d - self.v_n * ud ** (-self.h))
+        out[~primal] = np.exp(-self.a2 * ud) * (1.0 + s_d - self.v_n * ud ** (-self.h))
         return out
 
     # -- Mellin components ---------------------------------------------------

@@ -19,7 +19,9 @@ Gelfand-Yaglom ODE oracle, the regularized t/p surface used to validate the
 large-order and large-argument asymptotic regimes, and the scaling study of
 the torsion-like invariant.  Tors is summed only in :func:`tors_term`: the
 difference formula takes it as its fifth line, and each scaling row is
-:func:`tors_term` at rescaled shifts, one row of each slice's Mellin split.
+:func:`tors_term` at rescaled shifts.  Every degree has the same levels, so
+one Mellin split, per lattice point, serves them all, and :func:`tors_term`
+applies each degree's weight rank C(n-1, k) once.
 """
 
 from __future__ import annotations
@@ -64,35 +66,34 @@ class NumericsParams:
         return cutoff_for_tolerance(cs, k, tol, t0)
 
 
-def dual_slice(n: int, k: int) -> tuple[int, int]:
-    """(j, sign): degree k of an n-torus is built slice j < n/2 with its shift
-    times sign.  Slice n-1-k has the levels, multiplicities and cutoff of
-    slice k and the shift alpha_{n-1-k} = -alpha_k."""
-    return (k, +1) if k < n // 2 else (n - 1 - k, -1)
+def build_slices(cs: CrossSection, params: NumericsParams, t0: float) -> SpectralSlice:
+    """The one slice of the torus, degree 0, whose levels every degree
+    shares, at the largest cutoff ``params`` sets for a degree and Mellin
+    splits at ``t0``: the window every degree's cutoff fits in, built once
+    it has passed the point limit."""
+    cutoff = max(params.slice_cutoff(cs, k, t0) for k in range(cs.dim_n // 2))
+    cs.check_window("dual", cutoff)
+    return coclosed_spectrum(cs, 0, cutoff)
 
 
-def build_slices(cs: CrossSection, params: NumericsParams, t0: float) -> Dict[int, SpectralSlice]:
-    """The slices of degrees k < n/2 (:func:`dual_slice`) at the cutoffs
-    ``params`` sets for Mellin splits at ``t0``, once their largest dual
-    window has passed the point limit."""
-    cutoffs = {k: params.slice_cutoff(cs, k, t0) for k in range(cs.dim_n // 2)}
-    cs.check_window("dual", max(cutoffs.values()))
-    return {k: coclosed_spectrum(cs, k, cutoff) for k, cutoff in cutoffs.items()}
-
-
-def build_splits(
-    cs: CrossSection, params: NumericsParams, mu_values: Sequence[float] = (1.0,)
-) -> Dict[int, MellinSplit]:
-    """One Mellin split per slice k < n/2 at the planned t0, whose row i is
-    the shift alpha_k / mu_i (the default (1,) gives alpha_k exactly), once
-    their primal window has passed the point limit.  The one place a command
-    plans t0 for splits; the slices are built for it."""
+def build_splits(cs: CrossSection, params: NumericsParams, mu_values: Sequence[float] = (1.0,)) -> MellinSplit:
+    """The one Mellin split of the torus at the planned t0, over the slice
+    of :func:`build_slices`, once its primal window has passed the point
+    limit.  Row i h + k, h = n/2, is the shift alpha_k / mu_i of degree
+    k < h, so the default mu = (1,) makes row k degree k's own alpha_k.  The
+    one place a command plans t0 for a split; the slice is built for it."""
     t0 = plan_t0(cs)
     cs.check_window("primal", primal_window(t0))
-    return {
-        k: MellinSplit(sl, t0, [sl.alpha / mu for mu in mu_values])
-        for k, sl in build_slices(cs, params, t0).items()
-    }
+    h = cs.dim_n // 2
+    shifts = [float(cs.alpha(k)) / mu for mu in mu_values for k in range(h)]
+    return MellinSplit(build_slices(cs, params, t0), t0, shifts)
+
+
+def _finite(value: float, term: str, n: int) -> float:
+    """``value``, or OverflowError naming ``term`` when it is not finite."""
+    if not math.isfinite(value):
+        raise OverflowError(f"{term} of the flat T^{n} lies outside binary64")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +111,7 @@ def top_term(cs: CrossSection) -> float:
             math.log(2 * l + 1) for l in range(n // 2 - k)
         )
         total -= (-1) ** k * cs.betti(k) * inner
-    return total
+    return _finite(total, "Top", n)
 
 
 def res_term(cs: CrossSection) -> tuple[float, float]:
@@ -138,29 +139,32 @@ def res_term(cs: CrossSection) -> tuple[float, float]:
 class TorsResult:
     value: float
     cross_check_residual: float
-    # zeta'_k(0, +alpha_k), k = 0..n-1
+    # kappa_k zeta'_k(0, +alpha_k), k = 0..n-1
     shifted_prime0_plus: Dict[int, float]
 
 
-def tors_term(splits: Dict[int, MellinSplit], row: int = 0) -> TorsResult:
-    """Torsion-like invariant Tors(N, E_N; g^N) from the Mellin splits of
-    the slices k < n/2 (:func:`build_splits`), which it only reads.
+def tors_term(split: MellinSplit, row: int = 0) -> TorsResult:
+    """Torsion-like invariant Tors(N, E_N; g^N) from the Mellin split of the
+    torus (:func:`build_splits`), which it only reads.
 
     The only code that sums Tors: :func:`torsion_difference` takes its value,
-    and :func:`tors_scaling_profile` calls it once per row of its splits.
-    ``value`` sums (1/2) (-1)^k (zeta'_k(0, a_k) - zeta'_k(0, -a_k)) over
-    k < n/2, a_k the shift of row ``row`` of slice k's split (by default
-    its own alpha_k).  The residual compares it with (1/2) sum_{k<n} (-1)^k
-    zeta'_k(0, a_k), whose upper half is read off the same minus values
-    (:func:`dual_slice`), so it sums one set of values two ways.
+    and :func:`tors_scaling_profile` calls it once per mu of its split.
+    ``value`` sums (1/2) (-1)^k kappa_k (zeta'(0, a_k) - zeta'(0, -a_k)) over
+    k < h = n/2, zeta' per lattice point at the shift a_k of row row h + k,
+    kappa_k = ``coclosed_point_multiplicity(k)``.  Degree n-1-k has the
+    levels and weight of degree k and the shift -a_k, so the residual
+    compares it with (1/2) sum_{k<n} (-1)^k kappa_k zeta'_k(0, a_k).
     """
-    n = splits[0].n
-    results = {
-        (k, s): shifted_zeta_prime0(splits[k], s, row) for k in range(n // 2) for s in (+1, -1)
+    cs = split.sl.cross_section
+    n, h = split.n, split.n // 2
+    per_point = {(k, s): shifted_zeta_prime0(split, s, row * h + k)[0] for k in range(h) for s in (+1, -1)}
+    plus = {
+        k: cs.coclosed_point_multiplicity(k) * (per_point[k, +1] if k < h else per_point[n - 1 - k, -1])
+        for k in range(n)
     }
-    plus = {k: results[dual_slice(n, k)][0] for k in range(n)}
+    minus = {k: cs.coclosed_point_multiplicity(k) * per_point[k, -1] for k in range(h)}
     full = 0.5 * math.fsum((-1) ** k * v for k, v in plus.items())
-    dual = 0.5 * math.fsum((-1) ** k * (plus[k] - results[(k, -1)][0]) for k in range(n // 2))
+    dual = _finite(0.5 * math.fsum((-1) ** k * (plus[k] - minus[k]) for k in range(h)), "Tors", n)
     return TorsResult(dual, abs(full - dual), plus)
 
 
@@ -181,29 +185,24 @@ def log_torsion_cone(cs: CrossSection, params: Optional[NumericsParams] = None) 
     """log T(C(N)) = Top + Tors + Res, with Res = -anomaly/2."""
     started = time.time()
     top = top_term(cs)
-    splits = build_splits(cs, params or NumericsParams())
-    tors = tors_term(splits)
+    split = build_splits(cs, params or NumericsParams())
+    tors = tors_term(split)
     res, anomaly = res_term(cs)
-    per_slice = {}
-    for k, value in tors.shifted_prime0_plus.items():
-        sl = splits[dual_slice(cs.dim_n, k)[0]].sl
-        per_slice[k] = {
-            "alpha": float(cs.alpha(k)),
-            "betti": cs.betti(k),
-            "cutoff": sl.cutoff,
-            "levels": sl.eta.size,
-            "shifted_prime0_plus": value,
-        }
+    per_slice = {
+        k: {"alpha": float(cs.alpha(k)), "betti": cs.betti(k), "cutoff": split.sl.cutoff,
+            "levels": split.sl.eta.size, "shifted_prime0_plus": value}
+        for k, value in tors.shifted_prime0_plus.items()
+    }
     return TorsionReport(
         top=top,
         tors=tors.value,
         res=res,
         anomaly_integral=anomaly,
-        log_t=top + tors.value + res,
+        log_t=_finite(top + tors.value + res, "log T", cs.dim_n),
         per_slice=per_slice,
         provenance={
-            "order": splits[0].order,
-            "t0": splits[0].t0,
+            "order": split.order,
+            "t0": split.t0,
             "tors_cross_check_residual": tors.cross_check_residual,
             "wall_time_s": time.time() - started,
         },
@@ -229,7 +228,8 @@ def log_torsion_truncated(cs: CrossSection, eps: float) -> float:
     if not 0.0 < eps < 1.0:
         raise DomainError("eps must lie in (0, 1)")
     chi = cs.euler_characteristic()
-    return _betti_log_sum(cs, eps) + 0.5 * math.log(2.0) * chi + 2.0 * res_term(cs)[0]
+    value = _betti_log_sum(cs, eps) + 0.5 * math.log(2.0) * chi + 2.0 * res_term(cs)[0]
+    return _finite(value, "log T of the truncated cone", cs.dim_n)
 
 
 def torsion_difference(cs: CrossSection, eps: float, tors: float) -> float:
@@ -250,7 +250,7 @@ def torsion_difference(cs: CrossSection, eps: float, tors: float) -> float:
         (-1) ** k / 2.0 * cs.betti(k) * math.log(n - 2 * k + 1) for k in range(h)
     )
     line4 = res_term(cs)[0]
-    return line1 + line2 + line3 + line4 - tors
+    return _finite(line1 + line2 + line3 + line4 - tors, "the truncated-minus-full difference", n)
 
 
 # ---------------------------------------------------------------------------
@@ -683,20 +683,20 @@ def tors_scaling_profile(
     The -log(mu) terms cancel in Tors: zeta_a(0, +a) - zeta_a(0, -a) is the
     odd-residue sum, and the odd residues vanish on even n.  So each row is
     :func:`tors_term` at the shifts alpha_k / mu.  :func:`build_splits`
-    builds each slice k < n/2 once, with one Mellin split whose rows are
-    those shifts, one per mu: the split's B quadrature, F table and K series
-    serve the whole grid, so a longer grid adds rows to those tables, not
-    splits.
+    builds the one slice and one Mellin split whose rows are those shifts,
+    n/2 per mu: the split's B quadrature, F table and K series serve every
+    degree and the whole grid, so a longer grid adds rows to those tables,
+    not splits.
 
     Returns the table and the fitted bound constant max |Tors| mu / log mu.
     """
     params = params or NumericsParams()
     if not mu_values or min(mu_values) < 1.0:
         raise DomainError("scaling grid must be non-empty and satisfy mu >= 1")
-    splits = build_splits(cs, params, mu_values)
+    split = build_splits(cs, params, mu_values)
     rows: list[ScalingRow] = []
     for i, mu in enumerate(mu_values):
-        total = tors_term(splits, row=i).value
+        total = tors_term(split, row=i).value
         bound = abs(total) * mu / math.log(mu) if mu > 1.0 else None
         rows.append(ScalingRow(float(mu), total, bound))
     fitted = max((row.bound for row in rows if row.bound is not None), default=math.nan)

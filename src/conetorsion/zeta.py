@@ -1,11 +1,15 @@
 """Meromorphic continuation of the shifted spectral zeta functions.
 
-For a slice of degree k with shift a = alpha_k the object of interest is
+For degree k with shift a = alpha_k the object of interest is
 
-    zeta_{k,N}(s) = sum_eta m(eta) nu(eta)^(-s),   nu = sqrt(eta + a^2),
+    zeta_{k,N}(s) = kappa_k sum_eta m(eta) nu(eta)^(-s),   nu = sqrt(eta + a^2),
 
-together with the shifted variants sum m (nu +- a)^(-s).  The continuation
-runs through the Mellin split of zeta(s/2, Delta + a^2): the integral over
+together with the shifted variants kappa_k sum m (nu +- a)^(-s), where m
+counts the dual-lattice points of the level eta, which every degree shares,
+and kappa_k = rank C(n-1, k) is the weight of degree k.  This module works
+per lattice point, kappa = 1: the weight is an exact integer that the
+caller applies once to a finished value.  The continuation runs through
+the Mellin split of zeta(s/2, Delta + a^2): the integral over
 (0, t0] of the exact heat model integrates to an explicit meromorphic
 series, the exponentially small lattice remainder is integrated for every
 sigma at once by a globally adaptive Gauss-Kronrod rule (``quad_gk21``,
@@ -21,16 +25,16 @@ come out of one component decomposition
 
 where only A carries poles and those are explicit.  The decomposition is
 only ever read on the half-integer grid sigma in {0, 1/2, ..., J/2}, and A,
-B and F exist there alone.  Each slice's :class:`MellinSplit` tabulates
-every component once, for a tuple of shifts a (its rows: the slice's own
-alpha, or the alpha / mu of every row of a scaling grid), which change the
-continuation only through e^{-a^2 t}, nu and c: the A table (residue,
-finite part and pole flag at each row and grid sigma, from the
-coefficients of ``HeatModel``), the B and F grids, the rows of PP values
-at s = 1..J and the K series of both signs are all computed when the split
-is built, each for every row in one vectorised pass.  Every residue of
+B and F exist there alone.  A torus has one :class:`MellinSplit`, which
+tabulates every component once, for a tuple of shifts a (its rows: the
+alpha_k of every degree k < n/2, or the alpha_k / mu of every row of a
+scaling grid), which change the continuation only through e^{-a^2 t}, nu
+and c: the A table (residue, finite part and pole flag at each row and grid
+sigma, from the coefficients of ``HeatModel``), the B and F grids, the rows
+of PP values at s = 1..J and the K series of both signs are all computed
+when the split is built, each for every row in one vectorised pass.  Every residue of
 zeta is ``HeatModel.residue``, here as in the Res term of the torsion.
-Callers build each split with every row it serves (``torsion.build_splits``)
+Callers build the split with every row it serves (``torsion.build_splits``)
 and pass it to its readers; its tables live on it.
 
 The shifted derivatives at zero are assembled from the absolutely convergent
@@ -342,25 +346,27 @@ def _f_table(sl: SpectralSlice, a2: np.ndarray, t0: float, grid: np.ndarray) -> 
     mu = sl.eta + a2[:, None]
     keep = mu * t0 <= _EXP_FLOOR
     f_mu = mu[keep]
-    f_mult = sl.mult[np.nonzero(keep)[1]]
+    f_counts = sl.counts[np.nonzero(keep)[1]]
     # row i's levels are f_mu[ends[i-1]:ends[i]]
     ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
     levels = upper_gamma_grid(f_mu * t0, grid.size - 1)
     # one scalar exponent per sigma: a broadcast array of exponents
     # takes another power routine, an ulp off on some levels
-    terms = [(f_mult * (f_mu**-s * level)).tolist() for s, level in zip(grid.tolist(), levels)]
+    terms = [(f_counts * (f_mu**-s * level)).tolist() for s, level in zip(grid.tolist(), levels)]
     rows = zip([0] + ends[:-1], ends)
     return np.array([[math.fsum(t[a:b]) for t in terms] for a, b in rows])
 
 
 class MellinSplit:
-    """Continuation engine for one spectral slice at one split point t0 and
-    a tuple of shifts, built by its caller with every row it is to serve.
+    """Continuation engine for the levels of one spectral slice, per lattice
+    point, at one split point t0 and a tuple of shifts, built by its caller
+    with every row it is to serve.
 
     Row i of the split is the slice's spectrum eta with the shift a_i of
     ``shifts`` (default: the slice's own alpha alone), i.e. the levels
-    eta + a_i^2 and the heat model of a_i; the scaling study reads one row
-    per mu, at a_i = alpha / mu_i.  The constructor computes every
+    eta + a_i^2 and the heat model of a_i; ``torsion.build_splits`` gives a
+    torus one split whose rows are alpha_k / mu_i for every degree k < n/2
+    and every mu_i of a scaling grid.  The constructor computes every
     component as one table over (row, grid sigma), for all rows at once, and
     its readers index the tables.  A, B and F are defined on the grid sigma
     in {0, 1/2, ..., J/2}, J = default_order(n), alone; a sigma off it is a
@@ -391,7 +397,6 @@ class MellinSplit:
         self.n = cs.dim_n
         self.h = self.n // 2
         self.order = default_order(self.n)
-        self.kappa = sl.kappa
         self.shifts = (float(sl.alpha),) if shifts is None else tuple(map(float, shifts))
         a2 = [a * a for a in self.shifts]
         self.a2 = np.array(a2)
@@ -407,7 +412,7 @@ class MellinSplit:
                 "slice cutoff too small for the Mellin tail sum",
                 required_cutoff=_EXP_FLOOR / self.t0,
             )
-        self.heats = [HeatModel(self.kappa, cs.volume, self.n, a) for a in self.shifts]
+        self.heats = [HeatModel(cs.volume, self.n, a) for a in self.shifts]
         self.v_n = self.heats[0].v_n
         self._grid = np.arange(self.order + 1) / 2.0
         # each row's heat expansion through t^(terms + h + 3): h + 4 powers
@@ -464,13 +469,13 @@ class MellinSplit:
 
     def _remainders(self, t: np.ndarray) -> np.ndarray:
         """R_i(t) = scale_i * sum m e^{-|p|^2/(4t)} at every entry of ``t``
-        (all > 0) and row i, shape (nodes x rows), with scale_i = kappa V_n
+        (all > 0) and row i, shape (nodes x rows), with scale_i = V_n
         t^{-n/2} e^{-a_i^2 t}.  One ``theta_sums`` pass serves every row: each
         node sums the prefix of the sorted primal norms whose terms, scaled
         by the largest scale (the smallest shift's), reach e^{-THETA_CUT}, a
         superset of each row's own prefix; the scalar form, one node and row
         at a time, is ``remainder_ref`` of ``tests/reference_oracles.py``."""
-        scale = self.kappa * self.v_n * t[:, None] ** (-self.h) * np.exp(-self.a2 * t[:, None])
+        scale = self.v_n * t[:, None] ** (-self.h) * np.exp(-self.a2 * t[:, None])
         sums = theta_sums(self._p_sq, self._p_counts, 4.0 * t, np.log(scale[:, self._widest]))
         return scale * sums[:, None]
 
@@ -530,16 +535,16 @@ class MellinSplit:
         pp = (self._a_fin[:, 1:] + self.b[:, 1:] + f - self._a_res[:, 1:] * psi) / g
         return pp, (self.b_err + (1e-13 * f + 1e-22)) / g
 
-    def pp_s(self, r: int) -> tuple[float, float]:
+    def pp_s(self, r: int, row: int = 0) -> tuple[float, float]:
         """PP value of zeta_{k,N} at integer s = r (plain value off poles) in
-        the first row."""
+        row ``row``."""
         if r <= 0:
             raise DomainError("PP values are defined for integer s >= 1")
         i = self._grid_index(r / 2.0) - 1
-        return float(self.pp[0, i]), float(self.pp_err[0, i])
+        return float(self.pp[row, i]), float(self.pp_err[row, i])
 
-    def zeta0(self) -> float:
-        rho, _ = self.a_residue_and_finite(0.0)
+    def zeta0(self, row: int = 0) -> float:
+        rho, _ = self.a_residue_and_finite(0.0, row)
         return rho
 
     def zeta_prime0(self, row: int = 0) -> tuple[float, float]:
@@ -556,8 +561,9 @@ class MellinSplit:
 
 
 def _k_tail_bound(sl: SpectralSlice, c: float, nu_max: float, order: int) -> float:
-    """Weyl-density bound on the dropped K-series tail of ``sl`` beyond nu_max;
-    the density is the leading residue Res_{s=n} zeta_k."""
+    """Weyl-density bound on the dropped K-series tail of ``sl`` beyond nu_max,
+    per lattice point; the density is the leading residue Res_{s=n} zeta_k
+    of the per-point heat model, the same in every degree."""
     n = sl.cross_section.dim_n
     if nu_max <= abs(c) or order + 1 <= n:
         return math.inf
@@ -622,7 +628,7 @@ def _k_direct(sl: SpectralSlice, shifts: Sequence[float], order: int) -> tuple[l
         head *= yf[: head.size]
         head += 1.0 / r
     terms[far] = acc * yf ** (order + 1)
-    values = [[math.fsum(row) for row in shift] for shift in (terms * sl.mult).tolist()]
+    values = [[math.fsum(row) for row in shift] for shift in (terms * sl.counts).tolist()]
     bounds = [
         [_k_tail_bound(sl, c, nu_max, order) for c in (shifts[i], -shifts[i])]
         for i, nu_max in zip(rows, nu[:, -1].tolist())
@@ -631,11 +637,11 @@ def _k_direct(sl: SpectralSlice, shifts: Sequence[float], order: int) -> tuple[l
     return [values[i] for i in back], [bounds[i] for i in back]
 
 
-def shifted_zeta0(ms: MellinSplit, sign: int) -> float:
+def shifted_zeta0(ms: MellinSplit, sign: int, row: int = 0) -> float:
     """zeta_{k,N}(0, sign*a) = zeta(0) + sum_r ((-c)^r/r) Res_{s=r} zeta at
-    the shift a of the first row of the split ``ms``."""
-    c = sign * ms.shifts[0]
-    return ms.zeta0() + math.fsum((-c) ** r / r * ms.heats[0].residue(r) for r in range(1, ms.n + 1))
+    the shift a of row ``row`` of the split ``ms``."""
+    c = sign * ms.shifts[row]
+    return ms.zeta0(row) + math.fsum((-c) ** r / r * ms.heats[row].residue(r) for r in range(1, ms.n + 1))
 
 
 def shifted_zeta_prime0(ms: MellinSplit, sign: int, row: int = 0) -> tuple[float, float]:
@@ -664,7 +670,7 @@ def shifted_zeta_prime0(ms: MellinSplit, sign: int, row: int = 0) -> tuple[float
 
 @dataclass
 class ZetaEval:
-    """Continuation artifacts for one slice."""
+    """Continuation artifacts for one degree."""
 
     residues: Dict[int, float]
     zeta0: float
@@ -675,47 +681,33 @@ class ZetaEval:
     err: Dict[str, float] = field(default_factory=dict)
 
 
-def build_zeta_eval(ms: MellinSplit) -> ZetaEval:
-    """Assemble every continuation artifact of the split's first row."""
+def build_zeta_eval(ms: MellinSplit, row: int = 0, weight: int = 1) -> ZetaEval:
+    """Assemble every continuation artifact of row ``row`` of the split,
+    each value and error estimate times ``weight``, the integer weight of
+    the degree the row serves, applied once to the per-point value."""
     n = ms.n
-    residues = {r: ms.heats[0].residue(2 * r) for r in range(1, n // 2 + 1)}
-    z0 = ms.zeta0()
-    zp, zp_err = ms.zeta_prime0()
-    pp = {}
-    pp_err = 0.0
-    for r in range(1, n + 1):
-        v, e = ms.pp_s(r)
-        pp[r] = v
-        pp_err = max(pp_err, e)
-    shifted0 = {sign: shifted_zeta0(ms, sign) for sign in (+1, -1)}
-    sp = {}
-    sp_err = 0.0
-    for sign in (+1, -1):
-        v, e = shifted_zeta_prime0(ms, sign)
-        sp[sign] = v
-        sp_err = max(sp_err, e)
+    residues = {r: weight * ms.heats[row].residue(2 * r) for r in range(1, n // 2 + 1)}
+    z0 = weight * ms.zeta0(row)
+    zp, zp_err = (weight * v for v in ms.zeta_prime0(row))
+    pp = {r: [weight * v for v in ms.pp_s(r, row)] for r in range(1, n + 1)}
+    shifted0 = {sign: weight * shifted_zeta0(ms, sign, row) for sign in (+1, -1)}
+    sp = {sign: [weight * v for v in shifted_zeta_prime0(ms, sign, row)] for sign in (+1, -1)}
     eps = 1e-15
     err = {
         "residues": eps * max((abs(v) for v in residues.values()), default=0.0),
         "zeta0": eps * abs(z0),
         "zeta_prime0": zp_err + eps * abs(zp),
-        "pp_values": pp_err,
+        "pp_values": max(e for _, e in pp.values()),
         "shifted0": eps * max(abs(v) for v in shifted0.values()),
-        "shifted_prime0": sp_err,
+        "shifted_prime0": max(e for _, e in sp.values()),
     }
-    return ZetaEval(
-        residues=residues,
-        zeta0=z0,
-        zeta_prime0=zp,
-        pp_values=pp,
-        shifted0=shifted0,
-        shifted_prime0=sp,
-        err=err,
-    )
+    values = {r: v for r, (v, _) in pp.items()}
+    return ZetaEval(residues, z0, zp, values, shifted0, {sign: v for sign, (v, _) in sp.items()}, err)
 
 
 def cutoff_for_tolerance(cs: CrossSection, k: int, tol: float, t0: float) -> float:
-    """Eigenvalue cutoff so the K-series tail at the default order J stays below ``tol``.
+    """Eigenvalue cutoff so the K-series tail of degree k per lattice point
+    at the default order J stays below ``tol``.
 
     Inverts the Weyl tail bound for the slowest-converging downstream series
     and never returns less than the window needed by the Mellin tail sum of
@@ -727,7 +719,7 @@ def cutoff_for_tolerance(cs: CrossSection, k: int, tol: float, t0: float) -> flo
     alpha = abs(float(cs.alpha(k)))
     power = j + 1 - n
     # solved for v in logs: alpha^(J+1) overflows binary64 at high n
-    log_base = cs.log_weyl_density(k) + (j + 1) * math.log(alpha) - math.log((j + 1) * power * tol)
+    log_base = cs.log_weyl_density() + (j + 1) * math.log(alpha) - math.log((j + 1) * power * tol)
     v = max(2.0 * alpha + 1.0, math.exp(log_base / power))
     for _ in range(3):
         geo = 1.0 / max(1.0 - alpha / v, 0.5)

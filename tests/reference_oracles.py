@@ -47,15 +47,15 @@ from conetorsion.torsion import NumericsParams, _integrate_model_ode, build_spli
 
 
 def second_order_remainder(fo, u: float) -> float:
-    """R(u) = kappa e^{-a^2 u} (theta_L(u) - V_n u^{-h}), exact both ways."""
+    """R(u) = e^{-a^2 u} (theta_L(u) - V_n u^{-h}), exact both ways."""
     if u <= 0:
         return 0.0
     if u <= fo._u_c:
         expo = fo._p_sq / (4.0 * u)
         s_p = float(np.sum(np.exp(-np.minimum(expo, 745.0)) * fo._p_counts))
-        return fo.kappa * fo.v_n * u ** (-fo.h) * math.exp(-fo.a2 * u) * s_p
+        return fo.v_n * u ** (-fo.h) * math.exp(-fo.a2 * u) * s_p
     dual = 1.0 + float(np.sum(np.exp(-np.minimum(fo._eta * u, 745.0)) * fo._counts))
-    return fo.kappa * math.exp(-fo.a2 * u) * (dual - fo.v_n * u ** (-fo.h))
+    return math.exp(-fo.a2 * u) * (dual - fo.v_n * u ** (-fo.h))
 
 
 def model_theta(fo, t: float) -> float:
@@ -82,7 +82,7 @@ def remainder_ref(ms, t: float) -> float:
     whose terms scale * e^{-|p|^2/(4t)} reach e^{-THETA_CUT}; 0 for t <= 0."""
     if t <= 0.0:
         return 0.0
-    scale = ms.kappa * ms.v_n * t ** (-ms.h) * math.exp(-float(ms.a2[0]) * t)
+    scale = ms.v_n * t ** (-ms.h) * math.exp(-float(ms.a2[0]) * t)
     horizon = 4.0 * t * (crosssection.THETA_CUT + math.log(scale))
     m = int(np.searchsorted(ms._p_sq, horizon, side="right"))
     if m == 0:
@@ -103,7 +103,7 @@ def f_ref(ms, sigma: float) -> float:
     adaptive quadrature per level, over the slice levels mu = eta + a^2 with
     mu t0 <= _EXP_FLOOR."""
     vals = []
-    for eta, m in zip(ms.sl.eta.tolist(), ms.sl.mult.tolist()):
+    for eta, m in zip(ms.sl.eta.tolist(), ms.sl.counts.tolist()):
         mu = eta + float(ms.a2[0])
         if mu * ms.t0 > zeta._EXP_FLOOR:
             continue
@@ -117,7 +117,7 @@ def f_ref(ms, sigma: float) -> float:
 
 def a_ref(ms, sigma: float) -> float:
     """A(sigma) of the first row of the Mellin split ``ms`` at any sigma off its poles: the heat
-    model kappa (V_n t^{-h} - 1) times the exponential series of
+    model (V_n t^{-h} - 1) times the exponential series of
     e^{-alpha^2 t}, integrated over (0, t0] term by term and summed in order.
     The series is cut h + 4 terms past the first term (alpha^2 t0)^i / i!
     below 1e-24."""
@@ -129,7 +129,7 @@ def a_ref(ms, sigma: float) -> float:
     total = 0.0
     for i in range(terms + ms.h + 4):
         c = (-a2) ** i / math.factorial(i)
-        for coef, q in ((ms.kappa * ms.v_n * c, i - ms.h), (-ms.kappa * c, i)):
+        for coef, q in ((ms.v_n * c, i - ms.h), (-c, i)):
             d = sigma + q
             if abs(d) < 1e-13:
                 raise ZetaPoleError(f"sigma={sigma} hits a heat-expansion pole")
@@ -156,7 +156,7 @@ def theta_direct(fo, cs, t: float) -> float:
     nu_need = (_HORIZON + 8.0) / t
     eta, counts = cs.lattice_eta_levels(cutoff=nu_need * nu_need)
     nu = np.sqrt(eta + fo.a2)
-    return float(np.sum(counts * fo.kappa * np.exp(-(nu + fo.shifts[0]) * t)))
+    return float(np.sum(counts * np.exp(-(nu + fo.shifts[0]) * t)))
 
 
 def gy_full_cone_oracle(spec, z: float, x_start: float = 0.3, terms: int = 60) -> float:
@@ -234,7 +234,7 @@ def residue_double_sum(cs: CrossSection) -> float:
             heat.residue(2 * r) * float(digamma_weighted_zdiff(r, alpha))
             for r in range(1, h + 1)
         )
-        total += (-1) ** k / 2.0 * inner
+        total += (-1) ** k / 2.0 * cs.coclosed_point_multiplicity(k) * inner
     return total
 
 
@@ -343,9 +343,10 @@ def truncated_expansion(sl, t: float) -> float:
 
 
 def model_part(sl, t: float) -> float:
-    """kappa (V_n t^{-n/2} - 1) e^{-alpha^2 t}, the un-truncated heat model of ``sl``."""
+    """(V_n t^{-n/2} - 1) e^{-alpha^2 t}, the un-truncated heat model of ``sl``
+    per lattice point."""
     hm = crosssection.theta_heat_coeffs(sl.cross_section, sl.k)
-    return hm.kappa * (hm.v_n * t ** (-hm.n / 2.0) - 1.0) * math.exp(-hm.alpha**2 * t)
+    return (hm.v_n * t ** (-hm.n / 2.0) - 1.0) * math.exp(-hm.alpha**2 * t)
 
 
 def series_remainder_bound(sl, t: float) -> float:
@@ -354,40 +355,41 @@ def series_remainder_bound(sl, t: float) -> float:
     hm = crosssection.theta_heat_coeffs(sl.cross_section, sl.k)
     h, a2t = hm.n // 2, hm.alpha * hm.alpha * t
     lead = hm.v_n * t ** (-h) * a2t ** (hm.n + 1) / math.factorial(hm.n + 1)
-    return hm.kappa * (lead + a2t ** (h + 1) / math.factorial(h + 1)) * math.exp(a2t)
+    return (lead + a2t ** (h + 1) / math.factorial(h + 1)) * math.exp(a2t)
 
 
 def heat_remainder_bound(sl, t: float) -> float:
     """Bound for |Theta_k(t) - truncated expansion| of ``sl``: the series tail
-    plus the lattice remainder kappa V_n t^{-n/2} e^{-alpha^2 t} S_P(t), which
+    plus the lattice remainder V_n t^{-n/2} e^{-alpha^2 t} S_P(t), which
     is exponentially small as t -> 0 but order one at t ~ 1."""
     sq, counts = sl.cross_section.primal_norms(max_sq=4.0 * t * 60.0)
     s_p = float(np.sum(np.exp(-sq / (4.0 * t)) * counts)) if sq.size else 0.0
     hm = crosssection.theta_heat_coeffs(sl.cross_section, sl.k)
-    lattice = sl.kappa * hm.v_n * t ** (-hm.n / 2.0) * math.exp(-sl.alpha**2 * t) * s_p
+    lattice = hm.v_n * t ** (-hm.n / 2.0) * math.exp(-sl.alpha**2 * t) * s_p
     return series_remainder_bound(sl, t) + lattice * (1.0 + 1e-9) + 1e-15
 
 
 def weyl_constant(sl) -> float:
-    """c_W in the Weyl count c_W lam^{n/2} = kappa Vol lam^{n/2} / ((4 pi)^{n/2} Gamma(n/2+1))."""
+    """c_W in the Weyl count c_W lam^{n/2} = Vol lam^{n/2} / ((4 pi)^{n/2} Gamma(n/2+1))
+    of the lattice points."""
     n = sl.cross_section.dim_n
-    return sl.kappa * sl.cross_section.volume / ((4.0 * math.pi) ** (n / 2.0) * math.gamma(n / 2.0 + 1.0))
+    return sl.cross_section.volume / ((4.0 * math.pi) ** (n / 2.0) * math.gamma(n / 2.0 + 1.0))
 
 
 def expected_count(sl, cutoff: float) -> float:
-    """The Weyl count of the levels of ``sl`` up to ``cutoff``."""
+    """The Weyl count of the lattice points of ``sl`` up to ``cutoff``."""
     return weyl_constant(sl) * cutoff ** (sl.cross_section.dim_n / 2.0)
 
 
 def count_bound(sl, cutoff: float) -> float:
     """Bound on |count - expected_count|: the lattice points within one dual
-    cell diameter d of the sphere, kappa Vol omega_n ((r + d)^n - (r - d)^n) + kappa."""
+    cell diameter d of the sphere, Vol omega_n ((r + d)^n - (r - d)^n) + 1."""
     cs = sl.cross_section
     r = math.sqrt(max(cutoff, 0.0)) / (2.0 * math.pi)
     d = float(np.sum(np.linalg.norm(cs.dual_basis(), axis=0)))
     shell = (r + d) ** cs.dim_n - max(r - d, 0.0) ** cs.dim_n
     omega = math.pi ** (cs.dim_n / 2.0) / math.gamma(cs.dim_n / 2.0 + 1.0)
-    return sl.kappa * cs.volume * omega * shell + sl.kappa
+    return cs.volume * omega * shell + 1.0
 
 
 class EigenLevel(NamedTuple):

@@ -238,7 +238,8 @@ def test_criterion_8_tors_duality_and_scaling(unit_t2, unit_t4):
 
 def test_criterion_9_spectra_oracle(unit_t2, unit_t4):
     """coclosed_spectrum matches brute_force_form_laplacian exactly in
-    multiplicity and <= 1e-9 relative in eigenvalue on truncated bases."""
+    multiplicity, the lattice-point count times the degree's weight
+    rank C(n-1, k), and <= 1e-9 relative in eigenvalue on truncated bases."""
     worst = 0.0
     exact_mult = True
     for cs, cut in ((unit_t2, 2), (unit_t4, 1)):
@@ -249,8 +250,9 @@ def test_criterion_9_spectra_oracle(unit_t2, unit_t4):
             sl = coclosed_spectrum(cs, k, bound)
             pairs = [(lv.eta, lv.mult) for lv in oracle if lv.eta <= bound]
             exact_mult &= len(pairs) == sl.eta.size
-            for (eo, mo), es, ms in zip(pairs, sl.eta, sl.mult):
+            weight = cs.coclosed_point_multiplicity(k)
+            for (eo, mo), es, count in zip(pairs, sl.eta, sl.counts):
                 worst = max(worst, abs(eo - es) / es)
-                exact_mult &= mo == ms
+                exact_mult &= mo == weight * count
     ok = exact_mult and worst <= 1e-9
     _report(9, ok, f"multiplicities exact: {exact_mult}; eigenvalue rel {worst:.2e} (<= 1e-9)")

@@ -46,14 +46,14 @@ def _torus(basis) -> CrossSection:
 
 
 def _splits(basis, t0: float = 1.0):
-    """One split per distinct (kappa, alpha^2): the remainder depends on the
-    slice through these alone.  The slices reach the summation horizon of
+    """One split per distinct alpha^2: the per-point remainder depends on
+    the slice through it alone.  The slices reach the summation horizon of
     the F table, which each split computes when it is built."""
     cs = _torus(basis)
     seen = {}
     for k in range(cs.dim_n):
         ms = zeta.MellinSplit(coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-8, t0)), t0)
-        seen.setdefault((ms.kappa, float(ms.a2[0])), ms)
+        seen.setdefault(float(ms.a2[0]), ms)
     return list(seen.values())
 
 
@@ -81,7 +81,7 @@ def test_remainders_match_scalar(name, t0):
     for ms in _splits(basis, t0):
         got = ms._remainders(t)[:, 0]
         ref = np.array([remainder_ref(ms, float(x)) for x in t])
-        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref) + 1e-300), (ms.kappa, ms.a2)
+        assert np.all(np.abs(got - ref) <= 1e-15 * np.abs(ref) + 1e-300), ms.a2
 
 
 def _first_order_b1(basis) -> np.ndarray:
@@ -204,5 +204,5 @@ def test_planned_b_takes_two_rounds(name, monkeypatch):
         sl = coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-8, t0))
         rounds.clear()
         ms = zeta.MellinSplit(sl, t0)
-        assert len(rounds) <= 2, (ms.kappa, ms.a2, len(rounds))
-        assert len(rounds) >= 1 or ms._p_sq.size == 0, (ms.kappa, ms.a2)
+        assert len(rounds) <= 2, (ms.a2, len(rounds))
+        assert len(rounds) >= 1 or ms._p_sq.size == 0, ms.a2

@@ -459,21 +459,59 @@ def test_a_mu_grid_past_1024_rows_is_a_config_error(tmp_path, capsys, via):
 @pytest.mark.parametrize("rank", [10**20, 10**400], ids=["1e20", "1e400"])
 @pytest.mark.parametrize("command", ["torsion", "anomaly", "dump-spectrum"])
 def test_a_rank_past_int64_multiplicities_is_a_config_error(tmp_path, capsys, rank, command):
-    """A schema-valid rank whose multiplicities rank * C(n-1, k) * (lattice
-    points) could pass int64 exits 2 naming bundle_rank, where it died on an
-    integer conversion (exit 1)."""
+    """The rank is an exact integer weight applied once to a double, so a
+    rank past int64 runs: at 1e20 each command exits 0 with finite terms
+    and the exact weight.  The one bound is binary64's: rank * C(n, n/2)
+    must be a finite double, so at 1e400 each command exits 2 naming
+    bundle_rank.  (The name records the int64 refusal this replaced.)"""
     doc = {**UNIT_T2, "cross_section": {**UNIT_T2["cross_section"], "bundle_rank": rank}}
     out = tmp_path / "out.json"
-    assert cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 2
-    assert "cross_section.bundle_rank: must be at most 92233720368 at n = 2" in capsys.readouterr().err
-    assert not out.exists()
+    code = cli.main([command, "--config", _write_config(tmp_path, doc), "--out", str(out)])
+    err = capsys.readouterr().err
+    if rank == 10**400:
+        assert code == 2
+        assert "cross_section.bundle_rank: rank * C(n, n/2) must be a finite double at n = 2" in err
+        assert not out.exists()
+        return
+    assert (code, err) == (0, "")
+    result = json.loads(out.read_text())["result"]
+    if command == "dump-spectrum":
+        assert [sl["point_multiplicity"] for sl in result["slices"].values()] == [rank, rank]
+        assert result["slices"]["0"]["levels"][0][1] == 4
+    else:
+        terms = ("log_torsion", "top", "tors", "res") if command == "torsion" else ("res", "anomaly_integral")
+        assert all(math.isfinite(result[term]) for term in terms)
 
 
 def test_a_large_rank_below_the_int64_limit_runs(tmp_path):
     doc = {**UNIT_T2, "cross_section": {**UNIT_T2["cross_section"], "bundle_rank": 10**6}}
     out = tmp_path / "out.json"
     assert cli.main(["torsion", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["result"]["log_torsion"] == -218281.05090467934
+    assert json.loads(out.read_text())["result"]["log_torsion"] == -218281.05090467946
+
+
+@pytest.mark.parametrize(
+    "command, extra, what",
+    [
+        ("torsion", [], "Tors of the flat T^2"),
+        ("truncated", ["--epsilon", "0.25"], "Tors of the flat T^2"),
+        ("scaling", ["--mu", "2"], "Tors of the flat T^2"),
+        ("dump-zeta", [], "a dump-zeta value"),
+        ("dump-spectrum", [], "a dump-spectrum value"),
+    ],
+)
+def test_a_term_outside_binary64_exits_1_naming_it(tmp_path, capsys, command, extra, what):
+    """On 64 I T^2 at rank 1e307 (rank * C(2, 1) is a double) the per-point
+    Tors, about 85, times the rank is not: each command that sums Tors exits
+    1 naming it, and the dumps, whose weighted values (zeta'(0), the leading
+    heat coefficient Vol / (4 pi)) overflow too, exit 1, where each report
+    would have held null."""
+    block = {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[64.0, 0.0], [0.0, 64.0]], "bundle_rank": 10**307}
+    out = tmp_path / "out.json"
+    path = _write_config(tmp_path, {"schema": 1, "cross_section": block})
+    assert cli.main([command, "--config", path, *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {what} lies outside binary64\n"
+    assert not out.exists()
 
 
 HUGE_DIM_SCRIPT = """
@@ -662,11 +700,11 @@ UNIT_T4 = {
 }
 
 
-@pytest.mark.parametrize("doc,splits", [(SHEARED_T2, 1), (UNIT_T4, 2)], ids=["t2", "t4"])
+@pytest.mark.parametrize("doc,splits", [(SHEARED_T2, 1), (UNIT_T4, 1)], ids=["t2", "t4"])
 def test_truncated_builds_each_split_once(tmp_path, monkeypatch, doc, splits):
-    """A ``truncated`` job builds one slice set, for the cone, whose Tors
-    the difference formula reads: one MellinSplit per built slice, degrees
-    k < n/2."""
+    """A ``truncated`` job builds one slice, for the cone, whose Tors the
+    difference formula reads, and one MellinSplit on it, whose rows serve
+    every degree."""
     built = []
     init = zeta.MellinSplit.__init__
 
@@ -746,14 +784,17 @@ def _count_builds(monkeypatch) -> tuple[list, list]:
     [("torsion", []), ("truncated", ["--epsilon", "0.25"]), ("dump-zeta", []), ("scaling", ["--mu", MU_32])],
 )
 def test_unit_t4_runs_build_the_lower_half_slices_once(tmp_path, monkeypatch, command, extra):
-    """A run builds the slices of degrees k < n/2 and one MellinSplit on
-    each: 2 of each on unit T^4, whose degrees 2 and 3 are read off 1 and 0.
-    A scaling run's splits carry one row per mu, 32 here."""
+    """A run builds one slice, whose levels every degree shares, and one
+    MellinSplit on it: on unit T^4 its rows are alpha_0 and alpha_1, and
+    degrees 2 and 3 are read off rows 1 and 0.  A scaling run's split
+    carries those two rows per mu, 64 here."""
     spectra, splits = _count_builds(monkeypatch)
     cfg = _write_config(tmp_path, UNIT_T4)
     out = tmp_path / "out.json"
     assert cli.main([command, "--config", cfg, *extra, "--out", str(out)]) == 0
-    assert (len(spectra), len(splits)) == (2, 2)
+    assert (len(spectra), len(splits)) == (1, 1)
+    rows = 2 * (MU_32.count(",") + 1) if command == "scaling" else 2
+    assert len(splits[0][2]) == rows
 
 
 @pytest.mark.parametrize("mu", ["2,4,8", MU_32], ids=["3-rows", "32-rows"])
@@ -779,9 +820,11 @@ MIRROR_BASES = {
 @pytest.mark.parametrize("setting", [("tolerance", 1e-10), ("cutoff", 700.0)], ids=lambda s: s[0])
 @pytest.mark.parametrize("name", list(MIRROR_BASES))
 def test_upper_degrees_equal_their_own_slices(tmp_path, name, setting):
-    """dump-spectrum and dump-zeta read degree k >= n/2 off slice n-1-k; each
-    such entry equals, bit for bit, the one computed on slice k built on its
-    own (the reports round-trip floats losslessly)."""
+    """dump-spectrum and dump-zeta read degree k >= n/2 off row n-1-k of the
+    torus's split with the shift negated; each such entry equals, bit for
+    bit, the one computed on slice k built on its own, at the shared window,
+    with a split whose rows are the upper degrees' shifts -alpha_j, times
+    the weight of degree k (the reports round-trip floats losslessly)."""
     basis = MIRROR_BASES[name]
     doc = {
         "schema": 1,
@@ -796,18 +839,22 @@ def test_upper_degrees_equal_their_own_slices(tmp_path, name, setting):
         out = tmp_path / f"{command}.json"
         assert cli.main([command, "--config", path, f"--{key}", repr(value), "--out", str(out)]) == 0
         reports[command] = json.loads(out.read_text())["result"]["slices"]
-    for k in range(cs.dim_n // 2, cs.dim_n):
-        sl = T.coclosed_spectrum(cs, k, params.slice_cutoff(cs, k, zeta.plan_t0(cs)))
-        ev = zeta.build_zeta_eval(zeta.MellinSplit(sl, zeta.plan_t0(cs)))
+    n, h, t0 = cs.dim_n, cs.dim_n // 2, zeta.plan_t0(cs)
+    cutoff = max(params.slice_cutoff(cs, j, t0) for j in range(h))
+    for k in range(h, n):
+        sl = T.coclosed_spectrum(cs, k, cutoff)
+        weight = cs.coclosed_point_multiplicity(k)
+        split = zeta.MellinSplit(sl, t0, [float(cs.alpha(n - 1 - j)) for j in range(h)])
+        ev = zeta.build_zeta_eval(split, n - 1 - k, weight)
         heat = theta_heat_coeffs(cs, k)
         spectrum = {
             "alpha": sl.alpha,
             "betti": cs.betti(k),
             "cutoff": sl.cutoff,
-            "point_multiplicity": sl.kappa,
+            "point_multiplicity": weight,
             "heat_powers": heat.powers,
-            "heat_coefficients": heat.coefficients,
-            "levels": [[float(e), int(m)] for e, m in zip(sl.eta, sl.mult)],
+            "heat_coefficients": [weight * c for c in heat.coefficients],
+            "levels": [[float(e), int(c)] for e, c in zip(sl.eta, sl.counts)],
         }
         zeta_entry = {
             "alpha": sl.alpha,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conetorsion import cli
+from conetorsion import torsion as T
 from conetorsion.crosssection import (
     GROUP_TOL,
     CrossSection,
@@ -120,10 +121,10 @@ def test_betti_numbers(unit_t2, unit_t4):
 def test_first_levels(unit_t2):
     sl = coclosed_spectrum(unit_t2, 0, 500.0)
     assert sl.eta[0] == pytest.approx(4 * math.pi**2, rel=1e-14)
-    assert sl.mult[0] == 4
+    assert sl.counts[0] == 4
     sl1 = coclosed_spectrum(unit_t2, 1, 500.0)
     assert np.array_equal(sl.eta, sl1.eta)
-    assert np.array_equal(sl.mult, sl1.mult)
+    assert np.array_equal(sl.counts, sl1.counts)
 
 
 def test_empty_slice_is_valid(unit_t2):
@@ -145,14 +146,15 @@ def test_duality_of_slices(unit_t2, unit_t4):
             a = coclosed_spectrum(cs, k, 900.0)
             b = coclosed_spectrum(cs, n - 1 - k, 900.0)
             assert np.array_equal(a.eta, b.eta)
-            assert np.array_equal(a.mult, b.mult)
+            assert np.array_equal(a.counts, b.counts)
+            assert cs.coclosed_point_multiplicity(k) == cs.coclosed_point_multiplicity(n - 1 - k)
             assert a.alpha == -b.alpha
 
 
 def test_weyl_law_three_cutoffs(unit_t2):
     for lam in (500.0, 2000.0, 8000.0):
         sl = coclosed_spectrum(unit_t2, 0, lam)
-        count = int(sl.mult.sum())
+        count = int(sl.counts.sum())
         assert abs(count - expected_count(sl, lam)) <= count_bound(sl, lam)
 
 
@@ -164,9 +166,9 @@ def test_oracle_agreement_t2(unit_t2):
         pairs = [(lv.eta, lv.mult) for lv in oracle if lv.eta <= bound]
         assert len(pairs) >= 3
         assert len(pairs) == sl.eta.size
-        for (eo, mo), es, ms in zip(pairs, sl.eta, sl.mult):
+        for (eo, mo), es, count in zip(pairs, sl.eta, sl.counts):
             assert abs(eo - es) / es <= 1e-9
-            assert mo == ms
+            assert mo == unit_t2.coclosed_point_multiplicity(k) * count
 
 
 def test_oracle_agreement_t4(unit_t4):
@@ -175,9 +177,9 @@ def test_oracle_agreement_t4(unit_t4):
         sl = coclosed_spectrum(unit_t4, k, 100.0)
         # first level fits inside the |m|_inf <= 1 box
         assert abs(oracle[0].eta - sl.eta[0]) / sl.eta[0] <= 1e-9
-        assert oracle[0].mult == sl.mult[0]
         kappa = unit_t4.coclosed_point_multiplicity(k)
-        assert oracle[0].mult == 8 * kappa  # 8 nearest lattice vectors
+        assert sl.counts[0] == 8  # 8 nearest lattice vectors
+        assert oracle[0].mult == kappa * sl.counts[0]
 
 
 def test_hodge_dimension_count(unit_t2, unit_t4):
@@ -201,15 +203,18 @@ def test_rank_scaling():
     rank2 = build_cross_section(
         {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0], [0, 1]], "bundle_rank": 2}
     )
+    """The rank enters as the weight alone: the counts and the per-point
+    heat model are those of rank 1."""
     sl = coclosed_spectrum(rank2, 0, 500.0)
-    assert sl.mult[0] == 8
-    assert theta_heat_coeffs(rank2, 0).coefficient(0) == pytest.approx(2 / (4 * math.pi))
+    weight = rank2.coclosed_point_multiplicity(0)
+    assert (sl.counts[0], weight) == (4, 2)
+    assert weight * theta_heat_coeffs(rank2, 0).coefficient(0) == pytest.approx(2 / (4 * math.pi))
 
 
 def test_heat_coefficients_unit_t2(unit_t2):
     """Derived by multiplying (1/(4 pi t) - 1) by e^{-t/4} and collecting
     orders; the same expansion holds for k = 1 (identical slices by duality,
-    the subtracted constant is the per-point multiplicity, not b_1)."""
+    the subtracted constant is one lattice point's, not b_1)."""
     for k in (0, 1):
         hm = theta_heat_coeffs(unit_t2, k)
         assert hm.coefficient(0) == pytest.approx(1 / (4 * math.pi), rel=1e-15)
@@ -218,10 +223,12 @@ def test_heat_coefficients_unit_t2(unit_t2):
 
 
 def test_leading_weyl_coefficient(unit_t4):
+    """Per lattice point the leading coefficient is Vol / (4 pi)^2 in every
+    degree; degree k weighs it by rank C(3, k)."""
     for k in range(4):
         hm = theta_heat_coeffs(unit_t4, k)
-        kappa = unit_t4.coclosed_point_multiplicity(k)
-        assert hm.coefficient(0) == pytest.approx(kappa * unit_t4.volume / (4 * math.pi) ** 2)
+        assert hm.coefficient(0) == pytest.approx(unit_t4.volume / (4 * math.pi) ** 2)
+        assert unit_t4.coclosed_point_multiplicity(k) == math.comb(3, k)
 
 
 WEYL_TORI = {
@@ -237,17 +244,17 @@ WEYL_TORI = {
 
 @pytest.mark.parametrize("name", list(WEYL_TORI))
 def test_weyl_density_is_the_leading_residue(name):
-    """The log Weyl density that sets every slice cutoff is the log of the
-    leading residue Res_{s=n} zeta_k = 2 kappa Vol / ((4 pi)^{n/2}
-    Gamma(n/2)), which bounds every K-series tail, in every degree (measured
-    gap 1.78e-15, one ulp of the log on the T^6)."""
+    """The log Weyl density that sets every cutoff is the log of the leading
+    residue Res_{s=n} zeta = 2 Vol / ((4 pi)^{n/2} Gamma(n/2)) per lattice
+    point, which bounds every K-series tail, in every degree and at every
+    rank (measured gap 1.78e-15, one ulp of the log on the T^6)."""
     basis, rank = WEYL_TORI[name]
     cs = build_cross_section(
         {"family": "flat_torus", "dim_n": len(basis), "lattice_basis": np.asarray(basis).tolist(), "bundle_rank": rank}
     )
     for k in range(cs.dim_n):
         log_residue = math.log(theta_heat_coeffs(cs, k).residue(cs.dim_n))
-        assert cs.log_weyl_density(k) == pytest.approx(log_residue, rel=0.0, abs=1.8e-15), k
+        assert cs.log_weyl_density() == pytest.approx(log_residue, rel=0.0, abs=1.8e-15), k
 
 
 def test_theta_direct_vs_expansion(unit_t2):
@@ -257,7 +264,7 @@ def test_theta_direct_vs_expansion(unit_t2):
     sl = coclosed_spectrum(unit_t2, 0, 4000.0)
     a2 = sl.alpha**2
     for t in (0.5, 1.0, 2.0):
-        direct = float(np.sum(sl.mult * np.exp(-(sl.eta + a2) * t)))
+        direct = float(np.sum(sl.counts * np.exp(-(sl.eta + a2) * t)))
         expansion = truncated_expansion(sl, t)
         assert abs(direct - expansion) <= heat_remainder_bound(sl, t)
 
@@ -269,7 +276,7 @@ def test_exact_model_part(unit_t2):
     sl = coclosed_spectrum(unit_t2, 0, 40000.0)
     a2 = sl.alpha**2
     for t in (0.05, 0.1):
-        direct = float(np.sum(sl.mult * np.exp(-(sl.eta + a2) * t)))
+        direct = float(np.sum(sl.counts * np.exp(-(sl.eta + a2) * t)))
         shell = 4.0 / (4.0 * math.pi) * math.exp(-1.0 / (4.0 * t)) / t
         diff = abs(direct - model_part(sl, t))
         assert diff <= 2.0 * shell
@@ -307,18 +314,18 @@ def test_shear_torus_spectrum():
     )
     sl = coclosed_spectrum(shear, 0, 400.0)
     oracle = brute_force_form_laplacian(shear, 0, 2)
-    for lv, es, ms in zip(oracle[:3], sl.eta[:3], sl.mult[:3]):
+    for lv, es, count in zip(oracle[:3], sl.eta[:3], sl.counts[:3]):
         assert abs(lv.eta - es) / es <= 1e-9
-        assert lv.mult == ms
+        assert lv.mult == shear.coclosed_point_multiplicity(0) * count
 
 
 def _group_loop(values):
     """Reference grouping: extend a level while values stay within
-    GROUP_TOL * (1 + first member) of its first member."""
+    GROUP_TOL * (first member) of its first member."""
     out_vals, out_counts = [], []
     start = 0
     for i in range(1, values.size + 1):
-        if i == values.size or values[i] - values[start] > GROUP_TOL * (1.0 + values[start]):
+        if i == values.size or values[i] - values[start] > GROUP_TOL * values[start]:
             out_vals.append(float(np.mean(values[start:i])))
             out_counts.append(i - start)
             start = i
@@ -357,3 +364,28 @@ def test_group_matches_loop(name):
         ref_means, ref_counts = _group_loop(values)
         assert np.array_equal(counts, ref_counts)
         assert np.all(np.abs(means - ref_means) <= 1e-15 * np.abs(ref_means))
+
+
+def _t2_tors(basis) -> float:
+    cs = build_cross_section({"family": "flat_torus", "dim_n": 2, "lattice_basis": basis})
+    return T.tors_term(T.build_splits(cs, T.NumericsParams())).value
+
+
+def test_a_short_primal_vector_keeps_its_shells():
+    """A short primal vector puts squared norms below 1e-12, where a grouping
+    gap of GROUP_TOL * (1 + previous) merged distinct shells into their
+    mean.  On diag(1, eps) T^2, Tors - ln(eps) / (2 pi) stays within 1e-9
+    of its value at eps = 1e-5 down to eps = 1e-7; under the absolute floor
+    it was 0.145 and 0.444 off at 3e-7 and 1e-7."""
+    line = {}
+    for eps in (1e-4, 1e-5, 1e-6, 3e-7, 1e-7):
+        line[eps] = _t2_tors([[1.0, 0.0], [0.0, eps]]) - math.log(eps) / (2.0 * math.pi)
+    assert all(abs(v - line[1e-5]) <= 1e-9 for v in line.values()), line
+
+
+def test_a_small_torus_keeps_its_shells():
+    """Tors / c on c I T^2 at c = 1e-6, whose squared norms are all below
+    1e-11, is within 1e-8 of its value at c = 1e-4 (0.85% off under the
+    absolute grouping floor)."""
+    small, ref = (_t2_tors([[c, 0.0], [0.0, c]]) / c for c in (1e-6, 1e-4))
+    assert abs(small - ref) <= 1e-8 * abs(ref), (small, ref)

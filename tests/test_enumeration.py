@@ -361,15 +361,20 @@ def test_high_dimensions_are_refused_by_the_window_guard(tmp_path, capsys, monke
 
 def test_multiplicities_past_int64_are_a_config_error(tmp_path, capsys):
     """The 0.1 I T^68 passes the window guards: its dual window at cutoff
-    5000 holds the 136 points |m| = 1.  But 136 C(67, k) passes int64 from
-    degree 21 on, so dump-spectrum exits 2 naming dim_n where the level
-    multiplicities are formed, instead of wrapping them or exiting 1."""
+    5000 holds the 136 points |m| = 1.  136 C(67, k) passes int64 from
+    degree 21 on, but the report keeps the two apart: every degree lists
+    the one level with its 136 lattice points, and its weight C(67, k) as
+    an exact integer, so dump-spectrum exits 0.  (The name records the
+    int64 refusal this replaced.)"""
     out = tmp_path / "s.json"
     path = _write_config(tmp_path, _diag(68, 0.1), cutoff=5000.0)
-    assert cli.main(["dump-spectrum", "--config", path, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "cross_section.dim_n: the degree-21 multiplicities" in err and "pass int64 at n = 68" in err
-    assert not out.exists()
+    assert cli.main(["dump-spectrum", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    slices = json.loads(out.read_text())["result"]["slices"]
+    assert [sl["point_multiplicity"] for sl in slices.values()] == [math.comb(67, k) for k in range(68)]
+    assert {len(sl["levels"]) for sl in slices.values()} == {1}
+    assert {sl["levels"][0][1] for sl in slices.values()} == {136}
+    assert 136 * math.comb(67, 21) > 2**63 - 1
 
 
 def test_dump_spectrum_needs_no_primal_window(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """Terms that cannot change a binary64 result are not evaluated, and each
 term is evaluated once per torsion run: the pruned lattice remainder against
 the full sum it replaces, the K series against a 40-digit sum of its terms,
-and one Mellin split per slice in ``log_torsion_cone``."""
+and one Mellin split per torus in ``log_torsion_cone``."""
 
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ def _remainder_ref(ms: zeta.MellinSplit, t: float) -> float:
     expo = ms._p_sq / (4.0 * t)
     vals = np.exp(-np.minimum(expo, 745.0)) * ms._p_counts
     s_p = float(vals.sum())
-    return ms.kappa * ms.v_n * t ** (-ms.h) * math.exp(-float(ms.a2[0]) * t) * s_p
+    return ms.v_n * t ** (-ms.h) * math.exp(-float(ms.a2[0]) * t) * s_p
 
 
 def _k_direct_ref(sl, c: float, order: int) -> float:
@@ -65,7 +65,7 @@ def _k_direct_ref(sl, c: float, order: int) -> float:
         a2 = mpmath.mpf(sl.alpha) ** 2
         inverse = [mpmath.mpf(1) / r for r in range(order, 0, -1)]
         total = mpmath.mpf(0)
-        for eta, m in zip(sl.eta.tolist(), sl.mult.tolist()):
+        for eta, m in zip(sl.eta.tolist(), sl.counts.tolist()):
             x = c / mpmath.sqrt(mpmath.mpf(eta) + a2)
             head = mpmath.mpf(0)  # sum_{r<=J} (-x)^(r-1) / r by Horner
             for inv in inverse:
@@ -80,12 +80,12 @@ def test_remainder_matches_full_sum(name, t0):
     cs = _torus(GEOMETRIES[name])
     seen = set()
     for k in range(cs.dim_n):
-        # the remainder depends on the slice through (kappa, alpha^2) only;
+        # the per-point remainder depends on the slice through alpha^2 only;
         # the cutoff reaches the horizon of the split's F table
         ms = zeta.MellinSplit(coclosed_spectrum(cs, k, zeta.cutoff_for_tolerance(cs, k, 1e-8, t0)), t0)
-        if (ms.kappa, float(ms.a2[0])) in seen:
+        if float(ms.a2[0]) in seen:
             continue
-        seen.add((ms.kappa, float(ms.a2[0])))
+        seen.add(float(ms.a2[0]))
         for t in np.geomspace(1e-4, t0, 200):
             got, ref = remainder_ref(ms, float(t)), _remainder_ref(ms, float(t))
             assert abs(got - ref) <= 1e-15 * abs(ref) + 1e-300, (k, t, got, ref)
@@ -155,6 +155,9 @@ def test_k_direct_takes_shift_close_to_levels():
 
 @pytest.mark.parametrize("name", ["t2-unit", "t4-unit"])
 def test_log_torsion_cone_builds_each_split_once(name, monkeypatch):
+    """One split serves every degree: degree k reports kappa_k times
+    zeta'(0, +alpha_k) per lattice point, read off row k of a split over the
+    shifts alpha_j, j < n/2, and degree n-1-k off row k at -alpha_k."""
     cs = _torus(GEOMETRIES[name])
     params = NumericsParams(tolerance=1e-8)
     built = []
@@ -166,9 +169,12 @@ def test_log_torsion_cone_builds_each_split_once(name, monkeypatch):
 
     monkeypatch.setattr(zeta.MellinSplit, "__init__", counting_init)
     report = log_torsion_cone(cs, params)
-    assert len(built) == cs.dim_n // 2
+    assert len(built) == 1
     monkeypatch.undo()
-    for k in range(cs.dim_n):
-        sl = coclosed_spectrum(cs, k, params.slice_cutoff(cs, k, zeta.plan_t0(cs)))
-        fresh, _ = zeta.shifted_zeta_prime0(zeta.MellinSplit(sl, zeta.plan_t0(cs)), +1)
-        assert report.per_slice[k]["shifted_prime0_plus"] == fresh
+    n, h, t0 = cs.dim_n, cs.dim_n // 2, zeta.plan_t0(cs)
+    sl = coclosed_spectrum(cs, 0, max(params.slice_cutoff(cs, k, t0) for k in range(h)))
+    fresh = zeta.MellinSplit(sl, t0, [float(cs.alpha(k)) for k in range(h)])
+    for k in range(n):
+        row, sign = (k, +1) if k < h else (n - 1 - k, -1)
+        value, _ = zeta.shifted_zeta_prime0(fresh, sign, row)
+        assert report.per_slice[k]["shifted_prime0_plus"] == cs.coclosed_point_multiplicity(k) * value

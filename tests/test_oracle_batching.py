@@ -275,7 +275,7 @@ def _quad_f1(fo) -> float:
         v, _ = integrate.quad(
             lambda t: math.exp(-mu * t) / t, fo.t0, upper, epsabs=1e-12, epsrel=1e-11, limit=400
         )
-        vals.append(fo.kappa * float(cnt) * v)
+        vals.append(float(cnt) * v)
     return math.fsum(vals)
 
 

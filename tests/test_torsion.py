@@ -3,7 +3,6 @@ regularized surface, and the scaling study."""
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction as F
 
@@ -26,7 +25,7 @@ GAMMA = 0.5772156649015328606
 
 
 def _tors(cs, params=None):
-    """Tors of ``cs`` from the splits that ``build_splits`` plans for it."""
+    """Tors of ``cs`` from the split that ``build_splits`` plans for it."""
     return T.tors_term(T.build_splits(cs, params or T.NumericsParams()))
 
 
@@ -184,12 +183,27 @@ def test_tors_term_forms_agree(unit_t2, unit_t4):
 
 
 def test_tors_rank_linearity(unit_t2):
+    """The trivial bundle of rank r is a direct sum, so each term is r times
+    its rank-1 value: Tors on unit T^2 at rank 2, and Top, Tors and Res on a
+    sheared T^4 at ranks 3, 7 and 1e20 (past int64), each within 1e-14
+    relative, since the rank enters once, as an exact integer weight."""
     rank2 = build_cross_section(
         {"family": "flat_torus", "dim_n": 2, "lattice_basis": [[1, 0], [0, 1]], "bundle_rank": 2}
     )
     v1 = _tors(unit_t2).value
     v2 = _tors(rank2).value
     assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
+    basis = PINNED_SCALING_BASES["sheared-x2-t4"].tolist()
+
+    def terms(rank):
+        cs = build_cross_section({"family": "flat_torus", "dim_n": 4, "lattice_basis": basis, "bundle_rank": rank})
+        report = T.log_torsion_cone(cs)
+        return report.top, report.tors, report.res
+
+    one = terms(1)
+    for rank in (3, 7, 10**20):
+        for name, got, want in zip(("top", "tors", "res"), terms(rank), one):
+            assert abs(got - rank * want) <= 1e-14 * abs(rank * want), (rank, name, got, rank * want)
 
 
 def test_tors_term_cutoff_stability(unit_t2):
@@ -459,11 +473,11 @@ PINNED_SCALING_BASES = {
 
 @pytest.mark.parametrize("name", list(PINNED_SCALING_BASES))
 def test_scaling_rows_equal_their_own_splits_bit_for_bit(name):
-    """Each row of the scaling table, read off one Mellin split per slice
-    whose rows are the shifts alpha_k / mu for mu = 1, 2, ..., 64, equals
-    bit for bit tors_term on slices re-shifted to alpha_k / mu, each with a
-    split of its own at the same t0: the shared theta-sum prefix, B
-    quadrature, F table and K pass move no value."""
+    """Each row of the scaling table, read off the one Mellin split whose
+    rows are the shifts alpha_k / mu for k < n/2 and mu = 1, 2, ..., 64,
+    equals bit for bit tors_term on a split of its own over the shifts
+    alpha_k / mu of that mu alone, at the same slice and t0: the shared
+    theta-sum prefix, B quadrature, F table and K pass move no value."""
     basis = PINNED_SCALING_BASES[name]
     cs = build_cross_section({"family": "flat_torus", "dim_n": basis.shape[0], "lattice_basis": basis.tolist()})
     params = T.NumericsParams(tolerance=1e-10)
@@ -471,26 +485,29 @@ def test_scaling_rows_equal_their_own_splits_bit_for_bit(name):
     rows, _ = T.tors_scaling_profile(cs, mus, params)
     base = T.build_splits(cs, params)
     for mu, row in zip(mus, rows):
-        shifted = {
-            k: MellinSplit(dataclasses.replace(ms.sl, alpha=ms.sl.alpha / mu), ms.t0) for k, ms in base.items()
-        }
+        shifted = MellinSplit(base.sl, base.t0, [a / mu for a in base.shifts])
         assert row.tors == T.tors_term(shifted).value, mu
 
 
-def test_build_splits_serves_the_rows_it_is_built_with(unit_t2):
-    """The default rows are the slices' own shifts, exactly; splits built
-    for a scaling grid after a Tors run have that grid's rows, and every row
-    is readable: no split found on a slice fixes the rows of a later one."""
-    params = T.NumericsParams(tolerance=1e-10)
-    first = T.build_splits(unit_t2, params)
-    assert [ms.shifts for ms in first.values()] == [(ms.sl.alpha,) for ms in first.values()]
-    T.tors_term(first)
-    mus = (2.0, 4.0)
-    splits = T.build_splits(unit_t2, params, mus)
-    assert [ms.shifts for ms in splits.values()] == [tuple(ms.sl.alpha / mu for mu in mus) for ms in splits.values()]
-    rows, _ = T.tors_scaling_profile(unit_t2, mus, params)
-    for i, row in enumerate(rows):
-        assert T.tors_term(splits, row=i).value == row.tors
+def test_build_splits_serves_the_rows_it_is_built_with():
+    """The default rows are the degrees' own shifts alpha_k, k < n/2,
+    exactly; a split built for a scaling grid after a Tors run has row
+    i h + k = alpha_k / mu_i, and every row is readable: no split found on
+    a slice fixes the rows of a later one.  On unit T^2 and T^4."""
+    for name in ("unit-t2", "unit-t4"):
+        basis = PINNED_SCALING_BASES[name]
+        cs = build_cross_section({"family": "flat_torus", "dim_n": basis.shape[0], "lattice_basis": basis.tolist()})
+        alphas = [float(cs.alpha(k)) for k in range(cs.dim_n // 2)]
+        params = T.NumericsParams(tolerance=1e-10)
+        first = T.build_splits(cs, params)
+        assert (first.shifts, first.sl.k) == (tuple(alphas), 0)
+        T.tors_term(first)
+        mus = (2.0, 4.0)
+        split = T.build_splits(cs, params, mus)
+        assert split.shifts == tuple(a / mu for mu in mus for a in alphas)
+        rows, _ = T.tors_scaling_profile(cs, mus, params)
+        for i, row in enumerate(rows):
+            assert T.tors_term(split, row=i).value == row.tors, (name, i)
 
 
 def test_t_eta_lambda_guards():
