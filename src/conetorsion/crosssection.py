@@ -134,7 +134,6 @@ class CrossSection:
             raise ConfigError("cross_section.lattice_basis", "matrix is singular")
         object.__setattr__(self, "lattice_basis", basis)
         object.__setattr__(self, "volume", abs(det))
-        object.__setattr__(self, "_caches", {})
 
     # -- topology ---------------------------------------------------------
 
@@ -305,25 +304,16 @@ class CrossSection:
         front, without enumerating it."""
         _estimate_points(*self._window(key, bound), key)
 
-    def _cached_levels(self, key, bound):
-        mat, radius = self._window(key, bound)
-        cached = self._caches.get(key)
-        if cached is not None and cached[0] >= radius * (1 - 1e-15):
-            return cached[1]
-        grouped = self._group(self._enumerate(mat, radius, key))
-        self._caches[key] = (radius, grouped)
-        return grouped
-
     def lattice_eta_levels(self, cutoff: float) -> tuple[np.ndarray, np.ndarray]:
         """Distinct eta = 4 pi^2 |B^{-T} m|^2 <= cutoff with lattice-point counts."""
-        sq, counts = self._cached_levels("dual", cutoff)
+        sq, counts = self._group(self._enumerate(*self._window("dual", cutoff), "dual"))
         eta = (2.0 * math.pi) ** 2 * sq
         keep = eta <= cutoff * (1 + 1e-12)
         return eta[keep], counts[keep]
 
     def primal_norms(self, max_sq: float) -> tuple[np.ndarray, np.ndarray]:
         """Distinct squared lengths |B m|^2 <= max_sq of nonzero primal lattice vectors."""
-        sq, counts = self._cached_levels("primal", max_sq)
+        sq, counts = self._group(self._enumerate(*self._window("primal", max_sq), "primal"))
         keep = sq <= max_sq * (1 + 1e-12)
         return sq[keep], counts[keep]
 

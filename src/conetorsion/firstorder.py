@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .crosssection import SpectralSlice, theta_sums
+from .crosssection import THETA_CUT, SpectralSlice, theta_sums
 from .errors import DomainError
 from .zeta import A_CAP, EULER_GAMMA, exp1, quad_gk21, remainder_breaks
 
@@ -94,7 +94,8 @@ class FirstOrderZeta:
         if self.alpha_abs == 0.0:
             raise DomainError("first-order oracle needs a nonzero shift alpha")
         self.shifts = tuple(map(float, shifts))
-        nu_min = math.sqrt(cs.first_eta() + sl.alpha * sl.alpha)
+        first_eta = cs.first_eta()
+        nu_min = math.sqrt(first_eta + sl.alpha * sl.alpha)
         if nu_min + min(self.shifts) <= 0:
             raise DomainError("nu + c must stay positive")
         self.t0 = float(t0)
@@ -112,7 +113,7 @@ class FirstOrderZeta:
         # window must cover the upper Mellin sum (nu + c <= horizon / t0 for
         # c and for -c, so it does not depend on the sign) and the dual-side
         # remainder sums down to u = u_c, for every row
-        self._u_c = cs.min_primal_length() / (2.0 * math.sqrt(cs.first_eta()))
+        self._u_c = cs.min_primal_length() / (2.0 * math.sqrt(first_eta))
         # the subordination integrals over u stop where e^{-a^2 u} is spent
         self._u_upper = (_HORIZON + 20.0) / self.a2 + 4.0 * self._u_c
         nu_max = (_HORIZON + 6.0) / self.t0 + max(map(abs, self.shifts))
@@ -121,8 +122,10 @@ class FirstOrderZeta:
         self._eta = eta
         self._counts = counts
         self._nu = np.sqrt(eta + self.a2)
-        max_sq = 4.0 * (_HORIZON + 8.0) * max(self.t0, 1.0) * 4.0
-        self._p_sq, self._p_counts = cs.primal_norms(max_sq)
+        # the primal form serves u <= u_c, where theta_sums reads no level past
+        # 4 u THETA_CUT; the window holds the first shell, which sets the
+        # breaks, while l_min(L) l_min(L*) <= THETA_CUT / pi (it is <= n)
+        self._p_sq, self._p_counts = cs.primal_norms(4.0 * THETA_CUT * self._u_c)
         self._model = self._model_terms()
         a1 = [self._a1_pole_and_finite(c) for c in self.shifts]
         self.a_res = [rho for rho, _ in a1]

@@ -68,12 +68,10 @@ class NumericsParams:
 
 def build_slices(cs: CrossSection, params: NumericsParams, t0: float) -> SpectralSlice:
     """The one slice of the torus, degree 0, whose levels every degree
-    shares, at the largest cutoff ``params`` sets for a degree and Mellin
-    splits at ``t0``: the window every degree's cutoff fits in, built once
-    it has passed the point limit."""
-    cutoff = max(params.slice_cutoff(cs, k, t0) for k in range(cs.dim_n // 2))
-    cs.check_window("dual", cutoff)
-    return coclosed_spectrum(cs, 0, cutoff)
+    shares, at the cutoff ``params`` sets for degree 0 and Mellin splits at
+    ``t0``, the largest of the degrees': the K-tail cutoff grows with |alpha|,
+    (n - 1)/2 in degree 0, and its floors do not depend on the degree."""
+    return coclosed_spectrum(cs, 0, params.slice_cutoff(cs, 0, t0))
 
 
 def build_splits(cs: CrossSection, params: NumericsParams, mu_values: Sequence[float] = (1.0,)) -> MellinSplit:

@@ -127,8 +127,9 @@ _E1_SERIES = [1.0 / ((k + 1) * math.factorial(k + 1)) for k in range(20)]
 def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray):
     """Gauss-Kronrod-21 of the vector integrand ``f`` on the panels
     [lo_i, hi_i], with QUADPACK's error and rounding estimates in the max
-    norm over the integrand's components.
-    Returns (integrals (panels x components), errors, rounding errors)."""
+    norm over the integrand's components, and QUADPACK's error estimate of
+    each component.  Returns (integrals (panels x components), errors,
+    rounding errors, component errors (panels x components))."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     t = c[:, None] + h[:, None] * _GK21_X
@@ -138,18 +139,20 @@ def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray):
     s_abs = np.einsum("j,pjk->pk", _GK21_WK, np.abs(fv))
     s_dev = np.einsum("j,pjk->pk", _GK21_WK, np.abs(fv - 0.5 * s_k[:, None, :]))
     h = h[:, None]
-    err = np.max(np.abs((s_k - s_g) * h), axis=1)
-    dabs = np.max(np.abs(s_dev * h), axis=1)
+    # column 0 the max norm over the components, then each component
+    err, dabs, rounding = (
+        np.concatenate([np.max(a, axis=1, keepdims=True), a], axis=1)
+        for a in (np.abs((s_k - s_g) * h), np.abs(s_dev * h), np.abs(50.0 * np.finfo(float).eps * h * s_abs))
+    )
     scaled = (dabs != 0.0) & (err != 0.0)
     err[scaled] = dabs[scaled] * np.minimum(1.0, (200.0 * err[scaled] / dabs[scaled]) ** 1.5)
-    rounding = np.max(np.abs(50.0 * np.finfo(float).eps * h * s_abs), axis=1)
     err = np.where(rounding > np.finfo(float).tiny, np.maximum(err, rounding), err)
-    return h * s_k, err, rounding
+    return h * s_k, err[:, 0], rounding[:, 0], err[:, 1:]
 
 
 def quad_gk21(
     f, breaks, epsabs: float, epsrel: float, limit: int, label: Callable[[], str]
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integral over [breaks[0], breaks[-1]] of the vector integrand ``f``,
     which maps a 1-d array of nodes to a (nodes x components) array, by
     globally adaptive Gauss-Kronrod-21 in the scheme of scipy's ``quad_vec``.
@@ -161,15 +164,17 @@ def quad_gk21(
     max(epsabs, epsrel |integral|_max), or below the summed rounding
     estimate (not converged), or at ``limit`` panels; a quadrature that did
     not converge warns with ``label()`` (IntegrationWarning); the label is
-    only built then, as the quadrature runs on the hot path.  Returns the
-    integral of every component and the max-norm error estimate.
+    only built then, as the quadrature runs on the hot path.  The panels are
+    chosen by the max-norm estimates over the components.  Returns the
+    integral of every component and each component's own error estimate,
+    its QUADPACK estimates summed over the final panels.
     """
     breaks = np.asarray(breaks, dtype=float)
-    vals, errs, rounds = _gk21_panels(f, breaks[:-1], breaks[1:])
+    vals, errs, rounds, comp_errs = _gk21_panels(f, breaks[:-1], breaks[1:])
     total, total_err, round_err = vals.sum(axis=0), float(errs.sum()), float(rounds.sum())
-    # heap of (-error, lo, hi, integral); no two panels share lo, so the
-    # integral arrays are never compared
-    panels = [(-float(e), float(a), float(b), v) for e, a, b, v in zip(errs, breaks[:-1], breaks[1:], vals)]
+    # heap of (-error, lo, hi, integral, component errors); no two panels
+    # share lo, so the arrays are never compared
+    panels = [(-float(e), float(a), float(b), v, ce) for e, a, b, v, ce in zip(errs, breaks[:-1], breaks[1:], vals, comp_errs)]
     heapq.heapify(panels)
     converged = False
     while len(panels) < limit:
@@ -182,28 +187,27 @@ def quad_gk21(
         lo = np.array([p[1] for p in split])
         hi = np.array([p[2] for p in split])
         mid = 0.5 * (lo + hi)
-        vals, errs, rounds = _gk21_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+        vals, errs, rounds, comp_errs = _gk21_panels(f, np.concatenate([lo, mid]), np.concatenate([mid, hi]))
         halves = len(split)
-        for i, (neg_err, a, b, old) in enumerate(split):
+        for i, (neg_err, a, b, old, _) in enumerate(split):
             left, right = i, i + halves
             total = total + (vals[left] + vals[right] - old)
             total_err += float(errs[left] + errs[right]) + neg_err
             round_err += float(rounds[left] + rounds[right])
-            heapq.heappush(panels, (-float(errs[left]), a, float(mid[i]), vals[left]))
-            heapq.heappush(panels, (-float(errs[right]), float(mid[i]), b, vals[right]))
+            heapq.heappush(panels, (-float(errs[left]), a, float(mid[i]), vals[left], comp_errs[left]))
+            heapq.heappush(panels, (-float(errs[right]), float(mid[i]), b, vals[right], comp_errs[right]))
         tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
         if total_err < tol / 8:
             converged = True
             break
         if total_err < round_err or not (math.isfinite(total_err) and math.isfinite(round_err)):
             break
-    err = total_err + round_err
     if not converged:
         from scipy.integrate import IntegrationWarning
 
         # attributed to the caller of the method that ran the quadrature
-        warnings.warn(f"{label()} did not converge: error estimate {err:.3e}", IntegrationWarning, stacklevel=4)
-    return total, err
+        warnings.warn(f"{label()} did not converge: error estimate {total_err + round_err:.3e}", IntegrationWarning, stacklevel=4)
+    return total, np.sum([p[4] for p in panels], axis=0)
 
 
 def remainder_breaks(p_sq: np.ndarray, upper: float) -> list[float]:
@@ -373,10 +377,11 @@ class MellinSplit:
     :class:`DomainError`.  A, the integral of the exact heat model over
     (0, t0] (``_a_table``), is its residue, finite part and pole flag at
     every grid sigma, from the coefficients of ``HeatModel``.  B, the
-    lattice remainder on (0, t0], and its error estimate ``b_err`` come from
-    one globally adaptive Gauss-Kronrod-21 vector quadrature (absolute
-    tolerance 1e-13, relative 1e-12 in the max norm over every (row, sigma)
-    component), started from the panels of ``remainder_breaks``; each
+    lattice remainder on (0, t0], and its error estimates ``b_err``, one per
+    (row, sigma) component, come from one globally adaptive Gauss-Kronrod-21
+    vector quadrature (absolute tolerance 1e-13, relative 1e-12 in the max
+    norm over every component), started from the panels of
+    ``remainder_breaks``; each
     refinement round evaluates the remainder at the nodes of all its new
     panels in one ``theta_sums`` pass shared by the rows, and with no primal
     point in the window B is 0.  F, the spectral sum on [t0, inf), is the
@@ -479,32 +484,34 @@ class MellinSplit:
         sums = theta_sums(self._p_sq, self._p_counts, 4.0 * t, np.log(scale[:, self._widest]))
         return scale * sums[:, None]
 
-    def _b_quad(self, sigmas: np.ndarray) -> tuple[np.ndarray, float]:
-        """B at every row and every entry of ``sigmas``, shape (rows x
-        sigmas), from one ``quad_gk21`` vector quadrature of t^(sigma-1) R_i(t)
-        over (0, t0] (tolerances _QUAD_OPTS), started from the panels of
+    def _b_quad(self, sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """B at every row and every entry of ``sigmas`` and the error
+        estimate of each, both of shape (rows x sigmas), from one
+        ``quad_gk21`` vector quadrature of t^(sigma-1) R_i(t) over (0, t0]
+        (tolerances _QUAD_OPTS), started from the panels of
         ``remainder_breaks``; with no primal point in the window R = 0, and B
         is 0 with error 0 without a quadrature."""
         rows = len(self.shifts)
         if self._p_sq.size == 0:
-            return np.zeros((rows, sigmas.size)), 0.0
+            return np.zeros((rows, sigmas.size)), np.zeros((rows, sigmas.size))
         powers = sigmas - 1.0
 
         def integrand(t: np.ndarray) -> np.ndarray:
             return (t[:, None, None] ** powers * self._remainders(t)[:, :, None]).reshape(t.size, -1)
 
-        vals, err = quad_gk21(
+        vals, errs = quad_gk21(
             integrand,
             remainder_breaks(self._p_sq, self.t0),
             label=lambda: f"B quadrature on (0, {self.t0}] for sigma in {sigmas.tolist()} at shifts {list(self.shifts)}",
             **_QUAD_OPTS,
         )
-        return vals.reshape(rows, sigmas.size), err
+        return vals.reshape(rows, sigmas.size), errs.reshape(rows, sigmas.size)
 
     def b_value(self, sigma: float, row: int = 0) -> tuple[float, float]:
         """B(sigma) = int_0^t0 t^(sigma-1) R(t) dt with its error estimate,
-        the max-norm estimate of the split's one quadrature over the grid."""
-        return float(self.b[row, self._grid_index(sigma)]), self.b_err
+        that of its own component of the split's one quadrature."""
+        i = self._grid_index(sigma)
+        return float(self.b[row, i]), float(self.b_err[row, i])
 
     # -- F: spectral sum on [t0, inf) --------------------------------------
 
@@ -533,7 +540,7 @@ class MellinSplit:
         ])
         g = np.array([math.gamma(k / 2.0) for k in r.tolist()])
         pp = (self._a_fin[:, 1:] + self.b[:, 1:] + f - self._a_res[:, 1:] * psi) / g
-        return pp, (self.b_err + (1e-13 * f + 1e-22)) / g
+        return pp, (self.b_err[:, 1:] + (1e-13 * f + 1e-22)) / g
 
     def pp_s(self, r: int, row: int = 0) -> tuple[float, float]:
         """PP value of zeta_{k,N} at integer s = r (plain value off poles) in

@@ -120,19 +120,20 @@ def test_first_order_b1_independent_of_block_size(name, block, monkeypatch):
 
 def test_b_fill_memory_skinny_torus():
     """18,284 primal levels at t0 = 1 and 861 nodes: evaluated at once, the
-    node x level table alone would be 126 MB.  The split runs its B
-    quadrature when it is built; the primal window is enumerated (and
-    cached on the cross-section) before the trace starts."""
+    node x level table alone would be 126 MB.  The B fill of a built split,
+    traced alone, stays under 4 MiB and gives the split's own B, bit for
+    bit."""
     cs = _torus(SKINNY)
     sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-8, 1.0))
-    cs.primal_norms(zeta.primal_window(1.0))
+    ms = zeta.MellinSplit(sl, 1.0)
     tracemalloc.start()
     try:
-        ms = zeta.MellinSplit(sl, 1.0)
+        b, _ = ms._b_quad(ms._grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert ms._p_sq.size == 18_284
+    assert np.array_equal(b, ms.b)
     assert 0 < peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 

@@ -371,16 +371,22 @@ def _t2_tors(basis) -> float:
     return T.tors_term(T.build_splits(cs, T.NumericsParams())).value
 
 
-def test_a_short_primal_vector_keeps_its_shells():
+@pytest.mark.parametrize(
+    "length, c_of_l", [(0.5, 0.2106632711), (1.0, 0.3111597168), (4.0, 0.3737331428)], ids=["0.5", "1", "4"]
+)
+def test_a_short_primal_vector_keeps_its_shells(length, c_of_l):
     """A short primal vector puts squared norms below 1e-12, where a grouping
     gap of GROUP_TOL * (1 + previous) merged distinct shells into their
-    mean.  On diag(1, eps) T^2, Tors - ln(eps) / (2 pi) stays within 1e-9
-    of its value at eps = 1e-5 down to eps = 1e-7; under the absolute floor
-    it was 0.145 and 0.444 off at 3e-7 and 1e-7."""
+    mean (on diag(1, eps), 0.145 and 0.444 off at 3e-7 and 1e-7).  On
+    diag(L, eps) T^2 the collapse law holds: Tors - (L / 2 pi) ln(eps) stays
+    within 1e-9 of its value at eps = 1e-5 down to eps = 1e-7, and that value
+    is C(L) to the 10 digits pinned here (at L = 4 and eps = 1e-7 the gap
+    is 9.5e-10)."""
     line = {}
     for eps in (1e-4, 1e-5, 1e-6, 3e-7, 1e-7):
-        line[eps] = _t2_tors([[1.0, 0.0], [0.0, eps]]) - math.log(eps) / (2.0 * math.pi)
+        line[eps] = _t2_tors([[length, 0.0], [0.0, eps]]) - length * math.log(eps) / (2.0 * math.pi)
     assert all(abs(v - line[1e-5]) <= 1e-9 for v in line.values()), line
+    assert abs(line[1e-5] - c_of_l) <= 1e-10
 
 
 def test_a_small_torus_keeps_its_shells():

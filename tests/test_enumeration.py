@@ -298,10 +298,15 @@ def test_first_eta_and_min_primal_length_match_box_scan(name):
 
 
 def _count_enumerations(monkeypatch) -> list:
+    """The windows enumerated: each call of ``_enumerate`` whose up-front
+    point estimate passes, so that it goes on to build candidates.  A window
+    the estimate refuses, the first thing ``_enumerate`` does, raises here
+    before it is counted."""
     calls = []
     enumerate_ = C.CrossSection._enumerate
 
     def counting(self, mat, radius, window="lattice"):
+        C._estimate_points(mat, radius, window)
         calls.append(window)
         return enumerate_(self, mat, radius, window)
 

@@ -1,8 +1,8 @@
 """The A, B and F parts of the Mellin split: A against the exponential-series
-loop, B and F against scalar per-sigma and per-level quadrature, their
-independence of the request order, their refusal of a sigma off the
-half-integer grid, loud non-convergence, and split-point independence on a
-skinny torus."""
+loop, B and F against scalar per-sigma and per-level quadrature, B's error
+estimate per (row, sigma) component, their independence of the request
+order, their refusal of a sigma off the half-integer grid, loud
+non-convergence, and split-point independence on a skinny torus."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from conetorsion import torsion as T
 from conetorsion import zeta
 from conetorsion.crosssection import CrossSection, build_cross_section, coclosed_spectrum
 from conetorsion.errors import DomainError, ZetaPoleError
@@ -130,6 +131,28 @@ def test_a_table_matches_the_series_loop(name):
                 continue
             got, ref = ms.a_value(r / 2.0), a_ref(ms, r / 2.0)
             assert abs(got - ref) <= 2e-15 * abs(ref), (k, r, got, ref)
+
+
+def test_each_b_component_has_its_own_error_estimate():
+    """On sheared-x2 T^4 the split's two rows share one B quadrature, and
+    each (row, sigma) component carries its own QUADPACK estimate, summed
+    over the final panels: ``b_err`` is a (rows x grid) table whose rows
+    differ, each entry bounds its component's gap to scipy's ``quad_vec``
+    at relative tolerance 1e-15, and ``b_value`` and ``pp_err`` read the
+    entry of their own component."""
+    cs = _torus(BENCH["t4-sheared-x2"])
+    ms = T.build_splits(cs, T.NumericsParams(tolerance=1e-10))
+    assert ms.b_err.shape == ms.b.shape == (2, zeta.default_order(4) + 1)
+    assert not np.array_equal(ms.b_err[0], ms.b_err[1])
+    powers = ms._grid - 1.0
+    ref, _ = integrate.quad_vec(
+        lambda t: t**powers * ms._remainders(np.array([t]))[0][:, None], 0.0, ms.t0, epsabs=1e-20, epsrel=1e-15
+    )
+    assert np.all(np.abs(ms.b - ref) <= ms.b_err)
+    for row in (0, 1):
+        for i, sigma in enumerate(ms._grid.tolist()):
+            assert ms.b_value(sigma, row) == (ms.b[row, i], ms.b_err[row, i])
+    assert not np.array_equal(ms.pp_err[0], ms.pp_err[1])
 
 
 def test_b_non_convergence_warns(monkeypatch):

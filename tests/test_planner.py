@@ -253,15 +253,47 @@ def test_near_shift_tori_finish_independent_of_t0(name, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_torsion_enumerates_each_window_once(tmp_path, monkeypatch, n):
-    """The slice cutoffs need no enumeration, so a torsion run enumerates
-    one dual window (the largest cutoff, shared by every slice) and one
-    primal window (shared by every Mellin split)."""
+@pytest.mark.parametrize(
+    "n, argv, windows",
+    [
+        pytest.param(2, ["torsion"], ["dual", "primal"], id="2"),
+        pytest.param(4, ["torsion"], ["dual", "primal"], id="4"),
+        pytest.param(2, ["truncated", "--epsilon", "0.25"], ["dual", "primal"], id="truncated"),
+        pytest.param(2, ["scaling", "--mu", "2,4,8,16,32,64"], ["dual", "primal"], id="scaling"),
+        pytest.param(2, ["dump-zeta"], ["dual", "primal"], id="dump-zeta"),
+        pytest.param(2, ["dump-spectrum"], ["dual"], id="dump-spectrum"),
+    ],
+)
+def test_torsion_enumerates_each_window_once(tmp_path, monkeypatch, n, argv, windows):
+    """The slice cutoff needs no enumeration, so a run of each command on
+    the unit T^n enumerates one dual window (the cutoff of degree 0, shared
+    by every degree) and, when it builds a Mellin split, one primal window
+    (shared by every row of the split); ids 2 and 4 are ``torsion`` on T^2
+    and T^4."""
     calls = _count_enumerations(monkeypatch)
     path = _write_config(tmp_path, np.eye(n).tolist(), tolerance=1e-10)
-    assert cli.main(["torsion", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
-    assert sorted(window for window, _ in calls) == ["dual", "primal"]
+    assert cli.main([*argv, "--config", path, "--out", str(tmp_path / "r.out")]) == 0
+    assert sorted(window for window, _ in calls) == windows
+
+
+# (scale, shear): three scales and two shears of an upper triangular basis
+_CUTOFF_TORI = [(scale, shear) for scale in (0.5, 1.0, 8.0) for shear in (0.0, 0.37)]
+
+
+@pytest.mark.parametrize("n", range(2, 18, 2))
+def test_degree_zero_sets_the_dual_window(n):
+    """The K-tail cutoff grows with |alpha|, largest in degree 0, and the
+    Mellin-horizon and first-eta floors do not depend on the degree, so
+    degree 0's cutoff, which ``build_slices`` enumerates, is the largest of
+    the degrees' at the planned t0, on three scales and two shears at every
+    tolerance from 1e-6 to 1e-14."""
+    for scale, shear in _CUTOFF_TORI:
+        cs = _torus(scale * (np.eye(n) + shear * np.eye(n, k=1)))
+        t0 = zeta.plan_t0(cs)
+        for tol in (1e-6, 1e-8, 1e-10, 1e-12, 1e-14):
+            params = NumericsParams(tolerance=tol)
+            cutoffs = [params.slice_cutoff(cs, k, t0) for k in range(n // 2)]
+            assert cutoffs[0] == max(cutoffs), (scale, shear, tol, cutoffs)
 
 
 @pytest.mark.parametrize("n", [6, 8])
