@@ -233,7 +233,7 @@ def cmd_dump_spectrum(cfg: RunConfig) -> int:
         weight = cs.coclosed_point_multiplicity(k)
         heat = theta_heat_coeffs(cs, k)
         slices[str(k)] = {
-            "alpha": float(cs.alpha(k)),
+            "alpha": cs.alpha(k),
             "betti": cs.betti(k),
             "cutoff": sl.cutoff,
             "point_multiplicity": weight,
@@ -256,7 +256,7 @@ def cmd_dump_zeta(cfg: RunConfig) -> int:
         j, sign = (k, +1) if k < h else (n - 1 - k, -1)
         ev = evals[j]
         slices[str(k)] = {
-            "alpha": float(cs.alpha(k)),
+            "alpha": cs.alpha(k),
             "residues": {str(r): v for r, v in ev.residues.items()},
             "zeta0": ev.zeta0,
             "zeta_prime0": ev.zeta_prime0,
@@ -369,20 +369,39 @@ def _check_harmonic(inputs: _VerifyInputs) -> float:
     return float(np.max(np.abs(closed - gy) / closed))
 
 
+# two non-symmetric T^2 bases, whose row and column lattices differ, and the
+# times t of the heat-trace identity
+_HEAT_BASES = ([[1.0, 1.0], [0.0, 2.0]], [[1.0, 0.0], [1.0, 2.0]])
+_HEAT_TIMES = (0.7, 0.1)
+
+
+def _heat_windows(cs: CrossSection):
+    """(t, dual levels, their counts, primal norms, their counts) at each t
+    of _HEAT_TIMES, with windows to the e^(-50) horizon: eta <= 50 / t and
+    |p|^2 <= 200 t.  The dual window is enumerated once at the smallest t
+    and the primal one once at the largest, and each is trimmed per t by
+    the ``<= bound (1 + 1e-12)`` rule of ``lattice_eta_levels`` and
+    ``primal_norms``."""
+    eta, mult = cs.lattice_eta_levels(50.0 / min(_HEAT_TIMES))
+    sq, counts = cs.primal_norms(200.0 * max(_HEAT_TIMES))
+    for t in _HEAT_TIMES:
+        dual = eta <= 50.0 / t * (1 + 1e-12)
+        primal = sq <= 200.0 * t * (1 + 1e-12)
+        yield t, eta[dual], mult[dual], sq[primal], counts[primal]
+
+
 def _check_heat_identity(inputs: _VerifyInputs) -> float:
     """Worst relative residual of the heat-trace identity
 
         1 + sum m e^(-eta t) = Vol / (4 pi t)^(n/2) (1 + sum c e^(-|p|^2 / 4t))
 
-    between the dual levels and the primal norms of two non-symmetric bases,
-    whose row and column lattices differ, at t = 0.7 and 0.1, with windows to
-    the e^(-50) horizon and both sums through B's kernel ``theta_sums``."""
+    between the dual levels and the primal norms of the two bases of
+    _HEAT_BASES at each t of _HEAT_TIMES (``_heat_windows``), with both sums
+    through B's kernel ``theta_sums``."""
     worst = 0.0
-    for basis in ([[1.0, 1.0], [0.0, 2.0]], [[1.0, 0.0], [1.0, 2.0]]):
+    for basis in _HEAT_BASES:
         cs = CrossSection(2, np.array(basis))
-        for t in (0.7, 0.1):
-            eta, mult = cs.lattice_eta_levels(50.0 / t)
-            sq, counts = cs.primal_norms(200.0 * t)
+        for t, eta, mult, sq, counts in _heat_windows(cs):
             dual = 1.0 + theta_sums(eta, mult, np.array([1.0 / t]))[0]
             primal = 1.0 + theta_sums(sq, counts, np.array([4.0 * t]))[0]
             ratio = dual / (cs.volume / (4.0 * math.pi * t) * primal)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,13 +79,30 @@ def theta_sums(levels: np.ndarray, counts: np.ndarray, spreads: np.ndarray, log_
     return out
 
 
-def _estimate_points(mat: np.ndarray, radius: float, window: str) -> float:
-    """omega_n radius^n / |det mat|, the points of the lattice mat Z^n in the
+class _Lattice(NamedTuple):
+    """The lattice ``basis`` Z^n with what its enumerations read: log |det
+    basis| and the R factor of basis = Q R, its diagonal made positive."""
+
+    basis: np.ndarray
+    log_det: float
+    r_fac: np.ndarray
+
+
+def _factor(bases: np.ndarray, log_dets) -> list[_Lattice]:
+    """The lattices of a stack of bases with their log |det|, the R factors
+    of all of them from one QR call."""
+    r_fac = np.linalg.qr(bases, mode="r")
+    r_fac *= np.sign(np.diagonal(r_fac, axis1=-2, axis2=-1))[..., None]
+    return [_Lattice(*lattice) for lattice in zip(bases, log_dets, r_fac)]
+
+
+def _estimate_points(lattice: _Lattice, radius: float, window: str) -> float:
+    """omega_n radius^n / |det basis|, the points of the lattice in the
     ball, formed in logs; raises ConfigError, naming ``window``, above
     MAX_WINDOW_POINTS."""
-    n = mat.shape[0]
+    n = lattice.basis.shape[0]
     log_radius = math.log(radius) if radius > 0.0 else -math.inf
-    log_estimate = _log_ball_volume(n) + n * log_radius - float(np.linalg.slogdet(mat)[1])
+    log_estimate = _log_ball_volume(n) + n * log_radius - lattice.log_det
     if not log_estimate <= math.log(MAX_WINDOW_POINTS):
         about = f"{math.exp(log_estimate):.3g}" if log_estimate < 700.0 else f"10^{log_estimate / math.log(10.0):.0f}"
         raise ConfigError(
@@ -99,12 +116,16 @@ def _estimate_points(mat: np.ndarray, radius: float, window: str) -> float:
 @dataclass(frozen=True, eq=False)
 class CrossSection:
     """The flat torus R^n / (B Z^n), B = ``lattice_basis``, carrying a flat
-    bundle of rank ``bundle_rank``."""
+    bundle of rank ``bundle_rank``.  The constructor factors the primal
+    lattice B Z^n and the dual lattice B^{-T} Z^n once (``_factor``), for
+    every window either is enumerated in."""
 
     dim_n: int
     lattice_basis: np.ndarray
     bundle_rank: int = 1
     volume: float = field(init=False, default=0.0)
+    _primal: _Lattice = field(init=False, repr=False)
+    _dual: _Lattice = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim_n < 2 or self.dim_n % 2 != 0:
@@ -134,6 +155,13 @@ class CrossSection:
             raise ConfigError("cross_section.lattice_basis", "matrix is singular")
         object.__setattr__(self, "lattice_basis", basis)
         object.__setattr__(self, "volume", abs(det))
+        bases = np.empty((2,) + basis.shape)
+        bases[0], bases[1] = basis, np.linalg.inv(basis).T
+        bases.setflags(write=False)
+        log_volume = math.log(abs(det))
+        primal, dual = _factor(bases, (log_volume, -log_volume))
+        object.__setattr__(self, "_primal", primal)
+        object.__setattr__(self, "_dual", dual)
 
     # -- topology ---------------------------------------------------------
 
@@ -145,9 +173,9 @@ class CrossSection:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.betti(k) for k in range(self.dim_n + 1))
 
-    def alpha(self, k: int) -> Fraction:
-        """Shift (n-1)/2 - k, a half-integer for even n."""
-        return Fraction(self.dim_n - 1, 2) - k
+    def alpha(self, k: int) -> float:
+        """Shift (n-1)/2 - k, a half-integer for even n, exact in binary64."""
+        return (self.dim_n - 1) / 2.0 - k
 
     def coclosed_point_multiplicity(self, k: int) -> int:
         """Coclosed multiplicity per nonzero lattice point: rank * C(n-1, k)."""
@@ -156,7 +184,8 @@ class CrossSection:
     # -- lattice geometry -------------------------------------------------
 
     def dual_basis(self) -> np.ndarray:
-        return np.linalg.inv(self.lattice_basis).T
+        """B^{-T}, computed once and read-only."""
+        return self._dual.basis
 
     # The ball of radius 1.1 times the shortest basis vector (a hypot, which
     # neither overflows nor underflows) holds that basis vector, so it also
@@ -177,8 +206,9 @@ class CrossSection:
         eta, _ = self.lattice_eta_levels(self.first_eta_bound())
         return float(eta[0])
 
-    def _enumerate(self, mat: np.ndarray, radius: float, window: str = "lattice") -> np.ndarray:
-        """Squared norms |mat @ m|^2 over integer m != 0 with |mat @ m| <= radius.
+    def _enumerate(self, lattice: _Lattice, radius: float, window: str = "lattice") -> np.ndarray:
+        """Squared norms |mat @ m|^2 over integer m != 0 with |mat @ m| <= radius,
+        mat = ``lattice.basis``.
 
         Visits only the integer vectors inside the ball (Fincke-Pohst).  With
         mat = Q R, so that mat^T mat = R^T R with R upper triangular, the
@@ -188,14 +218,17 @@ class CrossSection:
         minus the partial sum, and each end is widened by 1e-9.  R comes from
         a QR factorisation of mat rather than a Cholesky factorisation of the
         Gram matrix, so a near-singular basis neither loses twice the digits
-        nor fails to factor.  The candidates are a superset of the ball and pass the same
-        filter as a scan of the bounding box would, so the sorted result is
+        nor fails to factor; the lattice holds R, factored once.  The
+        candidates are a superset of the ball and pass the same filter as a
+        scan of the bounding box would, so the sorted result is
         bit-identical to that scan.  The expansion runs depth-first in blocks
         of at most _BLOCK_ROWS rows: a stack entry holds partial vectors with
         the joined ranges of their candidates and a start into them, and a
         step builds the candidates start .. start + _BLOCK_ROWS, however few
         partial vectors hold them (one skewed line may hold millions), and
-        pushes the rest back beneath this block's children.
+        pushes the rest back beneath this block's children.  A ball whose
+        radius is below the smallest R_ii holds no nonzero lattice vector,
+        and the enumeration stops there.
 
         Raises ConfigError, naming ``window``, when the ball would hold more
         than MAX_WINDOW_POINTS points: up front from the estimate
@@ -206,10 +239,13 @@ class CrossSection:
         float, before any allocation.
         """
         n = self.dim_n
-        estimate = _estimate_points(mat, radius, window)
-        r_fac = np.linalg.qr(mat, mode="r")
-        r_fac *= np.sign(np.diag(r_fac))[:, None]
+        estimate = _estimate_points(lattice, radius, window)
+        mat, r_fac = lattice.basis, lattice.r_fac
         r2 = radius * radius * (1 + 1e-12)
+        # a nonzero m with last nonzero coordinate k has |mat m| >= R_kk |m_k|,
+        # so no vector is shorter than the smallest R_ii
+        if r2 < r_fac.diagonal().min() ** 2 * (1 - 1e-9):
+            return np.empty(0)
         pieces = []
         kept = 0
 
@@ -231,14 +267,14 @@ class CrossSection:
                 )
             counts = counts.astype(np.intp)
             ends = np.cumsum(counts)
-            return m, part, i, c, lo, ends - counts, ends
+            return m, part, i, c, lo, counts, ends - counts, ends
 
         # (entry, start): the next step builds the entry's candidates
         # start .. start + _BLOCK_ROWS
         stack = [(lines(np.zeros((1, n)), np.zeros(1), n - 1), 0)]
         while stack:
             entry, start = stack.pop()
-            m, part, i, c, lo, firsts, ends = entry
+            m, part, i, c, lo, counts, firsts, ends = entry
             total = int(ends[-1])
             if total == 0:
                 continue
@@ -246,11 +282,16 @@ class CrossSection:
             if stop < total:
                 # the rest, beneath this block's children
                 stack.append((entry, stop))
-            # rows a .. b - 1 hold this block's candidates
-            a = int(np.searchsorted(ends, start, side="right"))
-            b = int(np.searchsorted(ends, stop - 1, side="right")) + 1
-            src = np.repeat(np.arange(a, b), np.minimum(ends[a:b], stop) - np.maximum(firsts[a:b], start))
-            mi = lo[src] + (np.arange(start, stop) - firsts[src])
+            if stop - start == total:
+                # every row's candidates in this block
+                src = np.repeat(np.arange(counts.size), counts)
+            else:
+                # rows a .. b - 1 hold this block's candidates
+                a = int(np.searchsorted(ends, start, side="right"))
+                b = int(np.searchsorted(ends, stop - 1, side="right")) + 1
+                src = np.repeat(np.arange(a, b), np.minimum(ends[a:b], stop) - np.maximum(firsts[a:b], start))
+            # candidate k of a row is lo + k, all exact integers
+            mi = np.arange(start, stop) + (lo - firsts)[src]
             m = m[src]
             m[:, i] = mi
             if i > 0:
@@ -292,12 +333,12 @@ class CrossSection:
         counts = np.diff(np.append(starts, values.size))
         return np.add.reduceat(values, starts) / counts, counts
 
-    def _window(self, key: str, bound: float) -> tuple[np.ndarray, float]:
-        """Basis and radius of the dual window eta <= bound ("dual") or of the
-        primal window |B m|^2 <= bound ("primal")."""
+    def _window(self, key: str, bound: float) -> tuple[_Lattice, float]:
+        """Lattice and radius of the dual window eta <= bound ("dual") or of
+        the primal window |B m|^2 <= bound ("primal")."""
         if key == "dual":
-            return self.dual_basis(), math.sqrt(max(bound, 0.0)) / (2.0 * math.pi)
-        return self.lattice_basis, math.sqrt(bound)
+            return self._dual, math.sqrt(max(bound, 0.0)) / (2.0 * math.pi)
+        return self._primal, math.sqrt(bound)
 
     def check_window(self, key: str, bound: float) -> None:
         """Raise the ConfigError that enumerating the window would raise up
@@ -455,7 +496,7 @@ def coclosed_spectrum(cs: CrossSection, k: int, cutoff: float) -> SpectralSlice:
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
     eta, counts = cs.lattice_eta_levels(cutoff)
-    sl = SpectralSlice(cs, k, float(cs.alpha(k)), float(cutoff), eta, counts)
+    sl = SpectralSlice(cs, k, cs.alpha(k), float(cutoff), eta, counts)
     sl.validate()
     return sl
 
@@ -472,4 +513,4 @@ def theta_heat_coeffs(cs: CrossSection, k: int) -> HeatModel:
     n = cs.dim_n
     if k < 0 or k > n - 1:
         raise DomainError(f"degree k={k} outside 0..{n - 1}")
-    return HeatModel(cs.volume, n, float(cs.alpha(k)))
+    return HeatModel(cs.volume, n, cs.alpha(k))

@@ -83,7 +83,7 @@ def build_splits(cs: CrossSection, params: NumericsParams, mu_values: Sequence[f
     t0 = plan_t0(cs)
     cs.check_window("primal", primal_window(t0))
     h = cs.dim_n // 2
-    shifts = [float(cs.alpha(k)) / mu for mu in mu_values for k in range(h)]
+    shifts = [cs.alpha(k) / mu for mu in mu_values for k in range(h)]
     return MellinSplit(build_slices(cs, params, t0), t0, shifts)
 
 
@@ -187,7 +187,7 @@ def log_torsion_cone(cs: CrossSection, params: Optional[NumericsParams] = None) 
     tors = tors_term(split)
     res, anomaly = res_term(cs)
     per_slice = {
-        k: {"alpha": float(cs.alpha(k)), "betti": cs.betti(k), "cutoff": split.sl.cutoff,
+        k: {"alpha": cs.alpha(k), "betti": cs.betti(k), "cutoff": split.sl.cutoff,
             "levels": split.sl.eta.size, "shifted_prime0_plus": value}
         for k, value in tors.shifted_prime0_plus.items()
     }

@@ -16,8 +16,11 @@ sigma at once by a globally adaptive Gauss-Kronrod rule (``quad_gk21``,
 which the first-order oracle also runs) that evaluates the remainder at all
 new nodes of a refinement round in one vectorised pass, and the integral
 over [t0, inf) is a per-level sum of upper incomplete gamma functions, which
-have closed forms (E_1, erfc and exp, then an upward recurrence), so the
-continuation needs numpy and ``math`` alone.  Values and derivatives at
+have closed forms (E_1, erfc and exp, then an upward recurrence that takes no
+power of an array), so the continuation needs numpy and ``math`` alone.
+Every kernel a split runs makes a fixed handful of array passes whatever
+its convergence depth: E_1 reads a Taylor table built at import, and the K
+tail stops at the resolution of binary64.  Values and derivatives at
 s = 0, residues at even s, and finite parts (PP values) at integer s all
 come out of one component decomposition
 
@@ -31,11 +34,12 @@ alpha_k of every degree k < n/2, or the alpha_k / mu of every row of a
 scaling grid), which change the continuation only through e^{-a^2 t}, nu
 and c: the A table (residue, finite part and pole flag at each row and grid
 sigma, from the coefficients of ``HeatModel``), the B and F grids, the rows
-of PP values at s = 1..J and the K series of both signs are all computed
-when the split is built, each for every row in one vectorised pass.  Every residue of
-zeta is ``HeatModel.residue``, here as in the Res term of the torsion.
-Callers build the split with every row it serves (``torsion.build_splits``)
-and pass it to its readers; its tables live on it.
+of PP values at s = 1..J, the K series and the Mellin sums of both signs
+are all computed when the split is built, each for every row in one
+vectorised pass.  Every residue of zeta is ``HeatModel.residue``, here as
+in the Res term of the torsion.  Callers build the split with every row it
+serves (``torsion.build_splits``) and pass it to its readers; its tables
+live on it.
 
 The shifted derivatives at zero are assembled from the absolutely convergent
 series
@@ -78,6 +82,8 @@ DEFAULT_TOLERANCE = 1e-10
 
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-12, limit=300)
 _EXP_FLOOR = 50.0  # e^{-50} ~ 2e-22: summation horizon for exponential tails
+# the K tail sums to 2^-53 = e^-36.7 of its first term
+_K_TAIL_LOG = 53.0 * math.log(2.0)
 # Largest alpha^2 t0 a Mellin split accepts: the A part's series of
 # e^{-alpha^2 t} cancels as alpha^2 t0 grows (on 32 I T^2 at J = n + 10 the
 # error is 6e-14 at alpha^2 t0 = 0.25 and 1.7e-12 at 8)
@@ -120,8 +126,16 @@ _GK21_WG = np.array([
 _GK21_WG = np.concatenate([_GK21_WG, _GK21_WG[::-1]])
 # panels one refinement round may split
 _ROUND_PANELS = 128
+# QUADPACK's rounding estimate per unit of the rule's absolute sum, and the
+# smallest normal double, under which it is dropped
+_ROUNDING = 50.0 * np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 # 1 / ((k+1) (k+1)!): the E_1 power series over x, to below 1e-19 relative at x = 1
 _E1_SERIES = [1.0 / ((k + 1) * math.factorial(k + 1)) for k in range(20)]
+# ratio of the E_1 Taylor nodes on [1, 64] and the terms kept at each: a
+# step is at most sqrt(_E1_RATIO) - 1 = 3.1% of its node, and 0.031^12 < 1e-18
+_E1_RATIO = 1.0625
+_E1_TERMS = 12
 
 
 def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray):
@@ -136,17 +150,25 @@ def _gk21_panels(f, lo: np.ndarray, hi: np.ndarray):
     fv = f(t.ravel()).reshape(t.shape + (-1,))
     s_k = np.einsum("j,pjk->pk", _GK21_WK, fv)
     s_g = np.einsum("j,pjk->pk", _GK21_WG, fv[:, 1::2])
-    s_abs = np.einsum("j,pjk->pk", _GK21_WK, np.abs(fv))
-    s_dev = np.einsum("j,pjk->pk", _GK21_WK, np.abs(fv - 0.5 * s_k[:, None, :]))
+    s_abs = _GK21_WK @ np.abs(fv)
+    s_dev = _GK21_WK @ np.abs(fv - 0.5 * s_k[:, None, :])
     h = h[:, None]
-    # column 0 the max norm over the components, then each component
-    err, dabs, rounding = (
-        np.concatenate([np.max(a, axis=1, keepdims=True), a], axis=1)
-        for a in (np.abs((s_k - s_g) * h), np.abs(s_dev * h), np.abs(50.0 * np.finfo(float).eps * h * s_abs))
-    )
+    # (error, deviation, rounding) x (panel, column): column 0 the max norm
+    # over the components, then each component
+    est = np.empty((3,) + (s_k.shape[0], s_k.shape[1] + 1))
+    np.multiply(s_k - s_g, h, out=est[0, :, 1:])
+    np.multiply(s_dev, h, out=est[1, :, 1:])
+    np.multiply(_ROUNDING * h, s_abs, out=est[2, :, 1:])
+    np.abs(est, out=est)
+    est[:, :, 0] = est[:, :, 1:].max(axis=2)
+    err, dabs, rounding = est
+    # QUADPACK's dabs min(1, (200 err / dabs)^1.5) where both are nonzero
     scaled = (dabs != 0.0) & (err != 0.0)
-    err[scaled] = dabs[scaled] * np.minimum(1.0, (200.0 * err[scaled] / dabs[scaled]) ** 1.5)
-    err = np.where(rounding > np.finfo(float).tiny, np.maximum(err, rounding), err)
+    ratio = np.divide(200.0 * err, dabs, out=np.ones_like(err), where=scaled)
+    np.power(ratio, 1.5, out=ratio)
+    np.minimum(ratio, 1.0, out=ratio)
+    err = np.where(scaled, np.multiply(ratio, dabs, out=ratio), err)
+    err = np.where(rounding > _TINY, np.maximum(err, rounding), err)
     return h * s_k, err[:, 0], rounding[:, 0], err[:, 1:]
 
 
@@ -242,7 +264,7 @@ def plan_t0(cs: CrossSection) -> float:
     the dual window eta <= 55 / t0, so neither dominates the enumeration; the
     last term keeps alpha_max^2 t0 within A_CAP, alpha_max = (n - 1)/2.
     """
-    alpha_max = float(cs.alpha(0))
+    alpha_max = cs.alpha(0)
     return min(1.0, _T0_VOLUME * cs.volume ** (2.0 / cs.dim_n), A_CAP / (alpha_max * alpha_max))
 
 
@@ -256,57 +278,98 @@ def primal_window(t0: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _e1_fraction(x: np.ndarray) -> np.ndarray:
+    """The tail t of the continued fraction e^x E_1(x) = 1 / (x + t),
+    t = 1/(1 + 1/(x + 2/(1 + 2/(x + ...)))) (DLMF 6.9), at every entry of
+    x > 1, evaluated backward from depth 20 + 80 / x, taken at the smallest
+    such x so that one loop serves them all."""
+    # tail = k / (1 + k / (x + tail)) in place: temporaries would cost a
+    # third of the loop
+    tail = np.zeros(x.shape)
+    for k in range(20 + int(80.0 / x.min()), 0, -1):
+        tail += x
+        np.divide(k, tail, out=tail)
+        tail += 1.0
+        np.divide(k, tail, out=tail)
+    return tail
+
+
+def _e1_taylor_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes x_k = (1 + 1/16)^k covering [1, 64], the geometric midpoints
+    between them, and the Taylor coefficients c_j = f^(j)(x_k) / j!,
+    j < _E1_TERMS, of f = e^x E_1(x) at every node, shape (terms x nodes).
+
+    f = 1 / (x + t) comes from the continued fraction, and so does
+    f' = f - 1/x = -t f / x, which is free of the cancellation of that
+    difference; the rest follow from f^(j) = f^(j-1) + (-1)^j (j-1)! / x^j,
+    that is c_j = (c_{j-1} + (-1)^j x^-j) / j.  An error in c_1 then enters
+    a Taylor sum at step h as (e^h - 1) times itself, below a unit in the
+    last place of f, where an error in c_0 carried through the recurrence
+    would enter as e^h times itself, up to 7 times at x = 64.
+    """
+    nodes = [1.0]
+    while nodes[-1] < 64.0:
+        nodes.append(nodes[-1] * _E1_RATIO)
+    x = np.array(nodes)
+    tail = _e1_fraction(x)
+    f = 1.0 / (x + tail)
+    inv = 1.0 / x
+    coef = [f, -tail * f * inv]
+    power = -inv
+    for j in range(2, _E1_TERMS):
+        power = power * -inv  # (-1)^j x^-j
+        coef.append((coef[-1] + power) / j)
+    return x, np.sqrt(x[1:] * x[:-1]), np.array(coef)
+
+
 def exp1(x: np.ndarray) -> np.ndarray:
     """E_1(x) = int_x^inf e^(-t) dt / t (DLMF 6.2.1) at every entry of x > 0.
 
-    The scheme of SPECFUN's E1XB: the power series -gamma - log x +
-    sum_k (-1)^(k+1) x^k / (k k!) (DLMF 6.6.2) for x <= 1, summed by Horner
-    from its smallest term (near x = 1 the parts cancel to a quarter, and
-    the forward sum is 2.1e-15 off where Horner stays below 1e-15), and
-    above 1 the continued fraction e^(-x) / (x + 1/(1 + 1/(x + 2/(1 + ...))))
-    (DLMF 6.9) evaluated backward from depth 20 + 80 / x, taken at the
-    smallest such x so that one loop serves them all.
+    For x <= 1 the power series -gamma - log x + sum_k (-1)^(k+1) x^k / (k k!)
+    (DLMF 6.6.2) of SPECFUN's E1XB, summed by Horner from its smallest term
+    (near x = 1 the parts cancel to a quarter, and the forward sum is 2.1e-15
+    off where Horner stays below 1e-15).  On (1, 64] e^(-x) times the Taylor
+    series of e^x E_1 about the nearest node of ``_E1_NODES`` (in ratio), by
+    Horner over the _E1_TERMS coefficients tabulated at import
+    (``_e1_taylor_table``): the step is at most 3.1% of the node, so the
+    dropped terms are below 1e-18 relative, and no depth loop runs.  Above
+    64 the continued fraction e^(-x) / (x + t) (``_e1_fraction``), at depth
+    20 + 80 / x <= 21.
     """
     x = np.asarray(x, dtype=float)
+    small, large = x <= 1.0, x > 64.0
+    if not (small.any() or large.any()):
+        return _e1_table(x)
     out = np.empty(x.shape)
-    small = x <= 1.0
     if small.any():
         xs = x[small]
         total = np.full(xs.shape, _E1_SERIES[-1])
         for c in _E1_SERIES[-2::-1]:
             total = c - xs * total
         out[small] = -EULER_GAMMA - np.log(xs) + xs * total
-    large = ~small
+    mid = ~(small | large)
+    if mid.any():
+        out[mid] = _e1_table(x[mid])
     if large.any():
         xl = x[large]
-        # tail = k / (1 + k / (x + tail)) in place: the loop runs up to 100
-        # times, and on a few hundred levels temporaries cost a third of it
-        tail = np.zeros(xl.shape)
-        for k in range(20 + int(80.0 / xl.min()), 0, -1):
-            tail += xl
-            np.divide(k, tail, out=tail)
-            tail += 1.0
-            np.divide(k, tail, out=tail)
-        out[large] = np.exp(-xl) / (xl + tail)
+        out[large] = np.exp(-xl) / (xl + _e1_fraction(xl))
     return out
 
 
-def upper_gamma_grid(x: np.ndarray, r_max: int) -> list[np.ndarray]:
-    """[Gamma(r/2, x) for r = 0..r_max] at every entry of x > 0.
+def _e1_table(x: np.ndarray) -> np.ndarray:
+    """E_1 at every entry of x in (1, 64]: e^(-x) times the Taylor series
+    of e^x E_1 about the nearest node, by Horner."""
+    node = np.searchsorted(_E1_BOUNDS, x)
+    step = x - _E1_NODES[node]
+    coef = _E1_COEF[:, node]
+    total = coef[-1].copy()
+    for c in coef[-2::-1]:
+        total *= step
+        total += c
+    return np.exp(-x) * total
 
-    Gamma(0, x) = E_1(x), Gamma(1/2, x) = sqrt(pi) erfc(sqrt x) and
-    Gamma(1, x) = e^(-x) (DLMF 8.4.4, 8.4.6); the rest follow from the
-    upward recurrence Gamma(s+1, x) = s Gamma(s, x) + x^s e^(-x) (DLMF
-    8.8.2), whose terms are all positive, so it loses no accuracy.
-    """
-    decay = np.exp(-x)
-    root_pi = math.sqrt(math.pi)
-    half = np.array([root_pi * math.erfc(v) for v in np.sqrt(x).tolist()])
-    grid = [exp1(x), half, decay][: r_max + 1]
-    for r in range(3, r_max + 1):
-        s = (r - 2) / 2.0
-        grid.append(s * grid[r - 2] + x**s * decay)
-    return grid
+
+_E1_NODES, _E1_BOUNDS, _E1_COEF = _e1_taylor_table()
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +383,7 @@ def _a_table(
     """(residues, finite parts) at every (row, grid sigma), and the pole flags
     at every grid sigma, of A(sigma) = int_0^t0 t^(sigma-1) (heat model) dt
     for the heat model of each row, from its coefficients c_j of t^(j-h),
-    j < that row's ``terms``.
+    j < that row's ``terms`` (``HeatModel.coefficient``).
 
     Term by term A = sum_j c_j t0^d / d with d = sigma + j - h.  A pole,
     d = 0, falls at the integer sigma <= h alone, in every row alike; there
@@ -329,10 +392,16 @@ def _a_table(
     past its own ``terms`` entering as exact zeros; off the poles the finite
     part is A itself.
     """
-    width = max(terms)
-    coef = np.array([[heat.coefficient(j) if j < n else 0.0 for j in range(width)] for heat, n in zip(heats, terms)])
+    width, h = max(terms), heats[0].n // 2
+    # HeatModel.coefficient for every row and j at once, bit for bit: the
+    # powers (-a^2)^j are Python float powers, which numpy's need not equal
+    powers = np.array([[(-heat.alpha * heat.alpha) ** j for j in range(width)] for heat in heats])
+    factorials = np.array([float(math.factorial(j)) for j in range(width)])
+    coef = heats[0].v_n * powers / factorials
+    coef[:, h:] -= powers[:, : width - h] / factorials[: width - h]
+    coef[np.arange(width) >= np.array(terms)[:, None]] = 0.0
     coef = coef[:, None, :]
-    d = grid[:, None] + (np.arange(width) - heats[0].n // 2)
+    d = grid[:, None] + (np.arange(width) - h)
     pole = d == 0.0
     safe = np.where(pole, 1.0, d)
     parts = np.where(pole, coef * math.log(t0), coef * t0**safe / safe)
@@ -343,22 +412,40 @@ def _a_table(
 
 
 def _f_table(sl: SpectralSlice, a2: np.ndarray, t0: float, grid: np.ndarray) -> np.ndarray:
-    """F at every (row, grid sigma): sum m mu^(-sigma) Gamma(sigma, mu t0),
-    mu = eta + a2_i, over row i's levels with mu t0 <= _EXP_FLOOR, from one
-    ``upper_gamma_grid`` call over the (row x level) array; each row's level
-    sum runs through ``math.fsum`` in sorted order."""
+    """F at every (row, grid sigma): sum m g_sigma, g_sigma = mu^(-sigma)
+    Gamma(sigma, mu t0), mu = eta + a2_i, over row i's levels with
+    mu t0 <= _EXP_FLOOR, filled over the (row x level) array at once; each
+    row's level sum runs through ``math.fsum`` in sorted order.
+
+    g_0 = E_1(mu t0) and g_(1/2) = sqrt(pi / mu) erfc(sqrt(mu t0)) (DLMF
+    8.4.4, 8.4.6); the rest follow from the upward recurrence
+    g_(s+1) = (s g_s + t0^s e^(-mu t0)) / mu (DLMF 8.8.2 divided by
+    mu^(s+1)), whose terms are all positive, so it loses no accuracy and
+    takes no power of an array."""
     mu = sl.eta + a2[:, None]
     keep = mu * t0 <= _EXP_FLOOR
     f_mu = mu[keep]
     f_counts = sl.counts[np.nonzero(keep)[1]]
     # row i's levels are f_mu[ends[i-1]:ends[i]]
     ends = list(itertools.accumulate(keep.sum(axis=1).tolist()))
-    levels = upper_gamma_grid(f_mu * t0, grid.size - 1)
-    # one scalar exponent per sigma: a broadcast array of exponents
-    # takes another power routine, an ulp off on some levels
-    terms = [(f_counts * (f_mu**-s * level)).tolist() for s, level in zip(grid.tolist(), levels)]
+    x = f_mu * t0
+    s = grid[:-2, None]
+    # t0^s e^(-mu t0) at s = 0, 1/2, ..., J/2 - 1, t0^s a Python float power
+    decays = np.multiply.outer([t0**v for v in s[:, 0].tolist()], np.exp(-x))
+    g = np.empty((grid.size, f_mu.size))
+    g[0] = exp1(x)
+    g[1] = np.sqrt(math.pi / f_mu) * [math.erfc(v) for v in np.sqrt(x).tolist()]
+    # rows r, r + 1 from rows r - 2, r - 1: the integer and the half-integer
+    # sigma advance together
+    for r in range(2, grid.size, 2):
+        new = g[r : r + 2]
+        src = slice(r - 2, r - 2 + len(new))
+        np.multiply(g[src], s[src], out=new)
+        new += decays[src]
+        new /= f_mu
+    terms = g * f_counts
     rows = zip([0] + ends[:-1], ends)
-    return np.array([[math.fsum(t[a:b]) for t in terms] for a, b in rows])
+    return np.array([[math.fsum(t) for t in terms[:, a:b].tolist()] for a, b in rows])
 
 
 class MellinSplit:
@@ -390,7 +477,9 @@ class MellinSplit:
     :class:`CutoffInsufficientError` before any enumeration or quadrature.
     ``pp`` and ``pp_err`` hold the PP values at s = 1..J, ``k`` and
     ``k_bound`` the K series at both signs of every row with its Weyl tail
-    bounds (``_k_direct``), and ``res_h`` the Res H rows.  Sums run through
+    bounds (``_k_direct``), ``res_h`` the Res H rows, and ``mellin_sum`` and
+    ``mellin_err`` the Mellin part of zeta'(0, +-a) of every row with the
+    terms of its error estimate (``_mellin_terms``).  Sums run through
     ``math.fsum``, level sums in sorted order, so results are reproducible
     bit for bit.
     """
@@ -445,6 +534,7 @@ class MellinSplit:
         self.f = _f_table(sl, self.a2, self.t0, self._grid)
         self.pp, self.pp_err = self._pp_table()
         self.k, self.k_bound = _k_direct(sl, self.shifts, self.order)
+        self.mellin_sum, self.mellin_err = self._mellin_terms()
 
     def _grid_index(self, sigma: float) -> int:
         """Position of sigma in the grid ``_grid``; a DomainError off it."""
@@ -542,6 +632,22 @@ class MellinSplit:
         pp = (self._a_fin[:, 1:] + self.b[:, 1:] + f - self._a_res[:, 1:] * psi) / g
         return pp, (self.b_err[:, 1:] + (1e-13 * f + 1e-22)) / g
 
+    def _mellin_terms(self) -> tuple[list, list]:
+        """The Mellin part sum_{r<=J} ((-c)^r / r) (Res_{s=r} zeta H_{r-1} +
+        PP zeta(r)) of zeta'(0, c) at c = +a and c = -a of every row, a
+        (rows x 2) list, sign +1 first, each summed by ``math.fsum``, and the
+        terms |c|^r / r PP error of its error estimate, a (rows x J) list;
+        the terms of every row and sign come from one array expression.
+        (-c)^r is |a|^r with its sign, and |a|^r a Python float power, which
+        numpy's array power need not equal bit for bit."""
+        r = np.arange(1, self.order + 1)
+        scaled = np.array([[abs(a) ** k for k in r.tolist()] for a in self.shifts]) / r
+        odd = r % 2 == 1
+        # sign of (-c)^r at c = +a, -a: that of -c at odd r
+        signs = np.where(odd, -np.sign(self.shifts)[:, None, None] * np.array([1.0, -1.0])[:, None], 1.0)
+        terms = signs * scaled[:, None, :] * (np.array(self.res_h) + self.pp)[:, None, :]
+        return [[math.fsum(t) for t in row] for row in terms.tolist()], (scaled * self.pp_err).tolist()
+
     def pp_s(self, r: int, row: int = 0) -> tuple[float, float]:
         """PP value of zeta_{k,N} at integer s = r (plain value off poles) in
         row ``row``."""
@@ -567,17 +673,23 @@ class MellinSplit:
 # ---------------------------------------------------------------------------
 
 
-def _k_tail_bound(sl: SpectralSlice, c: float, nu_max: float, order: int) -> float:
-    """Weyl-density bound on the dropped K-series tail of ``sl`` beyond nu_max,
-    per lattice point; the density is the leading residue Res_{s=n} zeta_k
-    of the per-point heat model, the same in every degree."""
-    n = sl.cross_section.dim_n
+def _k_tail_bound(dens: float, n: int, c: float, nu_max: float, order: int) -> float:
+    """Weyl-density bound on the dropped K-series tail beyond nu_max, per
+    lattice point, in dimension n; the density ``dens`` is the leading
+    residue Res_{s=n} zeta_k of the per-point heat model, the same in every
+    degree."""
     if nu_max <= abs(c) or order + 1 <= n:
         return math.inf
-    dens = theta_heat_coeffs(sl.cross_section, sl.k).residue(n)
     geo = 1.0 / (1.0 - abs(c) / nu_max)
     power = order + 1 - n
     return dens * abs(c) ** (order + 1) / (order + 1) * geo * nu_max ** (-power) / power
+
+
+def _k_tail_terms(x: float) -> int:
+    """Terms the Horner tail of ``_k_direct`` sums for a row whose largest
+    far |x| is ``x``: to 2^-53 of the first term, the resolution of binary64,
+    and at least 8; 53 at x = 1/2."""
+    return max(8, math.ceil(_K_TAIL_LOG / -math.log(max(x, 1e-12))))
 
 
 def _k_direct(sl: SpectralSlice, shifts: Sequence[float], order: int) -> tuple[list, list]:
@@ -590,13 +702,13 @@ def _k_direct(sl: SpectralSlice, shifts: Sequence[float], order: int) -> tuple[l
     as nu > |c|.  A level with |x| > 1/2 takes this form as it stands
     (``log1p`` minus the Taylor head by Horner), with an absolute rounding
     error of a few ulps of log 2 however slowly its tail converges.  Every
-    other level sums its tail sum_{r>J} (-x)^r / r by Horner to e^-50 of the
-    first term of the shift's largest |x| (at most 73 terms), free of the
-    cancellation between ``log1p`` and the head.  Both Horner passes run over
-    all rows at once.  The two signs of a shift share its near levels and
-    its tail length; the rows run in order of descending tail length, and
-    each tail step updates the prefix of rows whose tails reach it, so every
-    term is the one its row would get alone.
+    other level sums its tail sum_{r>J} (-x)^r / r by Horner to 2^-53 of the
+    first term of the shift's largest |x| (``_k_tail_terms``, at most 53
+    terms), free of the cancellation between ``log1p`` and the head.  Both
+    Horner passes run over all rows at once.  The two signs of a shift share
+    its near levels and its tail length; the rows run in order of descending
+    tail length, and each tail step updates the prefix of rows whose tails
+    reach it, so every term is the one its row would get alone.
     """
     if sl.eta.size == 0:
         return [[0.0, 0.0] for _ in shifts], [[math.inf, math.inf] for _ in shifts]
@@ -605,8 +717,7 @@ def _k_direct(sl: SpectralSlice, shifts: Sequence[float], order: int) -> tuple[l
     q = a / nu  # y = -c/nu is -q at c = +a and q at c = -a
     x = np.abs(q)
     far = x <= 0.5
-    xmax = np.where(far, x, 0.0).max(axis=1).tolist()
-    extra = [max(8, int(math.ceil(-_EXP_FLOOR / math.log(max(m, 1e-12))))) for m in xmax]
+    extra = [_k_tail_terms(m) for m in np.where(far, x, 0.0).max(axis=1).tolist()]
     # the rows in order of descending extra, so that the tail entries a
     # Horner step reaches are a prefix
     rows = sorted(range(len(shifts)), key=lambda i: -extra[i])
@@ -617,27 +728,30 @@ def _k_direct(sl: SpectralSlice, shifts: Sequence[float], order: int) -> tuple[l
     terms = np.empty_like(y)
     # near: -log1p(x) - y sum_{r<=J} y^(r-1) / r
     yn = y[near]
-    acc = np.zeros_like(yn)
-    for r in range(order, 0, -1):
-        acc *= yn
-        acc += 1.0 / r
-    terms[near] = -np.log1p(-yn) - acc * yn
+    if yn.size:
+        acc = np.zeros_like(yn)
+        for r in range(order, 0, -1):
+            acc *= yn
+            acc += 1.0 / r
+        terms[near] = -np.log1p(-yn) - acc * yn
     # far: sum_{r=J+1}^{J+extra} y^r / r = y^(J+1) sum_j y^j / (J+1+j)
     yf = y[far]
     ends = np.cumsum(far.sum(axis=(1, 2))).tolist()
-    tops = [order + extra[i] for i in rows]
+    tops = [order + extra[i] for i in rows] + [order]
     acc = np.zeros_like(yf)
-    reached = 0
-    for r in range(tops[0], order, -1):
-        while reached < len(tops) and tops[reached] >= r:
-            reached += 1
-        head = acc[: ends[reached - 1]]
-        head *= yf[: head.size]
-        head += 1.0 / r
+    # the steps from tops[i] down to tops[i+1] reach the rows 0..i, whose
+    # entries are the prefix acc[:ends[i]]
+    for i, end in enumerate(ends):
+        head, y_head = acc[:end], yf[:end]
+        for r in range(tops[i], tops[i + 1], -1):
+            head *= y_head
+            head += 1.0 / r
     terms[far] = acc * yf ** (order + 1)
     values = [[math.fsum(row) for row in shift] for shift in (terms * sl.counts).tolist()]
+    n = sl.cross_section.dim_n
+    dens = theta_heat_coeffs(sl.cross_section, sl.k).residue(n)
     bounds = [
-        [_k_tail_bound(sl, c, nu_max, order) for c in (shifts[i], -shifts[i])]
+        [_k_tail_bound(dens, n, c, nu_max, order) for c in (shifts[i], -shifts[i])]
         for i, nu_max in zip(rows, nu[:, -1].tolist())
     ]
     back = sorted(range(len(rows)), key=rows.__getitem__)
@@ -658,21 +772,15 @@ def shifted_zeta_prime0(ms: MellinSplit, sign: int, row: int = 0) -> tuple[float
     Sums the decomposition once at the split's subtraction order
     J = ``default_order(n)``, the order the slice cutoff is planned for: the
     K series summed directly at order J plus the Mellin terms r <= J, read
-    off the split's residue and PP rows.  The result does not depend on
-    J, which the test suite checks.
+    off the split's ``k`` and ``mellin_sum`` tables.  The result does not
+    depend on J, which the test suite checks.
     """
-    c = sign * ms.shifts[row]
     zp, zp_err = ms.zeta_prime0(row)
-    if c == 0.0:
+    if sign * ms.shifts[row] == 0.0:
         return zp, zp_err
     column = 0 if sign > 0 else 1
-    kval, kbound = ms.k[row][column], ms.k_bound[row][column]
-    terms = []
-    errs = [zp_err, min(kbound, 1.0)]
-    for r, (res_h, pp_r, pe_r) in enumerate(zip(ms.res_h[row], ms.pp[row].tolist(), ms.pp_err[row].tolist()), start=1):
-        terms.append((-c) ** r / r * (res_h + pp_r))
-        errs.append(abs(c) ** r / r * pe_r)
-    return zp + kval + math.fsum(terms), math.fsum(errs)
+    err = math.fsum([zp_err, min(ms.k_bound[row][column], 1.0), *ms.mellin_err[row]])
+    return zp + ms.k[row][column] + ms.mellin_sum[row][column], err
 
 
 @dataclass
@@ -723,7 +831,7 @@ def cutoff_for_tolerance(cs: CrossSection, k: int, tol: float, t0: float) -> flo
     """
     n = cs.dim_n
     j = default_order(n)
-    alpha = abs(float(cs.alpha(k)))
+    alpha = abs(cs.alpha(k))
     power = j + 1 - n
     # solved for v in logs: alpha^(J+1) overflows binary64 at high n
     log_base = cs.log_weyl_density() + (j + 1) * math.log(alpha) - math.log((j + 1) * power * tol)

@@ -14,7 +14,9 @@ The Mellin split's A, B and F, which production tabulates on the
 half-integer grid alone, are rebuilt here at any sigma: A as the term-by-term
 integral of the heat model times its exponential series, B and F by scalar
 quadrature (one for B, one per level for F); together they continue zeta
-off that grid.
+off that grid.  On the grid, F is also rebuilt as the power form that the
+recurrence of ``zeta._f_table`` replaced: the upper incomplete gamma grid
+Gamma(r/2, x) times one power mu^(-sigma) per sigma.
 The scalar loops that the batched verify layers replaced are kept here as
 references for them: the per-point scipy Bessel quadruple, the per-entry
 closed-form determinant ratio, the per-draw Wronskian sampling, the
@@ -113,6 +115,73 @@ def f_ref(ms, sigma: float) -> float:
         )
         vals.append(float(m) * v)
     return math.fsum(vals)
+
+
+def upper_gamma_grid(x: np.ndarray, r_max: int) -> list[np.ndarray]:
+    """[Gamma(r/2, x) for r = 0..r_max] at every entry of x > 0.
+
+    Gamma(0, x) = E_1(x), Gamma(1/2, x) = sqrt(pi) erfc(sqrt x) and
+    Gamma(1, x) = e^(-x) (DLMF 8.4.4, 8.4.6); the rest follow from the
+    upward recurrence Gamma(s+1, x) = s Gamma(s, x) + x^s e^(-x) (DLMF
+    8.8.2), whose terms are all positive, so it loses no accuracy.
+    """
+    decay = np.exp(-x)
+    root_pi = math.sqrt(math.pi)
+    half = np.array([root_pi * math.erfc(v) for v in np.sqrt(x).tolist()])
+    grid = [zeta.exp1(x), half, decay][: r_max + 1]
+    for r in range(3, r_max + 1):
+        s = (r - 2) / 2.0
+        grid.append(s * grid[r - 2] + x**s * decay)
+    return grid
+
+
+def f_table_ref(sl, a2: np.ndarray, t0: float, grid: np.ndarray) -> np.ndarray:
+    """F at every (row, grid sigma) of a split over the slice ``sl`` with the
+    squared shifts ``a2``, as ``zeta._f_table`` computes it, by powers:
+    sum m mu^(-sigma) Gamma(sigma, mu t0) over row i's levels
+    mu = eta + a2_i with mu t0 <= _EXP_FLOOR, the gamma grid from
+    :func:`upper_gamma_grid` and one scalar exponent mu^(-sigma) per sigma;
+    each row's level sum runs through ``math.fsum`` in sorted order."""
+    rows = []
+    for shift in a2.tolist():
+        mu = sl.eta + shift
+        keep = mu * t0 <= zeta._EXP_FLOOR
+        mu, counts = mu[keep], sl.counts[keep]
+        levels = upper_gamma_grid(mu * t0, grid.size - 1)
+        rows.append([math.fsum((counts * (mu**-s * level)).tolist()) for s, level in zip(grid.tolist(), levels)])
+    return np.array(rows)
+
+
+def a_table_ref(heats, t0: float, grid: np.ndarray, terms: list[int]):
+    """``zeta._a_table`` with its coefficient matrix filled one
+    ``HeatModel.coefficient`` call per (row, j), the per-row loop that the
+    row-vectorised table replaced."""
+    width = max(terms)
+    coef = np.array([[heat.coefficient(j) if j < n else 0.0 for j in range(width)] for heat, n in zip(heats, terms)])
+    coef = coef[:, None, :]
+    d = grid[:, None] + (np.arange(width) - heats[0].n // 2)
+    pole = d == 0.0
+    safe = np.where(pole, 1.0, d)
+    parts = np.where(pole, coef * math.log(t0), coef * t0**safe / safe)
+    res = np.where(pole, coef, 0.0).sum(axis=2)
+    fin = np.array([[math.fsum(row) for row in shift] for shift in parts.tolist()])
+    return res, fin, pole.any(axis=1).tolist()
+
+
+def shifted_zeta_prime0_ref(ms, sign: int, row: int = 0) -> tuple[float, float]:
+    """``zeta.shifted_zeta_prime0`` with the Mellin sum of the row and sign
+    formed term by term, in Python floats, from the split's PP rows: the
+    per-(row, sign) loop that ``MellinSplit.mellin_sum`` replaced."""
+    c = sign * ms.shifts[row]
+    zp, zp_err = ms.zeta_prime0(row)
+    if c == 0.0:
+        return zp, zp_err
+    column = 0 if sign > 0 else 1
+    terms, errs = [], [zp_err, min(ms.k_bound[row][column], 1.0)]
+    for r, (res_h, pp_r, pe_r) in enumerate(zip(ms.res_h[row], ms.pp[row].tolist(), ms.pp_err[row].tolist()), start=1):
+        terms.append((-c) ** r / r * (res_h + pp_r))
+        errs.append(abs(c) ** r / r * pe_r)
+    return zp + ms.k[row][column] + math.fsum(terms), math.fsum(errs)
 
 
 def a_ref(ms, sigma: float) -> float:
@@ -228,7 +297,7 @@ def residue_double_sum(cs: CrossSection) -> float:
     h = cs.dim_n // 2
     total = 0.0
     for k in range(h):
-        alpha = cs.alpha(k)
+        alpha = Fraction(cs.alpha(k))
         heat = crosssection.theta_heat_coeffs(cs, k)
         inner = math.fsum(
             heat.residue(2 * r) * float(digamma_weighted_zdiff(r, alpha))

@@ -17,7 +17,7 @@ import pytest
 from conetorsion import cli, firstorder, zeta
 from conetorsion import torsion as T
 from conetorsion.config import FIELDS, parse_config
-from conetorsion.crosssection import CROSS_SECTION_FIELDS, CrossSection, theta_heat_coeffs
+from conetorsion.crosssection import CROSS_SECTION_FIELDS, CrossSection, _factor, theta_heat_coeffs
 from conetorsion.errors import DomainError
 
 
@@ -638,13 +638,28 @@ def test_verify_heat_identity_pins_the_column_lattice(monkeypatch, capsys):
 
     def row_window(self, key, bound):
         if key == "primal":
-            return self.lattice_basis.T, math.sqrt(bound)
+            return _factor(self.lattice_basis.T[None], [math.log(self.volume)])[0], math.sqrt(bound)
         return window(self, key, bound)
 
     monkeypatch.setattr(CrossSection, "_window", row_window)
     assert cli._check_heat_identity(cli._VerifyInputs()) > 1e-3
     assert cli.main(["verify", "heat-identity"]) == 1
     assert "heat-identity" in capsys.readouterr().err
+
+
+def test_heat_identity_trims_one_window_per_side_to_each_t():
+    """The heat-identity check enumerates one dual and one primal window
+    per basis; trimmed to each t they equal, bit for bit, the windows
+    ``lattice_eta_levels(50 / t)`` and ``primal_norms(200 t)`` enumerate."""
+    for basis in cli._HEAT_BASES:
+        cs = CrossSection(2, np.array(basis))
+        seen = []
+        for t, eta, mult, sq, counts in cli._heat_windows(cs):
+            seen.append(t)
+            windows = (*cs.lattice_eta_levels(50.0 / t), *cs.primal_norms(200.0 * t))
+            for got, want in zip((eta, mult, sq, counts), windows):
+                assert got.dtype == want.dtype and np.array_equal(got, want), t
+        assert seen == list(cli._HEAT_TIMES)
 
 
 def test_parser_is_built_once_and_left_unchanged(tmp_path, capsys):

@@ -15,6 +15,7 @@ from conetorsion import torsion as T
 from conetorsion.crosssection import (
     GROUP_TOL,
     CrossSection,
+    _factor,
     build_cross_section,
     coclosed_spectrum,
     theta_heat_coeffs,
@@ -359,7 +360,7 @@ def test_group_matches_loop(name):
         (basis.T, math.sqrt(4.0 * 58.0)),  # the Mellin split's primal window at t0 = 1
     ]
     for mat, radius in windows:
-        values = cs._enumerate(mat, radius)
+        values = cs._enumerate(_factor(mat[None], [float(np.linalg.slogdet(mat)[1])])[0], radius)
         means, counts = CrossSection._group(values)
         ref_means, ref_counts = _group_loop(values)
         assert np.array_equal(counts, ref_counts)

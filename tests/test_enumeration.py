@@ -55,6 +55,12 @@ def _box_scan(n, mat, radius):
     return np.sort(np.concatenate(pieces)) if pieces else np.empty(0)
 
 
+def _lattice(mat):
+    """The lattice mat Z^n, factored as a cross-section factors its own."""
+    mat = np.asarray(mat, dtype=float)
+    return C._factor(mat[None], [float(np.linalg.slogdet(mat)[1])])[0]
+
+
 def _diag(n, scale):
     return (scale * np.eye(n)).tolist()
 
@@ -105,7 +111,7 @@ def _windows(cs):
 def test_ball_enumeration_matches_box_scan(name):
     cs = _torus(BASES[name])
     for window, mat, radius in _windows(cs):
-        got = cs._enumerate(mat, radius, window)
+        got = cs._enumerate(_lattice(mat), radius, window)
         assert np.array_equal(got, _box_scan(cs.dim_n, mat, radius)), window
 
 
@@ -122,7 +128,7 @@ def test_ball_enumeration_matches_box_scan(name):
 def test_radii_below_the_shortest_vector_and_on_a_shell(name, radius, size):
     cs = _torus(BASES[name])
     mat = np.asarray(cs.lattice_basis).T
-    got = cs._enumerate(mat, radius)
+    got = cs._enumerate(_lattice(mat), radius)
     assert got.size == size
     assert np.array_equal(got, _box_scan(cs.dim_n, mat, radius))
 
@@ -145,7 +151,7 @@ def test_small_blocks_give_the_same_points(name, window, monkeypatch):
     monkeypatch.setattr(C, "_BLOCK_ROWS", 64)
     cs = _torus(BASES[name])
     _, mat, radius = next(w for w in _windows(cs) if w[0] == window)
-    assert np.array_equal(cs._enumerate(mat, radius, window), _box_scan(cs.dim_n, mat, radius))
+    assert np.array_equal(cs._enumerate(_lattice(mat), radius, window), _box_scan(cs.dim_n, mat, radius))
 
 
 def test_primal_window_memory_t4():
@@ -305,10 +311,10 @@ def _count_enumerations(monkeypatch) -> list:
     calls = []
     enumerate_ = C.CrossSection._enumerate
 
-    def counting(self, mat, radius, window="lattice"):
-        C._estimate_points(mat, radius, window)
+    def counting(self, lattice, radius, window="lattice"):
+        C._estimate_points(lattice, radius, window)
         calls.append(window)
-        return enumerate_(self, mat, radius, window)
+        return enumerate_(self, lattice, radius, window)
 
     monkeypatch.setattr(C.CrossSection, "_enumerate", counting)
     return calls
@@ -397,7 +403,7 @@ def test_dump_spectrum_needs_no_primal_window(tmp_path, capsys, monkeypatch):
 def test_group_memory_t4():
     """The T^4 0.7 I primal window: 1,104,928 sorted norms (8.4 MiB)."""
     cs = _torus(BASES["t4-0.7I"])
-    values = cs._enumerate(cs.lattice_basis.T, math.sqrt(PRIMAL_MAX_SQ), "primal")
+    values = cs._enumerate(_lattice(cs.lattice_basis.T), math.sqrt(PRIMAL_MAX_SQ), "primal")
     assert values.size == 1_104_928
     tracemalloc.start()
     try:
@@ -412,7 +418,7 @@ def test_group_memory_t4():
 @pytest.mark.parametrize("name", ["t2-sheared", "t2-skinny", "t4-sheared-x2"])
 def test_group_independent_of_block(name, block, monkeypatch):
     cs = _torus(BASES[name])
-    values = cs._enumerate(cs.lattice_basis.T, math.sqrt(PRIMAL_MAX_SQ), "primal")
+    values = cs._enumerate(_lattice(cs.lattice_basis.T), math.sqrt(PRIMAL_MAX_SQ), "primal")
     ref_levels, ref_counts = C.CrossSection._group(values)
     monkeypatch.setattr(C, "_GROUP_BLOCK", block)
     levels, counts = C.CrossSection._group(values)

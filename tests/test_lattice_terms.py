@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conetorsion import zeta
-from conetorsion.crosssection import CrossSection, build_cross_section, coclosed_spectrum
+from conetorsion.crosssection import CrossSection, build_cross_section, coclosed_spectrum, theta_heat_coeffs
 from conetorsion.torsion import NumericsParams, log_torsion_cone
 from reference_oracles import remainder_ref
 
@@ -122,7 +122,8 @@ def test_k_direct_matches_power_table(name, sign, order_shift):
         got, bound = values[0][column], bounds[0][column]
         ref = _k_direct_ref(sl, c, order)
         assert abs(got - ref) <= 1e-14 * abs(ref), (k, got, ref)
-        assert bound == zeta._k_tail_bound(sl, c, float(sl.nu()[-1]), order)
+        dens = theta_heat_coeffs(cs, k).residue(cs.dim_n)
+        assert bound == zeta._k_tail_bound(dens, cs.dim_n, c, float(sl.nu()[-1]), order)
 
 
 @pytest.mark.parametrize("name", ["t2-unit", "t2-sheared", "t4-sheared-x2", *NEAR_GEOMETRIES])
@@ -139,6 +140,24 @@ def test_k_direct_rows_equal_their_own_pass(name):
         values, bounds = zeta._k_direct(sl, shifts, order)
         for a, row, row_bounds in zip(shifts, values, bounds):
             assert (row, row_bounds) == tuple(x[0] for x in zeta._k_direct(sl, [a], order)), (k, a)
+
+
+def test_k_tail_takes_at_most_53_terms(monkeypatch):
+    """The far tail of ``_k_direct`` sums to 2^-53 of its first term, the
+    resolution of binary64: 53 Horner steps at |x| = 1/2, fewer below, in
+    every row of the K passes of the benchmark tori and the near-shift
+    geometries."""
+    assert zeta._k_tail_terms(0.5) == 53
+    assert max(zeta._k_tail_terms(x) for x in np.linspace(0.0, 0.5, 501).tolist()) == 53
+    lengths = []
+    tail_terms = zeta._k_tail_terms
+    monkeypatch.setattr(zeta, "_k_tail_terms", lambda x: lengths.append((x, tail_terms(x))) or lengths[-1][1])
+    for basis in {**GEOMETRIES, **NEAR_GEOMETRIES}.values():
+        cs = _torus(basis)
+        sl = coclosed_spectrum(cs, 0, zeta.cutoff_for_tolerance(cs, 0, 1e-10, zeta.plan_t0(cs)))
+        shifts = [cs.alpha(k) / mu for mu in (1, 4) for k in range(cs.dim_n // 2)]
+        zeta._k_direct(sl, shifts, zeta.default_order(cs.dim_n))
+    assert lengths and all(x <= 0.5 and steps <= 53 for x, steps in lengths), lengths
 
 
 def test_k_direct_takes_shift_close_to_levels():

@@ -47,8 +47,8 @@ def _count_enumerations(monkeypatch) -> list:
     calls = []
     enumerate_ = C.CrossSection._enumerate
 
-    def counting(self, mat, radius, window="lattice"):
-        out = enumerate_(self, mat, radius, window)
+    def counting(self, lattice, radius, window="lattice"):
+        out = enumerate_(self, lattice, radius, window)
         calls.append((window, out.size))
         return out
 
@@ -262,6 +262,7 @@ def test_near_shift_tori_finish_independent_of_t0(name, monkeypatch):
         pytest.param(2, ["scaling", "--mu", "2,4,8,16,32,64"], ["dual", "primal"], id="scaling"),
         pytest.param(2, ["dump-zeta"], ["dual", "primal"], id="dump-zeta"),
         pytest.param(2, ["dump-spectrum"], ["dual"], id="dump-spectrum"),
+        pytest.param(None, ["verify"], ["dual"] * 5 + ["primal"] * 5, id="verify"),
     ],
 )
 def test_torsion_enumerates_each_window_once(tmp_path, monkeypatch, n, argv, windows):
@@ -269,10 +270,15 @@ def test_torsion_enumerates_each_window_once(tmp_path, monkeypatch, n, argv, win
     the unit T^n enumerates one dual window (the cutoff of degree 0, shared
     by every degree) and, when it builds a Mellin split, one primal window
     (shared by every row of the split); ids 2 and 4 are ``torsion`` on T^2
-    and T^4."""
+    and T^4.  ``verify`` (no configuration) enumerates ten: one dual and one
+    primal window for each of the two heat-identity bases, the unit-T^2
+    split's pair, and the first-order oracle's shortest-vector balls and
+    its own pair."""
     calls = _count_enumerations(monkeypatch)
-    path = _write_config(tmp_path, np.eye(n).tolist(), tolerance=1e-10)
-    assert cli.main([*argv, "--config", path, "--out", str(tmp_path / "r.out")]) == 0
+    if n is not None:
+        path = _write_config(tmp_path, np.eye(n).tolist(), tolerance=1e-10)
+        argv = [*argv, "--config", path, "--out", str(tmp_path / "r.out")]
+    assert cli.main(argv) == 0
     assert sorted(window for window, _ in calls) == windows
 
 

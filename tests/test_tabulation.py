@@ -14,7 +14,8 @@ import pytest
 from conetorsion import zeta
 from conetorsion.crosssection import build_cross_section
 from conetorsion.olver import harmonic_number
-from conetorsion.torsion import NumericsParams, build_slices, log_torsion_cone
+from conetorsion.torsion import NumericsParams, build_slices, build_splits, log_torsion_cone
+from reference_oracles import a_table_ref, shifted_zeta_prime0_ref
 
 GEOMETRIES = {
     "unit-t2": np.eye(2),
@@ -127,3 +128,23 @@ def test_harmonic_number_matches_the_fraction_sum():
         exact = sum((Fraction(1, j) for j in range(1, m + 1)), start=Fraction(0))
         assert harmonic_number(m) == exact
         assert harmonic_number(m) == exact  # served from the table
+
+
+@pytest.mark.parametrize("name", list(GEOMETRIES))
+def test_row_tables_equal_the_per_row_loops(name):
+    """The A table and the shifted derivatives of a 32-row scaling split,
+    and of a split whose shifts are negated, equal bit for bit the per-row
+    loops that the row-vectorised tables replaced: ``HeatModel.coefficient``
+    per (row, j), and the Mellin sum term by term per (row, sign)."""
+    cs = _torus(GEOMETRIES[name])
+    params = NumericsParams(tolerance=1e-10)
+    split = build_splits(cs, params, [2.0 ** (k / 5.0) for k in range(32)])
+    h = cs.dim_n // 2
+    negated = zeta.MellinSplit(split.sl, split.t0, [-cs.alpha(k) for k in range(h)])
+    for ms in (split, negated):
+        widths = [15 + 3 * (i % 4) for i in range(len(ms.shifts))]
+        got, ref = zeta._a_table(ms.heats, ms.t0, ms._grid, widths), a_table_ref(ms.heats, ms.t0, ms._grid, widths)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1]) and got[2] == ref[2]
+        for row in range(len(ms.shifts)):
+            for sign in (+1, -1):
+                assert zeta.shifted_zeta_prime0(ms, sign, row) == shifted_zeta_prime0_ref(ms, sign, row), (row, sign)

@@ -173,7 +173,7 @@ def test_alpha_is_half_integer_for_even_n():
             {"family": "flat_torus", "dim_n": n, "lattice_basis": np.eye(n).tolist()}
         )
         for k in range(n):
-            assert cs.alpha(k).denominator == 2
+            assert F(cs.alpha(k)).denominator == 2
 
 
 def test_tors_term_forms_agree(unit_t2, unit_t4):
