@@ -11,16 +11,18 @@ Subcommands
 ``verify``         identity and oracle suite; nonzero exit on any failure
 ``dump-olver``     exact expansion-coefficient tables
 
-Every command but ``verify`` and ``dump-olver`` takes ``--config`` and
-``--out``; ``torsion``, ``truncated``, ``scaling``, ``dump-spectrum`` and
-``dump-zeta`` also take ``--tolerance`` and ``--cutoff``, ``truncated``
-takes ``--epsilon`` and ``scaling`` takes ``--mu`` and ``--format``.  A flag
-a command does not read is a usage error.
+Each subcommand is one entry of ``_COMMANDS``: its handler, its help line
+and the flags it reads.  The parser is built from that table and ``main``
+dispatches through it, so a flag a command does not read is a usage error.
 
 Exit codes: 0 success, 1 numerical verification failure, 2 configuration
-error.  Reports are written by the ``json`` encoder, each float by ``repr``:
-the shortest text that reads back the same double.  Apart from the wall-time
-provenance field, identical configurations produce byte-identical reports.
+error.  Every JSON report is written by one encoder, ``dumps``, each float by
+``repr``: the shortest text that reads back the same double.  A report holds
+finite doubles or is not written: a value outside binary64 exits 1 naming
+the command.  Its one null is a value that does not exist, the scaling bound
+|Tors| mu / log mu at mu = 1 and its maximum over a grid with no other row.
+Apart from the wall-time provenance field, identical configurations produce
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ import argparse
 import functools
 import json
 import math
+import operator
 import sys
 import time
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -40,12 +43,7 @@ from . import __version__
 from .bessel import modified_bessels, uniform_expansion, wronskian_residual
 from .config import RunConfig, parse_config, read_config_document
 from .crosssection import CrossSection, theta_heat_coeffs, theta_sums
-from .errors import (
-    ConfigError,
-    CutoffInsufficientError,
-    DomainError,
-    ODEIntegrationError,
-)
+from .errors import ConfigError, CutoffInsufficientError, DomainError, ODEIntegrationError
 from .firstorder import FirstOrderZeta
 from .olver import DEFAULT_MAX_ORDER, d_poly, eval_t_poly, m_poly_eval, olver_pair, z_diff_by_b, z_table
 from .torsion import (
@@ -78,33 +76,15 @@ DEFAULT_CONFIG = {
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    """``obj`` with non-finite floats as None and numpy integers as ints,
-    which ``json`` would write as NaN or Infinity or refuse; tuples become
-    lists on the way."""
-    if isinstance(obj, dict):
-        return {key: _jsonable(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(val) for val in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
-def dumps(obj) -> str:
+def dumps(doc, command: str = "report") -> str:
     """Report text: JSON indented by 2, each float written by ``repr``, the
-    shortest text that reads back the same double."""
-    return json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n"
-
-
-def _require_finite(what: str, obj) -> None:
-    """OverflowError naming ``what`` where the report would write a weighted value as null."""
+    shortest text that reads back the same double, and numpy integers as
+    ints; any other type is a TypeError.  A non-finite float is an
+    OverflowError naming ``command``."""
     try:
-        json.dumps(obj, allow_nan=False, default=int)
+        return json.dumps(doc, indent=2, allow_nan=False, default=operator.index) + "\n"
     except ValueError:
-        raise OverflowError(f"a {what} value lies outside binary64") from None
+        raise OverflowError(f"a {command} value lies outside binary64") from None
 
 
 def _write_report(text: str, path: Optional[str]):
@@ -119,7 +99,8 @@ def _write_report(text: str, path: Optional[str]):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations: each returns its report, a JSON document or
+# CSV text, which ``main`` writes
 # ---------------------------------------------------------------------------
 
 
@@ -127,24 +108,14 @@ def _params(cfg: RunConfig) -> NumericsParams:
     return NumericsParams(cutoff=cfg.cutoff, tolerance=cfg.tolerance)
 
 
-def _base_provenance(cfg: RunConfig) -> dict:
-    return {
-        "version": __version__,
-        "schema": 1,
-        "tolerance": cfg.tolerance,
-        "cutoff": cfg.cutoff,
-    }
+def _report(cfg: RunConfig, result: dict, provenance: dict) -> dict:
+    """{"result", "provenance"}, the provenance being the base fields
+    followed by ``provenance``."""
+    base = {"version": __version__, "schema": 1, "tolerance": cfg.tolerance, "cutoff": cfg.cutoff}
+    return {"result": result, "provenance": {**base, **provenance}}
 
 
-def _emit_report(cfg: RunConfig, result: dict, provenance: dict) -> int:
-    """Write {"result", "provenance"} to the configured output, the
-    provenance being the base fields followed by ``provenance``."""
-    doc = {"result": result, "provenance": {**_base_provenance(cfg), **provenance}}
-    _write_report(dumps(doc), cfg.output_path)
-    return 0
-
-
-def cmd_torsion(cfg: RunConfig) -> int:
+def cmd_torsion(cfg: RunConfig) -> dict:
     report = log_torsion_cone(cfg.cross_section, _params(cfg))
     result = {
         "log_torsion": report.log_t,
@@ -154,10 +125,10 @@ def cmd_torsion(cfg: RunConfig) -> int:
         "anomaly_integral": report.anomaly_integral,
         "per_slice": {str(k): v for k, v in report.per_slice.items()},
     }
-    return _emit_report(cfg, result, report.provenance)
+    return _report(cfg, result, report.provenance)
 
 
-def cmd_truncated(cfg: RunConfig) -> int:
+def cmd_truncated(cfg: RunConfig) -> dict:
     if cfg.epsilon is None:
         raise ConfigError("epsilon", "required for the truncated subcommand")
     started = time.time()
@@ -171,18 +142,18 @@ def cmd_truncated(cfg: RunConfig) -> int:
         "difference_formula": diff,
         "cross_route_residual": abs(diff - (value - cone.log_t)),
     }
-    return _emit_report(cfg, result, {"wall_time_s": time.time() - started})
+    return _report(cfg, result, {"wall_time_s": time.time() - started})
 
 
-def cmd_anomaly(cfg: RunConfig) -> int:
+def cmd_anomaly(cfg: RunConfig) -> dict:
     started = time.time()
     cs = cfg.cross_section
     res, anomaly = res_term(cs)
     result = {"anomaly_integral": anomaly, "res": res}
-    return _emit_report(cfg, result, {"wall_time_s": time.time() - started})
+    return _report(cfg, result, {"wall_time_s": time.time() - started})
 
 
-def cmd_scaling(cfg: RunConfig) -> int:
+def cmd_scaling(cfg: RunConfig) -> dict | str:
     mu_grid = cfg.mu_grid or [2.0, 4.0, 8.0, 16.0, 32.0, 64.0]
     started = time.time()
     rows, fitted = tors_scaling_profile(cfg.cross_section, mu_grid, _params(cfg))
@@ -191,16 +162,15 @@ def cmd_scaling(cfg: RunConfig) -> int:
         for row in rows:
             bound = "" if row.bound is None else repr(row.bound)
             lines.append(f"{row.mu!r},{row.tors!r},{bound}")
-        _write_report("\n".join(lines) + "\n", cfg.output_path)
-        return 0
+        return "\n".join(lines) + "\n"
     result = {
         "rows": [{"mu": row.mu, "tors": row.tors, "bound": row.bound} for row in rows],
-        "fitted_bound_constant": fitted,
+        "fitted_bound_constant": None if math.isnan(fitted) else fitted,
     }
-    return _emit_report(cfg, result, {"wall_time_s": time.time() - started})
+    return _report(cfg, result, {"wall_time_s": time.time() - started})
 
 
-def cmd_dump_olver(order: int, path: Optional[str]) -> int:
+def cmd_dump_olver(order: int) -> dict:
     """Exact coefficient tables u_r, v_r, D_r, z_{r,b} with 'p/q' rationals."""
     if order < 1 or order > DEFAULT_MAX_ORDER:
         raise ConfigError("order", f"must lie in 1..{DEFAULT_MAX_ORDER}")
@@ -219,11 +189,10 @@ def cmd_dump_olver(order: int, path: Optional[str]) -> int:
             str(b): {str(deg): frac(c) for deg, c in sorted(ap.items())}
             for b, ap in sorted(z_table(r).items())
         }
-    _write_report(dumps(doc), path)
-    return 0
+    return doc
 
 
-def cmd_dump_spectrum(cfg: RunConfig) -> int:
+def cmd_dump_spectrum(cfg: RunConfig) -> dict:
     """Each degree: the shared levels [eta, lattice points], its weight and its weighted heat model."""
     cs = cfg.cross_section
     sl = build_slices(cs, _params(cfg), plan_t0(cs))
@@ -241,11 +210,10 @@ def cmd_dump_spectrum(cfg: RunConfig) -> int:
             "heat_coefficients": [weight * c for c in heat.coefficients],
             "levels": levels,
         }
-    _require_finite("dump-spectrum", slices)
-    return _emit_report(cfg, {"slices": slices}, {})
+    return _report(cfg, {"slices": slices}, {})
 
 
-def cmd_dump_zeta(cfg: RunConfig) -> int:
+def cmd_dump_zeta(cfg: RunConfig) -> dict:
     """Each degree k < n/2 is row k of the split; degree n-1-k, of equal weight, negates its shift."""
     cs = cfg.cross_section
     n, h = cs.dim_n, cs.dim_n // 2
@@ -268,8 +236,7 @@ def cmd_dump_zeta(cfg: RunConfig) -> int:
             },
             "err": ev.err,
         }
-    _require_finite("dump-zeta", slices)
-    return _emit_report(cfg, {"slices": slices}, {})
+    return _report(cfg, {"slices": slices}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -486,17 +453,17 @@ _CHECKS: list[tuple[str, str, Callable[[_VerifyInputs], float], float]] = [
 ]
 
 
-def cmd_verify(group: Optional[str]) -> int:
-    if group and not any(group in (grp, name) for grp, name, _, _ in _CHECKS):
+def cmd_verify(what: Optional[str]) -> int:
+    if what and not any(what in (grp, name) for grp, name, _, _ in _CHECKS):
         groups = ", ".join(dict.fromkeys(grp for grp, _, _, _ in _CHECKS))
         names = ", ".join(name for _, name, _, _ in _CHECKS)
         raise ConfigError(
-            "verify", f"unknown group or check {group!r}; groups: {groups}; checks: {names}"
+            "verify", f"unknown group or check {what!r}; groups: {groups}; checks: {names}"
         )
     inputs = _VerifyInputs()
     failures: list[tuple[str, float, float]] = []
     for grp, name, fn, bound in _CHECKS:
-        if group and group not in (grp, name):
+        if what and what not in (grp, name):
             continue
         value = fn(inputs)
         ok = value <= bound
@@ -520,6 +487,40 @@ def cmd_verify(group: Optional[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Command(NamedTuple):
+    """A subcommand.  One that reads ``--config`` hands its handler the
+    parsed configuration, any other its arguments by name."""
+
+    handler: Callable
+    help: str
+    flags: tuple[str, ...]
+
+
+_FLAGS = {
+    "--config": dict(help="path to a schema-1 JSON configuration"),
+    "--out": dict(help="output file (default: stdout)"),
+    "--tolerance": dict(type=float, help="bound on each K-series tail per lattice point; the error in log T is not bounded by it"),
+    "--cutoff": dict(type=float, help="eigenvalue cutoff"),
+    "--epsilon": dict(type=float, help="truncation parameter in (0,1)"),
+    "--mu": dict(help="comma-separated scaling grid, e.g. 2,4,8"),
+    "--format": dict(choices=["json", "csv"], help="json (default) or csv"),
+    "what": dict(nargs="?", help="restrict to one check group or check name"),
+    "--order": dict(type=int, default=6, help="highest order r (<= 12)"),
+}
+_RUN = ("--config", "--out", "--tolerance", "--cutoff")
+
+_COMMANDS = {
+    "torsion": _Command(cmd_torsion, "assemble the full cone torsion report", _RUN),
+    "truncated": _Command(cmd_truncated, "scalar log torsion of the truncated cone", (*_RUN, "--epsilon")),
+    "anomaly": _Command(cmd_anomaly, "boundary anomaly integral", ("--config", "--out")),
+    "scaling": _Command(cmd_scaling, "Tors under metric scaling", (*_RUN, "--mu", "--format")),
+    "dump-spectrum": _Command(cmd_dump_spectrum, "enumerated spectral slices", _RUN),
+    "dump-zeta": _Command(cmd_dump_zeta, "zeta continuation artifacts per slice", _RUN),
+    "verify": _Command(cmd_verify, "run the identity and oracle suite", ("what",)),
+    "dump-olver": _Command(cmd_dump_olver, "exact expansion-coefficient tables", ("--order", "--out")),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: argparse asks the
@@ -531,45 +532,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"conetorsion {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = {
-        "--tolerance": dict(type=float, help="bound on each K-series tail per lattice point; the error in log T is not bounded by it"),
-        "--cutoff": dict(type=float, help="eigenvalue cutoff"),
-        "--epsilon": dict(type=float, help="truncation parameter in (0,1)"),
-        "--mu": dict(help="comma-separated scaling grid, e.g. 2,4,8"),
-        "--format": dict(choices=["json", "csv"], help="json (default) or csv"),
-    }
-    numerics = ("--tolerance", "--cutoff")
-    commands = {
-        "torsion": ("assemble the full cone torsion report", numerics),
-        "truncated": ("scalar log torsion of the truncated cone", (*numerics, "--epsilon")),
-        "anomaly": ("boundary anomaly integral", ()),
-        "scaling": ("Tors under metric scaling", (*numerics, "--mu", "--format")),
-        "dump-spectrum": ("enumerated spectral slices", numerics),
-        "dump-zeta": ("zeta continuation artifacts per slice", numerics),
-    }
-    for name, (help_text, extra) in commands.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="path to a schema-1 JSON configuration")
-        p.add_argument("--out", help="output file (default: stdout)")
-        for flag in extra:
-            p.add_argument(flag, **flags[flag])
-    p = sub.add_parser("verify", help="run the identity and oracle suite")
-    p.add_argument("what", nargs="?", help="restrict to one check group or check name")
-    p = sub.add_parser("dump-olver", help="exact expansion-coefficient tables")
-    p.add_argument("--order", type=int, default=6, help="highest order r (<= 12)")
-    p.add_argument("--out", help="output file (default: stdout)")
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag in command.flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    if args.config:
-        doc = read_config_document(args.config)
+def _config_from_args(args: dict) -> RunConfig:
+    if args["config"]:
+        doc = read_config_document(args["config"])
     else:
         doc = json.loads(json.dumps(DEFAULT_CONFIG))
     if not isinstance(doc, dict):
         raise ConfigError("$", "configuration must be a JSON object")
     # a subcommand's namespace holds only the flags it declares
-    given = {key: val for key, val in vars(args).items() if val is not None}
+    given = {key: val for key, val in args.items() if val is not None}
     # a flag displaces both config keys; two flags meet parse_config's
     # "exactly one" refusal
     flags = {key: given[key] for key in ("tolerance", "cutoff") if key in given}
@@ -584,16 +562,12 @@ def _config_from_args(args) -> RunConfig:
             doc["mu_grid"] = [float(v) for v in given["mu"].split(",") if v]
         except ValueError:
             raise ConfigError("mu_grid", "must be a comma-separated list of numbers") from None
-    if "out" in given or "format" in given:
-        output = doc.get("output")
-        if output is not None and not isinstance(output, dict):
+    output = {key: given[flag] for flag, key in (("out", "path"), ("format", "format")) if flag in given}
+    if output:
+        current = doc.get("output")
+        if current is not None and not isinstance(current, dict):
             raise ConfigError("output", "must be an object")
-        output = dict(output or {})
-        if "out" in given:
-            output["path"] = given["out"]
-        if "format" in given:
-            output["format"] = given["format"]
-        doc["output"] = output
+        doc["output"] = {**(current or {}), **output}
     return parse_config(doc)
 
 
@@ -603,24 +577,22 @@ _NUMERICAL_FAILURES = (DomainError, CutoffInsufficientError, ArithmeticError, OD
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    name = args.pop("command")
+    command = _COMMANDS[name]
     try:
-        if args.command == "verify":
-            return cmd_verify(args.what)
-        if args.command == "dump-olver":
-            return cmd_dump_olver(args.order, args.out)
-        cfg = _config_from_args(args)
-        if cfg.output_format == "csv" and args.command != "scaling":
-            raise ConfigError("output.format", "csv is written only by scaling")
-        handler = {
-            "torsion": cmd_torsion,
-            "truncated": cmd_truncated,
-            "anomaly": cmd_anomaly,
-            "scaling": cmd_scaling,
-            "dump-spectrum": cmd_dump_spectrum,
-            "dump-zeta": cmd_dump_zeta,
-        }[args.command]
-        return handler(cfg)
+        if "--config" in command.flags:
+            cfg = _config_from_args(args)
+            if cfg.output_format == "csv" and "--format" not in command.flags:
+                raise ConfigError("output.format", "csv is written only by scaling")
+            report, path = command.handler(cfg), cfg.output_path
+        elif "--out" in command.flags:
+            path = args.pop("out")
+            report = command.handler(**args)
+        else:  # verify prints its own lines and returns its exit code
+            return command.handler(**args)
+        _write_report(report if isinstance(report, str) else dumps(report, name), path)
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,7 @@ sum per node and scipy ``quad`` for the subordination integral: the nested
 form of B1 that ``FirstOrderZeta.__init__`` swaps and vectorises.  The
 full-cone Gelfand-Yaglom shooting oracle checks ``model_det_ratio`` on the
 full cone.  The Ray-Singer quotient of the product metric checks the torsion assembly.
+Kronecker's first limit formula gives Tors of a large flat T^2 in closed form.
 The Olver double sum of slice-zeta residues and digamma-weighted z_{2r,b}
 differences is the exact oracle of the closed form that ``res_term``
 evaluates (derived from it in the README); it reads the Olver tables, so it
@@ -36,6 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
+import mpmath
 import numpy as np
 from scipy import integrate, special
 from scipy.linalg import eigh, null_space
@@ -263,6 +265,29 @@ def gy_full_cone_oracle(spec, z: float, x_start: float = 0.3, terms: int = 60) -
 def rs_norm_product_metric(cs, params=None) -> float:
     """Log Ray-Singer quotient for the product-near-boundary metric: Top + Tors."""
     return top_term(cs) + tors_term(build_splits(cs, params or NumericsParams())).value
+
+
+def kronecker_tors_t2(basis) -> mpmath.mpf:
+    """Tors of the flat T^2 on ``basis`` (rows, as a configuration gives
+    them) from Kronecker's first limit formula, at 30 digits:
+
+        Vol/(16 pi) + 1/2 log(Vol Im tau |eta(tau)|^4),
+
+    with tau = w2/w1 for the columns w1, w2 of ``basis`` read as complex
+    numbers (conjugated into the upper half-plane) and Dedekind's eta by its
+    q-product, eta = q^(1/24) prod_k (1 - q^k) with q = e^(2 pi i tau).  The
+    formula drops terms of order e^(-l/2), l the shortest primal vector, so
+    it is Tors to binary64 only from l of about 64 on."""
+    with mpmath.workdps(30):
+        (a, b), (c, d) = (map(mpmath.mpf, row) for row in basis)
+        tau = mpmath.mpc(b, d) / mpmath.mpc(a, c)
+        tau = tau if tau.imag > 0 else mpmath.conj(tau)
+        vol = abs(a * d - b * c)
+        q = mpmath.expjpi(2 * tau)
+        eta, qk = mpmath.expjpi(tau / 12), q
+        while abs(qk) > mpmath.mpf(10) ** -40:
+            eta, qk = eta * (1 - qk), qk * q
+        return vol / (16 * mpmath.pi) + mpmath.log(vol * tau.imag * abs(eta) ** 4) / 2
 
 
 @functools.cache

@@ -231,18 +231,66 @@ def test_non_finite_number_is_config_error(tmp_path, capsys, command, doc, flags
 
 def test_float_serialization_is_lossless():
     """Every double reads back equal, with its type and sign: -0.0 stays a
-    negative float and 2.0 a float.  Non-finite floats are written as null,
-    numpy integers as ints."""
+    negative float and 2.0 a float.  Non-finite floats are refused, numpy
+    integers are written as ints."""
     rng = np.random.default_rng(20261020)
     draws = rng.standard_normal(10_000) * 10.0 ** rng.uniform(-300.0, 300.0, 10_000)
     values = [0.1 + 0.2, -0.0, 2.0, 5e-324, 1e300, *draws.tolist()]
     back = json.loads(cli.dumps({"x": values}))["x"]
     assert back == values
     assert all(type(b) is float and math.copysign(1.0, b) == math.copysign(1.0, v) for b, v in zip(back, values))
-    special = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "n": np.int64(7), "t": (1, np.int32(2))}
+    special = {"n": np.int64(7), "t": (1, np.int32(2))}
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(OverflowError):
+            cli.dumps({**special, "x": value})
     back = json.loads(cli.dumps(special))
-    assert back == {"nan": None, "inf": None, "-inf": None, "n": 7, "t": [1, 2]}
+    assert back == {"n": 7, "t": [1, 2]}
     assert type(back["n"]) is int and type(back["t"][1]) is int
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_the_encoder_refuses_a_value_outside_binary64(value):
+    """A non-finite float anywhere in a report is an OverflowError naming the
+    command, never a null or a NaN token."""
+    with pytest.raises(OverflowError, match="^a dump-zeta value lies outside binary64$"):
+        cli.dumps({"slices": {"0": {"err": [0.0, value]}}}, "dump-zeta")
+    with pytest.raises(OverflowError, match="^a report value lies outside binary64$"):
+        cli.dumps(value)
+
+
+@pytest.mark.parametrize(
+    "value", [np.float32(0.1), np.bool_(True), 0.5 + 0j, object()], ids=["float32", "bool_", "complex", "object"]
+)
+def test_the_encoder_converts_numpy_integers_only(value):
+    """Anything the encoder does not write exactly is a TypeError, so nothing
+    reaches a report truncated or converted."""
+    with pytest.raises(TypeError):
+        cli.dumps({"x": value})
+
+
+def test_scaling_at_mu_1_writes_its_one_null(tmp_path):
+    """|Tors| mu / log mu does not exist at mu = 1: the row's bound and the
+    fitted constant over a grid with no other row are the report's nulls."""
+    out = tmp_path / "scaling.json"
+    assert cli.main(["scaling", "--config", _write_config(tmp_path, SHEARED_T2), "--mu", "1", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["fitted_bound_constant"] is None
+    assert [row["bound"] for row in result["rows"]] == [None]
+    assert math.isfinite(result["rows"][0]["tors"])
+
+
+def _docstring_commands() -> set[str]:
+    """The subcommands listed under the module docstring's "Subcommands" heading."""
+    listing = cli.__doc__.split("Subcommands\n-----------\n")[1].split("\n\n")[0]
+    return {line.split("``")[1] for line in listing.splitlines()}
+
+
+def test_the_command_table_is_the_one_command_list():
+    """The docstring, the parser and the table name the same subcommands."""
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert _docstring_commands() == set(sub.choices) == set(cli._COMMANDS)
+    assert len(cli._COMMANDS) == 8
 
 
 def test_verify_group(capsys):
@@ -686,7 +734,7 @@ def test_defect_in_a_handler_propagates(tmp_path, monkeypatch):
     def broken(cfg):
         raise KeyError("missing")
 
-    monkeypatch.setattr(cli, "cmd_anomaly", broken)
+    monkeypatch.setitem(cli._COMMANDS, "anomaly", cli._COMMANDS["anomaly"]._replace(handler=broken))
     with pytest.raises(KeyError):
         cli.main(["anomaly", "--config", _write_config(tmp_path, UNIT_T2)])
 
@@ -695,7 +743,7 @@ def test_domain_error_exits_1(tmp_path, monkeypatch, capsys):
     def out_of_domain(cfg):
         raise DomainError("nu must be positive")
 
-    monkeypatch.setattr(cli, "cmd_anomaly", out_of_domain)
+    monkeypatch.setitem(cli._COMMANDS, "anomaly", cli._COMMANDS["anomaly"]._replace(handler=out_of_domain))
     assert cli.main(["anomaly", "--config", _write_config(tmp_path, UNIT_T2)]) == 1
     assert "nu must be positive" in capsys.readouterr().err
 

@@ -17,6 +17,7 @@ from conetorsion.zeta import MellinSplit
 from reference_oracles import (
     digamma_weighted_zdiff,
     gy_full_cone_oracle,
+    kronecker_tors_t2,
     residue_double_sum,
     rs_norm_product_metric,
 )
@@ -533,3 +534,22 @@ def test_scaling_profile(unit_t2):
         T.tors_scaling_profile(unit_t2, [0.5])
     with pytest.raises(DomainError):
         T.tors_scaling_profile(unit_t2, [])
+
+
+@pytest.mark.parametrize(
+    "basis, abs_tol, rel_tol",
+    [
+        ([[64.0, 0.0], [0.0, 64.0]], 1e-12, 0.0),
+        ([[64.0, 20.0], [0.0, 64.0]], 1e-12, 0.0),
+        ([[256.0, 0.0], [0.0, 256.0]], 0.0, 4e-15),
+    ],
+    ids=["64I", "sheared-64", "256I"],
+)
+def test_large_t2_tors_is_kroneckers_limit_formula(basis, abs_tol, rel_tol):
+    """On a T^2 whose shortest vector is 64 or more, Tors at tolerance 1e-10
+    is Vol/(16 pi) + 1/2 log(Vol Im tau |eta(tau)|^4) to binary64: Tors grows
+    like Vol, so the 256 I pin is relative."""
+    cs = build_cross_section({"family": "flat_torus", "dim_n": 2, "lattice_basis": basis})
+    ref = kronecker_tors_t2(basis)
+    gap = abs(_tors(cs, T.NumericsParams(tolerance=1e-10)).value - ref)
+    assert gap <= max(abs_tol, rel_tol * abs(ref)), float(gap)
